@@ -42,33 +42,26 @@ _INVARIANT_ERRORS = (InternalError, ParityError, ResidualError)
 class CliConfig:
     """Numeric knobs shared by the subcommands.
 
-    The residual tolerance may be overridden by SYMPL_MODULI_TOL; all
-    tolerances must be positive and the enumeration bound at least 1.
+    The residual tolerance may be overridden by SYMPL_MODULI_TOL; it
+    must be positive and the enumeration bound at least 1.
     """
 
-    root_find_tol: float = 1e-12
-    quad_tol: float = 1e-10
     residual_tol: float = 1e-9
     bound: int = 1
     out: str | None = None
-    fmt: str = "json"
 
     def __post_init__(self):
-        if min(self.root_find_tol, self.quad_tol, self.residual_tol) <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.residual_tol <= 0:
+            raise ValueError("the residual tolerance must be positive")
         if self.bound < 1:
             raise ValueError("bound must be >= 1")
-        if self.fmt not in ("json", "csv"):
-            raise ValueError("format is 'json' or 'csv'")
 
     @classmethod
     def from_namespace(cls, ns: argparse.Namespace) -> "CliConfig":
         return cls(
-            quad_tol=getattr(ns, "quad_tol", 1e-10),
             residual_tol=residual_tolerance(),
             bound=max(1, getattr(ns, "max_abs", 1)),
             out=getattr(ns, "out", None),
-            fmt="csv" if getattr(ns, "cmd", "") == "trace" else "json",
         )
 
 
@@ -153,14 +146,18 @@ def _cmd_trace(ns: argparse.Namespace) -> int:
     if len(pairs) != 1:
         raise ParseError("--pair takes exactly one 'p,p'' pair")
     p, pp = pairs[0]
+    if ns.samples < 2:
+        raise ParseError(f"--samples must be at least 2, got {ns.samples}")
+    if not ns.clip > 0:
+        raise ParseError(f"--clip must be positive, got {ns.clip}")
+    if p <= 0:
+        raise InvalidLabel(f"({p}, {pp}): profile families need p > 0")
     ranges = classify_branches(p, pp)
     if not 0 <= ns.range < len(ranges):
         raise ParseError(
             f"range id {ns.range} invalid: ({p}, {pp}) has {len(ranges)} ranges")
-    config = CliConfig.from_namespace(ns)
     trace = integrate_profile(p, pp, ns.range, s_anchor=ns.anchor,
-                              n_samples=ns.samples, clip=ns.clip,
-                              quad_tol=config.quad_tol)
+                              n_samples=ns.samples, clip=ns.clip)
     trace.write_csv(ns.out)
     rng = ranges[ns.range]
     s_vals = [row.s for row in trace.samples]
@@ -307,9 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="value of s at the range midpoint")
     t.add_argument("--samples", type=int, default=1000)
     t.add_argument("--clip", type=float, default=1e-4,
-                   help="distance to keep from the range endpoints")
-    t.add_argument("--quad-tol", type=float, default=1e-10, dest="quad_tol",
-                   help="absolute quadrature tolerance per subinterval")
+                   help="distance (> 0) to keep from the range endpoints")
     t.add_argument("--out", required=True, help="CSV output path")
     t.set_defaults(func=_cmd_trace)
 

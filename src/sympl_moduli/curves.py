@@ -15,33 +15,36 @@ the ranges cut out by the constant solutions {0, theta0, theta0_bar,
 pi}; on any such range s = s(theta) is an antiderivative of
 
     - (1 - 3 cos^2 th + sqrt6 a cos th sin^2 th)
-      / ((sqrt6 cos th - a (1 - 3 cos^2 th)) sin th),     a = p'/p,
+      / ((sqrt6 cos th - a (1 - 3 cos^2 th)) sin th),     a = p'/p.
 
-which this module integrates by adaptive quadrature, recovering
-u = f = e^{-sqrt6 s}(1 - 3 cos^2 theta) algebraically afterwards.  That
-avoids the stiffness of the u-parameterized equation near the fixed
-angles, where s diverges.
+This module works with s(theta) and recovers u = f = e^{-sqrt6 s}
+(1 - 3 cos^2 theta) algebraically afterwards.  That avoids the
+stiffness of the u-parameterized equation near the fixed angles, where
+s diverges.
+
+In x = cos(theta) the slope ds/dx is a proper rational function with
+simple poles at x = +-1 and at the roots of 3 a x^2 + sqrt6 x - a (the
+cosines of theta0 and theta0_bar), so s is in closed form a sum of
+residue * log|x - pole| terms (profile_log_terms).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-from scipy.integrate import quad
+from decimal import Decimal, localcontext
+from typing import NamedTuple, Optional
 
 from .errors import (BranchError, DomainError, InvalidLabel, WrongExample)
 from .geometry import SQRT6, BranchId, Point4, theta_from_lambda
 from .reeb import ReebOrbit, OrbitKind, classify_pair, solve_theta0, solve_theta0_bar
 
 _TWO_PI = 2.0 * math.pi
+_LOG2 = math.log(2.0)
 
 #: Default clipping of a theta range away from its fixed-angle endpoints.
 DEFAULT_CLIP = 1e-4
-
-#: Default absolute quadrature tolerance per subinterval.
-DEFAULT_QUAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -110,21 +113,113 @@ def _common_range(p: int, p_prime: int, a: float, b: float) -> None:
         f"({p}, {p_prime}); fixed angles: {angles}")
 
 
+class LogTerm(NamedTuple):
+    """One term residue * log|cos(theta) - pole| of s(theta)."""
+
+    residue: float
+    pole: float
+    angle: Optional[float]   # the fixed angle over the pole; None if |pole| > 1
+    offset: float            # cos(angle) - pole, which rounding leaves nonzero
+
+
+def _dec_cos(x: float) -> Decimal:
+    """cos(x) for |x| <= pi by its Taylor series, in the current context."""
+    x2 = Decimal(x) ** 2
+    term = total = Decimal(1)
+    k = 0
+    while True:
+        k += 2
+        term = -term * x2 / (k * (k - 1))
+        if total + term == total:
+            return total
+        total += term
+
+
+@functools.lru_cache(maxsize=256)
+def profile_log_terms(p: int, p_prime: int) -> tuple[LogTerm, ...]:
+    """The partial fractions of ds/dx, x = cos(theta).
+
+    ds/dx = N(x) / D(x) with N = 1 - 3x^2 + sqrt6 a x (1 - x^2) and
+    D = (3a x^2 + sqrt6 x - a)(1 - x^2), a = p'/p, so that
+    s = sum residue * log|x - pole| + const with residue = N/D' at the
+    pole.  The poles at x = 1 and x = -1 have residues 1/(2a + sqrt6)
+    and 1/(sqrt6 - 2a); the quadratic's roots (its single root x = 0
+    when a = 0) are taken in cancellation-free form at 40 digits.  A
+    pole inside [-1, 1] carries its fixed angle, from solve_theta0 or
+    solve_theta0_bar, and the offset cos(angle) - pole, since that angle
+    is the float that bounds the theta ranges.
+    """
+    if p < 0:                        # s depends on p'/p only
+        p, p_prime = -p, -p_prime
+    a = p_prime / p
+    terms = [LogTerm(1.0 / (2.0 * a + SQRT6), 1.0, 0.0, 0.0),
+             LogTerm(1.0 / (SQRT6 - 2.0 * a), -1.0, math.pi, 0.0)]
+    with localcontext() as ctx:
+        ctx.prec = 40
+        a_dec = Decimal(p_prime) / p
+        sqrt6 = Decimal(6).sqrt()
+        big = sqrt6 + (6 + 12 * a_dec * a_dec).sqrt()
+        roots = [(2 * a_dec / big, solve_theta0(p, p_prime))]
+        if p_prime != 0:
+            outer = None
+            if 2 * p_prime * p_prime > 3 * p * p:
+                outer = solve_theta0_bar(p, p_prime)
+            roots.append((-big / (6 * a_dec), outer))
+        for r_dec, angle in roots:
+            r = float(r_dec)
+            one_minus_r2 = (1.0 - r) * (1.0 + r)
+            num = 1.0 - 3.0 * r * r + SQRT6 * a * r * one_minus_r2
+            residue = num / ((6.0 * a * r + SQRT6) * one_minus_r2)
+            offset = 0.0 if angle is None else float(_dec_cos(angle) - r_dec)
+            terms.append(LogTerm(residue, r, angle, offset))
+    return tuple(terms)
+
+
+def _log_sum(terms: tuple[LogTerm, ...], theta: float) -> float:
+    """sum residue * log|cos(theta) - pole|, which is s(theta) up to a
+    constant on each range.  Near a fixed angle the gap is taken as a
+    product of sines, which keeps its relative accuracy where
+    cos(theta) - cos(angle) would cancel."""
+    half = 0.5 * theta
+    total = 0.0
+    for residue, pole, angle, offset in terms:
+        if angle is None:
+            log_gap = math.log(abs(math.cos(theta) - pole))
+        elif angle == 0.0:           # 1 - cos = 2 sin^2(theta/2)
+            log_gap = _LOG2 + 2.0 * math.log(abs(math.sin(half)))
+        elif angle == math.pi:       # 1 + cos = 2 cos^2(theta/2)
+            log_gap = _LOG2 + 2.0 * math.log(abs(math.cos(half)))
+        else:
+            log_gap = math.log(abs(
+                offset - 2.0 * math.sin(half + 0.5 * angle)
+                * math.sin(half - 0.5 * angle)))
+        total += residue * log_gap
+    return total
+
+
 def s_of_theta(p: int, p_prime: int, theta_ref: float, s_ref: float,
-               theta: float, quad_tol: float = DEFAULT_QUAD_TOL) -> float:
-    """Integrate ds/dtheta from theta_ref to theta, starting at s_ref.
+               theta: float) -> float:
+    """s at theta along the profile through (theta_ref, s_ref).
 
     Both angles must lie strictly inside the same fixed-angle-free
-    range; the integrand is smooth there and the adaptive quadrature is
-    run at absolute tolerance quad_tol.
+    range: the log terms of profile_log_terms are an antiderivative of
+    ds/dtheta only there.
     """
     if theta == theta_ref:
         return s_ref
     _common_range(p, p_prime, theta_ref, theta)
-    val = quad(lambda th: profile_ds_dtheta(p, p_prime, th),
-               theta_ref, theta, epsabs=quad_tol, epsrel=1e-12,
-               limit=200, full_output=1)[0]
-    return s_ref + val
+    terms = profile_log_terms(p, p_prime)
+    return s_ref + (_log_sum(terms, theta) - _log_sum(terms, theta_ref))
+
+
+def _clipped(rng: ThetaRange, clip: float) -> tuple[float, float]:
+    """[lo + clip, hi - clip], which must lie strictly inside the range."""
+    lo, hi = rng.lo + clip, rng.hi - clip
+    if not rng.lo < lo < hi < rng.hi:
+        raise BranchError(
+            f"clip {clip} leaves no angles strictly inside "
+            f"[{rng.lo}, {rng.hi}]")
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -234,7 +329,11 @@ class Trace:
 
 def _sample(s: float, theta: float, t: float, phi: float) -> TraceSample:
     c = math.cos(theta)
-    e = math.exp(-SQRT6 * s)
+    try:
+        e = math.exp(-SQRT6 * s)
+    except OverflowError:
+        raise DomainError(f"f and h overflow a float at theta = {theta} "
+                          f"(s = {s})") from None
     return TraceSample(s=s, t=t % _TWO_PI, theta=theta, phi=phi % _TWO_PI,
                        f=e * (1.0 - 3.0 * c * c),
                        h=SQRT6 * e * c * math.sin(theta) ** 2)
@@ -243,12 +342,11 @@ def _sample(s: float, theta: float, t: float, phi: float) -> TraceSample:
 def integrate_profile(p: int, p_prime: int, range_id: int,
                       s_anchor: float = 0.0, n_samples: int = 1000,
                       phi0: float = 0.0, clip: float = DEFAULT_CLIP,
-                      quad_tol: float = DEFAULT_QUAD_TOL,
                       theta_anchor: Optional[float] = None) -> Trace:
     """Trace one profile cylinder across a theta range.
 
     Samples theta uniformly on [lo + clip, hi - clip] (s diverges at the
-    fixed angles), accumulates s by per-subinterval quadrature from the
+    fixed angles), takes each s from the closed form relative to the
     anchor angle (the range midpoint unless theta_anchor is given,
     where s = s_anchor), and recovers f and h algebraically.  Rows come
     out in increasing theta order, so theta is strictly monotone.
@@ -257,45 +355,27 @@ def integrate_profile(p: int, p_prime: int, range_id: int,
         raise ValueError("need at least two samples")
     spec = CurveSpec.profile(p, p_prime, range_id, phi0=phi0,
                              s_anchor=s_anchor, theta_anchor=theta_anchor)
-    rng = spec.theta_range()
-    lo, hi = rng.lo + clip, rng.hi - clip
-    if not lo < hi:
-        raise BranchError("clip swallowed the whole range")
-    anchor = spec.anchor_angle()
-    thetas = [lo + (hi - lo) * i / (n_samples - 1) for i in range(n_samples)]
-
-    # Accumulate s across neighbouring samples, seeding from the anchor.
-    i_anchor = min(range(n_samples), key=lambda i: abs(thetas[i] - anchor))
-    s_vals = [0.0] * n_samples
-    s_vals[i_anchor] = s_of_theta(p, p_prime, anchor, s_anchor,
-                                  thetas[i_anchor], quad_tol=quad_tol)
-    for i in range(i_anchor + 1, n_samples):
-        step = quad(lambda th: profile_ds_dtheta(p, p_prime, th),
-                    thetas[i - 1], thetas[i], epsabs=quad_tol,
-                    epsrel=1e-12, limit=200, full_output=1)[0]
-        s_vals[i] = s_vals[i - 1] + step
-    for i in range(i_anchor - 1, -1, -1):
-        step = quad(lambda th: profile_ds_dtheta(p, p_prime, th),
-                    thetas[i], thetas[i + 1], epsabs=quad_tol,
-                    epsrel=1e-12, limit=200, full_output=1)[0]
-        s_vals[i] = s_vals[i + 1] - step
-
-    samples = tuple(_sample(s_vals[i], thetas[i], 0.0, phi0)
-                    for i in range(n_samples))
-    return Trace(spec=spec, samples=samples)
+    lo, hi = _clipped(spec.theta_range(), clip)
+    terms = profile_log_terms(p, p_prime)
+    base = s_anchor - _log_sum(terms, spec.anchor_angle())
+    samples = []
+    for i in range(n_samples):
+        theta = lo + (hi - lo) * i / (n_samples - 1)
+        samples.append(_sample(base + _log_sum(terms, theta), theta, 0.0,
+                               phi0))
+    return Trace(spec=spec, samples=tuple(samples))
 
 
 def profile_ode_residual(spec: CurveSpec, theta: float,
                          s_at_theta: Optional[float] = None,
-                         rel_step: float = 3e-4,
-                         quad_tol: float = DEFAULT_QUAD_TOL) -> float:
+                         rel_step: float = 3e-4) -> float:
     """|dh/du - (p'/p) sin^2 theta| at one point of a profile curve.
 
     dh/du is a central finite difference of h with respect to u along
     the curve, with the theta step scaled to the distance from the
     nearest fixed angle (h and u grow like a power of that distance, so
     a fixed step would measure resolution, not the curve).  Passing the
-    already-known s(theta) skips the anchor integral.
+    already-known s(theta) skips its evaluation.
     """
     rng = spec.theta_range()
     dist = min(theta - rng.lo, rng.hi - theta)
@@ -303,12 +383,11 @@ def profile_ode_residual(spec: CurveSpec, theta: float,
         raise BranchError("theta outside the open range")
     if s_at_theta is None:
         s_at_theta = s_of_theta(spec.p, spec.p_prime, spec.anchor_angle(),
-                                spec.s_anchor, theta, quad_tol=quad_tol)
+                                spec.s_anchor, theta)
     step = rel_step * dist
     vals = []
     for th in (theta - step, theta + step):
-        s = s_of_theta(spec.p, spec.p_prime, theta, s_at_theta, th,
-                       quad_tol=quad_tol)
+        s = s_of_theta(spec.p, spec.p_prime, theta, s_at_theta, th)
         c = math.cos(th)
         e = math.exp(-SQRT6 * s)
         vals.append((e * (1.0 - 3.0 * c * c),
@@ -405,16 +484,19 @@ def _example4_point(spec: CurveSpec, tau: float, u: float) -> Point4:
 
 
 def _profile_point(spec: CurveSpec, tau: float, u: float,
-                   clip: float, quad_tol: float) -> Point4:
-    rng = spec.theta_range()
-    lo, hi = rng.lo + clip, rng.hi - clip
-    anchor = spec.anchor_angle()
+                   clip: float) -> Point4:
+    lo, hi = _clipped(spec.theta_range(), clip)
+    terms = profile_log_terms(spec.p, spec.p_prime)
+    base = spec.s_anchor - _log_sum(terms, spec.anchor_angle())
 
     def u_of(theta: float) -> float:
-        s = s_of_theta(spec.p, spec.p_prime, anchor, spec.s_anchor, theta,
-                       quad_tol=quad_tol)
-        c = math.cos(theta)
-        return math.exp(-SQRT6 * s) * (1.0 - 3.0 * c * c)
+        # Saturates where e^{-sqrt6 s} overflows: that end's u is out of
+        # any float's reach, and the bisection only needs the order.
+        g = 1.0 - 3.0 * math.cos(theta) ** 2
+        try:
+            return math.exp(-SQRT6 * (base + _log_sum(terms, theta))) * g
+        except OverflowError:
+            return math.copysign(math.inf, g)
 
     u_lo, u_hi = u_of(lo), u_of(hi)
     sign = 1.0 if u_hi > u_lo else -1.0
@@ -432,15 +514,12 @@ def _profile_point(spec: CurveSpec, tau: float, u: float,
         else:
             b = mid
     theta = 0.5 * (a + b)
-    s = s_of_theta(spec.p, spec.p_prime, anchor, spec.s_anchor, theta,
-                   quad_tol=quad_tol)
-    return Point4(s=s, t=tau, theta=theta,
+    return Point4(s=base + _log_sum(terms, theta), t=tau, theta=theta,
                   phi=spec.phi0 + tau * spec.p_prime / spec.p)
 
 
 def eval_invariant_curve(spec: CurveSpec, tau: float, u: float,
-                         clip: float = 1e-9,
-                         quad_tol: float = DEFAULT_QUAD_TOL) -> Point4:
+                         clip: float = 1e-9) -> Point4:
     """Evaluate the parameterized subvariety at (tau, u).
 
     The static families are closed-form; for the profile families the
@@ -457,5 +536,5 @@ def eval_invariant_curve(spec: CurveSpec, tau: float, u: float,
     if spec.example_id == 4:
         return _example4_point(spec, tau, u)
     if spec.example_id in (5, 6, 7):
-        return _profile_point(spec, tau, u, clip, quad_tol)
+        return _profile_point(spec, tau, u, clip)
     raise WrongExample(f"unknown example id {spec.example_id}")

@@ -31,17 +31,13 @@ class TestParsePairs:
 class TestCliConfig:
     def test_defaults(self):
         config = CliConfig()
-        assert config.root_find_tol == 1e-12
-        assert config.quad_tol == 1e-10
         assert config.residual_tol == 1e-9
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CliConfig(quad_tol=0.0)
+            CliConfig(residual_tol=0.0)
         with pytest.raises(ValueError):
             CliConfig(bound=0)
-        with pytest.raises(ValueError):
-            CliConfig(fmt="xml")
 
     def test_env_override(self, monkeypatch):
         import argparse
@@ -140,6 +136,69 @@ class TestTrace:
                                "--samples", "10", "--out",
                                str(tmp_path / "t.csv"))
         assert code == 2
+
+    def test_one_sample_is_a_flag_error(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "trace", "--pair", "1,2", "--range", "1",
+                               "--samples", "1", "--out",
+                               str(tmp_path / "t.csv"))
+        assert code == 2
+        assert "--samples" in err
+
+    @pytest.mark.parametrize("clip", ["0", "-1", "nan"])
+    def test_non_positive_clip_is_a_flag_error(self, capsys, tmp_path, clip):
+        code, _, err = run_cli(capsys, "trace", "--pair", "1,2", "--range", "1",
+                               f"--clip={clip}", "--out",
+                               str(tmp_path / "t.csv"))
+        assert code == 2
+        assert "--clip" in err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_clip_swallowing_the_range_is_a_domain_error(self, capsys,
+                                                         tmp_path):
+        code, _, err = run_cli(capsys, "trace", "--pair", "1,2", "--range", "1",
+                               "--clip", "2", "--out",
+                               str(tmp_path / "t.csv"))
+        assert code == 1
+
+    def test_non_positive_p_is_inadmissible(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "trace", "--pair", "0,1", "--range", "0",
+                               "--out", str(tmp_path / "t.csv"))
+        assert code == 1
+        assert "p > 0" in err
+
+    def test_overflowing_trace_is_a_domain_error(self, capsys, tmp_path):
+        # s falls below -290 near the pole end of this range, where
+        # e^{-sqrt6 s} leaves the float range.
+        code, _, err = run_cli(capsys, "trace", "--pair", "5,6", "--range", "1",
+                               "--samples", "50", "--out",
+                               str(tmp_path / "t.csv"))
+        assert code == 1
+        assert "overflow" in err
+
+    def test_quad_tol_flag_is_gone(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, "trace", "--pair", "1,2", "--range", "1",
+                             "--quad-tol", "-1", "--out",
+                             str(tmp_path / "t.csv"))
+        assert code == 2
+
+
+class TestStartup:
+    def test_import_pulls_in_no_numerics_stack(self):
+        # Importing the package must stay stdlib-only: scipy or numpy at
+        # import time costs most of a CLI command's run time.
+        import os
+        import pathlib
+        import subprocess
+        import sys
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        probe = ("import sympl_moduli, sympl_moduli.cli, sys; "
+                 "print(sorted(m for m in ('scipy', 'numpy') "
+                 "if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=60)
+        assert out.stdout.strip() == "[]"
 
 
 class TestEnumerate:

@@ -6,11 +6,17 @@ from sympl_moduli import (CurveSpec, ReebOrbit, classify_branches,
                           coord_functions, eval_invariant_curve,
                           integrate_profile, profile_ds_dtheta, s_max,
                           s_of_theta, solve_theta0, solve_theta0_bar)
-from sympl_moduli.curves import profile_ode_residual
+from sympl_moduli.curves import profile_log_terms, profile_ode_residual
 from sympl_moduli.errors import BranchError, DomainError, WrongExample
 from sympl_moduli.geometry import Point4
 
 SQRT6_ = math.sqrt(6.0)
+
+# Pairs covering both regimes (two and three ranges), both signs of p',
+# p' = 0, and (4, 5) and (5, -6) on either side of the three-range
+# threshold 2 p'^2 = 3 p^2.
+CLOSED_FORM_PAIRS = [(1, 0), (1, 1), (1, 2), (1, -2), (2, 5), (4, 5),
+                     (12, -19), (5, -6)]
 
 
 def fh_identity_errors(trace):
@@ -150,7 +156,7 @@ class TestEndDecayExponent:
     # Along a profile cylinder, h/f approaches its orbit value like
     # |u|^{-zeta*kappa}: the log-divergence rate of s at the orbit angle
     # is the reciprocal of sqrt6 * zeta * kappa.  Measuring the exponent
-    # from the trace cross-checks the quadrature against the decay
+    # from the trace cross-checks the traced s(theta) against the decay
     # constants computed independently from the orbit angle.
     @pytest.mark.parametrize("p,pp,rid,end_pair", [
         (1, 1, 0, (1, 1)),
@@ -190,6 +196,86 @@ class TestEndDecayExponent:
                   - math.log(abs(r1.h / r1.f - lam0)))
                  / (math.log(abs(r2.f)) - math.log(abs(r1.f))))
         assert -slope == pytest.approx(data.zeta * data.kappa, rel=1e-2)
+
+
+def _mpmath_s(p, pp, theta_ref, theta):
+    """s(theta) - s(theta_ref) by mpmath quadrature of ds/dtheta written
+    out from the profile equation, split geometrically toward theta
+    (which may sit next to a fixed angle, where the integrand blows up)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(20):
+        a = mp.mpf(pp) / p
+        s6 = mp.sqrt(6)
+
+        def ds(th):
+            c, sn = mp.cos(th), mp.sin(th)
+            return -(1 - 3 * c * c + s6 * a * c * sn * sn) / (
+                (s6 * c - a * (1 - 3 * c * c)) * sn)
+
+        lo, hi = mp.mpf(theta_ref), mp.mpf(theta)
+        cuts = [hi - (hi - lo) * mp.mpf(10) ** -k for k in range(0, 12, 3)]
+        return float(mp.quad(ds, cuts + [hi]))
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("p,pp", CLOSED_FORM_PAIRS)
+    def test_matches_mpmath_quadrature(self, p, pp):
+        for rng in classify_branches(p, pp):
+            mid = 0.5 * (rng.lo + rng.hi)
+            for clip in (1e-3, 1e-6, 1e-9):
+                for theta in (rng.lo + clip, rng.hi - clip):
+                    want = _mpmath_s(p, pp, mid, theta)
+                    got = s_of_theta(p, pp, mid, 0.0, theta)
+                    assert abs(got - want) <= 1e-10 * (1 + abs(want)), (
+                        rng, clip, theta)
+
+    @pytest.mark.parametrize("p,pp", CLOSED_FORM_PAIRS)
+    def test_central_difference_matches_slope(self, p, pp):
+        # As test_derivative_matches_integrand, on every range and near
+        # its ends, with the step scaled to the range.
+        for rng in classify_branches(p, pp):
+            width = rng.hi - rng.lo
+            for frac in (0.01, 0.3, 0.5, 0.7, 0.99):
+                theta = rng.lo + frac * width
+                step = 1e-6 * width
+                num = (s_of_theta(p, pp, theta, 0.0, theta + step)
+                       - s_of_theta(p, pp, theta, 0.0, theta - step)) / (2 * step)
+                want = profile_ds_dtheta(p, pp, theta)
+                assert num == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("p,pp", CLOSED_FORM_PAIRS)
+    def test_orbit_angle_residue_is_decay_rate(self, p, pp):
+        # s ~ log|cos theta - cos theta0| / (sqrt6 zeta kappa) at the
+        # orbit angle; the companion angle theta0_bar is the orbit angle
+        # of (-p, -p') and carries that orbit's constants.
+        from sympl_moduli import asymptotic_constants
+        by_angle = {t.angle: t for t in profile_log_terms(p, pp)}
+        ends = [solve_theta0(p, pp)]
+        if 2 * pp * pp > 3 * p * p:
+            ends.append(solve_theta0_bar(p, pp))
+            assert ends[1] == solve_theta0(-p, -pp)
+        for th in ends:
+            data = asymptotic_constants(th)
+            want = 1.0 / (SQRT6_ * data.zeta * data.kappa)
+            assert by_angle[th].residue == pytest.approx(want, rel=1e-12)
+            assert by_angle[th].pole == pytest.approx(math.cos(th), abs=1e-15)
+
+    @pytest.mark.parametrize("p,pp", CLOSED_FORM_PAIRS)
+    def test_residues_sum_to_leading_ratio(self, p, pp):
+        terms = profile_log_terms(p, pp)
+        # ds/dx ~ (sum of residues) / x at infinity: the ratio of the
+        # leading coefficients of N and D.
+        total = sum(t.residue for t in terms)
+        assert total == pytest.approx(SQRT6_ / 2 if pp == 0 else SQRT6_ / 3,
+                                      rel=1e-13)
+        assert len(terms) == (3 if pp == 0 else 4)
+
+    def test_trace_rows_match_s_of_theta(self):
+        tr = integrate_profile(2, 5, 1, s_anchor=0.4, n_samples=101)
+        anchor = tr.spec.anchor_angle()
+        for row in tr.samples[::10]:
+            assert row.s == pytest.approx(
+                s_of_theta(2, 5, anchor, 0.4, row.theta), rel=1e-13, abs=1e-13)
 
 
 class TestSMax:
@@ -314,6 +400,25 @@ class TestEvalInvariantCurve:
             assert f == pytest.approx(u, rel=1e-9, abs=1e-11)
         with pytest.raises(DomainError):
             eval_invariant_curve(spec, 0.0, 1e12)
+
+    def test_profile_point_at_default_clip(self):
+        # At the default clip of 1e-9, e^{-sqrt6 s} overflows at the
+        # bracket end near theta0_bar; the bisection must still find u.
+        tr = integrate_profile(4, 5, 1, n_samples=200, clip=1e-4)
+        row = tr.samples[100]
+        pt = eval_invariant_curve(CurveSpec.profile(4, 5, 1), 0.0, row.f)
+        assert pt.theta == pytest.approx(row.theta, abs=1e-11)
+        assert pt.s == pytest.approx(row.s, abs=1e-10)
+
+    def test_clip_swallowing_the_range(self):
+        with pytest.raises(BranchError):
+            eval_invariant_curve(CurveSpec.profile(1, 2, 1), 0.0, 0.1, clip=2.0)
+        with pytest.raises(BranchError):
+            integrate_profile(1, 2, 1, clip=-1e-3)
+
+    def test_overflowing_trace_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            integrate_profile(5, 6, 1, n_samples=50)
 
     def test_profile_example_ids(self):
         assert CurveSpec.profile(1, 2, 0).example_id == 5
