@@ -43,26 +43,22 @@ class CliConfig:
     """Numeric knobs shared by the subcommands.
 
     The residual tolerance may be overridden by SYMPL_MODULI_TOL; it
-    must be positive and the enumeration bound at least 1.
+    must be positive.
     """
 
     residual_tol: float = 1e-9
-    bound: int = 1
-    out: str | None = None
 
     def __post_init__(self):
         if self.residual_tol <= 0:
             raise ValueError("the residual tolerance must be positive")
-        if self.bound < 1:
-            raise ValueError("bound must be >= 1")
 
     @classmethod
     def from_namespace(cls, ns: argparse.Namespace) -> "CliConfig":
-        return cls(
-            residual_tol=residual_tolerance(),
-            bound=max(1, getattr(ns, "max_abs", 1)),
-            out=getattr(ns, "out", None),
-        )
+        try:
+            tol = residual_tolerance()
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
+        return cls(residual_tol=tol)
 
 
 def _fmt(x: float) -> float:
@@ -150,8 +146,6 @@ def _cmd_trace(ns: argparse.Namespace) -> int:
         raise ParseError(f"--samples must be at least 2, got {ns.samples}")
     if not ns.clip > 0:
         raise ParseError(f"--clip must be positive, got {ns.clip}")
-    if p <= 0:
-        raise InvalidLabel(f"({p}, {pp}): profile families need p > 0")
     ranges = classify_branches(p, pp)
     if not 0 <= ns.range < len(ranges):
         raise ParseError(
@@ -177,14 +171,15 @@ def _cmd_trace(ns: argparse.Namespace) -> int:
 
 def _cmd_enumerate(ns: argparse.Namespace) -> int:
     from .moduli import enumerate_labels
+    if ns.max_abs < 1:
+        raise ParseError(f"--max-abs must be at least 1, got {ns.max_abs}")
     labels = enumerate_labels(ns.max_abs, ns.ends)
     lines = []
     for label in labels:
         orderings = None
         if ns.ends == 3:
             orderings = label.orderings()
-            label = OrderedLabel3.make([p.as_tuple() for p in label.pairs],
-                                       which=0)
+            label = OrderedLabel3(label, orderings[0])
         report = inv.sphere_report(label)
         oracle = inv.double_points_bruteforce(label)
         payload = report.to_json(label)
@@ -208,6 +203,11 @@ def _cmd_double_points(ns: argparse.Namespace) -> int:
     pairs = parse_pairs(ns.pairs)
     if len(pairs) != 2:
         raise ParseError("double-points needs exactly 2 pairs")
+    if not ns.r >= 1.0:
+        raise ParseError(f"--r must be at least 1, got {ns.r}")
+    run_model = ns.method in ("model", "all")
+    # Read before any route runs: the roots route is O(Delta).
+    config = CliConfig.from_namespace(ns) if run_model else None
     label = Label2.make(*pairs)
     results: dict = {"label": label.to_json(), "delta": label.delta}
     m_formula = inv.double_points_formula(label)
@@ -216,8 +216,7 @@ def _cmd_double_points(ns: argparse.Namespace) -> int:
         counts["formula"] = m_formula
     if ns.method in ("roots", "all"):
         counts["roots"] = inv.double_points_bruteforce(label)
-    if ns.method in ("model", "all"):
-        config = CliConfig.from_namespace(ns)
+    if run_model:
         params = ModelMapParams(label=label, r=ns.r)
         points = phi_double_points(params, tol=config.residual_tol)
         counts["model"] = len(points) // 2
@@ -234,6 +233,10 @@ def _cmd_double_points(ns: argparse.Namespace) -> int:
 def _cmd_spectrum(ns: argparse.Namespace) -> int:
     if (ns.pair is None) == (ns.polar_m is None):
         raise ParseError("give exactly one of --pair or --polar-m")
+    if ns.nmax < 0:
+        raise ParseError(f"--nmax must be at least 0, got {ns.nmax}")
+    if ns.polar_m is not None and ns.polar_m < 1:
+        raise ParseError(f"--polar-m must be at least 1, got {ns.polar_m}")
     payload: dict
     if ns.polar_m is not None:
         spec = inv.l0_spectrum(inv.PolarSpectrumCase(m=ns.polar_m), ns.nmax)

@@ -66,7 +66,7 @@ def classify_branches(p: int, p_prime: int) -> list[ThetaRange]:
     theta0_bar mirrors with the sign of p').
     """
     if p <= 0:
-        raise ValueError("profile families need p > 0")
+        raise InvalidLabel(f"({p}, {p_prime}): profile families need p > 0")
     ok, why = classify_pair(p, p_prime)
     if not ok:
         raise InvalidLabel(f"({p}, {p_prime}): {why}")

@@ -52,9 +52,13 @@ def residual_tolerance() -> float:
     raw = os.environ.get(RESIDUAL_TOL_ENV)
     if raw is None:
         return DEFAULT_RESIDUAL_TOL
-    tol = float(raw)
-    if tol <= 0:
-        raise ValueError(f"{RESIDUAL_TOL_ENV} must be positive")
+    try:
+        tol = float(raw)
+    except ValueError:
+        tol = math.nan
+    if not tol > 0:
+        raise ValueError(
+            f"{RESIDUAL_TOL_ENV} must be a positive number, got {raw!r}")
     return tol
 
 

@@ -21,6 +21,20 @@ boundary degenerations of the component.
 
 Everything here is exact integer arithmetic; no floating point enters
 any admissibility decision.
+
+The rules live in one boolean core, ``_admissible2`` (with rule (c) in
+``_quadrant_ok``), which decides and builds nothing.  Every decision --
+``Label2.make``, ``validate_label3``, ``canonical_pair`` and the
+enumeration -- goes through it.  ``validate_label2`` is the explainer:
+it asks the core and words the violated rules only for a rejected
+label, for the CLI's ``classify`` report and ``InvalidLabel`` messages.
+
+Enumeration constructs labels rather than filtering the whole box: the
+pairs of the box that pass rule (c) are listed once, in lexicographic
+order, and a two-end label is each ordered couple of them the core
+accepts.  Three-end labels come from the same couples with the derived
+pair steep and inside the box: each such couple (x, y) is one valid
+ordering (x, y, -x-y) of its triple.
 """
 
 from __future__ import annotations
@@ -41,8 +55,29 @@ def _as_pair(x) -> Pair:
     return (int(m), int(mp))
 
 
+def _quadrant_ok(m: int, mp: int) -> bool:
+    """Rule (c) for one end pair: m >= 0, or 2 m'^2 > 3 m^2.
+
+    (m = 0 never has 2 m'^2 < 3 m^2, so the rule only bites for m < 0.)
+    """
+    return m >= 0 or 2 * mp * mp > 3 * m * m
+
+
+def _admissible2(p: int, pp: int, q: int, qp: int) -> bool:
+    """The admissibility core: rules (1), (a), (b) and (c) of the module
+    docstring for the ordered label {(p, p'), (q, q')}.
+
+    Rule (1) is implied by (a): Delta = 0 whenever a pair is (0, 0), and
+    also when (k, k') = (0, 0), since then (q, q') = -(p, p').
+    """
+    return (p * qp - q * pp > 0
+            and (qp > pp or pp * qp > 0)
+            and _quadrant_ok(p, pp) and _quadrant_ok(q, qp)
+            and _quadrant_ok(p + q, pp + qp))
+
+
 def _quadrant_violation(m: int, mp: int, tag: str) -> list[str]:
-    """Rule (c) for one end pair; exact 2 m'^2 vs 3 m^2 comparison."""
+    """The wording of rule (c) for one end pair that fails it."""
     out = []
     lhs, rhs = 2 * mp * mp, 3 * m * m
     if m < 0 and lhs <= rhs:
@@ -54,17 +89,15 @@ def _quadrant_violation(m: int, mp: int, tag: str) -> list[str]:
     return out
 
 
-def validate_label2(p_pair, q_pair) -> tuple[bool, list[str]]:
-    """Check an ordered two-end label; returns (ok, violated rules)."""
-    p, pp = _as_pair(p_pair)
-    q, qp = _as_pair(q_pair)
+def _violations2(p: int, pp: int, q: int, qp: int) -> list[str]:
+    """Every rule a rejected two-end label violates, worded for a report."""
     violations: list[str] = []
     if (p, pp) == (0, 0):
         violations.append("(1) first pair is (0, 0)")
     if (q, qp) == (0, 0):
         violations.append("(1) second pair is (0, 0)")
     if violations:
-        return False, violations
+        return violations
 
     d = p * qp - q * pp
     if d <= 0:
@@ -78,7 +111,16 @@ def validate_label2(p_pair, q_pair) -> tuple[bool, list[str]]:
     violations += _quadrant_violation(q, qp, "q")
     if (k, kp) != (0, 0):
         violations += _quadrant_violation(k, kp, "k")
-    return not violations, violations
+    return violations
+
+
+def validate_label2(p_pair, q_pair) -> tuple[bool, list[str]]:
+    """Check an ordered two-end label; returns (ok, violated rules)."""
+    p, pp = _as_pair(p_pair)
+    q, qp = _as_pair(q_pair)
+    if _admissible2(p, pp, q, qp):
+        return True, []
+    return False, _violations2(p, pp, q, qp)
 
 
 @dataclass(frozen=True, order=True)
@@ -90,11 +132,10 @@ class Label2:
 
     @classmethod
     def make(cls, p_pair, q_pair) -> "Label2":
-        ok, why = validate_label2(p_pair, q_pair)
-        if not ok:
-            raise InvalidLabel("; ".join(why))
         p, pp = _as_pair(p_pair)
         q, qp = _as_pair(q_pair)
+        if not _admissible2(p, pp, q, qp):
+            raise InvalidLabel("; ".join(_violations2(p, pp, q, qp)))
         return cls(EndClass(p, pp), EndClass(q, qp))
 
     @property
@@ -140,7 +181,7 @@ def validate_label3(pairs) -> tuple[bool, list[Ordering3]]:
         (p, pp), (q, qp), (k, kp) = perm
         if 2 * kp * kp <= 3 * k * k:
             continue
-        if validate_label2((p, pp), (q, qp))[0]:
+        if _admissible2(p, pp, q, qp):
             orderings.append(perm)
     # Duplicate pairs in the set make permutations collide; dedup.
     orderings = sorted(set(orderings))
@@ -224,7 +265,7 @@ def canonical_pair(l2: Label2) -> tuple[EndClass, Label2]:
             (l2.p_pair, ((q, qp), (-k, -kp))),
             (l2.q_pair, ((-k, -kp), (p, pp)))):
         m, mp = pair.as_tuple()
-        if 2 * mp * mp > 3 * m * m and validate_label2(*partner)[0]:
+        if 2 * mp * mp > 3 * m * m and _admissible2(*partner[0], *partner[1]):
             candidates.append((pair, partner))
     if len(candidates) != 1:
         raise InternalError(
@@ -233,41 +274,52 @@ def canonical_pair(l2: Label2) -> tuple[EndClass, Label2]:
     return pair, Label2.make(*partner)
 
 
+def _end_classes(bound: int) -> list[tuple[int, int, EndClass]]:
+    """(m, m', EndClass(m, m')) for the pairs with entries in
+    [-bound, bound] that pass rule (c), in lexicographic order; (0, 0)
+    is left out.  The EndClass objects are frozen, so labels share them."""
+    rng = range(-bound, bound + 1)
+    return [(m, mp, EndClass(m, mp)) for m in rng for mp in rng
+            if (m, mp) != (0, 0) and _quadrant_ok(m, mp)]
+
+
 def enumerate_labels(bound: int, ends: int) -> list[Label2] | list[Label3]:
     """All admissible labels with every entry in [-bound, bound].
 
-    Two-end labels are emitted in their canonical Delta > 0 ordering
-    (the swapped ordering never appears); three-end labels are
-    deduplicated as unordered sets via the sorted representation.
-    Output order is lexicographic, hence deterministic.
+    Labels are built from the rules, not filtered out of the box.  The
+    end pairs that pass the quadrant rule are listed once in
+    lexicographic order, with one shared EndClass each.  A two-end
+    label is an ordered couple (x, y) of them that the admissibility
+    core accepts; it comes out in its canonical Delta > 0 ordering (the
+    swap never appears), and the labels are in lexicographic order of
+    (p, p', q, q').  A three-end label is a triple {x, y, -x-y} with
+    exactly two valid orderings; each accepted couple whose derived
+    pair (k, k') = x + y has 2 k'^2 > 3 k^2 and lies in the box is one
+    valid ordering (x, y, -k).  Three-end labels are unordered sets,
+    stored sorted and returned in sorted order.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    rng = range(-bound, bound + 1)
+    if ends not in (2, 3):
+        raise ValueError("ends must be 2 or 3")
+    classes = _end_classes(bound)
     if ends == 2:
-        out2: list[Label2] = []
-        for p, pp, q, qp in itertools.product(rng, rng, rng, rng):
-            if (p, pp) == (0, 0) or (q, qp) == (0, 0):
-                continue
-            if validate_label2((p, pp), (q, qp))[0]:
-                out2.append(Label2.make((p, pp), (q, qp)))
-        return out2
-    if ends == 3:
-        seen: set[tuple[Pair, Pair, Pair]] = set()
-        out3: list[Label3] = []
-        pairs = [(m, mp) for m in rng for mp in rng if (m, mp) != (0, 0)]
-        for a, b in itertools.product(pairs, pairs):
-            c = (-a[0] - b[0], -a[1] - b[1])
-            if c == (0, 0) or abs(c[0]) > bound or abs(c[1]) > bound:
-                continue
-            canon = tuple(sorted((a, b, c)))
-            if canon in seen:
-                continue
-            seen.add(canon)
-            if validate_label3(canon)[0]:
-                out3.append(Label3.make(canon))
-        return sorted(out3)
-    raise ValueError("ends must be 2 or 3")
+        return [Label2(ex, ey) for p, pp, ex in classes for q, qp, ey in classes
+                if _admissible2(p, pp, q, qp)]
+    orderings: dict[tuple[Pair, Pair, Pair], int] = {}
+    for p, pp, _ in classes:
+        for q, qp, _ in classes:
+            k, kp = p + q, pp + qp
+            if (abs(k) <= bound and abs(kp) <= bound and 2 * kp * kp > 3 * k * k
+                    and _admissible2(p, pp, q, qp)):
+                triple = tuple(sorted(((p, pp), (q, qp), (-k, -kp))))
+                orderings[triple] = orderings.get(triple, 0) + 1
+    # The two orderings of an admissible triple end in different pairs
+    # ((x, y, c) and (y, x, c) cannot both have Delta > 0), so each of
+    # its pairs opens an accepted couple and has its EndClass here.
+    end = {(m, mp): e for m, mp, e in classes}
+    return [Label3(tuple(end[x] for x in triple))
+            for triple in sorted(orderings) if orderings[triple] == 2]
 
 
 def label_from_pairs(pairs) -> Label2 | Label3:

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -36,8 +37,6 @@ class TestCliConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             CliConfig(residual_tol=0.0)
-        with pytest.raises(ValueError):
-            CliConfig(bound=0)
 
     def test_env_override(self, monkeypatch):
         import argparse
@@ -311,6 +310,54 @@ class TestSpectrum:
         code, out, _ = run_cli(capsys, "spectrum", "--pair", "2,2", "--nmax", "0")
         assert code == 0
         assert json.loads(out)["period"] == 2
+
+
+class TestFlagErrors:
+    """Out-of-domain flags and environment values exit 2 up front."""
+
+    @pytest.mark.parametrize("argv, env", [
+        (["enumerate", "--max-abs", "0"], {}),
+        (["spectrum", "--pair", "1,0", "--nmax", "-1"], {}),
+        (["spectrum", "--polar-m", "0"], {}),
+        (["double-points", "--pairs", "4,1;1,1", "--r", "0.5"], {}),
+        (["double-points", "--pairs", "4,1;1,1", "--method", "model"],
+         {"SYMPL_MODULI_TOL": "abc"}),
+        # The tolerance is read before the label is checked or any
+        # double-point route runs.
+        (["double-points", "--pairs", "1,2;2,1"], {"SYMPL_MODULI_TOL": "-1"}),
+    ], ids=["max-abs", "nmax", "polar-m", "r", "tol-env", "tol-env-first"])
+    def test_exit_2_without_traceback(self, capsys, monkeypatch, argv, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "parse error" in err
+        assert "Traceback" not in err
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "cli_golden.json"
+
+
+def _golden_cases():
+    cases = json.loads(GOLDEN.read_text())
+    return [c for c in cases if c["argv"][0] in ("classify", "enumerate")]
+
+
+class TestGoldenOutput:
+    """classify and enumerate reproduce the recorded golden stdout byte
+    for byte, so a refactor cannot silently change the violation
+    wording or the label order."""
+
+    @pytest.mark.parametrize("case", _golden_cases(),
+                             ids=lambda c: " ".join(c["argv"]))
+    def test_matches_golden(self, capsys, monkeypatch, case):
+        for name, value in case["env"].items():
+            monkeypatch.setenv(name, value)
+        code, out, err = run_cli(capsys, *case["argv"])
+        assert code in case["exit"]
+        assert out == case["stdout"]
+        assert "Traceback" not in err
 
 
 class TestCatalogCommand:

@@ -7,7 +7,8 @@ from sympl_moduli import (CurveSpec, ReebOrbit, classify_branches,
                           integrate_profile, profile_ds_dtheta, s_max,
                           s_of_theta, solve_theta0, solve_theta0_bar)
 from sympl_moduli.curves import profile_log_terms, profile_ode_residual
-from sympl_moduli.errors import BranchError, DomainError, WrongExample
+from sympl_moduli.errors import (BranchError, DomainError, InvalidLabel,
+                                  WrongExample)
 from sympl_moduli.geometry import Point4
 
 SQRT6_ = math.sqrt(6.0)
@@ -51,7 +52,7 @@ class TestClassifyBranches:
             ("theta0", "polePi")]
 
     def test_needs_positive_p(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidLabel):
             classify_branches(-1, 2)
 
 

@@ -6,6 +6,7 @@ from sympl_moduli import (EndClass, Label2, Label3, boundary_labels,
                           canonical_pair, enumerate_labels, label_from_pairs,
                           validate_label2, validate_label3)
 from sympl_moduli.errors import InvalidLabel, OutOfRegime
+from sympl_moduli.moduli import _admissible2
 
 
 def ordered_pairs(bound):
@@ -83,6 +84,38 @@ class TestValidateLabel2:
             for q, qp in ordered_pairs(6):
                 if without_k(p, pp, q, qp):
                     assert validate_label2((p, pp), (q, qp))[0]
+
+    def test_core_agrees_with_explainer(self):
+        # The boolean core decides, the explainer words: they must agree
+        # on every tuple of the box, (0, 0) pairs included.
+        rng = range(-5, 6)
+        for p, pp, q, qp in itertools.product(rng, repeat=4):
+            ok, why = validate_label2((p, pp), (q, qp))
+            assert _admissible2(p, pp, q, qp) == ok == (not why)
+
+    @pytest.mark.parametrize("p_pair, q_pair, want", [
+        ((0, 0), (1, 1), ["(1) first pair is (0, 0)"]),
+        ((0, 1), (-1, 0), [
+            "(b) q' - p' = -1 <= 0 and p'q' = 0 <= 0",
+            "(c) q=(-1,0): m < 0 needs 2 m'^2 > 3 m^2 (0 <= 3)",
+            "(c) q=(-1,0): 2 m'^2 < 3 m^2 needs m > 0 (0 < 3)",
+            "(c) k=(-1,1): m < 0 needs 2 m'^2 > 3 m^2 (2 <= 3)",
+            "(c) k=(-1,1): 2 m'^2 < 3 m^2 needs m > 0 (2 < 3)"]),
+        ((1, 1), (-1, -1), [
+            "(a) Delta = 1*-1 - -1*1 = 0 <= 0",
+            "(b) q' - p' = -2 <= 0 and p'q' = -1 <= 0",
+            "(1) derived pair (p+q, p'+q') is (0, 0)",
+            "(c) q=(-1,-1): m < 0 needs 2 m'^2 > 3 m^2 (2 <= 3)",
+            "(c) q=(-1,-1): 2 m'^2 < 3 m^2 needs m > 0 (2 < 3)"]),
+    ])
+    def test_violation_wording(self, p_pair, q_pair, want):
+        # classify prints these lines; their wording is part of the output.
+        assert validate_label2(p_pair, q_pair) == (False, want)
+
+    def test_make_words_the_violations(self):
+        with pytest.raises(InvalidLabel) as exc:
+            Label2.make((1, 2), (2, -1))
+        assert str(exc.value) == "; ".join(validate_label2((1, 2), (2, -1))[1])
 
     def test_delta_formula_consistency(self):
         for label in enumerate_labels(3, 2):
@@ -250,6 +283,46 @@ class TestEnumerate:
         assert len(set(canon)) == len(canon)
         for c in canon:
             assert list(c) == sorted(c)
+
+
+class TestEnumerateOracles:
+    """The constructive enumerator against exhaustive filters of the box."""
+
+    @staticmethod
+    def exhaustive_label2(bound):
+        # Every tuple of the box through validate_label2, as enumeration
+        # was done before it built labels from the rules.
+        rng = range(-bound, bound + 1)
+        return [((p, pp), (q, qp))
+                for p, pp, q, qp in itertools.product(rng, repeat=4)
+                if validate_label2((p, pp), (q, qp))[0]]
+
+    @pytest.mark.parametrize("bound", range(1, 7))
+    def test_label2_equals_exhaustive_filter(self, bound):
+        got = [l.pairs() for l in enumerate_labels(bound, 2)]
+        assert got == self.exhaustive_label2(bound)
+
+    def test_label3_equals_exhaustive_filter(self, label3_candidates_bound8):
+        want = sorted(canon for canon, orderings in label3_candidates_bound8
+                      if len(orderings) == 2)
+        got = [tuple(p.as_tuple() for p in l.pairs)
+               for l in enumerate_labels(8, 3)]
+        assert got == want
+
+    def test_label3_matches_make(self):
+        for l3 in enumerate_labels(4, 3):
+            assert Label3.make([p.as_tuple() for p in l3.pairs]) == l3
+
+    @pytest.mark.parametrize("bound, ends, count", [(15, 2, 207207),
+                                                    (10, 3, 3782)])
+    def test_pinned_counts(self, bound, ends, count):
+        assert len(enumerate_labels(bound, ends)) == count
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError):
+            enumerate_labels(0, 2)
+        with pytest.raises(ValueError):
+            enumerate_labels(2, 4)
 
 
 class TestJsonShape:
