@@ -1,10 +1,11 @@
 """Command-line front end: JSON reports, CSV traces, enumeration tables.
 
 Exit codes: 0 success, 1 domain error (inadmissible label, degenerate
-angle, bad curve domain), 2 parse error or malformed flags, 3 breach of
-an internal invariant (e.g. the double-point methods disagree).  Output
-is deterministic: fixed key order, floats printed with at most twelve
-significant digits, no timestamps.
+angle, bad curve domain), 2 parse error, malformed flags or an `--out`
+that cannot be written, 3 breach of an internal invariant (e.g. the
+double-point methods disagree).  Output is deterministic: fixed key
+order, floats printed with at most twelve significant digits, no
+timestamps.  An `--out` file gets exactly the bytes stdout would get.
 """
 
 from __future__ import annotations
@@ -12,16 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import catalog as catalog_mod
 from . import invariants as inv
 from .curves import classify_branches, integrate_profile
-from .errors import (BranchError, DegenerateAngle, DomainError, InternalError,
-                     InvalidLabel, OutOfRegime, ParityError, ParseError,
-                     PunctureError, RangeError, ResidualError, SymplModuliError,
-                     WrongExample, ZeroPair)
+from .errors import (InternalError, InvalidLabel, ParityError, ParseError,
+                     ResidualError, SymplModuliError)
 from .model_maps import (ModelMapParams, double_points_json, phi_double_points,
                          residual_tolerance)
 from .moduli import Label2, OrderedLabel3, validate_label2, validate_label3
@@ -32,33 +30,7 @@ EXIT_DOMAIN = 1
 EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 
-_DOMAIN_ERRORS = (InvalidLabel, DomainError, DegenerateAngle, OutOfRegime,
-                  BranchError, RangeError, ZeroPair, WrongExample,
-                  PunctureError)
 _INVARIANT_ERRORS = (InternalError, ParityError, ResidualError)
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Numeric knobs shared by the subcommands.
-
-    The residual tolerance may be overridden by SYMPL_MODULI_TOL; it
-    must be positive.
-    """
-
-    residual_tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.residual_tol <= 0:
-            raise ValueError("the residual tolerance must be positive")
-
-    @classmethod
-    def from_namespace(cls, ns: argparse.Namespace) -> "CliConfig":
-        try:
-            tol = residual_tolerance()
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
-        return cls(residual_tol=tol)
 
 
 def _fmt(x: float) -> float:
@@ -85,13 +57,18 @@ def parse_pairs(text: str) -> list[tuple[int, int]]:
     return out
 
 
-def _emit(payload: dict | list, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+def _emit(text: str, out_path: str | None) -> None:
+    """Print text to out_path when one is given, else to stdout."""
     if out_path:
         with open(out_path, "w") as fp:
-            fp.write(text + "\n")
+            print(text, file=fp)
     else:
         print(text)
+
+
+def _json(payload: dict | list) -> str:
+    """Indented JSON: the format of every one-payload report."""
+    return json.dumps(payload, indent=2)
 
 
 def _cmd_classify(ns: argparse.Namespace) -> int:
@@ -109,7 +86,7 @@ def _cmd_classify(ns: argparse.Namespace) -> int:
         ok, orderings = validate_label3(pairs)
         payload = {"pairs": [list(p) for p in pairs], "admissible": ok,
                    "orderings": [[list(p) for p in o] for o in orderings]}
-    _emit(payload, ns.out)
+    _emit(_json(payload), ns.out)
     return EXIT_OK if ok else EXIT_DOMAIN
 
 
@@ -121,19 +98,26 @@ def _label_from_ns(pairs: list[tuple[int, int]], ordering: int):
     raise ParseError("this command needs 2 or 3 pairs")
 
 
-def _cmd_invariants(ns: argparse.Namespace) -> int:
-    pairs = parse_pairs(ns.pairs)
-    label = _label_from_ns(pairs, ns.ordering)
+def _checked_report(label) -> dict:
+    """The label's sphere report with the root-of-unity count beside m_C.
+
+    Raises InternalError when the gcd formula and the oracle disagree."""
     report = inv.sphere_report(label)
     oracle = inv.double_points_bruteforce(label)
     payload = report.to_json(label)
-    payload["m_C_oracle"] = oracle
-    payload["translate_intersection_count"] = inv.translate_intersection_count(label)
-    _emit(payload, ns.out)
     if oracle != report.m_c:
-        print(f"invariant breach: m_C formula {report.m_c} != oracle {oracle}",
-              file=sys.stderr)
-        return EXIT_INVARIANT
+        raise InternalError(f"m_C formula {report.m_c} != oracle {oracle} "
+                            f"on {payload['label']}")
+    payload["m_C_oracle"] = oracle
+    return payload
+
+
+def _cmd_invariants(ns: argparse.Namespace) -> int:
+    pairs = parse_pairs(ns.pairs)
+    label = _label_from_ns(pairs, ns.ordering)
+    payload = _checked_report(label)
+    payload["translate_intersection_count"] = inv.translate_intersection_count(label)
+    _emit(_json(payload), ns.out)
     return EXIT_OK
 
 
@@ -165,7 +149,7 @@ def _cmd_trace(ns: argparse.Namespace) -> int:
         "s_max": _fmt(max(s_vals)),
         "csv": ns.out,
     }
-    print(json.dumps(summary, indent=2))
+    _emit(_json(summary), None)
     return EXIT_OK
 
 
@@ -180,22 +164,11 @@ def _cmd_enumerate(ns: argparse.Namespace) -> int:
         if ns.ends == 3:
             orderings = label.orderings()
             label = OrderedLabel3(label, orderings[0])
-        report = inv.sphere_report(label)
-        oracle = inv.double_points_bruteforce(label)
-        payload = report.to_json(label)
-        payload["m_C_oracle"] = oracle
+        payload = _checked_report(label)
         if orderings is not None:
             payload["orderings"] = [[list(p) for p in o] for o in orderings]
-        if oracle != report.m_c:
-            print(f"invariant breach on {payload['label']}", file=sys.stderr)
-            return EXIT_INVARIANT
         lines.append(json.dumps(payload))
-    text = "\n".join(lines)
-    if ns.out:
-        with open(ns.out, "w") as fp:
-            fp.write(text + ("\n" if text else ""))
-    else:
-        print(text)
+    _emit("\n".join(lines), ns.out)
     return EXIT_OK
 
 
@@ -203,11 +176,13 @@ def _cmd_double_points(ns: argparse.Namespace) -> int:
     pairs = parse_pairs(ns.pairs)
     if len(pairs) != 2:
         raise ParseError("double-points needs exactly 2 pairs")
-    if not ns.r >= 1.0:
-        raise ParseError(f"--r must be at least 1, got {ns.r}")
     run_model = ns.method in ("model", "all")
-    # Read before any route runs: the roots route is O(Delta).
-    config = CliConfig.from_namespace(ns) if run_model else None
+    if run_model:
+        # Read before any route runs: the roots route is O(Delta).
+        try:
+            tol = residual_tolerance()
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
     label = Label2.make(*pairs)
     results: dict = {"label": label.to_json(), "delta": label.delta}
     m_formula = inv.double_points_formula(label)
@@ -217,13 +192,12 @@ def _cmd_double_points(ns: argparse.Namespace) -> int:
     if ns.method in ("roots", "all"):
         counts["roots"] = inv.double_points_bruteforce(label)
     if run_model:
-        params = ModelMapParams(label=label, r=ns.r)
-        points = phi_double_points(params, tol=config.residual_tol)
+        points = phi_double_points(ModelMapParams(label=label), tol=tol)
         counts["model"] = len(points) // 2
         results["points"] = double_points_json(points)
-        results["residual_tolerance"] = config.residual_tol
+        results["residual_tolerance"] = tol
     results["m_C"] = counts
-    _emit(results, ns.out)
+    _emit(_json(results), ns.out)
     if len(set(counts.values())) > 1:
         print(f"invariant breach: methods disagree: {counts}", file=sys.stderr)
         return EXIT_INVARIANT
@@ -268,13 +242,13 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
             "period": period,
             "spectrum": [[_fmt(ev), mult] for ev, mult in spec],
         }
-    _emit(payload, ns.out)
+    _emit(_json(payload), ns.out)
     return EXIT_OK
 
 
 def _cmd_catalog(ns: argparse.Namespace) -> int:
     payload = [entry.to_json() for entry in catalog_mod.catalog_entries()]
-    _emit(payload, ns.out)
+    _emit(_json(payload), ns.out)
     return EXIT_OK
 
 
@@ -322,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--pairs", required=True)
     d.add_argument("--method", choices=("formula", "roots", "model", "all"),
                    default="all")
-    d.add_argument("--r", type=float, default=10.0, help="model-map scale")
     d.add_argument("--out")
     d.set_defaults(func=_cmd_double_points)
 
@@ -352,12 +325,12 @@ def main(argv: Sequence[str] | None = None) -> None:
     except _INVARIANT_ERRORS as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)
         code = EXIT_INVARIANT
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_DOMAIN
     except SymplModuliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_DOMAIN
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        code = EXIT_PARSE
     sys.exit(code)
 
 

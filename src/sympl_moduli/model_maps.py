@@ -72,7 +72,7 @@ class ModelMapParams:
     a_prime: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        if self.r < 1.0:
+        if not self.r >= 1.0:
             raise ValueError("the scale r must be >= 1")
         for name, val in (("a", self.a), ("a_prime", self.a_prime)):
             if abs(abs(complex(val)) - 1.0) > 1e-12:

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from sympl_moduli.cli import CliConfig, main, parse_pairs
+from sympl_moduli import invariants
+from sympl_moduli.cli import main, parse_pairs
 from sympl_moduli.errors import ParseError
 
 
@@ -27,22 +28,6 @@ class TestParsePairs:
         for bad in ("", "1", "1,2,3", "a,b", "1,2;;3,4", "1,2;3,4;5,6;7,8"):
             with pytest.raises(ParseError):
                 parse_pairs(bad)
-
-
-class TestCliConfig:
-    def test_defaults(self):
-        config = CliConfig()
-        assert config.residual_tol == 1e-9
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CliConfig(residual_tol=0.0)
-
-    def test_env_override(self, monkeypatch):
-        import argparse
-        monkeypatch.setenv("SYMPL_MODULI_TOL", "1e-4")
-        ns = argparse.Namespace(cmd="double-points", out=None)
-        assert CliConfig.from_namespace(ns).residual_tol == 1e-4
 
 
 class TestClassify:
@@ -319,13 +304,12 @@ class TestFlagErrors:
         (["enumerate", "--max-abs", "0"], {}),
         (["spectrum", "--pair", "1,0", "--nmax", "-1"], {}),
         (["spectrum", "--polar-m", "0"], {}),
-        (["double-points", "--pairs", "4,1;1,1", "--r", "0.5"], {}),
         (["double-points", "--pairs", "4,1;1,1", "--method", "model"],
          {"SYMPL_MODULI_TOL": "abc"}),
         # The tolerance is read before the label is checked or any
         # double-point route runs.
         (["double-points", "--pairs", "1,2;2,1"], {"SYMPL_MODULI_TOL": "-1"}),
-    ], ids=["max-abs", "nmax", "polar-m", "r", "tol-env", "tol-env-first"])
+    ], ids=["max-abs", "nmax", "polar-m", "tol-env", "tol-env-first"])
     def test_exit_2_without_traceback(self, capsys, monkeypatch, argv, env):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
@@ -335,29 +319,82 @@ class TestFlagErrors:
         assert "parse error" in err
         assert "Traceback" not in err
 
+    def test_r_flag_is_gone(self, capsys):
+        # No output depended on the model-map scale.
+        code, out, _ = run_cli(capsys, "double-points", "--pairs", "4,1;1,1",
+                               "--r", "0.5")
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--pairs", "2,1;1,2"],
+        ["invariants", "--pairs", "4,1;1,1"],
+        ["trace", "--pair", "1,2", "--range", "1", "--samples", "10"],
+        ["enumerate", "--max-abs", "1"],
+        ["double-points", "--pairs", "4,1;1,1"],
+        ["spectrum", "--pair", "1,0"],
+        ["catalog"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_out(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, *argv, "--out",
+                                 str(tmp_path / "missing" / "x"))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+class TestInvariantBreach:
+    """A formula/oracle disagreement exits 3 with nothing on stdout."""
+
+    @pytest.mark.parametrize("argv", [
+        ["invariants", "--pairs", "4,1;1,1"],
+        ["enumerate", "--max-abs", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_exit_3(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(
+            invariants, "double_points_bruteforce",
+            lambda label: invariants.double_points_formula(label) + 1)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "invariant breach" in err
+        assert "Traceback" not in err
+
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "cli_golden.json"
-
-
-def _golden_cases():
-    cases = json.loads(GOLDEN.read_text())
-    return [c for c in cases if c["argv"][0] in ("classify", "enumerate")]
+GOLDEN_CASES = json.loads(GOLDEN.read_text())
 
 
 class TestGoldenOutput:
-    """classify and enumerate reproduce the recorded golden stdout byte
-    for byte, so a refactor cannot silently change the violation
-    wording or the label order."""
+    """Every command of the golden set reproduces its recorded exit code
+    and stdout byte for byte, so a refactor cannot silently change a
+    report, the violation wording or the label order."""
 
-    @pytest.mark.parametrize("case", _golden_cases(),
+    @pytest.mark.parametrize("case", GOLDEN_CASES,
                              ids=lambda c: " ".join(c["argv"]))
-    def test_matches_golden(self, capsys, monkeypatch, case):
+    def test_matches_golden(self, capsys, monkeypatch, tmp_path, case):
+        # trace writes its CSV to a path relative to the repository root.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bench" / "out").mkdir(parents=True)
         for name, value in case["env"].items():
             monkeypatch.setenv(name, value)
         code, out, err = run_cli(capsys, *case["argv"])
         assert code in case["exit"]
         assert out == case["stdout"]
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        c["argv"] for c in GOLDEN_CASES
+        if c["stdout"] and c["argv"][0] != "trace"
+    ] + [["enumerate", "--max-abs", "1", "--ends", "3"]],
+        ids=lambda argv: " ".join(argv))
+    def test_out_file_gets_stdout_bytes(self, capsys, tmp_path, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        path = tmp_path / "out"
+        code_out, out_out, _ = run_cli(capsys, *argv, "--out", str(path))
+        assert (code_out, out_out) == (code, "")
+        assert path.read_bytes() == out.encode()
 
 
 class TestCatalogCommand:

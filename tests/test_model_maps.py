@@ -78,6 +78,8 @@ class TestModelMapParams:
     def test_scale_validation(self):
         with pytest.raises(ValueError):
             ModelMapParams(label=L_UNIT, r=0.5)
+        with pytest.raises(ValueError):
+            ModelMapParams(label=L_UNIT, r=float("nan"))
 
     def test_unit_modulus_validation(self):
         with pytest.raises(ValueError):
