@@ -185,10 +185,9 @@ def _cmd_double_points(ns: argparse.Namespace) -> int:
             raise ParseError(str(exc)) from exc
     label = Label2.make(*pairs)
     results: dict = {"label": label.to_json(), "delta": label.delta}
-    m_formula = inv.double_points_formula(label)
     counts = {}
     if ns.method in ("formula", "all"):
-        counts["formula"] = m_formula
+        counts["formula"] = inv.double_points_formula(label)
     if ns.method in ("roots", "all"):
         counts["roots"] = inv.double_points_bruteforce(label)
     if run_model:

@@ -73,30 +73,45 @@ def residue_pairs(label: LabelLike) -> list[tuple[int, int]]:
     """Ordered residue pairs (a, b) mod Delta encoding the double points.
 
     These are the pairs with a, b in {1, ..., Delta-1}, a != b, and
-    p a + q b = p' a + q' b = 0 (mod Delta).  For each a the congruence
-    q b = -p a (mod Delta) is solved exactly (gcd(q, Delta) solutions
-    when solvable); the second congruence and a != b filter the rest.
+    p a + q b = p' a + q' b = 0 (mod Delta), listed by a, then b.
+
+    The solutions (a, b) mod Delta form a subgroup of order Delta, the
+    kernel of the label's matrix.  Its pairs with a = 0 are the b with
+    q b = q' b = 0, the multiples of Delta/g for g = gcd(Delta, q, q'),
+    so g of them, and the a that occur are the Delta/g multiples of g.
+    Once one solution (g, b1) is known, the pairs over a = j g are the
+    coset b = j b1 (mod Delta/g).  b1 is found by solving
+    q b = -p g (mod Delta) exactly and keeping the solution that meets
+    the second congruence; the walk over a = g, 2g, ... then visits
+    only solutions, dropping b = 0 and b = a.  All of it is exact
+    modular arithmetic, independent of the gcd formula.
     """
     d = delta(label)
     if d < 1:
         raise InternalError(f"Delta = {d} < 1")
     (p, pp), (q, qp) = _first_two_pairs(label)
-    out: list[tuple[int, int]] = []
-    g = math.gcd(q, d)
-    step = d // g
-    inv = pow(q // g, -1, step) if step > 1 else 0
-    for a in range(1, d):
-        rhs = (-p * a) % d
-        if rhs % g:
-            continue
-        b0 = (rhs // g) * inv % step
-        for k in range(g):
-            b = b0 + k * step
-            if b == 0 or b == a:
-                continue
+    g = math.gcd(d, q, qp)
+    coset = d // g
+    b1 = _solve_at(g, p, pp, q, qp, d) % coset
+    if g == 1:
+        # a = j, with one b each.
+        return [(a, b) for a in range(1, d) if (b := a * b1 % d) and b != a]
+    return [(a, b) for a in range(g, d, g)
+            for b in range(a // g * b1 % coset, d, coset) if b and b != a]
+
+
+def _solve_at(a: int, p: int, pp: int, q: int, qp: int, d: int) -> int:
+    """One b with p a + q b = p' a + q' b = 0 (mod d), by solving the
+    first congruence and testing its gcd(q, d) solutions on the second."""
+    gq = math.gcd(q, d)
+    step = d // gq
+    rhs = (-p * a) % d
+    if rhs % gq == 0:
+        b0 = (rhs // gq) * pow(q // gq, -1, step) % step if step > 1 else 0
+        for b in range(b0, d, step):
             if (pp * a + qp * b) % d == 0:
-                out.append((a, b))
-    return out
+                return b
+    raise InternalError(f"no residue pair over a = {a} mod {d}")
 
 
 def double_points_bruteforce(label: LabelLike) -> int:

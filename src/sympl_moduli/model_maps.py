@@ -26,7 +26,11 @@ Given such a root pair the double point is the closed form
 with w the complex conjugate of z.  Double points are therefore found
 by exact modular enumeration of residue pairs followed by the closed
 form, never by two-dimensional numerical root search; the defining
-equalities are then verified to a relative residual tolerance.
+equalities are then verified to a relative residual tolerance.  Each
+equality's residual is the relative gap |x - y| / max(|x|, |y|) of its
+two sides where that is finite; where a power overflows or underflows
+it falls back to log space, |p (log w - log z) + q (log(1-w) - log(1-z))|
+with the imaginary part reduced mod 2 pi, so no residual is nan.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import cmath
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalError, PunctureError, ResidualError
 from .invariants import residue_pairs
@@ -123,8 +128,7 @@ def immersion_residual(params: ModelMapParams, z: complex) -> tuple[complex, com
     return (p / z - q / (1 - z), pp / z - qp / (1 - z))
 
 
-@dataclass(frozen=True)
-class DoublePoint:
+class DoublePoint(NamedTuple):
     """One ordered double-point pair, with its root-of-unity residues."""
 
     a: int                # eta = exp(2 pi i a / Delta)
@@ -134,8 +138,27 @@ class DoublePoint:
     residual: float
 
 
-def _rel_residual(x: complex, y: complex) -> float:
-    return abs(x - y) / max(abs(x), abs(y))
+def _equality_residual(z: complex, w: complex, omz: complex, omw: complex,
+                       m: int, n: int) -> float:
+    """Relative residual of z^m (1-z)^n = w^m (1-w)^n, given 1-z and 1-w.
+
+    The direct quotient |x - y| / max(|x|, |y|) is used wherever it is
+    finite.  Where a power overflows or underflows to zero, it is
+    replaced by |m (log w - log z) + n (log(1-w) - log(1-z))| with the
+    imaginary part reduced mod 2 pi, which is never nan."""
+    try:
+        x = z ** m * omz ** n
+        y = w ** m * omw ** n
+        ax = abs(x)
+        ay = abs(y)
+        r = abs(x - y) / (ay if ay > ax else ax)
+    except (OverflowError, ZeroDivisionError):
+        r = math.inf
+    if r < math.inf:
+        return r
+    gap = (m * (cmath.log(w) - cmath.log(z))
+           + n * (cmath.log(omw) - cmath.log(omz)))
+    return abs(complex(gap.real, math.remainder(gap.imag, _TWO_PI)))
 
 
 def phi_double_points(params: ModelMapParams,
@@ -153,25 +176,31 @@ def phi_double_points(params: ModelMapParams,
         tol = residual_tolerance()
     p, pp, q, qp = params.exponents()
     d = params.label.delta
+    exp = cmath.exp
+    turn = 2j * math.pi     # hoisted: turn * a / d is 2j * math.pi * a / d
     out: list[DoublePoint] = []
+    append = out.append
+    make = DoublePoint._make
     for a, b in residue_pairs(params.label):
-        eta = cmath.exp(2j * math.pi * a / d)
-        etap = cmath.exp(2j * math.pi * b / d)
+        eta = exp(turn * a / d)
+        etap = exp(turn * b / d)
         if etap == eta:
             raise InternalError("degenerate root pair slipped through")
         z = (etap - 1.0) / (etap - eta)
         w = eta * z
-        r1 = _rel_residual(z ** p * (1 - z) ** q, w ** p * (1 - w) ** q)
-        r2 = _rel_residual(z ** pp * (1 - z) ** qp, w ** pp * (1 - w) ** qp)
-        residual = max(r1, r2)
-        if residual >= tol:
+        omz = 1 - z
+        omw = 1 - w
+        r1 = _equality_residual(z, w, omz, omw, p, q)
+        r2 = _equality_residual(z, w, omz, omw, pp, qp)
+        residual = r2 if r2 > r1 else r1
+        if not residual < tol:
             raise ResidualError(
                 f"double point ({a}, {b}) of {params.label} has residual "
                 f"{residual} >= {tol}")
-        if abs(w - z.conjugate()) > tol * (1.0 + abs(z)):
+        if not abs(w - z.conjugate()) <= tol * (1.0 + abs(z)):
             raise ResidualError(
                 f"double point ({a}, {b}): w != conj(z) beyond tolerance")
-        out.append(DoublePoint(a=a, b=b, z=z, w=w, residual=residual))
+        append(make((a, b, z, w, residual)))
     return out
 
 

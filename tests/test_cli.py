@@ -255,6 +255,30 @@ class TestDoublePoints:
         assert code == 3
         assert "invariant breach" in err
 
+    def test_underflowing_powers_exit_without_traceback(self, capsys):
+        # z**200 underflows to 0 for this label, which ended in a
+        # ZeroDivisionError traceback; now the residual is measured in log
+        # space where the direct quotient is not finite.  It still fails
+        # the default tolerance: CPython raises complex numbers to integer
+        # powers above 100 through exp/log, which loses ~1e-7.
+        code, out, err = run_cli(capsys, "double-points", "--pairs",
+                                 "200,1;1,200", "--method", "model")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("invariant breach: double point")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_formula_computed_only_when_printed(self, capsys, monkeypatch):
+        def refuse(label):
+            raise AssertionError("formula computed but not printed")
+        monkeypatch.setattr(invariants, "double_points_formula", refuse)
+        for method in ("roots", "model"):
+            code, out, _ = run_cli(capsys, "double-points", "--pairs",
+                                   "4,1;1,1", "--method", method)
+            assert code == 0
+            assert json.loads(out)["m_C"] == {method: 1}
+
     def test_loose_tolerance_ok(self, capsys, monkeypatch):
         monkeypatch.setenv("SYMPL_MODULI_TOL", "1e-3")
         code, out, _ = run_cli(capsys, "double-points", "--pairs", "4,1;1,1",

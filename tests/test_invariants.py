@@ -44,6 +44,26 @@ class TestDoublePoints:
         assert set(residue_pairs(L_5)) == {(1, 4), (2, 3), (3, 2), (4, 1)}
         assert all((a + b) % 5 == 0 for a, b in residue_pairs(L_5))
 
+    def test_residue_pairs_match_literal_scan(self):
+        # The oracle is a literal scan of [1, Delta)^2 that tests both
+        # congruences directly; it shares no code with residue_pairs.
+        # Lists are compared, so the order (a, then b) is checked too.
+        # The box holds labels with gcd(Delta, q, q') = 1 and > 1.
+        labels = list(enumerate_labels(5, 2))
+        labels += [OrderedLabel3(l3, ordering)
+                   for l3 in enumerate_labels(4, 3)
+                   for ordering in l3.orderings()]
+        coarse = 0
+        for label in labels:
+            (p, pp), (q, qp) = label.pairs()[:2]
+            d = p * qp - q * pp
+            scan = [(a, b) for a in range(1, d) for b in range(1, d)
+                    if a != b and (p * a + q * b) % d == 0
+                    and (pp * a + qp * b) % d == 0]
+            assert residue_pairs(label) == scan, label
+            coarse += math.gcd(d, q, qp) > 1
+        assert 0 < coarse < len(labels)
+
     def test_oracle_equivalence_desk_scale(self):
         for label in enumerate_labels(6, 2):
             assert double_points_formula(label) == double_points_bruteforce(label)

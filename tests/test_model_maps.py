@@ -1,12 +1,15 @@
 import cmath
+import hashlib
+import json
 import math
 import random
 
 import pytest
 
-from sympl_moduli import (Label2, ModelMapParams, double_points_bruteforce,
-                          double_points_formula, enumerate_labels,
-                          immersion_residual, phi_double_points, phi_eval)
+from sympl_moduli import (DoublePoint, Label2, ModelMapParams,
+                          double_points_bruteforce, double_points_formula,
+                          enumerate_labels, immersion_residual,
+                          phi_double_points, phi_eval)
 from sympl_moduli.errors import PunctureError
 from sympl_moduli.model_maps import double_points_json, residual_tolerance
 
@@ -176,6 +179,67 @@ class TestDoublePoints:
                     w ** p * (1 - w) ** q, rel=1e-9)
                 assert z ** pp * (1 - z) ** qp == pytest.approx(
                     w ** pp * (1 - w) ** qp, rel=1e-9)
+
+    def test_overflowing_powers_have_finite_residuals(self):
+        # z**p (1-z)**q overflows for some points of this label; the
+        # relative residual was inf/inf = nan there and passed the check.
+        label = Label2.make((97, -28), (61, -11))
+        assert label.delta == 641
+        pts = phi_double_points(ModelMapParams(label=label))
+        assert len(pts) == 2 * double_points_formula(label)
+        assert (312, 313) in [(dp.a, dp.b) for dp in pts]
+        for dp in pts:
+            assert math.isfinite(dp.residual)
+            assert dp.residual < 1e-9
+
+    def test_point_is_immutable(self):
+        dp = phi_double_points(ModelMapParams(label=L_41))[0]
+        with pytest.raises(AttributeError):
+            dp.residual = 0.0
+        assert dp == DoublePoint(dp.a, dp.b, dp.z, dp.w, dp.residual)
+
+
+#: Labels with Delta from 100 to 1999 from the double-points benchmark
+#: pool (three have gcd(Delta, q, q') > 1), none with an overflowing
+#: residual, and the sha256 of their double_points_json.
+MODEL_MAP_DIGESTS = [
+    (((-10, -18), (5, -1)),
+     "110eb574cf5dabe27602ba2645f78cb5e3f800572ec0dce128f1eb3bbcf7f18a"),
+    (((-3, -9), (17, 1)),
+     "52e5aa5ba6a71c5ad5f06fc0c288e678eda011fecea952330eaa188cf7148adb"),
+    (((12, -22), (-5, 30)),
+     "430bd4ad7530adc3dd18e0328ed87e4ed1a2b79dd093df92641267a3eecefc5e"),
+    (((-2, -4), (99, -2)),
+     "7a30538c5f446f2945c17ce402fb41ff81f62cf43ac62be977447e8321a894fa"),
+    (((-1, -14), (43, 2)),
+     "984a0c92c87e4783e0c694984f0f916d0b641b75e510a10f3eb7ed5e1b625c66"),
+    (((1, -56), (14, 16)),
+     "b65d88486406581adb82ec278cb480b2478682bf758b8dae08ae4da14c0ea9bd"),
+    (((-3, -71), (14, -2)),
+     "0af1774aa6d666e62a24876d85867979bfebae02d70c3988bccd3bb002d8584f"),
+    (((13, -21), (65, -5)),
+     "ad1a98b5d4220d40eebc7cf8488d7f3552078c7c208808dc68fbc42f15fc8e39"),
+    (((66, 74), (-2, 22)),
+     "5feeb98244fff398f58fc1d17894f556fa1800121be3871dc9762f3ef2d72a8d"),
+    (((12, -41), (47, 6)),
+     "77fde0e3239c9a435a05e6ec7db2e9b0a069ee931e1b56c011d03650342e6a0d"),
+]
+
+
+class TestPinnedBits:
+    @pytest.mark.parametrize("pairs,digest", MODEL_MAP_DIGESTS)
+    def test_points_keep_their_bits(self, pairs, digest):
+        """Every point and residual keeps its bits.
+
+        The digests were recorded at the commit before residue_pairs was
+        built from its lattice and the model-map loop was rewritten (scan
+        over every a, dataclass points), before any of that code changed.
+        """
+        label = Label2.make(*pairs)
+        assert 100 <= label.delta < 2000
+        pts = phi_double_points(ModelMapParams(label=label))
+        blob = json.dumps(double_points_json(pts)).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
 
 
 class TestTolerance:
