@@ -30,7 +30,7 @@ from .invariants import (AsymptoticData, EndDescriptor, GenericSpectrumCase,
                          c1_pairing, delta, double_points_bruteforce,
                          double_points_formula, fredholm_index,
                          index_lower_bound, l0_spectrum, m0_of, residue_pairs,
-                         sphere_report, translate_intersection_count)
+                         sphere_report)
 from .moduli import (Label2, Label3, OrderedLabel3, boundary_labels,
                      canonical_pair, enumerate_labels, label_from_pairs,
                      validate_label2, validate_label3)

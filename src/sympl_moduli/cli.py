@@ -116,7 +116,8 @@ def _cmd_invariants(ns: argparse.Namespace) -> int:
     pairs = parse_pairs(ns.pairs)
     label = _label_from_ns(pairs, ns.ordering)
     payload = _checked_report(label)
-    payload["translate_intersection_count"] = inv.translate_intersection_count(label)
+    # 1 + 2 m_C + sum(g_i - 1) = Delta by the gcd identity.
+    payload["translate_intersection_count"] = payload["delta"]
     _emit(_json(payload), ns.out)
     return EXIT_OK
 

@@ -245,7 +245,6 @@ class CurveSpec:
     p_prime: int = 0
     range_id: int = 0
     s_anchor: float = 0.0
-    theta_anchor: Optional[float] = None
 
     @classmethod
     def example1(cls, orbit: ReebOrbit) -> "CurveSpec":
@@ -273,8 +272,7 @@ class CurveSpec:
 
     @classmethod
     def profile(cls, p: int, p_prime: int, range_id: int, phi0: float = 0.0,
-                s_anchor: float = 0.0,
-                theta_anchor: Optional[float] = None) -> "CurveSpec":
+                s_anchor: float = 0.0) -> "CurveSpec":
         ranges = classify_branches(p, p_prime)
         if not 0 <= range_id < len(ranges):
             raise ValueError(f"range_id {range_id} out of range")
@@ -287,8 +285,7 @@ class CurveSpec:
         else:
             example_id = 5
         return cls(example_id=example_id, p=p, p_prime=p_prime,
-                   range_id=range_id, phi0=phi0, s_anchor=s_anchor,
-                   theta_anchor=theta_anchor)
+                   range_id=range_id, phi0=phi0, s_anchor=s_anchor)
 
     def theta_range(self) -> ThetaRange:
         if self.example_id not in (5, 6, 7):
@@ -296,11 +293,8 @@ class CurveSpec:
         return classify_branches(self.p, self.p_prime)[self.range_id]
 
     def anchor_angle(self) -> float:
+        """The range midpoint, where s = s_anchor."""
         rng = self.theta_range()
-        if self.theta_anchor is not None:
-            if not rng.lo < self.theta_anchor < rng.hi:
-                raise BranchError("theta_anchor outside the range")
-            return self.theta_anchor
         return 0.5 * (rng.lo + rng.hi)
 
 
@@ -341,20 +335,19 @@ def _sample(s: float, theta: float, t: float, phi: float) -> TraceSample:
 
 def integrate_profile(p: int, p_prime: int, range_id: int,
                       s_anchor: float = 0.0, n_samples: int = 1000,
-                      phi0: float = 0.0, clip: float = DEFAULT_CLIP,
-                      theta_anchor: Optional[float] = None) -> Trace:
+                      phi0: float = 0.0, clip: float = DEFAULT_CLIP) -> Trace:
     """Trace one profile cylinder across a theta range.
 
     Samples theta uniformly on [lo + clip, hi - clip] (s diverges at the
     fixed angles), takes each s from the closed form relative to the
-    anchor angle (the range midpoint unless theta_anchor is given,
-    where s = s_anchor), and recovers f and h algebraically.  Rows come
-    out in increasing theta order, so theta is strictly monotone.
+    range midpoint (where s = s_anchor), and recovers f and h
+    algebraically.  Rows come out in increasing theta order, so theta
+    is strictly monotone.
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
     spec = CurveSpec.profile(p, p_prime, range_id, phi0=phi0,
-                             s_anchor=s_anchor, theta_anchor=theta_anchor)
+                             s_anchor=s_anchor)
     lo, hi = _clipped(spec.theta_range(), clip)
     terms = profile_log_terms(p, p_prime)
     base = s_anchor - _log_sum(terms, spec.anchor_angle())
@@ -367,12 +360,11 @@ def integrate_profile(p: int, p_prime: int, range_id: int,
 
 
 def profile_ode_residual(spec: CurveSpec, theta: float,
-                         s_at_theta: Optional[float] = None,
-                         rel_step: float = 3e-4) -> float:
+                         s_at_theta: Optional[float] = None) -> float:
     """|dh/du - (p'/p) sin^2 theta| at one point of a profile curve.
 
     dh/du is a central finite difference of h with respect to u along
-    the curve, with the theta step scaled to the distance from the
+    the curve, with the theta step 3e-4 times the distance from the
     nearest fixed angle (h and u grow like a power of that distance, so
     a fixed step would measure resolution, not the curve).  Passing the
     already-known s(theta) skips its evaluation.
@@ -384,7 +376,7 @@ def profile_ode_residual(spec: CurveSpec, theta: float,
     if s_at_theta is None:
         s_at_theta = s_of_theta(spec.p, spec.p_prime, spec.anchor_angle(),
                                 spec.s_anchor, theta)
-    step = rel_step * dist
+    step = 3e-4 * dist
     vals = []
     for th in (theta - step, theta + step):
         s = s_of_theta(spec.p, spec.p_prime, theta, s_at_theta, th)

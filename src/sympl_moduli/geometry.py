@@ -213,14 +213,14 @@ def lambda_of_theta(theta: float) -> float:
     return SQRT6 * c * math.sin(theta) ** 2 / (1.0 - 3.0 * c * c)
 
 
-def theta_from_lambda(lam: float, branch: BranchId,
-                      max_iter: int = 200) -> float:
+def theta_from_lambda(lam: float, branch: BranchId) -> float:
     """Invert lambda(theta) on the given branch by bisection.
 
     Valid because lambda is strictly decreasing on each branch (its
     theta-derivative is -sqrt6 sin(theta)(1+3cos^4)(1-3cos^2)^{-2} < 0).
     The returned angle is accurate to well below 1e-12: the bracketing
-    interval is halved max_iter times, ending below 1e-13.
+    interval is halved until it is narrower than 1e-14 (under 50 steps
+    from a branch interval inside (0, pi)).
     """
     if not math.isfinite(lam):
         raise RangeError(f"lambda = {lam} is not finite")
@@ -230,9 +230,7 @@ def theta_from_lambda(lam: float, branch: BranchId,
         raise RangeError(f"branch C needs lambda > 0, got {lam}")
 
     lo, hi = _BRANCH_INTERVAL[branch]
-    for _ in range(max_iter):
-        if hi - lo < 1e-14:
-            break
+    while hi - lo >= 1e-14:
         mid = 0.5 * (lo + hi)
         if lambda_of_theta(mid) > lam:
             lo = mid        # decreasing: the root is to the right

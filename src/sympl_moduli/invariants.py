@@ -13,6 +13,21 @@ is computed two independent ways:
     p a + q b = 0 and p' a + q' b = 0 (mod Delta), so the oracle is
     exact modular arithmetic, never floating point.
 
+A label is read only through its pairs(): the two pairs (p, p'), (q, q')
+of a two-end label, or the three pairs of an ordered three-end label,
+whose first two play the same role.  Every number of a sphere report is
+a closed expression in the first two pairs, and two of them need no
+machinery of their own:
+
+  * the intersection count between the curve and a small generic
+    translate, 1 + 2 m_C + (g1 - 1) + (g2 - 1) + (g3 - 1) with
+    (g1, g2, g3) the gcd triple, equals Delta: substitute the gcd
+    identity for 2 m_C;
+  * the sphere has chi = -1, <c1> = 0 and only generic ends, so
+    aleph_+ = aleph_- = 0 and the index below is 1 + aleph, where
+    aleph = len(label.pairs()) counts the convex ends (a two-end
+    label's third end (k, k') is concave).
+
 The Fredholm index of the deformation operator is
     index = -chi - 2 <c1> + aleph + aleph_+ + aleph_-
 with aleph the number of convex generic ends, aleph_+ the sum of
@@ -39,34 +54,32 @@ from .reeb import EndClass
 LabelLike = Union[Label2, OrderedLabel3]
 
 
-def _first_two_pairs(label: LabelLike) -> tuple[tuple[int, int], tuple[int, int]]:
-    if isinstance(label, OrderedLabel3):
-        return label.ordering[0], label.ordering[1]
-    return label.p_pair.as_tuple(), label.q_pair.as_tuple()
-
-
 def delta(label: LabelLike) -> int:
     """Delta = p q' - q p' from the first two pairs of the label."""
-    (p, pp), (q, qp) = _first_two_pairs(label)
+    (p, pp), (q, qp) = label.pairs()[:2]
     return p * qp - q * pp
 
 
-def _gcd_triple(label: LabelLike) -> tuple[int, int, int]:
-    # gcd is always positive, and gcd(0, n) = |n|.
-    (p, pp), (q, qp) = _first_two_pairs(label)
-    return (math.gcd(p, pp), math.gcd(q, qp), math.gcd(p + q, pp + qp))
+def _closed_form(pairs) -> tuple[int, tuple[int, int, int], int]:
+    """(Delta, gcd triple, m_C) from a label's pairs().
+
+    m_C comes from the gcd identity, whose 2 m_C must be even and
+    >= 0.  gcd is always positive, and gcd(0, n) = |n|.
+    """
+    (p, pp), (q, qp) = pairs[:2]
+    d = p * qp - q * pp
+    gcds = (math.gcd(p, pp), math.gcd(q, qp), math.gcd(p + q, pp + qp))
+    twice = d - sum(gcds) + 2
+    if twice % 2:
+        raise ParityError(f"Delta - gcds + 2 = {twice} is odd for {pairs}")
+    if twice < 0:
+        raise InternalError(f"negative double-point count {twice // 2} for {pairs}")
+    return d, gcds, twice // 2
 
 
 def double_points_formula(label: LabelLike) -> int:
     """m_C from the gcd identity; asserts the expression is even and >= 0."""
-    d = delta(label)
-    g1, g2, g3 = _gcd_triple(label)
-    twice = d - g1 - g2 - g3 + 2
-    if twice % 2:
-        raise ParityError(f"Delta - gcds + 2 = {twice} is odd for {label}")
-    if twice < 0:
-        raise InternalError(f"negative double-point count {twice // 2} for {label}")
-    return twice // 2
+    return _closed_form(label.pairs())[2]
 
 
 def residue_pairs(label: LabelLike) -> list[tuple[int, int]]:
@@ -86,10 +99,10 @@ def residue_pairs(label: LabelLike) -> list[tuple[int, int]]:
     only solutions, dropping b = 0 and b = a.  All of it is exact
     modular arithmetic, independent of the gcd formula.
     """
-    d = delta(label)
+    (p, pp), (q, qp) = label.pairs()[:2]
+    d = p * qp - q * pp
     if d < 1:
         raise InternalError(f"Delta = {d} < 1")
-    (p, pp), (q, qp) = _first_two_pairs(label)
     g = math.gcd(d, q, qp)
     coset = d // g
     b1 = _solve_at(g, p, pp, q, qp, d) % coset
@@ -226,13 +239,6 @@ def adjunction_e_pairing(chi: int, c1: int, m_c: int) -> int:
     return -chi - c1 + 2 * m_c
 
 
-def translate_intersection_count(label: LabelLike) -> int:
-    """Intersections between the curve and a small generic translate:
-    1 + 2 m_C + (gcd(p,p')-1) + (gcd(q,q')-1) + (gcd(p+q,p'+q')-1)."""
-    g1, g2, g3 = _gcd_triple(label)
-    return 1 + 2 * double_points_formula(label) + (g1 - 1) + (g2 - 1) + (g3 - 1)
-
-
 @dataclass(frozen=True)
 class AsymptoticData:
     """Decay data of an end: the decay constant zeta of the linearized
@@ -243,8 +249,12 @@ class AsymptoticData:
     sigma0: Optional[float] = None
 
 
-def asymptotic_constants(theta0: float, end_class: Optional[EndClass] = None,
-                         tol: float = 1e-12) -> AsymptoticData:
+#: |cos^2(theta0) - 1/3| below which asymptotic_constants refuses the angle.
+_DEGENERATE_TOL = 1e-12
+
+
+def asymptotic_constants(theta0: float,
+                         end_class: Optional[EndClass] = None) -> AsymptoticData:
     """Evaluate (zeta, kappa, sigma0) at the orbit angle theta0.
 
     zeta = sqrt6 sin^2 (1 + 3 cos^2)(1 + 3 cos^4)^{-1/2} |1 - 3 cos^2|^{-1}
@@ -254,7 +264,7 @@ def asymptotic_constants(theta0: float, end_class: Optional[EndClass] = None,
     Both zeta and kappa degenerate where cos^2(theta0) = 1/3.
     """
     c = math.cos(theta0)
-    if abs(c * c - 1.0 / 3.0) < tol:
+    if abs(c * c - 1.0 / 3.0) < _DEGENERATE_TOL:
         raise DegenerateAngle("cos^2(theta0) = 1/3: no decay constants")
     if not 0.0 < theta0 < math.pi:
         raise ValueError("theta0 must lie in (0, pi)")
@@ -329,8 +339,6 @@ class InvariantReport:
     m_c: int
     index: int
     aleph: int
-    aleph_plus: int
-    aleph_minus: int
     chi: int
     c1_pairing: int
     e_pairing: int
@@ -338,10 +346,7 @@ class InvariantReport:
     def to_json(self, label: LabelLike | None = None) -> dict:
         out: dict = {}
         if label is not None:
-            if isinstance(label, OrderedLabel3):
-                out["label"] = {"pairs": [list(p) for p in label.ordering]}
-            else:
-                out["label"] = label.to_json()
+            out["label"] = {"pairs": [list(p) for p in label.pairs()]}
         out.update({
             "delta": self.delta,
             "gcds": list(self.gcd_triple),
@@ -355,37 +360,19 @@ class InvariantReport:
         return out
 
 
-def sphere_ends(label: LabelLike) -> list[EndDescriptor]:
-    """End descriptors of the three-punctured sphere a label classifies.
-
-    Two-end labels have two convex generic ends plus the concave end
-    carrying (k, k'); three-end (ordered) labels have three convex
-    generic ends.
-    """
-    if isinstance(label, OrderedLabel3):
-        return [EndDescriptor.generic(Side.CONVEX, EndClass(*p))
-                for p in label.ordering]
-    return [
-        EndDescriptor.generic(Side.CONVEX, label.p_pair),
-        EndDescriptor.generic(Side.CONVEX, label.q_pair),
-        EndDescriptor.generic(Side.CONCAVE, label.k_pair),
-    ]
-
-
 def sphere_report(label: LabelLike) -> InvariantReport:
-    """Invariants of the label's sphere (chi = -1, c1 = 0, no polar ends)."""
+    """Invariants of the label's sphere: chi = -1, c1 = 0 and only
+    generic ends, of which len(label.pairs()) are convex."""
     chi, c1 = -1, 0
-    ends = sphere_ends(label)
-    a, ap, am = aleph_counts(ends)
-    m_c = double_points_formula(label)
+    pairs = label.pairs()
+    d, gcds, m_c = _closed_form(pairs)
+    aleph = len(pairs)
     return InvariantReport(
-        delta=delta(label),
-        gcd_triple=_gcd_triple(label),
+        delta=d,
+        gcd_triple=gcds,
         m_c=m_c,
-        index=fredholm_index(chi, c1, ends),
-        aleph=a,
-        aleph_plus=ap,
-        aleph_minus=am,
+        index=-chi - 2 * c1 + aleph,
+        aleph=aleph,
         chi=chi,
         c1_pairing=c1,
         e_pairing=adjunction_e_pairing(chi, c1, m_c),

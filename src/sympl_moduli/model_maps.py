@@ -28,9 +28,10 @@ by exact modular enumeration of residue pairs followed by the closed
 form, never by two-dimensional numerical root search; the defining
 equalities are then verified to a relative residual tolerance.  Each
 equality's residual is the relative gap |x - y| / max(|x|, |y|) of its
-two sides where that is finite; where a power overflows or underflows
-it falls back to log space, |p (log w - log z) + q (log(1-w) - log(1-z))|
-with the imaginary part reduced mod 2 pi, so no residual is nan.
+two sides where that is finite and both sides are normal floats; where
+a power overflows or lands in the subnormal range it falls back to log
+space, |p (log w - log z) + q (log(1-w) - log(1-z))| with the imaginary
+part reduced mod 2 pi, so no residual is nan.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from __future__ import annotations
 import cmath
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,6 +48,7 @@ from .invariants import residue_pairs
 from .moduli import Label2
 
 _TWO_PI = 2.0 * math.pi
+_TINY = sys.float_info.min     # the smallest normal float
 
 DEFAULT_RESIDUAL_TOL = 1e-9
 
@@ -143,21 +146,25 @@ def _equality_residual(z: complex, w: complex, omz: complex, omw: complex,
     """Relative residual of z^m (1-z)^n = w^m (1-w)^n, given 1-z and 1-w.
 
     The direct quotient |x - y| / max(|x|, |y|) is used wherever it is
-    finite.  Where a power overflows or underflows to zero, it is
-    replaced by |m (log w - log z) + n (log(1-w) - log(1-z))| with the
-    imaginary part reduced mod 2 pi, which is never nan."""
+    finite and |x|, |y| are both normal floats.  Where a power
+    overflows, or a side is subnormal or zero (so it keeps too few bits
+    to be compared), it is replaced by
+    |m (log w - log z) + n (log(1-w) - log(1-z))| with the imaginary
+    part reduced mod 2 pi, which is never nan."""
     try:
         x = z ** m * omz ** n
         y = w ** m * omw ** n
         ax = abs(x)
         ay = abs(y)
-        # max(ax, ay) as a comparison: the builtin call costs ~7x more,
-        # and it runs three times per point (~15 % of double-points).
-        r = abs(x - y) / (ay if ay > ax else ax)
+        if ax >= _TINY and ay >= _TINY:
+            # max(ax, ay) as a comparison: the builtin call costs ~7x
+            # more, and it runs three times per point (~15 % of
+            # double-points).
+            r = abs(x - y) / (ay if ay > ax else ax)
+            if r < math.inf:
+                return r
     except (OverflowError, ZeroDivisionError):
-        r = math.inf
-    if r < math.inf:
-        return r
+        pass
     gap = (m * (cmath.log(w) - cmath.log(z))
            + n * (cmath.log(omw) - cmath.log(omz)))
     return abs(complex(gap.real, math.remainder(gap.imag, _TWO_PI)))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -256,18 +257,18 @@ class TestDoublePoints:
         assert "invariant breach" in err
 
     def test_underflowing_powers_exit_without_traceback(self, capsys):
-        # z**200 underflows to 0 for this label, which ended in a
-        # ZeroDivisionError traceback; now the residual is measured in log
-        # space where the direct quotient is not finite.  It still fails
-        # the default tolerance: CPython raises complex numbers to integer
-        # powers above 100 through exp/log, which loses ~1e-7.
+        # z**200 underflows for this label: it ended in a ZeroDivisionError
+        # traceback, then in a breach of the tolerance, because a side in
+        # the subnormal range keeps too few bits for the direct quotient.
+        # Such a side is now compared in log space.
         code, out, err = run_cli(capsys, "double-points", "--pairs",
-                                 "200,1;1,200", "--method", "model")
-        assert code == 3
-        assert out == ""
-        assert err.startswith("invariant breach: double point")
-        assert err.count("\n") == 1
+                                 "200,1;1,200", "--method", "all")
+        assert code == 0
         assert "Traceback" not in err
+        payload = json.loads(out)
+        assert payload["m_C"] == {"formula": 19899, "roots": 19899,
+                                  "model": 19899}
+        assert all(pt["residual"] < 1e-9 for pt in payload["points"])
 
     def test_formula_computed_only_when_printed(self, capsys, monkeypatch):
         def refuse(label):
@@ -419,6 +420,27 @@ class TestGoldenOutput:
         code_out, out_out, _ = run_cli(capsys, *argv, "--out", str(path))
         assert (code_out, out_out) == (code, "")
         assert path.read_bytes() == out.encode()
+
+
+class TestPinnedEnumerate:
+    @pytest.mark.parametrize("argv,lines,digest", [
+        (["enumerate", "--max-abs", "6", "--ends", "2"], 6178,
+         "5fcdafbd4fdd0b430dcbbefc67fa084a790844940813d33d3c61f214dd6bcd7a"),
+        (["enumerate", "--max-abs", "5", "--ends", "3"], 273,
+         "729b35c5cefc572b84feee096740f837a5bcd558cc16e21d11d3d2c709e1d388"),
+    ], ids=["max-abs 6 ends 2", "max-abs 5 ends 3"])
+    def test_stdout_keeps_its_bytes(self, capsys, argv, lines, digest):
+        """Every report line of a larger enumeration than the golden set
+        runs keeps its bytes.
+
+        The digests were recorded at the commit before the sphere report
+        was reduced to a closed form in the label's pairs, before any of
+        that code changed.
+        """
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.count("\n") == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestCatalogCommand:

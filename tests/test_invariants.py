@@ -9,8 +9,7 @@ from sympl_moduli import (EndClass, EndDescriptor, GenericSpectrumCase, Label2,
                           c1_pairing, delta, double_points_bruteforce,
                           double_points_formula, enumerate_labels,
                           fredholm_index, index_lower_bound, l0_spectrum,
-                          m0_of, residue_pairs, sphere_report,
-                          translate_intersection_count)
+                          m0_of, residue_pairs, sphere_report)
 from sympl_moduli.errors import BoundViolation, DegenerateAngle, ZeroPair
 
 L_SYM = Label2.make((2, 1), (1, 2))      # Delta = 3, embedded
@@ -18,9 +17,21 @@ L_41 = Label2.make((4, 1), (1, 1))       # Delta = 3, one double point
 L_5 = Label2.make((1, -1), (1, 4))       # Delta = 5, two double points
 
 
+def two_and_ordered_three(bound2, bound3):
+    """Every two-end label up to bound2, then every ordered three-end
+    label up to bound3."""
+    labels = list(enumerate_labels(bound2, 2))
+    labels += [OrderedLabel3(l3, ordering)
+               for l3 in enumerate_labels(bound3, 3)
+               for ordering in l3.orderings()]
+    return labels
+
+
 class TestDelta:
     def test_values(self):
         assert delta(L_SYM) == 3
+        assert delta(L_41) == 3
+        assert delta(L_5) == 5
         assert delta(Label2.make((1, 0), (0, 1))) == 1
         ordered = OrderedLabel3.make([(1, -1), (1, 4), (-2, -3)], which=0)
         assert delta(ordered) == 5
@@ -49,10 +60,7 @@ class TestDoublePoints:
         # congruences directly; it shares no code with residue_pairs.
         # Lists are compared, so the order (a, then b) is checked too.
         # The box holds labels with gcd(Delta, q, q') = 1 and > 1.
-        labels = list(enumerate_labels(5, 2))
-        labels += [OrderedLabel3(l3, ordering)
-                   for l3 in enumerate_labels(4, 3)
-                   for ordering in l3.orderings()]
+        labels = two_and_ordered_three(5, 4)
         coarse = 0
         for label in labels:
             (p, pp), (q, qp) = label.pairs()[:2]
@@ -206,13 +214,6 @@ class TestAdjunction:
             assert rep.e_pairing == -rep.chi - rep.c1_pairing + 2 * rep.m_c
 
 
-class TestTranslateCount:
-    def test_values(self):
-        assert translate_intersection_count(L_SYM) == 3
-        assert translate_intersection_count(L_41) == 3
-        assert translate_intersection_count(L_5) == 5
-
-
 class TestAsymptoticConstants:
     def test_equator(self):
         data = asymptotic_constants(math.pi / 2, EndClass(1, 0))
@@ -289,6 +290,32 @@ class TestSphereReport:
             rep = sphere_report(label)
             assert rep.index == rep.aleph + 1 == 3
             assert rep.index == index_lower_bound(0, 0, rep.aleph, 0, 0, 1)
+
+    def test_index_matches_fredholm_formula(self):
+        # The report's closed form 1 + aleph against the general formula,
+        # with the ends built here: a convex end per pair, and the
+        # concave (k, k') = (p + q, p' + q') of a two-end label.
+        for label in two_and_ordered_three(4, 4):
+            pairs = label.pairs()
+            ends = [EndDescriptor.generic(Side.CONVEX, EndClass(*p))
+                    for p in pairs]
+            if len(pairs) == 2:
+                (p, pp), (q, qp) = pairs
+                ends.append(EndDescriptor.generic(
+                    Side.CONCAVE, EndClass(p + q, pp + qp)))
+            assert sphere_report(label).index == fredholm_index(-1, 0, ends)
+
+    def test_translate_count_is_delta(self):
+        # 1 + 2 m_C + sum(g_i - 1) = Delta, the count the invariants
+        # command reports under translate_intersection_count, with m_C
+        # from the root-of-unity oracle rather than the gcd formula.
+        for label in two_and_ordered_three(6, 5):
+            (p, pp), (q, qp) = label.pairs()[:2]
+            gcds = (math.gcd(p, pp), math.gcd(q, qp),
+                    math.gcd(p + q, pp + qp))
+            count = (1 + 2 * double_points_bruteforce(label)
+                     + sum(g - 1 for g in gcds))
+            assert count == delta(label), label
 
     def test_json_keys(self):
         js = sphere_report(L_SYM).to_json(L_SYM)

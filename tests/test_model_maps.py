@@ -192,6 +192,18 @@ class TestDoublePoints:
             assert math.isfinite(dp.residual)
             assert dp.residual < 1e-9
 
+    @pytest.mark.parametrize("pairs", [((98, -5), (87, 55)),
+                                       ((89, 1), (-2, 100)),
+                                       ((93, 91), (-45, 73))])
+    def test_subnormal_powers_pass(self, pairs):
+        # A side of one equality lands between 8e-323 and 8e-316 for some
+        # point of each label, with a few bits left; the direct quotient
+        # failed these correct points (residuals 1.2e-5, 1.3e-8, 0.125).
+        label = Label2.make(*pairs)
+        pts = phi_double_points(ModelMapParams(label=label))
+        assert len(pts) // 2 == double_points_formula(label)
+        assert max(dp.residual for dp in pts) < 1e-9
+
     def test_point_is_immutable(self):
         dp = phi_double_points(ModelMapParams(label=L_41))[0]
         with pytest.raises(AttributeError):
