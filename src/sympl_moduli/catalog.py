@@ -13,7 +13,7 @@ index = aleph + 1, so they are flagged ``reverse-engineered``.
 The index lower bound in terms of (genus, polar intersections, end
 counts) applies to every entry except the polar cylinder itself, whose
 intersection count with the polar locus -- a locus containing it -- is
-not a finite number; that entry carries bound_applicable = False.
+not a finite number; that entry carries polar_intersections = None.
 
 For the record (no computation attaches to it here): the deformation
 operator of every curve type in this table has trivial cokernel, so the
@@ -48,7 +48,6 @@ class CatalogEntry:
     c1_override: Optional[int] = None
     label: Optional[Label2 | Label3] = None
     winding_provenance: str = ""
-    bound_applicable: bool = True
 
     def c1(self) -> int:
         if self.c1_override is not None:
@@ -63,7 +62,7 @@ class CatalogEntry:
 
     def lower_bound(self) -> Optional[int]:
         """The index lower bound, or None where it does not apply."""
-        if not self.bound_applicable or self.polar_intersections is None:
+        if self.polar_intersections is None:
             return None
         aleph0cc = sum(1 for e in self.ends
                        if e.kind == "polar" and e.side is Side.CONCAVE)
@@ -119,7 +118,7 @@ def catalog_entries() -> list[CatalogEntry]:
                   EndDescriptor.polar(convex, 1)),
             c1_override=0,
             expected_index=0, expected_aleph=0,
-            polar_intersections=None, bound_applicable=False,
+            polar_intersections=None,
         ),
         CatalogEntry(
             case_id="I=aleph=1.orbit-cylinder",

@@ -12,18 +12,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
 from . import catalog as catalog_mod
 from . import invariants as inv
-from .curves import classify_branches, integrate_profile
-from .errors import (InternalError, InvalidLabel, ParityError, ParseError,
-                     ResidualError, SymplModuliError)
+from .curves import DEFAULT_CLIP, classify_branches, integrate_profile
+from .errors import (InternalError, ParityError, ParseError, ResidualError,
+                     SymplModuliError)
 from .model_maps import (ModelMapParams, double_points_json, phi_double_points,
                          residual_tolerance)
 from .moduli import Label2, OrderedLabel3, validate_label2, validate_label3
-from .reeb import EndClass, classify_pair, solve_theta0
+from .reeb import ReebOrbit, classify_pair
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -131,6 +132,8 @@ def _cmd_trace(ns: argparse.Namespace) -> int:
         raise ParseError(f"--samples must be at least 2, got {ns.samples}")
     if not ns.clip > 0:
         raise ParseError(f"--clip must be positive, got {ns.clip}")
+    if not math.isfinite(ns.anchor):
+        raise ParseError(f"--anchor must be finite, got {ns.anchor}")
     ranges = classify_branches(p, pp)
     if not 0 <= ns.range < len(ranges):
         raise ParseError(
@@ -197,10 +200,9 @@ def _cmd_double_points(ns: argparse.Namespace) -> int:
         results["points"] = double_points_json(points)
         results["residual_tolerance"] = tol
     results["m_C"] = counts
-    _emit(_json(results), ns.out)
     if len(set(counts.values())) > 1:
-        print(f"invariant breach: methods disagree: {counts}", file=sys.stderr)
-        return EXIT_INVARIANT
+        raise InternalError(f"methods disagree: {counts}")
+    _emit(_json(results), ns.out)
     return EXIT_OK
 
 
@@ -223,19 +225,14 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
         if len(pairs) != 1:
             raise ParseError("--pair takes exactly one 'm,m'' pair")
         m, mp = pairs[0]
-        end = EndClass(m, mp)
-        reduced = end.reduced()
-        ok, why = classify_pair(reduced.m, reduced.m_prime)
-        if not ok:
-            raise InvalidLabel(f"({m}, {mp}) is not admissible: {why}")
-        theta0 = solve_theta0(reduced.m, reduced.m_prime)
-        data = inv.asymptotic_constants(theta0, end)
-        period = end.gcd * abs(reduced.m) if reduced.m != 0 else end.gcd
+        orbit = ReebOrbit.generic(m, mp)
+        data = inv.asymptotic_constants(orbit.theta0, orbit.pair)
+        period = orbit.multiplicity * (abs(orbit.pair.m) or 1)
         spec = inv.l0_spectrum(
             inv.GenericSpectrumCase(zeta=data.zeta, period=period), ns.nmax)
         payload = {
             "case": "generic", "pair": [m, mp],
-            "theta0": _fmt(theta0),
+            "theta0": _fmt(orbit.theta0),
             "zeta": _fmt(data.zeta),
             "kappa": _fmt(data.kappa),
             "sigma0": None if data.sigma0 is None else _fmt(data.sigma0),
@@ -280,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--anchor", type=float, default=0.0,
                    help="value of s at the range midpoint")
     t.add_argument("--samples", type=int, default=1000)
-    t.add_argument("--clip", type=float, default=1e-4,
+    t.add_argument("--clip", type=float, default=DEFAULT_CLIP,
                    help="distance (> 0) to keep from the range endpoints")
     t.add_argument("--out", required=True, help="CSV output path")
     t.set_defaults(func=_cmd_trace)

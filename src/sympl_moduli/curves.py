@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional
 
 from .errors import (BranchError, DomainError, InvalidLabel, WrongExample)
 from .geometry import SQRT6, BranchId, Point4, theta_from_lambda
-from .reeb import ReebOrbit, OrbitKind, classify_pair, solve_theta0, solve_theta0_bar
+from .reeb import ReebOrbit, OrbitKind, classify_pair, theta_roots
 
 _TWO_PI = 2.0 * math.pi
 _LOG2 = math.log(2.0)
@@ -57,10 +57,12 @@ class ThetaRange:
     hi_label: str
 
 
-def classify_branches(p: int, p_prime: int) -> list[ThetaRange]:
-    """The theta ranges available to the (p, p') profile family.
+@functools.lru_cache(maxsize=256)
+def classify_branches(p: int, p_prime: int) -> tuple[ThetaRange, ...]:
+    """The theta ranges available to the (p, p') profile family, in
+    increasing order; p > 0 and (p, p') admissible.
 
-    For 2 p'^2 < 3 p^2 there are two ranges, (0, theta0) and
+    Without a companion angle there are two ranges, (0, theta0) and
     (theta0, pi).  Otherwise there are three, with theta0_bar between
     theta0 and the pole on the side of p' (the order of theta0 and
     theta0_bar mirrors with the sign of p').
@@ -70,18 +72,17 @@ def classify_branches(p: int, p_prime: int) -> list[ThetaRange]:
     ok, why = classify_pair(p, p_prime)
     if not ok:
         raise InvalidLabel(f"({p}, {p_prime}): {why}")
-    th0 = solve_theta0(p, p_prime)
-    if 2 * p_prime * p_prime < 3 * p * p:
-        return [ThetaRange(0.0, th0, "pole0", "theta0"),
-                ThetaRange(th0, math.pi, "theta0", "polePi")]
-    thb = solve_theta0_bar(p, p_prime)
+    th0, thb = theta_roots(p, p_prime)
+    if thb is None:
+        return (ThetaRange(0.0, th0, "pole0", "theta0"),
+                ThetaRange(th0, math.pi, "theta0", "polePi"))
     if p_prime > 0:
-        return [ThetaRange(0.0, th0, "pole0", "theta0"),
+        return (ThetaRange(0.0, th0, "pole0", "theta0"),
                 ThetaRange(th0, thb, "theta0", "theta0_bar"),
-                ThetaRange(thb, math.pi, "theta0_bar", "polePi")]
-    return [ThetaRange(0.0, thb, "pole0", "theta0_bar"),
+                ThetaRange(thb, math.pi, "theta0_bar", "polePi"))
+    return (ThetaRange(0.0, thb, "pole0", "theta0_bar"),
             ThetaRange(thb, th0, "theta0_bar", "theta0"),
-            ThetaRange(th0, math.pi, "theta0", "polePi")]
+            ThetaRange(th0, math.pi, "theta0", "polePi"))
 
 
 def profile_ds_dtheta(p: int, p_prime: int, theta: float) -> float:
@@ -94,20 +95,13 @@ def profile_ds_dtheta(p: int, p_prime: int, theta: float) -> float:
     return -num / den
 
 
-def _fixed_angles(p: int, p_prime: int) -> list[float]:
-    out = [0.0, math.pi, solve_theta0(p, p_prime)]
-    if 2 * p_prime * p_prime > 3 * p * p:
-        out.append(solve_theta0_bar(p, p_prime))
-    return sorted(out)
-
-
 def _common_range(p: int, p_prime: int, a: float, b: float) -> None:
     """Raise unless [a, b] sits strictly inside one fixed-angle-free range."""
     lo, hi = min(a, b), max(a, b)
-    angles = _fixed_angles(p, p_prime)
-    for left, right in zip(angles, angles[1:]):
-        if left < lo and hi < right:
-            return
+    ranges = classify_branches(p, p_prime)
+    if any(rng.lo < lo and hi < rng.hi for rng in ranges):
+        return
+    angles = [rng.lo for rng in ranges] + [math.pi]
     raise BranchError(
         f"[{lo}, {hi}] is not strictly inside a fixed-angle-free range of "
         f"({p}, {p_prime}); fixed angles: {angles}")
@@ -145,13 +139,14 @@ def profile_log_terms(p: int, p_prime: int) -> tuple[LogTerm, ...]:
     pole.  The poles at x = 1 and x = -1 have residues 1/(2a + sqrt6)
     and 1/(sqrt6 - 2a); the quadratic's roots (its single root x = 0
     when a = 0) are taken in cancellation-free form at 40 digits.  A
-    pole inside [-1, 1] carries its fixed angle, from solve_theta0 or
-    solve_theta0_bar, and the offset cos(angle) - pole, since that angle
-    is the float that bounds the theta ranges.
+    pole inside [-1, 1] carries its fixed angle, from theta_roots, and
+    the offset cos(angle) - pole, since that angle is the float that
+    bounds the theta ranges.
     """
     if p < 0:                        # s depends on p'/p only
         p, p_prime = -p, -p_prime
     a = p_prime / p
+    th0, thb = theta_roots(p, p_prime)
     terms = [LogTerm(1.0 / (2.0 * a + SQRT6), 1.0, 0.0, 0.0),
              LogTerm(1.0 / (SQRT6 - 2.0 * a), -1.0, math.pi, 0.0)]
     with localcontext() as ctx:
@@ -159,12 +154,9 @@ def profile_log_terms(p: int, p_prime: int) -> tuple[LogTerm, ...]:
         a_dec = Decimal(p_prime) / p
         sqrt6 = Decimal(6).sqrt()
         big = sqrt6 + (6 + 12 * a_dec * a_dec).sqrt()
-        roots = [(2 * a_dec / big, solve_theta0(p, p_prime))]
+        roots = [(2 * a_dec / big, th0)]
         if p_prime != 0:
-            outer = None
-            if 2 * p_prime * p_prime > 3 * p * p:
-                outer = solve_theta0_bar(p, p_prime)
-            roots.append((-big / (6 * a_dec), outer))
+            roots.append((-big / (6 * a_dec), thb))
         for r_dec, angle in roots:
             r = float(r_dec)
             one_minus_r2 = (1.0 - r) * (1.0 + r)
@@ -201,10 +193,12 @@ def s_of_theta(p: int, p_prime: int, theta_ref: float, s_ref: float,
                theta: float) -> float:
     """s at theta along the profile through (theta_ref, s_ref).
 
-    Both angles must lie strictly inside the same fixed-angle-free
-    range: the log terms of profile_log_terms are an antiderivative of
-    ds/dtheta only there.
+    The pair must be one classify_branches accepts (p > 0, admissible,
+    coprime), else InvalidLabel.  Both angles must lie strictly inside
+    the same fixed-angle-free range, else BranchError: the log terms of
+    profile_log_terms are an antiderivative of ds/dtheta only there.
     """
+    classify_branches(p, p_prime)   # InvalidLabel outside the domain
     if theta == theta_ref:
         return s_ref
     _common_range(p, p_prime, theta_ref, theta)
@@ -322,15 +316,25 @@ class Trace:
 
 
 def _sample(s: float, theta: float, t: float, phi: float) -> TraceSample:
+    """One trace row; DomainError unless s and e^{-sqrt6 s} are finite."""
     c = math.cos(theta)
     try:
-        e = math.exp(-SQRT6 * s)
+        e = math.exp(-SQRT6 * s)    # exp(inf) = inf, without raising
     except OverflowError:
+        e = math.inf
+    if not (math.isfinite(s) and math.isfinite(e)):
         raise DomainError(f"f and h overflow a float at theta = {theta} "
-                          f"(s = {s})") from None
+                          f"(s = {s})")
     return TraceSample(s=s, t=t % _TWO_PI, theta=theta, phi=phi % _TWO_PI,
                        f=e * (1.0 - 3.0 * c * c),
                        h=SQRT6 * e * c * math.sin(theta) ** 2)
+
+
+def _anchored(spec: CurveSpec) -> tuple[tuple[LogTerm, ...], float]:
+    """The profile's log terms and the base with s = base +
+    _log_sum(terms, theta), so that s = s_anchor at the range midpoint."""
+    terms = profile_log_terms(spec.p, spec.p_prime)
+    return terms, spec.s_anchor - _log_sum(terms, spec.anchor_angle())
 
 
 def integrate_profile(p: int, p_prime: int, range_id: int,
@@ -349,8 +353,7 @@ def integrate_profile(p: int, p_prime: int, range_id: int,
     spec = CurveSpec.profile(p, p_prime, range_id, phi0=phi0,
                              s_anchor=s_anchor)
     lo, hi = _clipped(spec.theta_range(), clip)
-    terms = profile_log_terms(p, p_prime)
-    base = s_anchor - _log_sum(terms, spec.anchor_angle())
+    terms, base = _anchored(spec)
     samples = []
     for i in range(n_samples):
         theta = lo + (hi - lo) * i / (n_samples - 1)
@@ -478,8 +481,7 @@ def _example4_point(spec: CurveSpec, tau: float, u: float) -> Point4:
 def _profile_point(spec: CurveSpec, tau: float, u: float,
                    clip: float) -> Point4:
     lo, hi = _clipped(spec.theta_range(), clip)
-    terms = profile_log_terms(spec.p, spec.p_prime)
-    base = spec.s_anchor - _log_sum(terms, spec.anchor_angle())
+    terms, base = _anchored(spec)
 
     def u_of(theta: float) -> float:
         # Saturates where e^{-sqrt6 s} overflows: that end's u is out of
@@ -497,9 +499,7 @@ def _profile_point(spec: CurveSpec, tau: float, u: float,
             f"u = {u} outside [{min(u_lo, u_hi)}, {max(u_lo, u_hi)}] "
             f"reachable on the clipped range")
     a, b = lo, hi
-    for _ in range(200):            # u_of is strictly monotone on the range
-        if b - a < 1e-13:
-            break
+    while b - a >= 1e-13:           # u_of is strictly monotone on the range
         mid = 0.5 * (a + b)
         if sign * (u_of(mid) - u) < 0.0:
             a = mid

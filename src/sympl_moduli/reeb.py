@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InvalidLabel, OutOfRegime, ZeroPair
 from .geometry import SQRT6
@@ -128,22 +128,24 @@ def solve_theta0(p: int, p_prime: int) -> float:
     return math.acos(c)
 
 
+def _has_companion(p: int, p_prime: int) -> bool:
+    return p != 0 and 2 * p_prime * p_prime > 3 * p * p
+
+
 def solve_theta0_bar(p: int, p_prime: int) -> float:
     """The companion constant angle for (p, p').
 
     Defined only when p != 0 and 2 p'^2 > 3 p^2: the other root of the
     defining quadratic, whose cosine has sign opposite to cos(theta0).
+    It is the orbit angle of (-p, -p').
     """
-    if p == 0 or 2 * p_prime * p_prime <= 3 * p * p:
+    if not _has_companion(p, p_prime):
         raise OutOfRegime(
             f"({p}, {p_prime}): companion angle needs p != 0 and 2 p'^2 > 3 p^2")
-    alpha = p_prime / p
-    c = _cos_outer_root(alpha) if p > 0 else _cos_inner_root(alpha)
-    return math.acos(c)
+    return solve_theta0(-p, -p_prime)
 
 
-@dataclass(frozen=True)
-class ThetaRoots:
+class ThetaRoots(NamedTuple):
     """The one or two constant angles attached to a pair (p, p')."""
 
     theta0: float
@@ -151,11 +153,10 @@ class ThetaRoots:
 
 
 def theta_roots(p: int, p_prime: int) -> ThetaRoots:
-    theta0 = solve_theta0(p, p_prime)
-    bar = None
-    if p != 0 and 2 * p_prime * p_prime > 3 * p * p:
-        bar = solve_theta0_bar(p, p_prime)
-    return ThetaRoots(theta0, bar)
+    """The fixed angles of (p, p') besides the poles: theta0, and
+    theta0_bar when the pair has a companion angle."""
+    bar = solve_theta0_bar(p, p_prime) if _has_companion(p, p_prime) else None
+    return ThetaRoots(solve_theta0(p, p_prime), bar)
 
 
 class OrbitKind(enum.Enum):

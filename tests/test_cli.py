@@ -160,6 +160,24 @@ class TestTrace:
         assert code == 1
         assert "overflow" in err
 
+    @pytest.mark.parametrize("anchor, want", [
+        ("nan", 2), ("inf", 2), ("-inf", 2),
+        # -sqrt6 s overflows to inf before exp, which then returns inf
+        # without raising.
+        ("-1e308", 1),
+    ])
+    def test_non_finite_anchor_or_rows(self, capsys, tmp_path, anchor, want):
+        path = tmp_path / "t.csv"
+        code, out, err = run_cli(capsys, "trace", "--pair", "1,2", "--range",
+                                 "1", "--samples", "20", f"--anchor={anchor}",
+                                 "--out", str(path))
+        # Neither a NaN/Infinity summary nor a CSV row comes out.
+        assert (code, out) == (want, "")
+        assert not path.exists()
+        assert "Traceback" not in err
+        if want == 2:
+            assert "--anchor" in err
+
     def test_quad_tol_flag_is_gone(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "trace", "--pair", "1,2", "--range", "1",
                              "--quad-tol", "-1", "--out",
@@ -375,6 +393,7 @@ class TestInvariantBreach:
     @pytest.mark.parametrize("argv", [
         ["invariants", "--pairs", "4,1;1,1"],
         ["enumerate", "--max-abs", "1"],
+        ["double-points", "--pairs", "4,1;1,1"],
     ], ids=lambda argv: argv[0])
     def test_exit_3(self, capsys, monkeypatch, argv):
         monkeypatch.setattr(
@@ -441,6 +460,38 @@ class TestPinnedEnumerate:
         assert (code, err) == (0, "")
         assert out.count("\n") == lines
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestPinnedTrace:
+    @pytest.mark.parametrize("argv,rows,digest", [
+        (["--pair", "1,2", "--range", "1", "--samples", "500"], 500,
+         "313315b1283d9b7e17563ad62646232e03bf8f7dd2a51a682dbb4b1de2140e5f"),
+        (["--pair", "3,7", "--range", "0", "--samples", "1000"], 1000,
+         "5e16fc6d3c10351a1146ed90ecf7b69b8ad0d54811f8de586d61e61a9bc27df2"),
+        (["--pair", "2,-1", "--range", "1", "--samples", "200"], 200,
+         "9c2753ebffb2d78fdc6c02a0a0468e6c7eb5cdf5e13cbd145f038dadeec8ccd4"),
+        (["--pair", "12,-19", "--range", "2", "--samples", "300",
+          "--anchor", "0.4"], 300,
+         "d2fd4f5a57dc2972c34d63b055981023db861f744bfe0b5cf70c7cce03f7b95a"),
+        (["--pair", "1,0", "--range", "0"], 1000,
+         "5099fb2a1239ceac7ca2d0a4989fdf268dc045ad963a866a27a47d71a5c54b56"),
+    ], ids=["1,2 range 1", "3,7 range 0", "2,-1 range 1", "12,-19 range 2",
+            "1,0 range 0"])
+    def test_csv_keeps_its_bytes(self, capsys, tmp_path, argv, rows, digest):
+        """Every CSV row of a trace keeps its bytes; the golden set checks
+        only the stdout summary.
+
+        The first three commands are the golden set's traces.  The
+        digests were recorded at the commit before a pair's fixed angles
+        and theta ranges were given one source, before any of that code
+        changed.
+        """
+        path = tmp_path / "t.csv"
+        code, _, err = run_cli(capsys, "trace", *argv, "--out", str(path))
+        assert (code, err) == (0, "")
+        data = path.read_bytes()
+        assert data.count(b"\n") == rows + 1
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestCatalogCommand:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -56,6 +57,36 @@ class TestClassifyBranches:
             classify_branches(-1, 2)
 
 
+class TestPinnedCurves:
+    def test_values_keep_their_bits(self):
+        """s_of_theta at seven angles and eval_invariant_curve at five
+        points of every range of CLOSED_FORM_PAIRS keep their bits.
+
+        The digest was recorded at the commit before a pair's fixed
+        angles and theta ranges were given one source, before any of
+        that code changed.
+        """
+        vals = []
+        for p, pp in CLOSED_FORM_PAIRS:
+            for rid, rng in enumerate(classify_branches(p, pp)):
+                mid = 0.5 * (rng.lo + rng.hi)
+                spec = CurveSpec.profile(p, pp, rid, phi0=0.3, s_anchor=0.2)
+                for frac in (1e-6, 0.01, 0.25, 0.5, 0.75, 0.99, 1 - 1e-6):
+                    theta = rng.lo + (rng.hi - rng.lo) * frac
+                    vals.append(s_of_theta(p, pp, mid, 0.2, theta))
+                for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
+                    theta = rng.lo + (rng.hi - rng.lo) * frac
+                    s = s_of_theta(p, pp, mid, 0.2, theta)
+                    g = 1.0 - 3.0 * math.cos(theta) ** 2
+                    u = math.exp(-SQRT6_ * s) * g
+                    pt = eval_invariant_curve(spec, 0.5, u)
+                    vals.extend((pt.s, pt.t, pt.theta, pt.phi))
+        assert len(vals) == 567
+        digest = hashlib.sha256("\n".join(map(repr, vals)).encode()).hexdigest()
+        assert digest == ("c3d555f949d626163f6968890671c39f"
+                          "300a9e9e4387d1609a6d8c0cec94777e")
+
+
 class TestSOfTheta:
     def test_fixed_point(self):
         assert s_of_theta(1, 0, 1.0, 0.7, 1.0) == 0.7
@@ -83,6 +114,15 @@ class TestSOfTheta:
             s_of_theta(1, 2, th0 - 0.2, 0.0, th0 + 0.2)
         with pytest.raises(BranchError):
             s_of_theta(1, 2, th0, 0.0, th0 + 0.1)
+
+    @pytest.mark.parametrize("p,pp", [(-1, -2), (2, 4), (0, 1)],
+                             ids=["negative-p", "not-coprime", "zero-p"])
+    def test_domain_is_that_of_classify_branches(self, p, pp):
+        # s depends on p'/p only, but the profile families are labelled
+        # by p > 0 coprime to p'; s_of_theta refuses what
+        # classify_branches and integrate_profile refuse.
+        with pytest.raises(InvalidLabel):
+            s_of_theta(p, pp, 0.5, 0.0, 0.6)
 
     def test_monotone_on_steep_upper_range(self):
         # s has no interior extrema on the range from the companion angle
