@@ -23,8 +23,7 @@ transversally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .invariants import (EndDescriptor, Side, aleph_counts, c1_pairing,
                          fredholm_index, index_lower_bound)
@@ -32,8 +31,7 @@ from .moduli import Label2, Label3
 from .reeb import EndClass
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """One classified subvariety type with its expected invariants."""
 
     case_id: str
@@ -78,7 +76,7 @@ class CatalogEntry:
         for e in self.ends:
             item: dict = {"side": e.side.value, "kind": e.kind}
             if e.end_class is not None:
-                item["pair"] = list(e.end_class.as_tuple())
+                item["pair"] = list(e.end_class)
             if e.multiplicity is not None:
                 item["multiplicity"] = e.multiplicity
             if e.winding is not None:

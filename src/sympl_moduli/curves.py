@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from typing import NamedTuple, Optional
 
@@ -47,8 +46,7 @@ _LOG2 = math.log(2.0)
 DEFAULT_CLIP = 1e-4
 
 
-@dataclass(frozen=True)
-class ThetaRange:
+class ThetaRange(NamedTuple):
     """One monotonicity range of theta for a profile family."""
 
     lo: float
@@ -195,13 +193,13 @@ def s_of_theta(p: int, p_prime: int, theta_ref: float, s_ref: float,
 
     The pair must be one classify_branches accepts (p > 0, admissible,
     coprime), else InvalidLabel.  Both angles must lie strictly inside
-    the same fixed-angle-free range, else BranchError: the log terms of
+    the same fixed-angle-free range, else BranchError, also when they
+    are equal (s diverges at a fixed angle): the log terms of
     profile_log_terms are an antiderivative of ds/dtheta only there.
     """
-    classify_branches(p, p_prime)   # InvalidLabel outside the domain
+    _common_range(p, p_prime, theta_ref, theta)
     if theta == theta_ref:
         return s_ref
-    _common_range(p, p_prime, theta_ref, theta)
     terms = profile_log_terms(p, p_prime)
     return s_ref + (_log_sum(terms, theta) - _log_sum(terms, theta_ref))
 
@@ -216,8 +214,7 @@ def _clipped(rng: ThetaRange, clip: float) -> tuple[float, float]:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(NamedTuple):
     """Parameters of one invariant subvariety.
 
     example_id 1: an orbit cylinder R x gamma (orbit field set);
@@ -292,8 +289,7 @@ class CurveSpec:
         return 0.5 * (rng.lo + rng.hi)
 
 
-@dataclass(frozen=True)
-class TraceSample:
+class TraceSample(NamedTuple):
     s: float
     t: float
     theta: float
@@ -302,8 +298,7 @@ class TraceSample:
     h: float
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     spec: CurveSpec
     samples: tuple[TraceSample, ...]
 
@@ -315,9 +310,9 @@ class Trace:
                                   (r.s, r.t, r.theta, r.phi, r.f, r.h)) + "\n")
 
 
-def _sample(s: float, theta: float, t: float, phi: float) -> TraceSample:
-    """One trace row; DomainError unless s and e^{-sqrt6 s} are finite."""
-    c = math.cos(theta)
+def _decay(s: float, theta: float) -> float:
+    """e^{-sqrt6 s}, the factor of f and h at (s, theta); DomainError
+    unless s is finite and the factor is a finite float above 0."""
     try:
         e = math.exp(-SQRT6 * s)    # exp(inf) = inf, without raising
     except OverflowError:
@@ -325,6 +320,16 @@ def _sample(s: float, theta: float, t: float, phi: float) -> TraceSample:
     if not (math.isfinite(s) and math.isfinite(e)):
         raise DomainError(f"f and h overflow a float at theta = {theta} "
                           f"(s = {s})")
+    if e == 0.0:
+        raise DomainError(f"f and h underflow to 0 at theta = {theta} "
+                          f"(s = {s})")
+    return e
+
+
+def _sample(s: float, theta: float, t: float, phi: float) -> TraceSample:
+    """One trace row; DomainError where _decay refuses s."""
+    c = math.cos(theta)
+    e = _decay(s, theta)
     return TraceSample(s=s, t=t % _TWO_PI, theta=theta, phi=phi % _TWO_PI,
                        f=e * (1.0 - 3.0 * c * c),
                        h=SQRT6 * e * c * math.sin(theta) ** 2)
@@ -370,7 +375,8 @@ def profile_ode_residual(spec: CurveSpec, theta: float,
     the curve, with the theta step 3e-4 times the distance from the
     nearest fixed angle (h and u grow like a power of that distance, so
     a fixed step would measure resolution, not the curve).  Passing the
-    already-known s(theta) skips its evaluation.
+    already-known s(theta) skips its evaluation.  DomainError where
+    e^{-sqrt6 s} at a step leaves the positive finite floats.
     """
     rng = spec.theta_range()
     dist = min(theta - rng.lo, rng.hi - theta)
@@ -384,7 +390,7 @@ def profile_ode_residual(spec: CurveSpec, theta: float,
     for th in (theta - step, theta + step):
         s = s_of_theta(spec.p, spec.p_prime, theta, s_at_theta, th)
         c = math.cos(th)
-        e = math.exp(-SQRT6 * s)
+        e = _decay(s, th)
         vals.append((e * (1.0 - 3.0 * c * c),
                      SQRT6 * e * c * math.sin(th) ** 2))
     (u_m, h_m), (u_p, h_p) = vals

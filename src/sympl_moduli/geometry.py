@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PoleError, RangeError
 
@@ -50,28 +50,35 @@ def _reduce_angle(x: float) -> float:
     return r + _TWO_PI if r < 0.0 else r
 
 
-@dataclass(frozen=True)
-class Point4:
-    """A point of R x (S^1 x S^2); t and phi are stored in [0, 2*pi)."""
-
+class _Point4Fields(NamedTuple):
     s: float
     t: float
     theta: float
     phi: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta = {self.theta} outside [0, pi]")
-        object.__setattr__(self, "t", _reduce_angle(self.t))
-        object.__setattr__(self, "phi", _reduce_angle(self.phi))
+
+class Point4(_Point4Fields):
+    """A point of R x (S^1 x S^2); t and phi are stored in [0, 2*pi).
+
+    The check and the reduction run in __new__, which the tuple methods
+    _make and _replace bypass; nothing here calls them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, s: float, t: float, theta: float,
+                phi: float) -> "Point4":
+        if not 0.0 <= theta <= math.pi:
+            raise ValueError(f"theta = {theta} outside [0, pi]")
+        return super().__new__(cls, s, _reduce_angle(t), theta,
+                               _reduce_angle(phi))
 
     @property
     def at_pole(self) -> bool:
         return self.theta == 0.0 or self.theta == math.pi
 
 
-@dataclass(frozen=True)
-class Tangent4:
+class Tangent4(NamedTuple):
     """Coefficients on the coordinate frame (d/ds, d/dt, d/dtheta, d/dphi)."""
 
     v_s: float = 0.0

@@ -42,8 +42,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import (BoundViolation, DegenerateAngle, InternalError,
                      ParityError, ZeroPair)
@@ -151,8 +150,7 @@ class Side(enum.Enum):
     CONVEX = "convex"     # s -> -infinity
 
 
-@dataclass(frozen=True)
-class EndDescriptor:
+class EndDescriptor(NamedTuple):
     """One end of a subvariety: its side and the kind of limit orbit.
 
     Generic ends optionally carry their end class; polar ends carry the
@@ -239,8 +237,7 @@ def adjunction_e_pairing(chi: int, c1: int, m_c: int) -> int:
     return -chi - c1 + 2 * m_c
 
 
-@dataclass(frozen=True)
-class AsymptoticData:
+class AsymptoticData(NamedTuple):
     """Decay data of an end: the decay constant zeta of the linearized
     operator, the chart rate kappa, and the end exponent sigma0."""
 
@@ -282,8 +279,7 @@ def asymptotic_constants(theta0: float,
     return AsymptoticData(zeta=zeta, kappa=kappa, sigma0=sigma0)
 
 
-@dataclass(frozen=True)
-class GenericSpectrumCase:
+class GenericSpectrumCase(NamedTuple):
     """Linearized operator at a generic orbit: decay constant zeta and
     the period m|p| of the covering parameterization."""
 
@@ -291,8 +287,7 @@ class GenericSpectrumCase:
     period: int
 
 
-@dataclass(frozen=True)
-class PolarSpectrumCase:
+class PolarSpectrumCase(NamedTuple):
     """Linearized operator at a polar orbit covered m times."""
 
     m: int
@@ -330,8 +325,7 @@ def l0_spectrum(case: GenericSpectrumCase | PolarSpectrumCase,
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """The invariant bundle of one moduli label (or catalog curve)."""
 
     delta: int

@@ -40,7 +40,6 @@ import cmath
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InternalError, PunctureError, ResidualError
@@ -70,29 +69,37 @@ def residual_tolerance() -> float:
     return tol
 
 
-@dataclass(frozen=True)
-class ModelMapParams:
-    """Label, scale and the two unit-modulus twist constants."""
-
+class _ModelMapParamsFields(NamedTuple):
     label: Label2
-    r: float = 10.0
-    a: complex = 1.0 + 0.0j
-    a_prime: complex = 1.0 + 0.0j
+    r: float
+    a: complex
+    a_prime: complex
 
-    def __post_init__(self):
-        if not self.r >= 1.0:
+
+class ModelMapParams(_ModelMapParamsFields):
+    """Label, scale and the two unit-modulus twist constants.
+
+    The checks run in __new__, which the tuple methods _make and
+    _replace bypass; nothing here calls them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, label: Label2, r: float = 10.0, a: complex = 1.0 + 0.0j,
+                a_prime: complex = 1.0 + 0.0j) -> "ModelMapParams":
+        if not r >= 1.0:
             raise ValueError("the scale r must be >= 1")
-        for name, val in (("a", self.a), ("a_prime", self.a_prime)):
+        for name, val in (("a", a), ("a_prime", a_prime)):
             if abs(abs(complex(val)) - 1.0) > 1e-12:
                 raise ValueError(f"|{name}| must be 1 within 1e-12")
+        return super().__new__(cls, label, r, a, a_prime)
 
     def exponents(self) -> tuple[int, int, int, int]:
         (p, pp), (q, qp) = self.label.pairs()
         return p, pp, q, qp
 
 
-@dataclass(frozen=True)
-class PhiValue:
+class PhiValue(NamedTuple):
     """phi(z) and its log coordinates."""
 
     lam: complex

@@ -40,7 +40,7 @@ ordering (x, y, -x-y) of its triple.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalError, InvalidLabel, OutOfRegime
 from .reeb import EndClass
@@ -49,8 +49,6 @@ Pair = tuple[int, int]
 
 
 def _as_pair(x) -> Pair:
-    if isinstance(x, EndClass):
-        return (x.m, x.m_prime)
     m, mp = x
     return (int(m), int(mp))
 
@@ -123,8 +121,7 @@ def validate_label2(p_pair, q_pair) -> tuple[bool, list[str]]:
     return False, _violations2(p, pp, q, qp)
 
 
-@dataclass(frozen=True, order=True)
-class Label2:
+class Label2(NamedTuple):
     """An admissible ordered two-end label (Delta > 0 ordering)."""
 
     p_pair: EndClass
@@ -152,8 +149,7 @@ class Label2:
         return (self.p_pair.as_tuple(), self.q_pair.as_tuple())
 
     def to_json(self) -> dict:
-        return {"pairs": [list(self.p_pair.as_tuple()),
-                          list(self.q_pair.as_tuple())]}
+        return {"pairs": [list(self.p_pair), list(self.q_pair)]}
 
 
 Ordering3 = tuple[Pair, Pair, Pair]
@@ -188,8 +184,7 @@ def validate_label3(pairs) -> tuple[bool, list[Ordering3]]:
     return len(orderings) == 2, orderings
 
 
-@dataclass(frozen=True, order=True)
-class Label3:
+class Label3(NamedTuple):
     """An admissible unordered three-end label, stored sorted."""
 
     pairs: tuple[EndClass, EndClass, EndClass]
@@ -206,11 +201,10 @@ class Label3:
         return validate_label3(self.pairs)[1]
 
     def to_json(self) -> dict:
-        return {"pairs": [list(p.as_tuple()) for p in self.pairs]}
+        return {"pairs": [list(p) for p in self.pairs]}
 
 
-@dataclass(frozen=True)
-class OrderedLabel3:
+class OrderedLabel3(NamedTuple):
     """A three-end label together with one of its two valid orderings."""
 
     label: Label3
@@ -255,16 +249,15 @@ def canonical_pair(l2: Label2) -> tuple[EndClass, Label2]:
     exactly one such pair would contradict the boundary structure and
     is surfaced as InternalError.
     """
-    k, kp = l2.k_pair.as_tuple()
+    k, kp = l2.k_pair
     if k == 0 or 2 * kp * kp <= 3 * k * k:
         raise OutOfRegime(f"(k, k') = ({k}, {kp}) fails 2 k'^2 > 3 k^2 with k != 0")
-    p, pp = l2.p_pair.as_tuple()
-    q, qp = l2.q_pair.as_tuple()
+    (p, pp), (q, qp) = l2
     candidates: list[tuple[EndClass, tuple[Pair, Pair]]] = []
     for pair, partner in (
             (l2.p_pair, ((q, qp), (-k, -kp))),
             (l2.q_pair, ((-k, -kp), (p, pp)))):
-        m, mp = pair.as_tuple()
+        m, mp = pair
         if 2 * mp * mp > 3 * m * m and _admissible2(*partner[0], *partner[1]):
             candidates.append((pair, partner))
     if len(candidates) != 1:

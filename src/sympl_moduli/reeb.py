@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import InvalidLabel, OutOfRegime, ZeroPair
@@ -37,21 +36,26 @@ from .geometry import SQRT6
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True, order=True)
-class EndClass:
+class _EndClassFields(NamedTuple):
+    m: int
+    m_prime: int
+
+
+class EndClass(_EndClassFields):
     """An ordered integer pair (m, m') labeling one end of a subvariety.
 
     The signs of m and m' are those of f and h on the limiting orbit;
     gcd(m, m') is the covering multiplicity, so the pair need not be
-    coprime.  (0, 0) labels nothing.
+    coprime.  (0, 0) labels nothing.  The check runs in __new__, which
+    the tuple methods _make and _replace bypass; nothing here calls them.
     """
 
-    m: int
-    m_prime: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m == 0 and self.m_prime == 0:
+    def __new__(cls, m: int, m_prime: int) -> "EndClass":
+        if m == 0 and m_prime == 0:
             raise ZeroPair("(0, 0) is not an end class")
+        return super().__new__(cls, m, m_prime)
 
     @property
     def gcd(self) -> int:
@@ -165,8 +169,7 @@ class OrbitKind(enum.Enum):
     GENERIC = "generic"
 
 
-@dataclass(frozen=True)
-class ReebOrbit:
+class ReebOrbit(NamedTuple):
     """A closed Reeb orbit, stored with its coprime label and multiplicity."""
 
     kind: OrbitKind

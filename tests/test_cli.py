@@ -178,6 +178,17 @@ class TestTrace:
         if want == 2:
             assert "--anchor" in err
 
+    def test_underflowing_rows(self, capsys, tmp_path):
+        # e^{-sqrt6 s} underflows to 0: rows with f = h = 0 are refused.
+        path = tmp_path / "t.csv"
+        code, out, err = run_cli(capsys, "trace", "--pair", "1,2", "--range",
+                                 "1", "--samples", "3", "--anchor=1e308",
+                                 "--out", str(path))
+        assert (code, out) == (1, "")
+        assert not path.exists()
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_quad_tol_flag_is_gone(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "trace", "--pair", "1,2", "--range", "1",
                              "--quad-tol", "-1", "--out",
@@ -202,6 +213,30 @@ class TestStartup:
                              capture_output=True, text=True, check=True,
                              timeout=60)
         assert out.stdout.strip() == "[]"
+
+    def test_import_loads_only_the_standard_library(self):
+        # dataclasses (with inspect, ast and tokenize) once cost about two
+        # thirds of the import; the records are named tuples instead.
+        # -I -S: no site packages and no PYTHON* variables; -B: no .pyc
+        # files written.
+        import pathlib
+        import subprocess
+        import sys
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                 "before = set(sys.modules); import sympl_moduli; "
+                 "print(*sorted(set(sys.modules) - before)); "
+                 "print('dataclasses' in sys.modules)")
+        out = subprocess.run(
+            [sys.executable, "-B", "-I", "-S", "-c", probe, src],
+            capture_output=True, text=True, check=True, timeout=60)
+        loaded, has_dataclasses = out.stdout.splitlines()
+        assert "sympl_moduli" in loaded.split()
+        foreign = [m for m in loaded.split()
+                   if m.partition(".")[0] != "sympl_moduli"
+                   and m.partition(".")[0] not in sys.stdlib_module_names]
+        assert foreign == []
+        assert has_dataclasses == "False"
 
 
 class TestEnumerate:

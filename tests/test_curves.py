@@ -115,6 +115,15 @@ class TestSOfTheta:
         with pytest.raises(BranchError):
             s_of_theta(1, 2, th0, 0.0, th0 + 0.1)
 
+    @pytest.mark.parametrize("p,pp,theta", [
+        (1, 0, 0.0), (1, 0, math.pi / 2), (1, 0, math.pi),
+        (1, 2, solve_theta0(1, 2)), (1, 2, solve_theta0_bar(1, 2))],
+        ids=["pole0", "theta0-p'=0", "polePi", "theta0", "theta0_bar"])
+    def test_equal_fixed_angles_rejected(self, p, pp, theta):
+        # s diverges at a fixed angle, also when both angles sit on it.
+        with pytest.raises(BranchError):
+            s_of_theta(p, pp, theta, 0.7, theta)
+
     @pytest.mark.parametrize("p,pp", [(-1, -2), (2, 4), (0, 1)],
                              ids=["negative-p", "not-coprime", "zero-p"])
     def test_domain_is_that_of_classify_branches(self, p, pp):
@@ -460,6 +469,16 @@ class TestEvalInvariantCurve:
     def test_overflowing_trace_is_a_domain_error(self):
         with pytest.raises(DomainError):
             integrate_profile(5, 6, 1, n_samples=50)
+
+    def test_underflowing_trace_is_a_domain_error(self):
+        # e^{-sqrt6 s} is 0 at s = 1e308, so f = h = 0 on every row.
+        with pytest.raises(DomainError, match="underflow"):
+            integrate_profile(1, 2, 1, s_anchor=1e308, n_samples=3)
+
+    def test_overflowing_ode_residual_is_a_domain_error(self):
+        spec = CurveSpec.profile(5, 6, 1)
+        with pytest.raises(DomainError, match="overflow"):
+            profile_ode_residual(spec, spec.theta_range().hi - 1e-6)
 
     def test_profile_example_ids(self):
         assert CurveSpec.profile(1, 2, 0).example_id == 5
