@@ -20,7 +20,10 @@ pi}; on any such range s = s(theta) is an antiderivative of
 This module works with s(theta) and recovers u = f = e^{-sqrt6 s}
 (1 - 3 cos^2 theta) algebraically afterwards.  That avoids the
 stiffness of the u-parameterized equation near the fixed angles, where
-s diverges.
+s diverges.  f and h come from geometry.fh_at, the package's one guarded
+e^{-sqrt6 s}: trace rows, ODE residuals and profile points exist only
+where that factor is a normal positive float (about -289.77 < s <
+289.20), and are refused with DomainError elsewhere.
 
 In x = cos(theta) the slope ds/dx is a proper rational function with
 simple poles at x = +-1 and at the roots of 3 a x^2 + sqrt6 x - a (the
@@ -36,10 +39,9 @@ from decimal import Decimal, localcontext
 from typing import NamedTuple, Optional
 
 from .errors import (BranchError, DomainError, InvalidLabel, WrongExample)
-from .geometry import SQRT6, BranchId, Point4, theta_from_lambda
+from .geometry import SQRT6, BranchId, Point4, fh_at, theta_from_lambda
 from .reeb import ReebOrbit, OrbitKind, classify_pair, theta_roots
 
-_TWO_PI = 2.0 * math.pi
 _LOG2 = math.log(2.0)
 
 #: Default clipping of a theta range away from its fixed-angle endpoints.
@@ -310,29 +312,10 @@ class Trace(NamedTuple):
                                   (r.s, r.t, r.theta, r.phi, r.f, r.h)) + "\n")
 
 
-def _decay(s: float, theta: float) -> float:
-    """e^{-sqrt6 s}, the factor of f and h at (s, theta); DomainError
-    unless s is finite and the factor is a finite float above 0."""
-    try:
-        e = math.exp(-SQRT6 * s)    # exp(inf) = inf, without raising
-    except OverflowError:
-        e = math.inf
-    if not (math.isfinite(s) and math.isfinite(e)):
-        raise DomainError(f"f and h overflow a float at theta = {theta} "
-                          f"(s = {s})")
-    if e == 0.0:
-        raise DomainError(f"f and h underflow to 0 at theta = {theta} "
-                          f"(s = {s})")
-    return e
-
-
-def _sample(s: float, theta: float, t: float, phi: float) -> TraceSample:
-    """One trace row; DomainError where _decay refuses s."""
-    c = math.cos(theta)
-    e = _decay(s, theta)
-    return TraceSample(s=s, t=t % _TWO_PI, theta=theta, phi=phi % _TWO_PI,
-                       f=e * (1.0 - 3.0 * c * c),
-                       h=SQRT6 * e * c * math.sin(theta) ** 2)
+def _sample(s: float, theta: float) -> TraceSample:
+    """One trace row, at t = phi = 0; DomainError where fh_at refuses s."""
+    _, f, h = fh_at(s, theta)
+    return TraceSample(s, 0.0, theta, 0.0, f, h)
 
 
 def _anchored(spec: CurveSpec) -> tuple[tuple[LogTerm, ...], float]:
@@ -344,7 +327,7 @@ def _anchored(spec: CurveSpec) -> tuple[tuple[LogTerm, ...], float]:
 
 def integrate_profile(p: int, p_prime: int, range_id: int,
                       s_anchor: float = 0.0, n_samples: int = 1000,
-                      phi0: float = 0.0, clip: float = DEFAULT_CLIP) -> Trace:
+                      clip: float = DEFAULT_CLIP) -> Trace:
     """Trace one profile cylinder across a theta range.
 
     Samples theta uniformly on [lo + clip, hi - clip] (s diverges at the
@@ -355,46 +338,34 @@ def integrate_profile(p: int, p_prime: int, range_id: int,
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    spec = CurveSpec.profile(p, p_prime, range_id, phi0=phi0,
-                             s_anchor=s_anchor)
+    spec = CurveSpec.profile(p, p_prime, range_id, s_anchor=s_anchor)
     lo, hi = _clipped(spec.theta_range(), clip)
     terms, base = _anchored(spec)
     samples = []
     for i in range(n_samples):
         theta = lo + (hi - lo) * i / (n_samples - 1)
-        samples.append(_sample(base + _log_sum(terms, theta), theta, 0.0,
-                               phi0))
+        samples.append(_sample(base + _log_sum(terms, theta), theta))
     return Trace(spec=spec, samples=tuple(samples))
 
 
-def profile_ode_residual(spec: CurveSpec, theta: float,
-                         s_at_theta: Optional[float] = None) -> float:
+def profile_ode_residual(spec: CurveSpec, theta: float) -> float:
     """|dh/du - (p'/p) sin^2 theta| at one point of a profile curve.
 
-    dh/du is a central finite difference of h with respect to u along
-    the curve, with the theta step 3e-4 times the distance from the
-    nearest fixed angle (h and u grow like a power of that distance, so
-    a fixed step would measure resolution, not the curve).  Passing the
-    already-known s(theta) skips its evaluation.  DomainError where
-    e^{-sqrt6 s} at a step leaves the positive finite floats.
+    dh/du is a central finite difference of h with respect to u between
+    two trace rows of the curve, with the theta step 3e-4 times the
+    distance from the nearest fixed angle (h and u grow like a power of
+    that distance, so a fixed step would measure resolution, not the
+    curve).  DomainError where fh_at refuses s at a step.
     """
     rng = spec.theta_range()
     dist = min(theta - rng.lo, rng.hi - theta)
-    if dist <= 0:
+    if not dist > 0:
         raise BranchError("theta outside the open range")
-    if s_at_theta is None:
-        s_at_theta = s_of_theta(spec.p, spec.p_prime, spec.anchor_angle(),
-                                spec.s_anchor, theta)
+    terms, base = _anchored(spec)
     step = 3e-4 * dist
-    vals = []
-    for th in (theta - step, theta + step):
-        s = s_of_theta(spec.p, spec.p_prime, theta, s_at_theta, th)
-        c = math.cos(th)
-        e = _decay(s, th)
-        vals.append((e * (1.0 - 3.0 * c * c),
-                     SQRT6 * e * c * math.sin(th) ** 2))
-    (u_m, h_m), (u_p, h_p) = vals
-    fd = (h_p - h_m) / (u_p - u_m)
+    below, above = (_sample(base + _log_sum(terms, th), th)
+                    for th in (theta - step, theta + step))
+    fd = (above.h - below.h) / (above.f - below.f)
     return abs(fd - (spec.p_prime / spec.p) * math.sin(theta) ** 2)
 
 
@@ -486,12 +457,15 @@ def _example4_point(spec: CurveSpec, tau: float, u: float) -> Point4:
 
 def _profile_point(spec: CurveSpec, tau: float, u: float,
                    clip: float) -> Point4:
+    """The point of the profile curve at (tau, u), found by bisection on
+    the clipped range; DomainError where fh_at refuses its s."""
     lo, hi = _clipped(spec.theta_range(), clip)
     terms, base = _anchored(spec)
 
     def u_of(theta: float) -> float:
-        # Saturates where e^{-sqrt6 s} overflows: that end's u is out of
-        # any float's reach, and the bisection only needs the order.
+        # Saturates where e^{-sqrt6 s} overflows or underflows: that
+        # end's u is out of any float's reach, and the bisection only
+        # needs the order.  The point it finds is checked by fh_at.
         g = 1.0 - 3.0 * math.cos(theta) ** 2
         try:
             return math.exp(-SQRT6 * (base + _log_sum(terms, theta))) * g
@@ -512,7 +486,9 @@ def _profile_point(spec: CurveSpec, tau: float, u: float,
         else:
             b = mid
     theta = 0.5 * (a + b)
-    return Point4(s=base + _log_sum(terms, theta), t=tau, theta=theta,
+    s = base + _log_sum(terms, theta)
+    fh_at(s, theta)     # u_of saturates, so theta may be where s is refused
+    return Point4(s=s, t=tau, theta=theta,
                   phi=spec.phi0 + tau * spec.p_prime / spec.p)
 
 

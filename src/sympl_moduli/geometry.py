@@ -18,6 +18,14 @@ g = sqrt(6) e^{-sqrt(6) s} (1 + 3 cos^4 theta)^{1/2}; the bilinear form
 g^{-1} omega(., J.) is then the round product metric
 ds^2 + dt^2 + dtheta^2 + sin^2(theta) dphi^2.
 
+f, h and g all carry the conformal factor e^{-sqrt(6) s}.  It is taken
+in one place, fh_at, which also writes f and h once: coord_functions,
+the Jacobian of (f, h), J, and the profile traces, ODE residuals and
+profile points of the curves module all get them from there.  fh_at
+refuses (DomainError) an s where the factor is not a normal positive
+float, so these exist only for about -289.77 < s < 289.20; beyond that
+f and h would overflow, or keep too few bits to mean anything.
+
 The ratio h/f depends on theta alone,
 
     lambda(theta) = sqrt(6) cos(theta) sin^2(theta) / (1 - 3 cos^2 theta),
@@ -31,9 +39,10 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from typing import NamedTuple
 
-from .errors import PoleError, RangeError
+from .errors import DomainError, PoleError, RangeError
 
 SQRT6 = math.sqrt(6.0)
 
@@ -41,13 +50,14 @@ SQRT6 = math.sqrt(6.0)
 #: bounds the three monotonicity components of lambda(theta).
 THETA_C = math.acos(1.0 / math.sqrt(3.0))
 
-_TWO_PI = 2.0 * math.pi
+#: The smallest normal float; below it e^{-sqrt6 s} loses bits.
+_TINY = sys.float_info.min
 
 
 def _reduce_angle(x: float) -> float:
     """Reduce to [0, 2*pi)."""
-    r = math.fmod(x, _TWO_PI)
-    return r + _TWO_PI if r < 0.0 else r
+    r = math.fmod(x, math.tau)
+    return r + math.tau if r < 0.0 else r
 
 
 class _Point4Fields(NamedTuple):
@@ -112,18 +122,35 @@ _BRANCH_INTERVAL = {
 }
 
 
-def coord_functions(p: Point4) -> tuple[float, float, float]:
-    """Return (f, h, g) at p.
+def fh_at(s: float, theta: float) -> tuple[float, float, float]:
+    """(e, f, h) at (s, theta): the conformal factor e = e^{-sqrt6 s},
+    f = e (1 - 3 cos^2 theta) and h = sqrt6 e cos(theta) sin^2(theta).
 
-    f = e^{-sqrt6 s}(1 - 3 cos^2 theta), h = sqrt6 e^{-sqrt6 s} cos sin^2,
-    g = sqrt6 e^{-sqrt6 s}(1 + 3 cos^4 theta)^{1/2} > 0.
+    DomainError unless s is finite and e is a normal positive float
+    (about -289.77 < s < 289.20): past either end f and h overflow, or
+    underflow to 0 or to a subnormal float that keeps too few bits.
     """
-    c = math.cos(p.theta)
-    s2 = math.sin(p.theta) ** 2
-    e = math.exp(-SQRT6 * p.s)
-    f = e * (1.0 - 3.0 * c * c)
-    h = SQRT6 * e * c * s2
-    g = SQRT6 * e * math.sqrt(1.0 + 3.0 * c ** 4)
+    try:
+        e = math.exp(-SQRT6 * s)    # exp(inf) = inf, without raising
+    except OverflowError:
+        e = math.inf
+    if not _TINY <= e < math.inf:
+        if not math.isfinite(s):
+            why = "s is not finite"
+        elif e == math.inf:
+            why = "f and h overflow a float"
+        else:
+            why = "f and h underflow the normal floats"
+        raise DomainError(f"{why} at theta = {theta} (s = {s})")
+    c = math.cos(theta)
+    return e, e * (1.0 - 3.0 * c * c), SQRT6 * e * c * math.sin(theta) ** 2
+
+
+def coord_functions(p: Point4) -> tuple[float, float, float]:
+    """Return (f, h, g) at p, with g = sqrt6 e^{-sqrt6 s}(1 + 3 cos^4
+    theta)^{1/2} > 0; DomainError where fh_at refuses p.s."""
+    e, f, h = fh_at(p.s, p.theta)
+    g = SQRT6 * e * math.sqrt(1.0 + 3.0 * math.cos(p.theta) ** 4)
     return f, h, g
 
 
@@ -136,15 +163,14 @@ def contact_eval(p: Point4, v: Tangent4) -> float:
 
 
 def _fh_jacobian(p: Point4) -> tuple[float, float, float, float]:
-    """Partials (f_s, f_theta, h_s, h_theta) of (f, h) in (s, theta)."""
+    """Partials (f_s, f_theta, h_s, h_theta) of (f, h) in (s, theta);
+    f and h scale with e^{-sqrt6 s}, so f_s = -sqrt6 f and h_s = -sqrt6 h."""
+    e, f, h = fh_at(p.s, p.theta)
     c = math.cos(p.theta)
     sn = math.sin(p.theta)
-    e = math.exp(-SQRT6 * p.s)
-    f_s = -SQRT6 * e * (1.0 - 3.0 * c * c)
     f_th = 6.0 * e * c * sn
-    h_s = -6.0 * e * c * sn * sn
     h_th = SQRT6 * e * sn * (3.0 * c * c - 1.0)
-    return f_s, f_th, h_s, h_th
+    return -SQRT6 * f, f_th, -SQRT6 * h, h_th
 
 
 def omega_eval(p: Point4, v: Tangent4, w: Tangent4) -> float:
@@ -192,10 +218,8 @@ def apply_J(p: Point4, v: Tangent4) -> Tangent4:
     if p.at_pole:
         raise PoleError("J is not defined in these coordinates at theta in {0, pi}")
     v.check_at(p)
-    c = math.cos(p.theta)
     s2 = math.sin(p.theta) ** 2
-    e = math.exp(-SQRT6 * p.s)
-    g = SQRT6 * e * math.sqrt(1.0 + 3.0 * c ** 4)
+    g = coord_functions(p)[2]
     f_s, f_th, h_s, h_th = _fh_jacobian(p)
     det = f_s * h_th - f_th * h_s
 

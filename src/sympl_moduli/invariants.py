@@ -139,10 +139,8 @@ def m0_of(m: int) -> int:
     """Least integer n with 2 n^2 > 3 m^2, i.e. the first n > m sqrt(3/2)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    n = math.isqrt(3 * m * m // 2)
-    while 2 * n * n <= 3 * m * m:
-        n += 1
-    return n
+    # isqrt gives the largest n with 2 n^2 <= 3 m^2 (never equal for m >= 1).
+    return math.isqrt(3 * m * m // 2) + 1
 
 
 class Side(enum.Enum):

@@ -46,7 +46,6 @@ from .errors import InternalError, PunctureError, ResidualError
 from .invariants import residue_pairs
 from .moduli import Label2
 
-_TWO_PI = 2.0 * math.pi
 _TINY = sys.float_info.min     # the smallest normal float
 
 DEFAULT_RESIDUAL_TOL = 1e-9
@@ -94,10 +93,6 @@ class ModelMapParams(_ModelMapParamsFields):
                 raise ValueError(f"|{name}| must be 1 within 1e-12")
         return super().__new__(cls, label, r, a, a_prime)
 
-    def exponents(self) -> tuple[int, int, int, int]:
-        (p, pp), (q, qp) = self.label.pairs()
-        return p, pp, q, qp
-
 
 class PhiValue(NamedTuple):
     """phi(z) and its log coordinates."""
@@ -118,14 +113,14 @@ def phi_eval(params: ModelMapParams, z: complex) -> PhiValue:
     z = complex(z)
     if z == 0 or z == 1:
         raise PunctureError(f"z = {z} is a puncture")
-    p, pp, q, qp = params.exponents()
+    (p, pp), (q, qp) = params.label
     lam = params.a * params.r ** (p + q) * z ** (-p) * (1 - z) ** (-q)
     lamp = params.a_prime * params.r ** (pp + qp) * z ** (-pp) * (1 - z) ** (-qp)
     return PhiValue(
         lam=lam, lam_prime=lamp,
         u=math.log(abs(lam)), v=math.log(abs(lamp)),
-        t=(-cmath.phase(lam)) % _TWO_PI,
-        phi=(-cmath.phase(lamp)) % _TWO_PI,
+        t=(-cmath.phase(lam)) % math.tau,
+        phi=(-cmath.phase(lamp)) % math.tau,
     )
 
 
@@ -134,7 +129,7 @@ def immersion_residual(params: ModelMapParams, z: complex) -> tuple[complex, com
     z = complex(z)
     if z == 0 or z == 1:
         raise PunctureError(f"z = {z} is a puncture")
-    p, pp, q, qp = params.exponents()
+    (p, pp), (q, qp) = params.label
     return (p / z - q / (1 - z), pp / z - qp / (1 - z))
 
 
@@ -174,7 +169,7 @@ def _equality_residual(z: complex, w: complex, omz: complex, omw: complex,
         pass
     gap = (m * (cmath.log(w) - cmath.log(z))
            + n * (cmath.log(omw) - cmath.log(omz)))
-    return abs(complex(gap.real, math.remainder(gap.imag, _TWO_PI)))
+    return abs(complex(gap.real, math.remainder(gap.imag, math.tau)))
 
 
 def phi_double_points(params: ModelMapParams,
@@ -190,7 +185,7 @@ def phi_double_points(params: ModelMapParams,
     """
     if tol is None:
         tol = residual_tolerance()
-    p, pp, q, qp = params.exponents()
+    (p, pp), (q, qp) = params.label
     d = params.label.delta
     out: list[DoublePoint] = []
     for a, b in residue_pairs(params.label):

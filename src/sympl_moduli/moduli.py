@@ -145,8 +145,9 @@ class Label2(NamedTuple):
         return (self.p_pair.m * self.q_pair.m_prime
                 - self.q_pair.m * self.p_pair.m_prime)
 
-    def pairs(self) -> tuple[Pair, Pair]:
-        return (self.p_pair.as_tuple(), self.q_pair.as_tuple())
+    def pairs(self) -> "Label2":
+        """The label itself: it is the tuple of its two pairs."""
+        return self
 
     def to_json(self) -> dict:
         return {"pairs": [list(self.p_pair), list(self.q_pair)]}

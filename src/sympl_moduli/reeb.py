@@ -33,8 +33,6 @@ from typing import NamedTuple, Optional
 from .errors import InvalidLabel, OutOfRegime, ZeroPair
 from .geometry import SQRT6
 
-_TWO_PI = 2.0 * math.pi
-
 
 class _EndClassFields(NamedTuple):
     m: int
@@ -195,7 +193,7 @@ class ReebOrbit(NamedTuple):
         if not ok:
             raise InvalidLabel(f"({m}, {m_prime}) is not admissible: {why}")
         return cls(OrbitKind.GENERIC, pair=reduced,
-                   upsilon=math.fmod(upsilon, _TWO_PI),
+                   upsilon=math.fmod(upsilon, math.tau),
                    theta0=solve_theta0(reduced.m, reduced.m_prime),
                    multiplicity=pair.gcd)
 
@@ -210,14 +208,14 @@ def orbit_point(orbit: ReebOrbit, tau: float) -> tuple[float, float, float]:
     reduced to [0, 2 pi).
     """
     if orbit.kind is OrbitKind.POLE_PLUS:
-        return (tau % _TWO_PI, 0.0, 0.0)
+        return (tau % math.tau, 0.0, 0.0)
     if orbit.kind is OrbitKind.POLE_MINUS:
-        return (tau % _TWO_PI, math.pi, 0.0)
+        return (tau % math.tau, math.pi, 0.0)
     assert orbit.pair is not None and orbit.theta0 is not None
     p, pp = orbit.pair.m, orbit.pair.m_prime
     if p == 0:
-        t = (orbit.upsilon / pp) % _TWO_PI
-        return (t, orbit.theta0, tau % _TWO_PI)
-    tau = math.fmod(tau, _TWO_PI * abs(p))
+        t = (orbit.upsilon / pp) % math.tau
+        return (t, orbit.theta0, tau % math.tau)
+    tau = math.fmod(tau, math.tau * abs(p))
     phi0 = -orbit.upsilon / p
-    return (tau % _TWO_PI, orbit.theta0, (phi0 + tau * pp / p) % _TWO_PI)
+    return (tau % math.tau, orbit.theta0, (phi0 + tau * pp / p) % math.tau)

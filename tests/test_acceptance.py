@@ -121,8 +121,7 @@ def test_criterion_5_trace_consistency():
             f, h, _ = coord_functions(Point4(row.s, row.t, row.theta, row.phi))
             assert abs(row.f - f) / abs(f) < 1e-9
         for row in trace.samples[1:-1]:
-            assert profile_ode_residual(trace.spec, row.theta,
-                                        s_at_theta=row.s) < 1e-6
+            assert profile_ode_residual(trace.spec, row.theta) < 1e-6
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"took {elapsed:.1f} s"
 

@@ -189,6 +189,18 @@ class TestTrace:
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_subnormal_rows(self, capsys, tmp_path):
+        # e^{-sqrt6 s} is subnormal at s ~ 296: rows with few bits left
+        # are refused like rows that underflow to 0.
+        path = tmp_path / "t.csv"
+        code, out, err = run_cli(capsys, "trace", "--pair", "1,2", "--range",
+                                 "1", "--samples", "3", "--anchor", "296",
+                                 "--out", str(path))
+        assert (code, out) == (1, "")
+        assert not path.exists()
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_quad_tol_flag_is_gone(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "trace", "--pair", "1,2", "--range", "1",
                              "--quad-tol", "-1", "--out",

@@ -161,8 +161,7 @@ class TestIntegrateProfile:
         for rid in range(3):
             tr = integrate_profile(1, 2, rid, n_samples=200)
             rows = tr.samples[1:-1:20]
-            errs = [profile_ode_residual(tr.spec, r.theta, s_at_theta=r.s)
-                    for r in rows]
+            errs = [profile_ode_residual(tr.spec, r.theta) for r in rows]
             assert max(errs) < 1e-6
 
     def test_middle_range_u_direction(self):
@@ -479,6 +478,20 @@ class TestEvalInvariantCurve:
         spec = CurveSpec.profile(5, 6, 1)
         with pytest.raises(DomainError, match="overflow"):
             profile_ode_residual(spec, spec.theta_range().hi - 1e-6)
+
+    def test_subnormal_trace_is_a_domain_error(self):
+        # At s ~ 296 e^{-sqrt6 s} is a subnormal float of ~28 bits, so
+        # f would print noise in the CSV's 12 digits.
+        with pytest.raises(DomainError, match="underflow"):
+            integrate_profile(1, 2, 1, s_anchor=296.0, n_samples=3)
+
+    def test_profile_point_where_u_underflows_is_a_domain_error(self):
+        # u is 0 at every angle of the clipped range, so the bisection
+        # cannot see where u = 0 (theta = pi - THETA_C); it must not
+        # return the angle it stops at.
+        spec = CurveSpec.profile(1, 2, 1, s_anchor=400.0)
+        with pytest.raises(DomainError, match="underflow"):
+            eval_invariant_curve(spec, 0.0, 0.0, clip=1e-4)
 
     def test_profile_example_ids(self):
         assert CurveSpec.profile(1, 2, 0).example_id == 5

@@ -1,13 +1,14 @@
 import math
 import random
+import sys
 
 import pytest
 
 from sympl_moduli import (BranchId, Point4, Tangent4, apply_J, contact_eval,
                           coord_functions, lambda_of_theta, omega_eval,
                           reeb_vector, theta_from_lambda)
-from sympl_moduli.errors import PoleError, RangeError
-from sympl_moduli.geometry import SQRT6, THETA_C
+from sympl_moduli.errors import DomainError, PoleError, RangeError
+from sympl_moduli.geometry import SQRT6, THETA_C, fh_at
 
 SQRT6_ = math.sqrt(6.0)
 
@@ -56,6 +57,24 @@ class TestCoordFunctions:
 
     def test_g_positive(self):
         assert all(coord_functions(p)[2] > 0 for p in random_points(100))
+
+    @pytest.mark.parametrize("s, word", [(-400.0, "overflow"),
+                                         (300.0, "underflow"),
+                                         (math.nan, "not finite")])
+    def test_outside_the_normal_floats_is_a_domain_error(self, s, word):
+        # e^{-sqrt6 s} overflows at s = -400 and is subnormal at s = 300.
+        with pytest.raises(DomainError, match=word):
+            coord_functions(Point4(s, 0, 1.0, 0))
+
+    def test_domain_edges(self):
+        # The factor is a normal positive float for about
+        # -289.77 < s < 289.20.
+        for s in (-289.7, 289.1):
+            e, _, _ = fh_at(s, 1.0)
+            assert sys.float_info.min <= e <= sys.float_info.max
+        for s in (-289.8, 289.3):
+            with pytest.raises(DomainError):
+                fh_at(s, 1.0)
 
 
 class TestContactForm:

@@ -135,7 +135,7 @@ class TestM0:
         assert m0_of(m) == expected
 
     def test_defining_property(self):
-        for m in range(1, 200):
+        for m in range(1, 100_000):
             n = m0_of(m)
             assert 2 * n * n > 3 * m * m
             assert 2 * (n - 1) ** 2 <= 3 * m * m
