@@ -458,7 +458,7 @@ def _example4_point(spec: CurveSpec, tau: float, u: float) -> Point4:
 def _profile_point(spec: CurveSpec, tau: float, u: float,
                    clip: float) -> Point4:
     """The point of the profile curve at (tau, u), found by bisection on
-    the clipped range; DomainError where fh_at refuses its s."""
+    the clipped range; eval_invariant_curve checks its s with fh_at."""
     lo, hi = _clipped(spec.theta_range(), clip)
     terms, base = _anchored(spec)
 
@@ -486,9 +486,7 @@ def _profile_point(spec: CurveSpec, tau: float, u: float,
         else:
             b = mid
     theta = 0.5 * (a + b)
-    s = base + _log_sum(terms, theta)
-    fh_at(s, theta)     # u_of saturates, so theta may be where s is refused
-    return Point4(s=s, t=tau, theta=theta,
+    return Point4(s=base + _log_sum(terms, theta), t=tau, theta=theta,
                   phi=spec.phi0 + tau * spec.p_prime / spec.p)
 
 
@@ -499,16 +497,21 @@ def eval_invariant_curve(spec: CurveSpec, tau: float, u: float,
     The static families are closed-form; for the profile families the
     angle solving u = e^{-sqrt6 s(theta)}(1 - 3 cos^2 theta) is found by
     bisection on the clipped range (u is strictly monotone in theta
-    along a profile).
+    along a profile).  Every family's point is checked by fh_at, so a
+    point is returned only where e^{-sqrt6 s} is a normal float
+    (DomainError elsewhere).
     """
     if spec.example_id == 1:
-        return _example1_point(spec, tau, u)
-    if spec.example_id == 2:
-        return _example2_point(spec, tau, u)
-    if spec.example_id == 3:
-        return _example3_point(spec, tau, u)
-    if spec.example_id == 4:
-        return _example4_point(spec, tau, u)
-    if spec.example_id in (5, 6, 7):
-        return _profile_point(spec, tau, u, clip)
-    raise WrongExample(f"unknown example id {spec.example_id}")
+        pt = _example1_point(spec, tau, u)
+    elif spec.example_id == 2:
+        pt = _example2_point(spec, tau, u)
+    elif spec.example_id == 3:
+        pt = _example3_point(spec, tau, u)
+    elif spec.example_id == 4:
+        pt = _example4_point(spec, tau, u)
+    elif spec.example_id in (5, 6, 7):
+        pt = _profile_point(spec, tau, u, clip)
+    else:
+        raise WrongExample(f"unknown example id {spec.example_id}")
+    fh_at(pt.s, pt.theta)       # every family: s where e^{-sqrt6 s} is normal
+    return pt

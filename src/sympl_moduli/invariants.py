@@ -44,8 +44,8 @@ import enum
 import math
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .errors import (BoundViolation, DegenerateAngle, InternalError,
-                     ParityError, ZeroPair)
+from .errors import (BoundViolation, DegenerateAngle, DomainError,
+                     InternalError, ParityError, ZeroPair)
 from .geometry import SQRT6
 from .moduli import Label2, OrderedLabel3
 from .reeb import EndClass
@@ -81,6 +81,29 @@ def double_points_formula(label: LabelLike) -> int:
     return _closed_form(label.pairs())[2]
 
 
+#: The largest Delta the O(Delta) routes accept: the oracle's walk and
+#: the model map's ~Delta residue pairs and points grow with it.  2^20
+#: admits README's 997,3;5,999 (Delta 995,988).  The gcd formula has no
+#: budget.
+MAX_WALK_DELTA = 2 ** 20
+
+
+def _lattice(label: LabelLike) -> tuple[int, int, int, int]:
+    """(Delta, g, Delta/g, b1) of the residue-pair lattice of a label
+    (see residue_pairs); DomainError past MAX_WALK_DELTA, before any
+    walk."""
+    (p, pp), (q, qp) = label.pairs()[:2]
+    d = p * qp - q * pp
+    if d < 1:
+        raise InternalError(f"Delta = {d} < 1")
+    if d > MAX_WALK_DELTA:
+        raise DomainError(f"Delta = {d} exceeds {MAX_WALK_DELTA}, the "
+                          f"budget of the residue walk; use the gcd formula")
+    g = math.gcd(d, q, qp)
+    coset = d // g
+    return d, g, coset, _solve_at(g, p, pp, q, qp, d) % coset
+
+
 def residue_pairs(label: LabelLike) -> list[tuple[int, int]]:
     """Ordered residue pairs (a, b) mod Delta encoding the double points.
 
@@ -98,13 +121,7 @@ def residue_pairs(label: LabelLike) -> list[tuple[int, int]]:
     only solutions, dropping b = 0 and b = a.  All of it is exact
     modular arithmetic, independent of the gcd formula.
     """
-    (p, pp), (q, qp) = label.pairs()[:2]
-    d = p * qp - q * pp
-    if d < 1:
-        raise InternalError(f"Delta = {d} < 1")
-    g = math.gcd(d, q, qp)
-    coset = d // g
-    b1 = _solve_at(g, p, pp, q, qp, d) % coset
+    d, g, coset, b1 = _lattice(label)
     if g == 1:
         # One b per a: a flat walk saves the inner range of every a,
         # ~9 % of double-points throughput.
@@ -128,8 +145,17 @@ def _solve_at(a: int, p: int, pp: int, q: int, qp: int, d: int) -> int:
 
 
 def double_points_bruteforce(label: LabelLike) -> int:
-    """m_C as half the number of ordered residue-pair solutions."""
-    count = len(residue_pairs(label))
+    """m_C as half the number of ordered residue-pair solutions.
+
+    The same walk as residue_pairs over the same lattice, keeping only
+    each pair's b: the pairs are counted, never built."""
+    d, g, coset, b1 = _lattice(label)
+    if g == 1:
+        count = len([b for a in range(1, d) if (b := a * b1 % d) and b != a])
+    else:
+        count = len([b for a in range(g, d, g)
+                     for b in range(a // g * b1 % coset, d, coset)
+                     if b and b != a])
     if count % 2:
         raise ParityError(f"odd ordered-solution count {count} for {label}")
     return count // 2

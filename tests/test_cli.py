@@ -353,6 +353,34 @@ class TestDoublePoints:
         assert json.loads(out)["residual_tolerance"] == 1e-3
 
 
+class TestWalkBudget:
+    """Past the Delta budget the O(Delta) routes exit 1 before any walk;
+    the gcd formula still answers."""
+
+    @pytest.mark.parametrize("argv", [
+        ["double-points", "--pairs", "1025,1;1,1025", "--method", "roots"],
+        ["double-points", "--pairs", "1025,1;1,1025", "--method", "model"],
+        ["double-points", "--pairs", "1025,1;1,1025", "--method", "all"],
+        ["invariants", "--pairs", "1025,1;1,1025"],
+    ], ids=lambda argv: argv[-1])
+    def test_refused(self, capsys, monkeypatch, argv):
+        def no_walk(*args):
+            raise AssertionError("a residue walk started past the budget")
+        monkeypatch.setattr(invariants, "_solve_at", no_walk)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "budget" in err
+        assert "Traceback" not in err
+
+    def test_formula_answers(self, capsys):
+        code, out, _ = run_cli(capsys, "double-points", "--pairs",
+                               "1025,1;1,1025", "--method", "formula")
+        assert code == 0
+        assert json.loads(out)["m_C"] == {"formula": 524799}
+
+
 class TestSpectrum:
     def test_equatorial_orbit(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--pair", "1,0",

@@ -441,6 +441,24 @@ class TestEvalInvariantCurve:
         pt = eval_invariant_curve(CurveSpec.example4(0.0, -1.0), 0.0, -1e8)
         assert pt.theta > math.pi - 1e-3
 
+    def test_static_points_stay_in_domain(self):
+        # The static families take s from a log; a point is returned only
+        # where e^{-sqrt6 s} is a normal float.  These returned s = 291.41
+        # (underflow), s = 291.69 and s = -inf (an overflowing pole
+        # cylinder: f = -u).
+        with pytest.raises(DomainError, match="underflow"):
+            eval_invariant_curve(CurveSpec.example3(0.0, 1e-310), 0.0, 0.0)
+        with pytest.raises(DomainError, match="underflow"):
+            eval_invariant_curve(CurveSpec.example1(ReebOrbit.pole_minus()),
+                                 0.0, 1e-310)
+        with pytest.raises(DomainError, match="not finite"):
+            eval_invariant_curve(CurveSpec.example1(ReebOrbit.pole_plus()),
+                                 0.0, math.inf)
+        # u = 1e308 is still inside: f = -u at s = -289.25.
+        pt = eval_invariant_curve(CurveSpec.example1(ReebOrbit.pole_plus()),
+                                  0.0, 1e308)
+        assert coord_functions(pt)[0] == pytest.approx(-1e308)
+
     def test_profile_point_consistency(self):
         spec = CurveSpec.profile(1, 2, 1)
         for u in (-1.0, 0.1, 1.0):

@@ -10,7 +10,10 @@ from sympl_moduli import (EndClass, EndDescriptor, GenericSpectrumCase, Label2,
                           double_points_formula, enumerate_labels,
                           fredholm_index, index_lower_bound, l0_spectrum,
                           m0_of, residue_pairs, sphere_report)
-from sympl_moduli.errors import BoundViolation, DegenerateAngle, ZeroPair
+from sympl_moduli.errors import (BoundViolation, DegenerateAngle, DomainError,
+                                 ZeroPair)
+
+from conftest import double_points_lattice
 
 L_SYM = Label2.make((2, 1), (1, 2))      # Delta = 3, embedded
 L_41 = Label2.make((4, 1), (1, 1))       # Delta = 3, one double point
@@ -69,12 +72,39 @@ class TestDoublePoints:
                     if a != b and (p * a + q * b) % d == 0
                     and (pp * a + qp * b) % d == 0]
             assert residue_pairs(label) == scan, label
+            assert 2 * double_points_bruteforce(label) == len(scan), label
             coarse += math.gcd(d, q, qp) > 1
         assert 0 < coarse < len(labels)
 
+    def test_oracle_counts_without_building_pairs(self, monkeypatch):
+        # The oracle counts during its own walk: it still answers when
+        # the list-building route is unavailable.
+        def refuse(label):
+            raise AssertionError("the oracle built the residue-pair list")
+        expected = {label: double_points_formula(label)
+                    for label in (L_SYM, L_41, L_5,
+                                  Label2.make((-2, -4), (0, -2)),
+                                  Label2.make((4, 2), (1, 2)))}
+        monkeypatch.setattr(sm.invariants, "residue_pairs", refuse)
+        for label, m_c in expected.items():
+            assert double_points_bruteforce(label) == m_c
+
+    def test_lattice_count_by_hand(self):
+        # 0, (1, -1), (2, 3): interior points (1, 0) and (1, 1).
+        assert double_points_lattice(L_5) == 2
+        # 0, (4, 1), (5, 2): only (3, 1).
+        assert double_points_lattice(L_41) == 1
+        # 0, (2, 1), (3, 3): none; the symmetric label is embedded.
+        assert double_points_lattice(L_SYM) == 0
+
     def test_oracle_equivalence_desk_scale(self):
-        for label in enumerate_labels(6, 2):
-            assert double_points_formula(label) == double_points_bruteforce(label)
+        # gcd formula = count walk = half the listed pairs = interior
+        # points of the Newton triangle, an independent Pick count.
+        for label in two_and_ordered_three(6, 5):
+            m_c = double_points_formula(label)
+            assert double_points_bruteforce(label) == m_c, label
+            assert len(residue_pairs(label)) == 2 * m_c, label
+            assert double_points_lattice(label) == m_c, label
 
     def test_ordering_insensitive(self):
         for l3 in enumerate_labels(5, 3):
@@ -321,3 +351,32 @@ class TestSphereReport:
         js = sphere_report(L_SYM).to_json(L_SYM)
         assert list(js) == ["label", "delta", "gcds", "m_C", "index", "aleph",
                             "e_pairing", "c1", "chi"]
+
+
+#: Delta = 1025^2 - 1 = 1,050,624, past the walk budget.
+L_OVER = Label2.make((1025, 1), (1, 1025))
+
+
+def _no_walk(*args):
+    raise AssertionError("a residue walk started past the budget")
+
+
+class TestWalkBudget:
+    def test_refused_before_any_walk(self, monkeypatch):
+        monkeypatch.setattr(sm.invariants, "_solve_at", _no_walk)
+        for route in (residue_pairs, double_points_bruteforce):
+            with pytest.raises(DomainError, match="budget"):
+                route(L_OVER)
+        with pytest.raises(DomainError, match="budget"):
+            sm.phi_double_points(sm.ModelMapParams(label=L_OVER))
+
+    def test_formula_has_no_budget(self):
+        # Delta - gcds + 2 = 1,050,624 - 1 - 1 - 1026 + 2, halved.
+        assert double_points_formula(L_OVER) == 524799
+        assert sphere_report(L_OVER).delta == 1050624
+
+    def test_admits_every_documented_delta(self):
+        # README's largest example; the benchmark pools stay <= 20,000.
+        label = Label2.make((997, 3), (5, 999))
+        assert sm.invariants._lattice(label)[0] == 995988
+        assert 995988 <= sm.invariants.MAX_WALK_DELTA < L_OVER.delta
