@@ -179,8 +179,6 @@ def _cmd_enumerate(ns: argparse.Namespace) -> int:
 
 def _cmd_double_points(ns: argparse.Namespace) -> int:
     pairs = parse_pairs(ns.pairs)
-    if len(pairs) != 2:
-        raise ParseError("double-points needs exactly 2 pairs")
     run_model = ns.method in ("model", "all")
     if run_model:
         # Read before any route runs: the roots route is O(Delta).
@@ -188,8 +186,9 @@ def _cmd_double_points(ns: argparse.Namespace) -> int:
             tol = residual_tolerance()
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
-    label = Label2.make(*pairs)
-    results: dict = {"label": label.to_json(), "delta": label.delta}
+    label = _label_from_ns(pairs, 0)     # three pairs: ordering 0
+    results: dict = {"label": {"pairs": [list(p) for p in label.pairs()]},
+                     "delta": inv.delta(label)}
     counts = {}
     if ns.method in ("formula", "all"):
         counts["formula"] = inv.double_points_formula(label)
@@ -291,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("double-points",
                        help="Double points by formula, root count or model map.")
-    d.add_argument("--pairs", required=True)
+    d.add_argument("--pairs", required=True,
+                   help="2 or 3 pairs; 3 pairs use their ordering 0")
     d.add_argument("--method", choices=("formula", "roots", "model", "all"),
                    default="all")
     d.add_argument("--out")

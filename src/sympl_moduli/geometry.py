@@ -19,12 +19,11 @@ g^{-1} omega(., J.) is then the round product metric
 ds^2 + dt^2 + dtheta^2 + sin^2(theta) dphi^2.
 
 f, h and g all carry the conformal factor e^{-sqrt(6) s}.  It is taken
-in one place, fh_at, which also writes f and h once: coord_functions,
-the Jacobian of (f, h), J, and the profile traces, ODE residuals and
-profile points of the curves module all get them from there.  fh_at
-refuses (DomainError) an s where the factor is not a normal positive
-float, so these exist only for about -289.77 < s < 289.20; beyond that
-f and h would overflow, or keep too few bits to mean anything.
+in one place, fh_at: coord_functions, omega, and the profile traces,
+ODE residuals and points of the curves module get it from there.  fh_at
+refuses (DomainError) an s where f, h, g or the Jacobian of (f, h)
+would overflow or keep too few bits, about s <= -289.12 or s >= 289.20.
+The factor cancels in J, which is therefore the same at every s.
 
 The ratio h/f depends on theta alone,
 
@@ -52,6 +51,10 @@ THETA_C = math.acos(1.0 / math.sqrt(3.0))
 
 #: The smallest normal float; below it e^{-sqrt6 s} loses bits.
 _TINY = sys.float_info.min
+
+#: The largest e^{-sqrt6 s} accepted: 2 sqrt6 e bounds |f|, |h|, g and
+#: every entry of the Jacobian of (f, h), so none of them overflows.
+_E_MAX = sys.float_info.max / (2.0 * SQRT6)
 
 
 def _reduce_angle(x: float) -> float:
@@ -126,19 +129,19 @@ def fh_at(s: float, theta: float) -> tuple[float, float, float]:
     """(e, f, h) at (s, theta): the conformal factor e = e^{-sqrt6 s},
     f = e (1 - 3 cos^2 theta) and h = sqrt6 e cos(theta) sin^2(theta).
 
-    DomainError unless s is finite and e is a normal positive float
-    (about -289.77 < s < 289.20): past either end f and h overflow, or
+    DomainError unless s is finite and _TINY <= e <= _E_MAX (about
+    -289.12 < s < 289.20): past either end f, h or g overflow, or
     underflow to 0 or to a subnormal float that keeps too few bits.
     """
     try:
         e = math.exp(-SQRT6 * s)    # exp(inf) = inf, without raising
     except OverflowError:
         e = math.inf
-    if not _TINY <= e < math.inf:
+    if not _TINY <= e <= _E_MAX:
         if not math.isfinite(s):
             why = "s is not finite"
-        elif e == math.inf:
-            why = "f and h overflow a float"
+        elif e > _E_MAX:
+            why = "f, h or g overflow a float"
         else:
             why = "f and h underflow the normal floats"
         raise DomainError(f"{why} at theta = {theta} (s = {s})")
@@ -150,8 +153,7 @@ def coord_functions(p: Point4) -> tuple[float, float, float]:
     """Return (f, h, g) at p, with g = sqrt6 e^{-sqrt6 s}(1 + 3 cos^4
     theta)^{1/2} > 0; DomainError where fh_at refuses p.s."""
     e, f, h = fh_at(p.s, p.theta)
-    g = SQRT6 * e * math.sqrt(1.0 + 3.0 * math.cos(p.theta) ** 4)
-    return f, h, g
+    return f, h, e * _unit_frame(p.theta)[0]
 
 
 def contact_eval(p: Point4, v: Tangent4) -> float:
@@ -162,27 +164,28 @@ def contact_eval(p: Point4, v: Tangent4) -> float:
     return -(1.0 - 3.0 * c * c) * v.v_t - SQRT6 * c * s2 * v.v_phi
 
 
-def _fh_jacobian(p: Point4) -> tuple[float, float, float, float]:
-    """Partials (f_s, f_theta, h_s, h_theta) of (f, h) in (s, theta);
-    f and h scale with e^{-sqrt6 s}, so f_s = -sqrt6 f and h_s = -sqrt6 h."""
-    e, f, h = fh_at(p.s, p.theta)
-    c = math.cos(p.theta)
-    sn = math.sin(p.theta)
-    f_th = 6.0 * e * c * sn
-    h_th = SQRT6 * e * sn * (3.0 * c * c - 1.0)
-    return -SQRT6 * f, f_th, -SQRT6 * h, h_th
+def _unit_frame(theta: float) -> tuple[float, float, float, float, float]:
+    """g and the partials (f_s, f_theta, h_s, h_theta) of (f, h) in
+    (s, theta) at unit factor: at s each is e^{-sqrt6 s} times this
+    (f and h scale with the factor, so f_s = -sqrt6 f)."""
+    c = math.cos(theta)
+    sn = math.sin(theta)
+    return (SQRT6 * math.sqrt(1.0 + 3.0 * c ** 4),
+            -SQRT6 * (1.0 - 3.0 * c * c), 6.0 * c * sn,
+            -6.0 * c * sn * sn, SQRT6 * sn * (3.0 * c * c - 1.0))
 
 
 def omega_eval(p: Point4, v: Tangent4, w: Tangent4) -> float:
-    """Evaluate omega = dt ^ df + dphi ^ dh on the pair (v, w)."""
+    """omega = dt ^ df + dphi ^ dh on (v, w); DomainError past fh_at."""
     v.check_at(p)
     w.check_at(p)
-    f_s, f_th, h_s, h_th = _fh_jacobian(p)
+    e = fh_at(p.s, p.theta)[0]
+    _, f_s, f_th, h_s, h_th = _unit_frame(p.theta)
     df_v = f_s * v.v_s + f_th * v.v_theta
     df_w = f_s * w.v_s + f_th * w.v_theta
     dh_v = h_s * v.v_s + h_th * v.v_theta
     dh_w = h_s * w.v_s + h_th * w.v_theta
-    return v.v_t * df_w - df_v * w.v_t + v.v_phi * dh_w - dh_v * w.v_phi
+    return e * (v.v_t * df_w - df_v * w.v_t + v.v_phi * dh_w - dh_v * w.v_phi)
 
 
 def reeb_vector(p: Point4) -> Tangent4:
@@ -213,14 +216,14 @@ def apply_J(p: Point4, v: Tangent4) -> Tangent4:
     J d/dh = -(g sin^2 theta)^{-1} d/dphi); converting d/df, d/dh to the
     (s, theta) frame means inverting the 2x2 Jacobian of (f, h) with
     respect to (s, theta).  That Jacobian is singular on the theta in
-    {0, pi} locus, where this chart-level J is refused.
+    {0, pi} locus, where this chart-level J is refused.  The factor
+    e^{-sqrt6 s} of g and the Jacobian cancels, so both are at unit factor.
     """
     if p.at_pole:
         raise PoleError("J is not defined in these coordinates at theta in {0, pi}")
     v.check_at(p)
     s2 = math.sin(p.theta) ** 2
-    g = coord_functions(p)[2]
-    f_s, f_th, h_s, h_th = _fh_jacobian(p)
+    g, f_s, f_th, h_s, h_th = _unit_frame(p.theta)
     det = f_s * h_th - f_th * h_s
 
     # (t, phi) components are rotated into the (s, theta) plane.

@@ -1,6 +1,9 @@
 """Holomorphic model maps of the thrice-punctured sphere into C* x C*.
 
-For an admissible two-end label {(p, p'), (q, q')} the model map is
+A label is read only through its pairs(), as in invariants: the two
+pairs (p, p'), (q, q') of a two-end label, or the first two pairs of an
+ordered three-end label, whose third pair -(p+q, p'+q') is the end at
+infinity of the same sphere.  For either the model map is
 
     phi(z) = (a r^{p+q} z^{-p} (1-z)^{-q},
               a' r^{p'+q'} z^{-p'} (1-z)^{-q'}),
@@ -43,8 +46,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import InternalError, PunctureError, ResidualError
-from .invariants import residue_pairs
-from .moduli import Label2
+from .invariants import LabelLike, delta, residue_pairs
 
 _TINY = sys.float_info.min     # the smallest normal float
 
@@ -69,7 +71,7 @@ def residual_tolerance() -> float:
 
 
 class _ModelMapParamsFields(NamedTuple):
-    label: Label2
+    label: LabelLike
     r: float
     a: complex
     a_prime: complex
@@ -84,7 +86,7 @@ class ModelMapParams(_ModelMapParamsFields):
 
     __slots__ = ()
 
-    def __new__(cls, label: Label2, r: float = 10.0, a: complex = 1.0 + 0.0j,
+    def __new__(cls, label: LabelLike, r: float = 10.0, a: complex = 1.0 + 0.0j,
                 a_prime: complex = 1.0 + 0.0j) -> "ModelMapParams":
         if not r >= 1.0:
             raise ValueError("the scale r must be >= 1")
@@ -113,7 +115,7 @@ def phi_eval(params: ModelMapParams, z: complex) -> PhiValue:
     z = complex(z)
     if z == 0 or z == 1:
         raise PunctureError(f"z = {z} is a puncture")
-    (p, pp), (q, qp) = params.label
+    (p, pp), (q, qp) = params.label.pairs()[:2]
     lam = params.a * params.r ** (p + q) * z ** (-p) * (1 - z) ** (-q)
     lamp = params.a_prime * params.r ** (pp + qp) * z ** (-pp) * (1 - z) ** (-qp)
     return PhiValue(
@@ -129,7 +131,7 @@ def immersion_residual(params: ModelMapParams, z: complex) -> tuple[complex, com
     z = complex(z)
     if z == 0 or z == 1:
         raise PunctureError(f"z = {z} is a puncture")
-    (p, pp), (q, qp) = params.label
+    (p, pp), (q, qp) = params.label.pairs()[:2]
     return (p / z - q / (1 - z), pp / z - qp / (1 - z))
 
 
@@ -185,8 +187,8 @@ def phi_double_points(params: ModelMapParams,
     """
     if tol is None:
         tol = residual_tolerance()
-    (p, pp), (q, qp) = params.label
-    d = params.label.delta
+    (p, pp), (q, qp) = params.label.pairs()[:2]
+    d = delta(params.label)
     out: list[DoublePoint] = []
     for a, b in residue_pairs(params.label):
         eta = cmath.exp(2j * math.pi * a / d)

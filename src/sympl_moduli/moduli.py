@@ -66,12 +66,15 @@ def _admissible2(p: int, pp: int, q: int, qp: int) -> bool:
     docstring for the ordered label {(p, p'), (q, q')}.
 
     Rule (1) is implied by (a): Delta = 0 whenever a pair is (0, 0), and
-    also when (k, k') = (0, 0), since then (q, q') = -(p, p').
+    also when (k, k') = (0, 0), since then (q, q') = -(p, p').  Rule (c)
+    for (k, k') is implied by the rest: an integer pair fails (c) iff it
+    lies in the open cone {m < 0, 2 m'^2 < 3 m^2}, which is narrower
+    than pi.  If p and q lie outside it, Delta > 0 and p + q inside it,
+    the cone lies strictly between p and q, so p' > 0 > q' and (b) fails.
     """
     return (p * qp - q * pp > 0
             and (qp > pp or pp * qp > 0)
-            and _quadrant_ok(p, pp) and _quadrant_ok(q, qp)
-            and _quadrant_ok(p + q, pp + qp))
+            and _quadrant_ok(p, pp) and _quadrant_ok(q, qp))
 
 
 def _quadrant_violation(m: int, mp: int, tag: str) -> list[str]:
@@ -192,11 +195,7 @@ class Label3(NamedTuple):
 
     @classmethod
     def make(cls, pairs) -> "Label3":
-        ok, _ = validate_label3(pairs)
-        if not ok:
-            raise InvalidLabel(f"{[_as_pair(p) for p in pairs]} is not admissible")
-        canon = tuple(EndClass(*p) for p in sorted(_as_pair(p) for p in pairs))
-        return cls(canon)  # type: ignore[arg-type]
+        return OrderedLabel3.make(pairs).label
 
     def orderings(self) -> list[Ordering3]:
         return validate_label3(self.pairs)[1]
@@ -213,11 +212,13 @@ class OrderedLabel3(NamedTuple):
 
     @classmethod
     def make(cls, pairs, which: int = 0) -> "OrderedLabel3":
-        label = Label3.make(pairs)
-        orderings = label.orderings()
+        ok, orderings = validate_label3(pairs)
+        if not ok:
+            raise InvalidLabel(f"{[_as_pair(p) for p in pairs]} is not admissible")
         if not 0 <= which < len(orderings):
             raise InvalidLabel(f"ordering index {which} out of range")
-        return cls(label, orderings[which])
+        canon = tuple(EndClass(*p) for p in sorted(_as_pair(p) for p in pairs))
+        return cls(Label3(canon), orderings[which])  # type: ignore[arg-type]
 
     def pairs(self) -> Ordering3:
         return self.ordering
@@ -243,29 +244,23 @@ def canonical_pair(l2: Label2) -> tuple[EndClass, Label2]:
     """The distinguished end pair of l2 and the partner label.
 
     Requires the derived pair (k, k') = (p+q, p'+q') to satisfy k != 0
-    and 2 k'^2 > 3 k^2.  Among the two pairs of l2 there is then exactly
-    one, (m, m'), with 2 m'^2 > 3 m^2 whose associated partner label --
-    {(q, q'), (-k, -k')} if (m, m') is the first pair, else
-    {(-k, -k'), (p, p')} -- is itself admissible.  Anything other than
-    exactly one such pair would contradict the boundary structure and
-    is surfaced as InternalError.
+    and 2 k'^2 > 3 k^2.  Then (p, q, -k) is a valid ordering of its
+    triple (validate_label3), and the triple's other valid ordering is
+    (partner, distinguished pair): one of the cyclic shifts
+    (q, -k, p) and (-k, p, q), the only orderings that keep Delta > 0.
+    Anything other than exactly one other ordering would contradict the
+    boundary structure and is surfaced as InternalError.
     """
     k, kp = l2.k_pair
     if k == 0 or 2 * kp * kp <= 3 * k * k:
         raise OutOfRegime(f"(k, k') = ({k}, {kp}) fails 2 k'^2 > 3 k^2 with k != 0")
-    (p, pp), (q, qp) = l2
-    candidates: list[tuple[EndClass, tuple[Pair, Pair]]] = []
-    for pair, partner in (
-            (l2.p_pair, ((q, qp), (-k, -kp))),
-            (l2.q_pair, ((-k, -kp), (p, pp)))):
-        m, mp = pair
-        if 2 * mp * mp > 3 * m * m and _admissible2(*partner[0], *partner[1]):
-            candidates.append((pair, partner))
-    if len(candidates) != 1:
+    own = (*l2, (-k, -kp))
+    others = [o for o in validate_label3(own)[1] if o != own]
+    if len(others) != 1:
         raise InternalError(
-            f"expected exactly one distinguished pair in {l2}, got {len(candidates)}")
-    pair, partner = candidates[0]
-    return pair, Label2.make(*partner)
+            f"expected exactly one distinguished pair in {l2}, got {len(others)}")
+    x, y, pair = others[0]
+    return EndClass(*pair), Label2.make(x, y)
 
 
 def _end_classes(bound: int) -> list[tuple[int, int, EndClass]]:

@@ -26,6 +26,8 @@ from sympl_moduli.geometry import SQRT6, THETA_C
 from sympl_moduli.invariants import GenericSpectrumCase, PolarSpectrumCase
 from sympl_moduli.reeb import classify_pair
 
+from conftest import double_points_lattice
+
 
 def criterion(num, name):
     def deco(fn):
@@ -172,7 +174,7 @@ def test_criterion_7_model_map():
             hits += 1
 
 
-@criterion(8, "three-end boundary structure, |entries| <= 8")
+@criterion(8, "three-end boundary structure and double points, |entries| <= 8")
 def test_criterion_8_boundary_structure(label3_candidates_bound8):
     admissible = 0
     for canon, orderings in label3_candidates_bound8:
@@ -185,10 +187,18 @@ def test_criterion_8_boundary_structure(label3_candidates_bound8):
         assert sm.validate_label2(*b1.pairs())[0]
         assert sm.validate_label2(*b2.pairs())[0]
         assert b1 != b2
-        m0 = double_points_formula(OrderedLabel3.make(canon, 0))
-        m1 = double_points_formula(OrderedLabel3.make(canon, 1))
-        assert m0 == m1
-    assert admissible > 1000
+        counts = set()
+        for which in (0, 1):
+            label = OrderedLabel3.make(canon, which)
+            m = double_points_formula(label)
+            assert double_points_bruteforce(label) == m
+            assert double_points_lattice(label) == m
+            points = phi_double_points(ModelMapParams(label=label))
+            assert len(points) == 2 * m
+            assert all(dp.residual < 1e-9 for dp in points)
+            counts.add(m)
+        assert len(counts) == 1, canon
+    assert admissible == 1562
 
 
 @criterion(9, "spectral sanity")

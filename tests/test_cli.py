@@ -292,6 +292,28 @@ class TestDoublePoints:
         payload = json.loads(out)
         assert payload["m_C"] == {"formula": 2, "roots": 2, "model": 2}
 
+    def test_three_pairs_use_ordering_0(self, capsys):
+        code, out, _ = run_cli(capsys, "double-points", "--pairs",
+                               "1,-1;1,4;-2,-3", "--method", "all")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["m_C"] == {"formula": 2, "roots": 2, "model": 2}
+        assert len(payload["points"]) == 4
+        # The label and Delta are the ones invariants reports.
+        code, out, _ = run_cli(capsys, "invariants", "--pairs",
+                               "1,-1;1,4;-2,-3")
+        report = json.loads(out)
+        assert payload["label"] == report["label"]
+        assert payload["delta"] == report["delta"] == 5
+
+    @pytest.mark.parametrize("pairs, want", [("1,1", 2), ("2,1;1,2;3,3", 1)])
+    def test_pair_count_and_admissibility(self, capsys, pairs, want):
+        # One pair is a parse error; an inadmissible triple is a domain
+        # error; neither writes stdout.
+        code, out, _ = run_cli(capsys, "double-points", "--pairs", pairs,
+                               "--method", "all")
+        assert (code, out) == (want, "")
+
     def test_embedded_label_empty(self, capsys):
         code, out, _ = run_cli(capsys, "double-points", "--pairs", "2,1;1,2",
                                "--method", "model")

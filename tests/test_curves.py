@@ -454,10 +454,14 @@ class TestEvalInvariantCurve:
         with pytest.raises(DomainError, match="not finite"):
             eval_invariant_curve(CurveSpec.example1(ReebOrbit.pole_plus()),
                                  0.0, math.inf)
-        # u = 1e308 is still inside: f = -u at s = -289.25.
+        # u = 1e308 lands at s = -289.25, where g = 2 sqrt6 e overflows.
+        with pytest.raises(DomainError, match="overflow"):
+            eval_invariant_curve(CurveSpec.example1(ReebOrbit.pole_plus()),
+                                 0.0, 1e308)
+        # u = 5e307 is still inside: f = -u at s = -288.96.
         pt = eval_invariant_curve(CurveSpec.example1(ReebOrbit.pole_plus()),
-                                  0.0, 1e308)
-        assert coord_functions(pt)[0] == pytest.approx(-1e308)
+                                  0.0, 5e307)
+        assert coord_functions(pt)[0] == pytest.approx(-5e307)
 
     def test_profile_point_consistency(self):
         spec = CurveSpec.profile(1, 2, 1)

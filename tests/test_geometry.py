@@ -67,14 +67,37 @@ class TestCoordFunctions:
             coord_functions(Point4(s, 0, 1.0, 0))
 
     def test_domain_edges(self):
-        # The factor is a normal positive float for about
-        # -289.77 < s < 289.20.
-        for s in (-289.7, 289.1):
+        # The factor is a normal float with 2 sqrt6 e finite for about
+        # -289.12 < s < 289.20.
+        for s in (-289.1, 289.1):
             e, _, _ = fh_at(s, 1.0)
-            assert sys.float_info.min <= e <= sys.float_info.max
-        for s in (-289.8, 289.3):
+            assert sys.float_info.min <= e <= sys.float_info.max / (2 * SQRT6)
+        for s in (-289.2, -289.8, 289.3):
             with pytest.raises(DomainError):
                 fh_at(s, 1.0)
+
+    def test_products_of_the_factor_overflow_nowhere(self):
+        # fh_at(-289.6, 0.0) gave f = -inf, h = nan, and coord_functions
+        # at s = -289.3 gave g = inf: e was finite, its products not.
+        with pytest.raises(DomainError, match="overflow"):
+            fh_at(-289.6, 0.0)
+        with pytest.raises(DomainError, match="overflow"):
+            coord_functions(Point4(-289.3, 0, 0.0, 0))
+        frame = [Tangent4(v_s=1), Tangent4(v_t=1), Tangent4(v_theta=1),
+                 Tangent4(v_phi=1)]
+        edges = [-289.0 - i * 0.005 for i in range(161)]
+        edges += [289.0 + i * 0.005 for i in range(61)] + [-1e308, 1e308]
+        for s in edges:
+            for k in range(33):
+                p = Point4(s, 0, math.pi * k / 32, 0)
+                try:
+                    values = [*fh_at(s, p.theta), *coord_functions(p)]
+                    if not p.at_pole:
+                        values += [omega_eval(p, v, w)
+                                   for v in frame for w in frame]
+                except DomainError:
+                    continue
+                assert all(math.isfinite(x) for x in values), (s, p.theta)
 
 
 class TestContactForm:
@@ -176,6 +199,18 @@ class TestJ:
             for got, want in ((jjv.v_s, v.v_s), (jjv.v_t, v.v_t),
                               (jjv.v_theta, v.v_theta), (jjv.v_phi, v.v_phi)):
                 assert got == pytest.approx(-want, abs=1e-10)
+
+    @pytest.mark.parametrize("s", [-280.0, -150.0, 0.0, 200.0, 400.0])
+    def test_square_is_minus_one_at_every_s(self, s):
+        # The factor e^{-sqrt6 s} cancels in J: J^2 v was nan at s = -150
+        # and J raised ZeroDivisionError at s = 200.
+        rnd = random.Random(8)
+        for p in random_points(50, seed=19, margin=0.01):
+            p = p._replace(s=s)
+            v = Tangent4(*(rnd.uniform(-1, 1) for _ in range(4)))
+            jjv = apply_J(p, apply_J(p, v))
+            assert jjv == pytest.approx(tuple(-x for x in v), abs=1e-10)
+            assert apply_J(p, v) == apply_J(p._replace(s=0.0), v)
 
     def test_pole_refused(self):
         with pytest.raises(PoleError):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from sympl_moduli import (DoublePoint, Label2, ModelMapParams,
+from sympl_moduli import (DoublePoint, Label2, ModelMapParams, OrderedLabel3,
                           double_points_bruteforce, double_points_formula,
                           enumerate_labels, immersion_residual,
                           phi_double_points, phi_eval)
@@ -236,6 +236,48 @@ MODEL_MAP_DIGESTS = [
     (((12, -41), (47, 6)),
      "77fde0e3239c9a435a05e6ec7db2e9b0a069ee931e1b56c011d03650342e6a0d"),
 ]
+
+
+class TestThreeEnds:
+    """An ordered three-end label is read through pairs(), like a
+    two-end label: its first two pairs, the third end at infinity."""
+
+    def test_model_map_imports_no_label_class(self):
+        import ast
+        import pathlib
+
+        import sympl_moduli.model_maps as mm
+        tree = ast.parse(pathlib.Path(mm.__file__).read_text())
+        sources = {node.module for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)}
+        assert "moduli" not in sources
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_both_orderings(self, which):
+        label = OrderedLabel3.make([(1, -1), (1, 4), (-2, -3)], which)
+        (p, pp), (q, qp) = label.pairs()[:2]
+        params = ModelMapParams(label=label, r=3.0)
+        pts = phi_double_points(params)
+        assert len(pts) == 2 * double_points_formula(label) == 4
+        rnd = random.Random(which)
+        for _ in range(200):
+            z = random_z(rnd)
+            out = phi_eval(params, z)
+            assert q * out.v - qp * out.u == pytest.approx(
+                -5 * math.log(3.0 / abs(z)), abs=1e-10)
+            assert p * out.v - pp * out.u == pytest.approx(
+                5 * math.log(3.0 / abs(1 - z)), abs=1e-10)
+            assert immersion_residual(params, z) == (
+                p / z - q / (1 - z), pp / z - qp / (1 - z))
+
+    def test_same_as_the_two_end_label_of_its_first_pairs(self):
+        # Label2 holds the same two pairs, so the points are the same.
+        for l3 in enumerate_labels(4, 3):
+            for which in (0, 1):
+                label = OrderedLabel3.make(l3.pairs, which)
+                flat = Label2(*label.pairs()[:2])
+                assert (phi_double_points(ModelMapParams(label=label))
+                        == phi_double_points(ModelMapParams(label=flat)))
 
 
 class TestPinnedBits:
