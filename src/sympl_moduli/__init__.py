@@ -16,6 +16,8 @@ Subpackages by concern:
   profile-cylinder traces;
 * :mod:`sympl_moduli.model_maps` -- the holomorphic model maps into
   C* x C* and their double points;
+* :mod:`sympl_moduli.budgets` -- the size budgets past which a call
+  is refused before any work;
 * :mod:`sympl_moduli.catalog` -- the low-index curve table as
   executable checks;
 * :mod:`sympl_moduli.cli` -- the ``sympl-moduli`` command.

@@ -1,12 +1,14 @@
 """Command-line front end: JSON reports, CSV traces, enumeration tables.
 
 Exit codes: 0 success, 1 domain error (inadmissible label, degenerate
-angle, bad curve domain, a Delta past the residue-walk budget), 2 parse
+angle, bad curve domain, a size past its budget in `budgets`), 2 parse
 error, malformed flags or an `--out` that cannot be written, 3 breach of
 an internal invariant (e.g. the double-point methods disagree).  Output
 is deterministic: fixed key order, floats printed with at most twelve
-significant digits, no timestamps.  An `--out` file gets exactly the
-bytes stdout would get.
+significant digits, no timestamps.  The one exception is each double
+point's z, w and residual, which double-points prints in full (repr),
+as the library computes them.  An `--out` file gets exactly the bytes
+stdout would get.
 """
 
 from __future__ import annotations

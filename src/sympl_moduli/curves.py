@@ -38,6 +38,7 @@ import math
 from decimal import Decimal, localcontext
 from typing import NamedTuple, Optional
 
+from .budgets import MAX_TRACE_SAMPLES
 from .errors import (BranchError, DomainError, InvalidLabel, WrongExample)
 from .geometry import SQRT6, BranchId, Point4, fh_at, theta_from_lambda
 from .reeb import ReebOrbit, OrbitKind, classify_pair, theta_roots
@@ -312,12 +313,6 @@ class Trace(NamedTuple):
                                   (r.s, r.t, r.theta, r.phi, r.f, r.h)) + "\n")
 
 
-def _sample(s: float, theta: float) -> TraceSample:
-    """One trace row, at t = phi = 0; DomainError where fh_at refuses s."""
-    _, f, h = fh_at(s, theta)
-    return TraceSample(s, 0.0, theta, 0.0, f, h)
-
-
 def _anchored(spec: CurveSpec) -> tuple[tuple[LogTerm, ...], float]:
     """The profile's log terms and the base with s = base +
     _log_sum(terms, theta), so that s = s_anchor at the range midpoint."""
@@ -334,17 +329,26 @@ def integrate_profile(p: int, p_prime: int, range_id: int,
     fixed angles), takes each s from the closed form relative to the
     range midpoint (where s = s_anchor), and recovers f and h
     algebraically.  Rows come out in increasing theta order, so theta
-    is strictly monotone.
+    is strictly monotone.  Each row is at t = phi = 0, with f and h from
+    fh_at (DomainError where it refuses s).  DomainError past
+    MAX_TRACE_SAMPLES, before any row.
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
+    if n_samples > MAX_TRACE_SAMPLES:
+        raise DomainError(f"{n_samples} samples exceed {MAX_TRACE_SAMPLES}, "
+                          f"the budget of a trace")
     spec = CurveSpec.profile(p, p_prime, range_id, s_anchor=s_anchor)
     lo, hi = _clipped(spec.theta_range(), clip)
     terms, base = _anchored(spec)
     samples = []
     for i in range(n_samples):
         theta = lo + (hi - lo) * i / (n_samples - 1)
-        samples.append(_sample(base + _log_sum(terms, theta), theta))
+        s = base + _log_sum(terms, theta)
+        _, f, h = fh_at(s, theta)
+        # TraceSample checks nothing, so tuple.__new__ builds the same
+        # row without the generated __new__.
+        samples.append(tuple.__new__(TraceSample, (s, 0.0, theta, 0.0, f, h)))
     return Trace(spec=spec, samples=tuple(samples))
 
 
@@ -352,7 +356,7 @@ def profile_ode_residual(spec: CurveSpec, theta: float) -> float:
     """|dh/du - (p'/p) sin^2 theta| at one point of a profile curve.
 
     dh/du is a central finite difference of h with respect to u between
-    two trace rows of the curve, with the theta step 3e-4 times the
+    two points of the curve, with the theta step 3e-4 times the
     distance from the nearest fixed angle (h and u grow like a power of
     that distance, so a fixed step would measure resolution, not the
     curve).  DomainError where fh_at refuses s at a step.
@@ -363,9 +367,10 @@ def profile_ode_residual(spec: CurveSpec, theta: float) -> float:
         raise BranchError("theta outside the open range")
     terms, base = _anchored(spec)
     step = 3e-4 * dist
-    below, above = (_sample(base + _log_sum(terms, th), th)
-                    for th in (theta - step, theta + step))
-    fd = (above.h - below.h) / (above.f - below.f)
+    lo, hi = theta - step, theta + step
+    _, f_lo, h_lo = fh_at(base + _log_sum(terms, lo), lo)
+    _, f_hi, h_hi = fh_at(base + _log_sum(terms, hi), hi)
+    fd = (h_hi - h_lo) / (f_hi - f_lo)
     return abs(fd - (spec.p_prime / spec.p) * math.sin(theta) ** 2)
 
 

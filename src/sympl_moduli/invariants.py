@@ -44,6 +44,7 @@ import enum
 import math
 from typing import Iterable, NamedTuple, Optional, Union
 
+from .budgets import MAX_SPECTRUM_N, MAX_WALK_DELTA
 from .errors import (BoundViolation, DegenerateAngle, DomainError,
                      InternalError, ParityError, ZeroPair)
 from .geometry import SQRT6
@@ -79,13 +80,6 @@ def _closed_form(pairs) -> tuple[int, tuple[int, int, int], int]:
 def double_points_formula(label: LabelLike) -> int:
     """m_C from the gcd identity; asserts the expression is even and >= 0."""
     return _closed_form(label.pairs())[2]
-
-
-#: The largest Delta the O(Delta) routes accept: the oracle's walk and
-#: the model map's ~Delta residue pairs and points grow with it.  2^20
-#: admits README's 997,3;5,999 (Delta 995,988).  The gcd formula has no
-#: budget.
-MAX_WALK_DELTA = 2 ** 20
 
 
 def _lattice(label: LabelLike) -> tuple[int, int, int, int]:
@@ -326,10 +320,13 @@ def l0_spectrum(case: GenericSpectrumCase | PolarSpectrumCase,
     simple, all n > 0 ones are double.  Polar orbit covered m times:
     { -sqrt(3/2) + n/m, |n| <= n_max }, all double -- in particular
     never zero, since sqrt(3/2) is irrational.  Returned sorted by
-    eigenvalue.
+    eigenvalue.  DomainError past MAX_SPECTRUM_N, before any eigenvalue.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    if n_max > MAX_SPECTRUM_N:
+        raise DomainError(f"n_max = {n_max} exceeds {MAX_SPECTRUM_N}, the "
+                          f"budget of the spectrum")
     out: list[tuple[float, int]] = []
     if isinstance(case, GenericSpectrumCase):
         if case.period < 1:

@@ -35,6 +35,12 @@ two sides where that is finite and both sides are normal floats; where
 a power overflows or lands in the subnormal range it falls back to log
 space, |p (log w - log z) + q (log(1-w) - log(1-z))| with the imaginary
 part reduced mod 2 pi, so no residual is nan.
+
+The roots eta, eta' are computed per point, not read from a table of
+all Delta roots: a table would be faster by a few per cent, but it
+computes every root before the first point is checked, so a label that
+fails at its first point (README's 997,3;5,999, Delta 995,988) would
+pay for the whole table in time and memory before failing.
 """
 
 from __future__ import annotations
@@ -88,10 +94,10 @@ class ModelMapParams(_ModelMapParamsFields):
 
     def __new__(cls, label: LabelLike, r: float = 10.0, a: complex = 1.0 + 0.0j,
                 a_prime: complex = 1.0 + 0.0j) -> "ModelMapParams":
-        if not r >= 1.0:
-            raise ValueError("the scale r must be >= 1")
+        if not 1.0 <= r < math.inf:
+            raise ValueError("the scale r must be finite and >= 1")
         for name, val in (("a", a), ("a_prime", a_prime)):
-            if abs(abs(complex(val)) - 1.0) > 1e-12:
+            if not abs(abs(complex(val)) - 1.0) <= 1e-12:     # nan fails
                 raise ValueError(f"|{name}| must be 1 within 1e-12")
         return super().__new__(cls, label, r, a, a_prime)
 
@@ -174,6 +180,38 @@ def _equality_residual(z: complex, w: complex, omz: complex, omw: complex,
     return abs(complex(gap.real, math.remainder(gap.imag, math.tau)))
 
 
+def _point_residual(z: complex, w: complex, p: int, q: int, pp: int,
+                    qp: int) -> float:
+    """max of the two equalities' _equality_residual at one point.
+
+    Both direct quotients are taken in one call, with the operations of
+    _equality_residual in its order, so each has the same bits.  Where
+    either would fall back to log space, both come from
+    _equality_residual, the one definition of an equality's residual.
+    """
+    omz = 1 - z
+    omw = 1 - w
+    try:
+        x1 = z ** p * omz ** q
+        y1 = w ** p * omw ** q
+        x2 = z ** pp * omz ** qp
+        y2 = w ** pp * omw ** qp
+        ax1 = abs(x1)
+        ay1 = abs(y1)
+        ax2 = abs(x2)
+        ay2 = abs(y2)
+        if ax1 >= _TINY and ay1 >= _TINY and ax2 >= _TINY and ay2 >= _TINY:
+            r1 = abs(x1 - y1) / (ay1 if ay1 > ax1 else ax1)
+            r2 = abs(x2 - y2) / (ay2 if ay2 > ax2 else ax2)
+            if r1 < math.inf and r2 < math.inf:
+                return r2 if r2 > r1 else r1     # max(r1, r2)
+    except (OverflowError, ZeroDivisionError):
+        pass
+    r1 = _equality_residual(z, w, omz, omw, p, q)
+    r2 = _equality_residual(z, w, omz, omw, pp, qp)
+    return r2 if r2 > r1 else r1
+
+
 def phi_double_points(params: ModelMapParams,
                       tol: float | None = None) -> list[DoublePoint]:
     """All ordered double points of the model map.
@@ -189,19 +227,18 @@ def phi_double_points(params: ModelMapParams,
         tol = residual_tolerance()
     (p, pp), (q, qp) = params.label.pairs()[:2]
     d = delta(params.label)
+    # 2j * math.pi * a / d is (2j * math.pi) * a / d, so the hoisted
+    # product leaves every root's bits as they were.
+    two_pi_i = 2j * math.pi
     out: list[DoublePoint] = []
     for a, b in residue_pairs(params.label):
-        eta = cmath.exp(2j * math.pi * a / d)
-        etap = cmath.exp(2j * math.pi * b / d)
+        eta = cmath.exp(two_pi_i * a / d)
+        etap = cmath.exp(two_pi_i * b / d)
         if etap == eta:
             raise InternalError("degenerate root pair slipped through")
         z = (etap - 1.0) / (etap - eta)
         w = eta * z
-        omz = 1 - z
-        omw = 1 - w
-        r1 = _equality_residual(z, w, omz, omw, p, q)
-        r2 = _equality_residual(z, w, omz, omw, pp, qp)
-        residual = r2 if r2 > r1 else r1     # max(r1, r2)
+        residual = _point_residual(z, w, p, q, pp, qp)
         if not residual < tol:
             raise ResidualError(
                 f"double point ({a}, {b}) of {params.label} has residual "
@@ -209,7 +246,9 @@ def phi_double_points(params: ModelMapParams,
         if not abs(w - z.conjugate()) <= tol * (1.0 + abs(z)):
             raise ResidualError(
                 f"double point ({a}, {b}): w != conj(z) beyond tolerance")
-        out.append(DoublePoint(a, b, z, w, residual))
+        # DoublePoint checks nothing, so tuple.__new__ builds the same
+        # record without the generated __new__ (~0.2 us a point).
+        out.append(tuple.__new__(DoublePoint, (a, b, z, w, residual)))
     return out
 
 

@@ -42,7 +42,8 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .errors import InternalError, InvalidLabel, OutOfRegime
+from .budgets import MAX_ENUM_BOUND
+from .errors import DomainError, InternalError, InvalidLabel, OutOfRegime
 from .reeb import EndClass
 
 Pair = tuple[int, int]
@@ -285,10 +286,14 @@ def enumerate_labels(bound: int, ends: int) -> list[Label2] | list[Label3]:
     exactly two valid orderings; each accepted couple whose derived
     pair (k, k') = x + y has 2 k'^2 > 3 k^2 and lies in the box is one
     valid ordering (x, y, -k).  Three-end labels are unordered sets,
-    stored sorted and returned in sorted order.
+    stored sorted and returned in sorted order.  DomainError past
+    MAX_ENUM_BOUND, before any candidate is built.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    if bound > MAX_ENUM_BOUND:
+        raise DomainError(f"bound = {bound} exceeds {MAX_ENUM_BOUND}, the "
+                          f"budget of the enumeration")
     if ends not in (2, 3):
         raise ValueError("ends must be 2 or 3")
     classes = _end_classes(bound)

@@ -1,11 +1,13 @@
 import hashlib
 import json
 import math
+import shlex
+import types
 from pathlib import Path
 
 import pytest
 
-from sympl_moduli import invariants
+from sympl_moduli import curves, invariants, moduli
 from sympl_moduli.cli import main, parse_pairs
 from sympl_moduli.errors import ParseError
 
@@ -401,6 +403,95 @@ class TestWalkBudget:
                                "1025,1;1,1025", "--method", "formula")
         assert code == 0
         assert json.loads(out)["m_C"] == {"formula": 524799}
+
+
+def _no_work(*args):
+    raise AssertionError("work started past the budget")
+
+
+#: The loops behind each budget, patched to raise: trace rows, the
+#: spectrum's square roots (after the generic orbit's decay constants,
+#: which take square roots of their own) and enumeration candidates.
+_NO_ROWS = [(curves, "fh_at", _no_work)]
+_NO_EIGENVALUES = [(invariants, "math", types.SimpleNamespace(sqrt=_no_work))]
+_NO_GENERIC_EIGENVALUES = _NO_EIGENVALUES + [
+    (invariants, "asymptotic_constants",
+     lambda *args: invariants.AsymptoticData(zeta=1.0, kappa=1.0))]
+_NO_CANDIDATES = [(moduli, "_end_classes", _no_work)]
+
+
+class TestSizeBudgets:
+    """A size past its budget exits 1 with one error line and an empty
+    stdout, before any work."""
+
+    @pytest.mark.parametrize("argv,patches", [pytest.param(
+        argv, patches, id=" ".join(argv)) for argv, patches in [
+        (["trace", "--pair", "1,2", "--range", "1", "--samples", "1000001"],
+         _NO_ROWS),
+        (["trace", "--pair", "1,2", "--range", "1", "--samples", str(10 ** 20)],
+         _NO_ROWS),
+        (["spectrum", "--pair", "1,0", "--nmax", "1000001"],
+         _NO_GENERIC_EIGENVALUES),
+        (["spectrum", "--pair", "1,0", "--nmax", str(10 ** 20)],
+         _NO_GENERIC_EIGENVALUES),
+        (["spectrum", "--polar-m", "1", "--nmax", "1000001"], _NO_EIGENVALUES),
+        (["enumerate", "--max-abs", "21"], _NO_CANDIDATES),
+        (["enumerate", "--max-abs", str(10 ** 8), "--ends", "3"],
+         _NO_CANDIDATES),
+    ]])
+    def test_refused(self, capsys, monkeypatch, tmp_path, argv, patches):
+        for module, name, stub in patches:
+            monkeypatch.setattr(module, name, stub)
+        csv = tmp_path / "t.csv"
+        if argv[0] == "trace":
+            argv = [*argv, "--out", str(csv)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "budget" in err
+        assert not csv.exists()
+
+
+def _floats(node, path=()):
+    """(path, value) of every float in a JSON value."""
+    if isinstance(node, float):
+        yield path, node
+    elif isinstance(node, dict):
+        for key, val in node.items():
+            yield from _floats(val, (*path, key))
+    elif isinstance(node, list):
+        for i, val in enumerate(node):
+            yield from _floats(val, (*path, i))
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("sympl-moduli ")]
+
+
+class TestTwelveDigits:
+    """Every float the README's example commands print has at most
+    twelve significant digits, except the z, w and residual of each
+    double point, which are printed in full."""
+
+    def test_readme_lists_every_command(self):
+        assert {argv[0] for argv in _readme_commands()} == {
+            "classify", "invariants", "trace", "enumerate", "double-points",
+            "spectrum", "catalog"}
+
+    @pytest.mark.parametrize("argv", _readme_commands(),
+                             ids=lambda argv: " ".join(argv))
+    def test_stdout_floats(self, capsys, tmp_path, argv):
+        argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        for line in out.splitlines() if argv[0] == "enumerate" else [out]:
+            for path, x in _floats(json.loads(line)):
+                if path[:1] == ("points",) and path[2] in ("z", "w", "residual"):
+                    continue
+                assert float(f"{x:.12g}") == x, (path, x)
 
 
 class TestSpectrum:

@@ -3,14 +3,17 @@ import math
 
 import pytest
 
-from sympl_moduli import (CurveSpec, ReebOrbit, classify_branches,
-                          coord_functions, eval_invariant_curve,
-                          integrate_profile, profile_ds_dtheta, s_max,
-                          s_of_theta, solve_theta0, solve_theta0_bar)
+from sympl_moduli import (CurveSpec, ReebOrbit, TraceSample,
+                          classify_branches, coord_functions,
+                          eval_invariant_curve, integrate_profile,
+                          profile_ds_dtheta, s_max, s_of_theta, solve_theta0,
+                          solve_theta0_bar)
+from sympl_moduli import curves
+from sympl_moduli.budgets import MAX_TRACE_SAMPLES
 from sympl_moduli.curves import profile_log_terms, profile_ode_residual
 from sympl_moduli.errors import (BranchError, DomainError, InvalidLabel,
                                   WrongExample)
-from sympl_moduli.geometry import Point4
+from sympl_moduli.geometry import Point4, fh_at
 
 SQRT6_ = math.sqrt(6.0)
 
@@ -514,6 +517,25 @@ class TestEvalInvariantCurve:
         spec = CurveSpec.profile(1, 2, 1, s_anchor=400.0)
         with pytest.raises(DomainError, match="underflow"):
             eval_invariant_curve(spec, 0.0, 0.0, clip=1e-4)
+
+    def test_rows_come_from_fh_at(self):
+        # fh_at is the one source of a row's f and h, and its only check.
+        tr = integrate_profile(1, 2, 1, n_samples=50)
+        for row in tr.samples:
+            assert type(row) is TraceSample
+            assert (row.t, row.phi) == (0.0, 0.0)
+            assert (row.f, row.h) == fh_at(row.s, row.theta)[1:]
+
+    def test_samples_past_the_budget_are_refused(self, monkeypatch):
+        def no_rows(*args):
+            raise AssertionError("a trace row was computed")
+
+        monkeypatch.setattr(curves, "fh_at", no_rows)
+        for n in (MAX_TRACE_SAMPLES + 1, 10 ** 20):
+            with pytest.raises(DomainError, match="budget"):
+                integrate_profile(1, 2, 1, n_samples=n)
+        with pytest.raises(AssertionError, match="row"):    # at the budget
+            integrate_profile(1, 2, 1, n_samples=MAX_TRACE_SAMPLES)
 
     def test_profile_example_ids(self):
         assert CurveSpec.profile(1, 2, 0).example_id == 5

@@ -1,4 +1,5 @@
 import math
+import types
 
 import pytest
 
@@ -10,6 +11,7 @@ from sympl_moduli import (EndClass, EndDescriptor, GenericSpectrumCase, Label2,
                           double_points_formula, enumerate_labels,
                           fredholm_index, index_lower_bound, l0_spectrum,
                           m0_of, residue_pairs, sphere_report)
+from sympl_moduli.budgets import MAX_SPECTRUM_N
 from sympl_moduli.errors import (BoundViolation, DegenerateAngle, DomainError,
                                  ZeroPair)
 
@@ -291,6 +293,21 @@ class TestSpectrum:
         assert vals[1] == pytest.approx(-math.sqrt(1.5), abs=1e-15)
         assert vals[2] == pytest.approx(-math.sqrt(1.5) + 1, abs=1e-15)
         assert vals[2] == pytest.approx(-0.22474487139158905, abs=1e-15)
+
+    @pytest.mark.parametrize("case", [
+        GenericSpectrumCase(zeta=1.0, period=1), PolarSpectrumCase(m=1)],
+        ids=["generic", "polar"])
+    def test_past_the_budget_is_refused(self, monkeypatch, case):
+        def no_eigenvalues(*args):
+            raise AssertionError("an eigenvalue was computed")
+
+        monkeypatch.setattr(sm.invariants, "math",
+                            types.SimpleNamespace(sqrt=no_eigenvalues))
+        for n in (MAX_SPECTRUM_N + 1, 10 ** 20):
+            with pytest.raises(DomainError, match="budget"):
+                l0_spectrum(case, n)
+        with pytest.raises(AssertionError, match="eigenvalue"):  # at the budget
+            l0_spectrum(case, MAX_SPECTRUM_N)
 
     def test_polar_never_zero(self):
         for m in range(1, 101):

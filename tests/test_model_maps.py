@@ -7,11 +7,13 @@ import random
 import pytest
 
 from sympl_moduli import (DoublePoint, Label2, ModelMapParams, OrderedLabel3,
-                          double_points_bruteforce, double_points_formula,
-                          enumerate_labels, immersion_residual,
-                          phi_double_points, phi_eval)
+                          delta, double_points_bruteforce,
+                          double_points_formula, enumerate_labels,
+                          immersion_residual, model_maps, phi_double_points,
+                          phi_eval)
 from sympl_moduli.errors import PunctureError
-from sympl_moduli.model_maps import double_points_json, residual_tolerance
+from sympl_moduli.model_maps import (_equality_residual, double_points_json,
+                                     residual_tolerance)
 
 L_UNIT = Label2.make((1, 0), (0, 1))
 L_SYM = Label2.make((2, 1), (1, 2))
@@ -87,6 +89,21 @@ class TestModelMapParams:
     def test_unit_modulus_validation(self):
         with pytest.raises(ValueError):
             ModelMapParams(label=L_UNIT, a=1.1 + 0j)
+
+    def test_infinite_scale_is_refused(self):
+        # phi_eval would give u = t = nan.
+        with pytest.raises(ValueError):
+            ModelMapParams(label=L_UNIT, r=math.inf)
+
+    @pytest.mark.parametrize("twist", ["a", "a_prime"])
+    @pytest.mark.parametrize("value", [complex(math.nan, 0.0),
+                                       complex(0.0, math.nan),
+                                       complex(math.inf, 0.0)])
+    def test_non_finite_twist_is_refused(self, twist, value):
+        # | |nan| - 1 | > 1e-12 is false: the check must be written so
+        # that nan fails it.
+        with pytest.raises(ValueError):
+            ModelMapParams(label=L_UNIT, **{twist: value})
 
 
 class TestImmersion:
@@ -204,6 +221,35 @@ class TestDoublePoints:
         assert len(pts) // 2 == double_points_formula(label)
         assert max(dp.residual for dp in pts) < 1e-9
 
+    @pytest.mark.parametrize("pairs", [
+        ((1, -40), (100, 28)),      # a power overflows
+        ((-2, -100), (8, -75)),     # sides subnormal or zero
+        ((8, 48), (-11, 89)),       # a side of (p', q') infinite
+    ])
+    def test_log_space_residuals_are_the_per_equality_ones(self, monkeypatch,
+                                                           pairs):
+        # Labels of the double-points benchmark pool.  Where a direct
+        # quotient is unusable, the point's residual is the max of the
+        # two equalities' _equality_residual, recomputed here from z, w.
+        label = Label2.make(*pairs)
+        (p, pp), (q, qp) = label.pairs()
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _equality_residual(*args)
+
+        monkeypatch.setattr(model_maps, "_equality_residual", spy)
+        pts = phi_double_points(ModelMapParams(label=label))
+        monkeypatch.undo()
+        assert calls, "no point took the log-space fallback"
+        assert len(pts) == 2 * double_points_formula(label)
+        for dp in pts:
+            z, w = dp.z, dp.w
+            want = max(_equality_residual(z, w, 1 - z, 1 - w, p, q),
+                       _equality_residual(z, w, 1 - z, 1 - w, pp, qp))
+            assert dp.residual == want
+
     def test_point_is_immutable(self):
         dp = phi_double_points(ModelMapParams(label=L_41))[0]
         with pytest.raises(AttributeError):
@@ -291,6 +337,26 @@ class TestPinnedBits:
         """
         label = Label2.make(*pairs)
         assert 100 <= label.delta < 2000
+        pts = phi_double_points(ModelMapParams(label=label))
+        blob = json.dumps(double_points_json(pts)).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
+
+    @pytest.mark.parametrize("label,digest", [
+        (Label2.make((62, 64), (7, 91)),
+         "f9a5bfccff089a534914cf165652361a471a4726309f9c5c7a641b2c28410036"),
+        (OrderedLabel3.make([(34, -89), (88, -90), (-122, 179)], 0),
+         "902be728ac936dfc82b3985a1c6277a3c660307b2509e8993283ca5d887e0e27"),
+    ], ids=["two ends", "three ends"])
+    def test_large_delta_points_keep_their_bits(self, label, digest):
+        """The same for a two-end and a three-end label with Delta about
+        5e3, each with points whose residual takes the log-space form
+        (a side of an equality not finite, subnormal or zero).
+
+        The digests were recorded at the commit before the model-map
+        loop computed both equalities in one call, before any of that
+        code changed.
+        """
+        assert 4500 < delta(label) < 5500
         pts = phi_double_points(ModelMapParams(label=label))
         blob = json.dumps(double_points_json(pts)).encode()
         assert hashlib.sha256(blob).hexdigest() == digest

@@ -5,7 +5,9 @@ import pytest
 from sympl_moduli import (EndClass, Label2, Label3, boundary_labels,
                           canonical_pair, enumerate_labels, label_from_pairs,
                           validate_label2, validate_label3)
-from sympl_moduli.errors import InvalidLabel, OutOfRegime
+from sympl_moduli import moduli
+from sympl_moduli.budgets import MAX_ENUM_BOUND
+from sympl_moduli.errors import DomainError, InvalidLabel, OutOfRegime
 from sympl_moduli.moduli import _admissible2
 
 
@@ -283,6 +285,20 @@ class TestEnumerate:
         assert len(set(canon)) == len(canon)
         for c in canon:
             assert list(c) == sorted(c)
+
+
+    @pytest.mark.parametrize("ends", [2, 3])
+    def test_past_the_budget_is_refused(self, monkeypatch, ends):
+        # The candidates of bound 10^8 would fill memory.
+        def no_candidates(*args):
+            raise AssertionError("candidates were built")
+
+        monkeypatch.setattr(moduli, "_end_classes", no_candidates)
+        for bound in (MAX_ENUM_BOUND + 1, 10 ** 8):
+            with pytest.raises(DomainError, match="budget"):
+                enumerate_labels(bound, ends)
+        with pytest.raises(AssertionError, match="candidates"):  # at the budget
+            enumerate_labels(MAX_ENUM_BOUND, ends)
 
 
 class TestEnumerateOracles:
