@@ -34,8 +34,8 @@ from .invariants import (AsymptoticData, EndDescriptor, GenericSpectrumCase,
                          index_lower_bound, l0_spectrum, m0_of, residue_pairs,
                          sphere_report)
 from .moduli import (Label2, Label3, OrderedLabel3, boundary_labels,
-                     canonical_pair, enumerate_labels, label_from_pairs,
-                     validate_label2, validate_label3)
+                     canonical_pair, enumerate_labels, validate_label2,
+                     validate_label3)
 from .reeb import (EndClass, OrbitKind, ReebOrbit, ThetaRoots, classify_pair,
                    orbit_point, solve_theta0, solve_theta0_bar, theta_roots)
 from .curves import (CurveSpec, ThetaRange, Trace, TraceSample,

@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     i = sub.add_parser("invariants", help="Invariant report of a label.")
     i.add_argument("--pairs", required=True)
-    i.add_argument("--ordering", type=int, default=0,
+    i.add_argument("--ordering", type=int, choices=(0, 1), default=0,
                    help="which valid ordering to use for 3-pair labels")
     i.add_argument("--out")
     i.set_defaults(func=_cmd_invariants)

@@ -63,10 +63,8 @@ def classify_branches(p: int, p_prime: int) -> tuple[ThetaRange, ...]:
     """The theta ranges available to the (p, p') profile family, in
     increasing order; p > 0 and (p, p') admissible.
 
-    Without a companion angle there are two ranges, (0, theta0) and
-    (theta0, pi).  Otherwise there are three, with theta0_bar between
-    theta0 and the pole on the side of p' (the order of theta0 and
-    theta0_bar mirrors with the sign of p').
+    The ranges are the gaps between consecutive fixed angles: the poles
+    0 and pi, theta0, and theta0_bar when the pair has one.
     """
     if p <= 0:
         raise InvalidLabel(f"({p}, {p_prime}): profile families need p > 0")
@@ -74,16 +72,13 @@ def classify_branches(p: int, p_prime: int) -> tuple[ThetaRange, ...]:
     if not ok:
         raise InvalidLabel(f"({p}, {p_prime}): {why}")
     th0, thb = theta_roots(p, p_prime)
-    if thb is None:
-        return (ThetaRange(0.0, th0, "pole0", "theta0"),
-                ThetaRange(th0, math.pi, "theta0", "polePi"))
-    if p_prime > 0:
-        return (ThetaRange(0.0, th0, "pole0", "theta0"),
-                ThetaRange(th0, thb, "theta0", "theta0_bar"),
-                ThetaRange(thb, math.pi, "theta0_bar", "polePi"))
-    return (ThetaRange(0.0, thb, "pole0", "theta0_bar"),
-            ThetaRange(thb, th0, "theta0_bar", "theta0"),
-            ThetaRange(th0, math.pi, "theta0", "polePi"))
+    angles = [(0.0, "pole0"), (th0, "theta0"), (math.pi, "polePi")]
+    if thb is not None:
+        angles.insert(2, (thb, "theta0_bar"))
+    # Stable, on the angle only: a theta0_bar rounded onto a pole stays inside.
+    angles.sort(key=lambda angle: angle[0])
+    return tuple(ThetaRange(lo, hi, lo_label, hi_label)
+                 for (lo, lo_label), (hi, hi_label) in zip(angles, angles[1:]))
 
 
 def profile_ds_dtheta(p: int, p_prime: int, theta: float) -> float:

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .budgets import MAX_SPECTRUM_N, MAX_WALK_DELTA
@@ -320,7 +321,8 @@ def l0_spectrum(case: GenericSpectrumCase | PolarSpectrumCase,
     simple, all n > 0 ones are double.  Polar orbit covered m times:
     { -sqrt(3/2) + n/m, |n| <= n_max }, all double -- in particular
     never zero, since sqrt(3/2) is irrational.  Returned sorted by
-    eigenvalue.  DomainError past MAX_SPECTRUM_N, before any eigenvalue.
+    eigenvalue.  DomainError past MAX_SPECTRUM_N, or for a generic period
+    whose square is past the float range, before any eigenvalue.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -331,10 +333,14 @@ def l0_spectrum(case: GenericSpectrumCase | PolarSpectrumCase,
     if isinstance(case, GenericSpectrumCase):
         if case.period < 1:
             raise ValueError("period must be >= 1")
+        t2 = case.period ** 2
+        if t2 > sys.float_info.max:
+            raise DomainError(f"period = {case.period}: its square is past "
+                              f"the float range")
         out.append((0.0, 1))
         out.append((-case.zeta, 1))
         for n in range(1, n_max + 1):
-            disc = math.sqrt(case.zeta ** 2 + 4.0 * n * n / case.period ** 2)
+            disc = math.sqrt(case.zeta ** 2 + 4.0 * n * n / t2)
             out.append((0.5 * (-case.zeta + disc), 2))
             out.append((0.5 * (-case.zeta - disc), 2))
     else:

@@ -31,10 +31,16 @@ by exact modular enumeration of residue pairs followed by the closed
 form, never by two-dimensional numerical root search; the defining
 equalities are then verified to a relative residual tolerance.  Each
 equality's residual is the relative gap |x - y| / max(|x|, |y|) of its
-two sides where that is finite and both sides are normal floats; where
-a power overflows or lands in the subnormal range it falls back to log
-space, |p (log w - log z) + q (log(1-w) - log(1-z))| with the imaginary
-part reduced mod 2 pi, so no residual is nan.
+two sides where that is finite and both sides and the powers of z and
+1 - z they are made of are normal floats; where a power overflows or
+lands in the subnormal range (a subnormal power keeps too few bits even
+under a normal side) it falls back to log space,
+|p (log w - log z) + q (log(1-w) - log(1-z))| with the imaginary part
+reduced mod 2 pi, so no residual is nan.  |z| and |1 - z| lie in
+[sin(pi/Delta), 1/sin(pi/Delta)], so a label whose entries are below
+1021 / log2(1/sin(pi/Delta)) has no such power, and its points skip the
+checks on the powers.  An entry past 2^1017, where the log-space gap
+could overflow, is refused with DomainError.
 
 The roots eta, eta' are computed per point, not read from a table of
 all Delta roots: a table would be faster by a few per cent, but it
@@ -51,10 +57,15 @@ import os
 import sys
 from typing import NamedTuple
 
-from .errors import InternalError, PunctureError, ResidualError
+from .errors import DomainError, InternalError, PunctureError, ResidualError
 from .invariants import LabelLike, delta, residue_pairs
 
 _TINY = sys.float_info.min     # the smallest normal float
+
+#: The largest label entry the residual check takes: the log-space gap
+#: sums two entries times log differences of modulus < 2^5 (for Delta
+#: within budgets.MAX_WALK_DELTA), so it stays finite below 2^1017.
+_MAX_ENTRY = 2 ** 1017
 
 DEFAULT_RESIDUAL_TOL = 1e-9
 
@@ -156,23 +167,27 @@ def _equality_residual(z: complex, w: complex, omz: complex, omw: complex,
     """Relative residual of z^m (1-z)^n = w^m (1-w)^n, given 1-z and 1-w.
 
     The direct quotient |x - y| / max(|x|, |y|) is used wherever it is
-    finite and |x|, |y| are both normal floats.  Where a power
-    overflows, or a side is subnormal or zero (so it keeps too few bits
-    to be compared), it is replaced by
-    |m (log w - log z) + n (log(1-w) - log(1-z))| with the imaginary
-    part reduced mod 2 pi, which is never nan."""
+    finite and z^m, (1-z)^n, |x| and |y| are all normal floats (a power
+    of w or 1-w has the modulus of that of z or 1-z up to a relative
+    m eps, so it is then normal to within a bit).  Where a power
+    overflows, or a power or a side is subnormal or zero (so it keeps
+    too few bits to be compared, even under a normal side), it is
+    replaced by |m (log w - log z) + n (log(1-w) - log(1-z))| with the
+    imaginary part reduced mod 2 pi, which is never nan."""
     try:
-        x = z ** m * omz ** n
-        y = w ** m * omw ** n
-        ax = abs(x)
-        ay = abs(y)
-        if ax >= _TINY and ay >= _TINY:
-            # max(ax, ay) as a comparison: the builtin call costs ~7x
-            # more, and it runs three times per point (~15 % of
-            # double-points).
-            r = abs(x - y) / (ay if ay > ax else ax)
-            if r < math.inf:
-                return r
+        zm = z ** m
+        zn = omz ** n
+        if abs(zm) >= _TINY and abs(zn) >= _TINY:
+            x = zm * zn
+            y = w ** m * omw ** n
+            ax = abs(x)
+            ay = abs(y)
+            if ax >= _TINY and ay >= _TINY:
+                # max(ax, ay) as a comparison: the builtin call costs ~7x
+                # more.
+                r = abs(x - y) / (ay if ay > ax else ax)
+                if r < math.inf:
+                    return r
     except (OverflowError, ZeroDivisionError):
         pass
     gap = (m * (cmath.log(w) - cmath.log(z))
@@ -180,9 +195,20 @@ def _equality_residual(z: complex, w: complex, omz: complex, omw: complex,
     return abs(complex(gap.real, math.remainder(gap.imag, math.tau)))
 
 
+def _equalities_residual(z: complex, w: complex, p: int, q: int, pp: int,
+                         qp: int) -> float:
+    """max of the two equalities' _equality_residual at one point."""
+    omz = 1 - z
+    omw = 1 - w
+    r1 = _equality_residual(z, w, omz, omw, p, q)
+    r2 = _equality_residual(z, w, omz, omw, pp, qp)
+    return r2 if r2 > r1 else r1
+
+
 def _point_residual(z: complex, w: complex, p: int, q: int, pp: int,
                     qp: int) -> float:
-    """max of the two equalities' _equality_residual at one point.
+    """_equalities_residual at a point whose powers of z and 1-z are
+    normal floats (see _powers_normal).
 
     Both direct quotients are taken in one call, with the operations of
     _equality_residual in its order, so each has the same bits.  Where
@@ -207,9 +233,23 @@ def _point_residual(z: complex, w: complex, p: int, q: int, pp: int,
                 return r2 if r2 > r1 else r1     # max(r1, r2)
     except (OverflowError, ZeroDivisionError):
         pass
-    r1 = _equality_residual(z, w, omz, omw, p, q)
-    r2 = _equality_residual(z, w, omz, omw, pp, qp)
-    return r2 if r2 > r1 else r1
+    return _equalities_residual(z, w, p, q, pp, qp)
+
+
+def _powers_normal(top: int, d: int) -> bool:
+    """Whether every power z^m, (1-z)^m with |m| <= top at a double point
+    of a label with Delta = d is a normal float.
+
+    |z| and |1-z| are quotients of two |1 - root| = 2 |sin(pi j / d)|,
+    so they lie in [sin(pi/d), 1/sin(pi/d)]; a power stays within
+    2^-1021 .. 2^1021 when top log2(1/sin(pi/d)) < 1021.  Entries past
+    _MAX_ENTRY are refused with DomainError: there an entry meets no
+    float it fits in, or the log-space residual could overflow.
+    """
+    if top > _MAX_ENTRY:
+        raise DomainError(f"entry {top} is past the float range of the "
+                          f"residual check")
+    return top * math.log2(1.0 / math.sin(math.pi / d)) < 1021
 
 
 def phi_double_points(params: ModelMapParams,
@@ -227,18 +267,23 @@ def phi_double_points(params: ModelMapParams,
         tol = residual_tolerance()
     (p, pp), (q, qp) = params.label.pairs()[:2]
     d = delta(params.label)
+    pairs = residue_pairs(params.label)      # DomainError past the budget
+    if _powers_normal(max(abs(p), abs(q), abs(pp), abs(qp)), d):
+        residual_at = _point_residual
+    else:
+        residual_at = _equalities_residual
     # 2j * math.pi * a / d is (2j * math.pi) * a / d, so the hoisted
     # product leaves every root's bits as they were.
     two_pi_i = 2j * math.pi
     out: list[DoublePoint] = []
-    for a, b in residue_pairs(params.label):
+    for a, b in pairs:
         eta = cmath.exp(two_pi_i * a / d)
         etap = cmath.exp(two_pi_i * b / d)
         if etap == eta:
             raise InternalError("degenerate root pair slipped through")
         z = (etap - 1.0) / (etap - eta)
         w = eta * z
-        residual = _point_residual(z, w, p, q, pp, qp)
+        residual = residual_at(z, w, p, q, pp, qp)
         if not residual < tol:
             raise ResidualError(
                 f"double point ({a}, {b}) of {params.label} has residual "

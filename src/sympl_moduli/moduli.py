@@ -14,10 +14,10 @@ carries the derived pair (k, k') = (p + q, p' + q').  Admissibility:
 
 A three-convex-ended component is labeled by an unordered set of three
 pairs summing to (0, 0) componentwise that can be ordered so that the
-last pair (k, k') has k != 0 and 2 k'^2 > 3 k^2 while the first two
-form an admissible two-end label; an admissible set has precisely two
-such orderings, and the two-end labels they begin with are the two
-boundary degenerations of the component.
+last pair (k, k') has 2 k'^2 > 3 k^2 while the first two form an
+admissible two-end label; an admissible set has precisely two such
+orderings, both cyclic shifts of its counterclockwise order, and the
+two-end labels they begin with are its two boundary degenerations.
 
 Everything here is exact integer arithmetic; no floating point enters
 any admissibility decision.
@@ -39,7 +39,6 @@ ordering (x, y, -x-y) of its triple.
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 from .budgets import MAX_ENUM_BOUND
@@ -169,24 +168,27 @@ def validate_label3(pairs) -> tuple[bool, list[Ordering3]]:
     single valid ordering, contradicting the two-orderings structure),
     and the first two pairs form an admissible two-end label.  ok iff
     exactly two orderings are valid.
+
+    For u + v + w = 0 the cyclic shifts share Delta and the reversed
+    order has -Delta, failing rule (a); so only the shifts of the
+    counterclockwise order (first two pairs swapped if Delta(u, v) < 0)
+    are tried, and Delta = 0 (a zero or repeated pair) leaves none.
+    Both orderings of an admissible set share Delta, gcds and m_C.
     """
     ps = [_as_pair(x) for x in pairs]
     if len(ps) != 3:
         raise ValueError("a three-end label needs exactly three pairs")
-    if any(p == (0, 0) for p in ps):
+    (p, pp), (q, qp), (k, kp) = ps
+    if p + q + k != 0 or pp + qp + kp != 0:
         return False, []
-    if sum(p[0] for p in ps) != 0 or sum(p[1] for p in ps) != 0:
-        return False, []
+    if p * qp - q * pp < 0:
+        ps[0], ps[1] = ps[1], ps[0]
     orderings: list[Ordering3] = []
-    for perm in itertools.permutations(ps):
-        (p, pp), (q, qp), (k, kp) = perm
-        if 2 * kp * kp <= 3 * k * k:
-            continue
-        if _admissible2(p, pp, q, qp):
-            orderings.append(perm)
-    # Duplicate pairs in the set make permutations collide; dedup.
-    orderings = sorted(set(orderings))
-    return len(orderings) == 2, orderings
+    for i in range(3):
+        (p, pp), (q, qp), (k, kp) = shift = tuple(ps[i:] + ps[:i])
+        if 2 * kp * kp > 3 * k * k and _admissible2(p, pp, q, qp):
+            orderings.append(shift)
+    return len(orderings) == 2, sorted(orderings)
 
 
 class Label3(NamedTuple):
@@ -314,13 +316,3 @@ def enumerate_labels(bound: int, ends: int) -> list[Label2] | list[Label3]:
     end = {(m, mp): e for m, mp, e in classes}
     return [Label3(tuple(end[x] for x in triple))
             for triple in sorted(orderings) if orderings[triple] == 2]
-
-
-def label_from_pairs(pairs) -> Label2 | Label3:
-    """Build a validated label from two or three integer pairs."""
-    ps = [_as_pair(p) for p in pairs]
-    if len(ps) == 2:
-        return Label2.make(*ps)
-    if len(ps) == 3:
-        return Label3.make(ps)
-    raise ValueError("a label has two or three pairs")

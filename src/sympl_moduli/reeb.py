@@ -30,7 +30,7 @@ import enum
 import math
 from typing import NamedTuple, Optional
 
-from .errors import InvalidLabel, OutOfRegime, ZeroPair
+from .errors import DomainError, InvalidLabel, OutOfRegime, ZeroPair
 from .geometry import SQRT6
 
 
@@ -112,7 +112,8 @@ def solve_theta0(p: int, p_prime: int) -> float:
     Otherwise theta0 is the root of p'(1-3cos^2) = p sqrt6 cos whose
     cosine has the sign of p'; for p > 0 that is the inner (|cos| <
     1/sqrt3) root, for p < 0 the outer one.  Accepts non-coprime input
-    (the angle only depends on p'/p).
+    (the angle only depends on p'/p).  DomainError when p'/p is past
+    the float range.
     """
     if p == 0 and p_prime == 0:
         raise ZeroPair("no orbit angle for (0, 0)")
@@ -120,7 +121,11 @@ def solve_theta0(p: int, p_prime: int) -> float:
         return math.pi / 2.0
     if p == 0:
         return math.acos(math.copysign(1.0, p_prime) / math.sqrt(3.0))
-    alpha = p_prime / p
+    try:
+        alpha = p_prime / p
+    except OverflowError:
+        raise DomainError(f"({p}, {p_prime}): p'/p is past the float "
+                          f"range") from None
     if p > 0:
         c = _cos_inner_root(alpha)
     else:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 import shlex
 import types
 from pathlib import Path
@@ -369,6 +370,20 @@ class TestDoublePoints:
             assert code == 0
             assert json.loads(out)["m_C"] == {method: 1}
 
+    @pytest.mark.parametrize("pairs, count", [("-9,-144;37,58;-28,86", 2398),
+                                              ("-81,-128;83,73;-2,55", 2355)])
+    def test_subnormal_power_under_a_normal_side(self, capsys, pairs, count):
+        # At one point of each, z**m is subnormal (8.4e-323, 2.8e-317)
+        # while its side is normal, so the direct quotient compared a
+        # power with ~4 bits left: residuals 0.0294 and 6.4e-8, exit 3.
+        code, out, _ = run_cli(capsys, "double-points", f"--pairs={pairs}",
+                               "--method", "all")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["m_C"] == {"formula": count, "roots": count,
+                                  "model": count}
+        assert all(pt["residual"] < 1e-9 for pt in payload["points"])
+
     def test_loose_tolerance_ok(self, capsys, monkeypatch):
         monkeypatch.setenv("SYMPL_MODULI_TOL", "1e-3")
         code, out, _ = run_cli(capsys, "double-points", "--pairs", "4,1;1,1",
@@ -449,6 +464,31 @@ class TestSizeBudgets:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1
         assert err.startswith("error: ") and "budget" in err
+        assert not csv.exists()
+
+
+HUGE = str(10 ** 400)
+
+
+class TestHugeEntries:
+    """An entry that must become a float and is past the float range
+    exits 1 with one error line, an empty stdout and no CSV."""
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--pair", f"1,{HUGE}", "--range", "0"],
+        ["spectrum", "--pair", f"1,{HUGE}"],
+        ["spectrum", "--pair", f"{HUGE},1"],
+        ["double-points", "--pairs", f"1,0;{HUGE},997", "--method", "model"],
+        ["double-points", "--pairs", f"1,0;{HUGE},997", "--method", "all"],
+    ], ids=["trace", "spectrum p'/p", "spectrum period", "model", "all"])
+    def test_refused(self, capsys, tmp_path, argv):
+        csv = tmp_path / "t.csv"
+        if argv[0] == "trace":
+            argv = [*argv, "--out", str(csv)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "float range" in err
         assert not csv.exists()
 
 
@@ -549,6 +589,14 @@ class TestFlagErrors:
         assert out == ""
         assert "parse error" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("ordering", ["2", "5", "-1"])
+    def test_ordering_outside_0_1(self, capsys, ordering):
+        # A three-end label has exactly two orderings, 0 and 1.
+        code, out, err = run_cli(capsys, "invariants", "--pairs",
+                                 "1,-1;1,4;-2,-3", "--ordering", ordering)
+        assert (code, out) == (2, "")
+        assert "invalid choice" in err
 
     def test_r_flag_is_gone(self, capsys):
         # No output depended on the model-map scale.
@@ -694,3 +742,100 @@ class TestCatalogCommand:
         _, out1, _ = run_cli(capsys, "catalog")
         _, out2, _ = run_cli(capsys, "catalog")
         assert out1 == out2
+
+
+#: The fuzz's pools: small values, values at the edge of a flag's domain,
+#: and values far past a budget or the float range.  Label entries and
+#: --samples, --nmax leave out 10**6, which a budget accepts (a Delta of
+#: 10**6, 10**6 trace rows or eigenvalues take seconds).
+FUZZ_INTS = (0, 1, -1, 2, -2, 3, 5, 7, -7, 12, 10 ** 6, -10 ** 20, 10 ** 400)
+FUZZ_SIZES = tuple(n for n in FUZZ_INTS if n != 10 ** 6)
+FUZZ_FLOATS = ("0", "-1", "nan", "inf", "1e-300", "1e308", "400", "-400")
+FUZZ_TOLS = (None, "abc", "-1", "1e-9")
+
+
+def _fuzz_case(rnd, tmp_path):
+    """(argv, SYMPL_MODULI_TOL) for one fuzz call.  Each flag is present
+    or not, and its value is mostly one inside its domain, so that every
+    subcommand also runs to exit 0."""
+    def flag(name, good, pool=FUZZ_INTS, chance=0.8):
+        if rnd.random() >= chance:
+            return []
+        value = rnd.choice(good if rnd.random() < 0.7 else pool)
+        return [f"{name}={value}"]
+
+    def pairs(name, counts):
+        n = rnd.choice(counts)
+        ps = [(rnd.choice(FUZZ_SIZES), rnd.choice(FUZZ_SIZES))
+              for _ in range(n)]
+        if n == 3 and rnd.random() < 0.7:      # a sum-zero triple
+            ps[2] = (-ps[0][0] - ps[1][0], -ps[0][1] - ps[1][1])
+        text = ";".join(f"{m},{mp}" for m, mp in ps)
+        return flag(name, [text], [text] * 4 + ["1,x", "1", "1,2;;3,4",
+                                                "1,2;3,4;5,6;7,8"], 0.95)
+
+    def out(default=None):
+        if rnd.random() < 0.1:
+            return ["--out", str(tmp_path / "missing" / "x")]
+        return ["--out", default] if default else []
+
+    cmd = rnd.choice(["classify", "invariants", "trace", "enumerate",
+                      "double-points", "spectrum"] * 3
+                     + ["catalog", "frobnicate"])
+    argv = [cmd]
+    if cmd == "classify":
+        argv += pairs("--pairs", (1, 2, 3)) + out()
+    elif cmd == "invariants":
+        argv += (pairs("--pairs", (2, 3, 3)) + flag("--ordering", (0, 1))
+                 + out())
+    elif cmd == "trace":
+        argv += (pairs("--pair", (1, 1, 1, 2))
+                 + flag("--range", (0, 1, 2), chance=0.95)
+                 + flag("--samples", (2, 3, 12), FUZZ_SIZES, 0.5)
+                 + flag("--anchor", ("0", "-1"), FUZZ_FLOATS, 0.3)
+                 + flag("--clip", ("1e-300",), FUZZ_FLOATS, 0.3)
+                 + out(str(tmp_path / "t.csv")))
+    elif cmd == "enumerate":
+        argv += (flag("--max-abs", (0, 1, 2, 3, 21), chance=0.95)
+                 + flag("--ends", (2, 3), (2, 3, 4), 0.5) + out())
+    elif cmd == "double-points":
+        argv += (pairs("--pairs", (2, 2, 3, 3))
+                 + flag("--method", ("formula", "roots", "model", "all"),
+                        ("bogus",), 0.5)
+                 + out())
+    elif cmd == "spectrum":
+        source = rnd.choice([["--pair"]] * 4 + [["--polar-m"]] * 3
+                            + [["--pair", "--polar-m"], []])
+        if "--pair" in source:
+            argv += pairs("--pair", (1, 1, 1, 2))
+        if "--polar-m" in source:
+            argv += flag("--polar-m", (1, 2, 3, 5, 7, 12), chance=0.95)
+        argv += flag("--nmax", (0, 1, 2, 3, 5, 12), FUZZ_SIZES, 0.5) + out()
+    elif cmd == "catalog":
+        argv += out()
+    if rnd.random() < 0.05:
+        argv.insert(rnd.randrange(1, len(argv) + 1), "--bogus")
+    return argv, rnd.choice(FUZZ_TOLS)
+
+
+class TestFuzz:
+    """main() over seeded argv for all seven subcommands: it exits with a
+    documented code, no exception escapes, and a non-zero exit leaves
+    stdout empty, except for classify, which prints its report also for
+    an inadmissible label (exit 1)."""
+
+    def test_seeded_argv(self, capsys, monkeypatch, tmp_path):
+        rnd = random.Random(20261018)
+        for _ in range(600):
+            argv, tol = _fuzz_case(rnd, tmp_path)
+            if tol is None:
+                monkeypatch.delenv("SYMPL_MODULI_TOL", raising=False)
+            else:
+                monkeypatch.setenv("SYMPL_MODULI_TOL", tol)
+            try:
+                code, out, _ = run_cli(capsys, *argv)
+            except BaseException as exc:
+                raise AssertionError(f"{argv} (tol {tol}): {exc!r}") from exc
+            assert code in (0, 1, 2, 3), argv
+            if code in (2, 3) or (code == 1 and argv[0] != "classify"):
+                assert out == "", argv

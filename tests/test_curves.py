@@ -55,6 +55,18 @@ class TestClassifyBranches:
             ("pole0", "theta0_bar"), ("theta0_bar", "theta0"),
             ("theta0", "polePi")]
 
+    def test_companion_angle_rounded_onto_a_pole(self):
+        # 2 p'^2 - 3 p^2 = 5: theta0_bar rounds to pi, and the ranges keep
+        # the order of the fixed angles as listed, theta0_bar before pi.
+        p, pp = 121378881, 148658162
+        assert 2 * pp * pp - 3 * p * p == 5
+        assert solve_theta0_bar(p, pp) == math.pi
+        ranges = classify_branches(p, pp)
+        assert [(r.lo_label, r.hi_label) for r in ranges] == [
+            ("pole0", "theta0"), ("theta0", "theta0_bar"),
+            ("theta0_bar", "polePi")]
+        assert ranges[2].lo == ranges[2].hi == math.pi
+
     def test_needs_positive_p(self):
         with pytest.raises(InvalidLabel):
             classify_branches(-1, 2)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 
 import pytest
 
@@ -11,9 +12,9 @@ from sympl_moduli import (DoublePoint, Label2, ModelMapParams, OrderedLabel3,
                           double_points_formula, enumerate_labels,
                           immersion_residual, model_maps, phi_double_points,
                           phi_eval)
-from sympl_moduli.errors import PunctureError
-from sympl_moduli.model_maps import (_equality_residual, double_points_json,
-                                     residual_tolerance)
+from sympl_moduli.errors import DomainError, PunctureError
+from sympl_moduli.model_maps import (_equality_residual, _powers_normal,
+                                     double_points_json, residual_tolerance)
 
 L_UNIT = Label2.make((1, 0), (0, 1))
 L_SYM = Label2.make((2, 1), (1, 2))
@@ -220,6 +221,27 @@ class TestDoublePoints:
         pts = phi_double_points(ModelMapParams(label=label))
         assert len(pts) // 2 == double_points_formula(label)
         assert max(dp.residual for dp in pts) < 1e-9
+
+    def test_subnormal_power_under_a_normal_side(self):
+        # Point (1727, 1719) of the label (-9, -144), (37, 58), Delta 4806:
+        # z**-144 = 8.4e-323 keeps ~4 bits, but its side, 5.1e-193, is a
+        # normal float.  The direct quotient gave 0.0294 here.
+        d, a, b = 4806, 1727, 1719
+        eta = cmath.exp(2j * math.pi * a / d)
+        etap = cmath.exp(2j * math.pi * b / d)
+        z = (etap - 1.0) / (etap - eta)
+        w = eta * z
+        assert abs(z ** -144) < sys.float_info.min
+        assert abs(z ** -144 * (1 - z) ** 58) > sys.float_info.min
+        assert _equality_residual(z, w, 1 - z, 1 - w, -144, 58) < 1e-12
+
+    def test_per_label_power_bound(self):
+        # |z|, |1-z| lie in [sin(pi/d), 1/sin(pi/d)]: 144 log2(1/sin(pi/4806))
+        # is 1523, past 1021, and 100 log2(1/sin(pi/641)) is 767.
+        assert not _powers_normal(144, 4806)
+        assert _powers_normal(100, 641)
+        with pytest.raises(DomainError, match="float range"):
+            _powers_normal(10 ** 400, 997)
 
     @pytest.mark.parametrize("pairs", [
         ((1, -40), (100, 28)),      # a power overflows

@@ -3,8 +3,8 @@ import itertools
 import pytest
 
 from sympl_moduli import (EndClass, Label2, Label3, boundary_labels,
-                          canonical_pair, enumerate_labels, label_from_pairs,
-                          validate_label2, validate_label3)
+                          canonical_pair, enumerate_labels, validate_label2,
+                          validate_label3)
 from sympl_moduli import moduli
 from sympl_moduli.budgets import MAX_ENUM_BOUND
 from sympl_moduli.errors import DomainError, InvalidLabel, OutOfRegime
@@ -167,6 +167,27 @@ class TestValidateLabel3:
             seen.add(canon)
             _, orderings = validate_label3(canon)
             assert len(orderings) in (0, 2), canon
+
+
+def orderings_by_permutation(triple):
+    """The definition of validate_label3's orderings of a sum-zero
+    triple: every permutation whose last pair is steep and whose first
+    two pairs form an admissible two-end label, deduplicated, sorted."""
+    return sorted({perm for perm in itertools.permutations(triple)
+                   if 2 * perm[2][1] ** 2 > 3 * perm[2][0] ** 2
+                   and validate_label2(perm[0], perm[1])[0]})
+
+
+class TestOrientedOrderings:
+    """validate_label3 tries only the cyclic shifts of the counterclockwise
+    order; the six permutations of the definition give the same answer."""
+
+    def test_every_sum_zero_triple_to_8_in_every_input_order(
+            self, label3_candidates_bound8):
+        for canon, _ in label3_candidates_bound8:
+            want = orderings_by_permutation(canon)
+            for perm in itertools.permutations(canon):
+                assert validate_label3(perm) == (len(want) == 2, want), perm
 
 
 class TestBoundaryLabels:
@@ -348,7 +369,3 @@ class TestJsonShape:
     def test_label3(self):
         js = Label3.make([(1, -1), (1, 4), (-2, -3)]).to_json()
         assert js == {"pairs": [[-2, -3], [1, -1], [1, 4]]}
-
-    def test_label_from_pairs(self):
-        assert isinstance(label_from_pairs([(2, 1), (1, 2)]), Label2)
-        assert isinstance(label_from_pairs([(1, -1), (1, 4), (-2, -3)]), Label3)
