@@ -21,28 +21,70 @@ Subpackages by concern:
 * :mod:`sympl_moduli.catalog` -- the low-index curve table as
   executable checks;
 * :mod:`sympl_moduli.cli` -- the ``sympl-moduli`` command.
+
+The package's names are resolved on first use (PEP 562): ``import
+sympl_moduli`` loads a submodule only when one of its names, or the
+submodule itself, is first asked for, so a command pays only for the
+modules it runs.
 """
 
-from .geometry import (BranchId, Point4, Tangent4, apply_J, contact_eval,
-                       coord_functions, lambda_of_theta, omega_eval,
-                       reeb_vector, theta_from_lambda)
-from .invariants import (AsymptoticData, EndDescriptor, GenericSpectrumCase,
-                         InvariantReport, PolarSpectrumCase, Side,
-                         adjunction_e_pairing, asymptotic_constants,
-                         c1_pairing, delta, double_points_bruteforce,
-                         double_points_formula, fredholm_index,
-                         index_lower_bound, l0_spectrum, m0_of, residue_pairs,
-                         sphere_report)
-from .moduli import (Label2, Label3, OrderedLabel3, boundary_labels,
-                     canonical_pair, enumerate_labels, validate_label2,
-                     validate_label3)
-from .reeb import (EndClass, OrbitKind, ReebOrbit, ThetaRoots, classify_pair,
-                   orbit_point, solve_theta0, solve_theta0_bar, theta_roots)
-from .curves import (CurveSpec, ThetaRange, Trace, TraceSample,
-                     classify_branches, eval_invariant_curve,
-                     integrate_profile, profile_ds_dtheta, s_max, s_of_theta)
-from .model_maps import (DoublePoint, ModelMapParams, PhiValue,
-                         immersion_residual, phi_double_points, phi_eval)
-from .catalog import CatalogEntry, catalog_entries
+import importlib
+
+# curves stays eager: the benchmark times `import sympl_moduli` and reads
+# the sympl_moduli.curves line of `python -X importtime`.  Drop this line
+# once that probe imports the submodules it times by name.
+from . import curves  # noqa: F401
+
+_SUBMODULE_EXPORTS = {
+    "geometry": ("BranchId", "Point4", "Tangent4", "apply_J", "contact_eval",
+                 "coord_functions", "lambda_of_theta", "omega_eval",
+                 "reeb_vector", "theta_from_lambda"),
+    "invariants": ("AsymptoticData", "EndDescriptor", "GenericSpectrumCase",
+                   "InvariantReport", "PolarSpectrumCase", "Side",
+                   "adjunction_e_pairing", "asymptotic_constants",
+                   "c1_pairing", "delta", "double_points_bruteforce",
+                   "double_points_formula", "fredholm_index",
+                   "index_lower_bound", "l0_spectrum", "m0_of",
+                   "residue_pairs", "sphere_report"),
+    "moduli": ("Label2", "Label3", "OrderedLabel3", "boundary_labels",
+               "canonical_pair", "enumerate_labels", "validate_label2",
+               "validate_label3"),
+    "reeb": ("EndClass", "OrbitKind", "ReebOrbit", "ThetaRoots",
+             "classify_pair", "orbit_point", "solve_theta0",
+             "solve_theta0_bar", "theta_roots"),
+    "curves": ("CurveSpec", "ThetaRange", "Trace", "TraceSample",
+               "classify_branches", "eval_invariant_curve",
+               "integrate_profile", "profile_ds_dtheta", "s_max",
+               "s_of_theta"),
+    "model_maps": ("DoublePoint", "ModelMapParams", "PhiValue",
+                   "immersion_residual", "phi_double_points", "phi_eval"),
+    "catalog": ("CatalogEntry", "catalog_entries"),
+}
+
+#: Exported name -> the submodule that defines it.
+_EXPORTS = {name: module for module, names in _SUBMODULE_EXPORTS.items()
+            for name in names}
+
+#: The submodules an attribute lookup may load (``sympl_moduli.moduli``).
+_SUBMODULES = frozenset(_SUBMODULE_EXPORTS) | {"budgets", "errors"}
+
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -9,6 +9,11 @@ significant digits, no timestamps.  The one exception is each double
 point's z, w and residual, which double-points prints in full (repr),
 as the library computes them.  An `--out` file gets exactly the bytes
 stdout would get.
+
+Start-up: at module level this file imports only the standard library
+and `errors`; each `_cmd_*` handler imports the modules it runs, so a
+command loads only what it needs (`classify` never loads `invariants`,
+`model_maps` or `catalog`).
 """
 
 from __future__ import annotations
@@ -19,15 +24,8 @@ import math
 import sys
 from typing import Sequence
 
-from . import catalog as catalog_mod
-from . import invariants as inv
-from .curves import DEFAULT_CLIP, classify_branches, integrate_profile
 from .errors import (InternalError, ParityError, ParseError, ResidualError,
                      SymplModuliError)
-from .model_maps import (ModelMapParams, double_points_json, phi_double_points,
-                         residual_tolerance)
-from .moduli import Label2, OrderedLabel3, validate_label2, validate_label3
-from .reeb import ReebOrbit, classify_pair
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -76,6 +74,8 @@ def _json(payload: dict | list) -> str:
 
 
 def _cmd_classify(ns: argparse.Namespace) -> int:
+    from .moduli import Label2, validate_label2, validate_label3
+    from .reeb import classify_pair
     pairs = parse_pairs(ns.pairs)
     if len(pairs) == 1:
         ok, why = classify_pair(*pairs[0])
@@ -95,6 +95,7 @@ def _cmd_classify(ns: argparse.Namespace) -> int:
 
 
 def _label_from_ns(pairs: list[tuple[int, int]], ordering: int):
+    from .moduli import Label2, OrderedLabel3
     if len(pairs) == 2:
         return Label2.make(*pairs)
     if len(pairs) == 3:
@@ -106,6 +107,7 @@ def _checked_report(label) -> dict:
     """The label's sphere report with the root-of-unity count beside m_C.
 
     Raises InternalError when the gcd formula and the oracle disagree."""
+    from . import invariants as inv
     report = inv.sphere_report(label)
     oracle = inv.double_points_bruteforce(label)
     payload = report.to_json(label)
@@ -127,6 +129,7 @@ def _cmd_invariants(ns: argparse.Namespace) -> int:
 
 
 def _cmd_trace(ns: argparse.Namespace) -> int:
+    from .curves import classify_branches, integrate_profile
     pairs = parse_pairs(ns.pair)
     if len(pairs) != 1:
         raise ParseError("--pair takes exactly one 'p,p'' pair")
@@ -161,7 +164,7 @@ def _cmd_trace(ns: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(ns: argparse.Namespace) -> int:
-    from .moduli import enumerate_labels
+    from .moduli import OrderedLabel3, enumerate_labels
     if ns.max_abs < 1:
         raise ParseError(f"--max-abs must be at least 1, got {ns.max_abs}")
     labels = enumerate_labels(ns.max_abs, ns.ends)
@@ -180,6 +183,9 @@ def _cmd_enumerate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_double_points(ns: argparse.Namespace) -> int:
+    from . import invariants as inv
+    from .model_maps import (ModelMapParams, double_points_json,
+                             phi_double_points, residual_tolerance)
     pairs = parse_pairs(ns.pairs)
     run_model = ns.method in ("model", "all")
     if run_model:
@@ -209,6 +215,8 @@ def _cmd_double_points(ns: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(ns: argparse.Namespace) -> int:
+    from . import invariants as inv
+    from .reeb import ReebOrbit
     if (ns.pair is None) == (ns.polar_m is None):
         raise ParseError("give exactly one of --pair or --polar-m")
     if ns.nmax < 0:
@@ -246,12 +254,14 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
 
 
 def _cmd_catalog(ns: argparse.Namespace) -> int:
-    payload = [entry.to_json() for entry in catalog_mod.catalog_entries()]
+    from .catalog import catalog_entries
+    payload = [entry.to_json() for entry in catalog_entries()]
     _emit(_json(payload), ns.out)
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .geometry import DEFAULT_CLIP    # every subcommand loads geometry
     parser = argparse.ArgumentParser(
         prog="sympl-moduli",
         description="Moduli data of invariant pseudoholomorphic subvarieties "

@@ -40,13 +40,11 @@ from typing import NamedTuple, Optional
 
 from .budgets import MAX_TRACE_SAMPLES
 from .errors import (BranchError, DomainError, InvalidLabel, WrongExample)
-from .geometry import SQRT6, BranchId, Point4, fh_at, theta_from_lambda
+from .geometry import (DEFAULT_CLIP, SQRT6, BranchId, Point4, fh_at,
+                       theta_from_lambda)
 from .reeb import ReebOrbit, OrbitKind, classify_pair, theta_roots
 
 _LOG2 = math.log(2.0)
-
-#: Default clipping of a theta range away from its fixed-angle endpoints.
-DEFAULT_CLIP = 1e-4
 
 
 class ThetaRange(NamedTuple):

@@ -49,6 +49,10 @@ SQRT6 = math.sqrt(6.0)
 #: bounds the three monotonicity components of lambda(theta).
 THETA_C = math.acos(1.0 / math.sqrt(3.0))
 
+#: Default clipping of a profile's theta range away from its fixed-angle
+#: endpoints (curves.integrate_profile and the CLI's trace --clip).
+DEFAULT_CLIP = 1e-4
+
 #: The smallest normal float; below it e^{-sqrt6 s} loses bits.
 _TINY = sys.float_info.min
 

@@ -113,7 +113,7 @@ def solve_theta0(p: int, p_prime: int) -> float:
     cosine has the sign of p'; for p > 0 that is the inner (|cos| <
     1/sqrt3) root, for p < 0 the outer one.  Accepts non-coprime input
     (the angle only depends on p'/p).  DomainError when p'/p is past
-    the float range.
+    the float range or the cosine rounds outside [-1, 1].
     """
     if p == 0 and p_prime == 0:
         raise ZeroPair("no orbit angle for (0, 0)")
@@ -132,6 +132,11 @@ def solve_theta0(p: int, p_prime: int) -> float:
         if 2 * p_prime * p_prime <= 3 * p * p:
             raise InvalidLabel(f"({p}, {p_prime}) admits no orbit angle")
         c = _cos_outer_root(alpha)
+        if not -1.0 <= c <= 1.0:
+            # Just past 2 p'^2 = 3 p^2 the outer root is within rounding
+            # of -1 or 1, and for p past ~1e9 it can round outside.
+            raise DomainError(f"({p}, {p_prime}): the orbit cosine rounds "
+                              f"to {c!r}, outside [-1, 1]")
     return math.acos(c)
 
 

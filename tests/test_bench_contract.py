@@ -10,6 +10,9 @@ changes; the shapes are the ones its workloads read.
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,6 +81,20 @@ def test_profile_shapes():
                for x in (row.f, row.s, row.theta))
     lo, hi = trace.samples[0].theta, trace.samples[-1].theta
     assert lo < trace.spec.anchor_angle() < hi
+
+
+def test_import_times_list_curves():
+    # The benchmark's import_ms reads the sympl_moduli.curves line of
+    # `python -X importtime -c "import sympl_moduli"`; the package keeps
+    # that import eager until the probe names the submodules it times.
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import sympl_moduli"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, check=True, timeout=60)
+    modules = [line.rpartition("|")[2].strip()
+               for line in out.stderr.splitlines()]
+    assert "sympl_moduli.curves" in modules
 
 
 def test_cli_shape(capsys):

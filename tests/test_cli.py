@@ -253,6 +253,58 @@ class TestStartup:
         assert foreign == []
         assert has_dataclasses == "False"
 
+    @staticmethod
+    def _loaded_after(statement):
+        """The sympl_moduli submodules loaded once `statement` has run in
+        a fresh -I -S -B interpreter, on the probe's last stdout line."""
+        import pathlib
+        import subprocess
+        import sys
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        probe = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+                 f"{statement}\n"
+                 "print(*sorted(m for m in sys.modules "
+                 "if m.startswith('sympl_moduli.')))")
+        out = subprocess.run(
+            [sys.executable, "-B", "-I", "-S", "-c", probe, src],
+            capture_output=True, text=True, check=True, timeout=60)
+        return set(out.stdout.splitlines()[-1].split())
+
+    def test_import_loads_no_command_module(self):
+        loaded = self._loaded_after("import sympl_moduli")
+        assert not loaded & {"sympl_moduli.moduli", "sympl_moduli.invariants",
+                             "sympl_moduli.model_maps",
+                             "sympl_moduli.catalog"}
+
+    def test_classify_loads_only_what_it_runs(self):
+        loaded = self._loaded_after(
+            "from sympl_moduli import cli\n"
+            "try:\n"
+            "    cli.main(['classify', '--pairs', '2,1;1,2'])\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code")
+        assert "sympl_moduli.moduli" in loaded
+        assert not loaded & {"sympl_moduli.invariants",
+                             "sympl_moduli.model_maps",
+                             "sympl_moduli.catalog"}
+
+    def test_cli_imports_only_stdlib_and_errors_at_module_level(self):
+        import ast
+        import sys
+        cli_py = Path(__file__).resolve().parents[1] / "src/sympl_moduli/cli.py"
+        tree = ast.parse(cli_py.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                assert all(a.name.partition(".")[0] in sys.stdlib_module_names
+                           for a in node.names), ast.unparse(node)
+            elif isinstance(node, ast.ImportFrom):
+                if node.level:
+                    assert (node.level, node.module) == (1, "errors"), \
+                        ast.unparse(node)
+                else:
+                    assert (node.module.partition(".")[0]
+                            in sys.stdlib_module_names), ast.unparse(node)
+
 
 class TestEnumerate:
     def test_bound_2_regression(self, capsys):
@@ -489,6 +541,25 @@ class TestHugeEntries:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1
         assert err.startswith("error: ") and "float range" in err
+        assert not csv.exists()
+
+
+class TestCosineRounding:
+    """A pair just past 2 p'^2 = 3 p^2 whose orbit cosine rounds outside
+    [-1, 1] exits 1 with one error line, an empty stdout and no CSV."""
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--pair=-1201527053,1471564096"],
+        ["trace", "--pair", "1201527053,1471564096", "--range", "0"],
+    ], ids=["spectrum", "trace"])
+    def test_refused(self, capsys, tmp_path, argv):
+        csv = tmp_path / "x.csv"
+        if argv[0] == "trace":
+            argv = [*argv, "--out", str(csv)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "outside [-1, 1]" in err
         assert not csv.exists()
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from sympl_moduli import (EndClass, ReebOrbit, classify_pair, orbit_point,
                           solve_theta0, solve_theta0_bar, theta_roots)
-from sympl_moduli.errors import InvalidLabel, OutOfRegime, ZeroPair
+from sympl_moduli.errors import DomainError, InvalidLabel, OutOfRegime, ZeroPair
 from sympl_moduli.geometry import SQRT6, Point4, coord_functions
 from sympl_moduli.reeb import _cos_inner_root, _cos_outer_root
 
@@ -125,6 +125,49 @@ class TestSolveTheta0Bar:
                 assert abs(_cos_inner_root(alpha)) < INV_SQRT3
             if 2 * pp * pp > 3 * p * p:
                 assert INV_SQRT3 < abs(_cos_outer_root(alpha)) < 1.0
+
+
+def pell_pairs(p_max):
+    """The pairs (p, p') with 2 p'^2 - 3 p^2 = 5 and 0 < p <= p_max: the
+    pairs just past the threshold 2 p'^2 = 3 p^2, where the outer root's
+    cosine is nearest -1 or 1.  Both classes of solutions, from (1, 2) and
+    (3, 4), stepped by the unit 5 + 2 sqrt6."""
+    out = []
+    for p, pp in ((1, 2), (3, 4)):
+        while p <= p_max:
+            out.append((p, pp))
+            p, pp = 4 * pp + 5 * p, 5 * pp + 6 * p
+    return out
+
+
+class TestPellPairs:
+    def test_walk_gives_angle_or_domain_error(self):
+        refused = 0
+        for p, pp in pell_pairs(10**12):
+            assert 2 * pp * pp - 3 * p * p == 5
+            for args in ((p, pp), (p, -pp), (-p, pp), (-p, -pp)):
+                try:
+                    th = solve_theta0(*args)
+                except DomainError:
+                    refused += 1
+                    continue
+                assert math.isfinite(th) and 0.0 <= th <= math.pi
+            for args in ((p, pp), (p, -pp)):
+                try:
+                    th = solve_theta0_bar(*args)
+                except DomainError:
+                    continue
+                assert math.isfinite(th) and 0.0 <= th <= math.pi
+        assert refused > 0
+
+    def test_refused_first_past_1e9(self):
+        assert solve_theta0(-121378881, -148658162) == math.pi
+        assert solve_theta0(-121378881, 148658162) == 0.0
+        for args in ((-1201527053, 1471564096), (-1201527053, -1471564096)):
+            with pytest.raises(DomainError, match=r"outside \[-1, 1\]"):
+                solve_theta0(*args)
+        with pytest.raises(DomainError):
+            theta_roots(1201527053, 1471564096)
 
 
 class TestThetaRoots:
