@@ -1,9 +1,13 @@
 """Command-line front end: JSON reports, CSV traces, enumeration tables.
 
+The package's one module that reads the environment, writes files,
+prints or exits: the library takes the tolerance as an argument.
+
 Exit codes: 0 success, 1 domain error (inadmissible label, degenerate
 angle, bad curve domain, a size past its budget in `budgets`), 2 parse
-error, malformed flags or an `--out` that cannot be written, 3 breach of
-an internal invariant (e.g. the double-point methods disagree).  Output
+error, malformed flags, a SYMPL_MODULI_TOL that is not a finite positive
+number or an `--out` that cannot be written, 3 an `InternalError`, a
+breached invariant (e.g. the double-point methods disagree).  Output
 is deterministic: fixed key order, floats printed with at most twelve
 significant digits, no timestamps.  The one exception is each double
 point's z, w and residual, which double-points prints in full (repr),
@@ -21,23 +25,46 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Sequence
 
-from .errors import (InternalError, ParityError, ParseError, ResidualError,
-                     SymplModuliError)
+from .errors import InternalError, ParseError, SymplModuliError
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 
-_INVARIANT_ERRORS = (InternalError, ParityError, ResidualError)
+#: Environment variable overriding the model map's residual tolerance.
+RESIDUAL_TOL_ENV = "SYMPL_MODULI_TOL"
 
 
 def _fmt(x: float) -> float:
     """Round-trip float capped at 12 significant digits."""
     return float(f"{x:.12g}")
+
+
+def _write_trace_csv(samples, path: str) -> None:
+    """Trace rows as CSV, each field at 12 significant digits."""
+    with open(path, "w", newline="") as fp:
+        fp.write("s,t,theta,phi,f,h\n")
+        for row in samples:
+            fp.write(",".join(f"{x:.12g}" for x in row) + "\n")
+
+
+def residual_tolerance() -> float:
+    """SYMPL_MODULI_TOL (ParseError unless finite and > 0), else 1e-9."""
+    from .model_maps import DEFAULT_RESIDUAL_TOL
+    raw = os.environ.get(RESIDUAL_TOL_ENV, DEFAULT_RESIDUAL_TOL)
+    try:
+        tol = float(raw)
+    except ValueError:
+        tol = math.nan
+    if not 0 < tol < math.inf:
+        raise ParseError(f"{RESIDUAL_TOL_ENV} must be a finite positive "
+                         f"number, got {raw!r}")
+    return tol
 
 
 def parse_pairs(text: str) -> list[tuple[int, int]]:
@@ -146,7 +173,7 @@ def _cmd_trace(ns: argparse.Namespace) -> int:
             f"range id {ns.range} invalid: ({p}, {pp}) has {len(ranges)} ranges")
     trace = integrate_profile(p, pp, ns.range, s_anchor=ns.anchor,
                               n_samples=ns.samples, clip=ns.clip)
-    trace.write_csv(ns.out)
+    _write_trace_csv(trace.samples, ns.out)
     rng = ranges[ns.range]
     s_vals = [row.s for row in trace.samples]
     summary = {
@@ -185,15 +212,11 @@ def _cmd_enumerate(ns: argparse.Namespace) -> int:
 def _cmd_double_points(ns: argparse.Namespace) -> int:
     from . import invariants as inv
     from .model_maps import (ModelMapParams, double_points_json,
-                             phi_double_points, residual_tolerance)
+                             phi_double_points)
     pairs = parse_pairs(ns.pairs)
     run_model = ns.method in ("model", "all")
-    if run_model:
-        # Read before any route runs: the roots route is O(Delta).
-        try:
-            tol = residual_tolerance()
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
+    # Read before any route runs: the roots route is O(Delta).
+    tol = residual_tolerance() if run_model else None
     label = _label_from_ns(pairs, 0)     # three pairs: ordering 0
     results: dict = {"label": {"pairs": [list(p) for p in label.pairs()]},
                      "delta": inv.delta(label)}
@@ -332,7 +355,7 @@ def main(argv: Sequence[str] | None = None) -> None:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         code = EXIT_PARSE
-    except _INVARIANT_ERRORS as exc:
+    except InternalError as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)
         code = EXIT_INVARIANT
     except SymplModuliError as exc:

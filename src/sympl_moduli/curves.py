@@ -298,13 +298,6 @@ class Trace(NamedTuple):
     spec: CurveSpec
     samples: tuple[TraceSample, ...]
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fp:
-            fp.write("s,t,theta,phi,f,h\n")
-            for r in self.samples:
-                fp.write(",".join(f"{x:.12g}" for x in
-                                  (r.s, r.t, r.theta, r.phi, r.f, r.h)) + "\n")
-
 
 def _anchored(spec: CurveSpec) -> tuple[tuple[LogTerm, ...], float]:
     """The profile's log terms and the base with s = base +

@@ -3,7 +3,7 @@
 Every error that signals a violated precondition or an internal
 consistency breach gets its own class so callers (and the CLI) can
 distinguish "you asked for something outside the domain" from "the
-library caught itself producing nonsense".
+library caught itself producing nonsense" (InternalError: CLI exit 3).
 """
 
 
@@ -25,10 +25,6 @@ class ZeroPair(SymplModuliError):
 
 class OutOfRegime(SymplModuliError):
     """Requested quantity only exists when 2*m'^2 > 3*m^2."""
-
-
-class ParityError(SymplModuliError):
-    """An expression that must be even came out odd."""
 
 
 class BoundViolation(SymplModuliError):
@@ -55,16 +51,20 @@ class PunctureError(SymplModuliError):
     """Model maps are undefined at z = 0 and z = 1."""
 
 
-class ResidualError(SymplModuliError):
-    """A computed solution failed its defining-equation residual check."""
-
-
 class InvalidLabel(SymplModuliError):
     """Label fails the admissibility constraints."""
 
 
 class InternalError(SymplModuliError):
     """A structural fact the theory guarantees failed to hold."""
+
+
+class ParityError(InternalError):
+    """An expression that must be even came out odd."""
+
+
+class ResidualError(InternalError):
+    """A computed solution failed its defining-equation residual check."""
 
 
 class ParseError(SymplModuliError):

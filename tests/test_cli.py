@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from sympl_moduli import curves, invariants, moduli
-from sympl_moduli.cli import main, parse_pairs
+from sympl_moduli.cli import (_write_trace_csv, main, parse_pairs,
+                              residual_tolerance)
 from sympl_moduli.errors import ParseError
 
 
@@ -118,6 +119,18 @@ class TestTrace:
         assert code == 0
         summary = json.loads(out)
         assert summary["theta_endpoints"] == [0.0, pytest.approx(math.pi / 2)]
+
+    def test_csv_round_trip(self, tmp_path):
+        tr = curves.integrate_profile(1, 2, 1, n_samples=50)
+        path = tmp_path / "trace.csv"
+        _write_trace_csv(tr.samples, str(path))
+        lines = path.read_text().strip().split("\n")
+        assert lines[0] == "s,t,theta,phi,f,h"
+        assert len(lines) == 51
+        for line, row in zip(lines[1:], tr.samples):
+            vals = [float(x) for x in line.split(",")]
+            assert vals[0] == pytest.approx(row.s, rel=1e-11)
+            assert vals[2] == pytest.approx(row.theta, rel=1e-11)
 
     def test_bad_range_exit_code(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "trace", "--pair", "1,1", "--range", "7",
@@ -304,6 +317,28 @@ class TestStartup:
                 else:
                     assert (node.module.partition(".")[0]
                             in sys.stdlib_module_names), ast.unparse(node)
+
+    def test_only_the_cli_touches_the_outside_world(self):
+        # The library reads no environment, writes no files, prints
+        # nothing and never exits: that is the CLI's alone.
+        import ast
+        pkg = Path(__file__).resolve().parents[1] / "src/sympl_moduli"
+        for path in sorted(pkg.glob("*.py")):
+            if path.name == "cli.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [] if node.level else [node.module]
+                else:
+                    modules = []
+                assert all(m.partition(".")[0] != "os" for m in modules), \
+                    f"{path.name}: {ast.unparse(node)}"
+                if isinstance(node, ast.Call):
+                    assert ast.unparse(node.func) not in (
+                        "open", "print", "sys.exit"), \
+                        f"{path.name}: {ast.unparse(node)}"
 
 
 class TestEnumerate:
@@ -651,7 +686,16 @@ class TestFlagErrors:
         # The tolerance is read before the label is checked or any
         # double-point route runs.
         (["double-points", "--pairs", "1,2;2,1"], {"SYMPL_MODULI_TOL": "-1"}),
-    ], ids=["max-abs", "nmax", "polar-m", "tol-env", "tol-env-first"])
+        # A tolerance that is not finite would switch the residual check
+        # off and print a JSON-invalid Infinity or NaN.
+        (["double-points", "--pairs", "4,1;1,1", "--method", "model"],
+         {"SYMPL_MODULI_TOL": "inf"}),
+        (["double-points", "--pairs", "4,1;1,1", "--method", "model"],
+         {"SYMPL_MODULI_TOL": "1e400"}),
+        (["double-points", "--pairs", "4,1;1,1", "--method", "model"],
+         {"SYMPL_MODULI_TOL": "nan"}),
+    ], ids=["max-abs", "nmax", "polar-m", "tol-env", "tol-env-first",
+            "tol-env-inf", "tol-env-1e400", "tol-env-nan"])
     def test_exit_2_without_traceback(self, capsys, monkeypatch, argv, env):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
@@ -692,6 +736,21 @@ class TestFlagErrors:
         assert out == ""
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestTolerance:
+    """SYMPL_MODULI_TOL is read by the CLI alone."""
+
+    def test_env_override(self, monkeypatch):
+        monkeypatch.setenv("SYMPL_MODULI_TOL", "1e-3")
+        assert residual_tolerance() == 1e-3
+        monkeypatch.delenv("SYMPL_MODULI_TOL")
+        assert residual_tolerance() == 1e-9
+
+    def test_bad_env_value(self, monkeypatch):
+        monkeypatch.setenv("SYMPL_MODULI_TOL", "-1")
+        with pytest.raises(ParseError):
+            residual_tolerance()
 
 
 class TestInvariantBreach:
@@ -889,6 +948,10 @@ def _fuzz_case(rnd, tmp_path):
     return argv, rnd.choice(FUZZ_TOLS)
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
 class TestFuzz:
     """main() over seeded argv for all seven subcommands: it exits with a
     documented code, no exception escapes, and a non-zero exit leaves
@@ -910,3 +973,7 @@ class TestFuzz:
             assert code in (0, 1, 2, 3), argv
             if code in (2, 3) or (code == 1 and argv[0] != "classify"):
                 assert out == "", argv
+            if code == 0:      # JSON, one document per line for enumerate
+                docs = out.splitlines() if argv[0] == "enumerate" else [out]
+                for doc in filter(None, docs):
+                    json.loads(doc, parse_constant=_refuse_constant)

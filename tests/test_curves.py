@@ -203,18 +203,6 @@ class TestIntegrateProfile:
         assert s_vals[0] < s_vals[len(s_vals) // 2]
         assert s_vals[-1] < s_vals[len(s_vals) // 2]
 
-    def test_csv_round_trip(self, tmp_path):
-        tr = integrate_profile(1, 2, 1, n_samples=50)
-        path = tmp_path / "trace.csv"
-        tr.write_csv(path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "s,t,theta,phi,f,h"
-        assert len(lines) == 51
-        for line, row in zip(lines[1:], tr.samples):
-            vals = [float(x) for x in line.split(",")]
-            assert vals[0] == pytest.approx(row.s, rel=1e-11)
-            assert vals[2] == pytest.approx(row.theta, rel=1e-11)
-
 
 class TestEndDecayExponent:
     # Along a profile cylinder, h/f approaches its orbit value like
@@ -398,6 +386,23 @@ class TestEvalInvariantCurve:
         with pytest.raises(DomainError):
             eval_invariant_curve(spec, 0.0, -1.0)
 
+    @pytest.mark.parametrize("pp", [1, -1])
+    def test_f_zero_orbit_cylinder(self, pp):
+        # The (0, +-1) orbits sit at cos^2 theta0 = 1/3, where f = 0: the
+        # cylinder is h = u at t = upsilon/p' (mod 2 pi), phi = tau.
+        orbit = ReebOrbit.generic(0, pp, upsilon=0.7)
+        spec = CurveSpec.example1(orbit)
+        for u in (0.25, 1.0, 3.0):
+            pt = eval_invariant_curve(spec, 0.4, pp * u)
+            f, h, _ = coord_functions(pt)
+            assert h == pytest.approx(pp * u, rel=1e-12)
+            assert abs(f) < 1e-12 * u
+            assert math.remainder(pt.t - 0.7 / pp, math.tau) == 0.0
+            assert (pt.theta, pt.phi) == (orbit.theta0, 0.4)
+        for u in (-1.0, 0.0):
+            with pytest.raises(DomainError):
+                eval_invariant_curve(spec, 0.0, pp * u)
+
     def test_pole_cylinder_height(self):
         spec = CurveSpec.example1(ReebOrbit.pole_plus())
         pt = eval_invariant_curve(spec, 0.0, 2.0)
@@ -406,12 +411,24 @@ class TestEvalInvariantCurve:
         pt = eval_invariant_curve(spec, 0.0, 2.0 * math.exp(-SQRT6_))
         assert pt.s == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("orbit", [ReebOrbit.pole_plus(),
+                                       ReebOrbit.pole_minus()])
+    def test_pole_cylinder_sign_domain(self, orbit):
+        for u in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                eval_invariant_curve(CurveSpec.example1(orbit), 0.0, u)
+
     def test_plane_origin(self):
         pt = eval_invariant_curve(CurveSpec.example2(0.0, 2.0, 1), 0.7, 0.0)
         assert pt.s == pytest.approx(0.0, abs=1e-15)
         assert pt.theta == 0.0
         pt = eval_invariant_curve(CurveSpec.example2(0.0, 2.0, -1), 0.7, 0.0)
         assert pt.theta == math.pi
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_plane_sign_domain(self, sign):
+        with pytest.raises(DomainError):
+            eval_invariant_curve(CurveSpec.example2(0.0, 2.0, sign), 0.7, -1.0)
 
     def test_plane_f_constant(self):
         spec = CurveSpec.example2(0.2, 1.5, 1)

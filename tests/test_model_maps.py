@@ -14,7 +14,7 @@ from sympl_moduli import (DoublePoint, Label2, ModelMapParams, OrderedLabel3,
                           phi_eval)
 from sympl_moduli.errors import DomainError, PunctureError
 from sympl_moduli.model_maps import (_equality_residual, _powers_normal,
-                                     double_points_json, residual_tolerance)
+                                     double_points_json)
 
 L_UNIT = Label2.make((1, 0), (0, 1))
 L_SYM = Label2.make((2, 1), (1, 2))
@@ -116,6 +116,12 @@ class TestImmersion:
             d1, _ = immersion_residual(params, z)
             assert d1 == 1.0 / z
             assert d1 != 0
+
+    def test_punctures(self):
+        params = ModelMapParams(label=L_UNIT)
+        for z in (0j, 1.0 + 0j):
+            with pytest.raises(PunctureError):
+                immersion_residual(params, z)
 
     def test_no_simultaneous_zero_on_grid(self):
         params = ModelMapParams(label=L_SYM)
@@ -272,6 +278,15 @@ class TestDoublePoints:
                        _equality_residual(z, w, 1 - z, 1 - w, pp, qp))
             assert dp.residual == want
 
+    def test_environment_is_not_read(self, monkeypatch):
+        # The tolerance is the caller's: SYMPL_MODULI_TOL belongs to the
+        # CLI, and 1e-30 would fail every point if the library read it.
+        monkeypatch.delenv("SYMPL_MODULI_TOL", raising=False)
+        unset = phi_double_points(ModelMapParams(label=L_5))
+        monkeypatch.setenv("SYMPL_MODULI_TOL", "1e-30")
+        assert phi_double_points(ModelMapParams(label=L_5)) == unset
+        assert len(unset) == 2 * double_points_formula(L_5) == 4
+
     def test_point_is_immutable(self):
         dp = phi_double_points(ModelMapParams(label=L_41))[0]
         with pytest.raises(AttributeError):
@@ -382,19 +397,6 @@ class TestPinnedBits:
         pts = phi_double_points(ModelMapParams(label=label))
         blob = json.dumps(double_points_json(pts)).encode()
         assert hashlib.sha256(blob).hexdigest() == digest
-
-
-class TestTolerance:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("SYMPL_MODULI_TOL", "1e-3")
-        assert residual_tolerance() == 1e-3
-        monkeypatch.delenv("SYMPL_MODULI_TOL")
-        assert residual_tolerance() == 1e-9
-
-    def test_bad_env_value(self, monkeypatch):
-        monkeypatch.setenv("SYMPL_MODULI_TOL", "-1")
-        with pytest.raises(ValueError):
-            residual_tolerance()
 
 
 def test_json_shape():

@@ -76,6 +76,11 @@ class TestSolveTheta0:
         with pytest.raises(ZeroPair):
             solve_theta0(0, 0)
 
+    def test_shallow_negative_p_has_no_angle(self):
+        # p < 0 needs 2 p'^2 > 3 p^2.
+        with pytest.raises(InvalidLabel):
+            solve_theta0(-1, 1)
+
     def test_residuals_and_signs_to_50(self):
         for p, pp in admissible_coprime_pairs(50):
             th = solve_theta0(p, pp)
