@@ -4,7 +4,7 @@ import math
 import pytest
 
 from sympl_moduli import (CurveSpec, ReebOrbit, TraceSample,
-                          classify_branches, coord_functions,
+                          classify_branches, classify_pair, coord_functions,
                           eval_invariant_curve, integrate_profile,
                           profile_ds_dtheta, s_max, s_of_theta, solve_theta0,
                           solve_theta0_bar)
@@ -100,6 +100,62 @@ class TestPinnedCurves:
         digest = hashlib.sha256("\n".join(map(repr, vals)).encode()).hexdigest()
         assert digest == ("c3d555f949d626163f6968890671c39f"
                           "300a9e9e4387d1609a6d8c0cec94777e")
+
+
+def _profile_domain_values():
+    """The values the profile workload computes, over its whole domain:
+    every range of every admissible coprime pair with 1 <= p <= 12 and
+    |p'| <= 20.  Per range: s_of_theta at five fractions of the range;
+    a 50-sample trace at the default clip (1e-4, the workload's) and
+    its two end rows at clip 1e-9, where s overflows for some ranges;
+    eval_invariant_curve at three rows of the first trace.  A call that
+    raises DomainError contributes the string "DomainError"."""
+    vals = []
+    for p in range(1, 13):
+        for pp in range(-20, 21):
+            if math.gcd(p, pp) != 1 or not classify_pair(p, pp)[0]:
+                continue
+            for rid, rng in enumerate(classify_branches(p, pp)):
+                mid = 0.5 * (rng.lo + rng.hi)
+                for frac in (1e-5, 0.1, 0.5, 0.9, 1 - 1e-5):
+                    theta = rng.lo + (rng.hi - rng.lo) * frac
+                    vals.append(s_of_theta(p, pp, mid, 0.2, theta))
+                for n_samples, clip in ((50, 1e-4), (2, 1e-9)):
+                    try:
+                        tr = integrate_profile(p, pp, rid, s_anchor=0.1,
+                                               n_samples=n_samples, clip=clip)
+                    except DomainError:
+                        vals.append("DomainError")
+                        continue
+                    for row in tr.samples:
+                        vals.extend(row)
+                    if n_samples == 2:
+                        continue
+                    for i in (3, 25, 46):
+                        try:
+                            pt = eval_invariant_curve(
+                                tr.spec, 0.3, tr.samples[i].f, clip=clip)
+                        except DomainError:
+                            vals.append("DomainError")
+                            continue
+                        vals.extend(pt)
+    return vals
+
+
+class TestPinnedDomain:
+    def test_profile_domain_keeps_its_bits(self):
+        """Every value of _profile_domain_values keeps its bits, and the
+        same calls raise DomainError.
+
+        The digest was recorded at the commit before the log terms' kinds
+        were decided once per pair, before any of that code changed.
+        """
+        vals = _profile_domain_values()
+        assert len(vals) == 264412
+        assert vals.count("DomainError") == 20
+        digest = hashlib.sha256("\n".join(map(repr, vals)).encode()).hexdigest()
+        assert digest == ("b51d0693ff137cefc9c5d3d09066a5be"
+                          "f2b9e3c5ea75b5bff38d09faf44ea3ac")
 
 
 class TestSOfTheta:
