@@ -12,7 +12,9 @@ is deterministic: fixed key order, floats printed with at most twelve
 significant digits, no timestamps.  The one exception is each double
 point's z, w and residual, which double-points prints in full (repr),
 as the library computes them.  An `--out` file gets exactly the bytes
-stdout would get.
+stdout would get.  It is opened before any work, so a path that cannot
+be written exits 2 at once, and it appears only when the command
+prints its report: a command that fails leaves no file behind.
 
 Start-up: at module level this file imports only the standard library
 and `errors`; each `_cmd_*` handler imports the modules it runs, so a
@@ -23,11 +25,14 @@ command loads only what it needs (`classify` never loads `invariants`,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import json
 import math
 import os
+import stat
 import sys
-from typing import Sequence
+from typing import IO, Sequence
 
 from .errors import InternalError, ParseError, SymplModuliError
 
@@ -45,12 +50,51 @@ def _fmt(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _write_trace_csv(samples, path: str) -> None:
+def _write_trace_csv(samples, fp: IO[str]) -> None:
     """Trace rows as CSV, each field at 12 significant digits."""
-    with open(path, "w", newline="") as fp:
-        fp.write("s,t,theta,phi,f,h\n")
-        for row in samples:
-            fp.write(",".join(f"{x:.12g}" for x in row) + "\n")
+    fp.write("s,t,theta,phi,f,h\n")
+    for row in samples:
+        fp.write(",".join(f"{x:.12g}" for x in row) + "\n")
+
+
+@contextlib.contextmanager
+def _out_file(path: str | None, newline: str | None):
+    """The file `--out` names, opened for writing before the command
+    runs (None, for stdout, without a path).
+
+    A regular file is written beside its target and renamed onto it
+    when the block ends without an exception; otherwise the partial
+    file is removed and an earlier file at the path stays as it was.
+    Anything else that exists there (a device, a FIFO) is opened
+    directly, and a directory raises here.
+    """
+    if not path:
+        yield None
+        return
+    target = os.path.realpath(path)
+    exists = os.path.exists(target)
+    if exists and not os.path.isfile(target):
+        with open(target, "w", newline=newline) as fp:
+            yield fp
+        return
+    if exists and not os.access(target, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+    part = f"{target}.{os.getpid()}.part"
+    try:
+        fp = open(part, "x", newline=newline)
+    except OSError as exc:
+        exc.filename = path         # the error names the path given
+        raise
+    try:
+        with fp:
+            yield fp
+        if exists:
+            os.chmod(part, stat.S_IMODE(os.stat(target).st_mode))
+        os.replace(part, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(part)
+        raise
 
 
 def residual_tolerance() -> float:
@@ -86,21 +130,12 @@ def parse_pairs(text: str) -> list[tuple[int, int]]:
     return out
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    """Print text to out_path when one is given, else to stdout."""
-    if out_path:
-        with open(out_path, "w") as fp:
-            print(text, file=fp)
-    else:
-        print(text)
-
-
 def _json(payload: dict | list) -> str:
     """Indented JSON: the format of every one-payload report."""
     return json.dumps(payload, indent=2)
 
 
-def _cmd_classify(ns: argparse.Namespace) -> int:
+def _cmd_classify(ns: argparse.Namespace, out: IO[str] | None) -> int:
     from .moduli import Label2, validate_label2, validate_label3
     from .reeb import classify_pair
     pairs = parse_pairs(ns.pairs)
@@ -117,7 +152,7 @@ def _cmd_classify(ns: argparse.Namespace) -> int:
         ok, orderings = validate_label3(pairs)
         payload = {"pairs": [list(p) for p in pairs], "admissible": ok,
                    "orderings": [[list(p) for p in o] for o in orderings]}
-    _emit(_json(payload), ns.out)
+    print(_json(payload), file=out)
     return EXIT_OK if ok else EXIT_DOMAIN
 
 
@@ -145,17 +180,17 @@ def _checked_report(label) -> dict:
     return payload
 
 
-def _cmd_invariants(ns: argparse.Namespace) -> int:
+def _cmd_invariants(ns: argparse.Namespace, out: IO[str] | None) -> int:
     pairs = parse_pairs(ns.pairs)
     label = _label_from_ns(pairs, ns.ordering)
     payload = _checked_report(label)
     # 1 + 2 m_C + sum(g_i - 1) = Delta by the gcd identity.
     payload["translate_intersection_count"] = payload["delta"]
-    _emit(_json(payload), ns.out)
+    print(_json(payload), file=out)
     return EXIT_OK
 
 
-def _cmd_trace(ns: argparse.Namespace) -> int:
+def _cmd_trace(ns: argparse.Namespace, out: IO[str]) -> int:
     from .curves import classify_branches, integrate_profile
     pairs = parse_pairs(ns.pair)
     if len(pairs) != 1:
@@ -173,7 +208,7 @@ def _cmd_trace(ns: argparse.Namespace) -> int:
             f"range id {ns.range} invalid: ({p}, {pp}) has {len(ranges)} ranges")
     trace = integrate_profile(p, pp, ns.range, s_anchor=ns.anchor,
                               n_samples=ns.samples, clip=ns.clip)
-    _write_trace_csv(trace.samples, ns.out)
+    _write_trace_csv(trace.samples, out)
     rng = ranges[ns.range]
     s_vals = [row.s for row in trace.samples]
     summary = {
@@ -186,11 +221,11 @@ def _cmd_trace(ns: argparse.Namespace) -> int:
         "s_max": _fmt(max(s_vals)),
         "csv": ns.out,
     }
-    _emit(_json(summary), None)
+    print(_json(summary))
     return EXIT_OK
 
 
-def _cmd_enumerate(ns: argparse.Namespace) -> int:
+def _cmd_enumerate(ns: argparse.Namespace, out: IO[str] | None) -> int:
     from .moduli import OrderedLabel3, enumerate_labels
     if ns.max_abs < 1:
         raise ParseError(f"--max-abs must be at least 1, got {ns.max_abs}")
@@ -205,11 +240,11 @@ def _cmd_enumerate(ns: argparse.Namespace) -> int:
         if orderings is not None:
             payload["orderings"] = [[list(p) for p in o] for o in orderings]
         lines.append(json.dumps(payload))
-    _emit("\n".join(lines), ns.out)
+    print("\n".join(lines), file=out)
     return EXIT_OK
 
 
-def _cmd_double_points(ns: argparse.Namespace) -> int:
+def _cmd_double_points(ns: argparse.Namespace, out: IO[str] | None) -> int:
     from . import invariants as inv
     from .model_maps import (ModelMapParams, double_points_json,
                              phi_double_points)
@@ -233,11 +268,11 @@ def _cmd_double_points(ns: argparse.Namespace) -> int:
     results["m_C"] = counts
     if len(set(counts.values())) > 1:
         raise InternalError(f"methods disagree: {counts}")
-    _emit(_json(results), ns.out)
+    print(_json(results), file=out)
     return EXIT_OK
 
 
-def _cmd_spectrum(ns: argparse.Namespace) -> int:
+def _cmd_spectrum(ns: argparse.Namespace, out: IO[str] | None) -> int:
     from . import invariants as inv
     from .reeb import ReebOrbit
     if (ns.pair is None) == (ns.polar_m is None):
@@ -272,14 +307,14 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
             "period": period,
             "spectrum": [[_fmt(ev), mult] for ev, mult in spec],
         }
-    _emit(_json(payload), ns.out)
+    print(_json(payload), file=out)
     return EXIT_OK
 
 
-def _cmd_catalog(ns: argparse.Namespace) -> int:
+def _cmd_catalog(ns: argparse.Namespace, out: IO[str] | None) -> int:
     from .catalog import catalog_entries
     payload = [entry.to_json() for entry in catalog_entries()]
-    _emit(_json(payload), ns.out)
+    print(_json(payload), file=out)
     return EXIT_OK
 
 
@@ -350,8 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> None:
     parser = build_parser()
     ns = parser.parse_args(argv)
+    # The trace CSV ends its lines in "\n" on every platform.
+    newline = "" if ns.func is _cmd_trace else None
     try:
-        code = ns.func(ns)
+        with _out_file(ns.out, newline) as out:
+            code = ns.func(ns, out)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         code = EXIT_PARSE

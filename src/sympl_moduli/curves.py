@@ -123,7 +123,12 @@ def _dec_cos(x: float) -> Decimal:
         total += term
 
 
-@functools.lru_cache(maxsize=256)
+def _merged_poles(p: int, p_prime: int, x: float) -> DomainError:
+    return DomainError(
+        f"({p}, {p_prime}): two poles of ds/dx round onto x = {x}, so "
+        f"their residues have no float value")
+
+
 def profile_log_terms(p: int, p_prime: int) -> tuple[LogTerm, ...]:
     """The partial fractions of ds/dx, x = cos(theta).
 
@@ -135,14 +140,21 @@ def profile_log_terms(p: int, p_prime: int) -> tuple[LogTerm, ...]:
     when a = 0) are taken in cancellation-free form at 40 digits.  A
     pole inside [-1, 1] carries its fixed angle, from theta_roots, and
     the offset cos(angle) - pole, since that angle is the float that
-    bounds the theta ranges.
+    bounds the theta ranges.  DomainError where a root rounds onto
+    x = +-1 or 2a onto +-sqrt6 (pairs within rounding of the regime
+    boundary 2 p'^2 = 3 p^2, p past ~1e8), since a residue's
+    denominator is 0 there.  _sorted_terms decides each term's kind
+    once per pair.
     """
     if p < 0:                        # s depends on p'/p only
         p, p_prime = -p, -p_prime
     a = p_prime / p
     th0, thb = theta_roots(p, p_prime)
-    terms = [LogTerm(1.0 / (2.0 * a + SQRT6), 1.0, 0.0, 0.0),
-             LogTerm(1.0 / (SQRT6 - 2.0 * a), -1.0, math.pi, 0.0)]
+    den_zero, den_pi = 2.0 * a + SQRT6, SQRT6 - 2.0 * a
+    if den_zero == 0.0 or den_pi == 0.0:
+        raise _merged_poles(p, p_prime, 1.0 if den_zero == 0.0 else -1.0)
+    terms = [LogTerm(1.0 / den_zero, 1.0, 0.0, 0.0),
+             LogTerm(1.0 / den_pi, -1.0, math.pi, 0.0)]
     with localcontext() as ctx:
         ctx.prec = 40
         a_dec = Decimal(p_prime) / p
@@ -154,6 +166,8 @@ def profile_log_terms(p: int, p_prime: int) -> tuple[LogTerm, ...]:
         for r_dec, angle in roots:
             r = float(r_dec)
             one_minus_r2 = (1.0 - r) * (1.0 + r)
+            if one_minus_r2 == 0.0:
+                raise _merged_poles(p, p_prime, r)
             num = 1.0 - 3.0 * r * r + SQRT6 * a * r * one_minus_r2
             residue = num / ((6.0 * a * r + SQRT6) * one_minus_r2)
             offset = 0.0 if angle is None else float(_dec_cos(angle) - r_dec)
@@ -161,24 +175,63 @@ def profile_log_terms(p: int, p_prime: int) -> tuple[LogTerm, ...]:
     return tuple(terms)
 
 
-def _log_sum(terms: tuple[LogTerm, ...], theta: float) -> float:
-    """sum residue * log|cos(theta) - pole|, which is s(theta) up to a
-    constant on each range.  Near a fixed angle the gap is taken as a
-    product of sines, which keeps its relative accuracy where
-    cos(theta) - cos(angle) would cancel."""
-    half = 0.5 * theta
-    total = 0.0
-    for residue, pole, angle, offset in terms:
+class SortedTerms(NamedTuple):
+    """profile_log_terms with each term's kind decided once per pair, in
+    the order _log_sum adds them.
+
+    inside holds (residue, half angle, offset) for each root whose fixed
+    angle lies in (0, pi), theta0's first; last is (residue, pole, kind)
+    for a companion root without one: kind "outside" when |pole| > 1,
+    else "pole0" or "polePi", the pole its angle rounds onto.
+    """
+
+    at_zero: float     # residue over x = 1 (angle 0)
+    at_pi: float       # residue over x = -1 (angle pi)
+    inside: tuple[tuple[float, float, float], ...]
+    last: Optional[tuple[float, float, str]]
+
+
+@functools.lru_cache(maxsize=256)
+def _sorted_terms(p: int, p_prime: int) -> SortedTerms:
+    """The log terms of (p, p') in the form _log_sum takes, each term's
+    kind decided from its angle: the float angle bounds the theta
+    ranges, so a companion angle rounded onto pi keeps the form of the
+    pole x = -1.  theta0 always lies in (0, pi), so a term of another
+    kind can only be the last."""
+    pole_zero, pole_pi, *roots = profile_log_terms(p, p_prime)
+    inside, last = [], None
+    for residue, pole, angle, offset in roots:
+        assert last is None, "a root after one with no inner angle"
         if angle is None:
-            log_gap = math.log(abs(math.cos(theta) - pole))
-        elif angle == 0.0:           # 1 - cos = 2 sin^2(theta/2)
-            log_gap = _LOG2 + 2.0 * math.log(abs(math.sin(half)))
-        elif angle == math.pi:       # 1 + cos = 2 cos^2(theta/2)
-            log_gap = _LOG2 + 2.0 * math.log(abs(math.cos(half)))
+            last = (residue, pole, "outside")
+        elif angle == 0.0 or angle == math.pi:
+            last = (residue, pole, "pole0" if angle == 0.0 else "polePi")
         else:
-            log_gap = math.log(abs(
-                offset - 2.0 * math.sin(half + 0.5 * angle)
-                * math.sin(half - 0.5 * angle)))
+            inside.append((residue, 0.5 * angle, offset))
+    return SortedTerms(pole_zero.residue, pole_pi.residue, tuple(inside), last)
+
+
+def _log_sum(terms: SortedTerms, theta: float) -> float:
+    """sum residue * log|cos(theta) - pole|, which is s(theta) up to a
+    constant on each range; the package's one evaluator of s.  The term
+    kinds were decided once per pair by _sorted_terms.  Near a fixed
+    angle the gap is taken as a product of sines, which keeps its
+    relative accuracy where cos(theta) - cos(angle) would cancel."""
+    at_zero, at_pi, inside, last = terms
+    half = 0.5 * theta
+    gap_zero = _LOG2 + 2.0 * math.log(abs(math.sin(half)))   # log(1 - cos)
+    gap_pi = _LOG2 + 2.0 * math.log(abs(math.cos(half)))     # log(1 + cos)
+    total = at_zero * gap_zero + at_pi * gap_pi
+    for residue, half_angle, offset in inside:
+        total += residue * math.log(abs(
+            offset - 2.0 * math.sin(half + half_angle)
+            * math.sin(half - half_angle)))
+    if last is not None:
+        residue, pole, kind = last
+        if kind == "outside":
+            log_gap = math.log(abs(math.cos(theta) - pole))
+        else:
+            log_gap = gap_zero if kind == "pole0" else gap_pi
         total += residue * log_gap
     return total
 
@@ -196,7 +249,7 @@ def s_of_theta(p: int, p_prime: int, theta_ref: float, s_ref: float,
     _common_range(p, p_prime, theta_ref, theta)
     if theta == theta_ref:
         return s_ref
-    terms = profile_log_terms(p, p_prime)
+    terms = _sorted_terms(p, p_prime)
     return s_ref + (_log_sum(terms, theta) - _log_sum(terms, theta_ref))
 
 
@@ -299,10 +352,10 @@ class Trace(NamedTuple):
     samples: tuple[TraceSample, ...]
 
 
-def _anchored(spec: CurveSpec) -> tuple[tuple[LogTerm, ...], float]:
+def _anchored(spec: CurveSpec) -> tuple[SortedTerms, float]:
     """The profile's log terms and the base with s = base +
     _log_sum(terms, theta), so that s = s_anchor at the range midpoint."""
-    terms = profile_log_terms(spec.p, spec.p_prime)
+    terms = _sorted_terms(spec.p, spec.p_prime)
     return terms, spec.s_anchor - _log_sum(terms, spec.anchor_angle())
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import random
 import shlex
 import types
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from sympl_moduli import curves, invariants, moduli
+from sympl_moduli import catalog, curves, invariants, moduli
 from sympl_moduli.cli import (_write_trace_csv, main, parse_pairs,
                               residual_tolerance)
 from sympl_moduli.errors import ParseError
@@ -123,7 +124,8 @@ class TestTrace:
     def test_csv_round_trip(self, tmp_path):
         tr = curves.integrate_profile(1, 2, 1, n_samples=50)
         path = tmp_path / "trace.csv"
-        _write_trace_csv(tr.samples, str(path))
+        with open(path, "w", newline="") as fp:
+            _write_trace_csv(tr.samples, fp)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "s,t,theta,phi,f,h"
         assert len(lines) == 51
@@ -598,6 +600,135 @@ class TestCosineRounding:
         assert not csv.exists()
 
 
+def _pell_family(p, pp, n=12):
+    """The first n solutions from (p, p') under (p, p') -> (5p + 4p',
+    6p + 5p'), which keeps 2 p'^2 - 3 p^2."""
+    out = []
+    for _ in range(n):
+        out.append((p, pp))
+        p, pp = 5 * p + 4 * pp, 6 * p + 5 * pp
+    return out
+
+
+#: Pairs at the regime boundary 2 p'^2 = 3 p^2: 2 p'^2 - 3 p^2 = 5 (three
+#: ranges) and -1 (two), where poles of ds/dx and fixed angles round
+#: onto each other and onto x = -1 as p grows.
+PELL_PAIRS = _pell_family(1, 2) + _pell_family(1, 1)
+
+
+class TestPellPairs:
+    """Every range of every regime-boundary pair through trace, and every
+    pair through spectrum: exit 0, or exit 1 with one error line, an
+    empty stdout and no CSV; never a traceback."""
+
+    @pytest.mark.parametrize("p,pp", PELL_PAIRS, ids=str)
+    def test_exit_0_or_one_error_line(self, capsys, tmp_path, p, pp):
+        csv = tmp_path / "t.csv"
+        n_ranges = 3 if 2 * pp * pp > 3 * p * p else 2
+        runs = [["trace", "--pair", f"{p},{pp}", "--range", str(rid),
+                 "--samples", "5", "--out", str(csv)]
+                for rid in range(n_ranges)]
+        runs.append(["spectrum", f"--pair={p},{pp}"])
+        for argv in runs:
+            code, out, err = run_cli(capsys, *argv)
+            if code == 0:
+                assert err == "", argv
+                if argv[0] == "trace":
+                    assert csv.read_text().count("\n") == 6
+                    csv.unlink()
+            else:
+                assert (code, out) == (1, ""), argv
+                assert err.count("\n") == 1 and err.startswith("error: ")
+            assert not csv.exists()
+
+    @pytest.mark.parametrize("pair", ["121378881,148658162",
+                                      "83739041,102558961"])
+    def test_merged_poles_refused(self, capsys, tmp_path, pair):
+        # A root of the quadratic rounds onto the pole x = -1 (the first
+        # pair) or 2 p'/p onto sqrt6 (the second).
+        csv = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "trace", "--pair", pair, "--range",
+                                 "0", "--samples", "5", "--out", str(csv))
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "round onto x = -1.0" in err
+        assert not csv.exists()
+
+
+def _no_work_before_out(*args):
+    raise AssertionError("work started before --out was opened")
+
+
+class TestOutFile:
+    """--out is opened before any work, and a file appears at its path
+    only when the command prints its report."""
+
+    @pytest.mark.parametrize("argv,module,name", [pytest.param(
+        argv, module, name, id=argv[0]) for argv, module, name in [
+        (["classify", "--pairs", "2,1;1,2"], moduli, "validate_label2"),
+        (["invariants", "--pairs", "4,1;1,1"], invariants, "sphere_report"),
+        (["trace", "--pair", "1,2", "--range", "1", "--samples", "200000"],
+         curves, "integrate_profile"),
+        (["enumerate", "--max-abs", "12", "--ends", "2"], moduli,
+         "enumerate_labels"),
+        (["double-points", "--pairs", "4,1;1,1"], invariants, "delta"),
+        (["spectrum", "--pair", "1,0"], invariants, "l0_spectrum"),
+        (["catalog"], catalog, "catalog_entries"),
+    ]])
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_path_exits_2_before_work(
+            self, capsys, monkeypatch, tmp_path, argv, module, name, where):
+        monkeypatch.setattr(module, name, _no_work_before_out)
+        path = (tmp_path / "missing" / "x" if where == "missing-dir"
+                else tmp_path)
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("cannot write output: ")
+        assert err.count("\n") == 1 and ".part" not in err
+
+    @pytest.mark.parametrize("argv,patch", [
+        (["trace", "--pair", "121378881,148658162", "--range", "0"], False),
+        (["trace", "--pair", "1,2", "--range", "1", "--samples", "1"], False),
+        (["invariants", "--pairs", "1,1"], False),
+        (["invariants", "--pairs", "4,1;1,1"], True),
+        (["enumerate", "--max-abs", "1"], True),
+    ], ids=["trace-1", "trace-2", "invariants-1", "invariants-3",
+            "enumerate-3"])
+    def test_failure_leaves_the_path_as_it_was(self, capsys, monkeypatch,
+                                               tmp_path, argv, patch):
+        if patch:         # a formula/oracle disagreement: exit 3
+            monkeypatch.setattr(
+                invariants, "double_points_bruteforce",
+                lambda label: invariants.double_points_formula(label) + 1)
+        fresh, kept = tmp_path / "fresh", tmp_path / "kept"
+        kept.write_text("earlier\n")
+        for path in (fresh, kept):
+            code, out, _ = run_cli(capsys, *argv, "--out", str(path))
+            assert code in (1, 2, 3) and out == ""
+        assert not fresh.exists()
+        assert kept.read_text() == "earlier\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept"]
+
+    def test_replaces_through_a_link_and_keeps_the_mode(self, capsys,
+                                                        tmp_path):
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_text("earlier\n")
+        target.chmod(0o640)
+        link.symlink_to(target)
+        code, out, _ = run_cli(capsys, "classify", "--pairs", "3,2")
+        assert run_cli(capsys, "classify", "--pairs", "3,2", "--out",
+                       str(link)) == (code, "", "")
+        assert link.is_symlink()
+        assert target.read_text() == out
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "target"]
+
+    def test_device_is_written_directly(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "--pairs", "3,2",
+                               "--out", os.devnull)
+        assert (code, out) == (0, "")
+
+
 def _floats(node, path=()):
     """(path, value) of every float in a JSON value."""
     if isinstance(node, float):
@@ -884,10 +1015,12 @@ FUZZ_FLOATS = ("0", "-1", "nan", "inf", "1e-300", "1e308", "400", "-400")
 FUZZ_TOLS = (None, "abc", "-1", "1e-9")
 
 
-def _fuzz_case(rnd, tmp_path):
+def _fuzz_case(rnd, pell, tmp_path):
     """(argv, SYMPL_MODULI_TOL) for one fuzz call.  Each flag is present
     or not, and its value is mostly one inside its domain, so that every
-    subcommand also runs to exit 0."""
+    subcommand also runs to exit 0.  pell, a generator of its own (so
+    that rnd draws the same sequence with or without it), swaps some
+    pairs for regime-boundary PELL_PAIRS."""
     def flag(name, good, pool=FUZZ_INTS, chance=0.8):
         if rnd.random() >= chance:
             return []
@@ -898,6 +1031,8 @@ def _fuzz_case(rnd, tmp_path):
         n = rnd.choice(counts)
         ps = [(rnd.choice(FUZZ_SIZES), rnd.choice(FUZZ_SIZES))
               for _ in range(n)]
+        ps = [pell.choice(PELL_PAIRS) if pell.random() < 0.15 else pair
+              for pair in ps]
         if n == 3 and rnd.random() < 0.7:      # a sum-zero triple
             ps[2] = (-ps[0][0] - ps[1][0], -ps[0][1] - ps[1][1])
         text = ";".join(f"{m},{mp}" for m, mp in ps)
@@ -959,9 +1094,9 @@ class TestFuzz:
     an inadmissible label (exit 1)."""
 
     def test_seeded_argv(self, capsys, monkeypatch, tmp_path):
-        rnd = random.Random(20261018)
+        rnd, pell = random.Random(20261018), random.Random(5)
         for _ in range(600):
-            argv, tol = _fuzz_case(rnd, tmp_path)
+            argv, tol = _fuzz_case(rnd, pell, tmp_path)
             if tol is None:
                 monkeypatch.delenv("SYMPL_MODULI_TOL", raising=False)
             else:

@@ -158,6 +158,73 @@ class TestPinnedDomain:
                           "f2b9e3c5ea75b5bff38d09faf44ea3ac")
 
 
+def _log_sum_by_term(terms, theta):
+    """sum residue * log|cos(theta) - pole| over profile_log_terms, each
+    term's form chosen by its angle on every call."""
+    half = 0.5 * theta
+    total = 0.0
+    for residue, pole, angle, offset in terms:
+        if angle is None:
+            log_gap = math.log(abs(math.cos(theta) - pole))
+        elif angle == 0.0:
+            log_gap = math.log(2.0) + 2.0 * math.log(abs(math.sin(half)))
+        elif angle == math.pi:
+            log_gap = math.log(2.0) + 2.0 * math.log(abs(math.cos(half)))
+        else:
+            log_gap = math.log(abs(
+                offset - 2.0 * math.sin(half + 0.5 * angle)
+                * math.sin(half - 0.5 * angle)))
+        total += residue * log_gap
+    return total
+
+
+class TestLogTermKinds:
+    # (196658561, +-240856564): 2 p'^2 - 3 p^2 = 29, the companion angle
+    # rounds onto pi (onto 0 for p' < 0) while its pole stays off -1 (1).
+    ROUNDED = [(196658561, 240856564), (196658561, -240856564)]
+
+    @pytest.mark.parametrize("p,pp", CLOSED_FORM_PAIRS + ROUNDED)
+    def test_kinds_decided_once_keep_the_bits(self, p, pp):
+        """_log_sum over the terms as sorted once per pair gives the bits
+        of choosing each term's form by its angle on every call."""
+        terms = profile_log_terms(p, pp)
+        sorted_terms = curves._sorted_terms(p, pp)
+        for rng in classify_branches(p, pp):
+            for frac in (1e-9, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-9):
+                theta = rng.lo + (rng.hi - rng.lo) * frac
+                if not rng.lo < theta < rng.hi:
+                    continue
+                assert (repr(curves._log_sum(sorted_terms, theta))
+                        == repr(_log_sum_by_term(terms, theta)))
+
+    def test_rounded_companion_takes_the_pole_form(self):
+        for (p, pp), kind in zip(self.ROUNDED, ("polePi", "pole0")):
+            angle = solve_theta0_bar(p, pp)
+            assert angle == (math.pi if kind == "polePi" else 0.0)
+            residue, pole, got = curves._sorted_terms(p, pp).last
+            assert got == kind and abs(pole) < 1.0
+            assert residue == profile_log_terms(p, pp)[-1].residue
+
+
+class TestMergedPoles:
+    """Where a root of the quadratic rounds onto x = +-1 (or 2 p'/p onto
+    +-sqrt6), a residue's denominator is 0: DomainError, before any
+    row, where it was a bare ZeroDivisionError."""
+
+    @pytest.mark.parametrize("p,pp,x", [
+        (121378881, 148658162, -1.0), (83739041, 102558961, -1.0),
+        (83739041, -102558961, 1.0)])
+    def test_refused(self, p, pp, x):
+        with pytest.raises(DomainError, match=f"round onto x = {x}"):
+            profile_log_terms(p, pp)
+        with pytest.raises(DomainError):
+            integrate_profile(p, pp, 0, n_samples=5)
+        rng = classify_branches(p, pp)[0]
+        lo, hi = rng.lo + 0.1, rng.lo + 0.2
+        with pytest.raises(DomainError):
+            s_of_theta(p, pp, lo, 0.0, hi)
+
+
 class TestSOfTheta:
     def test_fixed_point(self):
         assert s_of_theta(1, 0, 1.0, 0.7, 1.0) == 0.7
