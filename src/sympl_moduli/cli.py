@@ -50,11 +50,15 @@ def _fmt(x: float) -> float:
     return float(f"{x:.12g}")
 
 
+#: One CSV line of a trace row: its six fields at 12 significant
+#: digits ('%.12g' formats a float as f"{x:.12g}" does).
+_TRACE_ROW = ",".join(["%.12g"] * 6) + "\n"
+
+
 def _write_trace_csv(samples, fp: IO[str]) -> None:
     """Trace rows as CSV, each field at 12 significant digits."""
     fp.write("s,t,theta,phi,f,h\n")
-    for row in samples:
-        fp.write(",".join(f"{x:.12g}" for x in row) + "\n")
+    fp.writelines(_TRACE_ROW % row for row in samples)
 
 
 @contextlib.contextmanager

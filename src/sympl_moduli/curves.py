@@ -20,15 +20,19 @@ pi}; on any such range s = s(theta) is an antiderivative of
 This module works with s(theta) and recovers u = f = e^{-sqrt6 s}
 (1 - 3 cos^2 theta) algebraically afterwards.  That avoids the
 stiffness of the u-parameterized equation near the fixed angles, where
-s diverges.  f and h come from geometry.fh_at, the package's one guarded
-e^{-sqrt6 s}: trace rows, ODE residuals and profile points exist only
-where that factor is a normal positive float (about -289.77 < s <
-289.20), and are refused with DomainError elsewhere.
+s diverges.  f and h come from geometry.fh_rows, the package's one
+guarded e^{-sqrt6 s} (fh_at is its one-row case): trace rows, ODE
+residuals and profile points exist only where that factor is a normal
+positive float (about -289.77 < s < 289.20), and are refused with
+DomainError elsewhere.
 
 In x = cos(theta) the slope ds/dx is a proper rational function with
 simple poles at x = +-1 and at the roots of 3 a x^2 + sqrt6 x - a (the
 cosines of theta0 and theta0_bar), so s is in closed form a sum of
-residue * log|x - pole| terms (profile_log_terms).
+residue * log|x - pole| terms (profile_log_terms), which _log_sums,
+the one evaluator of s, adds up: over a block of a trace's angles per
+call, or at one or two angles for s_of_theta, ODE residuals and the
+bisection of a profile point.
 """
 
 from __future__ import annotations
@@ -36,12 +40,15 @@ from __future__ import annotations
 import functools
 import math
 from decimal import Decimal, localcontext
-from typing import NamedTuple, Optional
+# _log_sums and the bisection's u_of call these as module globals,
+# which costs less than binding them to locals on every call.
+from math import cos, log, sin
+from typing import NamedTuple, Optional, Sequence
 
 from .budgets import MAX_TRACE_SAMPLES
 from .errors import (BranchError, DomainError, InvalidLabel, WrongExample)
 from .geometry import (DEFAULT_CLIP, SQRT6, BranchId, Point4, fh_at,
-                       theta_from_lambda)
+                       fh_rows, theta_from_lambda)
 from .reeb import ReebOrbit, OrbitKind, classify_pair, theta_roots
 
 _LOG2 = math.log(2.0)
@@ -177,7 +184,7 @@ def profile_log_terms(p: int, p_prime: int) -> tuple[LogTerm, ...]:
 
 class SortedTerms(NamedTuple):
     """profile_log_terms with each term's kind decided once per pair, in
-    the order _log_sum adds them.
+    the order _log_sums adds them.
 
     inside holds (residue, half angle, offset) for each root whose fixed
     angle lies in (0, pi), theta0's first; last is (residue, pole, kind)
@@ -193,7 +200,7 @@ class SortedTerms(NamedTuple):
 
 @functools.lru_cache(maxsize=256)
 def _sorted_terms(p: int, p_prime: int) -> SortedTerms:
-    """The log terms of (p, p') in the form _log_sum takes, each term's
+    """The log terms of (p, p') in the form _log_sums takes, each term's
     kind decided from its angle: the float angle bounds the theta
     ranges, so a companion angle rounded onto pi keeps the form of the
     pole x = -1.  theta0 always lies in (0, pi), so a term of another
@@ -211,29 +218,34 @@ def _sorted_terms(p: int, p_prime: int) -> SortedTerms:
     return SortedTerms(pole_zero.residue, pole_pi.residue, tuple(inside), last)
 
 
-def _log_sum(terms: SortedTerms, theta: float) -> float:
-    """sum residue * log|cos(theta) - pole|, which is s(theta) up to a
-    constant on each range; the package's one evaluator of s.  The term
-    kinds were decided once per pair by _sorted_terms.  Near a fixed
-    angle the gap is taken as a product of sines, which keeps its
+def _log_sums(terms: SortedTerms, thetas: Sequence[float]) -> list[float]:
+    """sum residue * log|cos(theta) - pole| at each theta, which is
+    s(theta) up to a constant on each range; the package's one
+    evaluator of s, over a block of a trace or one angle per call.  The
+    term kinds were decided once per pair by _sorted_terms.  Near a
+    fixed angle the gap is taken as a product of sines, which keeps its
     relative accuracy where cos(theta) - cos(angle) would cancel."""
     at_zero, at_pi, inside, last = terms
-    half = 0.5 * theta
-    gap_zero = _LOG2 + 2.0 * math.log(abs(math.sin(half)))   # log(1 - cos)
-    gap_pi = _LOG2 + 2.0 * math.log(abs(math.cos(half)))     # log(1 + cos)
-    total = at_zero * gap_zero + at_pi * gap_pi
-    for residue, half_angle, offset in inside:
-        total += residue * math.log(abs(
-            offset - 2.0 * math.sin(half + half_angle)
-            * math.sin(half - half_angle)))
     if last is not None:
-        residue, pole, kind = last
-        if kind == "outside":
-            log_gap = math.log(abs(math.cos(theta) - pole))
-        else:
-            log_gap = gap_zero if kind == "pole0" else gap_pi
-        total += residue * log_gap
-    return total
+        last_residue, pole, kind = last
+    totals = []
+    for theta in thetas:
+        half = 0.5 * theta
+        gap_zero = _LOG2 + 2.0 * log(abs(sin(half)))    # log(1 - cos)
+        gap_pi = _LOG2 + 2.0 * log(abs(cos(half)))      # log(1 + cos)
+        total = at_zero * gap_zero + at_pi * gap_pi
+        for residue, half_angle, offset in inside:
+            total += residue * log(abs(
+                offset - 2.0 * sin(half + half_angle)
+                * sin(half - half_angle)))
+        if last is not None:
+            if kind == "outside":
+                log_gap = log(abs(cos(theta) - pole))
+            else:
+                log_gap = gap_zero if kind == "pole0" else gap_pi
+            total += last_residue * log_gap
+        totals.append(total)
+    return totals
 
 
 def s_of_theta(p: int, p_prime: int, theta_ref: float, s_ref: float,
@@ -249,8 +261,8 @@ def s_of_theta(p: int, p_prime: int, theta_ref: float, s_ref: float,
     _common_range(p, p_prime, theta_ref, theta)
     if theta == theta_ref:
         return s_ref
-    terms = _sorted_terms(p, p_prime)
-    return s_ref + (_log_sum(terms, theta) - _log_sum(terms, theta_ref))
+    at_theta, at_ref = _log_sums(_sorted_terms(p, p_prime), (theta, theta_ref))
+    return s_ref + (at_theta - at_ref)
 
 
 def _clipped(rng: ThetaRange, clip: float) -> tuple[float, float]:
@@ -338,6 +350,13 @@ class CurveSpec(NamedTuple):
         return 0.5 * (rng.lo + rng.hi)
 
 
+#: Rows of a trace evaluated per _log_sums and fh_rows call.  A block
+#: keeps the per-call cost off each row, and its intermediate lists
+#: stay small beside the rows, so that a trace of MAX_TRACE_SAMPLES
+#: rows peaks at the memory of the rows themselves.
+_TRACE_BLOCK = 4096
+
+
 class TraceSample(NamedTuple):
     s: float
     t: float
@@ -353,10 +372,12 @@ class Trace(NamedTuple):
 
 
 def _anchored(spec: CurveSpec) -> tuple[SortedTerms, float]:
-    """The profile's log terms and the base with s = base +
-    _log_sum(terms, theta), so that s = s_anchor at the range midpoint."""
+    """The profile's log terms and the base that _log_sums' value at an
+    angle is added to for its s, so that s = s_anchor at the range
+    midpoint."""
     terms = _sorted_terms(spec.p, spec.p_prime)
-    return terms, spec.s_anchor - _log_sum(terms, spec.anchor_angle())
+    at_anchor, = _log_sums(terms, (spec.anchor_angle(),))
+    return terms, spec.s_anchor - at_anchor
 
 
 def integrate_profile(p: int, p_prime: int, range_id: int,
@@ -368,9 +389,11 @@ def integrate_profile(p: int, p_prime: int, range_id: int,
     fixed angles), takes each s from the closed form relative to the
     range midpoint (where s = s_anchor), and recovers f and h
     algebraically.  Rows come out in increasing theta order, so theta
-    is strictly monotone.  Each row is at t = phi = 0, with f and h from
-    fh_at (DomainError where it refuses s).  DomainError past
-    MAX_TRACE_SAMPLES, before any row.
+    is strictly monotone.  Each row is at t = phi = 0.  The rows are
+    evaluated _TRACE_BLOCK at a time: s by one _log_sums call and f, h
+    by one fh_rows call per block (DomainError, naming the first row
+    fh_rows refuses).  DomainError past MAX_TRACE_SAMPLES, before any
+    row.
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
@@ -380,14 +403,18 @@ def integrate_profile(p: int, p_prime: int, range_id: int,
     spec = CurveSpec.profile(p, p_prime, range_id, s_anchor=s_anchor)
     lo, hi = _clipped(spec.theta_range(), clip)
     terms, base = _anchored(spec)
+    width, last = hi - lo, n_samples - 1
+    # TraceSample checks nothing, so tuple.__new__ builds the same row
+    # without the generated __new__.
+    new = tuple.__new__
     samples = []
-    for i in range(n_samples):
-        theta = lo + (hi - lo) * i / (n_samples - 1)
-        s = base + _log_sum(terms, theta)
-        _, f, h = fh_at(s, theta)
-        # TraceSample checks nothing, so tuple.__new__ builds the same
-        # row without the generated __new__.
-        samples.append(tuple.__new__(TraceSample, (s, 0.0, theta, 0.0, f, h)))
+    for start in range(0, n_samples, _TRACE_BLOCK):
+        thetas = [lo + width * i / last
+                  for i in range(start, min(start + _TRACE_BLOCK, n_samples))]
+        s_values = [base + x for x in _log_sums(terms, thetas)]
+        samples += [new(TraceSample, (s, 0.0, theta, 0.0, f, h))
+                    for s, theta, (_, f, h)
+                    in zip(s_values, thetas, fh_rows(s_values, thetas))]
     return Trace(spec=spec, samples=tuple(samples))
 
 
@@ -398,7 +425,7 @@ def profile_ode_residual(spec: CurveSpec, theta: float) -> float:
     two points of the curve, with the theta step 3e-4 times the
     distance from the nearest fixed angle (h and u grow like a power of
     that distance, so a fixed step would measure resolution, not the
-    curve).  DomainError where fh_at refuses s at a step.
+    curve).  DomainError where fh_rows refuses s at a step.
     """
     rng = spec.theta_range()
     dist = min(theta - rng.lo, rng.hi - theta)
@@ -406,9 +433,9 @@ def profile_ode_residual(spec: CurveSpec, theta: float) -> float:
         raise BranchError("theta outside the open range")
     terms, base = _anchored(spec)
     step = 3e-4 * dist
-    lo, hi = theta - step, theta + step
-    _, f_lo, h_lo = fh_at(base + _log_sum(terms, lo), lo)
-    _, f_hi, h_hi = fh_at(base + _log_sum(terms, hi), hi)
+    thetas = (theta - step, theta + step)
+    s_values = [base + x for x in _log_sums(terms, thetas)]
+    (_, f_lo, h_lo), (_, f_hi, h_hi) = fh_rows(s_values, thetas)
     fd = (h_hi - h_lo) / (f_hi - f_lo)
     return abs(fd - (spec.p_prime / spec.p) * math.sin(theta) ** 2)
 
@@ -510,9 +537,10 @@ def _profile_point(spec: CurveSpec, tau: float, u: float,
         # Saturates where e^{-sqrt6 s} overflows or underflows: that
         # end's u is out of any float's reach, and the bisection only
         # needs the order.  The point it finds is checked by fh_at.
-        g = 1.0 - 3.0 * math.cos(theta) ** 2
+        g = 1.0 - 3.0 * cos(theta) ** 2
+        log_sum, = _log_sums(terms, (theta,))
         try:
-            return math.exp(-SQRT6 * (base + _log_sum(terms, theta))) * g
+            return math.exp(-SQRT6 * (base + log_sum)) * g
         except OverflowError:
             return math.copysign(math.inf, g)
 
@@ -530,7 +558,8 @@ def _profile_point(spec: CurveSpec, tau: float, u: float,
         else:
             b = mid
     theta = 0.5 * (a + b)
-    return Point4(s=base + _log_sum(terms, theta), t=tau, theta=theta,
+    log_sum, = _log_sums(terms, (theta,))
+    return Point4(s=base + log_sum, t=tau, theta=theta,
                   phi=spec.phi0 + tau * spec.p_prime / spec.p)
 
 

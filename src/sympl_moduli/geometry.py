@@ -18,11 +18,13 @@ g = sqrt(6) e^{-sqrt(6) s} (1 + 3 cos^4 theta)^{1/2}; the bilinear form
 g^{-1} omega(., J.) is then the round product metric
 ds^2 + dt^2 + dtheta^2 + sin^2(theta) dphi^2.
 
-f, h and g all carry the conformal factor e^{-sqrt(6) s}.  It is taken
-in one place, fh_at: coord_functions, omega, and the profile traces,
-ODE residuals and points of the curves module get it from there.  fh_at
-refuses (DomainError) an s where f, h, g or the Jacobian of (f, h)
-would overflow or keep too few bits, about s <= -289.12 or s >= 289.20.
+f, h and g all carry the conformal factor e^{-sqrt(6) s}.  It is taken,
+with f and h, in one place, fh_rows, a row at a time over parallel s
+and theta sequences: the curves module's profile traces get a block of
+rows per call, and coord_functions, omega and curve points get one row
+through fh_at.  fh_rows refuses (DomainError) an s
+where f, h, g or the Jacobian of (f, h) would overflow or keep too few
+bits, about s <= -289.12 or s >= 289.20.
 The factor cancels in J, which is therefore the same at every s.
 
 The ratio h/f depends on theta alone,
@@ -39,7 +41,10 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from typing import NamedTuple
+# fh_rows calls these as module globals, which costs less than binding
+# them to locals on every call.
+from math import cos, exp, sin
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, PoleError, RangeError
 
@@ -129,28 +134,42 @@ _BRANCH_INTERVAL = {
 }
 
 
-def fh_at(s: float, theta: float) -> tuple[float, float, float]:
-    """(e, f, h) at (s, theta): the conformal factor e = e^{-sqrt6 s},
-    f = e (1 - 3 cos^2 theta) and h = sqrt6 e cos(theta) sin^2(theta).
+def fh_rows(s_values: Sequence[float], thetas: Sequence[float]
+            ) -> list[tuple[float, float, float]]:
+    """(e, f, h) at each (s, theta) of the parallel sequences: the
+    conformal factor e = e^{-sqrt6 s}, f = e (1 - 3 cos^2 theta) and
+    h = sqrt6 e cos(theta) sin^2(theta); the one place f and h are
+    written.
 
-    DomainError unless s is finite and _TINY <= e <= _E_MAX (about
-    -289.12 < s < 289.20): past either end f, h or g overflow, or
-    underflow to 0 or to a subnormal float that keeps too few bits.
+    DomainError, naming the first refused row, unless each s is finite
+    and _TINY <= e <= _E_MAX (about -289.12 < s < 289.20): past either
+    end f, h or g overflow, or underflow to 0 or to a subnormal float
+    that keeps too few bits.
     """
-    try:
-        e = math.exp(-SQRT6 * s)    # exp(inf) = inf, without raising
-    except OverflowError:
-        e = math.inf
-    if not _TINY <= e <= _E_MAX:
-        if not math.isfinite(s):
-            why = "s is not finite"
-        elif e > _E_MAX:
-            why = "f, h or g overflow a float"
-        else:
-            why = "f and h underflow the normal floats"
-        raise DomainError(f"{why} at theta = {theta} (s = {s})")
-    c = math.cos(theta)
-    return e, e * (1.0 - 3.0 * c * c), SQRT6 * e * c * math.sin(theta) ** 2
+    rows = []
+    for s, theta in zip(s_values, thetas):
+        try:
+            e = exp(-SQRT6 * s)     # exp(inf) = inf, without raising
+        except OverflowError:
+            e = math.inf
+        if not _TINY <= e <= _E_MAX:
+            if not math.isfinite(s):
+                why = "s is not finite"
+            elif e > _E_MAX:
+                why = "f, h or g overflow a float"
+            else:
+                why = "f and h underflow the normal floats"
+            raise DomainError(f"{why} at theta = {theta} (s = {s})")
+        c = cos(theta)
+        rows.append((e, e * (1.0 - 3.0 * c * c),
+                     SQRT6 * e * c * sin(theta) ** 2))
+    return rows
+
+
+def fh_at(s: float, theta: float) -> tuple[float, float, float]:
+    """(e, f, h) at one (s, theta): the one-row case of fh_rows, with
+    its DomainError."""
+    return fh_rows((s,), (theta,))[0]
 
 
 def coord_functions(p: Point4) -> tuple[float, float, float]:

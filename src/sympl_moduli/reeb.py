@@ -121,22 +121,29 @@ def solve_theta0(p: int, p_prime: int) -> float:
         return math.pi / 2.0
     if p == 0:
         return math.acos(math.copysign(1.0, p_prime) / math.sqrt(3.0))
+    if p < 0 and 2 * p_prime * p_prime <= 3 * p * p:
+        raise InvalidLabel(f"({p}, {p_prime}) admits no orbit angle")
+    return _root_angle(p, p_prime, (p, p_prime), "orbit")
+
+
+def _root_angle(p: int, p_prime: int, given: tuple[int, int],
+                which: str) -> float:
+    """The angle whose cosine is the root of p'(1-3cos^2) = p sqrt6 cos
+    with the sign of p' (p, p' != 0): the inner root for p > 0, the
+    outer one for p < 0.  A DomainError names the pair the caller gave
+    and which cosine it asked for."""
     try:
         alpha = p_prime / p
     except OverflowError:
-        raise DomainError(f"({p}, {p_prime}): p'/p is past the float "
-                          f"range") from None
+        raise DomainError(f"{given}: p'/p is past the float range") from None
     if p > 0:
-        c = _cos_inner_root(alpha)
-    else:
-        if 2 * p_prime * p_prime <= 3 * p * p:
-            raise InvalidLabel(f"({p}, {p_prime}) admits no orbit angle")
-        c = _cos_outer_root(alpha)
-        if not -1.0 <= c <= 1.0:
-            # Just past 2 p'^2 = 3 p^2 the outer root is within rounding
-            # of -1 or 1, and for p past ~1e9 it can round outside.
-            raise DomainError(f"({p}, {p_prime}): the orbit cosine rounds "
-                              f"to {c!r}, outside [-1, 1]")
+        return math.acos(_cos_inner_root(alpha))
+    c = _cos_outer_root(alpha)
+    if not -1.0 <= c <= 1.0:
+        # Just past 2 p'^2 = 3 p^2 the outer root is within rounding
+        # of -1 or 1, and for p past ~1e9 it can round outside.
+        raise DomainError(f"{given}: the {which} cosine rounds to {c!r}, "
+                          f"outside [-1, 1]")
     return math.acos(c)
 
 
@@ -149,12 +156,12 @@ def solve_theta0_bar(p: int, p_prime: int) -> float:
 
     Defined only when p != 0 and 2 p'^2 > 3 p^2: the other root of the
     defining quadratic, whose cosine has sign opposite to cos(theta0).
-    It is the orbit angle of (-p, -p').
+    It is the orbit angle of (-p, -p'); a DomainError names (p, p').
     """
     if not _has_companion(p, p_prime):
         raise OutOfRegime(
             f"({p}, {p_prime}): companion angle needs p != 0 and 2 p'^2 > 3 p^2")
-    return solve_theta0(-p, -p_prime)
+    return _root_angle(-p, -p_prime, (p, p_prime), "companion")
 
 
 class ThetaRoots(NamedTuple):

@@ -1,9 +1,11 @@
 import hashlib
+import io
 import json
 import math
 import os
 import random
 import shlex
+import struct
 import types
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import pytest
 from sympl_moduli import catalog, curves, invariants, moduli
 from sympl_moduli.cli import (_write_trace_csv, main, parse_pairs,
                               residual_tolerance)
-from sympl_moduli.errors import ParseError
+from sympl_moduli.errors import DomainError, ParseError
 
 
 def run_cli(capsys, *argv):
@@ -120,6 +122,22 @@ class TestTrace:
         assert code == 0
         summary = json.loads(out)
         assert summary["theta_endpoints"] == [0.0, pytest.approx(math.pi / 2)]
+
+    def test_csv_lines_match_the_format_spec(self):
+        # '%.12g' % x against f"{x:.12g}": random bit patterns (nan and
+        # inf among them) and the floats whose printing is special.
+        rng = random.Random(7)
+        values = [struct.unpack("<d", rng.randbytes(8))[0]
+                  for _ in range(6000)]
+        values += [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324,
+                   -2.2250738585072014e-308, 1e16, 123456789012.5, 1e-5]
+        values += [0.0] * (-len(values) % 6)
+        rows = [tuple(values[i:i + 6]) for i in range(0, len(values), 6)]
+        fp = io.StringIO()
+        _write_trace_csv(rows, fp)
+        expected = "".join(",".join(f"{x:.12g}" for x in row) + "\n"
+                           for row in rows)
+        assert fp.getvalue() == "s,t,theta,phi,f,h\n" + expected
 
     def test_csv_round_trip(self, tmp_path):
         tr = curves.integrate_profile(1, 2, 1, n_samples=50)
@@ -516,7 +534,7 @@ def _no_work(*args):
 #: The loops behind each budget, patched to raise: trace rows, the
 #: spectrum's square roots (after the generic orbit's decay constants,
 #: which take square roots of their own) and enumeration candidates.
-_NO_ROWS = [(curves, "fh_at", _no_work)]
+_NO_ROWS = [(curves, "fh_rows", _no_work)]
 _NO_EIGENVALUES = [(invariants, "math", types.SimpleNamespace(sqrt=_no_work))]
 _NO_GENERIC_EIGENVALUES = _NO_EIGENVALUES + [
     (invariants, "asymptotic_constants",
@@ -597,6 +615,55 @@ class TestCosineRounding:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1
         assert err.startswith("error: ") and "outside [-1, 1]" in err
+        assert not csv.exists()
+        if argv[0] == "trace":      # the pair as given, not its negation
+            assert "(1201527053, 1471564096)" in err
+
+
+#: Traces that fail, each with the DomainError message of its first
+#: refused row, as recorded when each row was evaluated on its own:
+#: every later refused row (a different kind of failure, in the clip
+#: 1e-12 case) must stay unreported, also past the first block of rows.
+FAILING_TRACES = [
+    ("--pair 1,2 --range 1 --anchor 296",
+     "f and h underflow the normal floats at theta = 1.1503619915109313 "
+     "(s = 293.0716698559951)"),                   # 999 of 1000 rows
+    ("--pair 5,6 --range 1",
+     "f, h or g overflow a float at theta = 3.141492653589793 "
+     "(s = -294.10228649834943)"),                 # the last row alone
+    ("--pair 1,2 --range 2 --anchor 289",
+     "f and h underflow the normal floats at theta = 2.8655714228747446 "
+     "(s = 289.20404450334354)"),                  # rows 551 to 999
+    ("--pair 1,2 --range 2 --anchor 289 --samples 10000",
+     "f and h underflow the normal floats at theta = 2.865204435574988 "
+     "(s = 289.2016530421777)"),                   # rows 5509 to 9999
+    ("--pair 4,-5 --range 0 --clip 1e-12",
+     "f and h underflow the normal floats at theta = 1e-12 "
+     "(s = 995.1344615458978)"),                   # row 0; row 999 overflows
+    ("--pair 11,14 --range 1 --clip 1e-15",
+     "f, h or g overflow a float at theta = 2.9475848590509335 "
+     "(s = -345.2650736749653)"),                  # the last row alone
+]
+
+
+class TestFailingTraces:
+    @pytest.mark.parametrize("args,message", FAILING_TRACES,
+                             ids=[args for args, _ in FAILING_TRACES])
+    def test_first_refused_row_is_reported(self, capsys, tmp_path, args,
+                                           message):
+        ns = dict(zip(args.split()[::2], args.split()[1::2]))
+        p, pp = map(int, ns["--pair"].split(","))
+        with pytest.raises(DomainError) as exc:
+            curves.integrate_profile(
+                p, pp, int(ns["--range"]),
+                s_anchor=float(ns.get("--anchor", 0.0)),
+                n_samples=int(ns.get("--samples", 1000)),
+                clip=float(ns.get("--clip", curves.DEFAULT_CLIP)))
+        assert type(exc.value) is DomainError and str(exc.value) == message
+        csv = tmp_path / "t.csv"
+        code, out, err = run_cli(capsys, "trace", *args.split(), "--out",
+                                 str(csv))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
         assert not csv.exists()
 
 

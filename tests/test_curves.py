@@ -185,17 +185,21 @@ class TestLogTermKinds:
 
     @pytest.mark.parametrize("p,pp", CLOSED_FORM_PAIRS + ROUNDED)
     def test_kinds_decided_once_keep_the_bits(self, p, pp):
-        """_log_sum over the terms as sorted once per pair gives the bits
-        of choosing each term's form by its angle on every call."""
+        """_log_sums over the terms as sorted once per pair gives the bits
+        of choosing each term's form by its angle on every call, one
+        angle per call or all of them in one."""
         terms = profile_log_terms(p, pp)
         sorted_terms = curves._sorted_terms(p, pp)
         for rng in classify_branches(p, pp):
-            for frac in (1e-9, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-9):
-                theta = rng.lo + (rng.hi - rng.lo) * frac
-                if not rng.lo < theta < rng.hi:
-                    continue
-                assert (repr(curves._log_sum(sorted_terms, theta))
-                        == repr(_log_sum_by_term(terms, theta)))
+            thetas = [rng.lo + (rng.hi - rng.lo) * frac
+                      for frac in (1e-9, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-9)]
+            thetas = [theta for theta in thetas if rng.lo < theta < rng.hi]
+            expected = [repr(_log_sum_by_term(terms, theta))
+                        for theta in thetas]
+            assert [repr(curves._log_sums(sorted_terms, (theta,))[0])
+                     for theta in thetas] == expected
+            assert list(map(repr, curves._log_sums(sorted_terms,
+                                                   thetas))) == expected
 
     def test_rounded_companion_takes_the_pole_form(self):
         for (p, pp), kind in zip(self.ROUNDED, ("polePi", "pole0")):
@@ -325,6 +329,52 @@ class TestIntegrateProfile:
         s_vals = [r.s for r in tr.samples]
         assert s_vals[0] < s_vals[len(s_vals) // 2]
         assert s_vals[-1] < s_vals[len(s_vals) // 2]
+
+    @pytest.mark.parametrize("clip", [1e-9, 1e-4])
+    def test_rows_are_their_one_angle_values(self, clip):
+        """A trace's rows, evaluated a block at a time, have the bits of
+        s and f, h evaluated one angle at a time; a trace that fails
+        names the first row that fails one at a time."""
+        traced = failed = 0
+        for p in range(1, 7):
+            for pp in range(-10, 11):
+                if math.gcd(p, pp) != 1:
+                    continue
+                for rid in range(len(classify_branches(p, pp))):
+                    try:
+                        tr = integrate_profile(p, pp, rid, n_samples=101,
+                                               clip=clip)
+                    except DomainError as exc:
+                        failed += 1
+                        with pytest.raises(DomainError) as one:
+                            _one_angle_rows(CurveSpec.profile(p, pp, rid),
+                                            101, clip)
+                        assert str(one.value) == str(exc)
+                        continue
+                    traced += 1
+                    assert repr(tr.samples) == repr(
+                        _one_angle_rows(tr.spec, 101, clip))
+        assert traced > 150 and failed > 0
+
+    def test_rows_past_the_first_block_are_their_one_angle_values(self):
+        n = 2 * curves._TRACE_BLOCK + 3
+        tr = integrate_profile(3, -7, 1, n_samples=n)
+        assert repr(tr.samples) == repr(_one_angle_rows(tr.spec, n, 1e-4))
+
+
+def _one_angle_rows(spec, n, clip):
+    """The rows of a trace of n samples, s and (f, h) evaluated one angle
+    at a time."""
+    terms, base = curves._anchored(spec)
+    lo, hi = curves._clipped(spec.theta_range(), clip)
+    rows = []
+    for i in range(n):
+        theta = lo + (hi - lo) * i / (n - 1)
+        log_sum, = curves._log_sums(terms, (theta,))
+        s = base + log_sum
+        _, f, h = fh_at(s, theta)
+        rows.append(TraceSample(s, 0.0, theta, 0.0, f, h))
+    return tuple(rows)
 
 
 class TestEndDecayExponent:
@@ -671,7 +721,8 @@ class TestEvalInvariantCurve:
             eval_invariant_curve(spec, 0.0, 0.0, clip=1e-4)
 
     def test_rows_come_from_fh_at(self):
-        # fh_at is the one source of a row's f and h, and its only check.
+        # fh_rows is the one source of a row's f and h, and its only
+        # check; a row's bits are fh_at's, its one-row case.
         tr = integrate_profile(1, 2, 1, n_samples=50)
         for row in tr.samples:
             assert type(row) is TraceSample
@@ -682,7 +733,7 @@ class TestEvalInvariantCurve:
         def no_rows(*args):
             raise AssertionError("a trace row was computed")
 
-        monkeypatch.setattr(curves, "fh_at", no_rows)
+        monkeypatch.setattr(curves, "fh_rows", no_rows)
         for n in (MAX_TRACE_SAMPLES + 1, 10 ** 20):
             with pytest.raises(DomainError, match="budget"):
                 integrate_profile(1, 2, 1, n_samples=n)
