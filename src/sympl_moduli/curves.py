@@ -32,7 +32,7 @@ cosines of theta0 and theta0_bar), so s is in closed form a sum of
 residue * log|x - pole| terms (profile_log_terms), which _log_sums,
 the one evaluator of s, adds up: over a block of a trace's angles per
 call, or at one or two angles for s_of_theta, ODE residuals and the
-bisection of a profile point.
+Newton iteration of a profile point.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from decimal import Decimal, localcontext
-# _log_sums and the bisection's u_of call these as module globals,
+# _log_sums and _profile_point's probes call these as module globals,
 # which costs less than binding them to locals on every call.
 from math import cos, log, sin
 from typing import NamedTuple, Optional, Sequence
@@ -87,12 +87,22 @@ def classify_branches(p: int, p_prime: int) -> tuple[ThetaRange, ...]:
 
 
 def profile_ds_dtheta(p: int, p_prime: int, theta: float) -> float:
-    """ds/dtheta along a profile, away from the fixed angles."""
+    """ds/dtheta along a profile, away from the fixed angles.
+
+    BranchError where the denominator rounds to 0 (the pole 0, and a
+    float theta0 or theta0_bar for some pairs) and at pi, whose sine
+    rounds to 1.2e-16 instead of 0: ds/dtheta has a pole at a fixed
+    angle.
+    """
     a = p_prime / p
     c = math.cos(theta)
     sn = math.sin(theta)
     num = 1.0 - 3.0 * c * c + SQRT6 * a * c * sn * sn
     den = (SQRT6 * c - a * (1.0 - 3.0 * c * c)) * sn
+    if den == 0.0 or theta == math.pi:
+        raise BranchError(
+            f"theta = {theta} is a fixed angle of ({p}, {p_prime}) in "
+            f"floats: ds/dtheta has a pole there")
     return -num / den
 
 
@@ -526,17 +536,46 @@ def _example4_point(spec: CurveSpec, tau: float, u: float) -> Point4:
     return Point4(s=s, t=tau, theta=theta, phi=spec.phi0)
 
 
+def _log_u_slope(p: int, p_prime: int, theta: float) -> float:
+    """d log|u| / dtheta along the (p, p') profile at theta, where
+    u = e^{-sqrt6 s} g and g = 1 - 3 cos^2 theta; nan where theta
+    rounds onto a pole of ds/dtheta."""
+    try:
+        ds = profile_ds_dtheta(p, p_prime, theta)
+    except BranchError:
+        return math.nan
+    c = cos(theta)
+    # g as u_of writes it, so that it is non-zero wherever u_of(theta) is.
+    return -SQRT6 * ds + 6.0 * c * sin(theta) / (1.0 - 3.0 * c ** 2)
+
+
 def _profile_point(spec: CurveSpec, tau: float, u: float,
                    clip: float) -> Point4:
-    """The point of the profile curve at (tau, u), found by bisection on
-    the clipped range; eval_invariant_curve checks its s with fh_at."""
+    """The point of the profile curve at (tau, u), found by bracketed
+    Newton iteration on the clipped range; eval_invariant_curve checks
+    its s with fh_at.
+
+    Each probe x is decided by u_of, which moves one end of a bracket
+    [a, b] around the angle where u_of crosses u, and the point is the
+    midpoint of the first bracket narrower than 1e-13, as a bisection's
+    would be.  The next probe is a Newton step on log|u| from the probe
+    whose log|u_of| came closest to log|u|, among those where u_of is
+    finite, non-zero and of the sign of u.  It is the bracket's
+    midpoint where there is no such probe, where the step leaves
+    (a, b), and whenever two probes have not halved the bracket, which
+    bounds the worst case.  A step shorter than 4e-14 is lengthened to
+    4e-14 toward the inside of the bracket: Newton's probes tend to
+    approach the crossing from one side, and this one lands on the
+    other, which closes the bracket.
+    """
     lo, hi = _clipped(spec.theta_range(), clip)
     terms, base = _anchored(spec)
+    p, p_prime = spec.p, spec.p_prime
 
     def u_of(theta: float) -> float:
         # Saturates where e^{-sqrt6 s} overflows or underflows: that
-        # end's u is out of any float's reach, and the bisection only
-        # needs the order.  The point it finds is checked by fh_at.
+        # end's u is out of any float's reach, and the bracket only
+        # needs the order.  The point found is checked by fh_at.
         g = 1.0 - 3.0 * cos(theta) ** 2
         log_sum, = _log_sums(terms, (theta,))
         try:
@@ -550,17 +589,34 @@ def _profile_point(spec: CurveSpec, tau: float, u: float,
         raise DomainError(
             f"u = {u} outside [{min(u_lo, u_hi)}, {max(u_lo, u_hi)}] "
             f"reachable on the clipped range")
+    log_u = log(abs(u)) if u else 0.0
     a, b = lo, hi
+    x = 0.5 * (a + b)
+    best = None                      # (x, log|u| - log|u_of(x)|, slope)
+    widths = (b - a, b - a)          # the bracket one and two probes ago
     while b - a >= 1e-13:           # u_of is strictly monotone on the range
-        mid = 0.5 * (a + b)
-        if sign * (u_of(mid) - u) < 0.0:
-            a = mid
+        u_x = u_of(x)
+        if sign * (u_x - u) < 0.0:
+            a = x
         else:
-            b = mid
+            b = x
+        if u_x * u > 0.0 and abs(u_x) < math.inf:
+            gap = log_u - log(abs(u_x))
+            if best is None or abs(gap) <= abs(best[1]):
+                best = x, gap, _log_u_slope(p, p_prime, x)
+        x = 0.5 * (a + b)
+        if best is not None and b - a <= 0.5 * widths[1]:
+            x_best, gap, slope = best
+            step = gap / slope if slope else math.nan
+            if abs(step) < 4e-14:
+                step = 4e-14 if x_best == a else -4e-14
+            if a < x_best + step < b:
+                x = x_best + step
+        widths = (b - a, widths[0])
     theta = 0.5 * (a + b)
     log_sum, = _log_sums(terms, (theta,))
     return Point4(s=base + log_sum, t=tau, theta=theta,
-                  phi=spec.phi0 + tau * spec.p_prime / spec.p)
+                  phi=spec.phi0 + tau * p_prime / p)
 
 
 def eval_invariant_curve(spec: CurveSpec, tau: float, u: float,
@@ -569,8 +625,9 @@ def eval_invariant_curve(spec: CurveSpec, tau: float, u: float,
 
     The static families are closed-form; for the profile families the
     angle solving u = e^{-sqrt6 s(theta)}(1 - 3 cos^2 theta) is found by
-    bisection on the clipped range (u is strictly monotone in theta
-    along a profile).  Every family's point is checked by fh_at, so a
+    bracketed Newton iteration on the clipped range, to a bracket
+    narrower than 1e-13 (u is strictly monotone in theta along a
+    profile).  Every family's point is checked by fh_at, so a
     point is returned only where e^{-sqrt6 s} is a normal float
     (DomainError elsewhere).
     """

@@ -2,6 +2,8 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from sympl_moduli import (CurveSpec, ReebOrbit, TraceSample,
                           classify_branches, classify_pair, coord_functions,
@@ -22,6 +24,10 @@ SQRT6_ = math.sqrt(6.0)
 # threshold 2 p'^2 = 3 p^2.
 CLOSED_FORM_PAIRS = [(1, 0), (1, 1), (1, 2), (1, -2), (2, 5), (4, 5),
                      (12, -19), (5, -6)]
+
+# Every admissible coprime pair with 1 <= p <= 40 and |p'| <= 60.
+PROPERTY_PAIRS = [(p, pp) for p in range(1, 41) for pp in range(-60, 61)
+                  if math.gcd(p, pp) == 1 and classify_pair(p, pp)[0]]
 
 
 def fh_identity_errors(trace):
@@ -72,34 +78,54 @@ class TestClassifyBranches:
             classify_branches(-1, 2)
 
 
-class TestPinnedCurves:
-    def test_values_keep_their_bits(self):
-        """s_of_theta at seven angles and eval_invariant_curve at five
-        points of every range of CLOSED_FORM_PAIRS keep their bits.
+def _digest(vals):
+    return hashlib.sha256("\n".join(map(repr, vals)).encode()).hexdigest()
 
-        The digest was recorded at the commit before a pair's fixed
-        angles and theta ranges were given one source, before any of
-        that code changed.
-        """
+
+def _pinned_curve_values():
+    """TestPinnedCurves' inputs over every range of CLOSED_FORM_PAIRS:
+    s_of_theta at seven angles, and the (spec, u) of five curve points,
+    u taken from s_of_theta at five more angles."""
+    s_vals, calls = [], []
+    for p, pp in CLOSED_FORM_PAIRS:
+        for rid, rng in enumerate(classify_branches(p, pp)):
+            mid = 0.5 * (rng.lo + rng.hi)
+            spec = CurveSpec.profile(p, pp, rid, phi0=0.3, s_anchor=0.2)
+            for frac in (1e-6, 0.01, 0.25, 0.5, 0.75, 0.99, 1 - 1e-6):
+                theta = rng.lo + (rng.hi - rng.lo) * frac
+                s_vals.append(s_of_theta(p, pp, mid, 0.2, theta))
+            for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
+                theta = rng.lo + (rng.hi - rng.lo) * frac
+                s = s_of_theta(p, pp, mid, 0.2, theta)
+                g = 1.0 - 3.0 * math.cos(theta) ** 2
+                calls.append((spec, math.exp(-SQRT6_ * s) * g))
+    return s_vals, calls
+
+
+class TestPinnedCurves:
+    """The values of _pinned_curve_values, and eval_invariant_curve at
+    its points, keep their bits.
+
+    The s_of_theta digest was recorded at the commit before profile
+    points were found by Newton iteration instead of bisection, before
+    any of that code changed; the points' digest with the Newton
+    iteration, whose points are within 1e-13 in theta of the bisection's
+    (TestProfilePoint).
+    """
+
+    def test_values_keep_their_bits(self):
+        s_vals, _ = _pinned_curve_values()
+        assert len(s_vals) == 147
+        assert _digest(s_vals) == ("4e56928bd22a0a0d2471a6d883ff70e5"
+                                   "5c583d1e3d4c5165295c64cb9e64b10d")
+
+    def test_points_keep_their_bits(self):
         vals = []
-        for p, pp in CLOSED_FORM_PAIRS:
-            for rid, rng in enumerate(classify_branches(p, pp)):
-                mid = 0.5 * (rng.lo + rng.hi)
-                spec = CurveSpec.profile(p, pp, rid, phi0=0.3, s_anchor=0.2)
-                for frac in (1e-6, 0.01, 0.25, 0.5, 0.75, 0.99, 1 - 1e-6):
-                    theta = rng.lo + (rng.hi - rng.lo) * frac
-                    vals.append(s_of_theta(p, pp, mid, 0.2, theta))
-                for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
-                    theta = rng.lo + (rng.hi - rng.lo) * frac
-                    s = s_of_theta(p, pp, mid, 0.2, theta)
-                    g = 1.0 - 3.0 * math.cos(theta) ** 2
-                    u = math.exp(-SQRT6_ * s) * g
-                    pt = eval_invariant_curve(spec, 0.5, u)
-                    vals.extend((pt.s, pt.t, pt.theta, pt.phi))
-        assert len(vals) == 567
-        digest = hashlib.sha256("\n".join(map(repr, vals)).encode()).hexdigest()
-        assert digest == ("c3d555f949d626163f6968890671c39f"
-                          "300a9e9e4387d1609a6d8c0cec94777e")
+        for spec, u in _pinned_curve_values()[1]:
+            vals.extend(eval_invariant_curve(spec, 0.5, u))
+        assert len(vals) == 420
+        assert _digest(vals) == ("cb83c5a2fa2af5116547b18c72f69c81"
+                                 "92c73dbd2fc1b3901763945e8fb2fde6")
 
 
 def _profile_domain_values():
@@ -107,10 +133,11 @@ def _profile_domain_values():
     every range of every admissible coprime pair with 1 <= p <= 12 and
     |p'| <= 20.  Per range: s_of_theta at five fractions of the range;
     a 50-sample trace at the default clip (1e-4, the workload's) and
-    its two end rows at clip 1e-9, where s overflows for some ranges;
-    eval_invariant_curve at three rows of the first trace.  A call that
-    raises DomainError contributes the string "DomainError"."""
-    vals = []
+    its two end rows at clip 1e-9, where s overflows for some ranges; a
+    trace that raises DomainError contributes the string "DomainError".
+    Returns those values and the (spec, u) of the curve points at three
+    rows of each 50-sample trace."""
+    vals, calls = [], []
     for p in range(1, 13):
         for pp in range(-20, 21):
             if math.gcd(p, pp) != 1 or not classify_pair(p, pp)[0]:
@@ -129,33 +156,180 @@ def _profile_domain_values():
                         continue
                     for row in tr.samples:
                         vals.extend(row)
-                    if n_samples == 2:
-                        continue
-                    for i in (3, 25, 46):
-                        try:
-                            pt = eval_invariant_curve(
-                                tr.spec, 0.3, tr.samples[i].f, clip=clip)
-                        except DomainError:
-                            vals.append("DomainError")
-                            continue
-                        vals.extend(pt)
-    return vals
+                    if n_samples == 50:
+                        calls += [(tr.spec, tr.samples[i].f)
+                                  for i in (3, 25, 46)]
+    return vals, calls
+
+
+@pytest.fixture(scope="module")
+def profile_domain():
+    return _profile_domain_values()
 
 
 class TestPinnedDomain:
-    def test_profile_domain_keeps_its_bits(self):
-        """Every value of _profile_domain_values keeps its bits, and the
-        same calls raise DomainError.
+    """Every value of _profile_domain_values, and eval_invariant_curve
+    at its points at the workload's clip, keep their bits, and the same
+    calls raise DomainError.
 
-        The digest was recorded at the commit before the log terms' kinds
-        were decided once per pair, before any of that code changed.
-        """
-        vals = _profile_domain_values()
-        assert len(vals) == 264412
+    The values' digest was recorded at the commit before profile points
+    were found by Newton iteration instead of bisection, before any of
+    that code changed; the points' digest with the Newton iteration.
+    """
+
+    def test_profile_domain_keeps_its_bits(self, profile_domain):
+        vals, _ = profile_domain
+        assert len(vals) == 254764
         assert vals.count("DomainError") == 20
-        digest = hashlib.sha256("\n".join(map(repr, vals)).encode()).hexdigest()
-        assert digest == ("b51d0693ff137cefc9c5d3d09066a5be"
-                          "f2b9e3c5ea75b5bff38d09faf44ea3ac")
+        assert _digest(vals) == ("a76d9d51a6c2b36684d395e190ebf83c"
+                                 "ed0f918d20d3f94f9b279b2b4d8aee5b")
+
+    def test_points_keep_their_bits(self, profile_domain):
+        vals = []
+        for spec, u in profile_domain[1]:
+            try:
+                vals.extend(eval_invariant_curve(spec, 0.3, u, clip=1e-4))
+            except DomainError:
+                vals.append("DomainError")
+        assert len(vals) == 9648
+        assert vals.count("DomainError") == 0
+        assert _digest(vals) == ("7ffb336a726e0bfe7a2b5e53879aad2b"
+                                 "11c7c6d55249d4a026cb296780274755")
+
+
+def _bisect_reference(spec, tau, u, clip):
+    """eval_invariant_curve on a profile family as it was by bisection,
+    the reference for _profile_point's bracketed Newton iteration: the
+    same u_of decisions, halving [lo, hi] until it is narrower than
+    1e-13, and the same fh_at check of the point."""
+    lo, hi = curves._clipped(spec.theta_range(), clip)
+    terms, base = curves._anchored(spec)
+
+    def u_of(theta):
+        g = 1.0 - 3.0 * math.cos(theta) ** 2
+        log_sum, = curves._log_sums(terms, (theta,))
+        try:
+            return math.exp(-SQRT6_ * (base + log_sum)) * g
+        except OverflowError:
+            return math.copysign(math.inf, g)
+
+    u_lo, u_hi = u_of(lo), u_of(hi)
+    sign = 1.0 if u_hi > u_lo else -1.0
+    if not min(u_lo, u_hi) <= u <= max(u_lo, u_hi):
+        raise DomainError(f"u = {u} outside the clipped range's")
+    a, b = lo, hi
+    while b - a >= 1e-13:
+        mid = 0.5 * (a + b)
+        if sign * (u_of(mid) - u) < 0.0:
+            a = mid
+        else:
+            b = mid
+    theta = 0.5 * (a + b)
+    log_sum, = curves._log_sums(terms, (theta,))
+    pt = Point4(s=base + log_sum, t=tau, theta=theta,
+                phi=spec.phi0 + tau * spec.p_prime / spec.p)
+    fh_at(pt.s, pt.theta)
+    return pt
+
+
+def _log_u_slope(p, pp, theta):
+    """d log|u| / dtheta along a profile, u = e^{-sqrt6 s}(1 - 3 cos^2)."""
+    c, sn = math.cos(theta), math.sin(theta)
+    return (-SQRT6_ * profile_ds_dtheta(p, pp, theta)
+            + 6.0 * c * sn / (1.0 - 3.0 * c * c))
+
+
+def _profile_point_calls(profile_domain):
+    """(spec, u, clip) of every profile point of the pinned tests: the
+    points of _profile_domain_values at the workload's clip and at the
+    default clip, and TestPinnedCurves' points at the default clip."""
+    domain = profile_domain[1]
+    return ([(spec, u, 1e-4) for spec, u in domain]
+            + [(spec, u, 1e-9) for spec, u in domain]
+            + [(spec, u, 1e-9) for spec, u in _pinned_curve_values()[1]])
+
+
+# u near the float limits on ranges where e^{-sqrt6 s} overflows or
+# underflows inside the clipped range: some are out of the range's
+# reach, some are refused by fh_at at the point found, some are found.
+LIMIT_CALLS = [(CurveSpec.profile(p, pp, rid, s_anchor=0.1), u, clip)
+               for p, pp, rid in ((4, -5, 0), (4, 5, 2), (5, 6, 1),
+                                  (9, -11, 0), (1, 2, 1))
+               for u in (1e308, -1e308, 3e-308, -3e-308)
+               for clip in (1e-9, 1e-4)]
+
+
+class TestProfilePoint:
+    def test_matches_the_bisection(self, profile_domain):
+        """Every pinned profile point, and LIMIT_CALLS, is within 1e-13
+        in theta of the bisection's, and the same calls raise
+        DomainError."""
+        refused = 0
+        for spec, u, clip in (_profile_point_calls(profile_domain)
+                              + LIMIT_CALLS):
+            try:
+                want = _bisect_reference(spec, 0.3, u, clip)
+            except DomainError:
+                refused += 1
+                with pytest.raises(DomainError):
+                    eval_invariant_curve(spec, 0.3, u, clip=clip)
+                continue
+            got = eval_invariant_curve(spec, 0.3, u, clip=clip)
+            assert abs(got.theta - want.theta) < 1e-13, (spec, u, clip)
+            assert (got.t, got.phi) == (want.t, want.phi)
+        assert refused == 28         # 20 out of reach, 8 by fh_at
+
+    def test_evaluations_of_s_per_point(self, profile_domain, monkeypatch):
+        """s is evaluated at few angles per profile point, where a
+        bisection to 1e-13 takes 47-48: the clip ends, the anchor and
+        the point itself, and the Newton probes between."""
+        log_sums = curves._log_sums
+        angles = []
+
+        def counted(terms, thetas):
+            angles[-1] += len(thetas)
+            return log_sums(terms, thetas)
+
+        calls = _profile_point_calls(profile_domain)
+        monkeypatch.setattr(curves, "_log_sums", counted)
+        per_point = []
+        for spec, u, clip in calls:
+            angles.append(0)
+            try:
+                eval_invariant_curve(spec, 0.3, u, clip=clip)
+            except DomainError:
+                continue
+            per_point.append(angles[-1])
+        assert len(per_point) == 4929
+        assert sum(per_point) / len(per_point) <= 16
+        assert max(per_point) <= 48
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=200)
+    @given(st.data(), st.sampled_from(PROPERTY_PAIRS),
+           st.floats(-5.0, 5.0), st.sampled_from([1e-4, 1e-9]),
+           st.floats(0.05, 0.95))
+    def test_point_solves_for_u(self, data, pair, s_anchor, clip, frac):
+        """A profile point is refused with DomainError, or lies on the
+        clipped range with f = u to the float accuracy of its angle."""
+        p, pp = pair
+        rid = data.draw(st.integers(0, len(classify_branches(p, pp)) - 1))
+        spec = CurveSpec.profile(p, pp, rid, s_anchor=s_anchor)
+        lo, hi = curves._clipped(spec.theta_range(), clip)
+        theta = lo + (hi - lo) * frac
+        s = s_of_theta(p, pp, spec.anchor_angle(), s_anchor, theta)
+        try:
+            u = math.exp(-SQRT6_ * s) * (1.0 - 3.0 * math.cos(theta) ** 2)
+        except OverflowError:           # no float u at s < -289.77
+            reject()
+        try:
+            pt = eval_invariant_curve(spec, 0.0, u, clip=clip)
+        except DomainError:
+            return
+        assert lo <= pt.theta <= hi
+        f = coord_functions(pt)[0]
+        slope = _log_u_slope(p, pp, pt.theta)
+        assert abs(f - u) <= abs(u) * (1e-13 * abs(slope) + 1e-11)
 
 
 def _log_sum_by_term(terms, theta):
@@ -283,6 +457,17 @@ class TestSOfTheta:
         vals = [s_of_theta(1, 2, lo, 0.0, lo + (hi - lo) * i / 200)
                 for i in range(201)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+class TestProfileDsDtheta:
+    @pytest.mark.parametrize("p,pp,theta", [
+        (1, 2, 0.0), (1, 2, math.pi), (2, -1, solve_theta0(2, -1))],
+        ids=["pole0", "polePi", "theta0"])
+    def test_fixed_angle_is_a_branch_error(self, p, pp, theta):
+        # Where the denominator rounds to 0 (at 0, and at the float
+        # theta0 of (2, -1)) and at pi, whose sine rounds to 1.2e-16.
+        with pytest.raises(BranchError, match="fixed angle"):
+            profile_ds_dtheta(p, pp, theta)
 
 
 class TestIntegrateProfile:
@@ -679,7 +864,7 @@ class TestEvalInvariantCurve:
 
     def test_profile_point_at_default_clip(self):
         # At the default clip of 1e-9, e^{-sqrt6 s} overflows at the
-        # bracket end near theta0_bar; the bisection must still find u.
+        # bracket end near theta0_bar; the iteration must still find u.
         tr = integrate_profile(4, 5, 1, n_samples=200, clip=1e-4)
         row = tr.samples[100]
         pt = eval_invariant_curve(CurveSpec.profile(4, 5, 1), 0.0, row.f)
@@ -713,7 +898,7 @@ class TestEvalInvariantCurve:
             integrate_profile(1, 2, 1, s_anchor=296.0, n_samples=3)
 
     def test_profile_point_where_u_underflows_is_a_domain_error(self):
-        # u is 0 at every angle of the clipped range, so the bisection
+        # u is 0 at every angle of the clipped range, so the iteration
         # cannot see where u = 0 (theta = pi - THETA_C); it must not
         # return the angle it stops at.
         spec = CurveSpec.profile(1, 2, 1, s_anchor=400.0)
