@@ -11,7 +11,8 @@ pinned down by the winding identity alone and are fixed by requiring
 index = aleph + 1, so they are flagged ``reverse-engineered``.
 
 The index lower bound in terms of (genus, polar intersections, end
-counts) applies to every entry except the polar cylinder itself, whose
+counts), with genus 0 since every entry is a punctured sphere, applies
+to every entry except the polar cylinder itself, whose
 intersection count with the polar locus -- a locus containing it -- is
 not a finite number; that entry carries polar_intersections = None.
 
@@ -41,7 +42,6 @@ class CatalogEntry(NamedTuple):
     ends: tuple[EndDescriptor, ...]
     expected_index: int
     expected_aleph: int
-    genus: int = 0
     polar_intersections: Optional[int] = 0    # Q; None = undefined
     c1_override: Optional[int] = None
     label: Optional[Label2 | Label3] = None
@@ -68,7 +68,7 @@ class CatalogEntry(NamedTuple):
                        if e.kind == "polar" and e.side is Side.CONVEX)
         alephc = sum(1 for e in self.ends
                      if e.kind == "generic" and e.side is Side.CONCAVE)
-        return index_lower_bound(self.genus, self.polar_intersections,
+        return index_lower_bound(0, self.polar_intersections,
                                  self.aleph(), aleph0cc, aleph0cv, alephc)
 
     def to_json(self) -> dict:

@@ -29,10 +29,11 @@ DomainError elsewhere.
 In x = cos(theta) the slope ds/dx is a proper rational function with
 simple poles at x = +-1 and at the roots of 3 a x^2 + sqrt6 x - a (the
 cosines of theta0 and theta0_bar), so s is in closed form a sum of
-residue * log|x - pole| terms (profile_log_terms), which _log_sums,
-the one evaluator of s, adds up: over a block of a trace's angles per
-call, or at one or two angles for s_of_theta, ODE residuals and the
-Newton iteration of a profile point.
+residue * log|x - pole| terms.  profile_log_terms builds them once per
+pair as one cached record, each term's kind decided, in the form and
+order that _log_sums, the one evaluator of s, adds them up: over a
+block of a trace's angles per call, or at one or two angles for
+s_of_theta, ODE residuals and the Newton iteration of a profile point.
 """
 
 from __future__ import annotations
@@ -86,45 +87,47 @@ def classify_branches(p: int, p_prime: int) -> tuple[ThetaRange, ...]:
                  for (lo, lo_label), (hi, hi_label) in zip(angles, angles[1:]))
 
 
-def profile_ds_dtheta(p: int, p_prime: int, theta: float) -> float:
-    """ds/dtheta along a profile, away from the fixed angles.
-
-    BranchError where the denominator rounds to 0 (the pole 0, and a
-    float theta0 or theta0_bar for some pairs) and at pi, whose sine
-    rounds to 1.2e-16 instead of 0: ds/dtheta has a pole at a fixed
-    angle.
-    """
+def _ds_dtheta(p: int, p_prime: int, theta: float) -> float:
+    """ds/dtheta along a profile by its formula, unchecked:
+    ZeroDivisionError where the denominator rounds to 0."""
     a = p_prime / p
-    c = math.cos(theta)
-    sn = math.sin(theta)
+    c = cos(theta)
+    sn = sin(theta)
     num = 1.0 - 3.0 * c * c + SQRT6 * a * c * sn * sn
     den = (SQRT6 * c - a * (1.0 - 3.0 * c * c)) * sn
-    if den == 0.0 or theta == math.pi:
-        raise BranchError(
-            f"theta = {theta} is a fixed angle of ({p}, {p_prime}) in "
-            f"floats: ds/dtheta has a pole there")
     return -num / den
 
 
+def profile_ds_dtheta(p: int, p_prime: int, theta: float) -> float:
+    """ds/dtheta along a profile, away from the fixed angles.
+
+    InvalidLabel unless classify_branches accepts the pair.  BranchError
+    at each fixed angle it lists, as s_of_theta refuses them (ds/dtheta
+    has a pole there, though the float formula gives a huge finite value
+    at most float theta0 and theta0_bar, and at pi, whose sine rounds to
+    1.2e-16), and where the denominator rounds to 0.
+    """
+    fixed = [rng.lo for rng in classify_branches(p, p_prime)] + [math.pi]
+    if theta not in fixed:
+        try:
+            return _ds_dtheta(p, p_prime, theta)
+        except ZeroDivisionError:
+            pass
+    raise BranchError(
+        f"theta = {theta} is a fixed angle of ({p}, {p_prime}) in "
+        f"floats: ds/dtheta has a pole there")
+
+
 def _common_range(p: int, p_prime: int, a: float, b: float) -> None:
-    """Raise unless [a, b] sits strictly inside one fixed-angle-free range."""
-    lo, hi = min(a, b), max(a, b)
+    """Raise unless a and b sit strictly inside one fixed-angle-free
+    range (each angle is tested, so a nan in either place is refused)."""
     ranges = classify_branches(p, p_prime)
-    if any(rng.lo < lo and hi < rng.hi for rng in ranges):
+    if any(rng.lo < a < rng.hi and rng.lo < b < rng.hi for rng in ranges):
         return
     angles = [rng.lo for rng in ranges] + [math.pi]
     raise BranchError(
-        f"[{lo}, {hi}] is not strictly inside a fixed-angle-free range of "
-        f"({p}, {p_prime}); fixed angles: {angles}")
-
-
-class LogTerm(NamedTuple):
-    """One term residue * log|cos(theta) - pole| of s(theta)."""
-
-    residue: float
-    pole: float
-    angle: Optional[float]   # the fixed angle over the pole; None if |pole| > 1
-    offset: float            # cos(angle) - pole, which rounding leaves nonzero
+        f"{a} and {b} are not strictly inside one fixed-angle-free range "
+        f"of ({p}, {p_prime}); fixed angles: {angles}")
 
 
 def _dec_cos(x: float) -> Decimal:
@@ -146,55 +149,9 @@ def _merged_poles(p: int, p_prime: int, x: float) -> DomainError:
         f"their residues have no float value")
 
 
-def profile_log_terms(p: int, p_prime: int) -> tuple[LogTerm, ...]:
-    """The partial fractions of ds/dx, x = cos(theta).
-
-    ds/dx = N(x) / D(x) with N = 1 - 3x^2 + sqrt6 a x (1 - x^2) and
-    D = (3a x^2 + sqrt6 x - a)(1 - x^2), a = p'/p, so that
-    s = sum residue * log|x - pole| + const with residue = N/D' at the
-    pole.  The poles at x = 1 and x = -1 have residues 1/(2a + sqrt6)
-    and 1/(sqrt6 - 2a); the quadratic's roots (its single root x = 0
-    when a = 0) are taken in cancellation-free form at 40 digits.  A
-    pole inside [-1, 1] carries its fixed angle, from theta_roots, and
-    the offset cos(angle) - pole, since that angle is the float that
-    bounds the theta ranges.  DomainError where a root rounds onto
-    x = +-1 or 2a onto +-sqrt6 (pairs within rounding of the regime
-    boundary 2 p'^2 = 3 p^2, p past ~1e8), since a residue's
-    denominator is 0 there.  _sorted_terms decides each term's kind
-    once per pair.
-    """
-    if p < 0:                        # s depends on p'/p only
-        p, p_prime = -p, -p_prime
-    a = p_prime / p
-    th0, thb = theta_roots(p, p_prime)
-    den_zero, den_pi = 2.0 * a + SQRT6, SQRT6 - 2.0 * a
-    if den_zero == 0.0 or den_pi == 0.0:
-        raise _merged_poles(p, p_prime, 1.0 if den_zero == 0.0 else -1.0)
-    terms = [LogTerm(1.0 / den_zero, 1.0, 0.0, 0.0),
-             LogTerm(1.0 / den_pi, -1.0, math.pi, 0.0)]
-    with localcontext() as ctx:
-        ctx.prec = 40
-        a_dec = Decimal(p_prime) / p
-        sqrt6 = Decimal(6).sqrt()
-        big = sqrt6 + (6 + 12 * a_dec * a_dec).sqrt()
-        roots = [(2 * a_dec / big, th0)]
-        if p_prime != 0:
-            roots.append((-big / (6 * a_dec), thb))
-        for r_dec, angle in roots:
-            r = float(r_dec)
-            one_minus_r2 = (1.0 - r) * (1.0 + r)
-            if one_minus_r2 == 0.0:
-                raise _merged_poles(p, p_prime, r)
-            num = 1.0 - 3.0 * r * r + SQRT6 * a * r * one_minus_r2
-            residue = num / ((6.0 * a * r + SQRT6) * one_minus_r2)
-            offset = 0.0 if angle is None else float(_dec_cos(angle) - r_dec)
-            terms.append(LogTerm(residue, r, angle, offset))
-    return tuple(terms)
-
-
-class SortedTerms(NamedTuple):
-    """profile_log_terms with each term's kind decided once per pair, in
-    the order _log_sums adds them.
+class LogTerms(NamedTuple):
+    """The terms residue * log|cos(theta) - pole| of s(theta), in the
+    order _log_sums adds them, each term's kind decided once per pair.
 
     inside holds (residue, half angle, offset) for each root whose fixed
     angle lies in (0, pi), theta0's first; last is (residue, pole, kind)
@@ -209,30 +166,62 @@ class SortedTerms(NamedTuple):
 
 
 @functools.lru_cache(maxsize=256)
-def _sorted_terms(p: int, p_prime: int) -> SortedTerms:
-    """The log terms of (p, p') in the form _log_sums takes, each term's
-    kind decided from its angle: the float angle bounds the theta
-    ranges, so a companion angle rounded onto pi keeps the form of the
-    pole x = -1.  theta0 always lies in (0, pi), so a term of another
-    kind can only be the last."""
-    pole_zero, pole_pi, *roots = profile_log_terms(p, p_prime)
+def profile_log_terms(p: int, p_prime: int) -> LogTerms:
+    """The partial fractions of ds/dx, x = cos(theta).
+
+    ds/dx = N(x) / D(x) with N = 1 - 3x^2 + sqrt6 a x (1 - x^2) and
+    D = (3a x^2 + sqrt6 x - a)(1 - x^2), a = p'/p, so that
+    s = sum residue * log|x - pole| + const with residue = N/D' at the
+    pole.  The poles at x = 1 and x = -1 have residues 1/(2a + sqrt6)
+    and 1/(sqrt6 - 2a); the quadratic's roots (its single root x = 0
+    when a = 0) are taken in cancellation-free form at 40 digits.  A
+    root's kind comes from its fixed angle, from theta_roots, since
+    that float bounds the theta ranges: a companion angle rounded onto
+    pi keeps the form of the pole x = -1.  A root inside carries the
+    offset cos(angle) - pole, which rounding leaves nonzero.
+    DomainError where a root rounds onto x = +-1 or 2a onto +-sqrt6
+    (pairs within rounding of the regime boundary 2 p'^2 = 3 p^2, p
+    past ~1e8), since a residue's denominator is 0 there.
+    """
+    if p < 0:                        # s depends on p'/p only
+        p, p_prime = -p, -p_prime
+    a = p_prime / p
+    th0, thb = theta_roots(p, p_prime)
+    den_zero, den_pi = 2.0 * a + SQRT6, SQRT6 - 2.0 * a
+    if den_zero == 0.0 or den_pi == 0.0:
+        raise _merged_poles(p, p_prime, 1.0 if den_zero == 0.0 else -1.0)
     inside, last = [], None
-    for residue, pole, angle, offset in roots:
-        assert last is None, "a root after one with no inner angle"
-        if angle is None:
-            last = (residue, pole, "outside")
-        elif angle == 0.0 or angle == math.pi:
-            last = (residue, pole, "pole0" if angle == 0.0 else "polePi")
-        else:
-            inside.append((residue, 0.5 * angle, offset))
-    return SortedTerms(pole_zero.residue, pole_pi.residue, tuple(inside), last)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        a_dec = Decimal(p_prime) / p
+        sqrt6 = Decimal(6).sqrt()
+        big = sqrt6 + (6 + 12 * a_dec * a_dec).sqrt()
+        # theta0 always lies in (0, pi), so only the companion can be last.
+        roots = [(2 * a_dec / big, th0)]
+        if p_prime != 0:
+            roots.append((-big / (6 * a_dec), thb))
+        for r_dec, angle in roots:
+            r = float(r_dec)
+            one_minus_r2 = (1.0 - r) * (1.0 + r)
+            if one_minus_r2 == 0.0:
+                raise _merged_poles(p, p_prime, r)
+            num = 1.0 - 3.0 * r * r + SQRT6 * a * r * one_minus_r2
+            residue = num / ((6.0 * a * r + SQRT6) * one_minus_r2)
+            if angle is None:
+                last = (residue, r, "outside")
+            elif angle == 0.0 or angle == math.pi:
+                last = (residue, r, "pole0" if angle == 0.0 else "polePi")
+            else:
+                offset = float(_dec_cos(angle) - r_dec)
+                inside.append((residue, 0.5 * angle, offset))
+    return LogTerms(1.0 / den_zero, 1.0 / den_pi, tuple(inside), last)
 
 
-def _log_sums(terms: SortedTerms, thetas: Sequence[float]) -> list[float]:
+def _log_sums(terms: LogTerms, thetas: Sequence[float]) -> list[float]:
     """sum residue * log|cos(theta) - pole| at each theta, which is
     s(theta) up to a constant on each range; the package's one
     evaluator of s, over a block of a trace or one angle per call.  The
-    term kinds were decided once per pair by _sorted_terms.  Near a
+    term kinds were decided once per pair by profile_log_terms.  Near a
     fixed angle the gap is taken as a product of sines, which keeps its
     relative accuracy where cos(theta) - cos(angle) would cancel."""
     at_zero, at_pi, inside, last = terms
@@ -271,7 +260,8 @@ def s_of_theta(p: int, p_prime: int, theta_ref: float, s_ref: float,
     _common_range(p, p_prime, theta_ref, theta)
     if theta == theta_ref:
         return s_ref
-    at_theta, at_ref = _log_sums(_sorted_terms(p, p_prime), (theta, theta_ref))
+    at_theta, at_ref = _log_sums(profile_log_terms(p, p_prime),
+                                 (theta, theta_ref))
     return s_ref + (at_theta - at_ref)
 
 
@@ -314,22 +304,22 @@ class CurveSpec(NamedTuple):
 
     @classmethod
     def example2(cls, t0: float, kappa: float, sign_p_prime: int) -> "CurveSpec":
-        if kappa <= 0:
-            raise ValueError("the plane family needs kappa > 0")
+        if not 0 < kappa < math.inf:
+            raise ValueError("the plane family needs a finite kappa > 0")
         if sign_p_prime not in (-1, 1):
             raise ValueError("sign_p_prime is +-1")
         return cls(example_id=2, t0=t0, kappa=kappa, sign_p_prime=sign_p_prime)
 
     @classmethod
     def example3(cls, t0: float, kappa: float) -> "CurveSpec":
-        if kappa <= 0:
-            raise ValueError("this cylinder family needs kappa > 0")
+        if not 0 < kappa < math.inf:
+            raise ValueError("this cylinder family needs a finite kappa > 0")
         return cls(example_id=3, t0=t0, kappa=kappa)
 
     @classmethod
     def example4(cls, phi0: float, kappa: float) -> "CurveSpec":
-        if kappa == 0:
-            raise ValueError("this cylinder family needs kappa != 0")
+        if kappa == 0 or not math.isfinite(kappa):
+            raise ValueError("this cylinder family needs a finite kappa != 0")
         return cls(example_id=4, phi0=phi0, kappa=kappa)
 
     @classmethod
@@ -381,11 +371,11 @@ class Trace(NamedTuple):
     samples: tuple[TraceSample, ...]
 
 
-def _anchored(spec: CurveSpec) -> tuple[SortedTerms, float]:
+def _anchored(spec: CurveSpec) -> tuple[LogTerms, float]:
     """The profile's log terms and the base that _log_sums' value at an
     angle is added to for its s, so that s = s_anchor at the range
     midpoint."""
-    terms = _sorted_terms(spec.p, spec.p_prime)
+    terms = profile_log_terms(spec.p, spec.p_prime)
     at_anchor, = _log_sums(terms, (spec.anchor_angle(),))
     return terms, spec.s_anchor - at_anchor
 
@@ -538,11 +528,12 @@ def _example4_point(spec: CurveSpec, tau: float, u: float) -> Point4:
 
 def _log_u_slope(p: int, p_prime: int, theta: float) -> float:
     """d log|u| / dtheta along the (p, p') profile at theta, where
-    u = e^{-sqrt6 s} g and g = 1 - 3 cos^2 theta; nan where theta
-    rounds onto a pole of ds/dtheta."""
+    u = e^{-sqrt6 s} g and g = 1 - 3 cos^2 theta; nan where the
+    denominator of ds/dtheta rounds to 0.  It takes no range lookup,
+    so a probe pays none."""
     try:
-        ds = profile_ds_dtheta(p, p_prime, theta)
-    except BranchError:
+        ds = _ds_dtheta(p, p_prime, theta)
+    except ZeroDivisionError:
         return math.nan
     c = cos(theta)
     # g as u_of writes it, so that it is non-zero wherever u_of(theta) is.

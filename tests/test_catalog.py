@@ -1,6 +1,6 @@
 import pytest
 
-from sympl_moduli import catalog_entries
+from sympl_moduli import CatalogEntry, catalog_entries
 from sympl_moduli.invariants import Side
 
 
@@ -46,6 +46,14 @@ def test_lower_bound_holds_where_defined(entries):
         bound = e.lower_bound()
         if bound is not None:
             assert e.index() >= bound, e.case_id
+
+
+def test_lower_bound_is_taken_at_genus_zero(entries):
+    # Every entry is a punctured sphere (chi = 2 - #ends), so the bound
+    # takes genus 0 and the entries carry no genus field.
+    assert "genus" not in CatalogEntry._fields
+    for e in entries:
+        assert e.chi == 2 - len(e.ends), e.case_id
 
 
 def test_polar_cylinder_is_only_bound_exemption(entries):

@@ -333,22 +333,27 @@ class TestProfilePoint:
 
 
 def _log_sum_by_term(terms, theta):
-    """sum residue * log|cos(theta) - pole| over profile_log_terms, each
-    term's form chosen by its angle on every call."""
+    """sum residue * log|cos(theta) - pole| over the record of
+    profile_log_terms, one term at a time, each term's form chosen by
+    its kind on every call."""
     half = 0.5 * theta
-    total = 0.0
-    for residue, pole, angle, offset in terms:
-        if angle is None:
-            log_gap = math.log(abs(math.cos(theta) - pole))
-        elif angle == 0.0:
-            log_gap = math.log(2.0) + 2.0 * math.log(abs(math.sin(half)))
-        elif angle == math.pi:
-            log_gap = math.log(2.0) + 2.0 * math.log(abs(math.cos(half)))
-        else:
-            log_gap = math.log(abs(
-                offset - 2.0 * math.sin(half + 0.5 * angle)
-                * math.sin(half - 0.5 * angle)))
-        total += residue * log_gap
+
+    def log_gap(kind, pole):
+        if kind == "pole0":
+            return math.log(2.0) + 2.0 * math.log(abs(math.sin(half)))
+        if kind == "polePi":
+            return math.log(2.0) + 2.0 * math.log(abs(math.cos(half)))
+        return math.log(abs(math.cos(theta) - pole))
+
+    total = terms.at_zero * log_gap("pole0", 1.0)
+    total += terms.at_pi * log_gap("polePi", -1.0)
+    for residue, half_angle, offset in terms.inside:
+        total += residue * math.log(abs(
+            offset - 2.0 * math.sin(half + half_angle)
+            * math.sin(half - half_angle)))
+    if terms.last is not None:
+        residue, pole, kind = terms.last
+        total += residue * log_gap(kind, pole)
     return total
 
 
@@ -359,29 +364,46 @@ class TestLogTermKinds:
 
     @pytest.mark.parametrize("p,pp", CLOSED_FORM_PAIRS + ROUNDED)
     def test_kinds_decided_once_keep_the_bits(self, p, pp):
-        """_log_sums over the terms as sorted once per pair gives the bits
-        of choosing each term's form by its angle on every call, one
-        angle per call or all of them in one."""
+        """_log_sums over the record, whose kinds were decided once per
+        pair, gives the bits of adding its terms one by one, one angle
+        per call or all of them in one.  Each inner term sits at a fixed
+        angle strictly inside (0, pi), and a last term takes the cosine
+        form exactly where its pole lies past x = +-1."""
         terms = profile_log_terms(p, pp)
-        sorted_terms = curves._sorted_terms(p, pp)
-        for rng in classify_branches(p, pp):
+        ranges = classify_branches(p, pp)
+        fixed = {rng.lo for rng in ranges}
+        assert all(0.0 < 2.0 * half < math.pi and 2.0 * half in fixed
+                   for _, half, _ in terms.inside)
+        if terms.last is not None:
+            _, pole, kind = terms.last
+            assert (kind == "outside") == (abs(pole) > 1.0)
+        for rng in ranges:
             thetas = [rng.lo + (rng.hi - rng.lo) * frac
                       for frac in (1e-9, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-9)]
             thetas = [theta for theta in thetas if rng.lo < theta < rng.hi]
             expected = [repr(_log_sum_by_term(terms, theta))
                         for theta in thetas]
-            assert [repr(curves._log_sums(sorted_terms, (theta,))[0])
+            assert [repr(curves._log_sums(terms, (theta,))[0])
                      for theta in thetas] == expected
-            assert list(map(repr, curves._log_sums(sorted_terms,
-                                                   thetas))) == expected
+            assert list(map(repr, curves._log_sums(terms, thetas))) == expected
 
     def test_rounded_companion_takes_the_pole_form(self):
         for (p, pp), kind in zip(self.ROUNDED, ("polePi", "pole0")):
             angle = solve_theta0_bar(p, pp)
             assert angle == (math.pi if kind == "polePi" else 0.0)
-            residue, pole, got = curves._sorted_terms(p, pp).last
+            terms = profile_log_terms(p, pp)
+            _, pole, got = terms.last
             assert got == kind and abs(pole) < 1.0
-            assert residue == profile_log_terms(p, pp)[-1].residue
+            assert [2.0 * half for _, half, _ in terms.inside] == [
+                solve_theta0(p, pp)]
+
+    @pytest.mark.parametrize("p,pp", CLOSED_FORM_PAIRS)
+    def test_sign_flip_keeps_the_record(self, p, pp):
+        # s depends on p'/p only.
+        assert profile_log_terms(-p, -pp) == profile_log_terms(p, pp)
+
+    def test_one_record_per_pair(self):
+        assert profile_log_terms(2, 5) is profile_log_terms(2, 5)
 
 
 class TestMergedPoles:
@@ -440,6 +462,15 @@ class TestSOfTheta:
         with pytest.raises(BranchError):
             s_of_theta(p, pp, theta, 0.7, theta)
 
+    @pytest.mark.parametrize("theta_ref,theta", [(0.5, math.nan),
+                                                 (math.nan, 0.5)],
+                             ids=["theta", "theta_ref"])
+    def test_nan_angle_rejected(self, theta_ref, theta):
+        # Each angle is tested against the range, so a nan in either
+        # place is refused, not returned as an s of nan.
+        with pytest.raises(BranchError):
+            s_of_theta(1, 2, theta_ref, 0.0, theta)
+
     @pytest.mark.parametrize("p,pp", [(-1, -2), (2, 4), (0, 1)],
                              ids=["negative-p", "not-coprime", "zero-p"])
     def test_domain_is_that_of_classify_branches(self, p, pp):
@@ -468,6 +499,18 @@ class TestProfileDsDtheta:
         # theta0 of (2, -1)) and at pi, whose sine rounds to 1.2e-16.
         with pytest.raises(BranchError, match="fixed angle"):
             profile_ds_dtheta(p, pp, theta)
+
+    @pytest.mark.parametrize("p,pp", CLOSED_FORM_PAIRS)
+    def test_every_listed_fixed_angle_is_a_branch_error(self, p, pp):
+        # The rule s_of_theta uses: at most float theta0 and theta0_bar
+        # the formula gives a huge finite slope (-2.14e15 at the theta0
+        # of (1, 2)), which is refused too.
+        angles = [solve_theta0(p, pp)]
+        if 2 * pp * pp > 3 * p * p:
+            angles.append(solve_theta0_bar(p, pp))
+        for theta in angles:
+            with pytest.raises(BranchError, match="fixed angle"):
+                profile_ds_dtheta(p, pp, theta)
 
 
 class TestIntegrateProfile:
@@ -659,7 +702,8 @@ class TestClosedForm:
         # orbit angle; the companion angle theta0_bar is the orbit angle
         # of (-p, -p') and carries that orbit's constants.
         from sympl_moduli import asymptotic_constants
-        by_angle = {t.angle: t for t in profile_log_terms(p, pp)}
+        by_angle = {2.0 * half: (residue, offset)
+                    for residue, half, offset in profile_log_terms(p, pp).inside}
         ends = [solve_theta0(p, pp)]
         if 2 * pp * pp > 3 * p * p:
             ends.append(solve_theta0_bar(p, pp))
@@ -667,18 +711,23 @@ class TestClosedForm:
         for th in ends:
             data = asymptotic_constants(th)
             want = 1.0 / (SQRT6_ * data.zeta * data.kappa)
-            assert by_angle[th].residue == pytest.approx(want, rel=1e-12)
-            assert by_angle[th].pole == pytest.approx(math.cos(th), abs=1e-15)
+            residue, offset = by_angle[th]
+            assert residue == pytest.approx(want, rel=1e-12)
+            # offset = cos(th) - pole
+            assert abs(offset) <= 1e-15
 
     @pytest.mark.parametrize("p,pp", CLOSED_FORM_PAIRS)
     def test_residues_sum_to_leading_ratio(self, p, pp):
         terms = profile_log_terms(p, pp)
+        residues = ([terms.at_zero, terms.at_pi]
+                    + [residue for residue, _, _ in terms.inside]
+                    + ([] if terms.last is None else [terms.last[0]]))
         # ds/dx ~ (sum of residues) / x at infinity: the ratio of the
         # leading coefficients of N and D.
-        total = sum(t.residue for t in terms)
+        total = sum(residues)
         assert total == pytest.approx(SQRT6_ / 2 if pp == 0 else SQRT6_ / 3,
                                       rel=1e-13)
-        assert len(terms) == (3 if pp == 0 else 4)
+        assert len(residues) == (3 if pp == 0 else 4)
 
     def test_trace_rows_match_s_of_theta(self):
         tr = integrate_profile(2, 5, 1, s_anchor=0.4, n_samples=101)
@@ -686,6 +735,19 @@ class TestClosedForm:
         for row in tr.samples[::10]:
             assert row.s == pytest.approx(
                 s_of_theta(2, 5, anchor, 0.4, row.theta), rel=1e-13, abs=1e-13)
+
+
+class TestCurveSpecKappa:
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make", [
+        lambda kappa: CurveSpec.example2(0.0, kappa, 1),
+        lambda kappa: CurveSpec.example3(0.0, kappa),
+        lambda kappa: CurveSpec.example4(0.0, kappa)],
+        ids=["example2", "example3", "example4"])
+    def test_non_finite_kappa_refused(self, make, kappa):
+        # Where s_max gave nan or -inf.
+        with pytest.raises(ValueError, match="finite kappa"):
+            make(kappa)
 
 
 class TestSMax:
