@@ -33,7 +33,8 @@ residue * log|x - pole| terms.  profile_log_terms builds them once per
 pair as one cached record, each term's kind decided, in the form and
 order that _log_sums, the one evaluator of s, adds them up: over a
 block of a trace's angles per call, or at one or two angles for
-s_of_theta, ODE residuals and the Newton iteration of a profile point.
+s_of_theta, ODE residuals and the Newton iteration of a profile point,
+whose per-curve part _point_start builds once as a cached record.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from typing import NamedTuple, Optional, Sequence
 from .budgets import MAX_TRACE_SAMPLES
 from .errors import (BranchError, DomainError, InvalidLabel, WrongExample)
 from .geometry import (DEFAULT_CLIP, SQRT6, BranchId, Point4, fh_at,
-                       fh_rows, theta_from_lambda)
+                       fh_rows, require_finite, theta_from_lambda)
 from .reeb import ReebOrbit, OrbitKind, classify_pair, theta_roots
 
 _LOG2 = math.log(2.0)
@@ -284,7 +285,8 @@ class CurveSpec(NamedTuple):
     4: the cylinder phi = phi0, h = kappa != 0;
     5/6/7: a profile family member, labeled by p > 0 coprime to p',
     the angle range index from classify_branches, the torus phase phi0
-    and the anchor value of s.
+    and the anchor value of s.  The constructors refuse a non-finite
+    t0, phi0, kappa or s_anchor with ValueError.
     """
 
     example_id: int
@@ -304,6 +306,7 @@ class CurveSpec(NamedTuple):
 
     @classmethod
     def example2(cls, t0: float, kappa: float, sign_p_prime: int) -> "CurveSpec":
+        require_finite(ValueError, t0=t0)
         if not 0 < kappa < math.inf:
             raise ValueError("the plane family needs a finite kappa > 0")
         if sign_p_prime not in (-1, 1):
@@ -312,12 +315,14 @@ class CurveSpec(NamedTuple):
 
     @classmethod
     def example3(cls, t0: float, kappa: float) -> "CurveSpec":
+        require_finite(ValueError, t0=t0)
         if not 0 < kappa < math.inf:
             raise ValueError("this cylinder family needs a finite kappa > 0")
         return cls(example_id=3, t0=t0, kappa=kappa)
 
     @classmethod
     def example4(cls, phi0: float, kappa: float) -> "CurveSpec":
+        require_finite(ValueError, phi0=phi0)
         if kappa == 0 or not math.isfinite(kappa):
             raise ValueError("this cylinder family needs a finite kappa != 0")
         return cls(example_id=4, phi0=phi0, kappa=kappa)
@@ -325,6 +330,7 @@ class CurveSpec(NamedTuple):
     @classmethod
     def profile(cls, p: int, p_prime: int, range_id: int, phi0: float = 0.0,
                 s_anchor: float = 0.0) -> "CurveSpec":
+        require_finite(ValueError, phi0=phi0, s_anchor=s_anchor)
         ranges = classify_branches(p, p_prime)
         if not 0 <= range_id < len(ranges):
             raise ValueError(f"range_id {range_id} out of range")
@@ -536,17 +542,40 @@ def _log_u_slope(p: int, p_prime: int, theta: float) -> float:
     except ZeroDivisionError:
         return math.nan
     c = cos(theta)
-    # g as u_of writes it, so that it is non-zero wherever u_of(theta) is.
+    # g as _u_of writes it, so that it is non-zero wherever _u_of is.
     return -SQRT6 * ds + 6.0 * c * sin(theta) / (1.0 - 3.0 * c ** 2)
+
+
+def _u_of(terms: LogTerms, base: float, theta: float) -> float:
+    """u = e^{-sqrt6 s} (1 - 3 cos^2 theta) for _anchored's terms and base;
+    +-inf where e^{-sqrt6 s} overflows, since a bracket needs only order."""
+    g = 1.0 - 3.0 * cos(theta) ** 2
+    log_sum, = _log_sums(terms, (theta,))
+    try:
+        return math.exp(-SQRT6 * (base + log_sum)) * g
+    except OverflowError:
+        return math.copysign(math.inf, g)
+
+
+@functools.lru_cache(maxsize=16)
+def _point_start(spec: CurveSpec, clip: float) -> tuple:
+    """(lo, hi, terms, base, sign, u_min, u_max) of a profile curve at a
+    clip: the clipped range, _anchored's record, _u_of's sign and ends.
+    Errors are not cached.  A curve's points come together: 16 suffice."""
+    lo, hi = _clipped(spec.theta_range(), clip)
+    terms, base = _anchored(spec)
+    u_lo, u_hi = _u_of(terms, base, lo), _u_of(terms, base, hi)
+    return (lo, hi, terms, base, 1.0 if u_hi > u_lo else -1.0,
+            min(u_lo, u_hi), max(u_lo, u_hi))
 
 
 def _profile_point(spec: CurveSpec, tau: float, u: float,
                    clip: float) -> Point4:
     """The point of the profile curve at (tau, u), found by bracketed
-    Newton iteration on the clipped range; eval_invariant_curve checks
-    its s with fh_at.
+    Newton iteration on the clipped range from _point_start's record;
+    eval_invariant_curve checks its s with fh_at.
 
-    Each probe x is decided by u_of, which moves one end of a bracket
+    Each probe x is decided by _u_of, which moves one end of a bracket
     [a, b] around the angle where u_of crosses u, and the point is the
     midpoint of the first bracket narrower than 1e-13, as a bisection's
     would be.  The next probe is a Newton step on log|u| from the probe
@@ -559,34 +588,18 @@ def _profile_point(spec: CurveSpec, tau: float, u: float,
     approach the crossing from one side, and this one lands on the
     other, which closes the bracket.
     """
-    lo, hi = _clipped(spec.theta_range(), clip)
-    terms, base = _anchored(spec)
+    lo, hi, terms, base, sign, u_min, u_max = _point_start(spec, clip)
     p, p_prime = spec.p, spec.p_prime
-
-    def u_of(theta: float) -> float:
-        # Saturates where e^{-sqrt6 s} overflows or underflows: that
-        # end's u is out of any float's reach, and the bracket only
-        # needs the order.  The point found is checked by fh_at.
-        g = 1.0 - 3.0 * cos(theta) ** 2
-        log_sum, = _log_sums(terms, (theta,))
-        try:
-            return math.exp(-SQRT6 * (base + log_sum)) * g
-        except OverflowError:
-            return math.copysign(math.inf, g)
-
-    u_lo, u_hi = u_of(lo), u_of(hi)
-    sign = 1.0 if u_hi > u_lo else -1.0
-    if not min(u_lo, u_hi) <= u <= max(u_lo, u_hi):
-        raise DomainError(
-            f"u = {u} outside [{min(u_lo, u_hi)}, {max(u_lo, u_hi)}] "
-            f"reachable on the clipped range")
+    if not u_min <= u <= u_max:
+        raise DomainError(f"u = {u} outside [{u_min}, {u_max}] reachable "
+                          f"on the clipped range")
     log_u = log(abs(u)) if u else 0.0
     a, b = lo, hi
     x = 0.5 * (a + b)
     best = None                      # (x, log|u| - log|u_of(x)|, slope)
     widths = (b - a, b - a)          # the bracket one and two probes ago
     while b - a >= 1e-13:           # u_of is strictly monotone on the range
-        u_x = u_of(x)
+        u_x = _u_of(terms, base, x)
         if sign * (u_x - u) < 0.0:
             a = x
         else:
@@ -618,10 +631,14 @@ def eval_invariant_curve(spec: CurveSpec, tau: float, u: float,
     angle solving u = e^{-sqrt6 s(theta)}(1 - 3 cos^2 theta) is found by
     bracketed Newton iteration on the clipped range, to a bracket
     narrower than 1e-13 (u is strictly monotone in theta along a
-    profile).  Every family's point is checked by fh_at, so a
-    point is returned only where e^{-sqrt6 s} is a normal float
-    (DomainError elsewhere).
+    profile), from the curve's cached _point_start record (3 evaluations
+    of s when first built).  A nan or infinite tau or u is a DomainError
+    before any family runs, and every family's point is checked by
+    fh_at, so a point is returned only where e^{-sqrt6 s} is a normal
+    float (DomainError elsewhere).
     """
+    if not (math.isfinite(tau) and math.isfinite(u)):
+        require_finite(DomainError, tau=tau, u=u)
     if spec.example_id == 1:
         pt = _example1_point(spec, tau, u)
     elif spec.example_id == 2:

@@ -66,6 +66,14 @@ _TINY = sys.float_info.min
 _E_MAX = sys.float_info.max / (2.0 * SQRT6)
 
 
+def require_finite(error: type[Exception], **fields: float) -> None:
+    """Raise error, naming the first of fields that is nan or infinite.
+    A hot caller tests math.isfinite itself and calls this to name it."""
+    for name, x in fields.items():
+        if not math.isfinite(x):
+            raise error(f"{name} = {x} is not finite")
+
+
 def _reduce_angle(x: float) -> float:
     """Reduce to [0, 2*pi)."""
     r = math.fmod(x, math.tau)
@@ -80,9 +88,10 @@ class _Point4Fields(NamedTuple):
 
 
 class Point4(_Point4Fields):
-    """A point of R x (S^1 x S^2); t and phi are stored in [0, 2*pi).
+    """A point of R x (S^1 x S^2); t and phi are finite, stored in
+    [0, 2*pi).
 
-    The check and the reduction run in __new__, which the tuple methods
+    The checks and the reduction run in __new__, which the tuple methods
     _make and _replace bypass; nothing here calls them.
     """
 
@@ -92,6 +101,8 @@ class Point4(_Point4Fields):
                 phi: float) -> "Point4":
         if not 0.0 <= theta <= math.pi:
             raise ValueError(f"theta = {theta} outside [0, pi]")
+        if not (math.isfinite(t) and math.isfinite(phi)):
+            require_finite(ValueError, t=t, phi=phi)
         return super().__new__(cls, s, _reduce_angle(t), theta,
                                _reduce_angle(phi))
 

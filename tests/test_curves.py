@@ -282,7 +282,10 @@ class TestProfilePoint:
     def test_evaluations_of_s_per_point(self, profile_domain, monkeypatch):
         """s is evaluated at few angles per profile point, where a
         bisection to 1e-13 takes 47-48: the clip ends, the anchor and
-        the point itself, and the Newton probes between."""
+        the point itself, and the Newton probes between.  The first
+        three are the curve's _point_start record, so each point is
+        counted cold, with the record cache cleared, and a second
+        evaluation of it takes exactly 3 fewer."""
         log_sums = curves._log_sums
         angles = []
 
@@ -292,17 +295,22 @@ class TestProfilePoint:
 
         calls = _profile_point_calls(profile_domain)
         monkeypatch.setattr(curves, "_log_sums", counted)
-        per_point = []
+        cold, warm = [], []
         for spec, u, clip in calls:
+            curves._point_start.cache_clear()
             angles.append(0)
             try:
                 eval_invariant_curve(spec, 0.3, u, clip=clip)
             except DomainError:
                 continue
-            per_point.append(angles[-1])
-        assert len(per_point) == 4929
-        assert sum(per_point) / len(per_point) <= 16
-        assert max(per_point) <= 48
+            cold.append(angles[-1])
+            angles.append(0)
+            eval_invariant_curve(spec, 0.3, u, clip=clip)
+            warm.append(angles[-1])
+        assert len(cold) == 4929
+        assert sum(cold) / len(cold) <= 16
+        assert max(cold) <= 48
+        assert [c - w for c, w in zip(cold, warm)] == [3] * len(cold)
 
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=200)
@@ -330,6 +338,68 @@ class TestProfilePoint:
         f = coord_functions(pt)[0]
         slope = _log_u_slope(p, pp, pt.theta)
         assert abs(f - u) <= abs(u) * (1e-13 * abs(slope) + 1e-11)
+
+
+def _outcome(spec, u, clip):
+    """eval_invariant_curve's point at (0.3, u), or its error's type and
+    message."""
+    try:
+        return eval_invariant_curve(spec, 0.3, u, clip=clip)
+    except (BranchError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+def _cold_outcome(spec, u, clip):
+    curves._point_start.cache_clear()
+    return _outcome(spec, u, clip)
+
+
+class TestPointStart:
+    """A profile point read from a cached _point_start record is the
+    point, or the error, that a cold record gives."""
+
+    def test_warm_points_keep_their_bits(self, profile_domain):
+        calls = _profile_point_calls(profile_domain) + LIMIT_CALLS
+        cold = [_cold_outcome(*call) for call in calls]
+        curves._point_start.cache_clear()
+        forward = [_outcome(*call) for call in calls]
+        again = [_outcome(*call) for call in calls]
+        backward = [_outcome(*call) for call in reversed(calls)][::-1]
+        assert forward == cold and again == cold and backward == cold
+        assert sum(isinstance(x, Point4) for x in cold) == 4929 + 12
+
+    def test_clips_and_anchors_keep_their_own_records(self):
+        # One pair and range at two clips and two anchors: the u of one
+        # curve is inside or outside the reach of another, and each
+        # (spec, clip) gives the point or error it gives alone.
+        specs = [CurveSpec.profile(3, 7, 0, s_anchor=a) for a in (0.1, 2.0)]
+        us = [row.f for spec in specs
+              for row in integrate_profile(3, 7, 0, s_anchor=spec.s_anchor,
+                                           n_samples=9).samples]
+        calls = [(spec, u, clip) for u in us for spec in specs
+                 for clip in (1e-4, 1e-9)]
+        alone = [_cold_outcome(*call) for call in calls]
+        curves._point_start.cache_clear()
+        assert [_outcome(*call) for call in calls] == alone
+        assert curves._point_start.cache_info().currsize == 4
+        refused = [x for x in alone if not isinstance(x, Point4)]
+        assert 0 < len(refused) < len(alone)
+
+    def test_warm_record_raises_as_cold(self):
+        spec = CurveSpec.profile(1, 2, 1)
+        cold = _cold_outcome(spec, 1e12, 1e-9)
+        assert cold[0] is DomainError and "reachable" in cold[1]
+        eval_invariant_curve(spec, 0.0, 0.1)
+        assert _outcome(spec, 1e12, 1e-9) == cold
+        hits = curves._point_start.cache_info().hits
+        assert _outcome(spec, 1e12, 1e-9) == cold
+        assert curves._point_start.cache_info().hits == hits + 1
+        # A refused clip builds no record, so it is refused every time.
+        size = curves._point_start.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(BranchError, match="clip 2.0 leaves no"):
+                eval_invariant_curve(spec, 0.0, 0.1, clip=2.0)
+        assert curves._point_start.cache_info().currsize == size
 
 
 def _log_sum_by_term(terms, theta):
@@ -750,6 +820,23 @@ class TestCurveSpecKappa:
             make(kappa)
 
 
+class TestCurveSpecFinite:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make,field", [
+        (lambda x: CurveSpec.example2(x, 1.0, 1), "t0"),
+        (lambda x: CurveSpec.example3(x, 1.0), "t0"),
+        (lambda x: CurveSpec.example4(x, 1.0), "phi0"),
+        (lambda x: CurveSpec.profile(1, 2, 1, phi0=x), "phi0"),
+        (lambda x: CurveSpec.profile(1, 2, 1, s_anchor=x), "s_anchor")],
+        ids=["example2", "example3", "example4", "profile-phi0",
+             "profile-s_anchor"])
+    def test_non_finite_field_refused(self, make, field, value):
+        # Where example3(inf, 1.0) failed later inside fmod, and a nan
+        # s_anchor gave nan points.
+        with pytest.raises(ValueError, match=f"^{field} = {value} is not"):
+            make(value)
+
+
 class TestSMax:
     def test_plane_unit_value(self):
         assert s_max(CurveSpec.example2(0.0, 2.0, 1)) == pytest.approx(0.0, abs=1e-15)
@@ -914,6 +1001,27 @@ class TestEvalInvariantCurve:
         pt = eval_invariant_curve(CurveSpec.example1(ReebOrbit.pole_plus()),
                                   0.0, 5e307)
         assert coord_functions(pt)[0] == pytest.approx(-5e307)
+
+    @pytest.mark.parametrize("spec,tau,u", [
+        (CurveSpec.profile(1, 2, 1), math.inf, 0.5),
+        (CurveSpec.profile(1, 2, 1), 0.0, math.nan),
+        (CurveSpec.example1(ReebOrbit.pole_plus()), -math.inf, 1.0),
+        (CurveSpec.example2(0.5, 1.0, 1), math.nan, 0.3),
+        (CurveSpec.example3(0.5, 1.0), 0.0, -math.inf),
+        (CurveSpec.example4(0.5, 1.0), 0.0, math.inf)],
+        ids=["profile-tau", "profile-u", "example1", "example2", "example3",
+             "example4"])
+    def test_non_finite_tau_or_u_refused(self, spec, tau, u, monkeypatch):
+        # Where these raised a bare ValueError ('math domain error') or
+        # returned a point with phi = nan; no family's code may run.
+        def no_family(*args):
+            raise AssertionError("a family's code ran")
+
+        for name in ("_example1_point", "_example2_point", "_example3_point",
+                     "_example4_point", "_profile_point", "_point_start"):
+            monkeypatch.setattr(curves, name, no_family)
+        with pytest.raises(DomainError, match="is not finite"):
+            eval_invariant_curve(spec, tau, u)
 
     def test_profile_point_consistency(self):
         spec = CurveSpec.profile(1, 2, 1)

@@ -66,6 +66,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="outside"):
             Point4(0.0, 0.0, theta, 0.0)
 
+    @pytest.mark.parametrize("field", ["t", "phi"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_point_angle_not_finite(self, field, value):
+        # fmod raised a bare 'math domain error' on inf and kept a nan.
+        coords = {"s": 0.0, "t": 0.0, "theta": 1.0, "phi": 0.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} = {value} is not"):
+            Point4(**coords)
+
     def test_point_angles_reduced(self):
         pt = Point4(s=1.5, t=-0.5, theta=math.pi, phi=7.0)
         assert pt == (1.5, 2 * math.pi - 0.5, math.pi, 7.0 - 2 * math.pi)
