@@ -21,10 +21,10 @@ This module works with s(theta) and recovers u = f = e^{-sqrt6 s}
 (1 - 3 cos^2 theta) algebraically afterwards.  That avoids the
 stiffness of the u-parameterized equation near the fixed angles, where
 s diverges.  f and h come from geometry.fh_rows, the package's one
-guarded e^{-sqrt6 s} (fh_at is its one-row case): trace rows, ODE
-residuals and profile points exist only where that factor is a normal
-positive float (about -289.77 < s < 289.20), and are refused with
-DomainError elsewhere.
+guarded e^{-sqrt6 s}, as columns over a block of angles (fh_at reads
+one row of them): trace rows, ODE residuals and profile points exist
+only where that factor is a normal positive float (about
+-289.77 < s < 289.20), and are refused with DomainError elsewhere.
 
 In x = cos(theta) the slope ds/dx is a proper rational function with
 simple poles at x = +-1 and at the roots of 3 a x^2 + sqrt6 x - a (the
@@ -42,6 +42,7 @@ from __future__ import annotations
 import functools
 import math
 from decimal import Decimal, localcontext
+from itertools import repeat
 # _log_sums and _profile_point's probes call these as module globals,
 # which costs less than binding them to locals on every call.
 from math import cos, log, sin
@@ -224,15 +225,19 @@ def _log_sums(terms: LogTerms, thetas: Sequence[float]) -> list[float]:
     evaluator of s, over a block of a trace or one angle per call.  The
     term kinds were decided once per pair by profile_log_terms.  Near a
     fixed angle the gap is taken as a product of sines, which keeps its
-    relative accuracy where cos(theta) - cos(angle) would cancel."""
+    relative accuracy where cos(theta) - cos(angle) would cancel.
+
+    Every theta must lie strictly inside (0, pi), as every caller's
+    does: then sin(theta/2) and cos(theta/2) are positive, and their
+    logs are taken without abs()."""
     at_zero, at_pi, inside, last = terms
     if last is not None:
         last_residue, pole, kind = last
     totals = []
     for theta in thetas:
         half = 0.5 * theta
-        gap_zero = _LOG2 + 2.0 * log(abs(sin(half)))    # log(1 - cos)
-        gap_pi = _LOG2 + 2.0 * log(abs(cos(half)))      # log(1 + cos)
+        gap_zero = _LOG2 + 2.0 * log(sin(half))     # log(1 - cos)
+        gap_pi = _LOG2 + 2.0 * log(cos(half))       # log(1 + cos)
         total = at_zero * gap_zero + at_pi * gap_pi
         for residue, half_angle, offset in inside:
             total += residue * log(abs(
@@ -356,10 +361,11 @@ class CurveSpec(NamedTuple):
         return 0.5 * (rng.lo + rng.hi)
 
 
-#: Rows of a trace evaluated per _log_sums and fh_rows call.  A block
-#: keeps the per-call cost off each row, and its intermediate lists
-#: stay small beside the rows, so that a trace of MAX_TRACE_SAMPLES
-#: rows peaks at the memory of the rows themselves.
+#: Rows of a trace evaluated per _log_sums and fh_rows call, and built
+#: from their columns in one pass.  A block keeps the per-call cost off
+#: each row, and its intermediate lists stay small beside the rows, so
+#: that a trace of MAX_TRACE_SAMPLES rows peaks at the memory of the
+#: rows themselves.
 _TRACE_BLOCK = 4096
 
 
@@ -396,10 +402,10 @@ def integrate_profile(p: int, p_prime: int, range_id: int,
     range midpoint (where s = s_anchor), and recovers f and h
     algebraically.  Rows come out in increasing theta order, so theta
     is strictly monotone.  Each row is at t = phi = 0.  The rows are
-    evaluated _TRACE_BLOCK at a time: s by one _log_sums call and f, h
-    by one fh_rows call per block (DomainError, naming the first row
-    fh_rows refuses).  DomainError past MAX_TRACE_SAMPLES, before any
-    row.
+    evaluated _TRACE_BLOCK at a time: s by one _log_sums call and the
+    f and h columns by one fh_rows call per block (DomainError, naming
+    the first row fh_rows refuses), zipped into the block's rows.
+    DomainError past MAX_TRACE_SAMPLES, before any row.
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
@@ -410,17 +416,18 @@ def integrate_profile(p: int, p_prime: int, range_id: int,
     lo, hi = _clipped(spec.theta_range(), clip)
     terms, base = _anchored(spec)
     width, last = hi - lo, n_samples - 1
-    # TraceSample checks nothing, so tuple.__new__ builds the same row
-    # without the generated __new__.
-    new = tuple.__new__
     samples = []
     for start in range(0, n_samples, _TRACE_BLOCK):
         thetas = [lo + width * i / last
                   for i in range(start, min(start + _TRACE_BLOCK, n_samples))]
         s_values = [base + x for x in _log_sums(terms, thetas)]
-        samples += [new(TraceSample, (s, 0.0, theta, 0.0, f, h))
-                    for s, theta, (_, f, h)
-                    in zip(s_values, thetas, fh_rows(s_values, thetas))]
+        _, fs, hs = fh_rows(s_values, thetas)
+        # TraceSample checks nothing, so tuple.__new__ builds the same
+        # row from zip's tuple without the generated __new__, and map
+        # calls it with no Python frame per row.
+        samples += map(tuple.__new__, repeat(TraceSample),
+                       zip(s_values, repeat(0.0), thetas, repeat(0.0),
+                           fs, hs))
     return Trace(spec=spec, samples=tuple(samples))
 
 
@@ -441,7 +448,7 @@ def profile_ode_residual(spec: CurveSpec, theta: float) -> float:
     step = 3e-4 * dist
     thetas = (theta - step, theta + step)
     s_values = [base + x for x in _log_sums(terms, thetas)]
-    (_, f_lo, h_lo), (_, f_hi, h_hi) = fh_rows(s_values, thetas)
+    _, (f_lo, f_hi), (h_lo, h_hi) = fh_rows(s_values, thetas)
     fd = (h_hi - h_lo) / (f_hi - f_lo)
     return abs(fd - (spec.p_prime / spec.p) * math.sin(theta) ** 2)
 

@@ -19,12 +19,12 @@ g^{-1} omega(., J.) is then the round product metric
 ds^2 + dt^2 + dtheta^2 + sin^2(theta) dphi^2.
 
 f, h and g all carry the conformal factor e^{-sqrt(6) s}.  It is taken,
-with f and h, in one place, fh_rows, a row at a time over parallel s
-and theta sequences: the curves module's profile traces get a block of
-rows per call, and coord_functions, omega and curve points get one row
-through fh_at.  fh_rows refuses (DomainError) an s
-where f, h, g or the Jacobian of (f, h) would overflow or keep too few
-bits, about s <= -289.12 or s >= 289.20.
+with f and h, in one place, fh_rows, which maps parallel s and theta
+sequences to three columns e, f and h: the curves module's profile
+traces get a block of rows per call, and coord_functions, omega and
+curve points get one row through fh_at.  fh_rows refuses (DomainError)
+an s where f, h, g or the Jacobian of (f, h) would overflow or keep too
+few bits, about s <= -289.12 or s >= 289.20.
 The factor cancels in J, which is therefore the same at every s.
 
 The ratio h/f depends on theta alone,
@@ -146,18 +146,18 @@ _BRANCH_INTERVAL = {
 
 
 def fh_rows(s_values: Sequence[float], thetas: Sequence[float]
-            ) -> list[tuple[float, float, float]]:
-    """(e, f, h) at each (s, theta) of the parallel sequences: the
-    conformal factor e = e^{-sqrt6 s}, f = e (1 - 3 cos^2 theta) and
-    h = sqrt6 e cos(theta) sin^2(theta); the one place f and h are
-    written.
+            ) -> tuple[list[float], list[float], list[float]]:
+    """The columns (es, fs, hs) over the parallel sequences: at each
+    (s, theta) the conformal factor e = e^{-sqrt6 s}, f = e (1 - 3
+    cos^2 theta) and h = sqrt6 e cos(theta) sin^2(theta); the one place
+    f and h are written.
 
     DomainError, naming the first refused row, unless each s is finite
     and _TINY <= e <= _E_MAX (about -289.12 < s < 289.20): past either
     end f, h or g overflow, or underflow to 0 or to a subnormal float
     that keeps too few bits.
     """
-    rows = []
+    es, fs, hs = [], [], []
     for s, theta in zip(s_values, thetas):
         try:
             e = exp(-SQRT6 * s)     # exp(inf) = inf, without raising
@@ -172,15 +172,17 @@ def fh_rows(s_values: Sequence[float], thetas: Sequence[float]
                 why = "f and h underflow the normal floats"
             raise DomainError(f"{why} at theta = {theta} (s = {s})")
         c = cos(theta)
-        rows.append((e, e * (1.0 - 3.0 * c * c),
-                     SQRT6 * e * c * sin(theta) ** 2))
-    return rows
+        es.append(e)
+        fs.append(e * (1.0 - 3.0 * c * c))
+        hs.append(SQRT6 * e * c * sin(theta) ** 2)
+    return es, fs, hs
 
 
 def fh_at(s: float, theta: float) -> tuple[float, float, float]:
-    """(e, f, h) at one (s, theta): the one-row case of fh_rows, with
+    """(e, f, h) at one (s, theta): fh_rows' columns at one row, with
     its DomainError."""
-    return fh_rows((s,), (theta,))[0]
+    (e,), (f,), (h,) = fh_rows((s,), (theta,))
+    return e, f, h
 
 
 def coord_functions(p: Point4) -> tuple[float, float, float]:

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import sympl_moduli as sm
+from sympl_moduli import curves
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -76,11 +77,17 @@ def test_double_points_shapes():
 
 
 def test_profile_shapes():
-    trace = sm.integrate_profile(1, 2, 0, n_samples=3, clip=1e-4)
-    assert all(isinstance(x, float) for row in trace.samples
-               for x in (row.f, row.s, row.theta))
-    lo, hi = trace.samples[0].theta, trace.samples[-1].theta
-    assert lo < trace.spec.anchor_angle() < hi
+    # profile.py reads the f, s and theta fields of rows by index, in a
+    # trace's last block too (its eval rows reach n - n // 20 - 1).
+    for n in (3, 2 * curves._TRACE_BLOCK + 3):
+        trace = sm.integrate_profile(1, 2, 0, n_samples=n, clip=1e-4)
+        assert len(trace.samples) == n
+        assert all(type(row) is sm.TraceSample for row in trace.samples)
+        assert all(isinstance(x, float) for row in trace.samples
+                   for x in (row.f, row.s, row.theta))
+        assert isinstance(trace.samples[n - 2].f, float)
+        lo, hi = trace.samples[0].theta, trace.samples[-1].theta
+        assert lo < trace.spec.anchor_angle() < hi
 
 
 def test_import_times_list_curves():

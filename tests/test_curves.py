@@ -659,6 +659,27 @@ class TestIntegrateProfile:
         tr = integrate_profile(3, -7, 1, n_samples=n)
         assert repr(tr.samples) == repr(_one_angle_rows(tr.spec, n, 1e-4))
 
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=200)
+    @given(st.data(), st.sampled_from(PROPERTY_PAIRS),
+           st.floats(-300.0, 300.0), st.sampled_from([1e-4, 1e-9]),
+           st.integers(2, 50))
+    def test_rows_are_finite_or_refused(self, data, pair, s_anchor, clip, n):
+        """A trace raises DomainError, or each of its n rows is a finite
+        TraceSample whose f and h are fh_at's at its s and theta."""
+        p, pp = pair
+        rid = data.draw(st.integers(0, len(classify_branches(p, pp)) - 1))
+        try:
+            tr = integrate_profile(p, pp, rid, s_anchor=s_anchor,
+                                   n_samples=n, clip=clip)
+        except DomainError:
+            return
+        assert len(tr.samples) == n
+        for row in tr.samples:
+            assert type(row) is TraceSample
+            assert all(math.isfinite(x) for x in row)
+            assert (row.f, row.h) == fh_at(row.s, row.theta)[1:]
+
 
 def _one_angle_rows(spec, n, clip):
     """The rows of a trace of n samples, s and (f, h) evaluated one angle

@@ -8,7 +8,7 @@ from sympl_moduli import (BranchId, Point4, Tangent4, apply_J, contact_eval,
                           coord_functions, lambda_of_theta, omega_eval,
                           reeb_vector, theta_from_lambda)
 from sympl_moduli.errors import DomainError, PoleError, RangeError
-from sympl_moduli.geometry import SQRT6, THETA_C, fh_at
+from sympl_moduli.geometry import SQRT6, THETA_C, fh_at, fh_rows
 
 SQRT6_ = math.sqrt(6.0)
 
@@ -98,6 +98,74 @@ class TestCoordFunctions:
                 except DomainError:
                     continue
                 assert all(math.isfinite(x) for x in values), (s, p.theta)
+
+
+def _accepted(s):
+    try:
+        fh_at(s, 1.0)
+    except DomainError:
+        return False
+    return True
+
+
+def _guard_limit(inside, outside):
+    """The last float from inside toward outside that fh_at accepts."""
+    while math.nextafter(inside, outside) != outside:
+        mid = 0.5 * (inside + outside)
+        if _accepted(mid):
+            inside = mid
+        else:
+            outside = mid
+    return inside
+
+
+class TestFhRows:
+    """fh_rows' columns have, row by row, the bits of fh_at, its one-row
+    case, and a refused row in a block is named as fh_at names it."""
+
+    LIMITS = (_guard_limit(0.0, -300.0), _guard_limit(0.0, 300.0))
+    REFUSED = [math.nextafter(LIMITS[0], -math.inf),
+               math.nextafter(LIMITS[1], math.inf), -400.0, 300.0, -1e308,
+               1e308, math.nan, math.inf, -math.inf]
+
+    def pairs(self):
+        lo, hi = self.LIMITS
+        rnd = random.Random(20261019)
+        edges = [lo, hi, math.nextafter(lo, 0.0), math.nextafter(hi, 0.0),
+                 -289.0, 289.0, 0.0, -0.0]
+        thetas = [0.0, math.pi, 0.5 * math.pi, THETA_C, math.pi - THETA_C]
+        pairs = [(s, theta) for s in edges for theta in thetas]
+        pairs += [(rnd.uniform(lo, hi), rnd.uniform(0.0, math.pi))
+                  for _ in range(1960)]
+        return pairs
+
+    def test_guard_limits(self):
+        lo, hi = self.LIMITS
+        assert -289.13 < lo < -289.11 and 289.19 < hi < 289.21
+        assert all(not _accepted(s) for s in self.REFUSED)
+
+    def test_columns_are_fh_at_rows(self):
+        pairs = self.pairs()
+        assert len(pairs) >= 2000
+        s_values, thetas = zip(*pairs)
+        columns = fh_rows(s_values, thetas)
+        assert [len(col) for col in columns] == [len(pairs)] * 3
+        got = [repr(row) for row in zip(*columns)]
+        assert got == [repr(fh_at(s, theta)) for s, theta in pairs]
+
+    @pytest.mark.parametrize("bad", REFUSED)
+    def test_refused_row_in_a_block_is_named_as_fh_at_names_it(self, bad):
+        pairs = self.pairs()[:101]
+        theta = 1.25
+        s_values = [s for s, _ in pairs]
+        thetas = [th for _, th in pairs]
+        s_values[50:50] = [bad, -500.0]     # a second refused row after it
+        thetas[50:50] = [theta, 2.0]
+        with pytest.raises(DomainError) as one:
+            fh_at(bad, theta)
+        with pytest.raises(DomainError) as block:
+            fh_rows(s_values, thetas)
+        assert str(block.value) == str(one.value)
 
 
 class TestContactForm:
