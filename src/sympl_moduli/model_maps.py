@@ -28,25 +28,32 @@ Given such a root pair the double point is the closed form
 
 with w the complex conjugate of z.  Double points are therefore found
 by exact modular enumeration of residue pairs followed by the closed
-form, never by two-dimensional numerical root search; the defining
-equalities are then verified to the caller's relative residual
-tolerance tol (default 1e-9; the CLI's SYMPL_MODULI_TOL).  Each
-equality's residual is the relative gap |x - y| / max(|x|, |y|) of its
-two sides where that is finite and both sides and the powers of z and
-1 - z they are made of are normal floats; where a power overflows or
-lands in the subnormal range (a subnormal power keeps too few bits even
-under a normal side) it falls back to log space,
-|p (log w - log z) + q (log(1-w) - log(1-z))| with the imaginary part
-reduced mod 2 pi, so no residual is nan.  |z| and |1 - z| lie in
-[sin(pi/Delta), 1/sin(pi/Delta)], so a label whose entries are below
-1021 / log2(1/sin(pi/Delta)) has no such power, and its points skip the
-checks on the powers.  An entry past 2^1017, where the log-space gap
-could overflow, is refused with DomainError.
+form, never by two-dimensional numerical root search.  Each point is
+then checked to the caller's relative residual tolerance tol (default
+1e-9; the CLI's SYMPL_MODULI_TOL), in one of two ways.
+
+Where the label's powers of z and 1 - z are normal floats (below
+1021 / log2(1/sin(pi/Delta)), since |z| and |1 - z| lie in
+[sin(pi/Delta), 1/sin(pi/Delta)]) and both sides of each equality are
+finite normal floats, the residual is the direct quotient: the larger
+of the equalities' relative gaps |x - y| / max(|x|, |y|).
+
+Elsewhere a power or a side keeps too few bits to be compared, or has
+no float value, and the point is certified instead.  First the exponent
+relation is checked exactly, in the integers: p a + q b = p' a + q' b
+= 0 (mod Delta), which holds iff eta^p eta'^q = eta^{p'} eta'^{q'} = 1.
+Those congruences are what tie the point to the label, since the closed
+form gives a z for any root pair.  Then the float closed form is held to
+the well-conditioned relation 1 - w = eta'(1 - z): its relative gap
+|(1 - w) - eta'(1 - z)| / |1 - w| is the point's residual.  It raises z
+to no power, so it does not grow with the entries, and an entry of any
+size is taken; its rounding is of order eps / |1 - eta|, about 4e-11 at
+the Delta budget.
 
 The roots eta, eta' are computed per point, not read from a table of
 all Delta roots: a table would be faster by a few per cent, but it
 computes every root before the first point is checked, so a label that
-fails at its first point (README's 997,3;5,999, Delta 995,988) would
+fails at its first point (with Delta up to budgets.MAX_WALK_DELTA) would
 pay for the whole table in time and memory before failing.
 """
 
@@ -57,15 +64,10 @@ import math
 import sys
 from typing import NamedTuple
 
-from .errors import DomainError, InternalError, PunctureError, ResidualError
+from .errors import InternalError, PunctureError, ResidualError
 from .invariants import LabelLike, delta, residue_pairs
 
 _TINY = sys.float_info.min     # the smallest normal float
-
-#: The largest label entry the residual check takes: the log-space gap
-#: sums two entries times log differences of modulus < 2^5 (for Delta
-#: within budgets.MAX_WALK_DELTA), so it stays finite below 2^1017.
-_MAX_ENTRY = 2 ** 1017
 
 DEFAULT_RESIDUAL_TOL = 1e-9
 
@@ -145,58 +147,15 @@ class DoublePoint(NamedTuple):
     residual: float
 
 
-def _equality_residual(z: complex, w: complex, omz: complex, omw: complex,
-                       m: int, n: int) -> float:
-    """Relative residual of z^m (1-z)^n = w^m (1-w)^n, given 1-z and 1-w.
-
-    The direct quotient |x - y| / max(|x|, |y|) is used wherever it is
-    finite and z^m, (1-z)^n, |x| and |y| are all normal floats (a power
-    of w or 1-w has the modulus of that of z or 1-z up to a relative
-    m eps, so it is then normal to within a bit).  Where a power
-    overflows, or a power or a side is subnormal or zero (so it keeps
-    too few bits to be compared, even under a normal side), it is
-    replaced by |m (log w - log z) + n (log(1-w) - log(1-z))| with the
-    imaginary part reduced mod 2 pi, which is never nan."""
-    try:
-        zm = z ** m
-        zn = omz ** n
-        if abs(zm) >= _TINY and abs(zn) >= _TINY:
-            x = zm * zn
-            y = w ** m * omw ** n
-            ax = abs(x)
-            ay = abs(y)
-            if ax >= _TINY and ay >= _TINY:
-                # max(ax, ay) as a comparison: the builtin call costs ~7x
-                # more.
-                r = abs(x - y) / (ay if ay > ax else ax)
-                if r < math.inf:
-                    return r
-    except (OverflowError, ZeroDivisionError):
-        pass
-    gap = (m * (cmath.log(w) - cmath.log(z))
-           + n * (cmath.log(omw) - cmath.log(omz)))
-    return abs(complex(gap.real, math.remainder(gap.imag, math.tau)))
-
-
-def _equalities_residual(z: complex, w: complex, p: int, q: int, pp: int,
-                         qp: int) -> float:
-    """max of the two equalities' _equality_residual at one point."""
-    omz = 1 - z
-    omw = 1 - w
-    r1 = _equality_residual(z, w, omz, omw, p, q)
-    r2 = _equality_residual(z, w, omz, omw, pp, qp)
-    return r2 if r2 > r1 else r1
-
-
 def _point_residual(z: complex, w: complex, p: int, q: int, pp: int,
                     qp: int) -> float:
-    """_equalities_residual at a point whose powers of z and 1-z are
+    """The larger of the two equalities' direct quotients
+    |x - y| / max(|x|, |y|) at a point whose powers of z and 1-z are
     normal floats (see _powers_normal).
 
-    Both direct quotients are taken in one call, with the operations of
-    _equality_residual in its order, so each has the same bits.  Where
-    either would fall back to log space, both come from
-    _equality_residual, the one definition of an equality's residual.
+    nan where a side is subnormal or zero (it keeps too few bits to be
+    compared), a power raises or a quotient is not finite: such a point
+    is certified by phi_double_points instead.
     """
     omz = 1 - z
     omw = 1 - w
@@ -210,13 +169,15 @@ def _point_residual(z: complex, w: complex, p: int, q: int, pp: int,
         ax2 = abs(x2)
         ay2 = abs(y2)
         if ax1 >= _TINY and ay1 >= _TINY and ax2 >= _TINY and ay2 >= _TINY:
+            # max(ax, ay) as a comparison: the builtin call costs ~7x
+            # more.
             r1 = abs(x1 - y1) / (ay1 if ay1 > ax1 else ax1)
             r2 = abs(x2 - y2) / (ay2 if ay2 > ax2 else ax2)
             if r1 < math.inf and r2 < math.inf:
                 return r2 if r2 > r1 else r1     # max(r1, r2)
     except (OverflowError, ZeroDivisionError):
         pass
-    return _equalities_residual(z, w, p, q, pp, qp)
+    return math.nan
 
 
 def _powers_normal(top: int, d: int) -> bool:
@@ -225,14 +186,12 @@ def _powers_normal(top: int, d: int) -> bool:
 
     |z| and |1-z| are quotients of two |1 - root| = 2 |sin(pi j / d)|,
     so they lie in [sin(pi/d), 1/sin(pi/d)]; a power stays within
-    2^-1021 .. 2^1021 when top log2(1/sin(pi/d)) < 1021.  Entries past
-    _MAX_ENTRY are refused with DomainError: there an entry meets no
-    float it fits in, or the log-space residual could overflow.
+    2^-1021 .. 2^1021 when top < 1021 / log2(1/sin(pi/d)).  top is
+    compared with that float as an exact int, so an entry of any size
+    is taken.  At d = 2, log2(1) = 0 and no entry is too large.
     """
-    if top > _MAX_ENTRY:
-        raise DomainError(f"entry {top} is past the float range of the "
-                          f"residual check")
-    return top * math.log2(1.0 / math.sin(math.pi / d)) < 1021
+    bits = math.log2(1.0 / math.sin(math.pi / d))
+    return not bits or top < 1021 / bits
 
 
 def phi_double_points(params: ModelMapParams,
@@ -241,20 +200,19 @@ def phi_double_points(params: ModelMapParams,
 
     Residue pairs (a, b) mod Delta with a, b in {1, .., Delta-1},
     a != b, p a + q b = 0 and p' a + q' b = 0 (mod Delta) are enumerated
-    exactly; each gives a double point via the closed form.  The
-    defining equalities are verified to relative residual < tol and
-    w = conj(z) is checked; failures raise ResidualError.  The output
-    does not depend on r, a or a'.
+    exactly; each gives a double point via the closed form.  A point's
+    residual is its direct quotient (_point_residual) where the label's
+    powers are normal floats and that quotient is a number.  Any other
+    point is certified: both congruences are checked again in exact
+    integers, and its residual is the relative gap of
+    1 - w = eta'(1 - z).  A failed congruence, a residual not below tol,
+    or w != conj(z) beyond tol raises ResidualError.  The output does
+    not depend on r, a or a'.
     """
     (p, pp), (q, qp) = params.label.pairs()[:2]
     d = delta(params.label)
     pairs = residue_pairs(params.label)      # DomainError past the budget
-    # Per-power checks inside _point_residual give the same bits without
-    # this selection, but cost double-points ~6% (213.9k -> 201.0k pts/s).
-    if _powers_normal(max(abs(p), abs(q), abs(pp), abs(qp)), d):
-        residual_at = _point_residual
-    else:
-        residual_at = _equalities_residual
+    direct = _powers_normal(max(abs(p), abs(q), abs(pp), abs(qp)), d)
     # 2j * math.pi * a / d is (2j * math.pi) * a / d, so the hoisted
     # product leaves every root's bits as they were.
     two_pi_i = 2j * math.pi
@@ -266,7 +224,14 @@ def phi_double_points(params: ModelMapParams,
             raise InternalError("degenerate root pair slipped through")
         z = (etap - 1.0) / (etap - eta)
         w = eta * z
-        residual = residual_at(z, w, p, q, pp, qp)
+        residual = _point_residual(z, w, p, q, pp, qp) if direct else math.nan
+        if residual != residual:      # nan: no direct quotient
+            if (p * a + q * b) % d or (pp * a + qp * b) % d:
+                raise ResidualError(
+                    f"double point ({a}, {b}) of {params.label} fails "
+                    f"p a + q b = p' a + q' b = 0 (mod {d})")
+            omw = 1.0 - w
+            residual = abs(omw - etap * (1.0 - z)) / abs(omw)
         if not residual < tol:
             raise ResidualError(
                 f"double point ({a}, {b}) of {params.label} has residual "

@@ -34,10 +34,16 @@ def label3_candidates_bound8():
 def double_points_lattice(label):
     """m_C as the number of interior lattice points of the Newton
     triangle 0, (p, p'), (p+q, p'+q') (Pick 1899), counted row by row in
-    exact integers.  It uses no gcd and no residue arithmetic, so it is
-    independent of both the gcd formula and the root-of-unity oracle."""
+    exact integers, along the shorter axis of the triangle.  It uses no
+    gcd and no residue arithmetic, so it is independent of both the gcd
+    formula and the root-of-unity oracle."""
     (p, pp), (q, qp) = label.pairs()[:2]
     verts = [(0, 0), (p, pp), (p + q, pp + qp)]   # counterclockwise: Delta > 0
+    xs, ys = [x for x, _ in verts], [y for _, y in verts]
+    if max(xs) - min(xs) < max(ys) - min(ys):
+        # The mirror image in the diagonal has the same interior points;
+        # listed in reverse, it is counterclockwise again.
+        verts = [(y, x) for x, y in reversed(verts)]
     edges = [(verts[i], verts[(i + 1) % 3]) for i in range(3)]
     count = 0
     for y in range(min(v[1] for v in verts), max(v[1] for v in verts) + 1):

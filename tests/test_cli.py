@@ -457,7 +457,8 @@ class TestDoublePoints:
         # z**200 underflows for this label: it ended in a ZeroDivisionError
         # traceback, then in a breach of the tolerance, because a side in
         # the subnormal range keeps too few bits for the direct quotient.
-        # Such a side is now compared in log space.
+        # Such a point is now certified by its congruences and the
+        # relation 1 - w = eta'(1 - z).
         code, out, err = run_cli(capsys, "double-points", "--pairs",
                                  "200,1;1,200", "--method", "all")
         assert code == 0
@@ -489,6 +490,24 @@ class TestDoublePoints:
         payload = json.loads(out)
         assert payload["m_C"] == {"formula": count, "roots": count,
                                   "model": count}
+        assert all(pt["residual"] < 1e-9 for pt in payload["points"])
+
+    @pytest.mark.parametrize("pairs, count", [
+        ("1,0;3,9999", 4998),
+        ("4,-3419;5,-3368", 1811),
+        ("1,-1254;9,2282", 6783),
+        ("7,-100000000000000000000;0,12;-7,99999999999999999988", 36),
+    ], ids=["Delta 9999", "Delta 3623", "Delta 13568", "entries near 1e20"])
+    def test_certified_labels_exit_0(self, capsys, pairs, count):
+        # Correct labels whose points failed the log-space residual that
+        # certification replaced (exit 3, residuals 1.3e-9 to 3.1e5).
+        code, out, _ = run_cli(capsys, "double-points", f"--pairs={pairs}",
+                               "--method", "all")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["m_C"] == {"formula": count, "roots": count,
+                                  "model": count}
+        assert len(payload["points"]) == 2 * count
         assert all(pt["residual"] < 1e-9 for pt in payload["points"])
 
     def test_loose_tolerance_ok(self, capsys, monkeypatch):
@@ -585,9 +604,7 @@ class TestHugeEntries:
         ["trace", "--pair", f"1,{HUGE}", "--range", "0"],
         ["spectrum", "--pair", f"1,{HUGE}"],
         ["spectrum", "--pair", f"{HUGE},1"],
-        ["double-points", "--pairs", f"1,0;{HUGE},997", "--method", "model"],
-        ["double-points", "--pairs", f"1,0;{HUGE},997", "--method", "all"],
-    ], ids=["trace", "spectrum p'/p", "spectrum period", "model", "all"])
+    ], ids=["trace", "spectrum p'/p", "spectrum period"])
     def test_refused(self, capsys, tmp_path, argv):
         csv = tmp_path / "t.csv"
         if argv[0] == "trace":
@@ -597,6 +614,19 @@ class TestHugeEntries:
         assert err.count("\n") == 1
         assert err.startswith("error: ") and "float range" in err
         assert not csv.exists()
+
+    @pytest.mark.parametrize("method", ["model", "all"])
+    def test_model_map_takes_them(self, capsys, method):
+        # The model map certifies such a label's points by exact
+        # congruences and raises z to no power, so no entry is too large.
+        code, out, _ = run_cli(capsys, "double-points", "--pairs",
+                               f"1,0;{HUGE},997", "--method", method)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["delta"] == 997
+        assert set(payload["m_C"].values()) == {498}
+        assert len(payload["points"]) == 2 * 498
+        assert all(pt["residual"] < 1e-9 for pt in payload["points"])
 
 
 class TestCosineRounding:

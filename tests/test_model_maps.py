@@ -6,20 +6,96 @@ import random
 import sys
 
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
+from conftest import double_points_lattice
 from sympl_moduli import (DoublePoint, Label2, ModelMapParams, OrderedLabel3,
                           delta, double_points_bruteforce,
                           double_points_formula, enumerate_labels,
                           immersion_residual, model_maps, phi_double_points,
                           phi_eval)
-from sympl_moduli.errors import DomainError, PunctureError
-from sympl_moduli.model_maps import (_equality_residual, _powers_normal,
+from sympl_moduli.errors import InvalidLabel, PunctureError, ResidualError
+from sympl_moduli.model_maps import (_point_residual, _powers_normal,
                                      double_points_json)
 
 L_UNIT = Label2.make((1, 0), (0, 1))
 L_SYM = Label2.make((2, 1), (1, 2))
 L_41 = Label2.make((4, 1), (1, 1))
 L_5 = Label2.make((1, -1), (1, 4))
+
+
+def label_of(pairs):
+    """A two-end label, or ordering 0 of a three-end one, as the CLI
+    reads --pairs."""
+    if len(pairs) == 2:
+        return Label2.make(*pairs)
+    return OrderedLabel3.make(pairs, 0)
+
+
+def root(b, d):
+    """exp(2 pi i b / d), with the bits of phi_double_points' roots."""
+    return cmath.exp(2j * math.pi * b / d)
+
+
+def relation_gap(dp, d):
+    """|(1 - w) - eta'(1 - z)| / |1 - w| of a double point."""
+    return abs((1.0 - dp.w) - root(dp.b, d) * (1.0 - dp.z)) / abs(1.0 - dp.w)
+
+
+def is_certified(dp, label):
+    """Whether phi_double_points certifies the point instead of taking
+    its direct quotient."""
+    (p, pp), (q, qp) = label.pairs()[:2]
+    if not _powers_normal(max(abs(p), abs(q), abs(pp), abs(qp)), delta(label)):
+        return True
+    return math.isnan(_point_residual(dp.z, dp.w, p, q, pp, qp))
+
+
+#: Correct labels whose points failed the log-space residual that
+#: certification replaced (exit 3): Delta 9,999, 3,623 and 13,568, a
+#: three-end label with entries near 1e20 (Delta 84), and an entry past
+#: the float range (Delta 997), which was refused with DomainError.
+CERTIFIED_LABELS = [
+    ((1, 0), (3, 9999)),
+    ((4, -3419), (5, -3368)),
+    ((1, -1254), (9, 2282)),
+    ((7, -10 ** 20), (0, 12), (-7, 10 ** 20 - 12)),
+    ((1, 0), (10 ** 400, 997)),
+]
+
+ENTRY = 10 ** 4
+
+
+def _bezout(m, n):
+    """(s, t) with m s + n t = gcd(m, n) >= 0."""
+    if n == 0:
+        return (1 if m >= 0 else -1), 0
+    s, t = _bezout(n, m % n)
+    return t, s - (m // n) * t
+
+
+@st.composite
+def big_labels(draw):
+    """Two-end pairs with entries up to 10^4 and 0 < Delta <= 4000: a
+    first pair (p, p'), a multiple Delta of g = gcd(p, p'), and the
+    second pair at that Delta nearest the origin, moved a few steps
+    along (p, p') / g."""
+    p = draw(st.integers(-ENTRY, ENTRY))
+    pp = draw(st.integers(-ENTRY, ENTRY))
+    s, t = _bezout(p, pp)
+    g = p * s + pp * t
+    if not 0 < g <= 4000:
+        reject()
+    k = draw(st.integers(1, 4000 // g))
+    q, qp = -k * t, k * s                   # p q' - q p' = k g
+    u, v = p // g, pp // g
+    j = -q // u if abs(u) >= abs(v) else -qp // v
+    j += draw(st.integers(-2, 2))
+    q, qp = q + j * u, qp + j * v
+    if max(abs(q), abs(qp)) > ENTRY:
+        reject()
+    return (p, pp), (q, qp)
 
 
 def random_z(rnd, keepout=1e-2):
@@ -231,52 +307,104 @@ class TestDoublePoints:
     def test_subnormal_power_under_a_normal_side(self):
         # Point (1727, 1719) of the label (-9, -144), (37, 58), Delta 4806:
         # z**-144 = 8.4e-323 keeps ~4 bits, but its side, 5.1e-193, is a
-        # normal float.  The direct quotient gave 0.0294 here.
-        d, a, b = 4806, 1727, 1719
-        eta = cmath.exp(2j * math.pi * a / d)
-        etap = cmath.exp(2j * math.pi * b / d)
-        z = (etap - 1.0) / (etap - eta)
-        w = eta * z
-        assert abs(z ** -144) < sys.float_info.min
-        assert abs(z ** -144 * (1 - z) ** 58) > sys.float_info.min
-        assert _equality_residual(z, w, 1 - z, 1 - w, -144, 58) < 1e-12
+        # normal float.  The direct quotient gave 0.0294 here; the label's
+        # powers are not all normal, so the point is certified.
+        label = label_of(((-9, -144), (37, 58), (-28, 86)))
+        assert delta(label) == 4806
+        (dp,) = [dp for dp in phi_double_points(ModelMapParams(label=label))
+                 if (dp.a, dp.b) == (1727, 1719)]
+        assert abs(dp.z ** -144) < sys.float_info.min
+        assert abs(dp.z ** -144 * (1 - dp.z) ** 58) > sys.float_info.min
+        assert is_certified(dp, label)
+        assert dp.residual == relation_gap(dp, 4806) < 1e-12
 
     def test_per_label_power_bound(self):
         # |z|, |1-z| lie in [sin(pi/d), 1/sin(pi/d)]: 144 log2(1/sin(pi/4806))
-        # is 1523, past 1021, and 100 log2(1/sin(pi/641)) is 767.
+        # is 1523, past 1021, and 100 log2(1/sin(pi/641)) is 767.  An
+        # entry of any size is compared; at Delta = 2 every power is 1.
         assert not _powers_normal(144, 4806)
         assert _powers_normal(100, 641)
-        with pytest.raises(DomainError, match="float range"):
-            _powers_normal(10 ** 400, 997)
+        assert not _powers_normal(10 ** 400, 997)
+        assert _powers_normal(1, 2) and _powers_normal(10 ** 400, 2)
 
     @pytest.mark.parametrize("pairs", [
         ((1, -40), (100, 28)),      # a power overflows
         ((-2, -100), (8, -75)),     # sides subnormal or zero
         ((8, 48), (-11, 89)),       # a side of (p', q') infinite
+        *CERTIFIED_LABELS,
     ])
-    def test_log_space_residuals_are_the_per_equality_ones(self, monkeypatch,
-                                                           pairs):
-        # Labels of the double-points benchmark pool.  Where a direct
-        # quotient is unusable, the point's residual is the max of the
-        # two equalities' _equality_residual, recomputed here from z, w.
-        label = Label2.make(*pairs)
-        (p, pp), (q, qp) = label.pairs()
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return _equality_residual(*args)
-
-        monkeypatch.setattr(model_maps, "_equality_residual", spy)
+    def test_certified_residuals_are_the_relation_gap(self, pairs):
+        # Labels of the double-points benchmark pool, then the labels
+        # that failed the log-space residual.  A certified point's
+        # residual is the gap of 1 - w = eta'(1 - z), recomputed here
+        # from z, w and b; every other point keeps its direct quotient.
+        label = label_of(pairs)
+        (p, pp), (q, qp) = label.pairs()[:2]
+        d = delta(label)
         pts = phi_double_points(ModelMapParams(label=label))
-        monkeypatch.undo()
-        assert calls, "no point took the log-space fallback"
         assert len(pts) == 2 * double_points_formula(label)
+        certified = 0
         for dp in pts:
-            z, w = dp.z, dp.w
-            want = max(_equality_residual(z, w, 1 - z, 1 - w, p, q),
-                       _equality_residual(z, w, 1 - z, 1 - w, pp, qp))
-            assert dp.residual == want
+            if is_certified(dp, label):
+                certified += 1
+                assert dp.residual == relation_gap(dp, d) < 1e-9
+            else:
+                assert dp.residual == _point_residual(dp.z, dp.w, p, q, pp, qp)
+        assert certified, "no point was certified"
+
+    @pytest.mark.parametrize("pairs,count", [(((1, 0), (3, 9999)), 200),
+                                             (((8, 48), (-11, 89)), 1)],
+                             ids=["powers not normal", "a side infinite"])
+    def test_shifted_pair_is_refused(self, monkeypatch, pairs, count):
+        # The relation 1 - w = eta'(1 - z) holds for any root pair, so the
+        # congruences alone tie a certified point to its label: a pair
+        # whose b is moved off the lattice must fail them.  On the first
+        # label every point is certified, and 200 of its pairs are moved,
+        # one at a time.  The second label's powers are normal, and its
+        # one moved pair that lands where the direct quotient has no
+        # value is taken.
+        label = label_of(pairs)
+        d = delta(label)
+        real = model_maps.residue_pairs(label)
+        moved = []
+        for i, (a, b) in enumerate(real):
+            b2 = b % (d - 1) + 1
+            if b2 == a:
+                continue
+            z = (root(b2, d) - 1.0) / (root(b2, d) - root(a, d))
+            dp = DoublePoint(a, b2, z, root(a, d) * z, 0.0)
+            if is_certified(dp, label):
+                moved.append(real[:i] + [(a, b2)] + real[i + 1:])
+            if len(moved) == count:
+                break
+        assert len(moved) == count
+        for shifted in moved:
+            monkeypatch.setattr(model_maps, "residue_pairs",
+                                lambda label, out=shifted: out)
+            with pytest.raises(ResidualError, match=r"0 \(mod"):
+                phi_double_points(ModelMapParams(label=label))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(big_labels())
+    @example(CERTIFIED_LABELS[0])
+    @example(CERTIFIED_LABELS[1])
+    @example(CERTIFIED_LABELS[2])
+    @example(CERTIFIED_LABELS[3])
+    @example(CERTIFIED_LABELS[4])
+    def test_routes_agree_on_big_entries(self, pairs):
+        # formula = oracle = Pick count = model points / 2, and every
+        # point passes its check, far past the labels of the exhaustive
+        # sets.
+        try:
+            label = label_of(pairs)
+        except InvalidLabel:
+            reject()
+        m = double_points_formula(label)
+        assert double_points_bruteforce(label) == m
+        assert double_points_lattice(label) == m
+        pts = phi_double_points(ModelMapParams(label=label))
+        assert len(pts) == 2 * m
+        assert max((dp.residual for dp in pts), default=0.0) < 1e-9
 
     def test_environment_is_not_read(self, monkeypatch):
         # The tolerance is the caller's: SYMPL_MODULI_TOL belongs to the
@@ -380,18 +508,36 @@ class TestPinnedBits:
 
     @pytest.mark.parametrize("label,digest", [
         (Label2.make((62, 64), (7, 91)),
-         "f9a5bfccff089a534914cf165652361a471a4726309f9c5c7a641b2c28410036"),
+         "929f4af17dc27f44a4d1f89c2cd4843f6ac2c48df24f61c88b9f14f9e1f0d0d4"),
         (OrderedLabel3.make([(34, -89), (88, -90), (-122, 179)], 0),
-         "902be728ac936dfc82b3985a1c6277a3c660307b2509e8993283ca5d887e0e27"),
+         "c8cccffa281493a5538eaf254dfa8bf8b1ff5f390b3a9b9fda1a69d848b7176c"),
     ], ids=["two ends", "three ends"])
-    def test_large_delta_points_keep_their_bits(self, label, digest):
-        """The same for a two-end and a three-end label with Delta about
-        5e3, each with points whose residual takes the log-space form
+    def test_large_delta_points_keep_their_positions(self, label, digest):
+        """Every (a, b, z, w) keeps its bits, for a two-end and a
+        three-end label with Delta about 5e3, each with certified points
         (a side of an equality not finite, subnormal or zero).
 
-        The digests were recorded at the commit before the model-map
-        loop computed both equalities in one call, before any of that
-        code changed.
+        The digests were recorded at the commit before certification
+        replaced the log-space residual, before any of that code changed.
+        """
+        assert 4500 < delta(label) < 5500
+        pts = phi_double_points(ModelMapParams(label=label))
+        blob = json.dumps([{k: v for k, v in point.items() if k != "residual"}
+                           for point in double_points_json(pts)]).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
+
+    @pytest.mark.parametrize("label,digest", [
+        (Label2.make((62, 64), (7, 91)),
+         "a2a23f58820a035b70de105b3b02cf3967b06aedf71f2eda685be04a9cfd852f"),
+        (OrderedLabel3.make([(34, -89), (88, -90), (-122, 179)], 0),
+         "87741c8a9b54f212aebbbd21dfa47222634f9fe2b6725743010b5eef85ce2739"),
+    ], ids=["two ends", "three ends"])
+    def test_large_delta_points_keep_their_bits(self, label, digest):
+        """The same for the whole record, residuals included.
+
+        The digests were recorded when certification replaced the
+        log-space residual, which changed the residuals of the certified
+        points and nothing else (test_large_delta_points_keep_their_positions).
         """
         assert 4500 < delta(label) < 5500
         pts = phi_double_points(ModelMapParams(label=label))
