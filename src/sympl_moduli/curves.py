@@ -24,7 +24,7 @@ s diverges.  f and h come from geometry.fh_rows, the package's one
 guarded e^{-sqrt6 s}, as columns over a block of angles (fh_at reads
 one row of them): trace rows, ODE residuals and profile points exist
 only where that factor is a normal positive float (about
--289.77 < s < 289.20), and are refused with DomainError elsewhere.
+-289.12 < s < 289.20), and are refused with DomainError elsewhere.
 
 In x = cos(theta) the slope ds/dx is a proper rational function with
 simple poles at x = +-1 and at the roots of 3 a x^2 + sqrt6 x - a (the

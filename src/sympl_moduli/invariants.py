@@ -86,7 +86,14 @@ def double_points_formula(label: LabelLike) -> int:
 def _lattice(label: LabelLike) -> tuple[int, int, int, int]:
     """(Delta, g, Delta/g, b1) of the residue-pair lattice of a label
     (see residue_pairs); DomainError past MAX_WALK_DELTA, before any
-    walk."""
+    walk.
+
+    M adj(M) = Delta I for M = [[p, q], [p', q']], so the lattice is
+    spanned by the adjugate's columns (q', -p') and (q, -p).  With
+    g = gcd(Delta, q, q') and h = gcd(q', Delta), y q = g (mod h) and
+    x q' = g - y q (mod Delta) make x (q', -p') + y (q, -p) the pair
+    over a = g; both inverses exist, and a modulus of 1 gives 0.
+    """
     (p, pp), (q, qp) = label.pairs()[:2]
     d = p * qp - q * pp
     if d < 1:
@@ -95,8 +102,11 @@ def _lattice(label: LabelLike) -> tuple[int, int, int, int]:
         raise DomainError(f"Delta = {d} exceeds {MAX_WALK_DELTA}, the "
                           f"budget of the residue walk; use the gcd formula")
     g = math.gcd(d, q, qp)
+    h = math.gcd(qp, d)
+    y = pow(q // g, -1, h // g)
+    x = (g - y * q) // h * pow(qp // h, -1, d // h)
     coset = d // g
-    return d, g, coset, _solve_at(g, p, pp, q, qp, d) % coset
+    return d, g, coset, -(x * pp + y * p) % coset
 
 
 def residue_pairs(label: LabelLike) -> list[tuple[int, int]]:
@@ -110,11 +120,10 @@ def residue_pairs(label: LabelLike) -> list[tuple[int, int]]:
     q b = q' b = 0, the multiples of Delta/g for g = gcd(Delta, q, q'),
     so g of them, and the a that occur are the Delta/g multiples of g.
     Once one solution (g, b1) is known, the pairs over a = j g are the
-    coset b = j b1 (mod Delta/g).  b1 is found by solving
-    q b = -p g (mod Delta) exactly and keeping the solution that meets
-    the second congruence; the walk over a = g, 2g, ... then visits
-    only solutions, dropping b = 0 and b = a.  All of it is exact
-    modular arithmetic, independent of the gcd formula.
+    coset b = j b1 (mod Delta/g).  b1 is read off the adjugate of the
+    label's matrix (see _lattice); the walk over a = g, 2g, ... then
+    visits only solutions, dropping b = 0 and b = a.  All of it is
+    exact modular arithmetic, independent of the gcd formula.
     """
     d, g, coset, b1 = _lattice(label)
     if g == 1:
@@ -123,20 +132,6 @@ def residue_pairs(label: LabelLike) -> list[tuple[int, int]]:
         return [(a, b) for a in range(1, d) if (b := a * b1 % d) and b != a]
     return [(a, b) for a in range(g, d, g)
             for b in range(a // g * b1 % coset, d, coset) if b and b != a]
-
-
-def _solve_at(a: int, p: int, pp: int, q: int, qp: int, d: int) -> int:
-    """One b with p a + q b = p' a + q' b = 0 (mod d), by solving the
-    first congruence and testing its gcd(q, d) solutions on the second."""
-    gq = math.gcd(q, d)
-    step = d // gq
-    rhs = (-p * a) % d
-    if rhs % gq == 0:
-        b0 = (rhs // gq) * pow(q // gq, -1, step) % step if step > 1 else 0
-        for b in range(b0, d, step):
-            if (pp * a + qp * b) % d == 0:
-                return b
-    raise InternalError(f"no residue pair over a = {a} mod {d}")
 
 
 def double_points_bruteforce(label: LabelLike) -> int:

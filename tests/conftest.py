@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import reject
+from hypothesis import strategies as st
 
 from sympl_moduli import enumerate_labels, validate_label3
 
@@ -62,3 +64,39 @@ def double_points_lattice(label):
         if not empty:
             count += max(0, min(hi) - max(lo) + 1)
     return count
+
+
+def bezout(m, n):
+    """(s, t) with m s + n t = gcd(m, n) >= 0."""
+    if n == 0:
+        return (1 if m >= 0 else -1), 0
+    s, t = bezout(n, m % n)
+    return t, s - (m // n) * t
+
+
+@st.composite
+def label_pairs(draw, entry, max_delta, ends=2):
+    """The pairs of a candidate label with entries up to entry and
+    0 < Delta <= max_delta: a first pair (p, p'), a multiple Delta of
+    g = gcd(p, p'), and the second pair at that Delta nearest the
+    origin, moved a few steps along (p, p') / g.  With ends=3 the third
+    pair -(p + q, p' + q') closes the set.  Admissibility is the
+    caller's to check."""
+    p = draw(st.integers(-entry, entry))
+    pp = draw(st.integers(-entry, entry))
+    s, t = bezout(p, pp)
+    g = p * s + pp * t
+    if not 0 < g <= max_delta:
+        reject()
+    k = draw(st.integers(1, max_delta // g))
+    q, qp = -k * t, k * s                   # p q' - q p' = k g
+    u, v = p // g, pp // g
+    j = -q // u if abs(u) >= abs(v) else -qp // v
+    j += draw(st.integers(-2, 2))
+    q, qp = q + j * u, qp + j * v
+    pairs = (p, pp), (q, qp)
+    if ends == 3:
+        pairs += (-p - q, -pp - qp),
+    if max(abs(x) for pair in pairs[1:] for x in pair) > entry:
+        reject()
+    return pairs

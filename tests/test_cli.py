@@ -531,7 +531,7 @@ class TestWalkBudget:
     def test_refused(self, capsys, monkeypatch, argv):
         def no_walk(*args):
             raise AssertionError("a residue walk started past the budget")
-        monkeypatch.setattr(invariants, "_solve_at", no_walk)
+        monkeypatch.setattr(invariants, "range", no_walk, raising=False)
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""

@@ -3,6 +3,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympl_moduli import (BranchId, Point4, Tangent4, apply_J, contact_eval,
                           coord_functions, lambda_of_theta, omega_eval,
@@ -166,6 +168,23 @@ class TestFhRows:
         with pytest.raises(DomainError) as block:
             fh_rows(s_values, thetas)
         assert str(block.value) == str(one.value)
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=100)
+    @given(st.one_of(st.floats(), st.floats(-300.0, 300.0),
+                     st.sampled_from(LIMITS + tuple(REFUSED[:2]))),
+           st.floats(0.0, math.pi))
+    def test_values_are_finite_or_refused(self, s, theta):
+        """fh_at and coord_functions give finite values at (s, theta),
+        or both raise DomainError."""
+        p = Point4(s, 0.0, theta, 0.0)
+        try:
+            values = fh_at(s, theta)
+        except DomainError:
+            with pytest.raises(DomainError):
+                coord_functions(p)
+            return
+        assert all(math.isfinite(x) for x in values + coord_functions(p))
 
 
 class TestContactForm:

@@ -2,20 +2,22 @@ import math
 import types
 
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 import sympl_moduli as sm
 from sympl_moduli import (EndClass, EndDescriptor, GenericSpectrumCase, Label2,
                           OrderedLabel3, PolarSpectrumCase, Side,
                           adjunction_e_pairing, asymptotic_constants,
-                          c1_pairing, delta, double_points_bruteforce,
-                          double_points_formula, enumerate_labels,
-                          fredholm_index, index_lower_bound, l0_spectrum,
-                          m0_of, residue_pairs, sphere_report)
-from sympl_moduli.budgets import MAX_SPECTRUM_N
+                          boundary_labels, c1_pairing, delta,
+                          double_points_bruteforce, double_points_formula,
+                          enumerate_labels, fredholm_index, index_lower_bound,
+                          l0_spectrum, m0_of, residue_pairs, sphere_report)
+from sympl_moduli.budgets import MAX_SPECTRUM_N, MAX_WALK_DELTA
 from sympl_moduli.errors import (BoundViolation, DegenerateAngle, DomainError,
-                                 ZeroPair)
+                                 InvalidLabel, ZeroPair)
 
-from conftest import double_points_lattice
+from conftest import double_points_lattice, label_pairs
 
 L_SYM = Label2.make((2, 1), (1, 2))      # Delta = 3, embedded
 L_41 = Label2.make((4, 1), (1, 1))       # Delta = 3, one double point
@@ -32,6 +34,36 @@ def two_and_ordered_three(bound2, bound3):
     return labels
 
 
+def labels_of(pairs):
+    """The two-end label of two pairs, or both orderings of a three-end
+    set; reject() when the pairs are not admissible."""
+    try:
+        if len(pairs) == 2:
+            return [Label2.make(*pairs)]
+        return [OrderedLabel3.make(pairs, which) for which in (0, 1)]
+    except InvalidLabel:
+        reject()
+
+
+def _search_reference(label):
+    """The b over a = g of the residue lattice as it was found by search,
+    the reference for _lattice's adjugate closed form: solve
+    q b = -p g (mod Delta), then scan its gcd(q, Delta) solutions for
+    the one that meets p' g + q' b = 0 (mod Delta)."""
+    (p, pp), (q, qp) = label.pairs()[:2]
+    d = p * qp - q * pp
+    g = math.gcd(d, q, qp)
+    gq = math.gcd(q, d)
+    step = d // gq
+    rhs = -p * g % d
+    assert rhs % gq == 0
+    b0 = rhs // gq * pow(q // gq, -1, step) % step if step > 1 else 0
+    for b in range(b0, d, step):
+        if (pp * g + qp * b) % d == 0:
+            return b
+    raise AssertionError(f"no residue pair over a = {g} mod {d}")
+
+
 class TestDelta:
     def test_values(self):
         assert delta(L_SYM) == 3
@@ -42,6 +74,16 @@ class TestDelta:
         assert delta(ordered) == 5
         other = OrderedLabel3.make([(1, -1), (1, 4), (-2, -3)], which=1)
         assert delta(other) == 5
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(st.lists(st.integers(-1000, 1000), min_size=4, max_size=4))
+    def test_swapping_pairs_flips_the_sign(self, entries):
+        p, pp, q, qp = entries
+        if (p, pp) == (0, 0) or (q, qp) == (0, 0):
+            reject()
+        raw = Label2(EndClass(p, pp), EndClass(q, qp))
+        swapped = Label2(EndClass(q, qp), EndClass(p, pp))
+        assert delta(swapped) == -delta(raw) == q * pp - p * qp
 
 
 class TestDoublePoints:
@@ -107,6 +149,33 @@ class TestDoublePoints:
             assert double_points_bruteforce(label) == m_c, label
             assert len(residue_pairs(label)) == 2 * m_c, label
             assert double_points_lattice(label) == m_c, label
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(st.one_of(label_pairs(10 ** 6, MAX_WALK_DELTA),
+                     label_pairs(10 ** 6, MAX_WALK_DELTA, ends=3)))
+    @example(((1, 0), (10 ** 400, 997)))
+    def test_lattice_generator_is_the_searched_one(self, pairs):
+        # b1 read off the adjugate is the b the search finds over a = g,
+        # and (g, b1) meets both congruences in exact integers.
+        for label in labels_of(pairs):
+            (p, pp), (q, qp) = label.pairs()[:2]
+            d, g, coset, b1 = sm.invariants._lattice(label)
+            assert b1 == _search_reference(label) % coset, label
+            assert (p * g + q * b1) % d == (pp * g + qp * b1) % d == 0
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(label_pairs(1000, 4000, ends=3))
+    def test_orderings_agree_on_generated_labels(self, pairs):
+        # Both orderings share m_C by formula and by oracle, and name the
+        # same two distinct boundary labels.
+        first, second = labels_of(pairs)
+        m_c = double_points_formula(first)
+        assert double_points_formula(second) == m_c
+        assert double_points_bruteforce(first) == m_c
+        assert double_points_bruteforce(second) == m_c
+        ends = boundary_labels(first)
+        assert ends == boundary_labels(second)
+        assert ends[0] != ends[1]
 
     def test_ordering_insensitive(self):
         for l3 in enumerate_labels(5, 3):
@@ -380,7 +449,7 @@ def _no_walk(*args):
 
 class TestWalkBudget:
     def test_refused_before_any_walk(self, monkeypatch):
-        monkeypatch.setattr(sm.invariants, "_solve_at", _no_walk)
+        monkeypatch.setattr(sm.invariants, "range", _no_walk, raising=False)
         for route in (residue_pairs, double_points_bruteforce):
             with pytest.raises(DomainError, match="budget"):
                 route(L_OVER)

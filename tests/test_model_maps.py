@@ -7,9 +7,8 @@ import sys
 
 import pytest
 from hypothesis import example, given, reject, settings
-from hypothesis import strategies as st
 
-from conftest import double_points_lattice
+from conftest import double_points_lattice, label_pairs
 from sympl_moduli import (DoublePoint, Label2, ModelMapParams, OrderedLabel3,
                           delta, double_points_bruteforce,
                           double_points_formula, enumerate_labels,
@@ -67,35 +66,9 @@ CERTIFIED_LABELS = [
 ENTRY = 10 ** 4
 
 
-def _bezout(m, n):
-    """(s, t) with m s + n t = gcd(m, n) >= 0."""
-    if n == 0:
-        return (1 if m >= 0 else -1), 0
-    s, t = _bezout(n, m % n)
-    return t, s - (m // n) * t
-
-
-@st.composite
-def big_labels(draw):
-    """Two-end pairs with entries up to 10^4 and 0 < Delta <= 4000: a
-    first pair (p, p'), a multiple Delta of g = gcd(p, p'), and the
-    second pair at that Delta nearest the origin, moved a few steps
-    along (p, p') / g."""
-    p = draw(st.integers(-ENTRY, ENTRY))
-    pp = draw(st.integers(-ENTRY, ENTRY))
-    s, t = _bezout(p, pp)
-    g = p * s + pp * t
-    if not 0 < g <= 4000:
-        reject()
-    k = draw(st.integers(1, 4000 // g))
-    q, qp = -k * t, k * s                   # p q' - q p' = k g
-    u, v = p // g, pp // g
-    j = -q // u if abs(u) >= abs(v) else -qp // v
-    j += draw(st.integers(-2, 2))
-    q, qp = q + j * u, qp + j * v
-    if max(abs(q), abs(qp)) > ENTRY:
-        reject()
-    return (p, pp), (q, qp)
+def big_labels():
+    """Two-end pairs with entries up to 10^4 and 0 < Delta <= 4000."""
+    return label_pairs(ENTRY, 4000)
 
 
 def random_z(rnd, keepout=1e-2):
