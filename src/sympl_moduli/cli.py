@@ -307,7 +307,7 @@ def _cmd_spectrum(ns: argparse.Namespace, out: IO[str] | None) -> int:
             "theta0": _fmt(orbit.theta0),
             "zeta": _fmt(data.zeta),
             "kappa": _fmt(data.kappa),
-            "sigma0": None if data.sigma0 is None else _fmt(data.sigma0),
+            "sigma0": _fmt(data.sigma0),
             "period": period,
             "spectrum": [[_fmt(ev), mult] for ev, mult in spec],
         }

@@ -33,8 +33,9 @@ residue * log|x - pole| terms.  profile_log_terms builds them once per
 pair as one cached record, each term's kind decided, in the form and
 order that _log_sums, the one evaluator of s, adds them up: over a
 block of a trace's angles per call, or at one or two angles for
-s_of_theta, ODE residuals and the Newton iteration of a profile point,
-whose per-curve part _point_start builds once as a cached record.
+s_of_theta, ODE residuals and the Newton iteration of a profile point.
+A curve's clipped range and anchored terms are one cached record,
+_point_start, which its trace and its points share.
 """
 
 from __future__ import annotations
@@ -271,16 +272,6 @@ def s_of_theta(p: int, p_prime: int, theta_ref: float, s_ref: float,
     return s_ref + (at_theta - at_ref)
 
 
-def _clipped(rng: ThetaRange, clip: float) -> tuple[float, float]:
-    """[lo + clip, hi - clip], which must lie strictly inside the range."""
-    lo, hi = rng.lo + clip, rng.hi - clip
-    if not rng.lo < lo < hi < rng.hi:
-        raise BranchError(
-            f"clip {clip} leaves no angles strictly inside "
-            f"[{rng.lo}, {rng.hi}]")
-    return lo, hi
-
-
 class CurveSpec(NamedTuple):
     """Parameters of one invariant subvariety.
 
@@ -404,7 +395,9 @@ def integrate_profile(p: int, p_prime: int, range_id: int,
     is strictly monotone.  Each row is at t = phi = 0.  The rows are
     evaluated _TRACE_BLOCK at a time: s by one _log_sums call and the
     f and h columns by one fh_rows call per block (DomainError, naming
-    the first row fh_rows refuses), zipped into the block's rows.
+    the first row fh_rows refuses), zipped into the block's rows.  The
+    clipped range and the anchored log terms are the curve's
+    _point_start record, which its points read too.
     DomainError past MAX_TRACE_SAMPLES, before any row.
     """
     if n_samples < 2:
@@ -413,8 +406,7 @@ def integrate_profile(p: int, p_prime: int, range_id: int,
         raise DomainError(f"{n_samples} samples exceed {MAX_TRACE_SAMPLES}, "
                           f"the budget of a trace")
     spec = CurveSpec.profile(p, p_prime, range_id, s_anchor=s_anchor)
-    lo, hi = _clipped(spec.theta_range(), clip)
-    terms, base = _anchored(spec)
+    lo, hi, terms, base = _point_start(spec, clip)[:4]
     width, last = hi - lo, n_samples - 1
     samples = []
     for start in range(0, n_samples, _TRACE_BLOCK):
@@ -567,9 +559,16 @@ def _u_of(terms: LogTerms, base: float, theta: float) -> float:
 @functools.lru_cache(maxsize=16)
 def _point_start(spec: CurveSpec, clip: float) -> tuple:
     """(lo, hi, terms, base, sign, u_min, u_max) of a profile curve at a
-    clip: the clipped range, _anchored's record, _u_of's sign and ends.
-    Errors are not cached.  A curve's points come together: 16 suffice."""
-    lo, hi = _clipped(spec.theta_range(), clip)
+    clip: the clipped range (BranchError unless strictly inside the
+    range), _anchored's record, and _u_of's sign and ends.  A trace reads
+    the first four.  Errors are not cached.  A curve's trace and points
+    come together: 16 suffice."""
+    rng = spec.theta_range()
+    lo, hi = rng.lo + clip, rng.hi - clip
+    if not rng.lo < lo < hi < rng.hi:
+        raise BranchError(
+            f"clip {clip} leaves no angles strictly inside "
+            f"[{rng.lo}, {rng.hi}]")
     terms, base = _anchored(spec)
     u_lo, u_hi = _u_of(terms, base, lo), _u_of(terms, base, hi)
     return (lo, hi, terms, base, 1.0 if u_hi > u_lo else -1.0,

@@ -272,24 +272,43 @@ def asymptotic_constants(theta0: float,
     kappa = 6^{-1/2} (1 + 3 cos^4)^{-1/2} |1 - 3 cos^2|
     sigma0 = 4 |cos| |m'/m| (1 + (m'/m)^2 sin^2)^{-1}   (needs m != 0)
 
-    Both zeta and kappa degenerate where cos^2(theta0) = 1/3.
+    Given an end class with m != 0, theta0 must be its orbit angle
+    (solve_theta0), and |1 - 3 cos^2| comes from a = m'/m without the
+    cancellation of the float angle: 2 / (1 + sqrt(1 + 2a^2)) at the
+    inner root, (1 + sqrt(1 + 2a^2)) / a^2 at the outer one (m < 0,
+    2 m'^2 > 3 m^2).  Such an orbit is never degenerate; DomainError
+    where 2a^2 is past the float range.  Otherwise it comes from theta0,
+    and both zeta and kappa degenerate where cos^2(theta0) = 1/3.
     """
     c = math.cos(theta0)
-    if abs(c * c - 1.0 / 3.0) < _DEGENERATE_TOL:
-        raise DegenerateAngle("cos^2(theta0) = 1/3: no decay constants")
+    if end_class is None or end_class.m == 0:
+        if abs(c * c - 1.0 / 3.0) < _DEGENERATE_TOL:
+            raise DegenerateAngle("cos^2(theta0) = 1/3: no decay constants")
+        dev = abs(1.0 - 3.0 * c * c)
+    else:
+        m, m_prime = end_class
+        try:
+            a = m_prime / m
+        except OverflowError:
+            raise DomainError(f"({m}, {m_prime}): m'/m is past the float "
+                              f"range") from None
+        q = 1.0 + math.sqrt(1.0 + 2.0 * a * a)
+        if q == math.inf:
+            raise DomainError(f"({m}, {m_prime}): 2 (m'/m)^2 is past the "
+                              f"float range")
+        outer = m < 0 and 2 * m_prime * m_prime > 3 * m * m
+        dev = q / (a * a) if outer else 2.0 / q
     if not 0.0 < theta0 < math.pi:
         raise ValueError("theta0 must lie in (0, pi)")
     s2 = math.sin(theta0) ** 2
     root = math.sqrt(1.0 + 3.0 * c ** 4)
-    dev = abs(1.0 - 3.0 * c * c)
     zeta = SQRT6 * s2 * (1.0 + 3.0 * c * c) / root / dev
     kappa = dev / (SQRT6 * root)
     sigma0 = None
     if end_class is not None:
         if end_class.m == 0:
             raise ZeroPair("sigma0 needs m != 0")
-        ratio = end_class.m_prime / end_class.m
-        sigma0 = 4.0 * abs(c) * abs(ratio) / (1.0 + ratio * ratio * s2)
+        sigma0 = 4.0 * abs(c) * abs(a) / (1.0 + a * a * s2)
     return AsymptoticData(zeta=zeta, kappa=kappa, sigma0=sigma0)
 
 
@@ -348,7 +367,7 @@ def l0_spectrum(case: GenericSpectrumCase | PolarSpectrumCase,
 
 
 class InvariantReport(NamedTuple):
-    """The invariant bundle of one moduli label (or catalog curve)."""
+    """The invariant bundle of one moduli label."""
 
     delta: int
     gcd_triple: tuple[int, int, int]
@@ -359,11 +378,9 @@ class InvariantReport(NamedTuple):
     c1_pairing: int
     e_pairing: int
 
-    def to_json(self, label: LabelLike | None = None) -> dict:
-        out: dict = {}
-        if label is not None:
-            out["label"] = {"pairs": [list(p) for p in label.pairs()]}
-        out.update({
+    def to_json(self, label: LabelLike) -> dict:
+        return {
+            "label": {"pairs": [list(p) for p in label.pairs()]},
             "delta": self.delta,
             "gcds": list(self.gcd_triple),
             "m_C": self.m_c,
@@ -372,8 +389,7 @@ class InvariantReport(NamedTuple):
             "e_pairing": self.e_pairing,
             "c1": self.c1_pairing,
             "chi": self.chi,
-        })
-        return out
+        }
 
 
 def sphere_report(label: LabelLike) -> InvariantReport:

@@ -112,8 +112,9 @@ def solve_theta0(p: int, p_prime: int) -> float:
     Otherwise theta0 is the root of p'(1-3cos^2) = p sqrt6 cos whose
     cosine has the sign of p'; for p > 0 that is the inner (|cos| <
     1/sqrt3) root, for p < 0 the outer one.  Accepts non-coprime input
-    (the angle only depends on p'/p).  DomainError when p'/p is past
-    the float range or the cosine rounds outside [-1, 1].
+    (the angle only depends on p'/p).  DomainError when p'/p or
+    2 (p'/p)^2 is past the float range or the cosine rounds outside
+    [-1, 1].
     """
     if p == 0 and p_prime == 0:
         raise ZeroPair("no orbit angle for (0, 0)")
@@ -136,6 +137,9 @@ def _root_angle(p: int, p_prime: int, given: tuple[int, int],
         alpha = p_prime / p
     except OverflowError:
         raise DomainError(f"{given}: p'/p is past the float range") from None
+    if 2.0 * alpha * alpha == math.inf:
+        # The roots square p'/p: past ~9.5e153 the cosine would be 0 or inf.
+        raise DomainError(f"{given}: 2 (p'/p)^2 is past the float range")
     if p > 0:
         return math.acos(_cos_inner_root(alpha))
     c = _cos_outer_root(alpha)

@@ -66,6 +66,21 @@ def double_points_lattice(label):
     return count
 
 
+def decay_constants_mpmath(m, m_prime):
+    """(zeta, kappa) of the orbit of (m, m'), m and m' != 0, at 50 digits:
+    the cosine of the inner root (m > 0) or the outer one (m < 0) in
+    closed form, then asymptotic_constants' formulas."""
+    mpm = pytest.importorskip("mpmath")
+    with mpm.workdps(50):
+        a = mpm.mpf(m_prime) / m
+        r = mpm.sqrt(1 + 2 * a * a)
+        c = (r - 1 if m > 0 else -1 - r) / (mpm.sqrt(6) * a)
+        dev = abs(1 - 3 * c * c)
+        root = mpm.sqrt(1 + 3 * c ** 4)
+        return (mpm.sqrt(6) * (1 - c * c) * (1 + 3 * c * c) / root / dev,
+                dev / (mpm.sqrt(6) * root))
+
+
 def bezout(m, n):
     """(s, t) with m s + n t = gcd(m, n) >= 0."""
     if n == 0:

@@ -16,6 +16,8 @@ from sympl_moduli.cli import (_write_trace_csv, main, parse_pairs,
                               residual_tolerance)
 from sympl_moduli.errors import DomainError, ParseError
 
+from conftest import decay_constants_mpmath
+
 
 def run_cli(capsys, *argv):
     with pytest.raises(SystemExit) as exc:
@@ -604,7 +606,9 @@ class TestHugeEntries:
         ["trace", "--pair", f"1,{HUGE}", "--range", "0"],
         ["spectrum", "--pair", f"1,{HUGE}"],
         ["spectrum", "--pair", f"{HUGE},1"],
-    ], ids=["trace", "spectrum p'/p", "spectrum period"])
+        ["spectrum", "--pair", f"1,{10 ** 200}"],
+    ], ids=["trace", "spectrum p'/p", "spectrum period",
+            "spectrum 2 (p'/p)^2"])
     def test_refused(self, capsys, tmp_path, argv):
         csv = tmp_path / "t.csv"
         if argv[0] == "trace":
@@ -890,6 +894,20 @@ class TestSpectrum:
         code, _, err = run_cli(capsys, "spectrum", "--pair", "0,1")
         assert code == 1
         assert "1/3" in err
+
+    @pytest.mark.parametrize("pair", ["1,1000000000000", "-1,1000000000",
+                                      "31,85"])
+    def test_steep_orbit_decay_constants(self, capsys, pair):
+        # The decay constants come from the pair, so a steep orbit is not
+        # taken for cos^2 = 1/3 (the first exited 1) and its zeta and
+        # kappa print as the 50-digit values rounded to 12 digits.
+        zeta, kappa = decay_constants_mpmath(*map(int, pair.split(",")))
+        code, out, _ = run_cli(capsys, "spectrum", f"--pair={pair}",
+                               "--nmax", "0")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["zeta"] == float(f"{float(zeta):.12g}")
+        assert payload["kappa"] == float(f"{float(kappa):.12g}")
 
     def test_needs_exactly_one_source(self, capsys):
         code, _, _ = run_cli(capsys, "spectrum", "--pair", "1,0",

@@ -202,7 +202,7 @@ def _bisect_reference(spec, tau, u, clip):
     the reference for _profile_point's bracketed Newton iteration: the
     same u_of decisions, halving [lo, hi] until it is narrower than
     1e-13, and the same fh_at check of the point."""
-    lo, hi = curves._clipped(spec.theta_range(), clip)
+    lo, hi = curves._point_start(spec, clip)[:2]
     terms, base = curves._anchored(spec)
 
     def u_of(theta):
@@ -323,7 +323,7 @@ class TestProfilePoint:
         p, pp = pair
         rid = data.draw(st.integers(0, len(classify_branches(p, pp)) - 1))
         spec = CurveSpec.profile(p, pp, rid, s_anchor=s_anchor)
-        lo, hi = curves._clipped(spec.theta_range(), clip)
+        lo, hi = curves._point_start(spec, clip)[:2]
         theta = lo + (hi - lo) * frac
         s = s_of_theta(p, pp, spec.anchor_angle(), s_anchor, theta)
         try:
@@ -685,7 +685,7 @@ def _one_angle_rows(spec, n, clip):
     """The rows of a trace of n samples, s and (f, h) evaluated one angle
     at a time."""
     terms, base = curves._anchored(spec)
-    lo, hi = curves._clipped(spec.theta_range(), clip)
+    lo, hi = curves._point_start(spec, clip)[:2]
     rows = []
     for i in range(n):
         theta = lo + (hi - lo) * i / (n - 1)

@@ -17,7 +17,7 @@ from sympl_moduli.budgets import MAX_SPECTRUM_N, MAX_WALK_DELTA
 from sympl_moduli.errors import (BoundViolation, DegenerateAngle, DomainError,
                                  InvalidLabel, ZeroPair)
 
-from conftest import double_points_lattice, label_pairs
+from conftest import decay_constants_mpmath, double_points_lattice, label_pairs
 
 L_SYM = Label2.make((2, 1), (1, 2))      # Delta = 3, embedded
 L_41 = Label2.make((4, 1), (1, 1))       # Delta = 3, one double point
@@ -341,6 +341,30 @@ class TestAsymptoticConstants:
         for p, pp in [(1, 0), (1, 1), (2, 5), (-1, 2), (1, -3)]:
             data = asymptotic_constants(sm.solve_theta0(p, pp))
             assert data.zeta > 0 and data.kappa > 0
+
+    @pytest.mark.parametrize("pair", [(1, 10**9), (-1, 10**9), (1, 10**11),
+                                      (1, 10**12), (-1, -10**12), (2, 3),
+                                      (-1, 2), (31, 85)])
+    def test_against_mpmath(self, pair):
+        # From the float angle |1 - 3 cos^2| cancelled: 2.6e-8 relative
+        # at (1, 10^9), and (1, 10^12) was refused as degenerate.
+        zeta, kappa = decay_constants_mpmath(*pair)
+        data = asymptotic_constants(sm.solve_theta0(*pair), EndClass(*pair))
+        assert abs(data.zeta - zeta) <= 2e-15 * zeta
+        assert abs(data.kappa - kappa) <= 2e-15 * kappa
+
+    def test_pair_and_angle_agree_where_nothing_cancels(self):
+        for m, mp_ in [(1, 0), (2, 3)]:
+            th = sm.solve_theta0(m, mp_)
+            assert (asymptotic_constants(th, EndClass(m, mp_))[:2]
+                    == asymptotic_constants(th)[:2])
+
+    def test_square_past_the_float_range(self):
+        th = sm.solve_theta0(1, 10**150)
+        for end in (EndClass(1, 10**154), EndClass(-1, 10**154),
+                    EndClass(1, 10**400)):
+            with pytest.raises(DomainError, match="past the float range"):
+                asymptotic_constants(th, end)
 
 
 class TestSpectrum:

@@ -6,7 +6,8 @@ import pytest
 from sympl_moduli import (EndClass, ReebOrbit, classify_pair, orbit_point,
                           solve_theta0, solve_theta0_bar, theta_roots)
 from sympl_moduli.errors import DomainError, InvalidLabel, OutOfRegime, ZeroPair
-from sympl_moduli.geometry import SQRT6, Point4, coord_functions
+from sympl_moduli.geometry import (SQRT6, Point4, Tangent4, contact_eval,
+                                   coord_functions)
 from sympl_moduli.reeb import _cos_inner_root, _cos_outer_root
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
@@ -93,6 +94,20 @@ class TestSolveTheta0:
     def test_non_coprime_input_allowed(self):
         assert solve_theta0(2, 2) == pytest.approx(solve_theta0(1, 1), abs=1e-15)
 
+    def test_slope_ratio_whose_square_overflows(self):
+        # Past ~9.5e153, 2 (p'/p)^2 is inf: the inner cosine came out 0
+        # (theta0 = pi/2, the (1, 0) orbit's) and the outer one inf.
+        for args in ((1, 10**154), (1, -10**154), (-1, 10**154),
+                     (3, 10**200), (-3, -10**200)):
+            with pytest.raises(DomainError, match=r"2 \(p'/p\)\^2 is past"):
+                solve_theta0(*args)
+        with pytest.raises(DomainError, match=r"^\(1, 1000"):
+            solve_theta0_bar(1, 10**154)        # named as it was given
+
+    def test_large_slope_ratio_keeps_its_bits(self):
+        assert repr(solve_theta0(1, 10**150)) == "0.9553166181245092"
+        assert repr(solve_theta0(-1, 10**150)) == "0.9553166181245093"
+
 
 class TestSolveTheta0Bar:
     def test_one_two(self):
@@ -173,6 +188,39 @@ class TestPellPairs:
                 solve_theta0(*args)
         with pytest.raises(DomainError):
             theta_roots(1201527053, 1471564096)
+
+
+class TestRuleCIsTheContactSign:
+    """ROADMAP item 13(a): rule (c) picks the Reeb orbits traversed
+    against the contact form, alpha_theta0(m d/dt + m' d/dphi) < 0."""
+
+    def test_entries_to_30(self):
+        refused, against, along = 0, 0, []
+        for m in range(-30, 31):
+            for mp in range(-30, 31):
+                if m == mp == 0:
+                    continue
+                rule_c = m >= 0 or 2 * mp * mp > 3 * m * m
+                try:
+                    th = solve_theta0(m, mp)
+                except InvalidLabel:
+                    assert not rule_c, (m, mp)
+                    refused += 1
+                    continue
+                alpha = contact_eval(Point4(0.0, 0.0, th, 0.0),
+                                     Tangent4(v_t=m, v_phi=mp))
+                assert rule_c == (alpha < 0.0), (m, mp, alpha)
+                if rule_c:
+                    against += 1
+                else:
+                    along.append((m, mp, th, alpha))
+        assert (refused, against) == (1072, 2618)
+        # The pairs solve_theta0 answers that fail rule (c): (m, 0) with
+        # m < 0, at pi/2, where alpha = -m.
+        assert [(m, mp) for m, mp, _, _ in along] == [(m, 0) for m in
+                                                      range(-30, 0)]
+        assert all(th == math.pi / 2 and alpha == -m
+                   for m, _, th, alpha in along)
 
 
 class TestThetaRoots:
