@@ -50,7 +50,7 @@ from .errors import (BoundViolation, DegenerateAngle, DomainError,
                      InternalError, ParityError, ZeroPair)
 from .geometry import SQRT6
 from .moduli import Label2, OrderedLabel3
-from .reeb import EndClass
+from .reeb import EndClass, orbit_cosine
 
 LabelLike = Union[Label2, OrderedLabel3]
 
@@ -273,12 +273,11 @@ def asymptotic_constants(theta0: float,
     sigma0 = 4 |cos| |m'/m| (1 + (m'/m)^2 sin^2)^{-1}   (needs m != 0)
 
     Given an end class with m != 0, theta0 must be its orbit angle
-    (solve_theta0), and |1 - 3 cos^2| comes from a = m'/m without the
-    cancellation of the float angle: 2 / (1 + sqrt(1 + 2a^2)) at the
-    inner root, (1 + sqrt(1 + 2a^2)) / a^2 at the outer one (m < 0,
-    2 m'^2 > 3 m^2).  Such an orbit is never degenerate; DomainError
-    where 2a^2 is past the float range.  Otherwise it comes from theta0,
-    and both zeta and kappa degenerate where cos^2(theta0) = 1/3.
+    (solve_theta0; ValueError otherwise), and |1 - 3 cos^2| is the one
+    reeb.orbit_cosine takes from the pair, with the same refusals, so
+    such an orbit keeps its digits and is never degenerate.  Otherwise
+    it comes from theta0, and both zeta and kappa degenerate where
+    cos^2(theta0) = 1/3.
     """
     c = math.cos(theta0)
     if end_class is None or end_class.m == 0:
@@ -286,18 +285,10 @@ def asymptotic_constants(theta0: float,
             raise DegenerateAngle("cos^2(theta0) = 1/3: no decay constants")
         dev = abs(1.0 - 3.0 * c * c)
     else:
-        m, m_prime = end_class
-        try:
-            a = m_prime / m
-        except OverflowError:
-            raise DomainError(f"({m}, {m_prime}): m'/m is past the float "
-                              f"range") from None
-        q = 1.0 + math.sqrt(1.0 + 2.0 * a * a)
-        if q == math.inf:
-            raise DomainError(f"({m}, {m_prime}): 2 (m'/m)^2 is past the "
-                              f"float range")
-        outer = m < 0 and 2 * m_prime * m_prime > 3 * m * m
-        dev = q / (a * a) if outer else 2.0 / q
+        pair_cos, dev = orbit_cosine(*end_class)
+        if theta0 != math.acos(pair_cos):
+            raise ValueError(f"theta0 = {theta0!r} is not the orbit angle "
+                             f"of {tuple(end_class)}")
     if not 0.0 < theta0 < math.pi:
         raise ValueError("theta0 must lie in (0, pi)")
     s2 = math.sin(theta0) ** 2
@@ -308,7 +299,8 @@ def asymptotic_constants(theta0: float,
     if end_class is not None:
         if end_class.m == 0:
             raise ZeroPair("sigma0 needs m != 0")
-        sigma0 = 4.0 * abs(c) * abs(a) / (1.0 + a * a * s2)
+        ratio = end_class.m_prime / end_class.m
+        sigma0 = 4.0 * abs(c) * abs(ratio) / (1.0 + ratio * ratio * s2)
     return AsymptoticData(zeta=zeta, kappa=kappa, sigma0=sigma0)
 
 
@@ -332,8 +324,10 @@ def l0_spectrum(case: GenericSpectrumCase | PolarSpectrumCase,
 
     Generic orbit: { (-zeta +- sqrt(zeta^2 + 4 n^2 / T^2)) / 2,
     0 <= n <= n_max }; the two n = 0 eigenvalues (0 and -zeta) are
-    simple, all n > 0 ones are double.  Polar orbit covered m times:
-    { -sqrt(3/2) + n/m, |n| <= n_max }, all double -- in particular
+    simple, all n > 0 ones are double.  The positive one is taken as
+    (2 n^2 / T^2) / (zeta + sqrt(...)) and the root as a hypot, so
+    neither cancels nor overflows at a large zeta.  Polar orbit covered
+    m times: { -sqrt(3/2) + n/m, |n| <= n_max }, all double -- in particular
     never zero, since sqrt(3/2) is irrational.  Returned sorted by
     eigenvalue.  DomainError past MAX_SPECTRUM_N, or for a generic period
     whose square is past the float range, before any eigenvalue.
@@ -354,9 +348,10 @@ def l0_spectrum(case: GenericSpectrumCase | PolarSpectrumCase,
         out.append((0.0, 1))
         out.append((-case.zeta, 1))
         for n in range(1, n_max + 1):
-            disc = math.sqrt(case.zeta ** 2 + 4.0 * n * n / t2)
-            out.append((0.5 * (-case.zeta + disc), 2))
-            out.append((0.5 * (-case.zeta - disc), 2))
+            w = 2.0 * n / case.period
+            total = case.zeta + math.hypot(case.zeta, w)
+            out.append((0.5 * w * w / total, 2))
+            out.append((-0.5 * total, 2))
     else:
         if case.m < 1:
             raise ValueError("m must be >= 1")

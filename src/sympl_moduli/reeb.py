@@ -105,6 +105,27 @@ def _cos_outer_root(alpha: float) -> float:
     return (-1.0 - math.sqrt(1.0 + 2.0 * alpha * alpha)) / (SQRT6 * alpha)
 
 
+def orbit_cosine(p: int, p_prime: int) -> tuple[float, float]:
+    """cos(theta0) and |1 - 3 cos^2(theta0)| at the orbit angle of
+    (p, p'), refused where solve_theta0 refuses the pair.
+
+    The second is 1 for p' = 0 and 0 for p = 0; otherwise it comes from
+    a = p'/p, since 1 - 3 cos^2 = sqrt6 cos / a: 2 / (1 + sqrt(1 + 2a^2))
+    at the inner root, (1 + sqrt(1 + 2a^2)) / a^2 at the outer one.  So
+    it keeps its digits where the float cosine is within rounding of
+    1/sqrt3, and an orbit with p != 0 is never degenerate.
+    """
+    if p == 0 and p_prime == 0:
+        raise ZeroPair("no orbit angle for (0, 0)")
+    if p_prime == 0:
+        return 0.0, 1.0
+    if p == 0:
+        return math.copysign(1.0, p_prime) / math.sqrt(3.0), 0.0
+    if p < 0 and 2 * p_prime * p_prime <= 3 * p * p:
+        raise InvalidLabel(f"({p}, {p_prime}) admits no orbit angle")
+    return _root_cosine(p, p_prime, (p, p_prime), "orbit")
+
+
 def solve_theta0(p: int, p_prime: int) -> float:
     """The orbit angle theta0 for the pair (p, p').
 
@@ -116,23 +137,15 @@ def solve_theta0(p: int, p_prime: int) -> float:
     2 (p'/p)^2 is past the float range or the cosine rounds outside
     [-1, 1].
     """
-    if p == 0 and p_prime == 0:
-        raise ZeroPair("no orbit angle for (0, 0)")
-    if p_prime == 0:
-        return math.pi / 2.0
-    if p == 0:
-        return math.acos(math.copysign(1.0, p_prime) / math.sqrt(3.0))
-    if p < 0 and 2 * p_prime * p_prime <= 3 * p * p:
-        raise InvalidLabel(f"({p}, {p_prime}) admits no orbit angle")
-    return _root_angle(p, p_prime, (p, p_prime), "orbit")
+    return math.acos(orbit_cosine(p, p_prime)[0])
 
 
-def _root_angle(p: int, p_prime: int, given: tuple[int, int],
-                which: str) -> float:
-    """The angle whose cosine is the root of p'(1-3cos^2) = p sqrt6 cos
-    with the sign of p' (p, p' != 0): the inner root for p > 0, the
-    outer one for p < 0.  A DomainError names the pair the caller gave
-    and which cosine it asked for."""
+def _root_cosine(p: int, p_prime: int, given: tuple[int, int],
+                 which: str) -> tuple[float, float]:
+    """The cosine of the root of p'(1-3cos^2) = p sqrt6 cos with the
+    sign of p' (p, p' != 0), the inner root for p > 0 and the outer one
+    for p < 0, and |1 - 3 cos^2| there.  A DomainError names the pair
+    the caller gave and which cosine it asked for."""
     try:
         alpha = p_prime / p
     except OverflowError:
@@ -140,15 +153,16 @@ def _root_angle(p: int, p_prime: int, given: tuple[int, int],
     if 2.0 * alpha * alpha == math.inf:
         # The roots square p'/p: past ~9.5e153 the cosine would be 0 or inf.
         raise DomainError(f"{given}: 2 (p'/p)^2 is past the float range")
+    q = 1.0 + math.sqrt(1.0 + 2.0 * alpha * alpha)
     if p > 0:
-        return math.acos(_cos_inner_root(alpha))
+        return _cos_inner_root(alpha), 2.0 / q
     c = _cos_outer_root(alpha)
     if not -1.0 <= c <= 1.0:
         # Just past 2 p'^2 = 3 p^2 the outer root is within rounding
         # of -1 or 1, and for p past ~1e9 it can round outside.
         raise DomainError(f"{given}: the {which} cosine rounds to {c!r}, "
                           f"outside [-1, 1]")
-    return math.acos(c)
+    return c, q / (alpha * alpha)
 
 
 def _has_companion(p: int, p_prime: int) -> bool:
@@ -165,7 +179,8 @@ def solve_theta0_bar(p: int, p_prime: int) -> float:
     if not _has_companion(p, p_prime):
         raise OutOfRegime(
             f"({p}, {p_prime}): companion angle needs p != 0 and 2 p'^2 > 3 p^2")
-    return _root_angle(-p, -p_prime, (p, p_prime), "companion")
+    return math.acos(_root_cosine(-p, -p_prime, (p, p_prime),
+                                  "companion")[0])
 
 
 class ThetaRoots(NamedTuple):

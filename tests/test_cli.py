@@ -19,6 +19,20 @@ from sympl_moduli.errors import DomainError, ParseError
 from conftest import decay_constants_mpmath
 
 
+def _generic_spectrum_mpmath(zeta, period, n_max):
+    """The generic spectrum of the decay constant zeta, each eigenvalue
+    as often as its multiplicity, sorted: the textbook (-zeta +- sqrt(
+    zeta^2 + 4 n^2 / T^2)) / 2 at enough digits that nothing cancels."""
+    mpm = pytest.importorskip("mpmath")
+    with mpm.workdps(400):
+        zeta = mpm.mpf(zeta)
+        out = [mpm.mpf(0), -zeta]
+        for n in range(1, n_max + 1):
+            disc = mpm.sqrt(zeta ** 2 + 4 * mpm.mpf(n) ** 2 / period ** 2)
+            out += 2 * [(-zeta + disc) / 2, (-zeta - disc) / 2]
+        return sorted(out)
+
+
 def run_cli(capsys, *argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
@@ -896,18 +910,26 @@ class TestSpectrum:
         assert "1/3" in err
 
     @pytest.mark.parametrize("pair", ["1,1000000000000", "-1,1000000000",
-                                      "31,85"])
+                                      "31,85", f"1,{8 * 10 ** 153}"])
     def test_steep_orbit_decay_constants(self, capsys, pair):
         # The decay constants come from the pair, so a steep orbit is not
-        # taken for cos^2 = 1/3 (the first exited 1) and its zeta and
-        # kappa print as the 50-digit values rounded to 12 digits.
+        # taken for cos^2 = 1/3 (the first exited 1, the second was 5e-8
+        # off), and each printed eigenvalue, the positive ones n^2 / (T^2
+        # zeta) included, is the 50-digit one to its 12 printed digits.
         zeta, kappa = decay_constants_mpmath(*map(int, pair.split(",")))
-        code, out, _ = run_cli(capsys, "spectrum", f"--pair={pair}",
-                               "--nmax", "0")
+        code, out, _ = run_cli(capsys, "spectrum", f"--pair={pair}")
         assert code == 0
         payload = json.loads(out)
-        assert payload["zeta"] == float(f"{float(zeta):.12g}")
-        assert payload["kappa"] == float(f"{float(kappa):.12g}")
+        assert abs(payload["zeta"] - zeta) <= 1e-11 * zeta
+        assert abs(payload["kappa"] - kappa) <= 1e-11 * kappa
+        # With multiplicity: -zeta and the -zeta - n^2 / (T^2 zeta) tie
+        # as floats, so the two lists need not agree in order.
+        printed = sorted(ev for ev, mult in payload["spectrum"]
+                         for _ in range(mult))
+        expected = _generic_spectrum_mpmath(zeta, payload["period"], 5)
+        assert len(printed) == len(expected) == 22
+        for ev, ref in zip(printed, expected):
+            assert abs(ev - ref) <= 1e-11 * abs(ref)
 
     def test_needs_exactly_one_source(self, capsys):
         code, _, _ = run_cli(capsys, "spectrum", "--pair", "1,0",

@@ -385,6 +385,15 @@ class TestPointStart:
         refused = [x for x in alone if not isinstance(x, Point4)]
         assert 0 < len(refused) < len(alone)
 
+    def test_trace_builds_the_record_its_points_read(self):
+        curves._point_start.cache_clear()
+        trace = integrate_profile(1, 2, 1, n_samples=9, clip=1e-4)
+        info = curves._point_start.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
+        eval_invariant_curve(trace.spec, 0.3, trace.samples[4].f, clip=1e-4)
+        info = curves._point_start.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
     def test_warm_record_raises_as_cold(self):
         spec = CurveSpec.profile(1, 2, 1)
         cold = _cold_outcome(spec, 1e12, 1e-9)

@@ -359,12 +359,13 @@ class TestAsymptoticConstants:
             assert (asymptotic_constants(th, EndClass(m, mp_))[:2]
                     == asymptotic_constants(th)[:2])
 
-    def test_square_past_the_float_range(self):
-        th = sm.solve_theta0(1, 10**150)
-        for end in (EndClass(1, 10**154), EndClass(-1, 10**154),
-                    EndClass(1, 10**400)):
-            with pytest.raises(DomainError, match="past the float range"):
-                asymptotic_constants(th, end)
+    def test_theta0_must_be_the_orbit_angle(self):
+        # The pair gives |1 - 3 cos^2| and the angle gives the rest, so
+        # the two must belong to one orbit; a multiple of the pair does.
+        with pytest.raises(ValueError, match="not the orbit angle"):
+            asymptotic_constants(sm.solve_theta0(1, 2), EndClass(2, 5))
+        assert (asymptotic_constants(sm.solve_theta0(1, 2), EndClass(3, 6))
+                == asymptotic_constants(sm.solve_theta0(1, 2), EndClass(1, 2)))
 
 
 class TestSpectrum:
@@ -394,13 +395,24 @@ class TestSpectrum:
         def no_eigenvalues(*args):
             raise AssertionError("an eigenvalue was computed")
 
-        monkeypatch.setattr(sm.invariants, "math",
-                            types.SimpleNamespace(sqrt=no_eigenvalues))
+        monkeypatch.setattr(sm.invariants, "math", types.SimpleNamespace(
+            sqrt=no_eigenvalues, hypot=no_eigenvalues))
         for n in (MAX_SPECTRUM_N + 1, 10 ** 20):
             with pytest.raises(DomainError, match="budget"):
                 l0_spectrum(case, n)
         with pytest.raises(AssertionError, match="eigenvalue"):  # at the budget
             l0_spectrum(case, MAX_SPECTRUM_N)
+
+    def test_large_zeta_neither_cancels_nor_overflows(self):
+        # The positive eigenvalue is about n^2 / (T^2 zeta): as
+        # (-zeta + sqrt(zeta^2 + 4n^2/T^2)) / 2 it was 0.0 past zeta ~ 1e12,
+        # and zeta^2 overflowed past ~1.3e154.
+        for zeta in (2e12, 1.6e154):
+            spec = l0_spectrum(GenericSpectrumCase(zeta=zeta, period=3), 4)
+            positive = [ev for ev, _ in spec if ev > 0.0]
+            assert positive == pytest.approx(
+                [n * n / (9.0 * zeta) for n in range(1, 5)], rel=1e-15)
+            assert all(math.isfinite(ev) for ev, _ in spec)
 
     def test_polar_never_zero(self):
         for m in range(1, 101):

@@ -8,7 +8,7 @@ from sympl_moduli import (EndClass, ReebOrbit, classify_pair, orbit_point,
 from sympl_moduli.errors import DomainError, InvalidLabel, OutOfRegime, ZeroPair
 from sympl_moduli.geometry import (SQRT6, Point4, Tangent4, contact_eval,
                                    coord_functions)
-from sympl_moduli.reeb import _cos_inner_root, _cos_outer_root
+from sympl_moduli.reeb import _cos_inner_root, _cos_outer_root, orbit_cosine
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
 
@@ -107,6 +107,26 @@ class TestSolveTheta0:
     def test_large_slope_ratio_keeps_its_bits(self):
         assert repr(solve_theta0(1, 10**150)) == "0.9553166181245092"
         assert repr(solve_theta0(-1, 10**150)) == "0.9553166181245093"
+
+
+class TestOrbitCosine:
+    def test_refused_as_solve_theta0_refuses(self):
+        for args, exc in [((0, 0), ZeroPair), ((-1, 1), InvalidLabel),
+                          ((1, 10**154), DomainError),
+                          ((-1, 10**400), DomainError)]:
+            for solve in (orbit_cosine, solve_theta0):
+                with pytest.raises(exc):
+                    solve(*args)
+
+    def test_deviation(self):
+        # |1 - 3 cos^2| is 1 at the equator and exactly 0 for p = 0;
+        # elsewhere it is the float angle's value where nothing cancels.
+        assert orbit_cosine(1, 0) == (0.0, 1.0)
+        assert orbit_cosine(0, -1) == (-INV_SQRT3, 0.0)
+        for p, pp in admissible_coprime_pairs(30):
+            c, dev = orbit_cosine(p, pp)
+            assert math.acos(c) == solve_theta0(p, pp)
+            assert dev == pytest.approx(abs(1.0 - 3.0 * c * c), abs=1e-14)
 
 
 class TestSolveTheta0Bar:
