@@ -51,7 +51,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .budgets import MAX_TRACE_SAMPLES
 from .errors import (BranchError, DomainError, InvalidLabel, WrongExample)
-from .geometry import (DEFAULT_CLIP, SQRT6, BranchId, Point4, fh_at,
+from .geometry import (_TINY, DEFAULT_CLIP, SQRT6, BranchId, Point4, fh_at,
                        fh_rows, require_finite, theta_from_lambda)
 from .reeb import ReebOrbit, OrbitKind, classify_pair, theta_roots
 
@@ -558,11 +558,12 @@ def _u_of(terms: LogTerms, base: float, theta: float) -> float:
 
 @functools.lru_cache(maxsize=16)
 def _point_start(spec: CurveSpec, clip: float) -> tuple:
-    """(lo, hi, terms, base, sign, u_min, u_max) of a profile curve at a
-    clip: the clipped range (BranchError unless strictly inside the
-    range), _anchored's record, and _u_of's sign and ends.  A trace reads
-    the first four.  Errors are not cached.  A curve's trace and points
-    come together: 16 suffice."""
+    """(lo, hi, terms, base, sign, u_min, u_max, u_mid) of a profile
+    curve at a clip: the clipped range (BranchError unless strictly
+    inside the range), _anchored's record, _u_of's sign and ends, and
+    u_mid = _u_of at the clipped range's midpoint, every point's first
+    probe.  A trace reads the first four.  Errors are not cached.  A
+    curve's trace and points come together: 16 suffice."""
     rng = spec.theta_range()
     lo, hi = rng.lo + clip, rng.hi - clip
     if not rng.lo < lo < hi < rng.hi:
@@ -572,7 +573,8 @@ def _point_start(spec: CurveSpec, clip: float) -> tuple:
     terms, base = _anchored(spec)
     u_lo, u_hi = _u_of(terms, base, lo), _u_of(terms, base, hi)
     return (lo, hi, terms, base, 1.0 if u_hi > u_lo else -1.0,
-            min(u_lo, u_hi), max(u_lo, u_hi))
+            min(u_lo, u_hi), max(u_lo, u_hi),
+            _u_of(terms, base, 0.5 * (lo + hi)))
 
 
 def _profile_point(spec: CurveSpec, tau: float, u: float,
@@ -584,45 +586,68 @@ def _profile_point(spec: CurveSpec, tau: float, u: float,
     Each probe x is decided by _u_of, which moves one end of a bracket
     [a, b] around the angle where u_of crosses u, and the point is the
     midpoint of the first bracket narrower than 1e-13, as a bisection's
-    would be.  The next probe is a Newton step on log|u| from the probe
-    whose log|u_of| came closest to log|u|, among those where u_of is
-    finite, non-zero and of the sign of u.  It is the bracket's
-    midpoint where there is no such probe, where the step leaves
-    (a, b), and whenever two probes have not halved the bracket, which
-    bounds the worst case.  A step shorter than 4e-14 is lengthened to
-    4e-14 toward the inside of the bracket: Newton's probes tend to
-    approach the crossing from one side, and this one lands on the
-    other, which closes the bracket.
+    would be.  The first probe is the clipped range's midpoint, whose
+    u_of the record holds.  From each probe the next is a Newton step
+    while the iteration converges (slope = d log|u_of|/dtheta there):
+    - on log|u|, where u_of is a normal float of the sign of u: the step
+      gap / slope, gap = log(u / u_of), which keeps its digits where
+      |log u| is large (no step where the ratio overflows or rounds to
+      0), while |gap| falls below half the previous probe's;
+    - on u itself where u = 0, which log|u| cannot reach, and u_of is a
+      normal float: the step -1/slope, while it falls below half the
+      previous probe's (toward an end where e^{-sqrt6 s} underflows,
+      |u_of| falls by a constant factor per step, and the step does
+      not);
+    - where u_of is u, the step 0: where u is a normal float, or on
+      u = 0 where g = 0 (u_of is 0 also where e^{-sqrt6 s} underflows,
+      and _log_u_slope divides by g).
+    A subnormal u_of takes no step: it has too few bits to place the
+    crossing, and it equals u across spans far wider than 4e-14.
+    Otherwise, and where the step leaves (a, b), the next probe is the
+    bracket's midpoint; a probe with none of these steps lets the next
+    one step.  A step shorter than 4e-14 is lengthened to 4e-14 toward
+    the inside of the bracket: Newton's probes tend to approach the
+    crossing from one side, and this one lands on the other, which
+    closes the bracket.  Convergence is strict, so where u_of is u at a
+    second probe in a row (flat in floats), the next one bisects.
     """
-    lo, hi, terms, base, sign, u_min, u_max = _point_start(spec, clip)
+    lo, hi, terms, base, sign, u_min, u_max, u_x = _point_start(spec, clip)
     p, p_prime = spec.p, spec.p_prime
     if not u_min <= u <= u_max:
         raise DomainError(f"u = {u} outside [{u_min}, {u_max}] reachable "
                           f"on the clipped range")
-    log_u = log(abs(u)) if u else 0.0
     a, b = lo, hi
     x = 0.5 * (a + b)
-    best = None                      # (x, log|u| - log|u_of(x)|, slope)
-    widths = (b - a, b - a)          # the bracket one and two probes ago
+    last = math.inf                  # the previous probe's gap or step
     while b - a >= 1e-13:           # u_of is strictly monotone on the range
-        u_x = _u_of(terms, base, x)
         if sign * (u_x - u) < 0.0:
             a = x
         else:
             b = x
-        if u_x * u > 0.0 and abs(u_x) < math.inf:
-            gap = log_u - log(abs(u_x))
-            if best is None or abs(gap) <= abs(best[1]):
-                best = x, gap, _log_u_slope(p, p_prime, x)
-        x = 0.5 * (a + b)
-        if best is not None and b - a <= 0.5 * widths[1]:
-            x_best, gap, slope = best
-            step = gap / slope if slope else math.nan
-            if abs(step) < 4e-14:
-                step = 4e-14 if x_best == a else -4e-14
-            if a < x_best + step < b:
-                x = x_best + step
-        widths = (b - a, widths[0])
+        if b - a < 1e-13:
+            break
+        step = math.nan
+        normal = _TINY <= abs(u_x) < math.inf
+        if u_x == u and (normal or 1.0 - 3.0 * cos(x) ** 2 == 0.0):
+            size = step = 0.0
+        elif normal and u_x * u > 0.0:
+            ratio = u / u_x
+            gap = log(ratio) if 0.0 < ratio < math.inf else math.inf
+            size = abs(gap)
+            if size < 0.5 * last:
+                slope = _log_u_slope(p, p_prime, x)
+                step = gap / slope if slope else math.nan
+        elif normal and not u:
+            slope = _log_u_slope(p, p_prime, x)
+            step = -1.0 / slope if slope else math.nan
+            size = abs(step)
+        else:
+            size = math.inf
+        converging, last = size < 0.5 * last, size
+        if converging and abs(step) < 4e-14:
+            step = 4e-14 if x == a else -4e-14
+        x = x + step if converging and a < x + step < b else 0.5 * (a + b)
+        u_x = _u_of(terms, base, x)
     theta = 0.5 * (a + b)
     log_sum, = _log_sums(terms, (theta,))
     return Point4(s=base + log_sum, t=tau, theta=theta,
@@ -637,11 +662,12 @@ def eval_invariant_curve(spec: CurveSpec, tau: float, u: float,
     angle solving u = e^{-sqrt6 s(theta)}(1 - 3 cos^2 theta) is found by
     bracketed Newton iteration on the clipped range, to a bracket
     narrower than 1e-13 (u is strictly monotone in theta along a
-    profile), from the curve's cached _point_start record (3 evaluations
-    of s when first built).  A nan or infinite tau or u is a DomainError
-    before any family runs, and every family's point is checked by
-    fh_at, so a point is returned only where e^{-sqrt6 s} is a normal
-    float (DomainError elsewhere).
+    profile), from the curve's cached _point_start record (4 evaluations
+    of s when first built: the clip ends, the anchor and the first
+    probe).  A nan or infinite tau or u is a DomainError before any
+    family runs, and every family's point is checked by fh_at, so a
+    point is returned only where e^{-sqrt6 s} is a normal float
+    (DomainError elsewhere).
     """
     if not (math.isfinite(tau) and math.isfinite(u)):
         require_finite(DomainError, tau=tau, u=u)
