@@ -11,8 +11,14 @@ breached invariant (e.g. the double-point methods disagree).  Output
 is deterministic: fixed key order, floats printed with at most twelve
 significant digits, no timestamps.  The one exception is each double
 point's z, w and residual, which double-points prints in full (repr),
-as the library computes them.  An `--out` file gets exactly the bytes
-stdout would get.  It is opened before any work, so a path that cannot
+as the library computes them.  Every report is the text json.dumps
+gives it (indented, or one compact line per label for enumerate), and
+nothing is printed until every check has passed.  Three outputs are
+written from their tuples through fixed templates, with the same bytes:
+enumerate's lines (_LINE2, _LINE3), the points of double-points
+(_POINT) and the eigenvalues of spectrum (_EIGEN); the rest goes
+through json.dumps.  An `--out` file gets exactly the bytes stdout
+would get.  It is opened before any work, so a path that cannot
 be written exits 2 at once, and it appears only when the command
 prints its report: a command that fails leaves no file behind.
 
@@ -139,6 +145,50 @@ def _json(payload: dict | list) -> str:
     return json.dumps(payload, indent=2)
 
 
+#: One double point in the `points` list of `double-points`, as
+#: json.dumps(indent=2) writes an item of a top-level list, after its
+#: separator: a and b are ints, and every float is finite, which
+#: json.dumps writes as its repr.
+_POINT = (',\n    {\n      "a": %d,\n      "b": %d,\n      "z": [\n'
+          '        %r,\n        %r\n      ],\n      "w": [\n        %r,\n'
+          '        %r\n      ],\n      "residual": %r\n    }')
+#: One [eigenvalue, multiplicity] item of `spectrum`, likewise.
+_EIGEN = ",\n    [\n      %r,\n      %d\n    ]"
+
+
+def _point_items(points):
+    """The _POINT text of each double point."""
+    return (_POINT % (a, b, z.real, z.imag, w.real, w.imag, res)
+            for a, b, z, w, res in points)
+
+
+def _eigen_items(spec):
+    """The _EIGEN text of each eigenvalue, at _fmt's 12 digits ('%.12g'
+    formats a float as f"{x:.12g}" does)."""
+    return (_EIGEN % (float("%.12g" % ev), mult) for ev, mult in spec)
+
+
+def _print_listed(payload: dict, key: str, items, out: IO[str] | None) -> None:
+    """print(_json(payload), file=out), where payload[key] is an empty
+    list that stands for the texts the iterator items yields, each one
+    item of a top-level list with its separator (_POINT, _EIGEN).
+
+    The head and tail are _json's; the items are written one by one,
+    so the list's text is never held whole.
+    """
+    text = _json(payload)
+    first = next(items, None)
+    if first is None:
+        print(text, file=out)
+        return
+    # key is the payload's only string that can spell its empty list.
+    head, _, tail = text.partition(f'"{key}": []')
+    fp = sys.stdout if out is None else out
+    fp.write(f'{head}"{key}": [{first[1:]}')
+    fp.writelines(items)
+    fp.write(f"\n  ]{tail}\n")
+
+
 def _cmd_classify(ns: argparse.Namespace, out: IO[str] | None) -> int:
     from .moduli import Label2, validate_label2, validate_label3
     from .reeb import classify_pair
@@ -169,25 +219,51 @@ def _label_from_ns(pairs: list[tuple[int, int]], ordering: int):
     raise ParseError("this command needs 2 or 3 pairs")
 
 
-def _checked_report(label) -> dict:
-    """The label's sphere report with the root-of-unity count beside m_C.
+def _checked_reports(labels):
+    """(sphere report, root-of-unity count of m_C) of each label, in turn.
 
-    Raises InternalError when the gcd formula and the oracle disagree."""
-    from . import invariants as inv
-    report = inv.sphere_report(label)
-    oracle = inv.double_points_bruteforce(label)
-    payload = report.to_json(label)
-    if oracle != report.m_c:
-        raise InternalError(f"m_C formula {report.m_c} != oracle {oracle} "
-                            f"on {payload['label']}")
-    payload["m_C_oracle"] = oracle
-    return payload
+    Raises InternalError when the gcd formula and the oracle disagree.
+    The import runs once, not per label (~1.3 us each)."""
+    from .invariants import double_points_bruteforce, sphere_report
+    for label in labels:
+        report = sphere_report(label)
+        oracle = double_points_bruteforce(label)
+        if oracle != report.m_c:
+            raise InternalError(f"m_C formula {report.m_c} != oracle {oracle} "
+                                f"on {report.to_json(label)['label']}")
+        yield report, oracle
+
+
+#: A sphere report's `enumerate` line after its label's pairs: the keys
+#: of InvariantReport.to_json and m_C_oracle, as json.dumps writes them
+#: (every field is an int).
+_REPORT = ('"delta": %d, "gcds": [%d, %d, %d], "m_C": %d, "index": %d, '
+           '"aleph": %d, "e_pairing": %d, "c1": %d, "chi": %d, '
+           '"m_C_oracle": %d')
+_TRIPLE = "[[%d, %d], [%d, %d], [%d, %d]]"
+_LINE2 = '{"label": {"pairs": [[%d, %d], [%d, %d]]}, ' + _REPORT + "}\n"
+_LINE3 = ('{"label": {"pairs": ' + _TRIPLE + "}, " + _REPORT
+          + ', "orderings": [' + _TRIPLE + ", " + _TRIPLE + "]}\n")
+
+
+def _report_line(pairs, report, oracle: int, orderings=None) -> str:
+    """One `enumerate` line, json.dumps of the report's to_json with
+    m_C_oracle (and a three-end label's two orderings) after it."""
+    d, (g1, g2, g3), m_c, index, aleph, chi, c1, e = report
+    fields = (d, g1, g2, g3, m_c, index, aleph, e, c1, chi, oracle)
+    if orderings is None:
+        (p, pp), (q, qp) = pairs
+        return _LINE2 % (p, pp, q, qp, *fields)
+    flat = [x for o in (pairs, *orderings) for pair in o for x in pair]
+    return _LINE3 % (*flat[:6], *fields, *flat[6:])
 
 
 def _cmd_invariants(ns: argparse.Namespace, out: IO[str] | None) -> int:
     pairs = parse_pairs(ns.pairs)
     label = _label_from_ns(pairs, ns.ordering)
-    payload = _checked_report(label)
+    (report, oracle), = _checked_reports([label])
+    payload = report.to_json(label)
+    payload["m_C_oracle"] = oracle
     # 1 + 2 m_C + sum(g_i - 1) = Delta by the gcd identity.
     payload["translate_intersection_count"] = payload["delta"]
     print(_json(payload), file=out)
@@ -234,24 +310,22 @@ def _cmd_enumerate(ns: argparse.Namespace, out: IO[str] | None) -> int:
     if ns.max_abs < 1:
         raise ParseError(f"--max-abs must be at least 1, got {ns.max_abs}")
     labels = enumerate_labels(ns.max_abs, ns.ends)
-    lines = []
-    for label in labels:
-        orderings = None
-        if ns.ends == 3:
-            orderings = label.orderings()
-            label = OrderedLabel3(label, orderings[0])
-        payload = _checked_report(label)
-        if orderings is not None:
-            payload["orderings"] = [[list(p) for p in o] for o in orderings]
-        lines.append(json.dumps(payload))
-    print("\n".join(lines), file=out)
+    orderings = [None] * len(labels)
+    if ns.ends == 3:
+        orderings = [label.orderings() for label in labels]
+        labels = [OrderedLabel3(label, o[0])
+                  for label, o in zip(labels, orderings)]
+    lines = [_report_line(label.pairs(), *checked, o) for label, checked, o
+             in zip(labels, _checked_reports(labels), orderings)]
+    # Written once every label has passed: nothing on stdout on exit 3.
+    fp = sys.stdout if out is None else out
+    fp.writelines(lines or ["\n"])
     return EXIT_OK
 
 
 def _cmd_double_points(ns: argparse.Namespace, out: IO[str] | None) -> int:
     from . import invariants as inv
-    from .model_maps import (ModelMapParams, double_points_json,
-                             phi_double_points)
+    from .model_maps import ModelMapParams, phi_double_points
     pairs = parse_pairs(ns.pairs)
     run_model = ns.method in ("model", "all")
     # Read before any route runs: the roots route is O(Delta).
@@ -260,6 +334,7 @@ def _cmd_double_points(ns: argparse.Namespace, out: IO[str] | None) -> int:
     results: dict = {"label": {"pairs": [list(p) for p in label.pairs()]},
                      "delta": inv.delta(label)}
     counts = {}
+    points = []
     if ns.method in ("formula", "all"):
         counts["formula"] = inv.double_points_formula(label)
     if ns.method in ("roots", "all"):
@@ -267,12 +342,13 @@ def _cmd_double_points(ns: argparse.Namespace, out: IO[str] | None) -> int:
     if run_model:
         points = phi_double_points(ModelMapParams(label=label), tol=tol)
         counts["model"] = len(points) // 2
-        results["points"] = double_points_json(points)
+        results["points"] = []
         results["residual_tolerance"] = tol
     results["m_C"] = counts
     if len(set(counts.values())) > 1:
         raise InternalError(f"methods disagree: {counts}")
-    print(_json(results), file=out)
+    # Every point has passed its checks, so writing cannot fail.
+    _print_listed(results, "points", _point_items(points), out)
     return EXIT_OK
 
 
@@ -289,8 +365,7 @@ def _cmd_spectrum(ns: argparse.Namespace, out: IO[str] | None) -> int:
     if ns.polar_m is not None:
         spec = inv.l0_spectrum(inv.PolarSpectrumCase(m=ns.polar_m), ns.nmax)
         payload = {
-            "case": "polar", "m": ns.polar_m,
-            "spectrum": [[_fmt(ev), mult] for ev, mult in spec],
+            "case": "polar", "m": ns.polar_m, "spectrum": [],
         }
     else:
         pairs = parse_pairs(ns.pair)
@@ -309,9 +384,9 @@ def _cmd_spectrum(ns: argparse.Namespace, out: IO[str] | None) -> int:
             "kappa": _fmt(data.kappa),
             "sigma0": _fmt(data.sigma0),
             "period": period,
-            "spectrum": [[_fmt(ev), mult] for ev, mult in spec],
+            "spectrum": [],
         }
-    print(_json(payload), file=out)
+    _print_listed(payload, "spectrum", _eigen_items(spec), out)
     return EXIT_OK
 
 

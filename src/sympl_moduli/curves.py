@@ -237,7 +237,12 @@ def _log_sums(terms: LogTerms, thetas: Sequence[float]) -> list[float]:
     totals = []
     for theta in thetas:
         half = 0.5 * theta
-        gap_zero = _LOG2 + 2.0 * log(sin(half))     # log(1 - cos)
+        try:
+            gap_zero = _LOG2 + 2.0 * log(sin(half))     # log(1 - cos)
+        except ValueError:
+            # half rounds to 0 only at theta = 5e-324; there
+            # 2 log sin(theta/2) = 2 (log sin theta - log(2 cos(theta/2))).
+            gap_zero = _LOG2 + 2.0 * (log(sin(theta)) - log(2.0 * cos(half)))
         gap_pi = _LOG2 + 2.0 * log(cos(half))       # log(1 + cos)
         total = at_zero * gap_zero + at_pi * gap_pi
         for residue, half_angle, offset in inside:

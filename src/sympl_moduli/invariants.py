@@ -67,15 +67,18 @@ def _closed_form(pairs) -> tuple[int, tuple[int, int, int], int]:
     m_C comes from the gcd identity, whose 2 m_C must be even and
     >= 0.  gcd is always positive, and gcd(0, n) = |n|.
     """
-    (p, pp), (q, qp) = pairs[:2]
+    p, pp = pairs[0]
+    q, qp = pairs[1]
     d = p * qp - q * pp
-    gcds = (math.gcd(p, pp), math.gcd(q, qp), math.gcd(p + q, pp + qp))
-    twice = d - sum(gcds) + 2
+    g1 = math.gcd(p, pp)
+    g2 = math.gcd(q, qp)
+    g3 = math.gcd(p + q, pp + qp)
+    twice = d - g1 - g2 - g3 + 2
     if twice % 2:
         raise ParityError(f"Delta - gcds + 2 = {twice} is odd for {pairs}")
     if twice < 0:
         raise InternalError(f"negative double-point count {twice // 2} for {pairs}")
-    return d, gcds, twice // 2
+    return d, (g1, g2, g3), twice // 2
 
 
 def double_points_formula(label: LabelLike) -> int:
@@ -394,13 +397,8 @@ def sphere_report(label: LabelLike) -> InvariantReport:
     pairs = label.pairs()
     d, gcds, m_c = _closed_form(pairs)
     aleph = len(pairs)
-    return InvariantReport(
-        delta=d,
-        gcd_triple=gcds,
-        m_c=m_c,
-        index=-chi - 2 * c1 + aleph,
-        aleph=aleph,
-        chi=chi,
-        c1_pairing=c1,
-        e_pairing=adjunction_e_pairing(chi, c1, m_c),
-    )
+    # InvariantReport checks nothing, so tuple.__new__ builds the same
+    # record, in field order, without the generated __new__.
+    return tuple.__new__(InvariantReport, (
+        d, gcds, m_c, -chi - 2 * c1 + aleph, aleph, chi, c1,
+        adjunction_e_pairing(chi, c1, m_c)))

@@ -51,10 +51,9 @@ size is taken; its rounding is of order eps / |1 - eta|, about 4e-11 at
 the Delta budget.
 
 The roots eta, eta' are computed per point, not read from a table of
-all Delta roots: a table would be faster by a few per cent, but it
-computes every root before the first point is checked, so a label that
-fails at its first point (with Delta up to budgets.MAX_WALK_DELTA) would
-pay for the whole table in time and memory before failing.
+all Delta roots, because a table gains nothing: a bit-identical one took
+1,500 labels of the benchmark's double-points workload from 5.016 s to
+5.002 s (0.3 %, 2 CPUs).
 """
 
 from __future__ import annotations

@@ -300,7 +300,10 @@ def enumerate_labels(bound: int, ends: int) -> list[Label2] | list[Label3]:
         raise ValueError("ends must be 2 or 3")
     classes = _end_classes(bound)
     if ends == 2:
-        return [Label2(ex, ey) for p, pp, ex in classes for q, qp, ey in classes
+        # Label2 checks nothing, so tuple.__new__ builds the same label
+        # without the generated __new__.
+        return [tuple.__new__(Label2, (ex, ey))
+                for p, pp, ex in classes for q, qp, ey in classes
                 if _admissible2(p, pp, q, qp)]
     orderings: dict[tuple[Pair, Pair, Pair], int] = {}
     for p, pp, _ in classes:

@@ -10,11 +10,16 @@ import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympl_moduli import catalog, curves, invariants, moduli
-from sympl_moduli.cli import (_write_trace_csv, main, parse_pairs,
-                              residual_tolerance)
+from sympl_moduli.cli import (_eigen_items, _fmt, _json, _point_items,
+                              _print_listed, _report_line, _write_trace_csv,
+                              main, parse_pairs, residual_tolerance)
 from sympl_moduli.errors import DomainError, ParseError
+from sympl_moduli.invariants import InvariantReport
+from sympl_moduli.model_maps import DoublePoint, double_points_json
 
 from conftest import decay_constants_mpmath
 
@@ -1094,6 +1099,95 @@ class TestPinnedEnumerate:
         assert (code, err) == (0, "")
         assert out.count("\n") == lines
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestPinnedPayloads:
+    @pytest.mark.parametrize("argv,lines,digest", [
+        (["double-points", "--pairs", "211,3;5,213", "--method", "all"],
+         581279,
+         "3f83df5c05d3562a1ca015ae668f4e715318c6c003efcd6aab44c6888ae01bfe"),
+        (["spectrum", "--pair", "1,0", "--nmax", "20000"], 160022,
+         "bd840eeda77f954f680a54c4476bf2718b43e258f749a1bb9f127294aea46a11"),
+        (["spectrum", "--polar-m", "7", "--nmax", "20000"], 160010,
+         "58de3b5b14712a3dd1e1a4256b6695e61af8ae7ca3575669fc4b756ecf95d247"),
+    ], ids=["double-points 211,3;5,213", "spectrum generic",
+            "spectrum polar"])
+    def test_stdout_keeps_its_bytes(self, capsys, argv, lines, digest):
+        """Payloads far larger than the golden set's keep their bytes:
+        44,712 double points, and 40,002 eigenvalues of each spectrum
+        case.
+
+        The digests were recorded at the commit before the points and
+        eigenvalues were written through fixed templates, before any of
+        that code changed.
+        """
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.count("\n") == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+#: Ints of either sign and of any size up to 10^30.
+_INTS = st.integers(-10 ** 30, 10 ** 30)
+#: Every finite float: -0.0, subnormals and those at the overflow
+#: limit among them.
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+     -1.7976931348623157e308, 1.7976931348623155e308, 9.999999999995e307])
+_PAIR = st.tuples(_INTS, _INTS)
+_TRIPLE = st.tuples(_PAIR, _PAIR, _PAIR)
+
+
+class TestTemplatesMatchJsonDumps:
+    """Each fixed template writes what json.dumps writes for the same
+    record; the golden set and the pinned digests cover real output."""
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=60)
+    @given(st.one_of(st.tuples(_PAIR, _PAIR), _TRIPLE),
+           st.lists(_INTS, min_size=10, max_size=10),
+           st.tuples(_TRIPLE, _TRIPLE))
+    def test_enumerate_line(self, pairs, ints, orderings):
+        d, g1, g2, g3, m_c, index, aleph, chi, c1, e = ints
+        report = InvariantReport(d, (g1, g2, g3), m_c, index, aleph, chi,
+                                 c1, e)
+        oracle = ints[2] - 1
+        payload = report.to_json(types.SimpleNamespace(pairs=lambda: pairs))
+        payload["m_C_oracle"] = oracle
+        if len(pairs) == 2:
+            orderings = None
+        else:
+            payload["orderings"] = [[list(p) for p in o] for o in orderings]
+        got = _report_line(pairs, report, oracle, orderings)
+        assert got == json.dumps(payload) + "\n"
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=30)
+    @given(st.lists(st.builds(DoublePoint, _INTS, _INTS,
+                              st.builds(complex, _FLOATS, _FLOATS),
+                              st.builds(complex, _FLOATS, _FLOATS), _FLOATS),
+                    max_size=4),
+           _FLOATS, _INTS)
+    def test_double_points_payload(self, points, tol, count):
+        head = {"label": {"pairs": [[4, 1], [1, 1]]}, "delta": 3}
+        tail = {"residual_tolerance": tol, "m_C": {"formula": count}}
+        out = io.StringIO()
+        _print_listed({**head, "points": [], **tail}, "points",
+                      _point_items(points), out)
+        want = {**head, "points": double_points_json(points), **tail}
+        assert out.getvalue() == _json(want) + "\n"
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=50)
+    @given(st.lists(st.tuples(_FLOATS, _INTS), max_size=4), st.booleans())
+    def test_spectrum_payload(self, spec, generic):
+        head = ({"case": "generic", "pair": [1, 0], "period": 1} if generic
+                else {"case": "polar", "m": 7})
+        out = io.StringIO()
+        _print_listed({**head, "spectrum": []}, "spectrum",
+                      _eigen_items(spec), out)
+        want = {**head, "spectrum": [[_fmt(ev), mult] for ev, mult in spec]}
+        assert out.getvalue() == _json(want) + "\n"
 
 
 class TestPinnedTrace:

@@ -367,15 +367,14 @@ class TestProfilePoint:
               max_examples=200)
     @given(st.data(), st.sampled_from(PROPERTY_PAIRS),
            st.floats(-5.0, 5.0), st.sampled_from([1e-4, 1e-9]),
-           st.floats(1e-9, 1 - 1e-9))
+           st.floats(0.0, 1.0))
     def test_generated_points_match_the_bisection(self, data, pair, s_anchor,
                                                   clip, frac):
         """A profile point at the u of an angle on the range, on either
         side of either clip, is within 1e-13 in theta of the
         bisection's, or both refuse it with the same error type, and it
         takes at most 48 evaluations of s cold, as a bisection does.
-        The angle keeps 1e-9 of the range from either end: s_of_theta
-        raises ValueError at theta = 5e-324, whose half rounds to 0."""
+        The angle is drawn up to the range's ends, where s diverges."""
         p, pp = pair
         rid = data.draw(st.integers(0, len(classify_branches(p, pp)) - 1))
         spec = CurveSpec.profile(p, pp, rid, s_anchor=s_anchor)
@@ -666,6 +665,20 @@ class TestSOfTheta:
         # classify_branches and integrate_profile refuse.
         with pytest.raises(InvalidLabel):
             s_of_theta(p, pp, 0.5, 0.0, 0.6)
+
+    def test_angle_whose_half_rounds_to_zero(self):
+        """At theta = 5e-324, the one positive float whose half rounds to
+        0, s is still taken from the log terms: log(1 - cos theta) steps
+        by 2 log(1/2) from theta = 1e-323, so s steps by the pole
+        residue times that.  Pinned at its bits; it was a bare
+        ValueError ('math domain error')."""
+        rng = classify_branches(1, -60)[0]
+        mid = 0.5 * (rng.lo + rng.hi)
+        got = s_of_theta(1, -60, mid, 0.0, 5e-324)
+        assert got == 12.809739223253976
+        step = got - s_of_theta(1, -60, mid, 0.0, 1e-323)
+        want = profile_log_terms(1, -60).at_zero * 2.0 * math.log(0.5)
+        assert step == pytest.approx(want, rel=1e-12)
 
     def test_monotone_on_steep_upper_range(self):
         # s has no interior extrema on the range from the companion angle
