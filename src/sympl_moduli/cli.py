@@ -373,8 +373,8 @@ def _cmd_spectrum(ns: argparse.Namespace, out: IO[str] | None) -> int:
             raise ParseError("--pair takes exactly one 'm,m'' pair")
         m, mp = pairs[0]
         orbit = ReebOrbit.generic(m, mp)
-        data = inv.asymptotic_constants(orbit.theta0, orbit.pair)
-        period = orbit.multiplicity * (abs(orbit.pair.m) or 1)
+        data = inv.asymptotic_constants(orbit.pair)
+        period = abs(m)
         spec = inv.l0_spectrum(
             inv.GenericSpectrumCase(zeta=data.zeta, period=period), ns.nmax)
         payload = {

@@ -47,7 +47,7 @@ from typing import Iterable, NamedTuple, Optional, Union
 
 from .budgets import MAX_SPECTRUM_N, MAX_WALK_DELTA
 from .errors import (BoundViolation, DegenerateAngle, DomainError,
-                     InternalError, ParityError, ZeroPair)
+                     InternalError, ParityError)
 from .geometry import SQRT6
 from .moduli import Label2, OrderedLabel3
 from .reeb import EndClass, orbit_cosine
@@ -260,50 +260,38 @@ class AsymptoticData(NamedTuple):
 
     zeta: float
     kappa: float
-    sigma0: Optional[float] = None
+    sigma0: float
 
 
-#: |cos^2(theta0) - 1/3| below which asymptotic_constants refuses the angle.
-_DEGENERATE_TOL = 1e-12
-
-
-def asymptotic_constants(theta0: float,
-                         end_class: Optional[EndClass] = None) -> AsymptoticData:
-    """Evaluate (zeta, kappa, sigma0) at the orbit angle theta0.
+def asymptotic_constants(end_class: EndClass) -> AsymptoticData:
+    """(zeta, kappa, sigma0) at the orbit of the end class (m, m').
 
     zeta = sqrt6 sin^2 (1 + 3 cos^2)(1 + 3 cos^4)^{-1/2} |1 - 3 cos^2|^{-1}
     kappa = 6^{-1/2} (1 + 3 cos^4)^{-1/2} |1 - 3 cos^2|
-    sigma0 = 4 |cos| |m'/m| (1 + (m'/m)^2 sin^2)^{-1}   (needs m != 0)
+    sigma0 = 4 |cos| |m'/m| (1 + (m'/m)^2 sin^2)^{-1}
 
-    Given an end class with m != 0, theta0 must be its orbit angle
-    (solve_theta0; ValueError otherwise), and |1 - 3 cos^2| is the one
+    at the orbit angle theta0 (solve_theta0), with |1 - 3 cos^2| the one
     reeb.orbit_cosine takes from the pair, with the same refusals, so
-    such an orbit keeps its digits and is never degenerate.  Otherwise
-    it comes from theta0, and both zeta and kappa degenerate where
-    cos^2(theta0) = 1/3.
+    an orbit keeps its digits near cos^2 = 1/3 and is never degenerate
+    there.  Only the m = 0 orbits (0, +-1) lie on cos^2 = 1/3
+    (DegenerateAngle), and a cosine that rounds onto +-1 would put the
+    orbit on a pole (DomainError).
     """
+    m, m_prime = end_class
+    if m == 0:
+        raise DegenerateAngle("cos^2(theta0) = 1/3: no decay constants")
+    pair_cos, dev = orbit_cosine(m, m_prime)
+    if abs(pair_cos) == 1.0:
+        raise DomainError(f"{(m, m_prime)}: the orbit cosine rounds onto "
+                          f"the pole {pair_cos!r}")
+    theta0 = math.acos(pair_cos)
     c = math.cos(theta0)
-    if end_class is None or end_class.m == 0:
-        if abs(c * c - 1.0 / 3.0) < _DEGENERATE_TOL:
-            raise DegenerateAngle("cos^2(theta0) = 1/3: no decay constants")
-        dev = abs(1.0 - 3.0 * c * c)
-    else:
-        pair_cos, dev = orbit_cosine(*end_class)
-        if theta0 != math.acos(pair_cos):
-            raise ValueError(f"theta0 = {theta0!r} is not the orbit angle "
-                             f"of {tuple(end_class)}")
-    if not 0.0 < theta0 < math.pi:
-        raise ValueError("theta0 must lie in (0, pi)")
     s2 = math.sin(theta0) ** 2
     root = math.sqrt(1.0 + 3.0 * c ** 4)
     zeta = SQRT6 * s2 * (1.0 + 3.0 * c * c) / root / dev
     kappa = dev / (SQRT6 * root)
-    sigma0 = None
-    if end_class is not None:
-        if end_class.m == 0:
-            raise ZeroPair("sigma0 needs m != 0")
-        ratio = end_class.m_prime / end_class.m
-        sigma0 = 4.0 * abs(c) * abs(ratio) / (1.0 + ratio * ratio * s2)
+    ratio = m_prime / m
+    sigma0 = 4.0 * abs(c) * abs(ratio) / (1.0 + ratio * ratio * s2)
     return AsymptoticData(zeta=zeta, kappa=kappa, sigma0=sigma0)
 
 

@@ -94,17 +94,6 @@ def classify_pair(m: int, m_prime: int) -> tuple[bool, list[str]]:
     return not violations, violations
 
 
-def _cos_inner_root(alpha: float) -> float:
-    """The root with |cos| < 1/sqrt3, in the cancellation-free form
-    2 a / (sqrt6 (1 + sqrt(1 + 2 a^2)))."""
-    return 2.0 * alpha / (SQRT6 * (1.0 + math.sqrt(1.0 + 2.0 * alpha * alpha)))
-
-
-def _cos_outer_root(alpha: float) -> float:
-    """The root with 1/sqrt3 < |cos| < 1 (exists when 2 p'^2 > 3 p^2)."""
-    return (-1.0 - math.sqrt(1.0 + 2.0 * alpha * alpha)) / (SQRT6 * alpha)
-
-
 def orbit_cosine(p: int, p_prime: int) -> tuple[float, float]:
     """cos(theta0) and |1 - 3 cos^2(theta0)| at the orbit angle of
     (p, p'), refused where solve_theta0 refuses the pair.
@@ -155,8 +144,10 @@ def _root_cosine(p: int, p_prime: int, given: tuple[int, int],
         raise DomainError(f"{given}: 2 (p'/p)^2 is past the float range")
     q = 1.0 + math.sqrt(1.0 + 2.0 * alpha * alpha)
     if p > 0:
-        return _cos_inner_root(alpha), 2.0 / q
-    c = _cos_outer_root(alpha)
+        # The inner root as 2 a / (sqrt6 q), free of the cancellation in
+        # -1 + sqrt(1 + 2 a^2).
+        return 2.0 * alpha / (SQRT6 * q), 2.0 / q
+    c = -q / (SQRT6 * alpha)
     if not -1.0 <= c <= 1.0:
         # Just past 2 p'^2 = 3 p^2 the outer root is within rounding
         # of -1 or 1, and for p past ~1e9 it can round outside.

@@ -67,9 +67,9 @@ def double_points_lattice(label):
 
 
 def decay_constants_mpmath(m, m_prime):
-    """(zeta, kappa) of the orbit of (m, m'), m and m' != 0: the cosine
-    of the inner root (m > 0) or the outer one (m < 0) in closed form,
-    then asymptotic_constants' formulas, at 400 digits, so that
+    """(zeta, kappa, sigma0) of the orbit of (m, m'), m and m' != 0: the
+    cosine of the inner root (m > 0) or the outer one (m < 0) in closed
+    form, then asymptotic_constants' formulas, at 400 digits, so that
     1 - 3 cos^2 keeps over 200 of them for |m'/m| up to the float range."""
     mpm = pytest.importorskip("mpmath")
     with mpm.workdps(400):
@@ -79,7 +79,8 @@ def decay_constants_mpmath(m, m_prime):
         dev = abs(1 - 3 * c * c)
         root = mpm.sqrt(1 + 3 * c ** 4)
         return (mpm.sqrt(6) * (1 - c * c) * (1 + 3 * c * c) / root / dev,
-                dev / (mpm.sqrt(6) * root))
+                dev / (mpm.sqrt(6) * root),
+                4 * abs(c) * abs(a) / (1 + a * a * (1 - c * c)))
 
 
 def bezout(m, n):

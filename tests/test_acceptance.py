@@ -207,9 +207,9 @@ def test_criterion_9_spectra():
         spec = l0_spectrum(PolarSpectrumCase(m=m), 2 * m)
         assert all(abs(ev) > 1e-12 for ev, _ in spec)
     for p, pp in [(1, 0), (1, 1), (2, 5), (-1, 2)]:
-        data = sm.asymptotic_constants(solve_theta0(p, pp))
+        data = sm.asymptotic_constants(sm.EndClass(p, pp))
         spec = l0_spectrum(GenericSpectrumCase(zeta=data.zeta,
-                                               period=abs(p) or 1), 50)
+                                               period=abs(p)), 50)
         zeros = [(ev, mult) for ev, mult in spec if abs(ev) < 1e-12]
         assert zeros == [(0.0, 1)]
 

@@ -578,7 +578,8 @@ _NO_ROWS = [(curves, "fh_rows", _no_work)]
 _NO_EIGENVALUES = [(invariants, "math", types.SimpleNamespace(sqrt=_no_work))]
 _NO_GENERIC_EIGENVALUES = _NO_EIGENVALUES + [
     (invariants, "asymptotic_constants",
-     lambda *args: invariants.AsymptoticData(zeta=1.0, kappa=1.0))]
+     lambda *args: invariants.AsymptoticData(zeta=1.0, kappa=1.0,
+                                             sigma0=1.0))]
 _NO_CANDIDATES = [(moduli, "_end_classes", _no_work)]
 
 
@@ -671,6 +672,16 @@ class TestCosineRounding:
         assert not csv.exists()
         if argv[0] == "trace":      # the pair as given, not its negation
             assert "(1201527053, 1471564096)" in err
+
+    @pytest.mark.parametrize("pair", ["-121378881,148658162",
+                                      "-121378881,-148658162"])
+    def test_spectrum_on_a_pole_refused(self, capsys, pair):
+        # One Pell step earlier the cosine rounds onto +-1 itself: theta0
+        # is 0 or pi, where the decay constants would be a pole's.
+        code, out, err = run_cli(capsys, "spectrum", f"--pair={pair}")
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "onto the pole" in err
 
 
 #: Traces that fail, each with the DomainError message of its first
@@ -921,7 +932,7 @@ class TestSpectrum:
         # taken for cos^2 = 1/3 (the first exited 1, the second was 5e-8
         # off), and each printed eigenvalue, the positive ones n^2 / (T^2
         # zeta) included, is the 50-digit one to its 12 printed digits.
-        zeta, kappa = decay_constants_mpmath(*map(int, pair.split(",")))
+        zeta, kappa, _ = decay_constants_mpmath(*map(int, pair.split(",")))
         code, out, _ = run_cli(capsys, "spectrum", f"--pair={pair}")
         assert code == 0
         payload = json.loads(out)

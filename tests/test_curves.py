@@ -843,7 +843,7 @@ class TestEndDecayExponent:
         from sympl_moduli import EndClass, asymptotic_constants
         th0 = solve_theta0(*end_pair)
         lam0 = (pp / p) * math.sin(th0) ** 2
-        data = asymptotic_constants(th0)
+        data = asymptotic_constants(EndClass(*end_pair))
         tr = integrate_profile(p, pp, rid, n_samples=4000, clip=1e-6)
         rng = tr.spec.theta_range()
         rows = tr.samples
@@ -858,11 +858,11 @@ class TestEndDecayExponent:
     def test_companion_end_exponent(self):
         # The theta0_bar end of (1, 2)'s middle range is the orbit of the
         # pair (-1, -2); its decay constants govern that end.
-        from sympl_moduli import asymptotic_constants
+        from sympl_moduli import EndClass, asymptotic_constants
         th = solve_theta0(-1, -2)
         assert th == pytest.approx(solve_theta0_bar(1, 2), abs=1e-14)
         lam0 = 2.0 * math.sin(th) ** 2
-        data = asymptotic_constants(th)
+        data = asymptotic_constants(EndClass(-1, -2))
         tr = integrate_profile(1, 2, 1, n_samples=4000, clip=1e-6)
         rows = tuple(reversed(tr.samples))   # theta0_bar is the upper end
         r1, r2 = rows[2], rows[20]
@@ -922,15 +922,15 @@ class TestClosedForm:
         # s ~ log|cos theta - cos theta0| / (sqrt6 zeta kappa) at the
         # orbit angle; the companion angle theta0_bar is the orbit angle
         # of (-p, -p') and carries that orbit's constants.
-        from sympl_moduli import asymptotic_constants
+        from sympl_moduli import EndClass, asymptotic_constants
         by_angle = {2.0 * half: (residue, offset)
                     for residue, half, offset in profile_log_terms(p, pp).inside}
-        ends = [solve_theta0(p, pp)]
+        ends = [(solve_theta0(p, pp), EndClass(p, pp))]
         if 2 * pp * pp > 3 * p * p:
-            ends.append(solve_theta0_bar(p, pp))
-            assert ends[1] == solve_theta0(-p, -pp)
-        for th in ends:
-            data = asymptotic_constants(th)
+            ends.append((solve_theta0_bar(p, pp), EndClass(-p, -pp)))
+            assert ends[1][0] == solve_theta0(-p, -pp)
+        for th, end_class in ends:
+            data = asymptotic_constants(end_class)
             want = 1.0 / (SQRT6_ * data.zeta * data.kappa)
             residue, offset = by_angle[th]
             assert residue == pytest.approx(want, rel=1e-12)

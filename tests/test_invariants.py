@@ -1,3 +1,4 @@
+import hashlib
 import math
 import types
 
@@ -15,7 +16,7 @@ from sympl_moduli import (EndClass, EndDescriptor, GenericSpectrumCase, Label2,
                           l0_spectrum, m0_of, residue_pairs, sphere_report)
 from sympl_moduli.budgets import MAX_SPECTRUM_N, MAX_WALK_DELTA
 from sympl_moduli.errors import (BoundViolation, DegenerateAngle, DomainError,
-                                 InvalidLabel, ZeroPair)
+                                 InvalidLabel)
 
 from conftest import decay_constants_mpmath, double_points_lattice, label_pairs
 
@@ -317,29 +318,37 @@ class TestAdjunction:
 
 class TestAsymptoticConstants:
     def test_equator(self):
-        data = asymptotic_constants(math.pi / 2, EndClass(1, 0))
+        data = asymptotic_constants(EndClass(1, 0))
         assert data.zeta == pytest.approx(math.sqrt(6), abs=1e-14)
         assert data.kappa == pytest.approx(1 / math.sqrt(6), abs=1e-14)
         assert data.sigma0 == pytest.approx(0.0, abs=1e-15)
 
     def test_one_one_orbit_regression(self):
         # Frozen from a 40-digit evaluation at cos(theta0) = (sqrt3-1)/sqrt6.
-        theta0 = sm.solve_theta0(1, 1)
-        data = asymptotic_constants(theta0, EndClass(1, 1))
+        data = asymptotic_constants(EndClass(1, 1))
         assert data.zeta == pytest.approx(3.8182833799891661, rel=1e-14)
         assert data.kappa == pytest.approx(0.29534524728443612, rel=1e-14)
 
     def test_degenerate_angle(self):
-        with pytest.raises(DegenerateAngle):
-            asymptotic_constants(sm.solve_theta0(0, 1))
+        # (0, 2) covers the orbit of (0, 1) twice, at the same angle.
+        for m_prime in (-1, 2):
+            with pytest.raises(DegenerateAngle, match="1/3"):
+                asymptotic_constants(EndClass(0, m_prime))
 
     def test_sigma0_needs_m(self):
-        with pytest.raises(ZeroPair):
-            asymptotic_constants(math.pi / 2, EndClass(0, 1))
+        with pytest.raises(DegenerateAngle):
+            asymptotic_constants(EndClass(0, 1))
+
+    def test_cosine_on_a_pole_refused(self):
+        # 2 p'^2 - 3 p^2 = 5: the outer root's cosine rounds onto +-1, so
+        # theta0 is 0 or pi and sin^2 would put the orbit on a pole.
+        for m_prime in (148658162, -148658162):
+            with pytest.raises(DomainError, match="onto the pole"):
+                asymptotic_constants(EndClass(-121378881, m_prime))
 
     def test_positive_in_range(self):
         for p, pp in [(1, 0), (1, 1), (2, 5), (-1, 2), (1, -3)]:
-            data = asymptotic_constants(sm.solve_theta0(p, pp))
+            data = asymptotic_constants(EndClass(p, pp))
             assert data.zeta > 0 and data.kappa > 0
 
     @pytest.mark.parametrize("pair", [(1, 10**9), (-1, 10**9), (1, 10**11),
@@ -348,24 +357,37 @@ class TestAsymptoticConstants:
     def test_against_mpmath(self, pair):
         # From the float angle |1 - 3 cos^2| cancelled: 2.6e-8 relative
         # at (1, 10^9), and (1, 10^12) was refused as degenerate.
-        zeta, kappa = decay_constants_mpmath(*pair)
-        data = asymptotic_constants(sm.solve_theta0(*pair), EndClass(*pair))
+        zeta, kappa, sigma0 = decay_constants_mpmath(*pair)
+        data = asymptotic_constants(EndClass(*pair))
         assert abs(data.zeta - zeta) <= 2e-15 * zeta
         assert abs(data.kappa - kappa) <= 2e-15 * kappa
+        assert abs(data.sigma0 - sigma0) <= 2e-15 * sigma0
 
-    def test_pair_and_angle_agree_where_nothing_cancels(self):
-        for m, mp_ in [(1, 0), (2, 3)]:
-            th = sm.solve_theta0(m, mp_)
-            assert (asymptotic_constants(th, EndClass(m, mp_))[:2]
-                    == asymptotic_constants(th)[:2])
+    def test_multiple_of_a_pair_has_its_constants(self):
+        assert (asymptotic_constants(EndClass(3, 6))
+                == asymptotic_constants(EndClass(1, 2)))
 
-    def test_theta0_must_be_the_orbit_angle(self):
-        # The pair gives |1 - 3 cos^2| and the angle gives the rest, so
-        # the two must belong to one orbit; a multiple of the pair does.
-        with pytest.raises(ValueError, match="not the orbit angle"):
-            asymptotic_constants(sm.solve_theta0(1, 2), EndClass(2, 5))
-        assert (asymptotic_constants(sm.solve_theta0(1, 2), EndClass(3, 6))
-                == asymptotic_constants(sm.solve_theta0(1, 2), EndClass(1, 2)))
+    def test_pinned_bits(self):
+        # sha256 of repr((zeta, kappa, sigma0)), or the error's type name,
+        # over every accepted pair with |p| <= 30 and |p'| <= 45 in
+        # increasing (p, p'), recorded from the two-argument
+        # asymptotic_constants(solve_theta0(p, p'), EndClass(p, p')) that
+        # took theta0 as a float argument.
+        digest = hashlib.sha256()
+        count = 0
+        for p in range(-30, 31):
+            for pp in range(-45, 46):
+                if not sm.classify_pair(p, pp)[0]:
+                    continue
+                count += 1
+                try:
+                    value = repr(tuple(asymptotic_constants(EndClass(p, pp))))
+                except DegenerateAngle as exc:
+                    value = type(exc).__name__
+                digest.update(value.encode() + b"\n")
+        assert count == 2665
+        assert digest.hexdigest() == (
+            "1d63bcf4082c9986b8dfa0c227239d55c4ab1c1d5fa6cc6a7c7f49fbb3ae62dc")
 
 
 class TestSpectrum:

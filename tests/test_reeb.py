@@ -8,7 +8,7 @@ from sympl_moduli import (EndClass, ReebOrbit, classify_pair, orbit_point,
 from sympl_moduli.errors import DomainError, InvalidLabel, OutOfRegime, ZeroPair
 from sympl_moduli.geometry import (SQRT6, Point4, Tangent4, contact_eval,
                                    coord_functions)
-from sympl_moduli.reeb import _cos_inner_root, _cos_outer_root, orbit_cosine
+from sympl_moduli.reeb import orbit_cosine
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
 
@@ -155,16 +155,18 @@ class TestSolveTheta0Bar:
             assert math.cos(th) * math.cos(solve_theta0(p, pp)) < 0
 
     def test_formula_root_bounds(self):
-        # The inner formula root stays below 1/sqrt3 in absolute value;
-        # the outer one sits strictly between 1/sqrt3 and 1.
+        # The inner root (the orbit cosine of a pair with p > 0) stays
+        # below 1/sqrt3 in absolute value; the outer one (p < 0) sits
+        # strictly between 1/sqrt3 and 1.  (-p, -p') has the other root.
         for p, pp in admissible_coprime_pairs(50):
             if p == 0:
                 continue
-            alpha = pp / p
-            if pp != 0:
-                assert abs(_cos_inner_root(alpha)) < INV_SQRT3
+            inner, outer = (p, pp), (-p, -pp)
+            if p < 0:
+                inner, outer = outer, inner
+            assert abs(orbit_cosine(*inner)[0]) < INV_SQRT3
             if 2 * pp * pp > 3 * p * p:
-                assert INV_SQRT3 < abs(_cos_outer_root(alpha)) < 1.0
+                assert INV_SQRT3 < abs(orbit_cosine(*outer)[0]) < 1.0
 
 
 def pell_pairs(p_max):
