@@ -30,10 +30,10 @@ In x = cos(theta) the slope ds/dx is a proper rational function with
 simple poles at x = +-1 and at the roots of 3 a x^2 + sqrt6 x - a (the
 cosines of theta0 and theta0_bar), so s is in closed form a sum of
 residue * log|x - pole| terms.  profile_log_terms builds them once per
-pair as one cached record, each term's kind decided, in the form and
-order that _log_sums, the one evaluator of s, adds them up: over a
-block of a trace's angles per call, or at one or two angles for
-s_of_theta, ODE residuals and the Newton iteration of a profile point.
+pair as one cached record, in the form and order that _log_sums, the
+one evaluator of s, adds them up: over a block of a trace's angles per
+call, or at one or two angles for s_of_theta, ODE residuals and the
+Newton iteration of a profile point.
 A curve's clipped range and anchored terms are one cached record,
 _point_start, which its trace and its points share.
 """
@@ -83,9 +83,8 @@ def classify_branches(p: int, p_prime: int) -> tuple[ThetaRange, ...]:
     th0, thb = theta_roots(p, p_prime)
     angles = [(0.0, "pole0"), (th0, "theta0"), (math.pi, "polePi")]
     if thb is not None:
-        angles.insert(2, (thb, "theta0_bar"))
-    # Stable, on the angle only: a theta0_bar rounded onto a pole stays inside.
-    angles.sort(key=lambda angle: angle[0])
+        angles.append((thb, "theta0_bar"))
+    angles.sort()
     return tuple(ThetaRange(lo, hi, lo_label, hi_label)
                  for (lo, lo_label), (hi, hi_label) in zip(angles, angles[1:]))
 
@@ -154,18 +153,17 @@ def _merged_poles(p: int, p_prime: int, x: float) -> DomainError:
 
 class LogTerms(NamedTuple):
     """The terms residue * log|cos(theta) - pole| of s(theta), in the
-    order _log_sums adds them, each term's kind decided once per pair.
+    order _log_sums adds them.
 
-    inside holds (residue, half angle, offset) for each root whose fixed
-    angle lies in (0, pi), theta0's first; last is (residue, pole, kind)
-    for a companion root without one: kind "outside" when |pole| > 1,
-    else "pole0" or "polePi", the pole its angle rounds onto.
+    inside holds (residue, half angle, offset) for each root with a
+    fixed angle, theta0's first; last is (residue, pole) for the root
+    without one, whose pole lies past x = +-1.
     """
 
     at_zero: float     # residue over x = 1 (angle 0)
     at_pi: float       # residue over x = -1 (angle pi)
     inside: tuple[tuple[float, float, float], ...]
-    last: Optional[tuple[float, float, str]]
+    last: Optional[tuple[float, float]]
 
 
 @functools.lru_cache(maxsize=256)
@@ -178,13 +176,12 @@ def profile_log_terms(p: int, p_prime: int) -> LogTerms:
     pole.  The poles at x = 1 and x = -1 have residues 1/(2a + sqrt6)
     and 1/(sqrt6 - 2a); the quadratic's roots (its single root x = 0
     when a = 0) are taken in cancellation-free form at 40 digits.  A
-    root's kind comes from its fixed angle, from theta_roots, since
-    that float bounds the theta ranges: a companion angle rounded onto
-    pi keeps the form of the pole x = -1.  A root inside carries the
-    offset cos(angle) - pole, which rounding leaves nonzero.
-    DomainError where a root rounds onto x = +-1 or 2a onto +-sqrt6
-    (pairs within rounding of the regime boundary 2 p'^2 = 3 p^2, p
-    past ~1e8), since a residue's denominator is 0 there.
+    root with a fixed angle, from theta_roots since that float bounds
+    the theta ranges, carries the offset cos(angle) - pole, which
+    rounding leaves nonzero.  DomainError where theta_roots refuses the
+    pair, or a root rounds onto x = +-1 or 2a onto +-sqrt6 (pairs within
+    rounding of the regime boundary 2 p'^2 = 3 p^2, p past ~1e8), since
+    a residue's denominator is 0 there.
     """
     if p < 0:                        # s depends on p'/p only
         p, p_prime = -p, -p_prime
@@ -199,7 +196,7 @@ def profile_log_terms(p: int, p_prime: int) -> LogTerms:
         a_dec = Decimal(p_prime) / p
         sqrt6 = Decimal(6).sqrt()
         big = sqrt6 + (6 + 12 * a_dec * a_dec).sqrt()
-        # theta0 always lies in (0, pi), so only the companion can be last.
+        # theta0 always has a fixed angle, so only the companion can be last.
         roots = [(2 * a_dec / big, th0)]
         if p_prime != 0:
             roots.append((-big / (6 * a_dec), thb))
@@ -211,9 +208,7 @@ def profile_log_terms(p: int, p_prime: int) -> LogTerms:
             num = 1.0 - 3.0 * r * r + SQRT6 * a * r * one_minus_r2
             residue = num / ((6.0 * a * r + SQRT6) * one_minus_r2)
             if angle is None:
-                last = (residue, r, "outside")
-            elif angle == 0.0 or angle == math.pi:
-                last = (residue, r, "pole0" if angle == 0.0 else "polePi")
+                last = (residue, r)
             else:
                 offset = float(_dec_cos(angle) - r_dec)
                 inside.append((residue, 0.5 * angle, offset))
@@ -223,17 +218,16 @@ def profile_log_terms(p: int, p_prime: int) -> LogTerms:
 def _log_sums(terms: LogTerms, thetas: Sequence[float]) -> list[float]:
     """sum residue * log|cos(theta) - pole| at each theta, which is
     s(theta) up to a constant on each range; the package's one
-    evaluator of s, over a block of a trace or one angle per call.  The
-    term kinds were decided once per pair by profile_log_terms.  Near a
-    fixed angle the gap is taken as a product of sines, which keeps its
-    relative accuracy where cos(theta) - cos(angle) would cancel.
+    evaluator of s, over a block of a trace or one angle per call.  Near
+    a fixed angle the gap is taken as a product of sines, which keeps
+    its relative accuracy where cos(theta) - cos(angle) would cancel.
 
     Every theta must lie strictly inside (0, pi), as every caller's
     does: then sin(theta/2) and cos(theta/2) are positive, and their
     logs are taken without abs()."""
     at_zero, at_pi, inside, last = terms
     if last is not None:
-        last_residue, pole, kind = last
+        last_residue, pole = last
     totals = []
     for theta in thetas:
         half = 0.5 * theta
@@ -250,11 +244,7 @@ def _log_sums(terms: LogTerms, thetas: Sequence[float]) -> list[float]:
                 offset - 2.0 * sin(half + half_angle)
                 * sin(half - half_angle)))
         if last is not None:
-            if kind == "outside":
-                log_gap = log(abs(cos(theta) - pole))
-            else:
-                log_gap = gap_zero if kind == "pole0" else gap_pi
-            total += last_residue * log_gap
+            total += last_residue * log(abs(cos(theta) - pole))
         totals.append(total)
     return totals
 

@@ -274,16 +274,12 @@ def asymptotic_constants(end_class: EndClass) -> AsymptoticData:
     reeb.orbit_cosine takes from the pair, with the same refusals, so
     an orbit keeps its digits near cos^2 = 1/3 and is never degenerate
     there.  Only the m = 0 orbits (0, +-1) lie on cos^2 = 1/3
-    (DegenerateAngle), and a cosine that rounds onto +-1 would put the
-    orbit on a pole (DomainError).
+    (DegenerateAngle).
     """
     m, m_prime = end_class
     if m == 0:
         raise DegenerateAngle("cos^2(theta0) = 1/3: no decay constants")
     pair_cos, dev = orbit_cosine(m, m_prime)
-    if abs(pair_cos) == 1.0:
-        raise DomainError(f"{(m, m_prime)}: the orbit cosine rounds onto "
-                          f"the pole {pair_cos!r}")
     theta0 = math.acos(pair_cos)
     c = math.cos(theta0)
     s2 = math.sin(theta0) ** 2

@@ -67,6 +67,11 @@ class EndClass(_EndClassFields):
         return (self.m, self.m_prime)
 
 
+def _sq(x: int) -> str:
+    """x^2 as a violation writes it, a negative x in brackets."""
+    return f"({x})^2" if x < 0 else f"{x}^2"
+
+
 def classify_pair(m: int, m_prime: int) -> tuple[bool, list[str]]:
     """Decide whether (m, m') labels a closed Reeb orbit.
 
@@ -88,15 +93,18 @@ def classify_pair(m: int, m_prime: int) -> tuple[bool, list[str]]:
     lhs, rhs = 2 * m_prime * m_prime, 3 * m * m
     assert lhs != rhs or m == 0, "2 m'^2 = 3 m^2 impossible for m != 0"
     if m < 0 and lhs <= rhs:
-        violations.append(f"(b) 2*{m_prime}^2 = {lhs} <= {rhs} = 3*{m}^2 with m < 0")
+        violations.append(f"(b) 2*{_sq(m_prime)} = {lhs} <= {rhs} = "
+                          f"3*{_sq(m)} with m < 0")
     if lhs < rhs and m <= 0:
-        violations.append(f"(c) 2*{m_prime}^2 = {lhs} < {rhs} = 3*{m}^2 needs m > 0")
+        violations.append(f"(c) 2*{_sq(m_prime)} = {lhs} < {rhs} = "
+                          f"3*{_sq(m)} needs m > 0")
     return not violations, violations
 
 
 def orbit_cosine(p: int, p_prime: int) -> tuple[float, float]:
     """cos(theta0) and |1 - 3 cos^2(theta0)| at the orbit angle of
-    (p, p'), refused where solve_theta0 refuses the pair.
+    (p, p'), refused where solve_theta0 refuses the pair (a cosine that
+    rounds onto or past +-1 among them).
 
     The second is 1 for p' = 0 and 0 for p = 0; otherwise it comes from
     a = p'/p, since 1 - 3 cos^2 = sqrt6 cos / a: 2 / (1 + sqrt(1 + 2a^2))
@@ -123,8 +131,8 @@ def solve_theta0(p: int, p_prime: int) -> float:
     cosine has the sign of p'; for p > 0 that is the inner (|cos| <
     1/sqrt3) root, for p < 0 the outer one.  Accepts non-coprime input
     (the angle only depends on p'/p).  DomainError when p'/p or
-    2 (p'/p)^2 is past the float range or the cosine rounds outside
-    [-1, 1].
+    2 (p'/p)^2 is past the float range or the cosine rounds onto or
+    past +-1, so theta0 lies strictly inside (0, pi).
     """
     return math.acos(orbit_cosine(p, p_prime)[0])
 
@@ -133,8 +141,8 @@ def _root_cosine(p: int, p_prime: int, given: tuple[int, int],
                  which: str) -> tuple[float, float]:
     """The cosine of the root of p'(1-3cos^2) = p sqrt6 cos with the
     sign of p' (p, p' != 0), the inner root for p > 0 and the outer one
-    for p < 0, and |1 - 3 cos^2| there.  A DomainError names the pair
-    the caller gave and which cosine it asked for."""
+    for p < 0, and |1 - 3 cos^2| there.  DomainError, naming the pair the
+    caller gave and which cosine, unless the cosine is inside (-1, 1)."""
     try:
         alpha = p_prime / p
     except OverflowError:
@@ -148,11 +156,12 @@ def _root_cosine(p: int, p_prime: int, given: tuple[int, int],
         # -1 + sqrt(1 + 2 a^2).
         return 2.0 * alpha / (SQRT6 * q), 2.0 / q
     c = -q / (SQRT6 * alpha)
-    if not -1.0 <= c <= 1.0:
-        # Just past 2 p'^2 = 3 p^2 the outer root is within rounding
-        # of -1 or 1, and for p past ~1e9 it can round outside.
+    if not -1.0 < c < 1.0:
+        # Just past 2 p'^2 = 3 p^2 the outer root is within rounding of
+        # -1 or 1: onto a pole for p past ~1e8, outside past ~1e9.
+        where = "onto the pole" if abs(c) == 1.0 else "outside [-1, 1]"
         raise DomainError(f"{given}: the {which} cosine rounds to {c!r}, "
-                          f"outside [-1, 1]")
+                          f"{where}")
     return c, q / (alpha * alpha)
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympl_moduli import catalog, curves, invariants, moduli
+from sympl_moduli import catalog, classify_pair, curves, invariants, moduli
 from sympl_moduli.cli import (_eigen_items, _fmt, _json, _point_items,
                               _print_listed, _report_line, _write_trace_csv,
                               main, parse_pairs, residual_tolerance)
@@ -85,6 +85,15 @@ class TestClassify:
         assert code == 0
         code, out, _ = run_cli(capsys, "classify", "--pairs=-1,1")
         assert code == 1
+
+    def test_negative_entries_bracketed(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "--pairs=-1,1")
+        assert json.loads(out)["violations"] == [
+            "(b) 2*1^2 = 2 <= 3 = 3*(-1)^2 with m < 0",
+            "(c) 2*1^2 = 2 < 3 = 3*(-1)^2 needs m > 0"]
+        assert classify_pair(-2, -1)[1] == [
+            "(b) 2*(-1)^2 = 2 <= 12 = 3*(-2)^2 with m < 0",
+            "(c) 2*(-1)^2 = 2 < 12 = 3*(-2)^2 needs m > 0"]
 
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--pairs", "1,2,3")
@@ -775,14 +784,17 @@ class TestPellPairs:
     @pytest.mark.parametrize("pair", ["121378881,148658162",
                                       "83739041,102558961"])
     def test_merged_poles_refused(self, capsys, tmp_path, pair):
-        # A root of the quadratic rounds onto the pole x = -1 (the first
-        # pair) or 2 p'/p onto sqrt6 (the second).
+        # The first pair's float companion cosine itself rounds onto the
+        # pole x = -1, so the pole rule refuses it before its residues;
+        # the second's 2 p'/p rounds onto sqrt6.
+        want = {"121378881,148658162": "onto the pole",
+                "83739041,102558961": "round onto x = -1.0"}[pair]
         csv = tmp_path / "x.csv"
         code, out, err = run_cli(capsys, "trace", "--pair", pair, "--range",
                                  "0", "--samples", "5", "--out", str(csv))
         assert (code, out) == (1, "")
         assert err.count("\n") == 1
-        assert err.startswith("error: ") and "round onto x = -1.0" in err
+        assert err.startswith("error: ") and want in err
         assert not csv.exists()
 
 

@@ -62,16 +62,13 @@ class TestClassifyBranches:
             ("theta0", "polePi")]
 
     def test_companion_angle_rounded_onto_a_pole(self):
-        # 2 p'^2 - 3 p^2 = 5: theta0_bar rounds to pi, and the ranges keep
-        # the order of the fixed angles as listed, theta0_bar before pi.
+        # 2 p'^2 - 3 p^2 = 5: the companion cosine rounds onto -1, where
+        # theta0_bar would be pi and its range (pi, pi) empty: refused.
         p, pp = 121378881, 148658162
         assert 2 * pp * pp - 3 * p * p == 5
-        assert solve_theta0_bar(p, pp) == math.pi
-        ranges = classify_branches(p, pp)
-        assert [(r.lo_label, r.hi_label) for r in ranges] == [
-            ("pole0", "theta0"), ("theta0", "theta0_bar"),
-            ("theta0_bar", "polePi")]
-        assert ranges[2].lo == ranges[2].hi == math.pi
+        for call in (solve_theta0_bar, classify_branches):
+            with pytest.raises(DomainError, match="onto the pole"):
+                call(p, pp)
 
     def test_needs_positive_p(self):
         with pytest.raises(InvalidLabel):
@@ -520,49 +517,40 @@ class TestPointStart:
 
 def _log_sum_by_term(terms, theta):
     """sum residue * log|cos(theta) - pole| over the record of
-    profile_log_terms, one term at a time, each term's form chosen by
-    its kind on every call."""
+    profile_log_terms, one term at a time."""
     half = 0.5 * theta
-
-    def log_gap(kind, pole):
-        if kind == "pole0":
-            return math.log(2.0) + 2.0 * math.log(abs(math.sin(half)))
-        if kind == "polePi":
-            return math.log(2.0) + 2.0 * math.log(abs(math.cos(half)))
-        return math.log(abs(math.cos(theta) - pole))
-
-    total = terms.at_zero * log_gap("pole0", 1.0)
-    total += terms.at_pi * log_gap("polePi", -1.0)
+    total = terms.at_zero * (
+        math.log(2.0) + 2.0 * math.log(abs(math.sin(half))))
+    total += terms.at_pi * (
+        math.log(2.0) + 2.0 * math.log(abs(math.cos(half))))
     for residue, half_angle, offset in terms.inside:
         total += residue * math.log(abs(
             offset - 2.0 * math.sin(half + half_angle)
             * math.sin(half - half_angle)))
     if terms.last is not None:
-        residue, pole, kind = terms.last
-        total += residue * log_gap(kind, pole)
+        residue, pole = terms.last
+        total += residue * math.log(abs(math.cos(theta) - pole))
     return total
 
 
 class TestLogTermKinds:
-    # (196658561, +-240856564): 2 p'^2 - 3 p^2 = 29, the companion angle
-    # rounds onto pi (onto 0 for p' < 0) while its pole stays off -1 (1).
+    # (196658561, +-240856564): 2 p'^2 - 3 p^2 = 29, the companion cosine
+    # rounds onto -1 (onto 1 for p' < 0) while its pole stays off it.
     ROUNDED = [(196658561, 240856564), (196658561, -240856564)]
 
-    @pytest.mark.parametrize("p,pp", CLOSED_FORM_PAIRS + ROUNDED)
+    @pytest.mark.parametrize("p,pp", CLOSED_FORM_PAIRS)
     def test_kinds_decided_once_keep_the_bits(self, p, pp):
-        """_log_sums over the record, whose kinds were decided once per
-        pair, gives the bits of adding its terms one by one, one angle
-        per call or all of them in one.  Each inner term sits at a fixed
-        angle strictly inside (0, pi), and a last term takes the cosine
-        form exactly where its pole lies past x = +-1."""
+        """_log_sums over the record gives the bits of adding its terms
+        one by one, one angle per call or all of them in one.  Each
+        inner term sits at a fixed angle strictly inside (0, pi), and a
+        last term's pole lies past x = +-1."""
         terms = profile_log_terms(p, pp)
         ranges = classify_branches(p, pp)
         fixed = {rng.lo for rng in ranges}
         assert all(0.0 < 2.0 * half < math.pi and 2.0 * half in fixed
                    for _, half, _ in terms.inside)
         if terms.last is not None:
-            _, pole, kind = terms.last
-            assert (kind == "outside") == (abs(pole) > 1.0)
+            assert abs(terms.last[1]) > 1.0
         for rng in ranges:
             thetas = [rng.lo + (rng.hi - rng.lo) * frac
                       for frac in (1e-9, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-9)]
@@ -573,15 +561,15 @@ class TestLogTermKinds:
                      for theta in thetas] == expected
             assert list(map(repr, curves._log_sums(terms, thetas))) == expected
 
-    def test_rounded_companion_takes_the_pole_form(self):
-        for (p, pp), kind in zip(self.ROUNDED, ("polePi", "pole0")):
-            angle = solve_theta0_bar(p, pp)
-            assert angle == (math.pi if kind == "polePi" else 0.0)
-            terms = profile_log_terms(p, pp)
-            _, pole, got = terms.last
-            assert got == kind and abs(pole) < 1.0
-            assert [2.0 * half for _, half, _ in terms.inside] == [
-                solve_theta0(p, pp)]
+    def test_rounded_companion_refused(self):
+        # No fixed angle lies on a pole: the companion term in the form of
+        # the pole x = -1 gives s = 6.5e13 from the 30 % to the 70 % point
+        # of range 0 of the first pair, where the exact value is 0.0508.
+        for p, pp in self.ROUNDED:
+            with pytest.raises(DomainError, match="onto the pole"):
+                profile_log_terms(p, pp)
+            with pytest.raises(DomainError, match="onto the pole"):
+                s_of_theta(p, pp, 0.3, 0.0, 0.4)
 
     @pytest.mark.parametrize("p,pp", CLOSED_FORM_PAIRS)
     def test_sign_flip_keeps_the_record(self, p, pp):
@@ -601,14 +589,18 @@ class TestMergedPoles:
         (121378881, 148658162, -1.0), (83739041, 102558961, -1.0),
         (83739041, -102558961, 1.0)])
     def test_refused(self, p, pp, x):
-        with pytest.raises(DomainError, match=f"round onto x = {x}"):
+        # The first pair's float companion cosine itself rounds onto
+        # x = -1, so the pole rule refuses it before its residues.
+        want = ("onto the pole" if (p, pp) == (121378881, 148658162)
+                else f"round onto x = {x}")
+        with pytest.raises(DomainError, match=want):
             profile_log_terms(p, pp)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=want):
             integrate_profile(p, pp, 0, n_samples=5)
-        rng = classify_branches(p, pp)[0]
-        lo, hi = rng.lo + 0.1, rng.lo + 0.2
-        with pytest.raises(DomainError):
-            s_of_theta(p, pp, lo, 0.0, hi)
+        # Range 0 runs from the pole 0 to a fixed angle no nearer than
+        # acos(1 - 2**-53) = 1.5e-8.
+        with pytest.raises(DomainError, match=want):
+            s_of_theta(p, pp, 1e-9, 0.0, 2e-9)
 
 
 class TestSOfTheta:

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from sympl_moduli import (EndClass, ReebOrbit, classify_pair, orbit_point,
-                          solve_theta0, solve_theta0_bar, theta_roots)
+from sympl_moduli import (EndClass, ReebOrbit, classify_branches,
+                          classify_pair, orbit_point, solve_theta0,
+                          solve_theta0_bar, theta_roots)
 from sympl_moduli.errors import DomainError, InvalidLabel, OutOfRegime, ZeroPair
 from sympl_moduli.geometry import (SQRT6, Point4, Tangent4, contact_eval,
                                    coord_functions)
@@ -193,23 +194,75 @@ class TestPellPairs:
                 except DomainError:
                     refused += 1
                     continue
-                assert math.isfinite(th) and 0.0 <= th <= math.pi
+                assert 0.0 < th < math.pi
             for args in ((p, pp), (p, -pp)):
                 try:
                     th = solve_theta0_bar(*args)
                 except DomainError:
                     continue
-                assert math.isfinite(th) and 0.0 <= th <= math.pi
+                assert 0.0 < th < math.pi
         assert refused > 0
 
     def test_refused_first_past_1e9(self):
-        assert solve_theta0(-121378881, -148658162) == math.pi
-        assert solve_theta0(-121378881, 148658162) == 0.0
+        # Past ~1e8 the cosine rounds onto +-1 first, whose angle would
+        # be a pole's, and past ~1e9 outside [-1, 1].
+        for args in ((-121378881, -148658162), (-121378881, 148658162)):
+            with pytest.raises(DomainError, match="onto the pole"):
+                solve_theta0(*args)
         for args in ((-1201527053, 1471564096), (-1201527053, -1471564096)):
             with pytest.raises(DomainError, match=r"outside \[-1, 1\]"):
                 solve_theta0(*args)
         with pytest.raises(DomainError):
             theta_roots(1201527053, 1471564096)
+
+
+def near_boundary_pairs():
+    """300 seeded pairs per decade of |p| from 1e2 to 1e30, each with
+    p' = isqrt(3 p^2 / 2) + k for k in turn from (0, 1, 2, 3, 50), in all
+    four sign choices: at and just past 2 p'^2 = 3 p^2, where an outer
+    root's cosine is within rounding of +-1 from p ~ 1e8 on."""
+    rnd = random.Random(2029)
+    out = []
+    for decade in range(2, 30):
+        for i in range(300):
+            p = rnd.randrange(10**decade, 10**(decade + 1))
+            pp = math.isqrt(3 * p * p // 2) + (0, 1, 2, 3, 50)[i % 5]
+            out += [(p, pp), (p, -pp), (-p, pp), (-p, -pp)]
+    return out
+
+
+class TestFixedAnglesInside:
+    # Cosines that round onto +-1 at (-121378881, +-148658162) and
+    # (196658561, +-240856564), ahead of the generated pairs.
+    PAIRS = [(-121378881, 148658162), (-121378881, -148658162),
+             (196658561, 240856564), (196658561, -240856564)]
+
+    def test_every_fixed_angle_strictly_inside(self):
+        """Every fixed angle lies strictly inside (0, pi), or the pair
+        is refused: no angle and no range sits on a pole."""
+        def angles(call, p, pp):
+            try:
+                got = call(p, pp)
+            except DomainError:
+                return []
+            return [got] if isinstance(got, float) else [
+                th for th in got if th is not None]
+
+        for p, pp in self.PAIRS + near_boundary_pairs():
+            steep = 2 * pp * pp > 3 * p * p
+            fixed = []
+            if p > 0 or steep:
+                fixed += angles(solve_theta0, p, pp)
+                fixed += angles(theta_roots, p, pp)
+            if steep:
+                fixed += angles(solve_theta0_bar, p, pp)
+            assert all(0.0 < th < math.pi for th in fixed), (p, pp, fixed)
+            if p > 0 and math.gcd(p, pp) == 1:
+                try:
+                    ranges = classify_branches(p, pp)
+                except DomainError:
+                    continue
+                assert all(rng.lo < rng.hi for rng in ranges), (p, pp)
 
 
 class TestRuleCIsTheContactSign:
