@@ -153,7 +153,7 @@ _POINT = (',\n    {\n      "a": %d,\n      "b": %d,\n      "z": [\n'
           '        %r,\n        %r\n      ],\n      "w": [\n        %r,\n'
           '        %r\n      ],\n      "residual": %r\n    }')
 #: One [eigenvalue, multiplicity] item of `spectrum`, likewise.
-_EIGEN = ",\n    [\n      %r,\n      %d\n    ]"
+_EIGEN = ",\n    [\n      %s,\n      %d\n    ]"
 
 
 def _point_items(points):
@@ -163,9 +163,19 @@ def _point_items(points):
 
 
 def _eigen_items(spec):
-    """The _EIGEN text of each eigenvalue, at _fmt's 12 digits ('%.12g'
-    formats a float as f"{x:.12g}" does)."""
-    return (_EIGEN % (float("%.12g" % ev), mult) for ev, mult in spec)
+    """The _EIGEN text of each eigenvalue, repr(_fmt(ev)), spelled from
+    its '%.12g' string ('%.12g' formats a float as f"{x:.12g}" does)
+    where that has no exponent: there it is the repr less a trailing
+    ".0".  '%g' takes an exponent from 1e12, repr from 1e16, and a
+    subnormal's 12 digits are more than its repr's, so a string with an
+    exponent goes through float and repr."""
+    for ev, mult in spec:
+        s = "%.12g" % ev
+        if "e" in s:
+            s = repr(float(s))
+        elif "." not in s:
+            s += ".0"
+        yield _EIGEN % (s, mult)
 
 
 def _print_listed(payload: dict, key: str, items, out: IO[str] | None) -> None:

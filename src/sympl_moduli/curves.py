@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import math
-from decimal import Decimal, localcontext
 from itertools import repeat
 # _log_sums and _profile_point's probes call these as module globals,
 # which costs less than binding them to locals on every call.
@@ -134,6 +133,7 @@ def _common_range(p: int, p_prime: int, a: float, b: float) -> None:
 
 def _dec_cos(x: float) -> Decimal:
     """cos(x) for |x| <= pi by its Taylor series, in the current context."""
+    from decimal import Decimal
     x2 = Decimal(x) ** 2
     term = total = Decimal(1)
     k = 0
@@ -183,6 +183,9 @@ def profile_log_terms(p: int, p_prime: int) -> LogTerms:
     rounding of the regime boundary 2 p'^2 = 3 p^2, p past ~1e8), since
     a residue's denominator is 0 there.
     """
+    # Here and in _dec_cos, its only users, decimal costs no start-up
+    # time of a command that computes no roots at 40 digits.
+    from decimal import Decimal, localcontext
     if p < 0:                        # s depends on p'/p only
         p, p_prime = -p, -p_prime
     a = p_prime / p

@@ -41,9 +41,9 @@ from __future__ import annotations
 import enum
 import math
 import sys
-# fh_rows calls these as module globals, which costs less than binding
-# them to locals on every call.
-from math import cos, exp, sin
+# fh_rows and _reduce_angle call these as module globals, which costs
+# less than binding them to locals on every call.
+from math import cos, exp, sin, tau
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, PoleError, RangeError
@@ -75,9 +75,14 @@ def require_finite(error: type[Exception], **fields: float) -> None:
 
 
 def _reduce_angle(x: float) -> float:
-    """Reduce to [0, 2*pi)."""
-    r = math.fmod(x, math.tau)
-    return r + math.tau if r < 0.0 else r
+    """The package's one angle wrap: x reduced to [0, 2*pi).
+
+    Python's % adds 2*pi to a negative remainder of fmod, and the sum
+    rounds to 2*pi when that remainder lies in about (-4.4e-16, 0);
+    that result is taken as 0.0.  A zero result is +0.0, and a nan or
+    infinite x gives nan."""
+    r = x % tau
+    return 0.0 if r == tau else r
 
 
 class _Point4Fields(NamedTuple):
@@ -89,7 +94,7 @@ class _Point4Fields(NamedTuple):
 
 class Point4(_Point4Fields):
     """A point of R x (S^1 x S^2); t and phi are finite, stored in
-    [0, 2*pi).
+    [0, 2*pi) through _reduce_angle.
 
     The checks and the reduction run in __new__, which the tuple methods
     _make and _replace bypass; nothing here calls them.

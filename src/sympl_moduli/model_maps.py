@@ -64,6 +64,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import InternalError, PunctureError, ResidualError
+from .geometry import _reduce_angle
 from .invariants import LabelLike, delta, residue_pairs
 
 _TINY = sys.float_info.min     # the smallest normal float
@@ -111,8 +112,9 @@ class PhiValue(NamedTuple):
 def phi_eval(params: ModelMapParams, z: complex) -> PhiValue:
     """Evaluate the model map; punctures z in {0, 1} are refused.
 
-    u = ln|lambda| and t = -arg(lambda) mod 2pi, per the convention
-    lambda = e^{u - i t} (same for (v, phi) from lambda')."""
+    u = ln|lambda| and t = -arg(lambda) in [0, 2pi) through geometry's
+    one wrap, _reduce_angle, per the convention lambda = e^{u - i t}
+    (same for (v, phi) from lambda')."""
     z = complex(z)
     if z == 0 or z == 1:
         raise PunctureError(f"z = {z} is a puncture")
@@ -122,8 +124,8 @@ def phi_eval(params: ModelMapParams, z: complex) -> PhiValue:
     return PhiValue(
         lam=lam, lam_prime=lamp,
         u=math.log(abs(lam)), v=math.log(abs(lamp)),
-        t=(-cmath.phase(lam)) % math.tau,
-        phi=(-cmath.phase(lamp)) % math.tau,
+        t=_reduce_angle(-cmath.phase(lam)),
+        phi=_reduce_angle(-cmath.phase(lamp)),
     )
 
 

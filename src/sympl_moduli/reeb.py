@@ -31,7 +31,7 @@ import math
 from typing import NamedTuple, Optional
 
 from .errors import DomainError, InvalidLabel, OutOfRegime, ZeroPair
-from .geometry import SQRT6
+from .geometry import SQRT6, _reduce_angle
 
 
 class _EndClassFields(NamedTuple):
@@ -240,18 +240,19 @@ def orbit_point(orbit: ReebOrbit, tau: float) -> tuple[float, float, float]:
     Generic orbits with p != 0 are traversed as (t = tau, theta =
     theta0, phi = phi0 + tau p'/p) with tau periodic of period 2 pi |p|
     and phi0 = -upsilon/p, so that p' t - p phi = upsilon identically.
-    For p = 0 the circle is (t = upsilon/p', phi = tau).  Angles are
-    reduced to [0, 2 pi).
+    For p = 0 the circle is (t = upsilon/p', phi = tau).  t and phi lie
+    in [0, 2 pi) through geometry's one wrap, _reduce_angle.
     """
     if orbit.kind is OrbitKind.POLE_PLUS:
-        return (tau % math.tau, 0.0, 0.0)
+        return (_reduce_angle(tau), 0.0, 0.0)
     if orbit.kind is OrbitKind.POLE_MINUS:
-        return (tau % math.tau, math.pi, 0.0)
+        return (_reduce_angle(tau), math.pi, 0.0)
     assert orbit.pair is not None and orbit.theta0 is not None
     p, pp = orbit.pair.m, orbit.pair.m_prime
     if p == 0:
-        t = (orbit.upsilon / pp) % math.tau
-        return (t, orbit.theta0, tau % math.tau)
+        return (_reduce_angle(orbit.upsilon / pp), orbit.theta0,
+                _reduce_angle(tau))
     tau = math.fmod(tau, math.tau * abs(p))
     phi0 = -orbit.upsilon / p
-    return (tau % math.tau, orbit.theta0, (phi0 + tau * pp / p) % math.tau)
+    return (_reduce_angle(tau), orbit.theta0,
+            _reduce_angle(phi0 + tau * pp / p))

@@ -295,6 +295,8 @@ class TestStartup:
     def test_import_loads_only_the_standard_library(self):
         # dataclasses (with inspect, ast and tokenize) once cost about two
         # thirds of the import; the records are named tuples instead.
+        # decimal (with numbers and _decimal) costs 1-2 ms, and only the
+        # 40-digit roots of a profile curve import it.
         # -I -S: no site packages and no PYTHON* variables; -B: no .pyc
         # files written.
         import pathlib
@@ -304,17 +306,19 @@ class TestStartup:
         probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
                  "before = set(sys.modules); import sympl_moduli; "
                  "print(*sorted(set(sys.modules) - before)); "
-                 "print('dataclasses' in sys.modules)")
+                 "import sympl_moduli.cli; "
+                 "print(*[m in sys.modules for m in ('dataclasses', "
+                 "'decimal')])")
         out = subprocess.run(
             [sys.executable, "-B", "-I", "-S", "-c", probe, src],
             capture_output=True, text=True, check=True, timeout=60)
-        loaded, has_dataclasses = out.stdout.splitlines()
+        loaded, has_slow = out.stdout.splitlines()
         assert "sympl_moduli" in loaded.split()
         foreign = [m for m in loaded.split()
                    if m.partition(".")[0] != "sympl_moduli"
                    and m.partition(".")[0] not in sys.stdlib_module_names]
         assert foreign == []
-        assert has_dataclasses == "False"
+        assert has_slow == "False False"
 
     @staticmethod
     def _loaded_after(statement):
@@ -389,6 +393,25 @@ class TestStartup:
                     assert ast.unparse(node.func) not in (
                         "open", "print", "sys.exit"), \
                         f"{path.name}: {ast.unparse(node)}"
+
+    def test_one_angle_wrap(self):
+        # t and phi are reduced to [0, 2*pi) by geometry._reduce_angle
+        # alone: no other module takes an angle % 2*pi.
+        import ast
+        pkg = Path(__file__).resolve().parents[1] / "src/sympl_moduli"
+        wraps = []
+        for path in sorted(pkg.glob("*.py")):
+            text = path.read_text()
+            assert "% math.tau" not in text, path.name
+            for func in ast.walk(ast.parse(text)):
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                for node in ast.walk(func):
+                    if (isinstance(node, ast.BinOp)
+                            and isinstance(node.op, ast.Mod)
+                            and ast.unparse(node.right) in ("tau", "math.tau")):
+                        wraps.append((path.name, func.name))
+        assert wraps == [("geometry.py", "_reduce_angle")]
 
 
 class TestEnumerate:
@@ -1159,6 +1182,16 @@ _FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
      -1.7976931348623157e308, 1.7976931348623155e308, 9.999999999995e307])
 _PAIR = st.tuples(_INTS, _INTS)
 _TRIPLE = st.tuples(_PAIR, _PAIR, _PAIR)
+#: Eigenvalues where '%.12g' and repr part ways: subnormals, whose 12
+#: digits are more than their repr's, integer-valued floats, which
+#: '%g' writes without a point, and |ev| in [1e12, 1e16), where only
+#: '%g' takes an exponent.
+_EIGENVALUES = (
+    _FLOATS
+    | st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308)
+    | st.integers(-10 ** 16, 10 ** 16).map(float)
+    | st.builds(math.copysign, st.floats(1e12, 1e16, exclude_max=True),
+                st.sampled_from([1.0, -1.0])))
 
 
 class TestTemplatesMatchJsonDumps:
@@ -1201,8 +1234,9 @@ class TestTemplatesMatchJsonDumps:
         assert out.getvalue() == _json(want) + "\n"
 
     @settings(derandomize=True, database=None, deadline=None,
-              max_examples=50)
-    @given(st.lists(st.tuples(_FLOATS, _INTS), max_size=4), st.booleans())
+              max_examples=200)
+    @given(st.lists(st.tuples(_EIGENVALUES, _INTS), max_size=4),
+           st.booleans())
     def test_spectrum_payload(self, spec, generic):
         head = ({"case": "generic", "pair": [1, 0], "period": 1} if generic
                 else {"case": "polar", "m": 7})

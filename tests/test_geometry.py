@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 import sys
@@ -6,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympl_moduli import (BranchId, Point4, Tangent4, apply_J, contact_eval,
-                          coord_functions, lambda_of_theta, omega_eval,
+from sympl_moduli import (BranchId, Label2, ModelMapParams, Point4, ReebOrbit,
+                          Tangent4, apply_J, contact_eval, coord_functions,
+                          lambda_of_theta, omega_eval, orbit_point, phi_eval,
                           reeb_vector, theta_from_lambda)
 from sympl_moduli.errors import DomainError, PoleError, RangeError
-from sympl_moduli.geometry import SQRT6, THETA_C, fh_at, fh_rows
+from sympl_moduli.geometry import (SQRT6, THETA_C, _reduce_angle, fh_at,
+                                   fh_rows)
 
 SQRT6_ = math.sqrt(6.0)
 
@@ -362,6 +365,55 @@ class TestThetaFromLambda:
             theta_from_lambda(-0.5, BranchId.C)
         with pytest.raises(RangeError):
             theta_from_lambda(float("nan"), BranchId.B)
+
+
+#: Angles that the package's earlier wraps (fmod and add 2*pi, or
+#: Python's %) took to 2*pi or to -0.0.
+_WRAP_TO_ZERO = [-1e-20, -4.44e-16, -0.0, -2 * math.pi]
+
+
+def _is_positive_zero(x):
+    return x == 0.0 and math.copysign(1.0, x) == 1.0
+
+
+class TestOneAngleWrap:
+    """t and phi of a point, an orbit point and a model-map value lie in
+    [0, 2*pi) through _reduce_angle; just below a multiple of 2*pi that
+    is +0.0, never 2*pi."""
+
+    @pytest.mark.parametrize("x", _WRAP_TO_ZERO)
+    def test_reduce_angle(self, x):
+        assert _is_positive_zero(_reduce_angle(x))
+
+    @pytest.mark.parametrize("x", _WRAP_TO_ZERO)
+    def test_point4(self, x):
+        pt = Point4(0.0, x, 1.0, x)
+        assert _is_positive_zero(pt.t) and _is_positive_zero(pt.phi)
+
+    @pytest.mark.parametrize("orbit,tau", [
+        (ReebOrbit.pole_plus(), -1e-20),
+        (ReebOrbit.pole_minus(), -4.44e-16),
+        (ReebOrbit.generic(0, 1, upsilon=-1e-20), -1e-20),
+        (ReebOrbit.generic(1, 2), -1e-20),
+        (ReebOrbit.generic(1, 2), -2 * math.pi),
+    ], ids=["pole+", "pole-", "p = 0", "(1, 2)", "(1, 2) at -2pi"])
+    def test_orbit_point(self, orbit, tau):
+        t, _, phi = orbit_point(orbit, tau)
+        assert _is_positive_zero(t) and _is_positive_zero(phi)
+
+    def test_phi_eval(self):
+        # lambda = lambda' = 2 e^{1e-20 i}, so t and phi wrap -1e-20.
+        twist = cmath.exp(1e-20j)
+        params = ModelMapParams(Label2.make((1, 0), (0, 1)), r=1.0, a=twist,
+                                a_prime=twist)
+        out = phi_eval(params, 0.5)
+        assert _is_positive_zero(out.t) and _is_positive_zero(out.phi)
+
+    def test_nan_stays_nan(self):
+        assert math.isnan(_reduce_angle(math.nan))
+        for tau in (math.nan, math.inf):
+            t, theta, phi = orbit_point(ReebOrbit.pole_plus(), tau)
+            assert math.isnan(t) and (theta, phi) == (0.0, 0.0)
 
 
 def test_tangent_phi_at_pole_rejected():
