@@ -16,7 +16,7 @@ MAX_WALK_DELTA = 2 ** 20
 MAX_TRACE_SAMPLES = 10 ** 6
 
 #: The largest n_max of l0_spectrum (10^6: about 2e6 eigenvalues in
-#: 1.1-1.3 s).  `spectrum --nmax 1000000` takes 13-18 s and prints
+#: 1.1-1.3 s).  `spectrum --nmax 1000000` takes 3.3-3.5 s and prints
 #: 85 MB, mostly in its 12-digit rounding and indented JSON.
 MAX_SPECTRUM_N = 10 ** 6
 

@@ -52,7 +52,8 @@ from .budgets import MAX_TRACE_SAMPLES
 from .errors import (BranchError, DomainError, InvalidLabel, WrongExample)
 from .geometry import (_TINY, DEFAULT_CLIP, SQRT6, BranchId, Point4, fh_at,
                        fh_rows, require_finite, theta_from_lambda)
-from .reeb import ReebOrbit, OrbitKind, classify_pair, theta_roots
+from .reeb import (ReebOrbit, OrbitKind, classify_pair, orbit_point,
+                   theta_roots)
 
 _LOG2 = math.log(2.0)
 
@@ -461,72 +462,63 @@ def s_max(spec: CurveSpec) -> float:
     raise WrongExample(f"no closed-form s_max for example {spec.example_id}")
 
 
+def _static_point(f: float, h: float, t: float, phi: float,
+                  theta: Optional[float] = None) -> Point4:
+    """The point at (f, h, t, phi), the closed-form families' one angle
+    rule and one height.  Unless given, theta inverts h/f on the branch
+    the signs name: B for f > 0, A for f < 0 < h, C for f, h < 0, and
+    cos^2 = 1/3 with the sign of h for f = 0.  With e = e^{-sqrt6 s},
+    |f| + |h| = e (|1 - 3 cos^2| + sqrt6 |cos| sin^2), and that bracket
+    has no zero on [0, pi], so s keeps its digits where f or h vanishes."""
+    if theta is None:
+        if f:
+            branch = (BranchId.B if f > 0 else
+                      BranchId.A if h > 0 else BranchId.C)
+            theta = theta_from_lambda(h / f, branch)
+        else:
+            theta = math.acos(math.copysign(1.0, h) / math.sqrt(3.0))
+    c = cos(theta)
+    bracket = abs(1.0 - 3.0 * c * c) + SQRT6 * abs(c) * sin(theta) ** 2
+    return Point4(s=-log((abs(f) + abs(h)) / bracket) / SQRT6, t=t,
+                  theta=theta, phi=phi)
+
+
 def _example1_point(spec: CurveSpec, tau: float, u: float) -> Point4:
     orbit = spec.orbit
     if orbit is None:
         raise ValueError("example 1 needs an orbit")
     if orbit.kind is not OrbitKind.GENERIC:
-        # theta constant at a pole: (t = -tau, f = -u), u > 0, and
-        # s = -ln(u/2)/sqrt6.
+        # theta constant at a pole: (t = -tau, f = -u), u > 0.
         if u <= 0:
             raise DomainError("pole cylinders need u > 0")
-        theta = 0.0 if orbit.kind is OrbitKind.POLE_PLUS else math.pi
-        return Point4(s=-math.log(u / 2.0) / SQRT6, t=-tau, theta=theta, phi=0.0)
-    assert orbit.pair is not None and orbit.theta0 is not None
-    p, pp = orbit.pair.m, orbit.pair.m_prime
-    th = orbit.theta0
-    c = math.cos(th)
-    if p == 0:
-        if u * pp <= 0:
-            raise DomainError("sign(u) must equal sign(p')")
-        # h = u on the f = 0 cylinder.
-        hconst = SQRT6 * c * math.sin(th) ** 2
-        s = -math.log(u / hconst) / SQRT6
-        return Point4(s=s, t=orbit.upsilon / pp, theta=th, phi=tau)
-    if u == 0 or (u > 0) != (p > 0):
-        raise DomainError("sign(u) must equal sign(p)")
-    fconst = 1.0 - 3.0 * c * c
-    s = -math.log(u / fconst) / SQRT6
-    phi0 = -orbit.upsilon / p
-    return Point4(s=s, t=tau, theta=th, phi=phi0 + tau * pp / p)
+        return _static_point(-u, 0.0, -tau, 0.0, orbit.theta0)
+    p, pp = orbit.pair
+    if u == 0 or (u > 0) != ((p or pp) > 0):
+        raise DomainError("sign(u) must equal sign(p), or sign(p') if p = 0")
+    t, theta, phi = orbit_point(orbit, tau)
+    # h/f = (p'/p) sin^2 theta0 along the orbit; f = 0 where p = 0.
+    if p:
+        return _static_point(u, pp / p * sin(theta) ** 2 * u, t, phi, theta)
+    return _static_point(0.0, u, t, phi, theta)
 
 
 def _example2_point(spec: CurveSpec, tau: float, u: float) -> Point4:
     if u < 0:
         raise DomainError("the plane is parameterized by u >= 0")
     sg = spec.sign_p_prime
-    if u == 0:
-        theta = 0.0 if sg > 0 else math.pi
-    else:
-        lam = -sg * u / spec.kappa
-        branch = BranchId.A if sg > 0 else BranchId.C
-        theta = theta_from_lambda(lam, branch)
-    c = math.cos(theta)
-    s = -math.log(spec.kappa / (3.0 * c * c - 1.0)) / SQRT6
-    return Point4(s=s, t=spec.t0, theta=theta, phi=(sg * tau) if u else 0.0)
+    if u:
+        return _static_point(-spec.kappa, sg * u, spec.t0, sg * tau)
+    # The pole point, whose h = 0 names no branch.
+    return _static_point(-spec.kappa, 0.0, spec.t0, 0.0,
+                         0.0 if sg > 0 else math.pi)
 
 
 def _example3_point(spec: CurveSpec, tau: float, u: float) -> Point4:
-    theta = theta_from_lambda(u / spec.kappa, BranchId.B)
-    c = math.cos(theta)
-    s = -math.log(spec.kappa / (1.0 - 3.0 * c * c)) / SQRT6
-    return Point4(s=s, t=spec.t0, theta=theta, phi=tau)
+    return _static_point(spec.kappa, u, spec.t0, tau)
 
 
 def _example4_point(spec: CurveSpec, tau: float, u: float) -> Point4:
-    kappa = spec.kappa
-    if u == 0:
-        theta = math.acos(math.copysign(1.0, kappa) / math.sqrt(3.0))
-    else:
-        lam = kappa / u
-        if kappa > 0:
-            branch = BranchId.B if u > 0 else BranchId.A
-        else:
-            branch = BranchId.B if u > 0 else BranchId.C
-        theta = theta_from_lambda(lam, branch)
-    c = math.cos(theta)
-    s = -math.log(kappa / (SQRT6 * c * math.sin(theta) ** 2)) / SQRT6
-    return Point4(s=s, t=tau, theta=theta, phi=spec.phi0)
+    return _static_point(u, spec.kappa, tau, spec.phi0)
 
 
 def _log_u_slope(p: int, p_prime: int, theta: float) -> float:
@@ -656,13 +648,13 @@ def eval_invariant_curve(spec: CurveSpec, tau: float, u: float,
                          clip: float = 1e-9) -> Point4:
     """Evaluate the parameterized subvariety at (tau, u).
 
-    The static families are closed-form; for the profile families the
-    angle solving u = e^{-sqrt6 s(theta)}(1 - 3 cos^2 theta) is found by
-    bracketed Newton iteration on the clipped range, to a bracket
-    narrower than 1e-13 (u is strictly monotone in theta along a
-    profile), from the curve's cached _point_start record (4 evaluations
-    of s when first built: the clip ends, the anchor and the first
-    probe).  A nan or infinite tau or u is a DomainError before any
+    The static families take theta and s from their (f, h) through one
+    helper, _static_point; for the profile families the angle solving
+    u = e^{-sqrt6 s(theta)}(1 - 3 cos^2 theta) is found by bracketed
+    Newton iteration on the clipped range, to a bracket narrower than
+    1e-13 (u is strictly monotone in theta along a profile), from the
+    curve's cached _point_start record (4 evaluations of s when first
+    built: the clip ends, the anchor and the first probe).  A nan or infinite tau or u is a DomainError before any
     family runs, and every family's point is checked by fh_at, so a
     point is returned only where e^{-sqrt6 s} is a normal float
     (DomainError elsewhere).

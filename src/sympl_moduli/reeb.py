@@ -31,7 +31,7 @@ import math
 from typing import NamedTuple, Optional
 
 from .errors import DomainError, InvalidLabel, OutOfRegime, ZeroPair
-from .geometry import SQRT6, _reduce_angle
+from .geometry import SQRT6, _reduce_angle, require_finite
 
 
 class _EndClassFields(NamedTuple):
@@ -222,7 +222,10 @@ class ReebOrbit(NamedTuple):
 
     @classmethod
     def generic(cls, m: int, m_prime: int, upsilon: float = 0.0) -> "ReebOrbit":
-        """Build the orbit covered by the (possibly non-coprime) pair."""
+        """Build the orbit covered by the (possibly non-coprime) pair;
+        ValueError for a nan or infinite upsilon."""
+        if not math.isfinite(upsilon):
+            require_finite(ValueError, upsilon=upsilon)
         pair = EndClass(m, m_prime)
         reduced = pair.reduced()
         ok, why = classify_pair(reduced.m, reduced.m_prime)
@@ -241,8 +244,11 @@ def orbit_point(orbit: ReebOrbit, tau: float) -> tuple[float, float, float]:
     theta0, phi = phi0 + tau p'/p) with tau periodic of period 2 pi |p|
     and phi0 = -upsilon/p, so that p' t - p phi = upsilon identically.
     For p = 0 the circle is (t = upsilon/p', phi = tau).  t and phi lie
-    in [0, 2 pi) through geometry's one wrap, _reduce_angle.
+    in [0, 2 pi) through geometry's one wrap, _reduce_angle.  ValueError
+    for a nan or infinite tau, as Point4 refuses such a t or phi.
     """
+    if not math.isfinite(tau):
+        require_finite(ValueError, tau=tau)
     if orbit.kind is OrbitKind.POLE_PLUS:
         return (_reduce_angle(tau), 0.0, 0.0)
     if orbit.kind is OrbitKind.POLE_MINUS:

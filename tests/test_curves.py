@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, reject, settings
@@ -1245,3 +1246,221 @@ class TestEvalInvariantCurve:
         assert CurveSpec.profile(1, -2, 0).example_id == 7
         assert CurveSpec.profile(1, 1, 0).example_id == 5
         assert CurveSpec.profile(1, 1, 1).example_id == 5
+
+
+def _mp_branch_cosine(mp, lam, branch):
+    """The root c of g(c) = sqrt6 c (1 - c^2) - lam (1 - 3 c^2) = 0
+    inside the branch's interval of cosines (A: (1/sqrt3, 1), B:
+    (-1/sqrt3, 1/sqrt3), C: (-1, -1/sqrt3)): bisection to a bracket of
+    2^-64, then Newton's method to the working precision.  g = 0 is
+    lambda(theta) = lam, and lambda is monotone on a branch, so the root
+    is g's one sign change there."""
+    third = 1 / mp.sqrt(3)
+    lo, hi = {"A": (third, mp.mpf(1)), "B": (-third, third),
+              "C": (mp.mpf(-1), -third)}[branch]
+    sqrt6 = mp.sqrt(6)
+
+    def g(c):
+        return sqrt6 * c * (1 - c * c) - lam * (1 - 3 * c * c)
+
+    lo_positive = g(lo) > 0
+    for _ in range(64):
+        mid = (lo + hi) / 2
+        if (g(mid) > 0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+    c = (lo + hi) / 2
+    for _ in range(20):
+        step = g(c) / (sqrt6 * (1 - 3 * c * c) + 6 * lam * c)
+        c -= step
+        if abs(step) <= abs(c) * mp.eps:
+            return c
+    raise AssertionError(f"Newton's method did not converge at {lam}")
+
+
+def _mp_static_s(example, kappa, u, sign=1):
+    """s of example 2 (with sign_p_prime = sign), 3 or 4 at (kappa, u)
+    to 50 digits: the cosine is the root of sqrt6 c (1 - c^2) =
+    lambda (1 - 3 c^2), lambda = h/f, on the family's branch, and s is
+    read from the fixed coordinate, f = -kappa, f = kappa or h = kappa.
+    The branch end cancels one digit of 1 - 3 c^2 or of 1 - c^2 per
+    decade of |lambda| or 1/|lambda|, so those digits are added to the
+    working precision."""
+    mp = pytest.importorskip("mpmath")
+    kappa, u = mp.mpf(kappa), mp.mpf(u)
+    if example == 2:
+        f, h, branch = -kappa, sign * u, "A" if sign > 0 else "C"
+    elif example == 3:
+        f, h, branch = kappa, u, "B"
+    else:
+        f, h = u, kappa
+        branch = "B" if u > 0 else "A" if kappa > 0 else "C"
+    with mp.workdps(60 + int(abs(mp.log10(abs(h / f))))):
+        c = _mp_branch_cosine(mp, h / f, branch)
+        if example == 4:
+            e = kappa / (mp.sqrt(6) * c * (1 - c * c))
+        else:
+            e = f / (1 - 3 * c * c)
+        return float(-mp.log(e) / mp.sqrt(6))
+
+
+def _mp_orbit_s(p, pp, u):
+    """s of the orbit cylinder of (p, p') at u, at 50 digits: from the
+    pair's exact orbit cosine (reeb's module docstring), through f = u
+    where p != 0 and h = u where p = 0."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        u = mp.mpf(u)
+        if p == 0:
+            c = mp.sign(pp) / mp.sqrt(3)
+            e = u / (mp.sqrt(6) * c * (1 - c * c))
+        else:
+            a = mp.mpf(pp) / p
+            q = 1 + mp.sqrt(1 + 2 * a * a)
+            c = 2 * a / (mp.sqrt(6) * q) if p > 0 else -q / (mp.sqrt(6) * a)
+            e = u / (1 - 3 * c * c)
+        return float(-mp.log(e) / mp.sqrt(6))
+
+
+_STATIC_RATIOS = (1e-6, 1.0, 1e4, 1e8, 1e11, 1e13)
+_STATIC_KAPPAS = (0.37, 1.0, 6.5)
+
+# (example, kappa, u, sign): examples 2-4 at u/kappa in _STATIC_RATIOS,
+# with both signs of u, kappa and sign_p_prime where the family takes
+# them, and the plane and examples 3-4 at u = 1e30 and u = 1e300.
+STATIC_HEIGHT_CASES = (
+    [(2, k, r * k, sg) for k in _STATIC_KAPPAS for r in _STATIC_RATIOS
+     for sg in (1, -1)]
+    + [(3, k, su * r * k, 1) for k in _STATIC_KAPPAS for r in _STATIC_RATIOS
+       for su in (1, -1)]
+    + [(4, sk * k, su * r * k, 1) for k in _STATIC_KAPPAS
+       for r in _STATIC_RATIOS for sk in (1, -1) for su in (1, -1)]
+    + [(2, k, u, sg) for k in _STATIC_KAPPAS for u in (1e30, 1e300)
+       for sg in (1, -1)]
+    + [(3, k, su * u, 1) for k in _STATIC_KAPPAS for u in (1e30, 1e300)
+       for su in (1, -1)]
+    + [(4, sk * k, su * u, 1) for k in _STATIC_KAPPAS for u in (1e30, 1e300)
+       for sk in (1, -1) for su in (1, -1)])
+
+# Every admissible orbit with |p| <= 20 and |p'| <= 30, and (1, 10^k)
+# for k = 3..18, where 1 - 3 cos^2 theta0 is within 1e-18 of 0.
+STATIC_ORBITS = ([(p, pp) for p in range(-20, 21) for pp in range(-30, 31)
+                  if (p, pp) != (0, 0) and classify_pair(p, pp)[0]]
+                 + [(1, 10 ** k) for k in range(3, 19)])
+
+
+def _static_spec(example, kappa, sign):
+    if example == 2:
+        return CurveSpec.example2(0.2, kappa, sign)
+    if example == 3:
+        return CurveSpec.example3(0.2, kappa)
+    return CurveSpec.example4(0.2, kappa)
+
+
+class TestStaticHeights:
+    """s of every closed-form family within 1e-13 of a 50-digit mpmath
+    route that solves for the angle on the family's own branch and
+    reads s from the coordinate the family fixes.  The heights divided
+    by 1 - 3 cos^2, 3 cos^2 - 1 or sqrt6 cos sin^2, each of which
+    vanishes at a family's asymptote: the orbit cylinder of (1, 10^12)
+    was off by 9.9e-5, that of (1, 10^17) raised 'math domain error',
+    and the plane of kappa = 1 stayed at s = -13.18 for every
+    u >= 1e15."""
+
+    def test_closed_form_families(self):
+        assert len(STATIC_HEIGHT_CASES) == 192
+        for example, kappa, u, sign in STATIC_HEIGHT_CASES:
+            pt = eval_invariant_curve(_static_spec(example, kappa, sign),
+                                      0.3, u)
+            gap = abs(pt.s - _mp_static_s(example, kappa, u, sign))
+            assert gap <= 1e-13, (example, kappa, u, sign, gap)
+
+    def test_orbit_cylinders(self):
+        assert len(STATIC_ORBITS) == 1215
+        for p, pp in STATIC_ORBITS:
+            spec = CurveSpec.example1(ReebOrbit.generic(p, pp, upsilon=0.9))
+            sign = 1 if (p or pp) > 0 else -1
+            for u in (1e-6, 1.0, 1e6):
+                pt = eval_invariant_curve(spec, 0.4, sign * u)
+                gap = abs(pt.s - _mp_orbit_s(p, pp, sign * u))
+                assert gap <= 1e-13, (p, pp, u, gap)
+
+    @pytest.mark.parametrize("orbit", [ReebOrbit.pole_plus(),
+                                       ReebOrbit.pole_minus()])
+    def test_pole_cylinders(self, orbit):
+        mp = pytest.importorskip("mpmath")
+        for u in (1e-300, 1e-6, 1.0, 2.0, 1e6, 1e300):
+            pt = eval_invariant_curve(CurveSpec.example1(orbit), 0.4, u)
+            with mp.workdps(50):
+                exact = float(-mp.log(mp.mpf(u) / 2) / mp.sqrt(6))
+            assert abs(pt.s - exact) <= 1e-13, u
+
+
+def _static_draws(n, seed=31):
+    """n seeded (kappa, u, tau, phi0) with kappa log-uniform in
+    [1e-3, 1e3] and u/kappa log-uniform in [1e-6, 1e11], of either sign."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(n):
+        kappa = 10.0 ** rng.uniform(-3.0, 3.0)
+        u = kappa * 10.0 ** rng.uniform(-6.0, 11.0) * rng.choice((-1, 1))
+        draws.append((kappa, u, rng.uniform(-7.0, 7.0),
+                      rng.uniform(-7.0, 7.0)))
+    return draws
+
+
+class TestStaticReflection:
+    """The reflection sigma(s, t, theta, phi) = (s, t, pi - theta, -phi)
+    maps (f, h) to (f, -h), so it maps the plane with one sign to the
+    plane with the other, example 4's cylinder of kappa to that of
+    -kappa, and example 3's point at (tau, u) to its point at
+    (-tau, -u): theta' = pi - theta and s' = s within 3e-14, three times
+    theta_from_lambda's bracket of 1e-14."""
+
+    @staticmethod
+    def _assert_reflected(pt, image):
+        assert abs(image.theta - (math.pi - pt.theta)) <= 3e-14
+        assert abs(image.s - pt.s) <= 3e-14
+        assert image.t == pt.t
+        assert abs(math.remainder(image.phi + pt.phi, math.tau)) <= 1e-14
+
+    def test_plane(self):
+        for kappa, u, tau, t0 in _static_draws(1000):
+            pt, image = (
+                eval_invariant_curve(CurveSpec.example2(t0, kappa, sign),
+                                     tau, abs(u)) for sign in (1, -1))
+            self._assert_reflected(pt, image)
+
+    def test_h_cylinder(self):
+        for kappa, u, tau, phi0 in _static_draws(1000, seed=32):
+            pt = eval_invariant_curve(CurveSpec.example4(phi0, kappa), tau, u)
+            image = eval_invariant_curve(CurveSpec.example4(-phi0, -kappa),
+                                         tau, u)
+            self._assert_reflected(pt, image)
+
+    def test_f_cylinder(self):
+        for kappa, u, tau, t0 in _static_draws(1000, seed=33):
+            spec = CurveSpec.example3(t0, kappa)
+            self._assert_reflected(eval_invariant_curve(spec, tau, u),
+                                   eval_invariant_curve(spec, -tau, -u))
+
+
+class TestPinnedStaticAngles:
+    """theta of examples 2-4 over a seeded sample keeps its bits: the
+    digest was recorded while each family chose its own branch, and the
+    one angle rule of curves._static_point picks the same lambda = h/f
+    on the same branch."""
+
+    def test_angles_keep_their_bits(self):
+        thetas = []
+        for kappa, u, tau, x in _static_draws(600, seed=34):
+            for spec, v in ((CurveSpec.example2(x, kappa, 1), abs(u)),
+                            (CurveSpec.example2(x, kappa, -1), abs(u)),
+                            (CurveSpec.example3(x, kappa), u),
+                            (CurveSpec.example4(x, kappa), u),
+                            (CurveSpec.example4(x, -kappa), u)):
+                thetas.append(eval_invariant_curve(spec, tau, v).theta)
+        assert len(thetas) == 3000
+        assert _digest(thetas) == ("beb0cb59dc33bddbe408f0c8b64f6829"
+                                   "81654323962f22d794584a17a6675cfc")

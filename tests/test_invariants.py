@@ -15,6 +15,7 @@ from sympl_moduli import (EndClass, EndDescriptor, GenericSpectrumCase, Label2,
                           enumerate_labels, fredholm_index, index_lower_bound,
                           l0_spectrum, m0_of, residue_pairs, sphere_report)
 from sympl_moduli.budgets import MAX_SPECTRUM_N, MAX_WALK_DELTA
+from sympl_moduli.curves import profile_log_terms
 from sympl_moduli.errors import (BoundViolation, DegenerateAngle, DomainError,
                                  InvalidLabel)
 
@@ -524,3 +525,32 @@ class TestWalkBudget:
         label = Label2.make((997, 3), (5, 999))
         assert sm.invariants._lattice(label)[0] == 995988
         assert 995988 <= sm.invariants.MAX_WALK_DELTA < L_OVER.delta
+
+
+class TestDecayRateIdentity:
+    """A profile end leaves its orbit angle at the rate of the orbit's
+    decay constants: R zeta kappa = 1/sqrt6, where R is the residue of
+    s(theta) at the angle in curves.profile_log_terms, and zeta, kappa
+    are asymptotic_constants of the end class, (p, p') at theta0 and
+    (-p, -p') at theta0_bar.  The two sides are separately coded
+    formulas.  The relative gap grows near the regime boundary
+    D = 2 p'^2 - 3 p^2 = 0, as the residues lose digits there, so the
+    bound is 1e-14 (1 + (p^2/|D|)^2): stated, not fitted to the worst
+    end, (-22, 27) with D = 6 and a gap of 2.2e-13."""
+
+    def test_every_end_in_a_box(self):
+        ends = 0
+        for p in range(1, 31):
+            for pp in range(-45, 46):
+                if math.gcd(p, pp) != 1 or not sm.classify_pair(p, pp)[0]:
+                    continue
+                d = 2 * pp * pp - 3 * p * p
+                bound = 1e-14 * (1.0 + (p * p / abs(d)) ** 2)
+                inside = profile_log_terms(p, pp).inside
+                for (residue, _, _), end in zip(
+                        inside, (EndClass(p, pp), EndClass(-p, -pp))):
+                    zeta, kappa, _ = asymptotic_constants(end)
+                    gap = abs(residue * zeta * kappa * math.sqrt(6.0) - 1.0)
+                    assert gap <= bound, (end, gap, bound)
+                    ends += 1
+        assert ends == 2663

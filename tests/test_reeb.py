@@ -367,3 +367,29 @@ class TestOrbitPoint:
                 t, theta, phi = orbit_point(orbit, 0.37 * i)
                 f, h, _ = coord_functions(Point4(0.0, t, theta, phi))
                 assert h == pytest.approx(ratio * f, abs=1e-12)
+
+
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteAngles:
+    """A nan or infinite tau or upsilon is a ValueError naming it, as
+    Point4 refuses a non-finite t or phi: not a bare 'math domain error'
+    from fmod, and not a nan passed on into a point."""
+
+    @pytest.mark.parametrize("x", _NON_FINITE)
+    @pytest.mark.parametrize("orbit", [
+        ReebOrbit.pole_plus(), ReebOrbit.pole_minus(),
+        ReebOrbit.generic(0, 1, upsilon=0.7), ReebOrbit.generic(1, 2),
+        ReebOrbit.generic(-1, 2, upsilon=0.3)],
+        ids=["pole+", "pole-", "p = 0", "(1, 2)", "(-1, 2)"])
+    def test_orbit_point_tau(self, orbit, x):
+        with pytest.raises(ValueError, match=f"^tau = {x} is not finite"):
+            orbit_point(orbit, x)
+
+    @pytest.mark.parametrize("x", _NON_FINITE)
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 2), (2, 4)],
+                             ids=["p = 0", "(1, 2)", "(2, 4)"])
+    def test_generic_upsilon(self, pair, x):
+        with pytest.raises(ValueError, match=f"^upsilon = {x} is not finite"):
+            ReebOrbit.generic(*pair, upsilon=x)
