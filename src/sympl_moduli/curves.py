@@ -654,10 +654,15 @@ def eval_invariant_curve(spec: CurveSpec, tau: float, u: float,
     Newton iteration on the clipped range, to a bracket narrower than
     1e-13 (u is strictly monotone in theta along a profile), from the
     curve's cached _point_start record (4 evaluations of s when first
-    built: the clip ends, the anchor and the first probe).  A nan or infinite tau or u is a DomainError before any
-    family runs, and every family's point is checked by fh_at, so a
-    point is returned only where e^{-sqrt6 s} is a normal float
-    (DomainError elsewhere).
+    built: the clip ends, the anchor and the first probe).  A nan or
+    infinite tau or u is a DomainError before any family runs, and every
+    family's point is checked by fh_at, so a point is returned only
+    where e^{-sqrt6 s} is a normal float (DomainError elsewhere).  The
+    clip bounds only the u a point can reach: 1e-9 reaches far along
+    each end.  A trace's end rows sit at its clip and need a normal
+    e^{-sqrt6 s}, so a trace keeps geometry.DEFAULT_CLIP = 1e-4 (at
+    1e-9, 88 of the 4,334 ranges of the coprime admissible p <= 30,
+    |p'| <= 45 are refused, against 36 at 1e-4).
     """
     if not (math.isfinite(tau) and math.isfinite(u)):
         require_finite(DomainError, tau=tau, u=u)

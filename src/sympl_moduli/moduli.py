@@ -22,12 +22,12 @@ two-end labels they begin with are its two boundary degenerations.
 Everything here is exact integer arithmetic; no floating point enters
 any admissibility decision.
 
-The rules live in one boolean core, ``_admissible2`` (with rule (c) in
-``_quadrant_ok``), which decides and builds nothing.  Every decision --
+The rules live in one boolean core, ``_admissible2``, which decides and
+builds nothing; rule (c) is reeb's end-pair rule.  Every decision --
 ``Label2.make``, ``validate_label3``, ``canonical_pair`` and the
 enumeration -- goes through it.  ``validate_label2`` is the explainer:
-it asks the core and words the violated rules only for a rejected
-label, for the CLI's ``classify`` report and ``InvalidLabel`` messages.
+it asks the core and, only for a rejected label, words each violated
+rule once, for the CLI's ``classify`` report and ``InvalidLabel``.
 
 Enumeration constructs labels rather than filtering the whole box: the
 pairs of the box that pass rule (c) are listed once, in lexicographic
@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 from .budgets import MAX_ENUM_BOUND
 from .errors import DomainError, InternalError, InvalidLabel, OutOfRegime
-from .reeb import EndClass
+from .reeb import EndClass, _end_pair_ok, _has_companion, _steep
 
 Pair = tuple[int, int]
 
@@ -51,14 +51,6 @@ Pair = tuple[int, int]
 def _as_pair(x) -> Pair:
     m, mp = x
     return (int(m), int(mp))
-
-
-def _quadrant_ok(m: int, mp: int) -> bool:
-    """Rule (c) for one end pair: m >= 0, or 2 m'^2 > 3 m^2.
-
-    (m = 0 never has 2 m'^2 < 3 m^2, so the rule only bites for m < 0.)
-    """
-    return m >= 0 or 2 * mp * mp > 3 * m * m
 
 
 def _admissible2(p: int, pp: int, q: int, qp: int) -> bool:
@@ -74,20 +66,7 @@ def _admissible2(p: int, pp: int, q: int, qp: int) -> bool:
     """
     return (p * qp - q * pp > 0
             and (qp > pp or pp * qp > 0)
-            and _quadrant_ok(p, pp) and _quadrant_ok(q, qp))
-
-
-def _quadrant_violation(m: int, mp: int, tag: str) -> list[str]:
-    """The wording of rule (c) for one end pair that fails it."""
-    out = []
-    lhs, rhs = 2 * mp * mp, 3 * m * m
-    if m < 0 and lhs <= rhs:
-        out.append(f"(c) {tag}=({m},{mp}): m < 0 needs 2 m'^2 > 3 m^2 "
-                   f"({lhs} <= {rhs})")
-    if lhs < rhs and m <= 0:
-        out.append(f"(c) {tag}=({m},{mp}): 2 m'^2 < 3 m^2 needs m > 0 "
-                   f"({lhs} < {rhs})")
-    return out
+            and _end_pair_ok(p, pp) and _end_pair_ok(q, qp))
 
 
 def _violations2(p: int, pp: int, q: int, qp: int) -> list[str]:
@@ -108,10 +87,10 @@ def _violations2(p: int, pp: int, q: int, qp: int) -> list[str]:
     k, kp = p + q, pp + qp
     if (k, kp) == (0, 0):
         violations.append("(1) derived pair (p+q, p'+q') is (0, 0)")
-    violations += _quadrant_violation(p, pp, "p")
-    violations += _quadrant_violation(q, qp, "q")
-    if (k, kp) != (0, 0):
-        violations += _quadrant_violation(k, kp, "k")
+    for tag, m, mp in (("p", p, pp), ("q", q, qp), ("k", k, kp)):
+        if not _end_pair_ok(m, mp):      # k = (0, 0) passes
+            violations.append(f"(c) {tag}=({m},{mp}): m < 0 needs 2 m'^2 > "
+                              f"3 m^2 ({2 * mp * mp} <= {3 * m * m})")
     return violations
 
 
@@ -186,7 +165,7 @@ def validate_label3(pairs) -> tuple[bool, list[Ordering3]]:
     orderings: list[Ordering3] = []
     for i in range(3):
         (p, pp), (q, qp), (k, kp) = shift = tuple(ps[i:] + ps[:i])
-        if 2 * kp * kp > 3 * k * k and _admissible2(p, pp, q, qp):
+        if _steep(k, kp) and _admissible2(p, pp, q, qp):
             orderings.append(shift)
     return len(orderings) == 2, sorted(orderings)
 
@@ -255,7 +234,7 @@ def canonical_pair(l2: Label2) -> tuple[EndClass, Label2]:
     boundary structure and is surfaced as InternalError.
     """
     k, kp = l2.k_pair
-    if k == 0 or 2 * kp * kp <= 3 * k * k:
+    if not _has_companion(k, kp):
         raise OutOfRegime(f"(k, k') = ({k}, {kp}) fails 2 k'^2 > 3 k^2 with k != 0")
     own = (*l2, (-k, -kp))
     others = [o for o in validate_label3(own)[1] if o != own]
@@ -272,7 +251,7 @@ def _end_classes(bound: int) -> list[tuple[int, int, EndClass]]:
     is left out.  The EndClass objects are frozen, so labels share them."""
     rng = range(-bound, bound + 1)
     return [(m, mp, EndClass(m, mp)) for m in rng for mp in rng
-            if (m, mp) != (0, 0) and _quadrant_ok(m, mp)]
+            if (m, mp) != (0, 0) and _end_pair_ok(m, mp)]
 
 
 def enumerate_labels(bound: int, ends: int) -> list[Label2] | list[Label3]:
@@ -309,7 +288,7 @@ def enumerate_labels(bound: int, ends: int) -> list[Label2] | list[Label3]:
     for p, pp, _ in classes:
         for q, qp, _ in classes:
             k, kp = p + q, pp + qp
-            if (abs(k) <= bound and abs(kp) <= bound and 2 * kp * kp > 3 * k * k
+            if (abs(k) <= bound and abs(kp) <= bound and _steep(k, kp)
                     and _admissible2(p, pp, q, qp)):
                 triple = tuple(sorted(((p, pp), (q, qp), (-k, -kp))))
                 orderings[triple] = orderings.get(triple, 0) + 1

@@ -72,13 +72,25 @@ def _sq(x: int) -> str:
     return f"({x})^2" if x < 0 else f"{x}^2"
 
 
+def _steep(m: int, m_prime: int) -> bool:
+    """2 m'^2 > 3 m^2 (|m'/m| > sqrt(3/2)): the package's steep test."""
+    return 2 * m_prime * m_prime > 3 * m * m
+
+
+def _end_pair_ok(m: int, m_prime: int) -> bool:
+    """The end-pair rule, m >= 0 or steep: classify_pair's (b) and
+    moduli's (c), since 2 m'^2 = 3 m^2 only at m = 0, which passes."""
+    return m >= 0 or _steep(m, m_prime)
+
+
 def classify_pair(m: int, m_prime: int) -> tuple[bool, list[str]]:
     """Decide whether (m, m') labels a closed Reeb orbit.
 
     Rules: (a) not both zero, coprime when both non-zero, m' = +-1 when
     m = 0 and m = 1 when m' = 0; (b) 2 m'^2 > 3 m^2 when m < 0;
-    (c) m > 0 when 2 m'^2 < 3 m^2.  All checks are exact integer
-    arithmetic.  Returns (admissible, list of violated rules).
+    (c) m > 0 when 2 m'^2 < 3 m^2.  For integers (b) and (c) are one
+    condition, _end_pair_ok, reported once, as (b).  All checks are
+    exact integer arithmetic.  Returns (admissible, violated rules).
     """
     violations: list[str] = []
     if m == 0 and m_prime == 0:
@@ -92,12 +104,9 @@ def classify_pair(m: int, m_prime: int) -> tuple[bool, list[str]]:
             f"(a) gcd({m}, {m_prime}) = {math.gcd(m, m_prime)} != 1")
     lhs, rhs = 2 * m_prime * m_prime, 3 * m * m
     assert lhs != rhs or m == 0, "2 m'^2 = 3 m^2 impossible for m != 0"
-    if m < 0 and lhs <= rhs:
+    if not _end_pair_ok(m, m_prime):
         violations.append(f"(b) 2*{_sq(m_prime)} = {lhs} <= {rhs} = "
                           f"3*{_sq(m)} with m < 0")
-    if lhs < rhs and m <= 0:
-        violations.append(f"(c) 2*{_sq(m_prime)} = {lhs} < {rhs} = "
-                          f"3*{_sq(m)} needs m > 0")
     return not violations, violations
 
 
@@ -118,7 +127,7 @@ def orbit_cosine(p: int, p_prime: int) -> tuple[float, float]:
         return 0.0, 1.0
     if p == 0:
         return math.copysign(1.0, p_prime) / math.sqrt(3.0), 0.0
-    if p < 0 and 2 * p_prime * p_prime <= 3 * p * p:
+    if not _end_pair_ok(p, p_prime):
         raise InvalidLabel(f"({p}, {p_prime}) admits no orbit angle")
     return _root_cosine(p, p_prime, (p, p_prime), "orbit")
 
@@ -166,7 +175,7 @@ def _root_cosine(p: int, p_prime: int, given: tuple[int, int],
 
 
 def _has_companion(p: int, p_prime: int) -> bool:
-    return p != 0 and 2 * p_prime * p_prime > 3 * p * p
+    return p != 0 and _steep(p, p_prime)
 
 
 def solve_theta0_bar(p: int, p_prime: int) -> float:
@@ -245,7 +254,8 @@ def orbit_point(orbit: ReebOrbit, tau: float) -> tuple[float, float, float]:
     and phi0 = -upsilon/p, so that p' t - p phi = upsilon identically.
     For p = 0 the circle is (t = upsilon/p', phi = tau).  t and phi lie
     in [0, 2 pi) through geometry's one wrap, _reduce_angle.  ValueError
-    for a nan or infinite tau, as Point4 refuses such a t or phi.
+    for a nan or infinite tau, as Point4 refuses such a t or phi, and
+    DomainError naming the pair where p, p' or p' tau has no float.
     """
     if not math.isfinite(tau):
         require_finite(ValueError, tau=tau)
@@ -258,7 +268,12 @@ def orbit_point(orbit: ReebOrbit, tau: float) -> tuple[float, float, float]:
     if p == 0:
         return (_reduce_angle(orbit.upsilon / pp), orbit.theta0,
                 _reduce_angle(tau))
-    tau = math.fmod(tau, math.tau * abs(p))
-    phi0 = -orbit.upsilon / p
-    return (_reduce_angle(tau), orbit.theta0,
-            _reduce_angle(phi0 + tau * pp / p))
+    try:
+        tau = math.fmod(tau, math.tau * abs(p))
+        phi = -orbit.upsilon / p + tau * pp / p
+    except OverflowError:
+        phi = math.inf
+    if not math.isfinite(phi):
+        raise DomainError(f"({p}, {pp}): an entry or p' tau is past the "
+                          f"float range")
+    return (_reduce_angle(tau), orbit.theta0, _reduce_angle(phi))

@@ -89,11 +89,9 @@ class TestClassify:
     def test_negative_entries_bracketed(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--pairs=-1,1")
         assert json.loads(out)["violations"] == [
-            "(b) 2*1^2 = 2 <= 3 = 3*(-1)^2 with m < 0",
-            "(c) 2*1^2 = 2 < 3 = 3*(-1)^2 needs m > 0"]
+            "(b) 2*1^2 = 2 <= 3 = 3*(-1)^2 with m < 0"]
         assert classify_pair(-2, -1)[1] == [
-            "(b) 2*(-1)^2 = 2 <= 12 = 3*(-2)^2 with m < 0",
-            "(c) 2*(-1)^2 = 2 < 12 = 3*(-2)^2 needs m > 0"]
+            "(b) 2*(-1)^2 = 2 <= 12 = 3*(-2)^2 with m < 0"]
 
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--pairs", "1,2,3")

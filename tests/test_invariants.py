@@ -554,3 +554,34 @@ class TestDecayRateIdentity:
                     assert gap <= bound, (end, gap, bound)
                     ends += 1
         assert ends == 2663
+
+
+class TestPolarDecayRates:
+    """ROADMAP item 19 at the poles: a profile leaves theta = 0 or pi at
+    the rate |1/(2R)|, R the residue of s(theta) over x = cos(theta) =
+    +-1 in curves.profile_log_terms (x - 1 ~ -theta^2/2 there), and that
+    rate is |lambda_n| for an eigenvalue lambda_n = -sqrt(3/2) + n/p of
+    l0_spectrum(PolarSpectrumCase(p)), n = -p' at 0 and n = p' at pi.
+    The eigenvalue is the one l0_spectrum returns, n_max + n-th in its
+    sorted list, not the formula.  Both sides round sqrt6 +- 2 p'/p, so
+    the bound is 4 eps (sqrt(3/2) + |p'/p|) (stated, not fitted: the
+    worst gap is 0.7 eps times that)."""
+
+    def test_every_polar_end_in_a_box(self):
+        eps = 2.0 ** -52
+        ends = 0
+        for p in range(1, 31):
+            for pp in range(-45, 46):
+                if math.gcd(p, pp) != 1 or not sm.classify_pair(p, pp)[0]:
+                    continue
+                terms = profile_log_terms(p, pp)
+                n_max = abs(pp)
+                spectrum = l0_spectrum(PolarSpectrumCase(p), n_max)
+                bound = 4.0 * eps * (math.sqrt(1.5) + abs(pp / p))
+                for residue, n in ((terms.at_zero, -pp), (terms.at_pi, pp)):
+                    eigenvalue, multiplicity = spectrum[n_max + n]
+                    assert multiplicity == 2
+                    gap = abs(abs(0.5 / residue) - abs(eigenvalue))
+                    assert gap <= bound, ((p, pp), n, gap, bound)
+                    ends += 1
+        assert ends == 3342

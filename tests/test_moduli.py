@@ -1,14 +1,22 @@
 import itertools
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympl_moduli import (EndClass, Label2, Label3, boundary_labels,
-                          canonical_pair, enumerate_labels, validate_label2,
+                          canonical_pair, classify_pair, enumerate_labels,
+                          sphere_report, theta_roots, validate_label2,
                           validate_label3)
 from sympl_moduli import moduli
 from sympl_moduli.budgets import MAX_ENUM_BOUND
-from sympl_moduli.errors import DomainError, InvalidLabel, OutOfRegime
+from sympl_moduli.errors import (DomainError, InvalidLabel, OutOfRegime,
+                                 SymplModuliError)
 from sympl_moduli.moduli import _admissible2
+from sympl_moduli.reeb import orbit_cosine
+
+from conftest import label_pairs
 
 
 def ordered_pairs(bound):
@@ -100,15 +108,12 @@ class TestValidateLabel2:
         ((0, 1), (-1, 0), [
             "(b) q' - p' = -1 <= 0 and p'q' = 0 <= 0",
             "(c) q=(-1,0): m < 0 needs 2 m'^2 > 3 m^2 (0 <= 3)",
-            "(c) q=(-1,0): 2 m'^2 < 3 m^2 needs m > 0 (0 < 3)",
-            "(c) k=(-1,1): m < 0 needs 2 m'^2 > 3 m^2 (2 <= 3)",
-            "(c) k=(-1,1): 2 m'^2 < 3 m^2 needs m > 0 (2 < 3)"]),
+            "(c) k=(-1,1): m < 0 needs 2 m'^2 > 3 m^2 (2 <= 3)"]),
         ((1, 1), (-1, -1), [
             "(a) Delta = 1*-1 - -1*1 = 0 <= 0",
             "(b) q' - p' = -2 <= 0 and p'q' = -1 <= 0",
             "(1) derived pair (p+q, p'+q') is (0, 0)",
-            "(c) q=(-1,-1): m < 0 needs 2 m'^2 > 3 m^2 (2 <= 3)",
-            "(c) q=(-1,-1): 2 m'^2 < 3 m^2 needs m > 0 (2 < 3)"]),
+            "(c) q=(-1,-1): m < 0 needs 2 m'^2 > 3 m^2 (2 <= 3)"]),
     ])
     def test_violation_wording(self, p_pair, q_pair, want):
         # classify prints these lines; their wording is part of the output.
@@ -369,3 +374,96 @@ class TestJsonShape:
     def test_label3(self):
         js = Label3.make([(1, -1), (1, 4), (-2, -3)]).to_json()
         assert js == {"pairs": [[-2, -3], [1, -1], [1, 4]]}
+
+
+def _sigma(pair):
+    """The reflection's action on an end class: (m, m') -> (m, -m')."""
+    m, mp = pair
+    return (m, -mp)
+
+
+class TestReflection:
+    """ROADMAP item 17 on the reeb and moduli layers.  The reflection
+    sigma(s, t, theta, phi) = (s, t, pi - theta, -phi) sends an end class
+    (m, m') to (m, -m') and a two-end label {(p, p'), (q, q')} to
+    {(q, -q'), (p, -p')}: the order swaps, so Delta keeps its sign and
+    every rule maps onto itself.  Exhaustive over the 43,354 two-end
+    labels <= 10 (100 of them fixed), the 1,562 three-end labels <= 8 and
+    the pairs |m| <= 60, |m'| <= 90, and by hypothesis past them.
+
+    A mutation that breaks the symmetry of a rule fails this class (a
+    sign flip on one entry of rule (b) in _admissible2, -q' > p' for
+    q' > p').  The class pins no count, so a mutation that is itself
+    sigma-symmetric passes it: rule (b) as p' > q' maps onto itself, as
+    do Delta's sign and the steep test.  TestEnumerateOracles and the
+    pinned counts catch those."""
+
+    @staticmethod
+    def _assert_report_reflects(x, y):
+        # The image's sphere report has the first two gcds swapped.
+        report = sphere_report(Label2.make(x, y))
+        g1, g2, gk = report.gcd_triple
+        image = sphere_report(Label2.make(_sigma(y), _sigma(x)))
+        assert image == report._replace(gcd_triple=(g2, g1, gk)), (x, y)
+
+    def test_classify_pair_verdict(self):
+        for m in range(-60, 61):
+            for mp in range(-90, 91):
+                assert (classify_pair(m, mp)[0]
+                        == classify_pair(*_sigma((m, mp)))[0]), (m, mp)
+
+    def test_two_end_labels_closed(self, labels2_bound10):
+        labels = set(labels2_bound10)
+        assert {(_sigma(y), _sigma(x)) for x, y in labels} == labels
+
+    def test_three_end_labels_closed(self):
+        labels = {l3.pairs for l3 in enumerate_labels(8, 3)}
+        assert {tuple(sorted(map(_sigma, t))) for t in labels} == labels
+
+    def test_sphere_report_swaps_the_first_two_gcds(self, labels2_bound10):
+        for x, y in labels2_bound10:
+            self._assert_report_reflects(x, y)
+
+    def test_orbit_angles_mirror(self):
+        # orbit_cosine negates exactly (p'/p does); acos(-c) = pi - acos(c)
+        # up to rounding, 4.4e-16 = ulp(pi) at worst in this box.
+        for p in range(-60, 61):
+            for pp in range(-90, 91):
+                try:
+                    c, dev = orbit_cosine(p, pp)
+                except SymplModuliError as exc:
+                    with pytest.raises(type(exc)):
+                        orbit_cosine(p, -pp)
+                    continue
+                assert orbit_cosine(p, -pp) == (-c, dev), (p, pp)
+                th, bar = theta_roots(p, pp)
+                th_image, bar_image = theta_roots(p, -pp)
+                assert abs(th_image - (math.pi - th)) <= 2 * math.ulp(math.pi)
+                assert (bar is None) == (bar_image is None), (p, pp)
+                if bar is not None:
+                    assert (abs(bar_image - (math.pi - bar))
+                            <= 2 * math.ulp(math.pi)), (p, pp)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 9, 10 ** 9))
+    def test_classify_pair_verdict_drawn(self, m, mp):
+        assert classify_pair(m, mp)[0] == classify_pair(m, -mp)[0]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(label_pairs(10 ** 6, 10 ** 6))
+    def test_two_end_label_drawn(self, pairs):
+        x, y = pairs
+        ok = validate_label2(x, y)[0]
+        assert validate_label2(_sigma(y), _sigma(x))[0] == ok
+        if ok:
+            self._assert_report_reflects(x, y)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(label_pairs(10 ** 6, 10 ** 6, ends=3))
+    def test_three_end_label_drawn(self, pairs):
+        # An ordering (x, y, k) maps to (sigma y, sigma x, sigma k).
+        ok, orderings = validate_label3(pairs)
+        image_ok, image_orderings = validate_label3([_sigma(x) for x in pairs])
+        assert image_ok == ok
+        assert image_orderings == sorted(
+            (_sigma(y), _sigma(x), _sigma(k)) for x, y, k in orderings)

@@ -1,11 +1,12 @@
 import math
 import random
+import re
 
 import pytest
 
-from sympl_moduli import (EndClass, ReebOrbit, classify_branches,
-                          classify_pair, orbit_point, solve_theta0,
-                          solve_theta0_bar, theta_roots)
+from sympl_moduli import (CurveSpec, EndClass, ReebOrbit, classify_branches,
+                          classify_pair, eval_invariant_curve, orbit_point,
+                          solve_theta0, solve_theta0_bar, theta_roots)
 from sympl_moduli.errors import DomainError, InvalidLabel, OutOfRegime, ZeroPair
 from sympl_moduli.geometry import (SQRT6, Point4, Tangent4, contact_eval,
                                    coord_functions)
@@ -367,6 +368,22 @@ class TestOrbitPoint:
                 t, theta, phi = orbit_point(orbit, 0.37 * i)
                 f, h, _ = coord_functions(Point4(0.0, t, theta, phi))
                 assert h == pytest.approx(ratio * f, abs=1e-12)
+
+    @pytest.mark.parametrize("pair, tau", [
+        ((10 ** 400, 10 ** 400 + 1), 0.5),     # p'/p = 1.0, p has no float
+        ((-10 ** 400, 2 * 10 ** 400 + 1), 0.5),  # p < 0, steep
+        ((10 ** 300, 10 ** 308 + 1), 3.0),     # p' tau rounds to inf
+    ])
+    def test_entries_past_the_float_range(self, pair, tau):
+        # The orbit builds, since p'/p is a float; its points are refused
+        # by name, not with a bare OverflowError, in example 1 too.
+        orbit = ReebOrbit.generic(*pair)
+        prefix = re.escape(f"{pair}: ")
+        with pytest.raises(DomainError, match=prefix):
+            orbit_point(orbit, tau)
+        with pytest.raises(DomainError, match=prefix):
+            eval_invariant_curve(CurveSpec.example1(orbit), tau,
+                                 1.0 if pair[0] > 0 else -1.0)   # u has p's sign
 
 
 _NON_FINITE = [math.nan, math.inf, -math.inf]
