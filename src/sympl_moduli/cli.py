@@ -121,6 +121,22 @@ def residual_tolerance() -> float:
     return tol
 
 
+def _parse_entry(entry: str, chunk: str) -> int:
+    """One stripped entry of a pair as an int.  int() accepts a sign and
+    decimal digits up to Python's limit on digits (4,300 by default), so
+    such an entry that it refuses has too many, and the error quotes only
+    its first 40 characters."""
+    try:
+        return int(entry)
+    except ValueError as exc:
+        digits = entry[1:] if entry[:1] in ("+", "-") else entry
+        if digits.isdecimal():
+            raise ParseError(
+                f"entry {entry[:40]!r}... has too many digits "
+                f"({len(digits)})") from exc
+        raise ParseError(f"non-integer entry in {chunk!r}") from exc
+
+
 def parse_pairs(text: str) -> list[tuple[int, int]]:
     """Parse semicolon-separated 'm,m'' integer pairs; whitespace ignored."""
     out = []
@@ -131,10 +147,8 @@ def parse_pairs(text: str) -> list[tuple[int, int]]:
         parts = [p.strip() for p in chunk.split(",")]
         if len(parts) != 2:
             raise ParseError(f"expected 'm,m'' but got {chunk!r}")
-        try:
-            out.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise ParseError(f"non-integer entry in {chunk!r}") from exc
+        out.append((_parse_entry(parts[0], chunk),
+                    _parse_entry(parts[1], chunk)))
     if not 1 <= len(out) <= 3:
         raise ParseError(f"need 1, 2 or 3 pairs, got {len(out)}")
     return out

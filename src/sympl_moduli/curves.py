@@ -50,8 +50,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from .budgets import MAX_TRACE_SAMPLES
 from .errors import (BranchError, DomainError, InvalidLabel, WrongExample)
-from .geometry import (_TINY, DEFAULT_CLIP, SQRT6, BranchId, Point4, fh_at,
-                       fh_rows, require_finite, theta_from_lambda)
+from .geometry import (_TINY, DEFAULT_CLIP, SQRT6, THETA_C, BranchId, Point4,
+                       fh_at, fh_rows, require_finite, theta_from_lambda)
 from .reeb import (ReebOrbit, OrbitKind, classify_pair, orbit_point,
                    theta_roots)
 
@@ -466,21 +466,31 @@ def _static_point(f: float, h: float, t: float, phi: float,
                   theta: Optional[float] = None) -> Point4:
     """The point at (f, h, t, phi), the closed-form families' one angle
     rule and one height.  Unless given, theta inverts h/f on the branch
-    the signs name: B for f > 0, A for f < 0 < h, C for f, h < 0, and
-    cos^2 = 1/3 with the sign of h for f = 0.  With e = e^{-sqrt6 s},
-    |f| + |h| = e (|1 - 3 cos^2| + sqrt6 |cos| sin^2), and that bracket
-    has no zero on [0, pi], so s keeps its digits where f or h vanishes."""
+    the signs name: B for f > 0, A for f < 0 < h, C for f, h < 0.  Its
+    two limits take their angle in closed form: where h/f is not finite
+    (f = 0, or the quotient overflows) the point is on the cone
+    cos^2 = 1/3, at THETA_C for h > 0 and pi - THETA_C for h < 0; where
+    it rounds to 0 on A or C the point is at the pole, 0 or pi.  With
+    e = e^{-sqrt6 s}, |f| + |h| = e (|1 - 3 cos^2| + sqrt6 |cos| sin^2),
+    and that bracket has no zero on [0, pi], so s keeps its digits where
+    f or h vanishes.  DomainError where the ratio of the two underflows
+    to 0, as fh_at refuses e there."""
     if theta is None:
-        if f:
-            branch = (BranchId.B if f > 0 else
-                      BranchId.A if h > 0 else BranchId.C)
-            theta = theta_from_lambda(h / f, branch)
+        lam = h / f if f else math.inf
+        if not math.isfinite(lam):
+            theta = THETA_C if h > 0 else math.pi - THETA_C
+        elif f > 0 or lam:
+            theta = theta_from_lambda(lam, BranchId.B if f > 0 else
+                                      BranchId.A if h > 0 else BranchId.C)
         else:
-            theta = math.acos(math.copysign(1.0, h) / math.sqrt(3.0))
+            theta = 0.0 if h > 0 else math.pi
     c = cos(theta)
     bracket = abs(1.0 - 3.0 * c * c) + SQRT6 * abs(c) * sin(theta) ** 2
-    return Point4(s=-log((abs(f) + abs(h)) / bracket) / SQRT6, t=t,
-                  theta=theta, phi=phi)
+    ratio = (abs(f) + abs(h)) / bracket
+    if not ratio:
+        raise DomainError(f"f and h underflow the normal floats at "
+                          f"theta = {theta} (|f| + |h| = {abs(f) + abs(h)})")
+    return Point4(s=-log(ratio) / SQRT6, t=t, theta=theta, phi=phi)
 
 
 def _example1_point(spec: CurveSpec, tau: float, u: float) -> Point4:
@@ -573,6 +583,12 @@ def _profile_point(spec: CurveSpec, tau: float, u: float,
     Newton iteration on the clipped range from _point_start's record;
     eval_invariant_curve checks its s with fh_at.
 
+    u = 0 is resolved first, in closed form: u_of = e^{-sqrt6 s} g,
+    g = 1 - 3 cos^2 theta, vanishes at the cone angle, THETA_C or
+    pi - THETA_C, whichever lies on the clipped range (u_of is strictly
+    monotone there, so at most one does).  Where neither does, u_of
+    reaches 0 only where e^{-sqrt6 s} underflows: DomainError.
+
     Each probe x is decided by _u_of, which moves one end of a bracket
     [a, b] around the angle where u_of crosses u, and the point is the
     midpoint of the first bracket narrower than 1e-13, as a bisection's
@@ -583,14 +599,7 @@ def _profile_point(spec: CurveSpec, tau: float, u: float,
       gap / slope, gap = log(u / u_of), which keeps its digits where
       |log u| is large (no step where the ratio overflows or rounds to
       0), while |gap| falls below half the previous probe's;
-    - on u itself where u = 0, which log|u| cannot reach, and u_of is a
-      normal float: the step -1/slope, while it falls below half the
-      previous probe's (toward an end where e^{-sqrt6 s} underflows,
-      |u_of| falls by a constant factor per step, and the step does
-      not);
-    - where u_of is u, the step 0: where u is a normal float, or on
-      u = 0 where g = 0 (u_of is 0 also where e^{-sqrt6 s} underflows,
-      and _log_u_slope divides by g).
+    - where u_of is u and a normal float, the step 0.
     A subnormal u_of takes no step: it has too few bits to place the
     crossing, and it equals u across spans far wider than 4e-14.
     Otherwise, and where the step leaves (a, b), the next probe is the
@@ -606,9 +615,17 @@ def _profile_point(spec: CurveSpec, tau: float, u: float,
     if not u_min <= u <= u_max:
         raise DomainError(f"u = {u} outside [{u_min}, {u_max}] reachable "
                           f"on the clipped range")
-    a, b = lo, hi
+    if u == 0.0:
+        # The cone angle closes the bracket: the loop below does not run.
+        a = b = THETA_C if lo <= THETA_C <= hi else math.pi - THETA_C
+        if not lo <= a <= hi:
+            raise DomainError(
+                f"u = 0 is reached on [{lo}, {hi}] only where f and h "
+                f"underflow the normal floats: no cone angle lies on it")
+    else:
+        a, b = lo, hi
     x = 0.5 * (a + b)
-    last = math.inf                  # the previous probe's gap or step
+    last = math.inf                  # the previous probe's |gap|
     while b - a >= 1e-13:           # u_of is strictly monotone on the range
         if sign * (u_x - u) < 0.0:
             a = x
@@ -618,7 +635,7 @@ def _profile_point(spec: CurveSpec, tau: float, u: float,
             break
         step = math.nan
         normal = _TINY <= abs(u_x) < math.inf
-        if u_x == u and (normal or 1.0 - 3.0 * cos(x) ** 2 == 0.0):
+        if u_x == u and normal:
             size = step = 0.0
         elif normal and u_x * u > 0.0:
             ratio = u / u_x
@@ -627,10 +644,6 @@ def _profile_point(spec: CurveSpec, tau: float, u: float,
             if size < 0.5 * last:
                 slope = _log_u_slope(p, p_prime, x)
                 step = gap / slope if slope else math.nan
-        elif normal and not u:
-            slope = _log_u_slope(p, p_prime, x)
-            step = -1.0 / slope if slope else math.nan
-            size = abs(step)
         else:
             size = math.inf
         converging, last = size < 0.5 * last, size
@@ -649,12 +662,14 @@ def eval_invariant_curve(spec: CurveSpec, tau: float, u: float,
     """Evaluate the parameterized subvariety at (tau, u).
 
     The static families take theta and s from their (f, h) through one
-    helper, _static_point; for the profile families the angle solving
-    u = e^{-sqrt6 s(theta)}(1 - 3 cos^2 theta) is found by bracketed
-    Newton iteration on the clipped range, to a bracket narrower than
-    1e-13 (u is strictly monotone in theta along a profile), from the
-    curve's cached _point_start record (4 evaluations of s when first
-    built: the clip ends, the anchor and the first probe).  A nan or
+    helper, _static_point, whose angle is THETA_C or pi - THETA_C where
+    h/f is not finite.  For the profile families the angle solving
+    u = e^{-sqrt6 s(theta)}(1 - 3 cos^2 theta) is the cone angle on the
+    clipped range at u = 0, and elsewhere is found by bracketed Newton
+    iteration on the clipped range, to a bracket narrower than 1e-13 (u
+    is strictly monotone in theta along a profile), from the curve's
+    cached _point_start record (4 evaluations of s when first built:
+    the clip ends, the anchor and the first probe).  A nan or
     infinite tau or u is a DomainError before any family runs, and every
     family's point is checked by fh_at, so a point is returned only
     where e^{-sqrt6 s} is a normal float (DomainError elsewhere).  The

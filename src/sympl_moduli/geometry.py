@@ -50,8 +50,10 @@ from .errors import DomainError, PoleError, RangeError
 
 SQRT6 = math.sqrt(6.0)
 
-#: The angle with cos(theta) = 1/sqrt(3); together with pi - THETA_C it
-#: bounds the three monotonicity components of lambda(theta).
+#: The cone angle, cos(theta) = 1/sqrt(3): with pi - THETA_C, the
+#: package's one statement of the cone cos^2 theta = 1/3 outside reeb's
+#: orbit cosines, where f = 0, h/f is infinite and the (0, +-1) orbits
+#: lie.  The two bound the three monotonicity components of lambda(theta).
 THETA_C = math.acos(1.0 / math.sqrt(3.0))
 
 #: Default clipping of a profile's theta range away from its fixed-angle

@@ -60,14 +60,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from typing import NamedTuple
 
 from .errors import InternalError, PunctureError, ResidualError
-from .geometry import _reduce_angle
+from .geometry import _TINY, _reduce_angle
 from .invariants import LabelLike, delta, residue_pairs
-
-_TINY = sys.float_info.min     # the smallest normal float
 
 DEFAULT_RESIDUAL_TOL = 1e-9
 

@@ -98,6 +98,23 @@ class TestClassify:
         assert code == 2
         assert "parse error" in err
 
+    @pytest.mark.parametrize("entry", ["9" * 5000, "-" + "9" * 5000])
+    def test_entry_with_too_many_digits(self, capsys, entry):
+        """int() refuses an entry past Python's 4,300-digit limit; the
+        parse error says so and quotes only the entry's first 40
+        characters, where it called the entry non-integer and echoed the
+        whole pair."""
+        code, out, err = run_cli(capsys, "classify", f"--pairs=1,{entry}")
+        assert code == 2 and out == ""
+        assert err.startswith(f"parse error: entry {entry[:40]!r}... has "
+                              f"too many digits ({len(entry.lstrip('-'))})")
+        assert len(err) < 120
+
+    def test_entry_that_is_not_an_integer(self):
+        for bad in ("1,2x", "1,+-2", "1,\u00b2", "1," + "9" * 5000 + "x"):
+            with pytest.raises(ParseError, match="non-integer entry in"):
+                parse_pairs(bad)
+
 
 class TestInvariants:
     def test_symmetric_label(self, capsys):

@@ -16,7 +16,7 @@ from sympl_moduli.budgets import MAX_TRACE_SAMPLES
 from sympl_moduli.curves import profile_log_terms, profile_ode_residual
 from sympl_moduli.errors import (BranchError, DomainError, InvalidLabel,
                                   WrongExample)
-from sympl_moduli.geometry import Point4, fh_at
+from sympl_moduli.geometry import THETA_C, Point4, fh_at
 
 SQRT6_ = math.sqrt(6.0)
 
@@ -320,13 +320,15 @@ class TestProfilePoint:
         assert max(cold) <= 48
         assert [c - w for c, w in zip(cold, warm)] == [4] * len(cold)
 
-    def test_u_zero_steps_on_u(self):
+    def test_u_zero_is_the_cone_angle(self):
         """u = 0 is reached where 1 - 3 cos^2 theta = 0, where log|u| has
-        no value: the probes step by Newton on u itself, and one that
-        hits u = 0 closes the bracket, where a bisection takes 48-49
-        evaluations of s.  On (4, 5) range 2 at clip 1e-9, u_of reaches
-        0 only where e^{-sqrt6 s} underflows, and both refuse the point.
-        The bound 17 is the largest count measured."""
+        no value: the point is the cone angle, THETA_C or pi - THETA_C,
+        in closed form, within 1e-13 of the bisection's, which takes
+        48-49 evaluations of s.  A cold point evaluates s at the 4
+        angles of its _point_start record and at the point itself.  On
+        (4, 5) range 2 at clip 1e-9 no cone angle lies on the clipped
+        range, u_of reaches 0 only where e^{-sqrt6 s} underflows, and
+        both refuse the point, this one from the record alone."""
         points, refused = [], []
         for p, pp in CLOSED_FORM_PAIRS:
             for rid in range(len(classify_branches(p, pp))):
@@ -338,13 +340,14 @@ class TestProfilePoint:
                     got, n = _cold_evaluations(spec, 0.0, clip)
                     want = _reference_outcome(spec, 0.0, clip)
                     if isinstance(want, Point4):
+                        assert got.theta in (THETA_C, math.pi - THETA_C)
                         assert abs(got.theta - want.theta) < 1e-13
                         points.append(n)
                     else:
                         assert got[0] is want[0] is DomainError
                         refused.append(n)
-        assert len(points) == 32 and max(points) <= 17
-        assert len(refused) == 1 and max(refused) <= 48
+        assert len(points) == 32 and max(points) <= 5
+        assert len(refused) == 1 and max(refused) <= 4
 
     @pytest.mark.parametrize("p,pp,rid", [(4, -5, 0), (4, 5, 2),
                                           (29, -37, 0)])
@@ -1395,6 +1398,48 @@ class TestStaticHeights:
             with mp.workdps(50):
                 exact = float(-mp.log(mp.mpf(u) / 2) / mp.sqrt(6))
             assert abs(pt.s - exact) <= 1e-13, u
+
+
+class TestStaticLimitAngles:
+    """Where h/f leaves the floats, _static_point takes its angle in
+    closed form: the cone angle where h/f is not finite (f = 0, or the
+    quotient overflows), THETA_C for h > 0 and pi - THETA_C for h < 0,
+    and the pole where h/f rounds to 0 on branch A or C.  The points of
+    test_angle_in_closed_form raised RangeError from theta_from_lambda;
+    s is within 1e-13 of the 50-digit route of TestStaticHeights.  A point whose |f| + |h|
+    divided by the angle's bracket underflows to 0 is refused as fh_at
+    refuses an underflowing e^{-sqrt6 s}, where log(0) raised a bare
+    ValueError ('math domain error')."""
+
+    @pytest.mark.parametrize("example,kappa,u,sign,theta", [
+        (3, 1e-10, 1e300, 1, THETA_C),
+        (3, 1e-10, -1e300, 1, math.pi - THETA_C),
+        (4, 1.0, 5e-324, 1, THETA_C),
+        (4, 1.0, -5e-324, 1, THETA_C),
+        (4, -1.0, 5e-324, 1, math.pi - THETA_C),
+        (4, -1.0, -5e-324, 1, math.pi - THETA_C),
+        (2, 1e10, 1e-320, 1, 0.0),
+        (2, 1e10, 1e-320, -1, math.pi)])
+    def test_angle_in_closed_form(self, example, kappa, u, sign, theta):
+        pt = eval_invariant_curve(_static_spec(example, kappa, sign), 0.3, u)
+        assert pt.theta == theta
+        gap = abs(pt.s - _mp_static_s(example, kappa, u, sign))
+        assert gap <= 1e-13, gap
+
+    @pytest.mark.parametrize("kappa", [0.37, -6.5])
+    def test_f_zero_is_the_cone(self, kappa):
+        spec = CurveSpec.example4(0.2, kappa)
+        pt = eval_invariant_curve(spec, 0.3, 0.0)
+        assert pt.theta == (THETA_C if kappa > 0 else math.pi - THETA_C)
+        assert abs(pt.s - s_max(spec)) <= 1e-14
+
+    @pytest.mark.parametrize("spec,u", [
+        (CurveSpec.example2(0.0, 5e-324, 1), 0.0),
+        (CurveSpec.example1(ReebOrbit.pole_plus()), 5e-324)],
+        ids=["plane-pole", "pole-cylinder"])
+    def test_underflowing_ratio_is_a_domain_error(self, spec, u):
+        with pytest.raises(DomainError, match="underflow the normal floats"):
+            eval_invariant_curve(spec, 0.0, u)
 
 
 def _static_draws(n, seed=31):

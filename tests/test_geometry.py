@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympl_moduli import (BranchId, Label2, ModelMapParams, Point4, ReebOrbit,
-                          Tangent4, apply_J, contact_eval, coord_functions,
+from sympl_moduli import (BranchId, EndClass, Label2, ModelMapParams, Point4,
+                          ReebOrbit, Tangent4, apply_J, asymptotic_constants,
+                          classify_pair, contact_eval, coord_functions,
                           lambda_of_theta, omega_eval, orbit_point, phi_eval,
                           reeb_vector, theta_from_lambda)
 from sympl_moduli.errors import DomainError, PoleError, RangeError
@@ -369,6 +370,109 @@ class TestThetaFromLambda:
 
 #: Angles that the package's earlier wraps (fmod and add 2*pi, or
 #: Python's %) took to 2*pi or to -0.0.
+def _reflect(p):
+    """sigma(s, t, theta, phi) = (s, t, pi - theta, -phi)."""
+    return Point4(p.s, p.t, math.pi - p.theta, -p.phi)
+
+
+def _reflect_vector(v):
+    """sigma's differential: d/dtheta and d/dphi change sign."""
+    return Tangent4(v.v_s, v.v_t, -v.v_theta, -v.v_phi)
+
+
+def _reflection_draws(n=2000, seed=20261019):
+    """n seeded (point, v, w): points as random_points', vectors with
+    entries uniform in [-1, 1]."""
+    rnd = random.Random(seed)
+    return [(point, *(Tangent4(*(rnd.uniform(-1.0, 1.0) for _ in range(4)))
+                      for _ in range(2)))
+            for point in random_points(n, seed=seed)]
+
+
+class TestReflection:
+    """The reflection sigma(s, t, theta, phi) = (s, t, pi - theta, -phi)
+    across the geometry and invariants layers (ROADMAP item 17).  sigma
+    sends cos(theta) to -cos(theta), so it maps (f, h, g) to (f, -h, g),
+    preserves alpha and omega = dt ^ df + dphi ^ dh, commutes with J and
+    the Reeb field, and is an isometry of the round metric
+    g^{-1} omega(., J.).  On data it maps lambda to -lambda, branch A
+    to C and B to itself, and the end class (m, m') to (m, -m').  Each
+    check is on 2,000 seeded points with sin^2(theta) >= 1e-4 and
+    vectors, to a bound a few times the worst gap measured.
+
+    A mutation that is itself sigma-symmetric passes the commuting
+    checks: sigma multiplies each component of J by a fixed sign, so a
+    sign flip of one component of apply_J (out_phi, say) still commutes.
+    The metric check reads omega and J against the round metric, which
+    does not go through apply_J, and fails on that flip."""
+
+    def test_coord_functions(self):
+        for p, _, _ in _reflection_draws():
+            f, h, g = coord_functions(p)
+            f2, h2, g2 = coord_functions(_reflect(p))
+            assert max(abs(f2 - f), abs(h2 + h), abs(g2 - g)) <= 4e-15 * g
+
+    def test_contact_form_and_omega(self):
+        for p, v, w in _reflection_draws():
+            q, v2, w2 = _reflect(p), _reflect_vector(v), _reflect_vector(w)
+            g = coord_functions(p)[2]
+            assert abs(contact_eval(q, v2) - contact_eval(p, v)) <= 1e-14
+            assert (abs(omega_eval(q, v2, w2) - omega_eval(p, v, w))
+                    <= 1e-14 * g)
+
+    def test_J_and_reeb_vector_commute(self):
+        # |J v| grows like 1/sin^2(theta), to about 1e4 here.
+        for p, v, _ in _reflection_draws():
+            q = _reflect(p)
+            want = _reflect_vector(apply_J(p, v))
+            got = apply_J(q, _reflect_vector(v))
+            scale = max(1.0, *map(abs, want))
+            assert max(map(abs, (a - b for a, b in zip(got, want)))) \
+                <= 1e-13 * scale
+            got = reeb_vector(q)
+            want = _reflect_vector(reeb_vector(p))
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14
+
+    def test_round_metric(self):
+        for p, v, w in _reflection_draws():
+            q = _reflect(p)
+            g = coord_functions(p)[2]
+            metric = (v.v_s * w.v_s + v.v_t * w.v_t + v.v_theta * w.v_theta
+                      + math.sin(p.theta) ** 2 * v.v_phi * w.v_phi)
+            got = omega_eval(q, _reflect_vector(v),
+                             apply_J(q, _reflect_vector(w))) / g
+            assert abs(got - metric) <= 1e-14
+
+    def test_theta_from_lambda(self):
+        """Each angle lies within half its last bracket (5e-15) of its
+        float crossing, so the two are within two brackets."""
+        rnd = random.Random(20261019)
+        for _ in range(2000):
+            lam = (math.tan(rnd.uniform(-1.5, 1.5))
+                   * 10.0 ** rnd.uniform(-3.0, 3.0))
+            pairs = [(BranchId.B, BranchId.B)]
+            if lam < 0.0:
+                pairs.append((BranchId.A, BranchId.C))
+            for branch, image in pairs:
+                theta = theta_from_lambda(lam, branch)
+                assert (abs(theta_from_lambda(-lam, image)
+                            - (math.pi - theta)) <= 2e-14), (lam, branch)
+
+    def test_asymptotic_constants(self):
+        """Relative gap within 3e-14 over every coprime admissible end
+        with m != 0, |m| <= 30 and |m'| <= 45.  The bits differ, as
+        theta0 = acos(cos) rounds before its cosine and sine are taken
+        again (TestAsymptoticConstants::test_pinned_bits pins them)."""
+        ends = [(m, mp) for m in range(-30, 31) for mp in range(-45, 46)
+                if m and math.gcd(m, mp) == 1 and classify_pair(m, mp)[0]]
+        assert len(ends) == 2663
+        for m, mp in ends:
+            data = asymptotic_constants(EndClass(m, mp))
+            image = asymptotic_constants(EndClass(m, -mp))
+            for x, y in zip(data, image):
+                assert abs(x - y) <= 3e-14 * abs(x), (m, mp)
+
+
 _WRAP_TO_ZERO = [-1e-20, -4.44e-16, -0.0, -2 * math.pi]
 
 
