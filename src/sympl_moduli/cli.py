@@ -4,10 +4,14 @@ The package's one module that reads the environment, writes files,
 prints or exits: the library takes the tolerance as an argument.
 
 Exit codes: 0 success, 1 domain error (inadmissible label, degenerate
-angle, bad curve domain, a size past its budget in `budgets`), 2 parse
-error, malformed flags, a SYMPL_MODULI_TOL that is not a finite positive
-number or an `--out` that cannot be written, 3 an `InternalError`, a
-breached invariant (e.g. the double-point methods disagree).  Output
+angle, bad curve domain, a size past its budget in `budgets`), 2 a
+malformed flag, an unwritable `--out` or a value refused where argparse
+reads it (SYMPL_MODULI_TOL by the same reader), 3 an `InternalError`, a
+breached invariant (e.g. the double-point methods disagree).  A refused
+value has one wording, "<option> <rule>, got <its first 40 characters>"
+and its length if longer.  A pair entry has at most E = (L - 1) // 2
+digits, L Python's limit on an int's digits in text, so every int a
+command prints (2 E + 1 digits at most) can be printed.  Output
 is deterministic: fixed key order, floats printed with at most twelve
 significant digits, no timestamps.  The one exception is each double
 point's z, w and residual, which double-points prints in full (repr),
@@ -38,6 +42,7 @@ import math
 import os
 import stat
 import sys
+from functools import partial
 from typing import IO, Sequence
 
 from .errors import InternalError, ParseError, SymplModuliError
@@ -107,51 +112,58 @@ def _out_file(path: str | None, newline: str | None):
         raise
 
 
+def _refused(option: str, rule: str, text: str) -> ParseError:
+    """The one wording of a refused value, quoting 40 characters at most."""
+    more = f"... ({len(text)} characters)" if len(text) > 40 else ""
+    return ParseError(f"{option} {rule}, got {text[:40]!r}{more}")
+
+
+def _reader(option: str, kind: type, lo=None, hi=None):
+    """argparse's type for an int or float option: kind(text), refused
+    unless lo < value < hi (a bound of None is open)."""
+    rule = f"must be {'an integer' if kind is int else 'a number'}"
+    if lo is not None:
+        rule += f" > {lo}" + ("" if hi is None else f" and < {hi}")
+
+    def read(text: str):
+        try:
+            value = kind(text)
+            if (lo is None or lo < value) and (hi is None or value < hi):
+                return value
+        except ValueError:
+            pass
+        raise _refused(option, rule, text)
+    return read
+
+
 def residual_tolerance() -> float:
-    """SYMPL_MODULI_TOL (ParseError unless finite and > 0), else 1e-9."""
+    """SYMPL_MODULI_TOL, read as a number > 0 and < inf, else 1e-9."""
     from .model_maps import DEFAULT_RESIDUAL_TOL
     raw = os.environ.get(RESIDUAL_TOL_ENV, DEFAULT_RESIDUAL_TOL)
+    return _reader(RESIDUAL_TOL_ENV, float, 0, math.inf)(raw)
+
+
+def parse_pairs(text: str, least: int = 1, most: int = 3,
+                option: str = "--pairs") -> list[tuple[int, int]]:
+    """From `least` to `most` 'm,m'' pairs split by ';', whitespace ignored,
+    each entry as int() reads it and of at most (L - 1) // 2 digits, L =
+    sys.get_int_max_str_digits() (none if L is 0): every int a command
+    prints then has at most 2 ((L - 1) // 2) + 1 <= L digits."""
+    chunks = [chunk.split(",") for chunk in text.split(";")]
+    if not least <= len(chunks) <= most or any(len(c) != 2 for c in chunks):
+        count = least if least == most else f"{least} to {most}"
+        raise _refused(option, f"must be {count} 'm,m'' pair(s)", text)
+    # Python before 3.10.7 has no limit, and no function that reads it.
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    digits = (limit - 1) // 2
     try:
-        tol = float(raw)
+        entries = [int(x) for chunk in chunks for x in chunk]
+        if not limit or max(map(abs, entries)) < 10 ** digits:
+            return list(zip(entries[::2], entries[1::2]))
     except ValueError:
-        tol = math.nan
-    if not 0 < tol < math.inf:
-        raise ParseError(f"{RESIDUAL_TOL_ENV} must be a finite positive "
-                         f"number, got {raw!r}")
-    return tol
-
-
-def _parse_entry(entry: str, chunk: str) -> int:
-    """One stripped entry of a pair as an int.  int() accepts a sign and
-    decimal digits up to Python's limit on digits (4,300 by default), so
-    such an entry that it refuses has too many, and the error quotes only
-    its first 40 characters."""
-    try:
-        return int(entry)
-    except ValueError as exc:
-        digits = entry[1:] if entry[:1] in ("+", "-") else entry
-        if digits.isdecimal():
-            raise ParseError(
-                f"entry {entry[:40]!r}... has too many digits "
-                f"({len(digits)})") from exc
-        raise ParseError(f"non-integer entry in {chunk!r}") from exc
-
-
-def parse_pairs(text: str) -> list[tuple[int, int]]:
-    """Parse semicolon-separated 'm,m'' integer pairs; whitespace ignored."""
-    out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            raise ParseError(f"empty pair in {text!r}")
-        parts = [p.strip() for p in chunk.split(",")]
-        if len(parts) != 2:
-            raise ParseError(f"expected 'm,m'' but got {chunk!r}")
-        out.append((_parse_entry(parts[0], chunk),
-                    _parse_entry(parts[1], chunk)))
-    if not 1 <= len(out) <= 3:
-        raise ParseError(f"need 1, 2 or 3 pairs, got {len(out)}")
-    return out
+        pass
+    rule = f" of at most {digits} digits" if limit else ""
+    raise _refused(option, "must have integer entries" + rule, text)
 
 
 def _json(payload: dict | list) -> str:
@@ -216,7 +228,7 @@ def _print_listed(payload: dict, key: str, items, out: IO[str] | None) -> None:
 def _cmd_classify(ns: argparse.Namespace, out: IO[str] | None) -> int:
     from .moduli import Label2, validate_label2, validate_label3
     from .reeb import classify_pair
-    pairs = parse_pairs(ns.pairs)
+    pairs = ns.pairs
     if len(pairs) == 1:
         ok, why = classify_pair(*pairs[0])
         payload = {"pairs": [list(pairs[0])], "admissible": ok, "violations": why}
@@ -238,9 +250,7 @@ def _label_from_ns(pairs: list[tuple[int, int]], ordering: int):
     from .moduli import Label2, OrderedLabel3
     if len(pairs) == 2:
         return Label2.make(*pairs)
-    if len(pairs) == 3:
-        return OrderedLabel3.make(pairs, which=ordering)
-    raise ParseError("this command needs 2 or 3 pairs")
+    return OrderedLabel3.make(pairs, which=ordering)
 
 
 def _checked_reports(labels):
@@ -283,8 +293,7 @@ def _report_line(pairs, report, oracle: int, orderings=None) -> str:
 
 
 def _cmd_invariants(ns: argparse.Namespace, out: IO[str] | None) -> int:
-    pairs = parse_pairs(ns.pairs)
-    label = _label_from_ns(pairs, ns.ordering)
+    label = _label_from_ns(ns.pairs, ns.ordering)
     (report, oracle), = _checked_reports([label])
     payload = report.to_json(label)
     payload["m_C_oracle"] = oracle
@@ -296,20 +305,11 @@ def _cmd_invariants(ns: argparse.Namespace, out: IO[str] | None) -> int:
 
 def _cmd_trace(ns: argparse.Namespace, out: IO[str]) -> int:
     from .curves import classify_branches, integrate_profile
-    pairs = parse_pairs(ns.pair)
-    if len(pairs) != 1:
-        raise ParseError("--pair takes exactly one 'p,p'' pair")
-    p, pp = pairs[0]
-    if ns.samples < 2:
-        raise ParseError(f"--samples must be at least 2, got {ns.samples}")
-    if not ns.clip > 0:
-        raise ParseError(f"--clip must be positive, got {ns.clip}")
-    if not math.isfinite(ns.anchor):
-        raise ParseError(f"--anchor must be finite, got {ns.anchor}")
+    (p, pp), = ns.pair
     ranges = classify_branches(p, pp)
     if not 0 <= ns.range < len(ranges):
-        raise ParseError(
-            f"range id {ns.range} invalid: ({p}, {pp}) has {len(ranges)} ranges")
+        raise _refused("--range", f"must be > -1 and < {len(ranges)} for "
+                       "this pair", str(ns.range))
     trace = integrate_profile(p, pp, ns.range, s_anchor=ns.anchor,
                               n_samples=ns.samples, clip=ns.clip)
     _write_trace_csv(trace.samples, out)
@@ -331,8 +331,6 @@ def _cmd_trace(ns: argparse.Namespace, out: IO[str]) -> int:
 
 def _cmd_enumerate(ns: argparse.Namespace, out: IO[str] | None) -> int:
     from .moduli import OrderedLabel3, enumerate_labels
-    if ns.max_abs < 1:
-        raise ParseError(f"--max-abs must be at least 1, got {ns.max_abs}")
     labels = enumerate_labels(ns.max_abs, ns.ends)
     orderings = [None] * len(labels)
     if ns.ends == 3:
@@ -350,11 +348,10 @@ def _cmd_enumerate(ns: argparse.Namespace, out: IO[str] | None) -> int:
 def _cmd_double_points(ns: argparse.Namespace, out: IO[str] | None) -> int:
     from . import invariants as inv
     from .model_maps import ModelMapParams, phi_double_points
-    pairs = parse_pairs(ns.pairs)
     run_model = ns.method in ("model", "all")
     # Read before any route runs: the roots route is O(Delta).
     tol = residual_tolerance() if run_model else None
-    label = _label_from_ns(pairs, 0)     # three pairs: ordering 0
+    label = _label_from_ns(ns.pairs, 0)     # three pairs: ordering 0
     results: dict = {"label": {"pairs": [list(p) for p in label.pairs()]},
                      "delta": inv.delta(label)}
     counts = {}
@@ -381,10 +378,6 @@ def _cmd_spectrum(ns: argparse.Namespace, out: IO[str] | None) -> int:
     from .reeb import ReebOrbit
     if (ns.pair is None) == (ns.polar_m is None):
         raise ParseError("give exactly one of --pair or --polar-m")
-    if ns.nmax < 0:
-        raise ParseError(f"--nmax must be at least 0, got {ns.nmax}")
-    if ns.polar_m is not None and ns.polar_m < 1:
-        raise ParseError(f"--polar-m must be at least 1, got {ns.polar_m}")
     payload: dict
     if ns.polar_m is not None:
         spec = inv.l0_spectrum(inv.PolarSpectrumCase(m=ns.polar_m), ns.nmax)
@@ -392,10 +385,7 @@ def _cmd_spectrum(ns: argparse.Namespace, out: IO[str] | None) -> int:
             "case": "polar", "m": ns.polar_m, "spectrum": [],
         }
     else:
-        pairs = parse_pairs(ns.pair)
-        if len(pairs) != 1:
-            raise ParseError("--pair takes exactly one 'm,m'' pair")
-        m, mp = pairs[0]
+        (m, mp), = ns.pair
         orbit = ReebOrbit.generic(m, mp)
         data = inv.asymptotic_constants(orbit.pair)
         period = abs(m)
@@ -432,38 +422,47 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     c = sub.add_parser("classify", help="Admissibility of 1, 2 or 3 pairs.")
-    c.add_argument("--pairs", required=True,
+    c.add_argument("--pairs", required=True, type=parse_pairs,
                    help="semicolon-separated integer pairs, e.g. \"2,1;1,2\"")
     c.add_argument("--out", help="write JSON here instead of stdout")
     c.set_defaults(func=_cmd_classify)
 
     i = sub.add_parser("invariants", help="Invariant report of a label.")
-    i.add_argument("--pairs", required=True)
-    i.add_argument("--ordering", type=int, choices=(0, 1), default=0,
-                   help="which valid ordering to use for 3-pair labels")
+    i.add_argument("--pairs", required=True,
+                   type=partial(parse_pairs, least=2))
+    i.add_argument("--ordering", type=_reader("--ordering", int, -1, 2),
+                   default=0, help="ordering 0 or 1 of a 3-pair label")
     i.add_argument("--out")
     i.set_defaults(func=_cmd_invariants)
 
     t = sub.add_parser("trace", help="CSV trace of a profile cylinder.")
-    t.add_argument("--pair", required=True, help="one 'p,p'' pair, p > 0")
-    t.add_argument("--range", type=int, required=True, help="theta range id")
-    t.add_argument("--anchor", type=float, default=0.0,
+    t.add_argument("--pair", required=True, help="one 'p,p'' pair, p > 0",
+                   type=partial(parse_pairs, most=1, option="--pair"))
+    t.add_argument("--range", type=_reader("--range", int), required=True,
+                   help="theta range id")
+    t.add_argument("--anchor", default=0.0,
+                   type=_reader("--anchor", float, -math.inf, math.inf),
                    help="value of s at the range midpoint")
-    t.add_argument("--samples", type=int, default=1000)
-    t.add_argument("--clip", type=float, default=DEFAULT_CLIP,
+    t.add_argument("--samples", type=_reader("--samples", int, 1),
+                   default=1000)
+    t.add_argument("--clip", type=_reader("--clip", float, 0),
+                   default=DEFAULT_CLIP,
                    help="distance (> 0) to keep from the range endpoints")
     t.add_argument("--out", required=True, help="CSV output path")
     t.set_defaults(func=_cmd_trace)
 
     e = sub.add_parser("enumerate", help="Enumerate admissible labels.")
-    e.add_argument("--max-abs", type=int, required=True, dest="max_abs")
-    e.add_argument("--ends", type=int, choices=(2, 3), default=2)
+    e.add_argument("--max-abs", required=True,
+                   type=_reader("--max-abs", int, 0))
+    e.add_argument("--ends", type=_reader("--ends", int, 1, 4), default=2,
+                   help="2 or 3")
     e.add_argument("--out")
     e.set_defaults(func=_cmd_enumerate)
 
     d = sub.add_parser("double-points",
                        help="Double points by formula, root count or model map.")
     d.add_argument("--pairs", required=True,
+                   type=partial(parse_pairs, least=2),
                    help="2 or 3 pairs; 3 pairs use their ordering 0")
     d.add_argument("--method", choices=("formula", "roots", "model", "all"),
                    default="all")
@@ -471,10 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(func=_cmd_double_points)
 
     s = sub.add_parser("spectrum", help="Asymptotic constants and spectrum.")
-    s.add_argument("--pair", help="one 'm,m'' pair (generic orbit)")
-    s.add_argument("--polar-m", type=int, dest="polar_m",
+    s.add_argument("--pair", help="one 'm,m'' pair (generic orbit)",
+                   type=partial(parse_pairs, most=1, option="--pair"))
+    s.add_argument("--polar-m", type=_reader("--polar-m", int, 0),
                    help="covering multiplicity of a polar orbit")
-    s.add_argument("--nmax", type=int, default=5)
+    s.add_argument("--nmax", type=_reader("--nmax", int, -1), default=5)
     s.add_argument("--out")
     s.set_defaults(func=_cmd_spectrum)
 
@@ -487,10 +487,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> None:
     parser = build_parser()
-    ns = parser.parse_args(argv)
-    # The trace CSV ends its lines in "\n" on every platform.
-    newline = "" if ns.func is _cmd_trace else None
     try:
+        ns = parser.parse_args(argv)
+        # The trace CSV ends its lines in "\n" on every platform.
+        newline = "" if ns.func is _cmd_trace else None
         with _out_file(ns.out, newline) as out:
             code = ns.func(ns, out)
     except ParseError as exc:

@@ -39,6 +39,7 @@ ordering (x, y, -x-y) of its triple.
 
 from __future__ import annotations
 
+from operator import index
 from typing import NamedTuple
 
 from .budgets import MAX_ENUM_BOUND
@@ -49,8 +50,10 @@ Pair = tuple[int, int]
 
 
 def _as_pair(x) -> Pair:
+    """x as a pair of exact ints; an entry that is not an integer (a
+    float, even 2.0) raises TypeError instead of being truncated."""
     m, mp = x
-    return (int(m), int(mp))
+    return (index(m), index(mp))
 
 
 def _admissible2(p: int, pp: int, q: int, qp: int) -> bool:

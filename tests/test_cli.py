@@ -6,6 +6,7 @@ import os
 import random
 import shlex
 import struct
+import sys
 import types
 from pathlib import Path
 
@@ -101,18 +102,18 @@ class TestClassify:
     @pytest.mark.parametrize("entry", ["9" * 5000, "-" + "9" * 5000])
     def test_entry_with_too_many_digits(self, capsys, entry):
         """int() refuses an entry past Python's 4,300-digit limit; the
-        parse error says so and quotes only the entry's first 40
-        characters, where it called the entry non-integer and echoed the
-        whole pair."""
+        parse error gives the entry limit and quotes only the value's
+        first 40 characters, with its length."""
         code, out, err = run_cli(capsys, "classify", f"--pairs=1,{entry}")
         assert code == 2 and out == ""
-        assert err.startswith(f"parse error: entry {entry[:40]!r}... has "
-                              f"too many digits ({len(entry.lstrip('-'))})")
-        assert len(err) < 120
+        assert err == ("parse error: --pairs must have integer entries of "
+                       f"at most 2149 digits, got {('1,' + entry)[:40]!r}... "
+                       f"({len(entry) + 2} characters)\n")
+        assert len(err) < 160
 
     def test_entry_that_is_not_an_integer(self):
         for bad in ("1,2x", "1,+-2", "1,\u00b2", "1," + "9" * 5000 + "x"):
-            with pytest.raises(ParseError, match="non-integer entry in"):
+            with pytest.raises(ParseError, match="must have integer entries"):
                 parse_pairs(bad)
 
 
@@ -700,6 +701,47 @@ class TestHugeEntries:
         assert all(pt["residual"] < 1e-9 for pt in payload["points"])
 
 
+B = "1" + "0" * 2200      # 2,201 digits: its square has 4,401
+
+
+class TestEntryDigitLimit:
+    """A pair entry has at most (L - 1) // 2 digits, L Python's limit on
+    the digits of an int's text (4,300 by default), so that every int a
+    command prints, Delta at most, has at most L digits.  A longer entry
+    is refused as the reader meets it, where printing a Delta of 4,401
+    digits ended five commands in a ValueError traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["classify"], ["invariants"],
+        ["double-points", "--method", "formula"],
+        ["double-points", "--method", "roots"],
+        ["double-points", "--method", "model"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--pairs", f"{B},1;1,{B}")
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: --pairs must have integer entries "
+                              "of at most 2149 digits, got ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_longest_entries_taken(self, capsys):
+        a = "9" * 2149
+        code, out, _ = run_cli(capsys, "classify", "--pairs", f"{a},1;1,{a}")
+        assert code == 0
+        assert json.loads(out)["delta"] == int(a) ** 2 - 1
+        assert len(str(json.loads(out)["delta"])) == 4298
+
+    def test_limit_follows_python(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert parse_pairs(f"1,{'9' * 319}") == [(1, 10 ** 319 - 1)]
+            with pytest.raises(ParseError, match="at most 319 digits"):
+                parse_pairs(f"1,{10 ** 319}")
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 class TestCosineRounding:
     """A pair just past 2 p'^2 = 3 p^2 whose orbit cosine rounds outside
     [-1, 1] exits 1 with one error line, an empty stdout and no CSV."""
@@ -1045,7 +1087,7 @@ class TestFlagErrors:
         code, out, err = run_cli(capsys, "invariants", "--pairs",
                                  "1,-1;1,4;-2,-3", "--ordering", ordering)
         assert (code, out) == (2, "")
-        assert "invalid choice" in err
+        assert "--ordering must be an integer > -1 and < 2" in err
 
     def test_r_flag_is_gone(self, capsys):
         # No output depended on the model-map scale.

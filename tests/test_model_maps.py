@@ -13,7 +13,7 @@ from sympl_moduli import (DoublePoint, Label2, ModelMapParams, OrderedLabel3,
                           delta, double_points_bruteforce,
                           double_points_formula, enumerate_labels,
                           immersion_residual, model_maps, phi_double_points,
-                          phi_eval)
+                          phi_eval, residue_pairs)
 from sympl_moduli.errors import InvalidLabel, PunctureError, ResidualError
 from sympl_moduli.model_maps import (_point_residual, _powers_normal,
                                      double_points_json)
@@ -462,6 +462,67 @@ class TestThreeEnds:
                 flat = Label2(*label.pairs()[:2])
                 assert (phi_double_points(ModelMapParams(label=label))
                         == phi_double_points(ModelMapParams(label=flat)))
+
+
+def reflect(label):
+    """sigma's image {(q, -q'), (p, -p')} of a two-end label
+    {(p, p'), (q, q')}: sigma(s, t, theta, phi) = (s, t, pi - theta, -phi)
+    sends an end class (m, m') to (m, -m') and swaps the order, so Delta
+    keeps its sign."""
+    (p, pp), (q, qp) = label
+    return Label2.make((q, -qp), (p, -pp))
+
+
+class TestReflection:
+    """ROADMAP item 17 on the root-of-unity oracle and the model map.
+
+    sigma's image of a label has the residue pairs (b, a) of the
+    label's (a, b): p a + q b = p' a + q' b = 0 (mod Delta) is the same
+    pair of congruences read in the other order.  So residue_pairs of
+    the image is the label's list with a and b swapped, then sorted, and
+    the oracle's count is the same; both hold exactly, on every two-end
+    label <= 6 and a seeded sample of those <= 10.
+
+    The image's point (b, a) is (1 - z, 1 - w) for the label's point
+    (a, b, z, w): its closed form (eta - 1) / (eta - eta') is 1 - z for
+    the same floats eta, eta', and its w = eta' (1 - z) = 1 - w.  So
+    the gap is rounding alone: a few ulps in each of the closed form's
+    operations, and an error of a few eps |z| in z, which 1 - z carries
+    as the relative eps |z| / |1 - z|.  The bound is 8 eps (1 + |z| /
+    |1 - z|); the worst seen was 1.9 eps (1 + |z| / |1 - z|), over the
+    points of 5,000 seeded labels <= 10.
+
+    Mutation check: _lattice returning -(x p' + y p + (g > 1)) % coset
+    fails the residue-pair swap."""
+
+    @staticmethod
+    def _assert_oracle_reflects(label):
+        image = reflect(label)
+        assert residue_pairs(image) == sorted(
+            (b, a) for a, b in residue_pairs(label)), label
+        assert (double_points_bruteforce(image)
+                == double_points_bruteforce(label)), label
+
+    def test_oracle_on_every_label_to_6(self):
+        for label in enumerate_labels(6, 2):
+            self._assert_oracle_reflects(label)
+
+    def test_oracle_on_labels_to_10(self, labels2_bound10):
+        for label in random.Random(17).sample(labels2_bound10, 2000):
+            self._assert_oracle_reflects(label)
+
+    def test_model_map_points(self, labels2_bound10):
+        eps = sys.float_info.epsilon
+        for label in random.Random(18).sample(labels2_bound10, 300):
+            points = phi_double_points(ModelMapParams(label=label))
+            image = {(dp.a, dp.b): dp for dp in
+                     phi_double_points(ModelMapParams(label=reflect(label)))}
+            assert len(image) == len(points), label
+            for a, b, z, w, _ in points:
+                bound = 8 * eps * (1 + abs(z) / abs(1 - z))
+                dp = image[b, a]
+                assert abs(dp.z - (1 - z)) <= bound * abs(1 - z), (label, a, b)
+                assert abs(dp.w - (1 - w)) <= bound * abs(1 - w), (label, a, b)
 
 
 class TestPinnedBits:

@@ -130,6 +130,22 @@ class TestValidateLabel2:
             q, qp = label.q_pair.as_tuple()
             assert label.delta == p * (pp + qp) - (p + q) * pp
 
+    @pytest.mark.parametrize("call", [
+        lambda: validate_label2((2.7, 1), (1, 2)),
+        lambda: Label2.make((2.9, 1.2), (1, 2)),
+        lambda: Label3.make([(1.0, -1), (1, 4), (-2, -3)]),
+    ], ids=["validate_label2", "Label2.make", "Label3.make"])
+    def test_float_entries_raise(self, call):
+        # A float entry, even an integral one, is refused, not truncated:
+        # no float enters an admissibility decision.
+        with pytest.raises(TypeError):
+            call()
+
+    def test_int_subclass_entries_give_exact_ints(self):
+        label = Label2.make((True, 0), (0, True))
+        assert label == ((1, 0), (0, 1))
+        assert {type(x) for pair in label for x in pair} == {int}
+
 
 class TestValidateLabel3:
     def test_reference_set(self):
