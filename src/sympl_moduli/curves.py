@@ -180,9 +180,11 @@ def profile_log_terms(p: int, p_prime: int) -> LogTerms:
     root with a fixed angle, from theta_roots since that float bounds
     the theta ranges, carries the offset cos(angle) - pole, which
     rounding leaves nonzero.  DomainError where theta_roots refuses the
-    pair, or a root rounds onto x = +-1 or 2a onto +-sqrt6 (pairs within
-    rounding of the regime boundary 2 p'^2 = 3 p^2, p past ~1e8), since
-    a residue's denominator is 0 there.
+    pair (an angle within rounding of 0 or pi, or p'/p past the float
+    range), or a root rounds onto x = +-1 or 2a onto +-sqrt6 (pairs
+    within rounding of the regime boundary 2 p'^2 = 3 p^2, p past ~1e8),
+    since a residue's denominator is 0 there.  Next to that boundary the
+    pole's residue and the root's lose their digits (ROADMAP defect 10).
     """
     # Here and in _dec_cos, its only users, decimal costs no start-up
     # time of a command that computes no roots at 40 digits.

@@ -270,19 +270,18 @@ def asymptotic_constants(end_class: EndClass) -> AsymptoticData:
     kappa = 6^{-1/2} (1 + 3 cos^4)^{-1/2} |1 - 3 cos^2|
     sigma0 = 4 |cos| |m'/m| (1 + (m'/m)^2 sin^2)^{-1}
 
-    at the orbit angle theta0 (solve_theta0), with |1 - 3 cos^2| the one
-    reeb.orbit_cosine takes from the pair, with the same refusals, so
-    an orbit keeps its digits near cos^2 = 1/3 and is never degenerate
-    there.  Only the m = 0 orbits (0, +-1) lie on cos^2 = 1/3
-    (DegenerateAngle).
+    at the orbit angle theta0 (solve_theta0), from the cosine, its pole
+    distance g and |1 - 3 cos^2| that reeb.orbit_cosine takes from the
+    pair, with the same refusals: sin^2 = g (2 - g), so an orbit keeps
+    its digits near a pole and near cos^2 = 1/3, and (m, m') and
+    (m, -m') share every bit.  Only the m = 0 orbits (0, +-1) lie on
+    cos^2 = 1/3 (DegenerateAngle).
     """
     m, m_prime = end_class
     if m == 0:
         raise DegenerateAngle("cos^2(theta0) = 1/3: no decay constants")
-    pair_cos, dev = orbit_cosine(m, m_prime)
-    theta0 = math.acos(pair_cos)
-    c = math.cos(theta0)
-    s2 = math.sin(theta0) ** 2
+    c, g, dev = orbit_cosine(m, m_prime)
+    s2 = g * (2.0 - g)
     root = math.sqrt(1.0 + 3.0 * c ** 4)
     zeta = SQRT6 * s2 * (1.0 + 3.0 * c * c) / root / dev
     kappa = dev / (SQRT6 * root)
@@ -315,7 +314,10 @@ def l0_spectrum(case: GenericSpectrumCase | PolarSpectrumCase,
     (2 n^2 / T^2) / (zeta + sqrt(...)) and the root as a hypot, so
     neither cancels nor overflows at a large zeta.  Polar orbit covered
     m times: { -sqrt(3/2) + n/m, |n| <= n_max }, all double -- in particular
-    never zero, since sqrt(3/2) is irrational.  Returned sorted by
+    never zero, since sqrt(3/2) is irrational.  For n > 0 it is taken as
+    ((2 n^2 - 3 m^2) / m^2) / (2 (n/m + sqrt(3/2))), one correctly
+    rounded int division, so it keeps its digits where 2 n^2 is near
+    3 m^2 and no m is converted to a float.  Returned sorted by
     eigenvalue.  DomainError past MAX_SPECTRUM_N, or for a generic period
     whose square is past the float range, before any eigenvalue.
     """
@@ -342,9 +344,12 @@ def l0_spectrum(case: GenericSpectrumCase | PolarSpectrumCase,
     else:
         if case.m < 1:
             raise ValueError("m must be >= 1")
-        base = -math.sqrt(1.5)
-        for n in range(-n_max, n_max + 1):
-            out.append((base + n / case.m, 2))
+        m, m2, root = case.m, case.m * case.m, math.sqrt(1.5)
+        for n in range(-n_max, 1):
+            out.append((n / m - root, 2))
+        for n in range(1, n_max + 1):
+            out.append(((2 * n * n - 3 * m2) / m2 / (2.0 * (n / m + root)),
+                        2))
     return sorted(out)
 
 

@@ -13,15 +13,20 @@ three integer rules; the comparison |p'/p| vs sqrt(3)/sqrt(2) is always
 decided exactly as 2 p'^2 vs 3 p^2 (ties are impossible: sqrt(3/2) is
 irrational).
 
-For a pair with p != 0 the defining quadratic in cos(theta) has the two
-roots
+For p != 0 the defining quadratic in cos(theta) has two roots of
+opposite signs, with a = p'/p,
 
-    cos = (sqrt6 a)^{-1} (-1 + (1 + 2 a^2)^{1/2}),   |cos| < 1/sqrt(3),
-    cos = (sqrt6 a)^{-1} (-1 - (1 + 2 a^2)^{1/2}),   1/sqrt3 < |cos| < 1,
+    cos = (sqrt6 a)^{-1} (-1 +- (1 + 2 a^2)^{1/2}):
 
-with a = p'/p; the second exists as an angle only when 2 p'^2 > 3 p^2.
-The roots have opposite signs, and the orbit angle theta0 is the root
-whose cosine agrees in sign with p'.
+the inner one, |cos| < 1/sqrt3, and the outer one, 1/sqrt3 < |cos| < 1,
+an angle only when 2 p'^2 > 3 p^2.  theta0 is the root whose cosine has
+the sign of p'.  The outer root is within O(1/p^2) of -1 or 1 near
+2 p'^2 = 3 p^2, so its angle comes from its pole distance g = 1 - |cos|
+and the exact D = 2 p'^2 - 3 p^2 > 0: with b = |a| and D / p^2 one
+rounded int division, 2b - sqrt6 = 2 (D / p^2) / (2b + sqrt6) and g =
+2b (2b - sqrt6) / (sqrt6 b (sqrt6 b - 1 + (1 + 2 b^2)^{1/2})), so theta
+= 2 asin(sqrt(g / 2)), or pi minus that.  The one angle refused for its
+pole is within rounding of 0 or pi.
 """
 
 from __future__ import annotations
@@ -30,8 +35,9 @@ import enum
 import math
 from typing import NamedTuple, Optional
 
-from .errors import DomainError, InvalidLabel, OutOfRegime, ZeroPair
-from .geometry import SQRT6, _reduce_angle, require_finite
+from .errors import (DomainError, InvalidLabel, OutOfRegime, ZeroPair,
+                     _int_text)
+from .geometry import _TINY, SQRT6, _reduce_angle, require_finite
 
 
 class _EndClassFields(NamedTuple):
@@ -67,9 +73,14 @@ class EndClass(_EndClassFields):
         return (self.m, self.m_prime)
 
 
+def _pair(m: int, m_prime: int) -> str:
+    """(m, m') as a message names it."""
+    return f"({_int_text(m)}, {_int_text(m_prime)})"
+
+
 def _sq(x: int) -> str:
     """x^2 as a violation writes it, a negative x in brackets."""
-    return f"({x})^2" if x < 0 else f"{x}^2"
+    return f"({_int_text(x)})^2" if x < 0 else f"{_int_text(x)}^2"
 
 
 def _steep(m: int, m_prime: int) -> bool:
@@ -96,82 +107,79 @@ def classify_pair(m: int, m_prime: int) -> tuple[bool, list[str]]:
     if m == 0 and m_prime == 0:
         return False, ["(a) both entries are zero"]
     if m == 0 and m_prime not in (-1, 1):
-        violations.append(f"(a) m = 0 requires m' = +-1, got m' = {m_prime}")
+        violations.append(f"(a) m = 0 requires m' = +-1, got m' = {_int_text(m_prime)}")
     if m_prime == 0 and m != 1:
-        violations.append(f"(a) m' = 0 requires m = 1, got m = {m}")
+        violations.append(f"(a) m' = 0 requires m = 1, got m = {_int_text(m)}")
     if m != 0 and m_prime != 0 and math.gcd(m, m_prime) != 1:
-        violations.append(
-            f"(a) gcd({m}, {m_prime}) = {math.gcd(m, m_prime)} != 1")
+        violations.append(f"(a) gcd{_pair(m, m_prime)} = "
+                          f"{_int_text(math.gcd(m, m_prime))} != 1")
     lhs, rhs = 2 * m_prime * m_prime, 3 * m * m
     assert lhs != rhs or m == 0, "2 m'^2 = 3 m^2 impossible for m != 0"
     if not _end_pair_ok(m, m_prime):
-        violations.append(f"(b) 2*{_sq(m_prime)} = {lhs} <= {rhs} = "
-                          f"3*{_sq(m)} with m < 0")
+        violations.append(f"(b) 2*{_sq(m_prime)} = {_int_text(lhs)} <= "
+                          f"{_int_text(rhs)} = 3*{_sq(m)} with m < 0")
     return not violations, violations
 
 
-def orbit_cosine(p: int, p_prime: int) -> tuple[float, float]:
-    """cos(theta0) and |1 - 3 cos^2(theta0)| at the orbit angle of
-    (p, p'), refused where solve_theta0 refuses the pair (a cosine that
-    rounds onto or past +-1 among them).
-
-    The second is 1 for p' = 0 and 0 for p = 0; otherwise it comes from
-    a = p'/p, since 1 - 3 cos^2 = sqrt6 cos / a: 2 / (1 + sqrt(1 + 2a^2))
-    at the inner root, (1 + sqrt(1 + 2a^2)) / a^2 at the outer one.  So
-    it keeps its digits where the float cosine is within rounding of
-    1/sqrt3, and an orbit with p != 0 is never degenerate.
+def orbit_cosine(p: int, p_prime: int) -> tuple[float, float, float]:
+    """cos(theta0), its pole distance g = 1 - |cos(theta0)| and
+    |1 - 3 cos^2(theta0)| at the orbit angle of (p, p'), refused where
+    solve_theta0 refuses the pair; g and the last depend on |p'| alone.
+    The last is 1 for p' = 0, 0 for p = 0, and otherwise sqrt6 |cos| / a
+    with a = |p'/p|: 2 / (1 + sqrt(1 + 2a^2)) at the inner root and
+    (1 + sqrt(1 + 2a^2)) / a^2 at the outer one, never 0.
     """
-    if p == 0 and p_prime == 0:
-        raise ZeroPair("no orbit angle for (0, 0)")
-    if p_prime == 0:
-        return 0.0, 1.0
-    if p == 0:
-        return math.copysign(1.0, p_prime) / math.sqrt(3.0), 0.0
-    if not _end_pair_ok(p, p_prime):
-        raise InvalidLabel(f"({p}, {p_prime}) admits no orbit angle")
-    return _root_cosine(p, p_prime, (p, p_prime), "orbit")
+    return _root(p, p_prime, (p, p_prime))[1:]
 
 
 def solve_theta0(p: int, p_prime: int) -> float:
-    """The orbit angle theta0 for the pair (p, p').
+    """The orbit angle theta0 for the pair (p, p'), non-coprime too.
 
-    p' = 0 gives pi/2 and p = 0 gives arccos(sign(p')/sqrt3) exactly.
-    Otherwise theta0 is the root of p'(1-3cos^2) = p sqrt6 cos whose
-    cosine has the sign of p'; for p > 0 that is the inner (|cos| <
-    1/sqrt3) root, for p < 0 the outer one.  Accepts non-coprime input
-    (the angle only depends on p'/p).  DomainError when p'/p or
-    2 (p'/p)^2 is past the float range or the cosine rounds onto or
-    past +-1, so theta0 lies strictly inside (0, pi).
+    p' = 0 gives pi/2 and p = 0 gives arccos(sign(p')/sqrt3) exactly;
+    otherwise the inner root for p > 0, the outer one for p < 0 (module
+    docstring).  DomainError when p'/p or 2 (p'/p)^2 is past the float
+    range or the angle is within rounding of 0 or pi, so theta0 lies
+    strictly inside (0, pi).
     """
-    return math.acos(orbit_cosine(p, p_prime)[0])
+    return _root(p, p_prime, (p, p_prime))[0]
 
 
-def _root_cosine(p: int, p_prime: int, given: tuple[int, int],
-                 which: str) -> tuple[float, float]:
-    """The cosine of the root of p'(1-3cos^2) = p sqrt6 cos with the
-    sign of p' (p, p' != 0), the inner root for p > 0 and the outer one
-    for p < 0, and |1 - 3 cos^2| there.  DomainError, naming the pair the
-    caller gave and which cosine, unless the cosine is inside (-1, 1)."""
+def _root(p: int, p_prime: int, given: tuple[int, int]
+          ) -> tuple[float, float, float, float]:
+    """solve_theta0 and orbit_cosine at once, each DomainError naming
+    the pair the caller gave: the inner root as the acos of its cosine,
+    the outer one from its pole distance (module docstring)."""
+    if p == 0 and p_prime == 0:
+        raise ZeroPair("no orbit angle for (0, 0)")
+    if p_prime == 0:
+        return math.pi / 2, 0.0, 1.0, 1.0
+    if p == 0:
+        c = (1.0 if p_prime > 0 else -1.0) / math.sqrt(3.0)
+        return math.acos(c), c, 1.0 - abs(c), 0.0
+    if not _end_pair_ok(p, p_prime):
+        raise InvalidLabel(f"{_pair(p, p_prime)} admits no orbit angle")
     try:
-        alpha = p_prime / p
+        a = abs(p_prime / p)
     except OverflowError:
-        raise DomainError(f"{given}: p'/p is past the float range") from None
-    if 2.0 * alpha * alpha == math.inf:
+        raise DomainError(
+            f"{_pair(*given)}: p'/p is past the float range") from None
+    if 2.0 * a * a == math.inf:
         # The roots square p'/p: past ~9.5e153 the cosine would be 0 or inf.
-        raise DomainError(f"{given}: 2 (p'/p)^2 is past the float range")
-    q = 1.0 + math.sqrt(1.0 + 2.0 * alpha * alpha)
+        raise DomainError(
+            f"{_pair(*given)}: 2 (p'/p)^2 is past the float range")
+    q = 1.0 + math.sqrt(1.0 + 2.0 * a * a)
     if p > 0:
         # The inner root as 2 a / (sqrt6 q), free of the cancellation in
         # -1 + sqrt(1 + 2 a^2).
-        return 2.0 * alpha / (SQRT6 * q), 2.0 / q
-    c = -q / (SQRT6 * alpha)
-    if not -1.0 < c < 1.0:
-        # Just past 2 p'^2 = 3 p^2 the outer root is within rounding of
-        # -1 or 1: onto a pole for p past ~1e8, outside past ~1e9.
-        where = "onto the pole" if abs(c) == 1.0 else "outside [-1, 1]"
-        raise DomainError(f"{given}: the {which} cosine rounds to {c!r}, "
-                          f"{where}")
-    return c, q / (alpha * alpha)
+        c = 2.0 * a / (SQRT6 * q) * (1.0 if p_prime > 0 else -1.0)
+        return math.acos(c), c, 1.0 - abs(c), 2.0 / q
+    d = (2 * p_prime * p_prime - 3 * p * p) / (p * p)
+    g = 4.0 * d / (2.0 * a + SQRT6) * a / (SQRT6 * a * (SQRT6 * a - 2.0 + q))
+    near = 2.0 * math.asin(math.sqrt(0.5 * g))      # theta from its pole
+    theta, c = (near, 1.0 - g) if p_prime > 0 else (math.pi - near, g - 1.0)
+    if g < _TINY or theta == math.pi:
+        raise DomainError(f"{_pair(*given)}: the angle rounds onto a pole")
+    return theta, c, g, q / (a * a)
 
 
 def _has_companion(p: int, p_prime: int) -> bool:
@@ -187,9 +195,9 @@ def solve_theta0_bar(p: int, p_prime: int) -> float:
     """
     if not _has_companion(p, p_prime):
         raise OutOfRegime(
-            f"({p}, {p_prime}): companion angle needs p != 0 and 2 p'^2 > 3 p^2")
-    return math.acos(_root_cosine(-p, -p_prime, (p, p_prime),
-                                  "companion")[0])
+            f"{_pair(p, p_prime)}: companion angle needs p != 0 and "
+            f"2 p'^2 > 3 p^2")
+    return _root(-p, -p_prime, (p, p_prime))[0]
 
 
 class ThetaRoots(NamedTuple):
@@ -239,7 +247,8 @@ class ReebOrbit(NamedTuple):
         reduced = pair.reduced()
         ok, why = classify_pair(reduced.m, reduced.m_prime)
         if not ok:
-            raise InvalidLabel(f"({m}, {m_prime}) is not admissible: {why}")
+            raise InvalidLabel(
+                f"{_pair(m, m_prime)} is not admissible: {why}")
         return cls(OrbitKind.GENERIC, pair=reduced,
                    upsilon=math.fmod(upsilon, math.tau),
                    theta0=solve_theta0(reduced.m, reduced.m_prime),
@@ -274,6 +283,6 @@ def orbit_point(orbit: ReebOrbit, tau: float) -> tuple[float, float, float]:
     except OverflowError:
         phi = math.inf
     if not math.isfinite(phi):
-        raise DomainError(f"({p}, {pp}): an entry or p' tau is past the "
-                          f"float range")
+        raise DomainError(f"{_pair(p, pp)}: an entry or p' tau is past "
+                          f"the float range")
     return (_reduce_angle(tau), orbit.theta0, _reduce_angle(phi))

@@ -63,13 +63,16 @@ class TestClassifyBranches:
             ("theta0", "polePi")]
 
     def test_companion_angle_rounded_onto_a_pole(self):
-        # 2 p'^2 - 3 p^2 = 5: the companion cosine rounds onto -1, where
-        # theta0_bar would be pi and its range (pi, pi) empty: refused.
+        # 2 p'^2 - 3 p^2 = 5: the float companion cosine rounds onto -1,
+        # but its angle, pi - 7.5208382352e-9 from the pole distance,
+        # leaves range 2 non-empty.
         p, pp = 121378881, 148658162
         assert 2 * pp * pp - 3 * p * p == 5
-        for call in (solve_theta0_bar, classify_branches):
-            with pytest.raises(DomainError, match="onto the pole"):
-                call(p, pp)
+        thb = solve_theta0_bar(p, pp)
+        assert math.pi - thb == pytest.approx(7.5208382352386064e-9,
+                                              rel=1e-7)
+        ranges = classify_branches(p, pp)
+        assert ranges[1].hi == ranges[2].lo == thb < ranges[2].hi == math.pi
 
     def test_needs_positive_p(self):
         with pytest.raises(InvalidLabel):
@@ -110,22 +113,24 @@ class TestPinnedCurves:
     commit after 6600161, when every converging Newton step was taken
     and the first probe came from the curve's record: 33 of the 105
     points moved, by at most 4.1e-14 in theta, and every point stays
-    within 1e-13 of the bisection's (TestProfilePoint).
+    within 1e-13 of the bisection's (TestProfilePoint).  Both were
+    re-recorded when companion angles came from the pole distance: the
+    values of pairs without one kept their bits.
     """
 
     def test_values_keep_their_bits(self):
         s_vals, _ = _pinned_curve_values()
         assert len(s_vals) == 147
-        assert _digest(s_vals) == ("4e56928bd22a0a0d2471a6d883ff70e5"
-                                   "5c583d1e3d4c5165295c64cb9e64b10d")
+        assert _digest(s_vals) == ("ee9c48580f623838479ea82ca126cd99"
+                                   "a6d95da47b9f093d36758d1b336850f7")
 
     def test_points_keep_their_bits(self):
         vals = []
         for spec, u in _pinned_curve_values()[1]:
             vals.extend(eval_invariant_curve(spec, 0.5, u))
         assert len(vals) == 420
-        assert _digest(vals) == ("99166bcea3931e1b6b903d951ff74496"
-                                 "92b4f3e2f9638cd5b3a5af2705ebe1da")
+        assert _digest(vals) == ("6148a22a9d30d8e9e31daf0d9edbcccb"
+                                 "807a3ea78e02800ed6e70f319fb209fc")
 
 
 def _profile_domain_values():
@@ -178,15 +183,18 @@ class TestPinnedDomain:
     after 6600161, when every converging Newton step was taken and the
     first probe came from the curve's record: 1,187 of the 2,412 points
     moved, by at most 6.5e-14 in theta, and every point stays within
-    1e-13 of the bisection's (TestProfilePoint).
+    1e-13 of the bisection's (TestProfilePoint).  Both were re-recorded
+    when companion angles came from the pole distance, within 4 ulp of
+    mpmath: every value of a pair without one kept its bits, no value
+    changed kind, and trace rows moved by at most 5.6e-15 in theta.
     """
 
     def test_profile_domain_keeps_its_bits(self, profile_domain):
         vals, _ = profile_domain
         assert len(vals) == 254764
         assert vals.count("DomainError") == 20
-        assert _digest(vals) == ("a76d9d51a6c2b36684d395e190ebf83c"
-                                 "ed0f918d20d3f94f9b279b2b4d8aee5b")
+        assert _digest(vals) == ("02878f13b419d2f0649fe954a4140929"
+                                 "115f37ae737197ce5c63fd7a7eb1ec56")
 
     def test_points_keep_their_bits(self, profile_domain):
         vals = []
@@ -197,8 +205,8 @@ class TestPinnedDomain:
                 vals.append("DomainError")
         assert len(vals) == 9648
         assert vals.count("DomainError") == 0
-        assert _digest(vals) == ("28b38a982abc8b0ab49877f96b1462d5"
-                                 "2a0c4b9cd5986eb934d66299635e418f")
+        assert _digest(vals) == ("f6b12718281019046f84f3eb3cec0078"
+                                 "87127a6fef390c873d7d87dbe0858577")
 
 
 def _bisect_reference(spec, tau, u, clip):
@@ -538,8 +546,9 @@ def _log_sum_by_term(terms, theta):
 
 
 class TestLogTermKinds:
-    # (196658561, +-240856564): 2 p'^2 - 3 p^2 = 29, the companion cosine
-    # rounds onto -1 (onto 1 for p' < 0) while its pole stays off it.
+    # (196658561, +-240856564): 2 p'^2 - 3 p^2 = 29, the companion root
+    # is within 6.3e-17 of x = -1 (of 1 for p' < 0) while it and its
+    # pole stay apart in floats.
     ROUNDED = [(196658561, 240856564), (196658561, -240856564)]
 
     @pytest.mark.parametrize("p,pp", CLOSED_FORM_PAIRS)
@@ -566,14 +575,19 @@ class TestLogTermKinds:
             assert list(map(repr, curves._log_sums(terms, thetas))) == expected
 
     def test_rounded_companion_refused(self):
-        # No fixed angle lies on a pole: the companion term in the form of
-        # the pole x = -1 gives s = 6.5e13 from the 30 % to the 70 % point
-        # of range 0 of the first pair, where the exact value is 0.0508.
+        # The float companion cosine rounds onto the pole, but the angle,
+        # from the pole distance, is an inner term strictly inside (0, pi),
+        # 1.1e-8 from the pole.  Its residue and the pole's lose their
+        # digits here (ROADMAP defect 10), and every range's trace is
+        # refused, as it was when the cosine refused the pair.
         for p, pp in self.ROUNDED:
-            with pytest.raises(DomainError, match="onto the pole"):
-                profile_log_terms(p, pp)
-            with pytest.raises(DomainError, match="onto the pole"):
-                s_of_theta(p, pp, 0.3, 0.0, 0.4)
+            thb = solve_theta0_bar(p, pp)
+            assert min(thb, math.pi - thb) == pytest.approx(1.1179194e-8,
+                                                            rel=1e-7)
+            assert 2.0 * profile_log_terms(p, pp).inside[1][1] == thb
+            for rid in range(3):
+                with pytest.raises((DomainError, BranchError)):
+                    integrate_profile(p, pp, rid)
 
     @pytest.mark.parametrize("p,pp", CLOSED_FORM_PAIRS)
     def test_sign_flip_keeps_the_record(self, p, pp):
@@ -593,10 +607,7 @@ class TestMergedPoles:
         (121378881, 148658162, -1.0), (83739041, 102558961, -1.0),
         (83739041, -102558961, 1.0)])
     def test_refused(self, p, pp, x):
-        # The first pair's float companion cosine itself rounds onto
-        # x = -1, so the pole rule refuses it before its residues.
-        want = ("onto the pole" if (p, pp) == (121378881, 148658162)
-                else f"round onto x = {x}")
+        want = f"round onto x = {x}"
         with pytest.raises(DomainError, match=want):
             profile_log_terms(p, pp)
         with pytest.raises(DomainError, match=want):

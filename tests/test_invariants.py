@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import sympl_moduli as sm
 from sympl_moduli import (EndClass, EndDescriptor, GenericSpectrumCase, Label2,
-                          OrderedLabel3, PolarSpectrumCase, Side,
+                          Label3, OrderedLabel3, PolarSpectrumCase, Side,
                           adjunction_e_pairing, asymptotic_constants,
                           boundary_labels, c1_pairing, delta,
                           double_points_bruteforce, double_points_formula,
@@ -341,12 +341,16 @@ class TestAsymptoticConstants:
         with pytest.raises(DegenerateAngle):
             asymptotic_constants(EndClass(0, 1))
 
-    def test_cosine_on_a_pole_refused(self):
-        # 2 p'^2 - 3 p^2 = 5: the outer root's cosine rounds onto +-1, so
-        # theta0 is 0 or pi and sin^2 would put the orbit on a pole.
+    def test_cosine_on_a_pole(self):
+        # 2 p'^2 - 3 p^2 = 5: the outer root's float cosine rounds onto
+        # +-1, which refused the orbit.  sin^2 from the pole distance
+        # gives it, with the same constants for either sign of m'.
+        zeta, kappa, sigma0 = decay_constants_mpmath(-121378881, 148658162)
         for m_prime in (148658162, -148658162):
-            with pytest.raises(DomainError, match="onto the pole"):
-                asymptotic_constants(EndClass(-121378881, m_prime))
+            data = asymptotic_constants(EndClass(-121378881, m_prime))
+            assert abs(data.zeta - zeta) <= 4e-16 * zeta
+            assert abs(data.kappa - kappa) <= 4e-16 * kappa
+            assert abs(data.sigma0 - sigma0) <= 4e-16 * sigma0
 
     def test_positive_in_range(self):
         for p, pp in [(1, 0), (1, 1), (2, 5), (-1, 2), (1, -3)]:
@@ -372,9 +376,9 @@ class TestAsymptoticConstants:
     def test_pinned_bits(self):
         # sha256 of repr((zeta, kappa, sigma0)), or the error's type name,
         # over every accepted pair with |p| <= 30 and |p'| <= 45 in
-        # increasing (p, p'), recorded from the two-argument
-        # asymptotic_constants(solve_theta0(p, p'), EndClass(p, p')) that
-        # took theta0 as a float argument.
+        # increasing (p, p'), re-recorded when sin^2 theta0 came from the
+        # pole distance instead of the float angle: the worst error
+        # against mpmath went from 1.8e-13 to 1.0e-15.
         digest = hashlib.sha256()
         count = 0
         for p in range(-30, 31):
@@ -389,7 +393,7 @@ class TestAsymptoticConstants:
                 digest.update(value.encode() + b"\n")
         assert count == 2665
         assert digest.hexdigest() == (
-            "1d63bcf4082c9986b8dfa0c227239d55c4ab1c1d5fa6cc6a7c7f49fbb3ae62dc")
+            "b4be96d7973e3524d46bc6c6cc369c7ecb6091e070bb4d67c6bfa573313ba453")
 
 
 class TestSpectrum:
@@ -544,6 +548,63 @@ def sampled_pairs():
         if math.gcd(p, pp) == 1 and sm.classify_pair(p, pp)[0]:
             pairs.append((p, pp))
     return pairs
+
+
+def _sigma(pair):
+    """The reflection's action on an end class: (m, m') -> (m, -m')."""
+    m, mp = pair
+    return (m, -mp)
+
+
+class TestReflection:
+    """ROADMAP item 17 on the invariants layer.  The reflection
+    sigma(s, t, theta, phi) = (s, t, pi - theta, -phi) sends an end class
+    (m, m') to (m, -m'), so its orbit angle to pi - theta0, and an
+    ordering (x, y, k) of a three-end label to (sigma y, sigma x,
+    sigma k).  The decay constants and the spectrum depend on cos^2,
+    |cos| and |m'/m| only, and the orbit cosine's pole distance and
+    |1 - 3 cos^2| are taken from |m'|, so the image agrees bit for bit.
+    Exhaustive over the 1,331 admissible coprime pairs with 0 < |m| <= 30
+    and 1 <= m' <= 45, and the 520 three-end labels <= 6.
+
+    A mutation that breaks the symmetry fails this class: 4 cos in
+    place of 4 |cos| in sigma0.  A sigma-symmetric mutation passes a
+    commuting check; tests/test_cli.py::TestSpectrumDigits, which holds
+    every printed constant and eigenvalue to an mpmath oracle, is the
+    check that is not symmetric."""
+
+    def test_decay_constants_and_spectrum(self):
+        count = 0
+        for m in range(-30, 31):
+            for mp in range(1, 46):
+                if m == 0 or math.gcd(m, mp) != 1 or not sm.classify_pair(
+                        m, mp)[0]:
+                    continue
+                count += 1
+                data = asymptotic_constants(EndClass(m, mp))
+                image = asymptotic_constants(EndClass(*_sigma((m, mp))))
+                assert image == data, (m, mp)
+                case = GenericSpectrumCase(data.zeta, abs(m))
+                image_case = GenericSpectrumCase(image.zeta, abs(m))
+                assert l0_spectrum(image_case, 3) == l0_spectrum(case, 3)
+        assert count == 1331
+
+    def test_three_end_labels(self):
+        labels = enumerate_labels(6, 3)
+        assert len(labels) == 520
+        for l3 in labels:
+            mirrored = [_sigma(x) for x in l3.pairs]
+            ok, orderings = sm.validate_label3(mirrored)
+            assert ok
+            assert orderings == sorted((_sigma(y), _sigma(x), _sigma(k))
+                                       for x, y, k in l3.orderings())
+            image_l3 = Label3.make(mirrored)
+            for x, y, k in l3.orderings():
+                report = sphere_report(OrderedLabel3(l3, (x, y, k)))
+                g1, g2, gk = report.gcd_triple
+                image = sphere_report(OrderedLabel3(
+                    image_l3, (_sigma(y), _sigma(x), _sigma(k))))
+                assert image == report._replace(gcd_triple=(g2, g1, gk))
 
 
 class TestDecayRateIdentity:

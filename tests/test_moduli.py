@@ -441,17 +441,19 @@ class TestReflection:
             self._assert_report_reflects(x, y)
 
     def test_orbit_angles_mirror(self):
-        # orbit_cosine negates exactly (p'/p does); acos(-c) = pi - acos(c)
-        # up to rounding, 4.4e-16 = ulp(pi) at worst in this box.
+        # orbit_cosine negates the cosine exactly and keeps the pole
+        # distance and |1 - 3 cos^2|, which depend on |p'| alone;
+        # acos(-c) = pi - acos(c) up to rounding, 4.4e-16 = ulp(pi) at
+        # worst in this box.
         for p in range(-60, 61):
             for pp in range(-90, 91):
                 try:
-                    c, dev = orbit_cosine(p, pp)
+                    c, g, dev = orbit_cosine(p, pp)
                 except SymplModuliError as exc:
                     with pytest.raises(type(exc)):
                         orbit_cosine(p, -pp)
                     continue
-                assert orbit_cosine(p, -pp) == (-c, dev), (p, pp)
+                assert orbit_cosine(p, -pp) == (-c, g, dev), (p, pp)
                 th, bar = theta_roots(p, pp)
                 th_image, bar_image = theta_roots(p, -pp)
                 assert abs(th_image - (math.pi - th)) <= 2 * math.ulp(math.pi)

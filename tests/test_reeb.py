@@ -121,14 +121,63 @@ class TestOrbitCosine:
                     solve(*args)
 
     def test_deviation(self):
-        # |1 - 3 cos^2| is 1 at the equator and exactly 0 for p = 0;
-        # elsewhere it is the float angle's value where nothing cancels.
-        assert orbit_cosine(1, 0) == (0.0, 1.0)
-        assert orbit_cosine(0, -1) == (-INV_SQRT3, 0.0)
+        # The pole distance is 1 - |cos| and |1 - 3 cos^2| is 1 at the
+        # equator and exactly 0 for p = 0; elsewhere both are the float
+        # angle's values where nothing cancels.  The inner root's angle
+        # is the acos of its cosine, the outer root's cosine 1 - g.
+        assert orbit_cosine(1, 0) == (0.0, 1.0, 1.0)
+        assert orbit_cosine(0, -1) == (-INV_SQRT3, 1.0 - INV_SQRT3, 0.0)
         for p, pp in admissible_coprime_pairs(30):
-            c, dev = orbit_cosine(p, pp)
-            assert math.acos(c) == solve_theta0(p, pp)
+            c, g, dev = orbit_cosine(p, pp)
+            if p >= 0:
+                assert math.acos(c) == solve_theta0(p, pp)
+                assert g == 1.0 - abs(c)
+            else:
+                assert c == math.copysign(1.0 - g, pp)
+                assert math.cos(solve_theta0(p, pp)) == pytest.approx(
+                    c, abs=1e-15)
             assert dev == pytest.approx(abs(1.0 - 3.0 * c * c), abs=1e-14)
+
+
+def _named(n):
+    """n as a message names it: str(n), or its size where str refuses."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"<{n.bit_length()}-bit int>"
+
+
+class TestEntriesPastTheFloats:
+    """Entries past the float range, or past Python's 4,300-digit limit
+    on int text: a value, or a package error that names each int.  The
+    sign of p' came from a float of p' (OverflowError), and messages
+    formatted the int (ValueError)."""
+
+    BIG = 10 ** 5000
+
+    def test_p_zero(self):
+        for pp in (10 ** 400, self.BIG):
+            assert solve_theta0(0, pp) == solve_theta0(0, 1)
+            assert solve_theta0(0, -pp) == solve_theta0(0, -1)
+            assert theta_roots(0, pp) == (solve_theta0(0, 1), None)
+
+    def test_messages_name_every_int(self):
+        big = _named(self.BIG)
+        with pytest.raises(DomainError, match=re.escape(
+                f"(1, {big}): p'/p is past the float range")):
+            solve_theta0(1, self.BIG)
+        assert classify_pair(-self.BIG, 1) == (False, [
+            f"(b) 2*1^2 = 2 <= {_named(3 * self.BIG ** 2)} = "
+            f"3*({_named(-self.BIG)})^2 with m < 0"])
+        with pytest.raises(OutOfRegime, match=re.escape(f"({big}, 1)")):
+            solve_theta0_bar(self.BIG, 1)
+        with pytest.raises(InvalidLabel, match="is not admissible"):
+            ReebOrbit.generic(-self.BIG, 1)
+
+    def test_orbit_point_refused(self):
+        orbit = ReebOrbit.generic(self.BIG, self.BIG + 1)
+        with pytest.raises(DomainError, match="past the float range"):
+            orbit_point(orbit, 0.5)
 
 
 class TestSolveTheta0Bar:
@@ -186,35 +235,40 @@ def pell_pairs(p_max):
 
 class TestPellPairs:
     def test_walk_gives_angle_or_domain_error(self):
-        refused = 0
+        # The outer root takes its angle from the pole distance, so no
+        # pair to 1e12 is refused.
         for p, pp in pell_pairs(10**12):
             assert 2 * pp * pp - 3 * p * p == 5
             for args in ((p, pp), (p, -pp), (-p, pp), (-p, -pp)):
-                try:
-                    th = solve_theta0(*args)
-                except DomainError:
-                    refused += 1
-                    continue
-                assert 0.0 < th < math.pi
+                assert 0.0 < solve_theta0(*args) < math.pi, args
             for args in ((p, pp), (p, -pp)):
-                try:
-                    th = solve_theta0_bar(*args)
-                except DomainError:
-                    continue
-                assert 0.0 < th < math.pi
-        assert refused > 0
+                assert 0.0 < solve_theta0_bar(*args) < math.pi, args
 
     def test_refused_first_past_1e9(self):
-        # Past ~1e8 the cosine rounds onto +-1 first, whose angle would
-        # be a pole's, and past ~1e9 outside [-1, 1].
-        for args in ((-121378881, -148658162), (-121378881, 148658162)):
-            with pytest.raises(DomainError, match="onto the pole"):
-                solve_theta0(*args)
-        for args in ((-1201527053, 1471564096), (-1201527053, -1471564096)):
-            with pytest.raises(DomainError, match=r"outside \[-1, 1\]"):
-                solve_theta0(*args)
-        with pytest.raises(DomainError):
-            theta_roots(1201527053, 1471564096)
+        # The float cosine rounded onto +-1 past ~1e8, and outside
+        # [-1, 1] past ~1e9, and refused the angle.  The pole distance
+        # gives it within 4 ulp, up to the first pair whose angle is
+        # within rounding of pi, at p ~ 1.1e16.
+        for (p, pp), theta in [((121378881, 148658162), 7.520838235238607e-9),
+                               ((1201527053, 1471564096), 7.597589474960219e-10)]:
+            for sign in (1, -1):
+                got = solve_theta0(-p, sign * pp)
+                want = theta if sign == 1 else math.pi - theta
+                assert abs(got - want) <= 4 * math.ulp(want), (p, sign)
+            assert theta_roots(p, -pp).theta0_bar == solve_theta0(-p, pp)
+        refused = sorted(p for p, pp in pell_pairs(10**17)
+                         if not _angle_given(-p, -pp))
+        assert refused == [11190938864748161, 26632150395173123]
+        assert all(_angle_given(-p, pp) for p, pp in pell_pairs(10**17))
+
+
+def _angle_given(p, pp):
+    try:
+        solve_theta0(p, pp)
+    except DomainError as exc:
+        assert "rounds onto a pole" in str(exc)
+        return False
+    return True
 
 
 def near_boundary_pairs():
