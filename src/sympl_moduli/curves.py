@@ -184,7 +184,10 @@ def profile_log_terms(p: int, p_prime: int) -> LogTerms:
     range), or a root rounds onto x = +-1 or 2a onto +-sqrt6 (pairs
     within rounding of the regime boundary 2 p'^2 = 3 p^2, p past ~1e8),
     since a residue's denominator is 0 there.  Next to that boundary the
-    pole's residue and the root's lose their digits (ROADMAP defect 10).
+    pole's residue and the root's lose their digits (ROADMAP defect 10):
+    a companion root within 2^-52 of x = +-1, where rounding it moves
+    1 - x^2 by up to a quarter and both residues pass 9e14, is refused
+    too.
     """
     # Here and in _dec_cos, its only users, decimal costs no start-up
     # time of a command that computes no roots at 40 digits.
@@ -211,6 +214,11 @@ def profile_log_terms(p: int, p_prime: int) -> LogTerms:
             one_minus_r2 = (1.0 - r) * (1.0 + r)
             if one_minus_r2 == 0.0:
                 raise _merged_poles(p, p_prime, r)
+            if angle is not None and 1 - abs(r_dec) < 2.0 ** -52:
+                raise DomainError(
+                    f"({p}, {p_prime}): the companion root lies within "
+                    f"2^-52 of the pole x = {math.copysign(1.0, r)}, so "
+                    f"its residue and the pole's leave s no digit")
             num = 1.0 - 3.0 * r * r + SQRT6 * a * r * one_minus_r2
             residue = num / ((6.0 * a * r + SQRT6) * one_minus_r2)
             if angle is None:

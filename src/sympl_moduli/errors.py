@@ -9,11 +9,12 @@ library caught itself producing nonsense" (InternalError: CLI exit 3).
 
 def _int_text(n: int) -> str:
     """n as a message names it: its decimal text where str allows it,
-    else its size, since str refuses an int past Python's digit limit."""
+    else its sign and size, since str refuses an int past Python's digit
+    limit."""
     try:
         return str(n)
     except ValueError:
-        return f"<{n.bit_length()}-bit int>"
+        return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit int>"
 
 
 class SymplModuliError(Exception):

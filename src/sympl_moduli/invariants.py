@@ -272,9 +272,9 @@ def asymptotic_constants(end_class: EndClass) -> AsymptoticData:
 
     at the orbit angle theta0 (solve_theta0), from the cosine, its pole
     distance g and |1 - 3 cos^2| that reeb.orbit_cosine takes from the
-    pair, with the same refusals: sin^2 = g (2 - g), so an orbit keeps
-    its digits near a pole and near cos^2 = 1/3, and (m, m') and
-    (m, -m') share every bit.  Only the m = 0 orbits (0, +-1) lie on
+    pair, with its refusals: sin^2 = g (2 - g), so an orbit keeps its
+    digits near a pole and near cos^2 = 1/3, and (m, +-m') share every
+    bit where both are accepted.  Only the m = 0 orbits (0, +-1) lie on
     cos^2 = 1/3 (DegenerateAngle).
     """
     m, m_prime = end_class

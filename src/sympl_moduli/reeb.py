@@ -14,19 +14,17 @@ decided exactly as 2 p'^2 vs 3 p^2 (ties are impossible: sqrt(3/2) is
 irrational).
 
 For p != 0 the defining quadratic in cos(theta) has two roots of
-opposite signs, with a = p'/p,
-
-    cos = (sqrt6 a)^{-1} (-1 +- (1 + 2 a^2)^{1/2}):
-
-the inner one, |cos| < 1/sqrt3, and the outer one, 1/sqrt3 < |cos| < 1,
-an angle only when 2 p'^2 > 3 p^2.  theta0 is the root whose cosine has
-the sign of p'.  The outer root is within O(1/p^2) of -1 or 1 near
-2 p'^2 = 3 p^2, so its angle comes from its pole distance g = 1 - |cos|
-and the exact D = 2 p'^2 - 3 p^2 > 0: with b = |a| and D / p^2 one
-rounded int division, 2b - sqrt6 = 2 (D / p^2) / (2b + sqrt6) and g =
-2b (2b - sqrt6) / (sqrt6 b (sqrt6 b - 1 + (1 + 2 b^2)^{1/2})), so theta
-= 2 asin(sqrt(g / 2)), or pi minus that.  The one angle refused for its
-pole is within rounding of 0 or pi.
+opposite signs, cos = (sqrt6 a)^{-1} (-1 +- (1 + 2 a^2)^{1/2}) with
+a = p'/p: the inner one, |cos| < 1/sqrt3, and the outer one,
+1/sqrt3 < |cos| < 1, an angle only when 2 p'^2 > 3 p^2.  theta0 is the
+root whose cosine has the sign of p'.  Near 2 p'^2 = 3 p^2 the outer
+root is within O(1/p^2) of -1 or 1, so its angle comes from its pole
+distance g = 1 - |cos| and the exact D = 2 p'^2 - 3 p^2 > 0: with
+b = |a| and D / p^2 one rounded int division, 2b - sqrt6 =
+2 (D / p^2) / (2b + sqrt6) and g = 2b (2b - sqrt6) / (sqrt6 b (sqrt6 b
+- 1 + (1 + 2 b^2)^{1/2})), so theta = 2 asin(sqrt(g / 2)), or pi minus
+that.  It is refused only where g leaves the normal floats or pi minus
+the angle is below half an ulp of pi (|p| ~ 1.1e16 on where D = 5).
 """
 
 from __future__ import annotations
@@ -107,7 +105,8 @@ def classify_pair(m: int, m_prime: int) -> tuple[bool, list[str]]:
     if m == 0 and m_prime == 0:
         return False, ["(a) both entries are zero"]
     if m == 0 and m_prime not in (-1, 1):
-        violations.append(f"(a) m = 0 requires m' = +-1, got m' = {_int_text(m_prime)}")
+        violations.append(f"(a) m = 0 requires m' = +-1, got m' = "
+                          f"{_int_text(m_prime)}")
     if m_prime == 0 and m != 1:
         violations.append(f"(a) m' = 0 requires m = 1, got m = {_int_text(m)}")
     if m != 0 and m_prime != 0 and math.gcd(m, m_prime) != 1:
@@ -124,9 +123,10 @@ def classify_pair(m: int, m_prime: int) -> tuple[bool, list[str]]:
 def orbit_cosine(p: int, p_prime: int) -> tuple[float, float, float]:
     """cos(theta0), its pole distance g = 1 - |cos(theta0)| and
     |1 - 3 cos^2(theta0)| at the orbit angle of (p, p'), refused where
-    solve_theta0 refuses the pair; g and the last depend on |p'| alone.
-    The last is 1 for p' = 0, 0 for p = 0, and otherwise sqrt6 |cos| / a
-    with a = |p'/p|: 2 / (1 + sqrt(1 + 2a^2)) at the inner root and
+    solve_theta0 refuses the pair, so also (p, -p') whose angle rounds
+    onto pi, although g and the last depend on |p'| alone.  The last is
+    1 for p' = 0, 0 for p = 0, and otherwise sqrt6 |cos| / a with
+    a = |p'/p|: 2 / (1 + sqrt(1 + 2a^2)) at the inner root and
     (1 + sqrt(1 + 2a^2)) / a^2 at the outer one, never 0.
     """
     return _root(p, p_prime, (p, p_prime))[1:]
@@ -138,8 +138,8 @@ def solve_theta0(p: int, p_prime: int) -> float:
     p' = 0 gives pi/2 and p = 0 gives arccos(sign(p')/sqrt3) exactly;
     otherwise the inner root for p > 0, the outer one for p < 0 (module
     docstring).  DomainError when p'/p or 2 (p'/p)^2 is past the float
-    range or the angle is within rounding of 0 or pi, so theta0 lies
-    strictly inside (0, pi).
+    range, the pole distance leaves the normal floats or the angle rounds
+    onto pi, so theta0 lies strictly inside (0, pi).
     """
     return _root(p, p_prime, (p, p_prime))[0]
 
@@ -178,7 +178,9 @@ def _root(p: int, p_prime: int, given: tuple[int, int]
     near = 2.0 * math.asin(math.sqrt(0.5 * g))      # theta from its pole
     theta, c = (near, 1.0 - g) if p_prime > 0 else (math.pi - near, g - 1.0)
     if g < _TINY or theta == math.pi:
-        raise DomainError(f"{_pair(*given)}: the angle rounds onto a pole")
+        raise DomainError(f"{_pair(*given)}: " + (
+            "the pole distance leaves the normal floats" if g < _TINY
+            else "the angle rounds onto pi"))
     return theta, c, g, q / (a * a)
 
 

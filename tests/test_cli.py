@@ -748,16 +748,21 @@ class TestCosineRounding:
     round onto or past +-1.  spectrum prints their angles, taken from the
     pole distance, up to the first angle within rounding of pi; that
     angle, and trace of a positive pair whose companion root rounds onto
-    x = -1, exit 1 with one error line, an empty stdout and no CSV."""
+    x = -1 or lies within 2^-52 of it, exit 1 with one error line, an
+    empty stdout and no CSV."""
 
     @pytest.mark.parametrize("argv,why", [
         (["spectrum", "--pair=-11190938864748161,-13706044980657122"],
          "(-11190938864748161, -13706044980657122): the angle rounds onto "
-         "a pole"),
+         "pi"),
         (["trace", "--pair", "1201527053,1471564096", "--range", "0"],
          "(1201527053, 1471564096): two poles of ds/dx round onto x = -1.0, "
          "so their residues have no float value"),
-    ], ids=["spectrum", "trace"])
+        (["trace", "--pair", "196658561,240856564", "--range", "1"],
+         "(196658561, 240856564): the companion root lies within 2^-52 of "
+         "the pole x = -1.0, so its residue and the pole's leave s no "
+         "digit"),
+    ], ids=["spectrum", "trace", "trace-near-pole"])
     def test_refused(self, capsys, tmp_path, argv, why):
         csv = tmp_path / "x.csv"
         if argv[0] == "trace":

@@ -575,18 +575,27 @@ class TestLogTermKinds:
             assert list(map(repr, curves._log_sums(terms, thetas))) == expected
 
     def test_rounded_companion_refused(self):
-        # The float companion cosine rounds onto the pole, but the angle,
-        # from the pole distance, is an inner term strictly inside (0, pi),
-        # 1.1e-8 from the pole.  Its residue and the pole's lose their
-        # digits here (ROADMAP defect 10), and every range's trace is
-        # refused, as it was when the cosine refused the pair.
+        # The angle, from the pole distance, is a value 1.1e-8 from the
+        # pole.  The companion root is within 2^-52 of x = -1 (of 1), so
+        # its residue and the pole's leave s no digit (ROADMAP defect
+        # 10): the companion term in the form of the pole x = -1 gave
+        # s = 6.5e13 from the 30 % to the 70 % point of range 0 of the
+        # first pair, where the exact value is 0.0508.
         for p, pp in self.ROUNDED:
             thb = solve_theta0_bar(p, pp)
             assert min(thb, math.pi - thb) == pytest.approx(1.1179194e-8,
                                                             rel=1e-7)
-            assert 2.0 * profile_log_terms(p, pp).inside[1][1] == thb
-            for rid in range(3):
-                with pytest.raises((DomainError, BranchError)):
+            want = f"within 2\\^-52 of the pole x = {-math.copysign(1.0, pp)}"
+            with pytest.raises(DomainError, match=want):
+                profile_log_terms(p, pp)
+            with pytest.raises(DomainError, match=want):
+                s_of_theta(p, pp, 0.3, 0.0, 0.4)
+            # The clip refuses the range 1.1e-8 wide first.
+            thin = 2 if pp > 0 else 0
+            with pytest.raises(BranchError, match="leaves no angles"):
+                integrate_profile(p, pp, thin)
+            for rid in {0, 1, 2} - {thin}:
+                with pytest.raises(DomainError, match=want):
                     integrate_profile(p, pp, rid)
 
     @pytest.mark.parametrize("p,pp", CLOSED_FORM_PAIRS)

@@ -139,14 +139,6 @@ class TestOrbitCosine:
             assert dev == pytest.approx(abs(1.0 - 3.0 * c * c), abs=1e-14)
 
 
-def _named(n):
-    """n as a message names it: str(n), or its size where str refuses."""
-    try:
-        return str(n)
-    except ValueError:
-        return f"<{n.bit_length()}-bit int>"
-
-
 class TestEntriesPastTheFloats:
     """Entries past the float range, or past Python's 4,300-digit limit
     on int text: a value, or a package error that names each int.  The
@@ -162,17 +154,27 @@ class TestEntriesPastTheFloats:
             assert theta_roots(0, pp) == (solve_theta0(0, 1), None)
 
     def test_messages_name_every_int(self):
-        big = _named(self.BIG)
+        # An int past the digit limit is named by its sign and size.
+        big = "<16610-bit int>"
         with pytest.raises(DomainError, match=re.escape(
                 f"(1, {big}): p'/p is past the float range")):
             solve_theta0(1, self.BIG)
         assert classify_pair(-self.BIG, 1) == (False, [
-            f"(b) 2*1^2 = 2 <= {_named(3 * self.BIG ** 2)} = "
-            f"3*({_named(-self.BIG)})^2 with m < 0"])
+            f"(b) 2*1^2 = 2 <= <33221-bit int> = 3*(-{big})^2 with m < 0"])
         with pytest.raises(OutOfRegime, match=re.escape(f"({big}, 1)")):
             solve_theta0_bar(self.BIG, 1)
         with pytest.raises(InvalidLabel, match="is not admissible"):
             ReebOrbit.generic(-self.BIG, 1)
+
+    def test_pole_distance_past_the_floats(self):
+        # Where D / p^2 underflows, g = 1 - |cos| leaves the normal floats
+        # for either sign of p'; the angle is refused, not 0 or pi.
+        p = 10 ** 400
+        pp = math.isqrt(3 * p * p // 2) + 1
+        for sign in (1, -1):
+            with pytest.raises(DomainError, match="pole distance leaves "
+                               "the normal floats"):
+                solve_theta0(-p, sign * pp)
 
     def test_orbit_point_refused(self):
         orbit = ReebOrbit.generic(self.BIG, self.BIG + 1)
@@ -266,7 +268,7 @@ def _angle_given(p, pp):
     try:
         solve_theta0(p, pp)
     except DomainError as exc:
-        assert "rounds onto a pole" in str(exc)
+        assert "rounds onto pi" in str(exc)
         return False
     return True
 
