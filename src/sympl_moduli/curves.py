@@ -29,11 +29,19 @@ only where that factor is a normal positive float (about
 In x = cos(theta) the slope ds/dx is a proper rational function with
 simple poles at x = +-1 and at the roots of 3 a x^2 + sqrt6 x - a (the
 cosines of theta0 and theta0_bar), so s is in closed form a sum of
-residue * log|x - pole| terms.  profile_log_terms builds them once per
-pair as one cached record, in the form and order that _log_sums, the
-one evaluator of s, adds them up: over a block of a trace's angles per
-call, or at one or two angles for s_of_theta, ODE residuals and the
-Newton iteration of a profile point.
+residue * log|x - pole| terms.  The outer root approaches the pole
+x = -sign(p') as 2 p'^2 nears 3 p^2, where the two residues grow like
+p^2 / |2 p'^2 - 3 p^2| and cancel: that root and pole are one term,
+S log u + R log|1 - g/u| with u = |x - pole|, taken from the root's
+pole distance g = 1 - |root| in reeb, which comes from the exact
+integer 2 p'^2 - 3 p^2.  Its second log is log1p(-g/u) where
+|g/u| <= 1/2 and log(|u - g| / u) elsewhere.  s is refused only where
+theta_roots refuses the pair or 2 (p'/p)^2 or g leaves the normal
+floats.  profile_log_terms builds the terms once per pair as one cached
+record, in the form and order that _log_sums, the one evaluator of s,
+adds them up: over a block of a trace's angles per call, or at one or
+two angles for s_of_theta, ODE residuals and the Newton iteration of a
+profile point.
 A curve's clipped range and anchored terms are one cached record,
 _point_start, which its trace and its points share.
 """
@@ -45,15 +53,15 @@ import math
 from itertools import repeat
 # _log_sums and _profile_point's probes call these as module globals,
 # which costs less than binding them to locals on every call.
-from math import cos, log, sin
+from math import cos, log, log1p, sin
 from typing import NamedTuple, Optional, Sequence
 
 from .budgets import MAX_TRACE_SAMPLES
 from .errors import (BranchError, DomainError, InvalidLabel, WrongExample)
 from .geometry import (_TINY, DEFAULT_CLIP, SQRT6, THETA_C, BranchId, Point4,
                        fh_at, fh_rows, require_finite, theta_from_lambda)
-from .reeb import (ReebOrbit, OrbitKind, classify_pair, orbit_point,
-                   theta_roots)
+from .reeb import (ReebOrbit, OrbitKind, _pair, _pole_distance,
+                   classify_pair, orbit_point, theta_roots)
 
 _LOG2 = math.log(2.0)
 
@@ -76,10 +84,10 @@ def classify_branches(p: int, p_prime: int) -> tuple[ThetaRange, ...]:
     0 and pi, theta0, and theta0_bar when the pair has one.
     """
     if p <= 0:
-        raise InvalidLabel(f"({p}, {p_prime}): profile families need p > 0")
+        raise InvalidLabel(f"{_pair(p, p_prime)}: profile families need p > 0")
     ok, why = classify_pair(p, p_prime)
     if not ok:
-        raise InvalidLabel(f"({p}, {p_prime}): {why}")
+        raise InvalidLabel(f"{_pair(p, p_prime)}: {why}")
     th0, thb = theta_roots(p, p_prime)
     angles = [(0.0, "pole0"), (th0, "theta0"), (math.pi, "polePi")]
     if thb is not None:
@@ -104,20 +112,22 @@ def profile_ds_dtheta(p: int, p_prime: int, theta: float) -> float:
     """ds/dtheta along a profile, away from the fixed angles.
 
     InvalidLabel unless classify_branches accepts the pair.  BranchError
-    at each fixed angle it lists, as s_of_theta refuses them (ds/dtheta
-    has a pole there, though the float formula gives a huge finite value
-    at most float theta0 and theta0_bar, and at pi, whose sine rounds to
-    1.2e-16), and where the denominator rounds to 0.
+    unless theta lies strictly inside one of its ranges, as s_of_theta
+    refuses (ds/dtheta has a pole at each fixed angle, though the float
+    formula gives a huge finite value at most float theta0 and
+    theta0_bar), and where the denominator rounds to 0; DomainError
+    where the slope overflows (theta = 5e-324).
     """
-    fixed = [rng.lo for rng in classify_branches(p, p_prime)] + [math.pi]
-    if theta not in fixed:
-        try:
-            return _ds_dtheta(p, p_prime, theta)
-        except ZeroDivisionError:
-            pass
-    raise BranchError(
-        f"theta = {theta} is a fixed angle of ({p}, {p_prime}) in "
-        f"floats: ds/dtheta has a pole there")
+    _common_range(p, p_prime, theta, theta)
+    try:
+        slope = _ds_dtheta(p, p_prime, theta)
+    except ZeroDivisionError:
+        raise BranchError(
+            f"theta = {theta} is a fixed angle of {_pair(p, p_prime)} in "
+            f"floats: the denominator of ds/dtheta rounds to 0") from None
+    if not math.isfinite(slope):
+        require_finite(DomainError, ds_dtheta=slope)
+    return slope
 
 
 def _common_range(p: int, p_prime: int, a: float, b: float) -> None:
@@ -129,7 +139,7 @@ def _common_range(p: int, p_prime: int, a: float, b: float) -> None:
     angles = [rng.lo for rng in ranges] + [math.pi]
     raise BranchError(
         f"{a} and {b} are not strictly inside one fixed-angle-free range "
-        f"of ({p}, {p_prime}); fixed angles: {angles}")
+        f"of {_pair(p, p_prime)}; fixed angles: {angles}")
 
 
 def _dec_cos(x: float) -> Decimal:
@@ -146,25 +156,16 @@ def _dec_cos(x: float) -> Decimal:
         total += term
 
 
-def _merged_poles(p: int, p_prime: int, x: float) -> DomainError:
-    return DomainError(
-        f"({p}, {p_prime}): two poles of ds/dx round onto x = {x}, so "
-        f"their residues have no float value")
-
-
 class LogTerms(NamedTuple):
-    """The terms residue * log|cos(theta) - pole| of s(theta), in the
-    order _log_sums adds them.
+    """The terms of s(theta) (profile_log_terms), in the order _log_sums
+    adds them."""
 
-    inside holds (residue, half angle, offset) for each root with a
-    fixed angle, theta0's first; last is (residue, pole) for the root
-    without one, whose pole lies past x = +-1.
-    """
-
-    at_zero: float     # residue over x = 1 (angle 0)
-    at_pi: float       # residue over x = -1 (angle pi)
-    inside: tuple[tuple[float, float, float], ...]
-    last: Optional[tuple[float, float]]
+    at_zero: float     # times log(1 - cos theta)
+    at_pi: float       # times log(1 + cos theta)
+    inner: tuple[float, float, float]   # theta0's residue, half angle, offset
+    # The outer root's residue, g, whether its pole is x = 1, and
+    # theta0_bar with its offset (0.0 where g < 0); None when p' = 0.
+    outer: Optional[tuple[float, float, bool, float, float]]
 
 
 @functools.lru_cache(maxsize=256)
@@ -174,91 +175,110 @@ def profile_log_terms(p: int, p_prime: int) -> LogTerms:
     ds/dx = N(x) / D(x) with N = 1 - 3x^2 + sqrt6 a x (1 - x^2) and
     D = (3a x^2 + sqrt6 x - a)(1 - x^2), a = p'/p, so that
     s = sum residue * log|x - pole| + const with residue = N/D' at the
-    pole.  The poles at x = 1 and x = -1 have residues 1/(2a + sqrt6)
-    and 1/(sqrt6 - 2a); the quadratic's roots (its single root x = 0
-    when a = 0) are taken in cancellation-free form at 40 digits.  A
-    root with a fixed angle, from theta_roots since that float bounds
-    the theta ranges, carries the offset cos(angle) - pole, which
-    rounding leaves nonzero.  DomainError where theta_roots refuses the
-    pair (an angle within rounding of 0 or pi, or p'/p past the float
-    range), or a root rounds onto x = +-1 or 2a onto +-sqrt6 (pairs
-    within rounding of the regime boundary 2 p'^2 = 3 p^2, p past ~1e8),
-    since a residue's denominator is 0 there.  Next to that boundary the
-    pole's residue and the root's lose their digits (ROADMAP defect 10):
-    a companion root within 2^-52 of x = +-1, where rounding it moves
-    1 - x^2 by up to a quarter and both residues pass 9e14, is refused
-    too.
+    pole; the residues sum to sqrt6/3 (sqrt6/2 when p' = 0).  The pole
+    x = sign(p') has residue 1/(2|a| + sqrt6).  The inner root (x = 0
+    when p' = 0) is taken at 40 digits: its residue, and its offset
+    cos(theta0) - root, which rounding of theta0 leaves nonzero.
+
+    The outer root r approaches the other pole, x = -sign(p'), as
+    2 p'^2 nears 3 p^2, and the two residues grow like
+    p^2 / |2 p'^2 - 3 p^2| with opposite signs, so they are one term.
+    With u = |x - pole| and g = 1 - |r|, reeb's signed pole distance
+    from the exact integer, |x - r| = |u - g|: the term is
+    S log u + R log|1 - g/u|, R the root's residue from g and
+    S = sqrt6/3 less the other two residues, which cancels nothing.
+    _log_sums takes the second log as log1p(-g/u) where |g/u| <= 1/2,
+    elsewhere as log(|u - g| / u), with u - g in half angles from
+    theta0_bar and its offset where g > 0.  DomainError where
+    theta_roots refuses the pair, or where 2 (p'/p)^2 or g leaves the
+    normal floats (p'/p rounds to 0 at (10^400, 1)).
     """
     # Here and in _dec_cos, its only users, decimal costs no start-up
     # time of a command that computes no roots at 40 digits.
     from decimal import Decimal, localcontext
     if p < 0:                        # s depends on p'/p only
         p, p_prime = -p, -p_prime
-    a = p_prime / p
     th0, thb = theta_roots(p, p_prime)
-    den_zero, den_pi = 2.0 * a + SQRT6, SQRT6 - 2.0 * a
-    if den_zero == 0.0 or den_pi == 0.0:
-        raise _merged_poles(p, p_prime, 1.0 if den_zero == 0.0 else -1.0)
-    inside, last = [], None
+    a = p_prime / p
+    b = abs(a)
+    far = 1.0 / (2.0 * b + SQRT6)
     with localcontext() as ctx:
         ctx.prec = 40
         a_dec = Decimal(p_prime) / p
-        sqrt6 = Decimal(6).sqrt()
-        big = sqrt6 + (6 + 12 * a_dec * a_dec).sqrt()
-        # theta0 always has a fixed angle, so only the companion can be last.
-        roots = [(2 * a_dec / big, th0)]
-        if p_prime != 0:
-            roots.append((-big / (6 * a_dec), thb))
-        for r_dec, angle in roots:
-            r = float(r_dec)
-            one_minus_r2 = (1.0 - r) * (1.0 + r)
-            if one_minus_r2 == 0.0:
-                raise _merged_poles(p, p_prime, r)
-            if angle is not None and 1 - abs(r_dec) < 2.0 ** -52:
-                raise DomainError(
-                    f"({p}, {p_prime}): the companion root lies within "
-                    f"2^-52 of the pole x = {math.copysign(1.0, r)}, so "
-                    f"its residue and the pole's leave s no digit")
-            num = 1.0 - 3.0 * r * r + SQRT6 * a * r * one_minus_r2
-            residue = num / ((6.0 * a * r + SQRT6) * one_minus_r2)
-            if angle is None:
-                last = (residue, r)
-            else:
-                offset = float(_dec_cos(angle) - r_dec)
-                inside.append((residue, 0.5 * angle, offset))
-    return LogTerms(1.0 / den_zero, 1.0 / den_pi, tuple(inside), last)
+        big = Decimal(6).sqrt() + (6 + 12 * a_dec * a_dec).sqrt()
+        r_dec = 2 * a_dec / big
+        r = float(r_dec)
+        one_minus_r2 = (1.0 - r) * (1.0 + r)
+        num = 1.0 - 3.0 * r * r + SQRT6 * a * r * one_minus_r2
+        residue = num / ((6.0 * a * r + SQRT6) * one_minus_r2)
+        inner = (residue, 0.5 * th0, float(_dec_cos(th0) - r_dec))
+        if p_prime == 0:
+            return LogTerms(far, far, inner, None)
+        g = _pole_distance(p, p_prime, (p, p_prime))
+        thb, offset = thb or 0.0, 0.0
+        if g > 0.0:      # u - g at theta0_bar: sign(p') (cos - root)
+            offset = float((_dec_cos(thb) + big / (6 * a_dec))
+                           * (1 if a > 0.0 else -1))
+    # With w = b (1 - g) = |a r| and m = b^2 (1 - r^2),
+    # R = sqrt6 w (1 + m) / ((6w - sqrt6) m), where 6w > 2 sqrt6.
+    w, m = b * (1.0 - g), b * g * (b * (2.0 - g))
+    outer = (SQRT6 * w / (6.0 * w - SQRT6) * ((1.0 + m) / m), g, a < 0.0,
+             thb, offset)
+    pair = SQRT6 / 3.0 - far - residue
+    return LogTerms(*((pair, far) if a < 0.0 else (far, pair)), inner, outer)
 
 
 def _log_sums(terms: LogTerms, thetas: Sequence[float]) -> list[float]:
     """sum residue * log|cos(theta) - pole| at each theta, which is
-    s(theta) up to a constant on each range; the package's one
-    evaluator of s, over a block of a trace or one angle per call.  Near
-    a fixed angle the gap is taken as a product of sines, which keeps
-    its relative accuracy where cos(theta) - cos(angle) would cancel.
+    s(theta) up to a constant on each range, in profile_log_terms' form;
+    the package's one evaluator of s, over a block of a trace or one
+    angle per call.  Near a fixed angle the gap is taken as a product of
+    sines, which keeps its relative accuracy where cos(theta) -
+    cos(angle) would cancel.
 
     Every theta must lie strictly inside (0, pi), as every caller's
     does: then sin(theta/2) and cos(theta/2) are positive, and their
     logs are taken without abs()."""
-    at_zero, at_pi, inside, last = terms
-    if last is not None:
-        last_residue, pole = last
+    at_zero, at_pi, (residue, half_angle, offset), outer = terms
+    if outer is not None:
+        root_residue, g, at_pole_zero, root_angle, root_offset = outer
+        near = 2.0 * abs(g)          # |g/u| > 1/2 where u < near
+        half_root = 0.5 * root_angle
+        w_root = sin(half_root) if at_pole_zero else cos(half_root)
     totals = []
     for theta in thetas:
         half = 0.5 * theta
+        sh, ch = sin(half), cos(half)
         try:
-            gap_zero = _LOG2 + 2.0 * log(sin(half))     # log(1 - cos)
+            gap_zero = _LOG2 + 2.0 * log(sh)     # log(1 - cos)
         except ValueError:
             # half rounds to 0 only at theta = 5e-324; there
             # 2 log sin(theta/2) = 2 (log sin theta - log(2 cos(theta/2))).
-            gap_zero = _LOG2 + 2.0 * (log(sin(theta)) - log(2.0 * cos(half)))
-        gap_pi = _LOG2 + 2.0 * log(cos(half))       # log(1 + cos)
-        total = at_zero * gap_zero + at_pi * gap_pi
-        for residue, half_angle, offset in inside:
-            total += residue * log(abs(
-                offset - 2.0 * sin(half + half_angle)
-                * sin(half - half_angle)))
-        if last is not None:
-            total += last_residue * log(abs(cos(theta) - pole))
+            gap_zero = _LOG2 + 2.0 * (log(sin(theta)) - log(2.0 * ch))
+        gap_pi = _LOG2 + 2.0 * log(ch)       # log(1 + cos)
+        total = at_zero * gap_zero + at_pi * gap_pi + residue * log(abs(
+            offset - 2.0 * sin(half + half_angle) * sin(half - half_angle)))
+        if outer is not None:
+            w = sh if at_pole_zero else ch
+            u = 2.0 * w * w                  # |cos(theta) - pole|
+            if u >= near:
+                total += root_residue * log1p(-g / u)
+            else:
+                if g < 0.0:
+                    gap = u - g
+                else:
+                    # u - g = 2 (w - w_root)(w + w_root) + root_offset,
+                    # w - w_root a product of sines of quarter angles.
+                    quarter = 0.25 * (theta + root_angle)
+                    dw = 2.0 * sin(0.25 * (theta - root_angle)) * (
+                        cos(quarter) if at_pole_zero else -sin(quarter))
+                    gap = abs(2.0 * dw * (w + w_root) + root_offset)
+                # Where gap / u overflows (u below 1e-308 of a gap of at
+                # least |g|), the difference of logs cancels nothing.
+                ratio = gap / u if u else math.inf
+                total += root_residue * (
+                    log(ratio) if ratio < math.inf else
+                    log(gap) - (gap_zero if at_pole_zero else gap_pi))
         totals.append(total)
     return totals
 

@@ -56,6 +56,12 @@ SQRT6 = math.sqrt(6.0)
 #: lie.  The two bound the three monotonicity components of lambda(theta).
 THETA_C = math.acos(1.0 / math.sqrt(3.0))
 
+#: pi - THETA_C, and what the exact cone angles exceed the two floats
+#: by (each below an ulp), for fh_rows' f near the cone.
+_THETA_C_BAR = math.pi - THETA_C
+_CONE_LOW, _CONE_BAR_LOW = 9.1137196518718847e-17, 3.1327483396016471e-17
+_INV_SQRT3 = 1.0 / math.sqrt(3.0)
+
 #: Default clipping of a profile's theta range away from its fixed-angle
 #: endpoints (curves.integrate_profile and the CLI's trace --clip).
 DEFAULT_CLIP = 1e-4
@@ -157,7 +163,10 @@ def fh_rows(s_values: Sequence[float], thetas: Sequence[float]
     """The columns (es, fs, hs) over the parallel sequences: at each
     (s, theta) the conformal factor e = e^{-sqrt6 s}, f = e (1 - 3
     cos^2 theta) and h = sqrt6 e cos(theta) sin^2(theta); the one place
-    f and h are written.
+    f and h are written.  Where |1 - 3 cos^2| < 1/4 it cancels, so there
+    it is 3 (1/sqrt3 - |cos|)(1/sqrt3 + |cos|), the first factor a
+    product of sines of half the angle's sum with and gap to the exact
+    cone angle.
 
     DomainError, naming the first refused row, unless each s is finite
     and _TINY <= e <= _E_MAX (about -289.12 < s < 289.20): past either
@@ -179,8 +188,17 @@ def fh_rows(s_values: Sequence[float], thetas: Sequence[float]
                 why = "f and h underflow the normal floats"
             raise DomainError(f"{why} at theta = {theta} (s = {s})")
         c = cos(theta)
+        g = 1.0 - 3.0 * c * c
+        if -0.25 < g < 0.25:
+            if c > 0.0:
+                g = 6.0 * sin(0.5 * (theta + THETA_C)) * sin(
+                    0.5 * (theta - THETA_C - _CONE_LOW)) * (_INV_SQRT3 + c)
+            else:
+                g = -6.0 * sin(0.5 * (theta + _THETA_C_BAR)) * sin(
+                    0.5 * (theta - _THETA_C_BAR - _CONE_BAR_LOW)) * (
+                        _INV_SQRT3 - c)
         es.append(e)
-        fs.append(e * (1.0 - 3.0 * c * c))
+        fs.append(e * g)
         hs.append(SQRT6 * e * c * sin(theta) ** 2)
     return es, fs, hs
 
@@ -259,13 +277,17 @@ def apply_J(p: Point4, v: Tangent4) -> Tangent4:
     J d/dh = -(g sin^2 theta)^{-1} d/dphi); converting d/df, d/dh to the
     (s, theta) frame means inverting the 2x2 Jacobian of (f, h) with
     respect to (s, theta).  That Jacobian is singular on the theta in
-    {0, pi} locus, where this chart-level J is refused.  The factor
-    e^{-sqrt6 s} of g and the Jacobian cancels, so both are at unit factor.
+    {0, pi} locus, where this chart-level J is refused, as it is where
+    sin^2 theta underflows the normal floats (theta within ~1.5e-154 of
+    a pole), since J divides by it.  The factor e^{-sqrt6 s} of g and the
+    Jacobian cancels, so both are at unit factor.
     """
-    if p.at_pole:
-        raise PoleError("J is not defined in these coordinates at theta in {0, pi}")
-    v.check_at(p)
     s2 = math.sin(p.theta) ** 2
+    if p.at_pole or s2 < _TINY:
+        raise PoleError("J is not defined in these coordinates at theta in "
+                        "{0, pi}, nor where sin^2 theta underflows "
+                        f"(theta = {p.theta})")
+    v.check_at(p)
     g, f_s, f_th, h_s, h_th = _unit_frame(p.theta)
     det = f_s * h_th - f_th * h_s
 
@@ -285,7 +307,10 @@ def apply_J(p: Point4, v: Tangent4) -> Tangent4:
 
 
 def lambda_of_theta(theta: float) -> float:
-    """The ratio h/f = sqrt6 cos(theta) sin^2(theta)/(1 - 3 cos^2 theta)."""
+    """The ratio h/f = sqrt6 cos(theta) sin^2(theta)/(1 - 3 cos^2 theta);
+    RangeError for theta outside [0, pi], nan and +-inf included."""
+    if not 0.0 <= theta <= math.pi:
+        raise RangeError(f"theta = {theta} outside [0, pi]")
     c = math.cos(theta)
     return SQRT6 * c * math.sin(theta) ** 2 / (1.0 - 3.0 * c * c)
 

@@ -16,13 +16,16 @@ irrational).
 For p != 0 the defining quadratic in cos(theta) has two roots of
 opposite signs, cos = (sqrt6 a)^{-1} (-1 +- (1 + 2 a^2)^{1/2}) with
 a = p'/p: the inner one, |cos| < 1/sqrt3, and the outer one,
-1/sqrt3 < |cos| < 1, an angle only when 2 p'^2 > 3 p^2.  theta0 is the
-root whose cosine has the sign of p'.  Near 2 p'^2 = 3 p^2 the outer
-root is within O(1/p^2) of -1 or 1, so its angle comes from its pole
-distance g = 1 - |cos| and the exact D = 2 p'^2 - 3 p^2 > 0: with
-b = |a| and D / p^2 one rounded int division, 2b - sqrt6 =
-2 (D / p^2) / (2b + sqrt6) and g = 2b (2b - sqrt6) / (sqrt6 b (sqrt6 b
-- 1 + (1 + 2 b^2)^{1/2})), so theta = 2 asin(sqrt(g / 2)), or pi minus
+|cos| > 1/sqrt3, inside (-1, 1) and an angle only when 2 p'^2 > 3 p^2.
+theta0 is the root whose cosine has the sign of p'.  Near
+2 p'^2 = 3 p^2 the outer root is within O(1/p^2) of -1 or 1, so it is
+taken from its signed pole distance g = 1 - |cos| and the exact
+D = 2 p'^2 - 3 p^2: with b = |a|, q = 1 + (1 + 2 b^2)^{1/2} and D / p^2
+one rounded int division, 2b - sqrt6 = 2 (D / p^2) / (2b + sqrt6) and
+g = 2b (2b - sqrt6) / (sqrt6 b (sqrt6 b + 2 b^2 / q)), which has the
+sign of D and no cancellation for any b (2 b^2 / q is
+(1 + 2 b^2)^{1/2} - 1).  _pole_distance is its one statement, which
+curves reads too.  An angle is theta = 2 asin(sqrt(g / 2)), or pi minus
 that.  It is refused only where g leaves the normal floats or pi minus
 the angle is below half an ulp of pi (|p| ~ 1.1e16 on where D = 5).
 """
@@ -173,15 +176,32 @@ def _root(p: int, p_prime: int, given: tuple[int, int]
         # -1 + sqrt(1 + 2 a^2).
         c = 2.0 * a / (SQRT6 * q) * (1.0 if p_prime > 0 else -1.0)
         return math.acos(c), c, 1.0 - abs(c), 2.0 / q
-    d = (2 * p_prime * p_prime - 3 * p * p) / (p * p)
-    g = 4.0 * d / (2.0 * a + SQRT6) * a / (SQRT6 * a * (SQRT6 * a - 2.0 + q))
+    g = _pole_distance(p, p_prime, given)
     near = 2.0 * math.asin(math.sqrt(0.5 * g))      # theta from its pole
     theta, c = (near, 1.0 - g) if p_prime > 0 else (math.pi - near, g - 1.0)
-    if g < _TINY or theta == math.pi:
-        raise DomainError(f"{_pair(*given)}: " + (
-            "the pole distance leaves the normal floats" if g < _TINY
-            else "the angle rounds onto pi"))
+    if theta == math.pi:
+        raise DomainError(f"{_pair(*given)}: the angle rounds onto pi")
     return theta, c, g, q / (a * a)
+
+
+def _pole_distance(p: int, p_prime: int, given: tuple[int, int]) -> float:
+    """g = 1 - |x| at the outer root x of the pair's quadratic, from
+    the exact D (module docstring): > 0 where x is a companion cosine,
+    < 0 where x lies past +-1.  p' != 0 and p'/p is finite.  DomainError
+    naming the given pair where 2 (p'/p)^2 or g leaves the normal floats.
+    """
+    a = abs(p_prime / p)
+    if 2.0 * a * a < _TINY:
+        raise DomainError(
+            f"{_pair(*given)}: 2 (p'/p)^2 underflows the normal floats")
+    d = (2 * p_prime * p_prime - 3 * p * p) / (p * p)
+    q = 1.0 + math.sqrt(1.0 + 2.0 * a * a)
+    g = (4.0 * d / (2.0 * a + SQRT6) * a
+         / (SQRT6 * a * (SQRT6 * a + 2.0 * a * a / q)))
+    if not abs(g) >= _TINY:
+        raise DomainError(
+            f"{_pair(*given)}: the pole distance leaves the normal floats")
+    return g
 
 
 def _has_companion(p: int, p_prime: int) -> bool:

@@ -1,4 +1,6 @@
 import itertools
+import math
+import re
 
 import pytest
 from hypothesis import reject
@@ -81,6 +83,120 @@ def decay_constants_mpmath(m, m_prime):
         return (mpm.sqrt(6) * (1 - c * c) * (1 + 3 * c * c) / root / dev,
                 dev / (mpm.sqrt(6) * root),
                 4 * abs(c) * abs(a) / (1 + a * a * (1 - c * c)))
+
+
+def profile_poles_mpmath(p, p_prime):
+    """[(pole, residue)] of ds/dx, x = cos(theta), for the (p, p')
+    profile, p > 0, apart from the library: the poles x = 1, x = -1 and
+    the roots of 3a x^2 + sqrt6 x - a, a = p'/p (x = 0 alone when
+    p' = 0), exact, each residue N/D' by the product rule, with no pairing
+    and no pole distance.  Call it inside the precision wanted."""
+    mpm = pytest.importorskip("mpmath")
+    a, r6 = mpm.mpf(p_prime) / p, mpm.sqrt(6)
+    poles = [mpm.mpf(1), mpm.mpf(-1)]
+    if p_prime:
+        disc = mpm.sqrt(6 + 12 * a * a)
+        poles += [(-r6 + disc) / (6 * a), (-r6 - disc) / (6 * a)]
+    else:
+        poles.append(mpm.mpf(0))
+
+    def residue(c):
+        quad = 3 * a * c * c + r6 * c - a
+        d_prime = (6 * a * c + r6) * (1 - c * c) - 2 * c * quad
+        return (1 - 3 * c * c + r6 * a * c * (1 - c * c)) / d_prime
+
+    return [(c, residue(c)) for c in poles]
+
+
+def profile_s_mpmath(p, p_prime, theta_ref, thetas):
+    """s(theta) - s(theta_ref) at each theta of thetas, the floats' exact
+    values, from profile_poles_mpmath's partial fractions: sum residue *
+    (log|cos theta - pole| - log|cos theta_ref - pole|), with
+    |cos theta -+ 1| as 2 sin^2(theta/2) and 2 cos^2(theta/2).  Near
+    2 p'^2 = 3 p^2 two residues of order p^2 / |2 p'^2 - 3 p^2| cancel,
+    so the sums are taken at 50 digits past that ratio."""
+    mpm = pytest.importorskip("mpmath")
+    with mpm.workdps(50 + 2 * len(str(p))):
+        (_, at_zero), (_, at_pi), *roots = profile_poles_mpmath(p, p_prime)
+
+        def log_sum(theta):
+            half = mpm.mpf(theta) / 2
+            x = mpm.cos(2 * half)
+            return (at_zero * mpm.log(2 * mpm.sin(half) ** 2)
+                    + at_pi * mpm.log(2 * mpm.cos(half) ** 2)
+                    + sum(r * mpm.log(abs(x - c)) for c, r in roots))
+
+        at_ref = log_sum(theta_ref)
+        return [log_sum(theta) - at_ref for theta in thetas]
+
+
+def profile_s_quad(p, pp, theta_ref, theta):
+    """s(theta) - s(theta_ref) by mpmath quadrature of ds/dtheta written
+    out from the profile equation, split geometrically toward theta
+    (which may sit next to a fixed angle, where the integrand blows up)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(20):
+        a = mp.mpf(pp) / p
+        s6 = mp.sqrt(6)
+
+        def ds(th):
+            c, sn = mp.cos(th), mp.sin(th)
+            return -(1 - 3 * c * c + s6 * a * c * sn * sn) / (
+                (s6 * c - a * (1 - 3 * c * c)) * sn)
+
+        lo, hi = mp.mpf(theta_ref), mp.mpf(theta)
+        cuts = [hi - (hi - lo) * mp.mpf(10) ** -k for k in range(0, 12, 3)]
+        return float(mp.quad(ds, cuts + [hi]))
+
+
+def trace_outcome(p, p_prime, rid, n_samples):
+    """integrate_profile of one range at the default clip, s anchored at
+    0, against profile_s_mpmath: "traced" where every row's s lies
+    within one unit of the twelfth digit of max(|s|, 1) of the exact
+    value at its angle; "refused" where fh_rows refuses a row whose
+    exact e^{-sqrt6 s} also lies outside [_TINY, _E_MAX]."""
+    from sympl_moduli import curves, geometry
+    from sympl_moduli.errors import DomainError
+    mpm = pytest.importorskip("mpmath")
+    rng = curves.classify_branches(p, p_prime)[rid]
+    ref = 0.5 * (rng.lo + rng.hi)
+    try:
+        rows = curves.integrate_profile(p, p_prime, rid,
+                                        n_samples=n_samples).samples
+    except DomainError as exc:
+        refused = re.fullmatch(r"(f, h or g overflow a float|f and h "
+                               r"underflow the normal floats) at theta = "
+                               r"(\S+) \(s = \S+\)", str(exc))
+        assert refused, exc
+        exact, = profile_s_mpmath(p, p_prime, ref, [float(refused[2])])
+        e = mpm.exp(-mpm.sqrt(6) * exact)
+        assert not geometry._TINY <= e <= geometry._E_MAX, exc
+        return "refused"
+    exact = profile_s_mpmath(p, p_prime, ref, [row.theta for row in rows])
+    for row, want in zip(rows, exact):
+        unit = 10.0 ** (math.floor(math.log10(max(abs(want), 1))) - 11)
+        assert abs(row.s - want) <= unit, (p, p_prime, rid, row)
+    return "traced"
+
+
+def boundary_pairs(max_p=10**12, max_d=100):
+    """The coprime pairs 0 < p <= max_p with 0 < |2 p'^2 - 3 p^2| <= max_d
+    that grow from a solution with p <= 30 under (p, p') -> (5p + 4p',
+    6p + 5p'), which keeps 2 p'^2 - 3 p^2, each in both signs of p':
+    where the outer root of the profile quadratic is within O(1/p^2) of
+    x = +-1, to p^2 / |D| ~ 1e22."""
+    out = []
+    for p in range(1, 31):
+        base = math.isqrt(3 * p * p // 2)
+        for pp in range(max(base - 3, 1), base + 4):
+            if not 0 < abs(2 * pp * pp - 3 * p * p) <= max_d:
+                continue
+            q, qp = p, pp
+            while q <= max_p:
+                if math.gcd(q, qp) == 1:
+                    out += [(q, qp), (q, -qp)]
+                q, qp = 5 * q + 4 * qp, 6 * q + 5 * qp
+    return sorted(set(out))
 
 
 def bezout(m, n):

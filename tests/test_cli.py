@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import shlex
 import struct
 import sys
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympl_moduli import catalog, classify_pair, curves, invariants, moduli
+from sympl_moduli import (catalog, classify_pair, curves, geometry,
+                          invariants, moduli)
 from sympl_moduli.cli import (_eigen_items, _fmt, _json, _point_items,
                               _print_listed, _report_line, _write_trace_csv,
                               main, parse_pairs, residual_tolerance)
@@ -23,7 +25,8 @@ from sympl_moduli.errors import DomainError, ParseError
 from sympl_moduli.invariants import InvariantReport
 from sympl_moduli.model_maps import DoublePoint, double_points_json
 
-from conftest import decay_constants_mpmath
+from conftest import (decay_constants_mpmath, profile_poles_mpmath,
+                      profile_s_mpmath, profile_s_quad)
 
 
 def _generic_spectrum_mpmath(zeta, period, n_max):
@@ -746,27 +749,30 @@ class TestEntryDigitLimit:
 class TestCosineRounding:
     """Pairs just past 2 p'^2 = 3 p^2, whose float orbit cosine would
     round onto or past +-1.  spectrum prints their angles, taken from the
-    pole distance, up to the first angle within rounding of pi; that
-    angle, and trace of a positive pair whose companion root rounds onto
-    x = -1 or lies within 2^-52 of it, exit 1 with one error line, an
-    empty stdout and no CSV."""
+    pole distance, up to the first angle within rounding of pi, which
+    exits 1 with one error line, an empty stdout and no CSV.  trace of a
+    positive pair whose companion root rounds onto x = -1, or lies
+    within 2^-52 of it, was refused so too, since the float residues of
+    that root and pole left s no digit.  Now range 0 is traced
+    (TestTraceDigits) and range 1 is refused only where s, to twelve
+    digits of the 50-digit oracle, overflows f, h or g."""
 
     @pytest.mark.parametrize("argv,why", [
         (["spectrum", "--pair=-11190938864748161,-13706044980657122"],
          "(-11190938864748161, -13706044980657122): the angle rounds onto "
          "pi"),
-        (["trace", "--pair", "1201527053,1471564096", "--range", "0"],
-         "(1201527053, 1471564096): two poles of ds/dx round onto x = -1.0, "
-         "so their residues have no float value"),
+        (["trace", "--pair", "1201527053,1471564096", "--range", "1"],
+         "f, h or g overflow a float at theta = 3.1051580867896975 "
+         "(s = -308.55091981954837)"),
         (["trace", "--pair", "196658561,240856564", "--range", "1"],
-         "(196658561, 240856564): the companion root lies within 2^-52 of "
-         "the pole x = -1.0, so its residue and the pole's leave s no "
-         "digit"),
+         "f, h or g overflow a float at theta = 3.1051580765684297 "
+         "(s = -308.5507471305099)"),
     ], ids=["spectrum", "trace", "trace-near-pole"])
     def test_refused(self, capsys, tmp_path, argv, why):
         csv = tmp_path / "x.csv"
         if argv[0] == "trace":
             argv = [*argv, "--out", str(csv)]
+            _assert_refused_row(argv[2], int(argv[4]), 0.0, why)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (1, "", f"error: {why}\n")
         assert not csv.exists()
@@ -790,13 +796,16 @@ class TestCosineRounding:
 #: refused row, as recorded when each row was evaluated on its own:
 #: every later refused row (a different kind of failure, in the clip
 #: 1e-12 case) must stay unreported, also past the first block of rows.
+#: Each s is right to twelve digits of the 50-digit oracle; the three
+#: that moved when a pair's pole and root became one term were 2e-15 to
+#: 4.3e-15 from it, and are 1.6e-16 to 5.8e-16.
 FAILING_TRACES = [
     ("--pair 1,2 --range 1 --anchor 296",
      "f and h underflow the normal floats at theta = 1.1503619915109313 "
      "(s = 293.0716698559951)"),                   # 999 of 1000 rows
     ("--pair 5,6 --range 1",
      "f, h or g overflow a float at theta = 3.141492653589793 "
-     "(s = -294.10228649834943)"),                 # the last row alone
+     "(s = -294.10228649834846)"),                 # the last row alone
     ("--pair 1,2 --range 2 --anchor 289",
      "f and h underflow the normal floats at theta = 2.8655714228747446 "
      "(s = 289.20404450334354)"),                  # rows 551 to 999
@@ -805,11 +814,22 @@ FAILING_TRACES = [
      "(s = 289.2016530421777)"),                   # rows 5509 to 9999
     ("--pair 4,-5 --range 0 --clip 1e-12",
      "f and h underflow the normal floats at theta = 1e-12 "
-     "(s = 995.134461545898)"),                    # row 0; row 999 overflows
+     "(s = 995.1344615459021)"),                   # row 0; row 999 overflows
     ("--pair 11,14 --range 1 --clip 1e-15",
      "f, h or g overflow a float at theta = 2.9475848590509335 "
-     "(s = -345.2650736749653)"),                  # the last row alone
+     "(s = -345.26507367496595)"),                 # the last row alone
 ]
+
+
+def _assert_refused_row(pair, rid, anchor, message):
+    """The s that a refusal of a trace row names is right to twelve
+    digits of max(|s|, 1) of the 50-digit oracle at the row's angle."""
+    p, pp = map(int, pair.split(","))
+    refused = _REFUSED_ROW.fullmatch(f"error: {message}\n")
+    rng = curves.classify_branches(p, pp)[rid]
+    exact, = profile_s_mpmath(p, pp, 0.5 * (rng.lo + rng.hi),
+                              [float(refused[2])])
+    _s_digits([float(refused[3])], [anchor + exact], (pair, rid))
 
 
 class TestFailingTraces:
@@ -819,6 +839,8 @@ class TestFailingTraces:
                                            message):
         ns = dict(zip(args.split()[::2], args.split()[1::2]))
         p, pp = map(int, ns["--pair"].split(","))
+        _assert_refused_row(ns["--pair"], int(ns["--range"]),
+                            float(ns.get("--anchor", 0.0)), message)
         with pytest.raises(DomainError) as exc:
             curves.integrate_profile(
                 p, pp, int(ns["--range"]),
@@ -876,17 +898,13 @@ class TestPellPairs:
 
     @pytest.mark.parametrize("pair", ["121378881,148658162",
                                       "83739041,102558961"])
-    def test_merged_poles_refused(self, capsys, tmp_path, pair):
+    def test_merged_poles_traced(self, capsys, tmp_path, pair):
         # The first pair's companion root rounds onto the pole x = -1,
-        # the second's 2 p'/p onto sqrt6.
-        want = "round onto x = -1.0"
-        csv = tmp_path / "x.csv"
-        code, out, err = run_cli(capsys, "trace", "--pair", pair, "--range",
-                                 "0", "--samples", "5", "--out", str(csv))
-        assert (code, out) == (1, "")
-        assert err.count("\n") == 1
-        assert err.startswith("error: ") and want in err
-        assert not csv.exists()
+        # the second's 2 p'/p onto sqrt6, and both were refused: their
+        # residues had no float value.  As one term they trace range 0
+        # to twelve digits.
+        p, pp = map(int, pair.split(","))
+        assert _check_trace(capsys, tmp_path / "t.csv", p, pp, 0, 6) == 0
 
 
 def _no_work_before_out(*args):
@@ -921,7 +939,7 @@ class TestOutFile:
         assert err.count("\n") == 1 and ".part" not in err
 
     @pytest.mark.parametrize("argv,patch", [
-        (["trace", "--pair", "121378881,148658162", "--range", "0"], False),
+        (["trace", "--pair", "121378881,148658162", "--range", "1"], False),
         (["trace", "--pair", "1,2", "--range", "1", "--samples", "1"], False),
         (["invariants", "--pairs", "1,1"], False),
         (["invariants", "--pairs", "4,1;1,1"], True),
@@ -1166,6 +1184,162 @@ class TestSpectrumDigits:
             assert {mult for _, mult in spectrum} == {2}
             self._assert_digits([ev for ev, _ in spectrum],
                                 _polar_exact(m, n_max), m)
+
+
+def _trace_draws():
+    """The pairs of TestTraceDigits, p > 0: 2 seeded uniform admissible
+    coprime pairs per decade of p to 1e12; near-boundary pairs
+    p' = +-(m0(p) + j), j in (-1, 0, 50), one p per decade from 1e1 to
+    1e11; and the Pell pairs, defect 10's among them, in both signs of
+    p'."""
+    rnd = random.Random(37)
+    pairs = []
+    for decade in range(12):
+        drawn = 0
+        while drawn < 2:
+            p = rnd.randrange(10 ** decade, 10 ** (decade + 1))
+            pp = rnd.randrange(-3 * p, 3 * p + 1)
+            if math.gcd(p, pp) == 1 and classify_pair(p, pp)[0]:
+                pairs.append((p, pp))
+                drawn += 1
+    for decade in range(1, 12):
+        p = rnd.randrange(10 ** decade, 10 ** (decade + 1))
+        for j in (-1, 0, 50):
+            pp = invariants.m0_of(p) + j
+            if math.gcd(p, pp) == 1:
+                pairs += [(p, pp), (p, -pp)]
+    assert set(DEFECT_10_PAIRS) <= set(PELL_PAIRS)
+    return pairs + [(p, s * pp) for p, pp in PELL_PAIRS for s in (1, -1)]
+
+
+#: ROADMAP defect 10's pairs, 2 p'^2 - 3 p^2 = 5 and -1, with the worst
+#: |s - s_exact| / max(1, |s_exact|) it measured: 1.4e-12, 1.9e-8,
+#: 1.5e-4, 1.4 and 4.7e-8, 2.0e-3, 7.3.
+DEFECT_10_PAIRS = [(13, 16), (129, 158), (1277, 1564), (12641, 15482),
+                   (89, 109), (881, 1079), (8721, 10681)]
+
+
+#: A row fh_rows refuses, as the trace names it.
+_REFUSED_ROW = re.compile(r"error: (f, h or g overflow a float|f and h "
+                          r"underflow the normal floats) at theta = (\S+) "
+                          r"\(s = (\S+)\)\n")
+
+
+def _s_digits(printed, exact, what):
+    """TestSpectrumDigits._assert_digits for s, whose unit is that of the
+    twelfth digit of max(|s|, 1) (TestTraceDigits)."""
+    for got, want in zip(printed, exact, strict=True):
+        unit = 10.0 ** (math.floor(math.log10(max(abs(want), 1))) - 11)
+        assert abs(type(want)(got) - want) <= unit, (what, got, want)
+
+
+def _check_trace(capsys, path, p, pp, rid, n, anchor=0.0):
+    """Run trace on one range and check it against the 50-digit oracle
+    (conftest.profile_s_mpmath): on exit 0 every CSV s, theta, f and h
+    and the summary's theta_endpoints, s_min and s_max lie within one
+    unit of their twelfth significant digit of the exact values at the
+    rows' float angles (of max(|s|, 1) for s: TestTraceDigits); on
+    exit 1 the refusal is the clip's, of a range no wider than two
+    clips, or fh_rows', naming a row angle whose exact e^{-sqrt6 s} lies
+    outside [_TINY, _E_MAX], and its s.  Returns the exit code."""
+    mpm = pytest.importorskip("mpmath")
+    clip = curves.DEFAULT_CLIP
+    code, out, err = run_cli(capsys, "trace", "--pair", f"{p},{pp}",
+                             "--range", str(rid), "--samples", str(n),
+                             "--anchor", repr(anchor), "--out", str(path))
+    rng = curves.classify_branches(p, pp)[rid]
+    lo, hi = rng.lo + clip, rng.hi - clip
+    thetas = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    digits = TestSpectrumDigits._assert_digits
+    what = (p, pp, rid)
+    if code == 1 and "leaves no angles" in err:
+        assert rng.hi - rng.lo <= 2 * clip, what
+        return code
+    with mpm.workdps(50 + 2 * len(str(p))):
+        r6 = mpm.sqrt(6)
+        if code == 1:
+            refused = _REFUSED_ROW.fullmatch(err)
+            assert refused and out == "", (what, err)
+            theta, s = float(refused[2]), float(refused[3])
+            assert theta in thetas, what
+            exact = anchor + profile_s_mpmath(p, pp, 0.5 * (rng.lo + rng.hi),
+                                              [theta])[0]
+            assert not geometry._TINY <= mpm.exp(-r6 * exact) <= (
+                geometry._E_MAX), what
+            _s_digits([s], [exact], what)
+            return code
+        assert (code, err) == (0, ""), what
+        s_exact = [anchor + ds for ds in profile_s_mpmath(
+            p, pp, 0.5 * (rng.lo + rng.hi), thetas)]
+        rows = [list(map(float, line.split(",")))
+                for line in path.read_text().splitlines()[1:]]
+        assert len(rows) == n, what
+        for (s, t, theta, phi, f, h), x, se in zip(rows, thetas, s_exact):
+            c, sn = mpm.cos(mpm.mpf(x)), mpm.sin(mpm.mpf(x))
+            e = mpm.exp(-r6 * se)
+            _s_digits([s], [se], what)
+            digits([theta, f, h],
+                   [mpm.mpf(x), e * (1 - 3 * c * c), r6 * e * c * sn * sn],
+                   what)
+            assert (t, phi) == (0.0, 0.0), what
+        summary = json.loads(out)
+        fixed = {"pole0": mpm.mpf(0), "polePi": +mpm.pi}
+        roots = [c for c, _ in profile_poles_mpmath(p, pp)[2:]]
+        fixed["theta0"] = mpm.acos(roots[0])
+        if len(roots) == 2 and abs(roots[1]) < 1:
+            fixed["theta0_bar"] = mpm.acos(roots[1])
+        digits(summary["theta_endpoints"],
+               [fixed[label] for label in summary["endpoint_labels"]], what)
+        _s_digits([summary["s_min"], summary["s_max"]],
+                  [min(s_exact), max(s_exact)], what)
+    return code
+
+
+class TestTraceDigits:
+    """ROADMAP item 21, the trace half: every float trace prints lies
+    within one unit of its twelfth significant digit of the exact value
+    at the rows' float angles, or the trace refuses the range
+    (_check_trace), on every range of _trace_draws.  Near
+    2 p'^2 = 3 p^2 a pole of ds/dx and its nearby root are one term of
+    s, taken from the exact 2 p'^2 - 3 p^2: the float residues of the
+    two, each of order p^2 / |D|, gave errors of 1.45 at
+    (12641, +-15482) and 7.34 at (8721, +-10681), and fail this.
+
+    s is held to one unit of the twelfth digit of max(|s|, 1): it is the
+    difference of two log sums, so where it crosses 0 (at the anchor,
+    the range's midpoint, and wherever else it does) its error is a few
+    ulps of those sums, not of itself, and (2, 3) range 1 prints
+    1.11022302463e-16 at the anchor row for the exact 8.2e-17.  f and h
+    carry e^{-sqrt6 s}, so their twelve digits hold the absolute error
+    of s to about 4e-13 anyway."""
+
+    def test_draws(self, capsys, tmp_path):
+        codes = []
+        for p, pp in _trace_draws():
+            for rid in range(len(curves.classify_branches(p, pp))):
+                codes.append(_check_trace(capsys, tmp_path / "t.csv", p, pp,
+                                          rid, 5))
+        # 171 ranges traced, 130 refused: by fh_rows or the clip.
+        assert (codes.count(0), codes.count(1)) == (171, 130)
+
+    @pytest.mark.parametrize("p,pp,rid,n", [(1, 2, 1, 500), (3, 7, 0, 1000),
+                                            (2, -1, 1, 200)])
+    def test_golden_traces(self, capsys, tmp_path, p, pp, rid, n):
+        # Row 846 of (3, 7) lies 4e-10 from the cone angle, where
+        # 1 - 3 cos^2 theta cancelled and f was 6.3e-8 off.
+        assert _check_trace(capsys, tmp_path / "t.csv", p, pp, rid, n) == 0
+
+    def test_defect_10(self, capsys, tmp_path):
+        # It printed s = -0.0547978579998 here.
+        assert _check_trace(capsys, tmp_path / "t.csv", 12641, 15482, 0,
+                            5) == 0
+        row = (tmp_path / "t.csv").read_text().splitlines()[2]
+        assert row.startswith("-0.162826873854,0,0.307789854105,")
+        # The oracle's sum agrees with quadrature of ds/dtheta.
+        rng = curves.classify_branches(12641, 15482)[0]
+        mid = 0.5 * (rng.lo + rng.hi)
+        want, = profile_s_mpmath(12641, 15482, mid, [0.307789854105])
+        assert abs(profile_s_quad(12641, 15482, mid, 0.307789854105) - want) < 1e-15
 
 
 class TestFlagErrors:
@@ -1425,11 +1599,11 @@ class TestTemplatesMatchJsonDumps:
 class TestPinnedTrace:
     @pytest.mark.parametrize("argv,rows,digest", [
         (["--pair", "1,2", "--range", "1", "--samples", "500"], 500,
-         "8c0d8ebc88934f5d62faeb08f8c1f76542557480c0bdb26ac6f5c30980817e9f"),
+         "777afffb80505b000e7c1dedb13a8a674423dd491053dabf711ea06876fb8068"),
         (["--pair", "3,7", "--range", "0", "--samples", "1000"], 1000,
-         "5e16fc6d3c10351a1146ed90ecf7b69b8ad0d54811f8de586d61e61a9bc27df2"),
+         "0771c8b99fc6be26ee7f3e2a0df2242a21f8a8c34030b28f64de0459c067dfb9"),
         (["--pair", "2,-1", "--range", "1", "--samples", "200"], 200,
-         "9c2753ebffb2d78fdc6c02a0a0468e6c7eb5cdf5e13cbd145f038dadeec8ccd4"),
+         "d392fad7b2cbfe93fc55e28c0af869278e8a8eb9d37990fb569292d7ee145a3e"),
         (["--pair", "12,-19", "--range", "2", "--samples", "300",
           "--anchor", "0.4"], 300,
          "d2fd4f5a57dc2972c34d63b055981023db861f744bfe0b5cf70c7cce03f7b95a"),
@@ -1446,7 +1620,14 @@ class TestPinnedTrace:
         and theta ranges were given one source, before any of that code
         changed.  (1, 2)'s was re-recorded when its companion angle came
         from the pole distance: 11 of its 500 rows moved, by at most
-        1.1e-11 relative.
+        1.1e-11 relative.  The three golden traces' were re-recorded when
+        a pole of ds/dx and its nearby root became one term and f took
+        1 - 3 cos^2 theta near the cone from the cone angle: 4, 8 and 3
+        rows moved, by at most 6.1e-12, 6.3e-8 (f of the row 4e-10 from
+        the cone) and 2.5e-12 relative, and every field is within half a
+        unit of its twelfth digit of the 50-digit oracle
+        (TestTraceDigits.test_golden_traces), where that f was 14,541
+        units off.
         """
         path = tmp_path / "t.csv"
         code, _, err = run_cli(capsys, "trace", *argv, "--out", str(path))

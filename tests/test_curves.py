@@ -18,6 +18,9 @@ from sympl_moduli.errors import (BranchError, DomainError, InvalidLabel,
                                   WrongExample)
 from sympl_moduli.geometry import THETA_C, Point4, fh_at
 
+from conftest import (boundary_pairs, profile_poles_mpmath, profile_s_mpmath,
+                      profile_s_quad, trace_outcome)
+
 SQRT6_ = math.sqrt(6.0)
 
 # Pairs covering both regimes (two and three ranges), both signs of p',
@@ -25,6 +28,10 @@ SQRT6_ = math.sqrt(6.0)
 # threshold 2 p'^2 = 3 p^2.
 CLOSED_FORM_PAIRS = [(1, 0), (1, 1), (1, 2), (1, -2), (2, 5), (4, 5),
                      (12, -19), (5, -6)]
+
+#: The parameter that makes a TestClosedForm identity run over
+#: conftest.boundary_pairs: 2 p'^2 - 3 p^2 within 100 of 0, p to 1e12.
+NEAR_BOUNDARY = pytest.param(0, 0, id="near-boundary")
 
 # Every admissible coprime pair with 1 <= p <= 40 and |p'| <= 60.
 PROPERTY_PAIRS = [(p, pp) for p in range(1, 41) for pp in range(-60, 61)
@@ -77,6 +84,10 @@ class TestClassifyBranches:
     def test_needs_positive_p(self):
         with pytest.raises(InvalidLabel):
             classify_branches(-1, 2)
+        # An int past Python's digit limit is named by its size, where
+        # the message's f-string raised a bare ValueError.
+        with pytest.raises(InvalidLabel, match=r"^\(-<16610-bit int>, 1\)"):
+            classify_branches(-10**5000, 1)
 
 
 def _digest(vals):
@@ -115,22 +126,27 @@ class TestPinnedCurves:
     points moved, by at most 4.1e-14 in theta, and every point stays
     within 1e-13 of the bisection's (TestProfilePoint).  Both were
     re-recorded when companion angles came from the pole distance: the
-    values of pairs without one kept their bits.
+    values of pairs without one kept their bits.  Both were re-recorded
+    when a pole of ds/dx and its nearby root became one term: 91 of the
+    147 values moved, by at most 8.4e-12 of max(1, |s|), and their
+    worst error against the 50-digit oracle went from 8.4e-12 to
+    6.9e-16; 92 of the 105 points moved, by at most 6.6e-14 in theta,
+    each within 2e-14 of the exact crossing of u.
     """
 
     def test_values_keep_their_bits(self):
         s_vals, _ = _pinned_curve_values()
         assert len(s_vals) == 147
-        assert _digest(s_vals) == ("ee9c48580f623838479ea82ca126cd99"
-                                   "a6d95da47b9f093d36758d1b336850f7")
+        assert _digest(s_vals) == ("0b2d6318a0019694aad670ea16991195"
+                                   "304d7a729b299ee8ce03208806d56815")
 
     def test_points_keep_their_bits(self):
         vals = []
         for spec, u in _pinned_curve_values()[1]:
             vals.extend(eval_invariant_curve(spec, 0.5, u))
         assert len(vals) == 420
-        assert _digest(vals) == ("6148a22a9d30d8e9e31daf0d9edbcccb"
-                                 "807a3ea78e02800ed6e70f319fb209fc")
+        assert _digest(vals) == ("55a20616a8780db29a700bc6d807a1fa"
+                                 "fdf58e7b16c70997075cb682d78ede4d")
 
 
 def _profile_domain_values():
@@ -187,14 +203,22 @@ class TestPinnedDomain:
     when companion angles came from the pole distance, within 4 ulp of
     mpmath: every value of a pair without one kept its bits, no value
     changed kind, and trace rows moved by at most 5.6e-15 in theta.
+    Both were re-recorded when a pole of ds/dx and its nearby root
+    became one term, f took 1 - 3 cos^2 theta near the cone from the
+    cone angle and companion angles moved by up to an ulp: 107,280 of
+    the 254,764 values moved, and the worst error of s against the
+    50-digit oracle, as a share of max(1, |s|), went from 1.0e-11 to
+    4.8e-15, of f and h from 7.6e-12 to 2.8e-13 relative; 2,204 of the
+    2,412 points moved, by at most 5.9e-14 in theta, each within 4.7e-14
+    of the exact crossing of u (4.2e-13 before).  No value changed kind.
     """
 
     def test_profile_domain_keeps_its_bits(self, profile_domain):
         vals, _ = profile_domain
         assert len(vals) == 254764
         assert vals.count("DomainError") == 20
-        assert _digest(vals) == ("02878f13b419d2f0649fe954a4140929"
-                                 "115f37ae737197ce5c63fd7a7eb1ec56")
+        assert _digest(vals) == ("4fd43bfc121bf8c6ac0efcdfea6c7731"
+                                 "5ace2bd0b57e2003fe478a6e0a1f85a3")
 
     def test_points_keep_their_bits(self, profile_domain):
         vals = []
@@ -205,8 +229,8 @@ class TestPinnedDomain:
                 vals.append("DomainError")
         assert len(vals) == 9648
         assert vals.count("DomainError") == 0
-        assert _digest(vals) == ("f6b12718281019046f84f3eb3cec0078"
-                                 "87127a6fef390c873d7d87dbe0858577")
+        assert _digest(vals) == ("e37b62275a6311a32410b07d0583e128"
+                                 "25fc08b200be1524198cff424a857553")
 
 
 def _bisect_reference(spec, tau, u, clip):
@@ -528,20 +552,32 @@ class TestPointStart:
 
 
 def _log_sum_by_term(terms, theta):
-    """sum residue * log|cos(theta) - pole| over the record of
-    profile_log_terms, one term at a time."""
+    """profile_log_terms' record summed one term at a time, as its
+    docstring and _log_sums' state the terms."""
     half = 0.5 * theta
-    total = terms.at_zero * (
-        math.log(2.0) + 2.0 * math.log(abs(math.sin(half))))
-    total += terms.at_pi * (
-        math.log(2.0) + 2.0 * math.log(abs(math.cos(half))))
-    for residue, half_angle, offset in terms.inside:
-        total += residue * math.log(abs(
-            offset - 2.0 * math.sin(half + half_angle)
-            * math.sin(half - half_angle)))
-    if terms.last is not None:
-        residue, pole = terms.last
-        total += residue * math.log(abs(math.cos(theta) - pole))
+    sh, ch = math.sin(half), math.cos(half)
+    gap_zero = math.log(2.0) + 2.0 * math.log(sh)
+    gap_pi = math.log(2.0) + 2.0 * math.log(ch)
+    total = terms.at_zero * gap_zero + terms.at_pi * gap_pi
+    residue, half_angle, offset = terms.inner
+    total += residue * math.log(abs(
+        offset - 2.0 * math.sin(half + half_angle)
+        * math.sin(half - half_angle)))
+    if terms.outer is not None:
+        residue, g, zero, angle, offset = terms.outer
+        w = sh if zero else ch
+        u = 2.0 * w * w
+        if u >= 2.0 * abs(g):
+            total += residue * math.log1p(-g / u)
+        elif g < 0.0:
+            total += residue * math.log((u - g) / u)
+        else:
+            w_root = math.sin(0.5 * angle) if zero else math.cos(0.5 * angle)
+            quarter = 0.25 * (theta + angle)
+            dw = 2.0 * math.sin(0.25 * (theta - angle)) * (
+                math.cos(quarter) if zero else -math.sin(quarter))
+            total += residue * math.log(
+                abs(2.0 * dw * (w + w_root) + offset) / u)
     return total
 
 
@@ -554,16 +590,20 @@ class TestLogTermKinds:
     @pytest.mark.parametrize("p,pp", CLOSED_FORM_PAIRS)
     def test_kinds_decided_once_keep_the_bits(self, p, pp):
         """_log_sums over the record gives the bits of adding its terms
-        one by one, one angle per call or all of them in one.  Each
-        inner term sits at a fixed angle strictly inside (0, pi), and a
-        last term's pole lies past x = +-1."""
+        one by one, one angle per call or all of them in one.  The inner
+        term sits at theta0; the outer root's g is positive exactly
+        where the pair has a companion angle, whose angle it carries,
+        and its pole is x = -sign(p')."""
         terms = profile_log_terms(p, pp)
         ranges = classify_branches(p, pp)
-        fixed = {rng.lo for rng in ranges}
-        assert all(0.0 < 2.0 * half < math.pi and 2.0 * half in fixed
-                   for _, half, _ in terms.inside)
-        if terms.last is not None:
-            assert abs(terms.last[1]) > 1.0
+        assert 2.0 * terms.inner[1] == solve_theta0(p, pp)
+        assert (terms.outer is None) == (pp == 0)
+        if terms.outer is not None:
+            _, g, zero, angle, _ = terms.outer
+            assert zero == (pp < 0)
+            assert (g > 0.0) == (2 * pp * pp > 3 * p * p)
+            if g > 0.0:
+                assert angle == solve_theta0_bar(p, pp)
         for rng in ranges:
             thetas = [rng.lo + (rng.hi - rng.lo) * frac
                       for frac in (1e-9, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-9)]
@@ -574,29 +614,28 @@ class TestLogTermKinds:
                      for theta in thetas] == expected
             assert list(map(repr, curves._log_sums(terms, thetas))) == expected
 
-    def test_rounded_companion_refused(self):
-        # The angle, from the pole distance, is a value 1.1e-8 from the
-        # pole.  The companion root is within 2^-52 of x = -1 (of 1), so
-        # its residue and the pole's leave s no digit (ROADMAP defect
-        # 10): the companion term in the form of the pole x = -1 gave
-        # s = 6.5e13 from the 30 % to the 70 % point of range 0 of the
-        # first pair, where the exact value is 0.0508.
+    def test_rounded_companion_traced(self):
+        """The angle, from the pole distance, is 1.1e-8 from the pole,
+        and the companion root within 2^-52 of x = -1 (of 1): as two
+        float residues of order 1e16 they left s no digit (ROADMAP
+        defect 10), and the pair was refused.  As one term from the
+        exact 2 p'^2 - 3 p^2 they give s to twelve digits, the range
+        1.1e-8 wide is refused by the clip, and the two beside it are
+        traced or refused by fh_rows where s leaves its band."""
         for p, pp in self.ROUNDED:
             thb = solve_theta0_bar(p, pp)
             assert min(thb, math.pi - thb) == pytest.approx(1.1179194e-8,
                                                             rel=1e-7)
-            want = f"within 2\\^-52 of the pole x = {-math.copysign(1.0, pp)}"
-            with pytest.raises(DomainError, match=want):
-                profile_log_terms(p, pp)
-            with pytest.raises(DomainError, match=want):
-                s_of_theta(p, pp, 0.3, 0.0, 0.4)
-            # The clip refuses the range 1.1e-8 wide first.
+            want, = profile_s_mpmath(p, pp, 0.3, [0.4])
+            got = s_of_theta(p, pp, 0.3, 0.0, 0.4)
+            assert abs(got - want) <= 1e-12 * abs(want)
             thin = 2 if pp > 0 else 0
             with pytest.raises(BranchError, match="leaves no angles"):
                 integrate_profile(p, pp, thin)
-            for rid in {0, 1, 2} - {thin}:
-                with pytest.raises(DomainError, match=want):
-                    integrate_profile(p, pp, rid)
+            outcomes = {rid: trace_outcome(p, pp, rid, 50)
+                        for rid in {0, 1, 2} - {thin}}
+            assert outcomes == ({0: "traced", 1: "refused"} if pp > 0
+                                else {1: "refused", 2: "traced"})
 
     @pytest.mark.parametrize("p,pp", CLOSED_FORM_PAIRS)
     def test_sign_flip_keeps_the_record(self, p, pp):
@@ -608,23 +647,26 @@ class TestLogTermKinds:
 
 
 class TestMergedPoles:
-    """Where a root of the quadratic rounds onto x = +-1 (or 2 p'/p onto
-    +-sqrt6), a residue's denominator is 0: DomainError, before any
-    row, where it was a bare ZeroDivisionError."""
+    """Pairs whose root of the quadratic rounds onto the pole x = +-1 it
+    approaches (or 2 p'/p onto +-sqrt6), where the two residues have no
+    float value and were refused with DomainError.  Their summed
+    residue and the root's, from the pole distance, give s to twelve
+    digits of the exact value: range 0 is traced, or refused by fh_rows
+    where s leaves its band, and s_of_theta agrees with the oracle."""
 
     @pytest.mark.parametrize("p,pp,x", [
         (121378881, 148658162, -1.0), (83739041, 102558961, -1.0),
         (83739041, -102558961, 1.0)])
-    def test_refused(self, p, pp, x):
-        want = f"round onto x = {x}"
-        with pytest.raises(DomainError, match=want):
-            profile_log_terms(p, pp)
-        with pytest.raises(DomainError, match=want):
-            integrate_profile(p, pp, 0, n_samples=5)
+    def test_traced_to_twelve_digits(self, p, pp, x):
+        terms = profile_log_terms(p, pp)
+        assert terms.outer[2] == (x == 1.0)       # paired with that pole
+        want = "traced" if pp > 0 else "refused"
+        assert trace_outcome(p, pp, 0, 6) == want
         # Range 0 runs from the pole 0 to a fixed angle no nearer than
         # acos(1 - 2**-53) = 1.5e-8.
-        with pytest.raises(DomainError, match=want):
-            s_of_theta(p, pp, 1e-9, 0.0, 2e-9)
+        exact, = profile_s_mpmath(p, pp, 1e-9, [2e-9])
+        got = s_of_theta(p, pp, 1e-9, 0.0, 2e-9)
+        assert abs(got - exact) <= 1e-12 * abs(exact)
 
 
 class TestSOfTheta:
@@ -673,6 +715,19 @@ class TestSOfTheta:
         with pytest.raises(BranchError):
             s_of_theta(1, 2, theta_ref, 0.0, theta)
 
+    @pytest.mark.parametrize("p,pp,why", [
+        (10**400, 1, r"2 \(p'/p\)\^2 underflows"),
+        (1, 10**400, r"p'/p is past the float range")],
+        ids=["underflow", "overflow"])
+    def test_slope_ratio_past_the_floats(self, p, pp, why):
+        # Where p'/p rounds to 0 with p' != 0 the outer root is past the
+        # float range, and s was nan; where p'/p overflows,
+        # profile_log_terms raised OverflowError.
+        with pytest.raises(DomainError, match=why):
+            profile_log_terms(p, pp)
+        with pytest.raises(DomainError, match=why):
+            s_of_theta(p, pp, 1.0, 0.0, 1.2)
+
     @pytest.mark.parametrize("p,pp", [(-1, -2), (2, 4), (0, 1)],
                              ids=["negative-p", "not-coprime", "zero-p"])
     def test_domain_is_that_of_classify_branches(self, p, pp):
@@ -685,15 +740,19 @@ class TestSOfTheta:
     def test_angle_whose_half_rounds_to_zero(self):
         """At theta = 5e-324, the one positive float whose half rounds to
         0, s is still taken from the log terms: log(1 - cos theta) steps
-        by 2 log(1/2) from theta = 1e-323, so s steps by the pole
-        residue times that.  Pinned at its bits; it was a bare
-        ValueError ('math domain error')."""
+        by 2 log(1/2) from theta = 1e-323, so s steps by the residue of
+        the pole x = 1, 1/(sqrt6 - 120), times that.  Pinned at its bits,
+        within 2e-14 of the exact value (the pole's residue is the
+        difference of the pair's, 0.4 each); it was a bare ValueError
+        ('math domain error')."""
         rng = classify_branches(1, -60)[0]
         mid = 0.5 * (rng.lo + rng.hi)
         got = s_of_theta(1, -60, mid, 0.0, 5e-324)
-        assert got == 12.809739223253976
+        assert got == 12.809739223253747
+        exact, = profile_s_mpmath(1, -60, mid, [5e-324])
+        assert abs(got - exact) <= 2e-14 * abs(exact)
         step = got - s_of_theta(1, -60, mid, 0.0, 1e-323)
-        want = profile_log_terms(1, -60).at_zero * 2.0 * math.log(0.5)
+        want = 2.0 * math.log(0.5) / (SQRT6_ - 120.0)
         assert step == pytest.approx(want, rel=1e-12)
 
     def test_monotone_on_steep_upper_range(self):
@@ -715,6 +774,16 @@ class TestProfileDsDtheta:
         # theta0 of (2, -1)) and at pi, whose sine rounds to 1.2e-16.
         with pytest.raises(BranchError, match="fixed angle"):
             profile_ds_dtheta(p, pp, theta)
+
+    @pytest.mark.parametrize("theta,error", [
+        (math.nan, BranchError), (math.inf, BranchError),
+        (-math.inf, BranchError), (4.0, BranchError),
+        (5e-324, DomainError)])
+    def test_angle_outside_a_range_or_overflowing(self, theta, error):
+        # nan gave nan, +-inf 'math domain error', 4.0 a slope of 2.69
+        # and 5e-324, strictly inside range 0, inf.
+        with pytest.raises(error):
+            profile_ds_dtheta(1, 2, theta)
 
     @pytest.mark.parametrize("p,pp", CLOSED_FORM_PAIRS)
     def test_every_listed_fixed_angle_is_a_branch_error(self, p, pp):
@@ -888,25 +957,6 @@ class TestEndDecayExponent:
         assert -slope == pytest.approx(data.zeta * data.kappa, rel=1e-2)
 
 
-def _mpmath_s(p, pp, theta_ref, theta):
-    """s(theta) - s(theta_ref) by mpmath quadrature of ds/dtheta written
-    out from the profile equation, split geometrically toward theta
-    (which may sit next to a fixed angle, where the integrand blows up)."""
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(20):
-        a = mp.mpf(pp) / p
-        s6 = mp.sqrt(6)
-
-        def ds(th):
-            c, sn = mp.cos(th), mp.sin(th)
-            return -(1 - 3 * c * c + s6 * a * c * sn * sn) / (
-                (s6 * c - a * (1 - 3 * c * c)) * sn)
-
-        lo, hi = mp.mpf(theta_ref), mp.mpf(theta)
-        cuts = [hi - (hi - lo) * mp.mpf(10) ** -k for k in range(0, 12, 3)]
-        return float(mp.quad(ds, cuts + [hi]))
-
-
 class TestClosedForm:
     @pytest.mark.parametrize("p,pp", CLOSED_FORM_PAIRS)
     def test_matches_mpmath_quadrature(self, p, pp):
@@ -914,7 +964,7 @@ class TestClosedForm:
             mid = 0.5 * (rng.lo + rng.hi)
             for clip in (1e-3, 1e-6, 1e-9):
                 for theta in (rng.lo + clip, rng.hi - clip):
-                    want = _mpmath_s(p, pp, mid, theta)
+                    want = profile_s_quad(p, pp, mid, theta)
                     got = s_of_theta(p, pp, mid, 0.0, theta)
                     assert abs(got - want) <= 1e-10 * (1 + abs(want)), (
                         rng, clip, theta)
@@ -933,38 +983,64 @@ class TestClosedForm:
                 want = profile_ds_dtheta(p, pp, theta)
                 assert num == pytest.approx(want, rel=1e-6)
 
-    @pytest.mark.parametrize("p,pp", CLOSED_FORM_PAIRS)
+    @pytest.mark.parametrize("p,pp", CLOSED_FORM_PAIRS + [NEAR_BOUNDARY])
     def test_orbit_angle_residue_is_decay_rate(self, p, pp):
         # s ~ log|cos theta - cos theta0| / (sqrt6 zeta kappa) at the
         # orbit angle; the companion angle theta0_bar is the orbit angle
-        # of (-p, -p') and carries that orbit's constants.
+        # of (-p, -p') and carries that orbit's constants.  Near
+        # 2 p'^2 = 3 p^2 its residue, of order p^2 / |D|, comes from
+        # the pole distance.
         from sympl_moduli import EndClass, asymptotic_constants
-        by_angle = {2.0 * half: (residue, offset)
-                    for residue, half, offset in profile_log_terms(p, pp).inside}
-        ends = [(solve_theta0(p, pp), EndClass(p, pp))]
-        if 2 * pp * pp > 3 * p * p:
-            ends.append((solve_theta0_bar(p, pp), EndClass(-p, -pp)))
-            assert ends[1][0] == solve_theta0(-p, -pp)
-        for th, end_class in ends:
-            data = asymptotic_constants(end_class)
-            want = 1.0 / (SQRT6_ * data.zeta * data.kappa)
-            residue, offset = by_angle[th]
-            assert residue == pytest.approx(want, rel=1e-12)
-            # offset = cos(th) - pole
-            assert abs(offset) <= 1e-15
+        for p, pp in [(p, pp)] if p else boundary_pairs():
+            terms = profile_log_terms(p, pp)
+            residue, half, offset = terms.inner
+            assert 2.0 * half == solve_theta0(p, pp)
+            ends = [(residue, offset, EndClass(p, pp))]
+            if 2 * pp * pp > 3 * p * p:
+                residue, _, _, angle, offset = terms.outer
+                assert angle == solve_theta0_bar(p, pp) == solve_theta0(-p,
+                                                                         -pp)
+                ends.append((residue, offset, EndClass(-p, -pp)))
+            for residue, offset, end_class in ends:
+                data = asymptotic_constants(end_class)
+                want = 1.0 / (SQRT6_ * data.zeta * data.kappa)
+                assert residue == pytest.approx(want, rel=1e-12), end_class
+                # cos(angle) - root, times sign(p') for the companion.
+                assert abs(offset) <= 1e-15
 
-    @pytest.mark.parametrize("p,pp", CLOSED_FORM_PAIRS)
+    @pytest.mark.parametrize("p,pp", CLOSED_FORM_PAIRS + [NEAR_BOUNDARY])
     def test_residues_sum_to_leading_ratio(self, p, pp):
-        terms = profile_log_terms(p, pp)
-        residues = ([terms.at_zero, terms.at_pi]
-                    + [residue for residue, _, _ in terms.inside]
-                    + ([] if terms.last is None else [terms.last[0]]))
-        # ds/dx ~ (sum of residues) / x at infinity: the ratio of the
-        # leading coefficients of N and D.
-        total = sum(residues)
-        assert total == pytest.approx(SQRT6_ / 2 if pp == 0 else SQRT6_ / 3,
-                                      rel=1e-13)
-        assert len(residues) == (3 if pp == 0 else 4)
+        """ds/dx ~ (sum of residues) / x at infinity: the residues sum to
+        the ratio of the leading coefficients of N and D, sqrt6/3
+        (sqrt6/2 for p' = 0).  The record's summed residue S is that
+        ratio less the two other residues, so the identity would check S
+        against itself.  Instead each residue of the record is checked
+        against the 50-digit partial fractions, S against the exact sum
+        of its pole's and its root's, and the exact residues against the
+        identity.  The record's residues are a few rounded operations
+        each, so 1e-14 relative; S rounds two differences of terms below
+        sqrt6/3, so 1e-15 absolute."""
+        mpm = pytest.importorskip("mpmath")
+        for p, pp in [(p, pp)] if p else boundary_pairs():
+            terms = profile_log_terms(p, pp)
+            with mpm.workdps(50 + 2 * len(str(p))):
+                (_, r_zero), (_, r_pi), *roots = profile_poles_mpmath(p, pp)
+                total = r_zero + r_pi + sum(r for _, r in roots)
+                ratio = mpm.sqrt(6) / (2 if pp == 0 else 3)
+                assert abs(total - ratio) < 1e-20      # far below 1e-14
+                if pp == 0:
+                    got = [terms.at_zero, terms.at_pi, terms.inner[0]]
+                    exact = [r_zero, r_pi, roots[0][1]]
+                    pair = []
+                else:
+                    pair, far, r_near, r_far = (
+                        (terms.at_zero, terms.at_pi, r_zero, r_pi) if pp < 0
+                        else (terms.at_pi, terms.at_zero, r_pi, r_zero))
+                    got = [far, terms.inner[0], terms.outer[0]]
+                    exact = [r_far, roots[0][1], roots[1][1]]
+                    assert abs(pair - (r_near + roots[1][1])) <= 1e-15
+                for residue, want in zip(got, exact):
+                    assert abs(residue - want) <= 1e-14 * abs(want), (p, pp)
 
     def test_trace_rows_match_s_of_theta(self):
         tr = integrate_profile(2, 5, 1, s_anchor=0.4, n_samples=101)

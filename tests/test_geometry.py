@@ -308,6 +308,9 @@ class TestJ:
             apply_J(Point4(0, 0, 0.0, 0), Tangent4(v_t=1))
         with pytest.raises(PoleError):
             apply_J(Point4(0, 0, math.pi, 0), Tangent4(v_t=1))
+        # sin^2 theta underflows: J divided by 0 (ZeroDivisionError).
+        with pytest.raises(PoleError, match="underflows"):
+            apply_J(Point4(0, 0, 1e-170, 0), Tangent4(v_s=1.0))
 
     def test_metric_recovery(self):
         # g^{-1} omega(., J.) on the coordinate frame is the round product
@@ -366,6 +369,10 @@ class TestThetaFromLambda:
             theta_from_lambda(-0.5, BranchId.C)
         with pytest.raises(RangeError):
             theta_from_lambda(float("nan"), BranchId.B)
+        # 'math domain error' at inf, and nan returned for nan.
+        for theta in (math.inf, math.nan, -1e-300):
+            with pytest.raises(RangeError, match="outside"):
+                lambda_of_theta(theta)
 
 
 #: Angles that the package's earlier wraps (fmod and add 2*pi, or
