@@ -29,19 +29,19 @@ only where that factor is a normal positive float (about
 In x = cos(theta) the slope ds/dx is a proper rational function with
 simple poles at x = +-1 and at the roots of 3 a x^2 + sqrt6 x - a (the
 cosines of theta0 and theta0_bar), so s is in closed form a sum of
-residue * log|x - pole| terms.  The outer root approaches the pole
-x = -sign(p') as 2 p'^2 nears 3 p^2, where the two residues grow like
-p^2 / |2 p'^2 - 3 p^2| and cancel: that root and pole are one term,
-S log u + R log|1 - g/u| with u = |x - pole|, taken from the root's
-pole distance g = 1 - |root| in reeb, which comes from the exact
-integer 2 p'^2 - 3 p^2.  Its second log is log1p(-g/u) where
-|g/u| <= 1/2 and log(|u - g| / u) elsewhere.  s is refused only where
-theta_roots refuses the pair or 2 (p'/p)^2 or g leaves the normal
-floats.  profile_log_terms builds the terms once per pair as one cached
-record, in the form and order that _log_sums, the one evaluator of s,
-adds them up: over a block of a trace's angles per call, or at one or
-two angles for s_of_theta, ODE residuals and the Newton iteration of a
-profile point.
+residue * log|x - pole| terms.  The outer root is taken from its pole
+distance g = 1 - |root| in reeb, which comes from the exact integer
+2 p'^2 - 3 p^2.  It approaches the pole x = -sign(p') as 2 p'^2 nears
+3 p^2, where the two residues grow like p^2 / |2 p'^2 - 3 p^2| and
+cancel: where |g| < 1/8 that root and pole are one term,
+S log u + R log|1 - g/u| with u = |x - pole|, whose second log is
+log1p(-g/u) where |g/u| <= 1/2 and log(|u - g| / u) elsewhere.  s is
+refused only where theta_roots refuses the pair or 2 (p'/p)^2 or g
+leaves the normal floats.  profile_log_terms builds the terms once per
+pair as one cached record, in the form and order that _log_sums, the
+one evaluator of s, adds them up: over a block of a trace's angles per
+call, or at one or two angles for s_of_theta, ODE residuals and the
+Newton iteration of a profile point.
 A curve's clipped range and anchored terms are one cached record,
 _point_start, which its trace and its points share.
 """
@@ -160,12 +160,21 @@ class LogTerms(NamedTuple):
     """The terms of s(theta) (profile_log_terms), in the order _log_sums
     adds them."""
 
-    at_zero: float     # times log(1 - cos theta)
-    at_pi: float       # times log(1 + cos theta)
+    at_zero: float     # residue over x = 1, times log(1 - cos theta)
+    at_pi: float       # residue over x = -1, times log(1 + cos theta)
     inner: tuple[float, float, float]   # theta0's residue, half angle, offset
-    # The outer root's residue, g, whether its pole is x = 1, and
-    # theta0_bar with its offset (0.0 where g < 0); None when p' = 0.
-    outer: Optional[tuple[float, float, bool, float, float]]
+    # The outer root's residue, g, whether its pole is x = 1, theta0_bar's
+    # half angle and u - g there (0.0 where g < 0), and S where |g| < 1/8;
+    # None when p' = 0.
+    outer: Optional[tuple[float, float, bool, float, float, Optional[float]]]
+
+
+#: |g| below which the outer root and its pole are one term.  Inside it
+#: both residues exceed 1.1 in size and 4 S, so as two terms they would
+#: cancel in s; outside it neither exceeds 2.1, and the pole's own
+#: residue keeps the slope of s at the pole, which S less the root's
+#: would lose where the root's dominates (36 times the pole's at (1, 45)).
+_PAIRED_G = 0.125
 
 
 @functools.lru_cache(maxsize=256)
@@ -175,21 +184,27 @@ def profile_log_terms(p: int, p_prime: int) -> LogTerms:
     ds/dx = N(x) / D(x) with N = 1 - 3x^2 + sqrt6 a x (1 - x^2) and
     D = (3a x^2 + sqrt6 x - a)(1 - x^2), a = p'/p, so that
     s = sum residue * log|x - pole| + const with residue = N/D' at the
-    pole; the residues sum to sqrt6/3 (sqrt6/2 when p' = 0).  The pole
-    x = sign(p') has residue 1/(2|a| + sqrt6).  The inner root (x = 0
-    when p' = 0) is taken at 40 digits: its residue, and its offset
-    cos(theta0) - root, which rounding of theta0 leaves nonzero.
+    pole; the residues sum to sqrt6/3 (sqrt6/2 when p' = 0).  The poles
+    x = sign(p') and -sign(p') have residues 1/(sqrt6 +- 2|a|).  The
+    inner root (x = 0 when p' = 0) is taken at 40 digits: its residue,
+    and its offset cos(theta0) - root, which rounding of theta0 leaves
+    nonzero.  The outer root r comes from g = 1 - |r|, reeb's signed
+    pole distance from the exact integer 2 p'^2 - 3 p^2: its residue R,
+    and where g > 0 (a companion angle) the offset u - g at theta0_bar,
+    with u = |x - pole| and pole = -sign(p'), so that |x - r| = |u - g|.
+    _log_sums takes u - g from sines of quarter angles, which keep their
+    digits where theta0_bar nears the pole and the half-angle form of
+    theta0's term would lose ulp(pi) / (pi - theta0_bar) relatively.
 
-    The outer root r approaches the other pole, x = -sign(p'), as
-    2 p'^2 nears 3 p^2, and the two residues grow like
-    p^2 / |2 p'^2 - 3 p^2| with opposite signs, so they are one term.
-    With u = |x - pole| and g = 1 - |r|, reeb's signed pole distance
-    from the exact integer, |x - r| = |u - g|: the term is
-    S log u + R log|1 - g/u|, R the root's residue from g and
-    S = sqrt6/3 less the other two residues, which cancels nothing.
-    _log_sums takes the second log as log1p(-g/u) where |g/u| <= 1/2,
-    elsewhere as log(|u - g| / u), with u - g in half angles from
-    theta0_bar and its offset where g > 0.  DomainError where
+    r approaches the pole as 2 p'^2 nears 3 p^2, where the pole's
+    residue and R grow like p^2 / |2 p'^2 - 3 p^2| with opposite signs
+    and cancel in s.  Where |g| < 1/8 (_PAIRED_G) the two are one term,
+    S log u + R log|1 - g/u| with S = sqrt6/3 less the other two
+    residues, which cancels nothing; the pole's residue is then
+    -(1 - g) / (|a| g (4 - 3g)), the same value free of the rounding of
+    2|a| onto sqrt6.  _log_sums takes the pair's second log as
+    log1p(-g/u) where |g/u| <= 1/2, elsewhere as log(|u - g| / u).
+    Elsewhere the pole and the root are two terms.  DomainError where
     theta_roots refuses the pair, or where 2 (p'/p)^2 or g leaves the
     normal floats (p'/p rounds to 0 at (10^400, 1)).
     """
@@ -222,10 +237,14 @@ def profile_log_terms(p: int, p_prime: int) -> LogTerms:
     # With w = b (1 - g) = |a r| and m = b^2 (1 - r^2),
     # R = sqrt6 w (1 + m) / ((6w - sqrt6) m), where 6w > 2 sqrt6.
     w, m = b * (1.0 - g), b * g * (b * (2.0 - g))
+    if abs(g) < _PAIRED_G:
+        pair = SQRT6 / 3.0 - far - residue
+        near = -(1.0 - g) / (b * g * (4.0 - 3.0 * g))
+    else:
+        pair, near = None, 1.0 / (SQRT6 - 2.0 * b)
     outer = (SQRT6 * w / (6.0 * w - SQRT6) * ((1.0 + m) / m), g, a < 0.0,
-             thb, offset)
-    pair = SQRT6 / 3.0 - far - residue
-    return LogTerms(*((pair, far) if a < 0.0 else (far, pair)), inner, outer)
+             0.5 * thb, offset, pair)
+    return LogTerms(*((near, far) if a < 0.0 else (far, near)), inner, outer)
 
 
 def _log_sums(terms: LogTerms, thetas: Sequence[float]) -> list[float]:
@@ -241,9 +260,12 @@ def _log_sums(terms: LogTerms, thetas: Sequence[float]) -> list[float]:
     logs are taken without abs()."""
     at_zero, at_pi, (residue, half_angle, offset), outer = terms
     if outer is not None:
-        root_residue, g, at_pole_zero, root_angle, root_offset = outer
-        near = 2.0 * abs(g)          # |g/u| > 1/2 where u < near
-        half_root = 0.5 * root_angle
+        root_residue, g, at_pole_zero, half_root, root_offset, pair = outer
+        near = math.inf              # u >= near: the log1p form
+        if pair is not None:         # S stands for the pole's residue
+            at_zero, at_pi = (pair, at_pi) if at_pole_zero else (at_zero,
+                                                                  pair)
+            near = 2.0 * abs(g)      # |g/u| > 1/2 where u < near
         w_root = sin(half_root) if at_pole_zero else cos(half_root)
     totals = []
     for theta in thetas:
@@ -269,16 +291,20 @@ def _log_sums(terms: LogTerms, thetas: Sequence[float]) -> list[float]:
                 else:
                     # u - g = 2 (w - w_root)(w + w_root) + root_offset,
                     # w - w_root a product of sines of quarter angles.
-                    quarter = 0.25 * (theta + root_angle)
-                    dw = 2.0 * sin(0.25 * (theta - root_angle)) * (
+                    quarter = 0.5 * (half + half_root)
+                    dw = 2.0 * sin(0.5 * (half - half_root)) * (
                         cos(quarter) if at_pole_zero else -sin(quarter))
                     gap = abs(2.0 * dw * (w + w_root) + root_offset)
-                # Where gap / u overflows (u below 1e-308 of a gap of at
-                # least |g|), the difference of logs cancels nothing.
-                ratio = gap / u if u else math.inf
-                total += root_residue * (
-                    log(ratio) if ratio < math.inf else
-                    log(gap) - (gap_zero if at_pole_zero else gap_pi))
+                if pair is None:
+                    total += root_residue * log(gap)
+                else:
+                    # Where gap / u overflows (u below 1e-308 of a gap of
+                    # at least |g|), the difference of logs cancels
+                    # nothing.
+                    ratio = gap / u if u else math.inf
+                    total += root_residue * (
+                        log(ratio) if ratio < math.inf else
+                        log(gap) - (gap_zero if at_pole_zero else gap_pi))
         totals.append(total)
     return totals
 

@@ -54,7 +54,9 @@ SQRT6 = math.sqrt(6.0)
 #: package's one statement of the cone cos^2 theta = 1/3 outside reeb's
 #: orbit cosines, where f = 0, h/f is infinite and the (0, +-1) orbits
 #: lie.  The two bound the three monotonicity components of lambda(theta).
-THETA_C = math.acos(1.0 / math.sqrt(3.0))
+#: Written out, not taken from libm's acos: it is the float 0.82 ulp
+#: below the exact angle (the nearest lies above), which _CONE_LOW states.
+THETA_C = 0.9553166181245092
 
 #: pi - THETA_C, and what the exact cone angles exceed the two floats
 #: by (each below an ulp), for fh_rows' f near the cone.

@@ -1599,11 +1599,11 @@ class TestTemplatesMatchJsonDumps:
 class TestPinnedTrace:
     @pytest.mark.parametrize("argv,rows,digest", [
         (["--pair", "1,2", "--range", "1", "--samples", "500"], 500,
-         "777afffb80505b000e7c1dedb13a8a674423dd491053dabf711ea06876fb8068"),
+         "222f4909ce36141ac0b77b912342c97e3476cfeb195c05e3615cb9b7fe0f60f3"),
         (["--pair", "3,7", "--range", "0", "--samples", "1000"], 1000,
-         "0771c8b99fc6be26ee7f3e2a0df2242a21f8a8c34030b28f64de0459c067dfb9"),
+         "04691f62222fd0bcd66a277f6fff3c64b0ad42ed9a08d44c6f725bea0fe5ec20"),
         (["--pair", "2,-1", "--range", "1", "--samples", "200"], 200,
-         "d392fad7b2cbfe93fc55e28c0af869278e8a8eb9d37990fb569292d7ee145a3e"),
+         "64b38792951dee3542ffb330fedc54628304c5db5d14b00fb61da39fbb054a55"),
         (["--pair", "12,-19", "--range", "2", "--samples", "300",
           "--anchor", "0.4"], 300,
          "d2fd4f5a57dc2972c34d63b055981023db861f744bfe0b5cf70c7cce03f7b95a"),
@@ -1622,7 +1622,7 @@ class TestPinnedTrace:
         from the pole distance: 11 of its 500 rows moved, by at most
         1.1e-11 relative.  The three golden traces' were re-recorded when
         a pole of ds/dx and its nearby root became one term and f took
-        1 - 3 cos^2 theta near the cone from the cone angle: 4, 8 and 3
+        1 - 3 cos^2 theta near the cone from the cone angle: 5, 7 and 2
         rows moved, by at most 6.1e-12, 6.3e-8 (f of the row 4e-10 from
         the cone) and 2.5e-12 relative, and every field is within half a
         unit of its twelfth digit of the 50-digit oracle

@@ -127,26 +127,26 @@ class TestPinnedCurves:
     within 1e-13 of the bisection's (TestProfilePoint).  Both were
     re-recorded when companion angles came from the pole distance: the
     values of pairs without one kept their bits.  Both were re-recorded
-    when a pole of ds/dx and its nearby root became one term: 91 of the
+    when a pole of ds/dx and its nearby root became one term: 79 of the
     147 values moved, by at most 8.4e-12 of max(1, |s|), and their
     worst error against the 50-digit oracle went from 8.4e-12 to
-    6.9e-16; 92 of the 105 points moved, by at most 6.6e-14 in theta,
-    each within 2e-14 of the exact crossing of u.
+    6.9e-16; 86 of the 105 points moved, by at most 6.7e-14 in theta,
+    each within 2e-14 of the exact crossing of u (4.6e-14 before).
     """
 
     def test_values_keep_their_bits(self):
         s_vals, _ = _pinned_curve_values()
         assert len(s_vals) == 147
-        assert _digest(s_vals) == ("0b2d6318a0019694aad670ea16991195"
-                                   "304d7a729b299ee8ce03208806d56815")
+        assert _digest(s_vals) == ("609e52adc3ce47347d0bf9b835739a85"
+                                   "d854b6f99102473b981e99de5577e1ad")
 
     def test_points_keep_their_bits(self):
         vals = []
         for spec, u in _pinned_curve_values()[1]:
             vals.extend(eval_invariant_curve(spec, 0.5, u))
         assert len(vals) == 420
-        assert _digest(vals) == ("55a20616a8780db29a700bc6d807a1fa"
-                                 "fdf58e7b16c70997075cb682d78ede4d")
+        assert _digest(vals) == ("9a047f259e375020589e5428fe344042"
+                                 "72663b283ac3b0f2e5418e5c5a925bd4")
 
 
 def _profile_domain_values():
@@ -205,11 +205,11 @@ class TestPinnedDomain:
     changed kind, and trace rows moved by at most 5.6e-15 in theta.
     Both were re-recorded when a pole of ds/dx and its nearby root
     became one term, f took 1 - 3 cos^2 theta near the cone from the
-    cone angle and companion angles moved by up to an ulp: 107,280 of
+    cone angle and companion angles moved by up to an ulp: 94,798 of
     the 254,764 values moved, and the worst error of s against the
     50-digit oracle, as a share of max(1, |s|), went from 1.0e-11 to
-    4.8e-15, of f and h from 7.6e-12 to 2.8e-13 relative; 2,204 of the
-    2,412 points moved, by at most 5.9e-14 in theta, each within 4.7e-14
+    4.5e-15, of f and h from 7.6e-12 to 2.8e-13 relative; 2,048 of the
+    2,412 points moved, by at most 6.6e-14 in theta, each within 4.7e-14
     of the exact crossing of u (4.2e-13 before).  No value changed kind.
     """
 
@@ -217,8 +217,8 @@ class TestPinnedDomain:
         vals, _ = profile_domain
         assert len(vals) == 254764
         assert vals.count("DomainError") == 20
-        assert _digest(vals) == ("4fd43bfc121bf8c6ac0efcdfea6c7731"
-                                 "5ace2bd0b57e2003fe478a6e0a1f85a3")
+        assert _digest(vals) == ("5e284b914fb0761215afa748911e10ab"
+                                 "5ac0ed2e45702df5165d6d0a1d4968c5")
 
     def test_points_keep_their_bits(self, profile_domain):
         vals = []
@@ -229,8 +229,8 @@ class TestPinnedDomain:
                 vals.append("DomainError")
         assert len(vals) == 9648
         assert vals.count("DomainError") == 0
-        assert _digest(vals) == ("e37b62275a6311a32410b07d0583e128"
-                                 "25fc08b200be1524198cff424a857553")
+        assert _digest(vals) == ("beccf0928b816fc8d9dc0b6e35038500"
+                                 "9a7a6b366d6d7770a62365ca942155c7")
 
 
 def _bisect_reference(spec, tau, u, clip):
@@ -558,27 +558,33 @@ def _log_sum_by_term(terms, theta):
     sh, ch = math.sin(half), math.cos(half)
     gap_zero = math.log(2.0) + 2.0 * math.log(sh)
     gap_pi = math.log(2.0) + 2.0 * math.log(ch)
-    total = terms.at_zero * gap_zero + terms.at_pi * gap_pi
+    at_zero, at_pi = terms.at_zero, terms.at_pi
     residue, half_angle, offset = terms.inner
-    total += residue * math.log(abs(
+    inner = residue * math.log(abs(
         offset - 2.0 * math.sin(half + half_angle)
         * math.sin(half - half_angle)))
-    if terms.outer is not None:
-        residue, g, zero, angle, offset = terms.outer
-        w = sh if zero else ch
-        u = 2.0 * w * w
-        if u >= 2.0 * abs(g):
-            total += residue * math.log1p(-g / u)
-        elif g < 0.0:
-            total += residue * math.log((u - g) / u)
-        else:
-            w_root = math.sin(0.5 * angle) if zero else math.cos(0.5 * angle)
-            quarter = 0.25 * (theta + angle)
-            dw = 2.0 * math.sin(0.25 * (theta - angle)) * (
-                math.cos(quarter) if zero else -math.sin(quarter))
-            total += residue * math.log(
-                abs(2.0 * dw * (w + w_root) + offset) / u)
-    return total
+    if terms.outer is None:
+        return at_zero * gap_zero + at_pi * gap_pi + inner
+    residue, g, zero, half_root, offset, pair = terms.outer
+    if pair is not None:
+        at_zero, at_pi = (pair, at_pi) if zero else (at_zero, pair)
+    w = sh if zero else ch
+    u = 2.0 * w * w
+    if g < 0.0:
+        gap = u - g
+    else:
+        w_root = math.sin(half_root) if zero else math.cos(half_root)
+        quarter = 0.25 * (theta + 2.0 * half_root)
+        dw = 2.0 * math.sin(0.25 * (theta - 2.0 * half_root)) * (
+            math.cos(quarter) if zero else -math.sin(quarter))
+        gap = abs(2.0 * dw * (w + w_root) + offset)
+    if pair is None:
+        outer = residue * math.log(gap)
+    elif u >= 2.0 * abs(g):
+        outer = residue * math.log1p(-g / u)
+    else:
+        outer = residue * math.log(gap / u)
+    return at_zero * gap_zero + at_pi * gap_pi + inner + outer
 
 
 class TestLogTermKinds:
@@ -599,11 +605,12 @@ class TestLogTermKinds:
         assert 2.0 * terms.inner[1] == solve_theta0(p, pp)
         assert (terms.outer is None) == (pp == 0)
         if terms.outer is not None:
-            _, g, zero, angle, _ = terms.outer
+            _, g, zero, half_root, _, pair = terms.outer
             assert zero == (pp < 0)
             assert (g > 0.0) == (2 * pp * pp > 3 * p * p)
+            assert (pair is not None) == (abs(g) < 0.125)
             if g > 0.0:
-                assert angle == solve_theta0_bar(p, pp)
+                assert 2.0 * half_root == solve_theta0_bar(p, pp)
         for rng in ranges:
             thetas = [rng.lo + (rng.hi - rng.lo) * frac
                       for frac in (1e-9, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-9)]
@@ -636,6 +643,24 @@ class TestLogTermKinds:
                         for rid in {0, 1, 2} - {thin}}
             assert outcomes == ({0: "traced", 1: "refused"} if pp > 0
                                 else {1: "refused", 2: "traced"})
+
+    @pytest.mark.parametrize("p,pp", [(129, 158), (1277, 1564)])
+    def test_companion_next_to_pi(self, p, pp):
+        """theta0_bar lies 7.1e-3 and 7.1e-4 from pi (D = 5), and the
+        range between them is traced: on its middle hundredth, where |s|
+        reaches 218 and 2.1e4, s_of_theta is within 1e-12 of max(1, |s|)
+        of the oracle (worst 1.8e-13).  u - g from sines of quarter
+        angles holds this; the half-angle form of the inner term, whose
+        sin(half + half_root) rounds an angle near pi, was 5.3e-12 and
+        3.1e-10 off."""
+        rng = classify_branches(p, pp)[2]
+        mid = 0.5 * (rng.lo + rng.hi)
+        thetas = [mid + (rng.hi - rng.lo) * 1e-2 * (k / 20.0 - 0.5)
+                  for k in range(21)]
+        exact = profile_s_mpmath(p, pp, mid, thetas)
+        for theta, want in zip(thetas, exact):
+            got = s_of_theta(p, pp, mid, 0.0, theta)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), theta
 
     @pytest.mark.parametrize("p,pp", CLOSED_FORM_PAIRS)
     def test_sign_flip_keeps_the_record(self, p, pp):
@@ -740,19 +765,17 @@ class TestSOfTheta:
     def test_angle_whose_half_rounds_to_zero(self):
         """At theta = 5e-324, the one positive float whose half rounds to
         0, s is still taken from the log terms: log(1 - cos theta) steps
-        by 2 log(1/2) from theta = 1e-323, so s steps by the residue of
-        the pole x = 1, 1/(sqrt6 - 120), times that.  Pinned at its bits,
-        within 2e-14 of the exact value (the pole's residue is the
-        difference of the pair's, 0.4 each); it was a bare ValueError
-        ('math domain error')."""
+        by 2 log(1/2) from theta = 1e-323, so s steps by the pole
+        residue times that.  Pinned at its bits, within 1e-15 of the
+        exact value; it was a bare ValueError ('math domain error')."""
         rng = classify_branches(1, -60)[0]
         mid = 0.5 * (rng.lo + rng.hi)
         got = s_of_theta(1, -60, mid, 0.0, 5e-324)
-        assert got == 12.809739223253747
+        assert got == 12.809739223253976
         exact, = profile_s_mpmath(1, -60, mid, [5e-324])
-        assert abs(got - exact) <= 2e-14 * abs(exact)
+        assert abs(got - exact) <= 1e-15 * abs(exact)
         step = got - s_of_theta(1, -60, mid, 0.0, 1e-323)
-        want = 2.0 * math.log(0.5) / (SQRT6_ - 120.0)
+        want = profile_log_terms(1, -60).at_zero * 2.0 * math.log(0.5)
         assert step == pytest.approx(want, rel=1e-12)
 
     def test_monotone_on_steep_upper_range(self):
@@ -997,9 +1020,9 @@ class TestClosedForm:
             assert 2.0 * half == solve_theta0(p, pp)
             ends = [(residue, offset, EndClass(p, pp))]
             if 2 * pp * pp > 3 * p * p:
-                residue, _, _, angle, offset = terms.outer
-                assert angle == solve_theta0_bar(p, pp) == solve_theta0(-p,
-                                                                         -pp)
+                residue, _, _, half_root, offset, _ = terms.outer
+                assert 2.0 * half_root == solve_theta0_bar(p, pp) == (
+                    solve_theta0(-p, -pp))
                 ends.append((residue, offset, EndClass(-p, -pp)))
             for residue, offset, end_class in ends:
                 data = asymptotic_constants(end_class)
@@ -1012,14 +1035,14 @@ class TestClosedForm:
     def test_residues_sum_to_leading_ratio(self, p, pp):
         """ds/dx ~ (sum of residues) / x at infinity: the residues sum to
         the ratio of the leading coefficients of N and D, sqrt6/3
-        (sqrt6/2 for p' = 0).  The record's summed residue S is that
-        ratio less the two other residues, so the identity would check S
-        against itself.  Instead each residue of the record is checked
-        against the 50-digit partial fractions, S against the exact sum
-        of its pole's and its root's, and the exact residues against the
-        identity.  The record's residues are a few rounded operations
-        each, so 1e-14 relative; S rounds two differences of terms below
-        sqrt6/3, so 1e-15 absolute."""
+        (sqrt6/2 for p' = 0).  The record's summed residue S of a pole
+        and its root is that ratio less the two other residues, so the
+        identity would check S against itself.  Instead each residue of
+        the record is checked against the 50-digit partial fractions, S
+        against the exact sum of its pole's and its root's, and the
+        exact residues against the identity.  The record's residues are
+        a few rounded operations each, so 1e-14 relative; S rounds two
+        differences of terms below sqrt6/3, so 1e-15 absolute."""
         mpm = pytest.importorskip("mpmath")
         for p, pp in [(p, pp)] if p else boundary_pairs():
             terms = profile_log_terms(p, pp)
@@ -1028,17 +1051,15 @@ class TestClosedForm:
                 total = r_zero + r_pi + sum(r for _, r in roots)
                 ratio = mpm.sqrt(6) / (2 if pp == 0 else 3)
                 assert abs(total - ratio) < 1e-20      # far below 1e-14
-                if pp == 0:
-                    got = [terms.at_zero, terms.at_pi, terms.inner[0]]
-                    exact = [r_zero, r_pi, roots[0][1]]
-                    pair = []
-                else:
-                    pair, far, r_near, r_far = (
-                        (terms.at_zero, terms.at_pi, r_zero, r_pi) if pp < 0
-                        else (terms.at_pi, terms.at_zero, r_pi, r_zero))
-                    got = [far, terms.inner[0], terms.outer[0]]
-                    exact = [r_far, roots[0][1], roots[1][1]]
-                    assert abs(pair - (r_near + roots[1][1])) <= 1e-15
+                got = [terms.at_zero, terms.at_pi, terms.inner[0]]
+                exact = [r_zero, r_pi, roots[0][1]]
+                if pp != 0:
+                    got.append(terms.outer[0])
+                    exact.append(roots[1][1])
+                    pair = terms.outer[5]
+                    near = r_zero if pp < 0 else r_pi
+                    if pair is not None:
+                        assert abs(pair - (near + roots[1][1])) <= 1e-15
                 for residue, want in zip(got, exact):
                     assert abs(residue - want) <= 1e-14 * abs(want), (p, pp)
 

@@ -173,6 +173,32 @@ class TestFhRows:
             fh_rows(s_values, thetas)
         assert str(block.value) == str(one.value)
 
+    def test_f_near_each_cone_angle_against_mpmath(self):
+        """Within 1e-10 of THETA_C and of pi - THETA_C, 1 - 3 cos^2 theta
+        cancels, and f is taken from the exact cone angle: each f is
+        within 8 eps relative of the 50-digit value, about one for each
+        rounded operation (worst 3.5 eps on 6,000 random angles there;
+        the direct form was 1e-6 off at 1e-10 from the cone).  THETA_C,
+        a literal, and the stated gaps are checked against the exact
+        angle too."""
+        mp = pytest.importorskip("mpmath")
+        from sympl_moduli.geometry import _CONE_BAR_LOW, _CONE_LOW
+        with mp.workdps(50):
+            cone = mp.acos(1 / mp.sqrt(3))
+            assert abs(cone - THETA_C - mp.mpf(_CONE_LOW)) < 1e-32
+            assert abs(mp.pi - cone - (math.pi - THETA_C)
+                       - mp.mpf(_CONE_BAR_LOW)) < 1e-32
+            thetas = [base + k * 1e-11 for base in (THETA_C, math.pi - THETA_C)
+                      for k in range(-10, 11)]
+            thetas += [math.nextafter(base, toward) for base in
+                       (THETA_C, math.pi - THETA_C) for toward in (0.0, 4.0)]
+            s_values = [0.25] * len(thetas)
+            _, fs, _ = fh_rows(s_values, thetas)
+            for s, theta, f in zip(s_values, thetas, fs):
+                x = mp.mpf(theta)
+                want = mp.exp(-mp.sqrt(6) * s) * (1 - 3 * mp.cos(x) ** 2)
+                assert abs(f - want) <= 8 * 2.0 ** -52 * abs(want), theta
+
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=100)
     @given(st.one_of(st.floats(), st.floats(-300.0, 300.0),
