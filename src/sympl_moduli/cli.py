@@ -45,7 +45,7 @@ import sys
 from functools import partial
 from typing import IO, Sequence
 
-from .errors import InternalError, ParseError, SymplModuliError
+from .errors import InternalError, ParseError, SymplModuliError, _text
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -114,7 +114,7 @@ def _out_file(path: str | None, newline: str | None):
 
 def _refused(option: str, rule: str, text: str) -> ParseError:
     """The one wording of a refused value, quoting 40 characters at most."""
-    more = f"... ({len(text)} characters)" if len(text) > 40 else ""
+    more = f"... ({_text(len(text))} characters)" if len(text) > 40 else ""
     return ParseError(f"{option} {rule}, got {text[:40]!r}{more}")
 
 
@@ -123,7 +123,8 @@ def _reader(option: str, kind: type, lo=None, hi=None):
     unless lo < value < hi (a bound of None is open)."""
     rule = f"must be {'an integer' if kind is int else 'a number'}"
     if lo is not None:
-        rule += f" > {lo}" + ("" if hi is None else f" and < {hi}")
+        rule += f" > {_text(lo)}" + (
+            "" if hi is None else f" and < {_text(hi)}")
 
     def read(text: str):
         try:
@@ -151,7 +152,8 @@ def parse_pairs(text: str, least: int = 1, most: int = 3,
     prints then has at most 2 ((L - 1) // 2) + 1 <= L digits."""
     chunks = [chunk.split(",") for chunk in text.split(";")]
     if not least <= len(chunks) <= most or any(len(c) != 2 for c in chunks):
-        count = least if least == most else f"{least} to {most}"
+        count = (_text(least) if least == most
+                 else f"{_text(least)} to {_text(most)}")
         raise _refused(option, f"must be {count} 'm,m'' pair(s)", text)
     # Python before 3.10.7 has no limit, and no function that reads it.
     limit = getattr(sys, "get_int_max_str_digits", int)()
@@ -162,7 +164,7 @@ def parse_pairs(text: str, least: int = 1, most: int = 3,
             return list(zip(entries[::2], entries[1::2]))
     except ValueError:
         pass
-    rule = f" of at most {digits} digits" if limit else ""
+    rule = f" of at most {_text(digits)} digits" if limit else ""
     raise _refused(option, "must have integer entries" + rule, text)
 
 
@@ -263,8 +265,8 @@ def _checked_reports(labels):
         report = sphere_report(label)
         oracle = double_points_bruteforce(label)
         if oracle != report.m_c:
-            raise InternalError(f"m_C formula {report.m_c} != oracle {oracle} "
-                                f"on {report.to_json(label)['label']}")
+            raise InternalError(f"m_C formula {_text(report.m_c)} != oracle "
+                                f"{_text(oracle)} on {_text(label.pairs())}")
         yield report, oracle
 
 
@@ -308,8 +310,8 @@ def _cmd_trace(ns: argparse.Namespace, out: IO[str]) -> int:
     (p, pp), = ns.pair
     ranges = classify_branches(p, pp)
     if not 0 <= ns.range < len(ranges):
-        raise _refused("--range", f"must be > -1 and < {len(ranges)} for "
-                       "this pair", str(ns.range))
+        raise _refused("--range", f"must be > -1 and < {_text(len(ranges))} "
+                       "for this pair", _text(ns.range))
     trace = integrate_profile(p, pp, ns.range, s_anchor=ns.anchor,
                               n_samples=ns.samples, clip=ns.clip)
     _write_trace_csv(trace.samples, out)
@@ -367,7 +369,7 @@ def _cmd_double_points(ns: argparse.Namespace, out: IO[str] | None) -> int:
         results["residual_tolerance"] = tol
     results["m_C"] = counts
     if len(set(counts.values())) > 1:
-        raise InternalError(f"methods disagree: {counts}")
+        raise InternalError(f"methods disagree: {_text(list(counts.items()))}")
     # Every point has passed its checks, so writing cannot fail.
     _print_listed(results, "points", _point_items(points), out)
     return EXIT_OK

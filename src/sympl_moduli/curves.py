@@ -57,11 +57,11 @@ from math import cos, log, log1p, sin
 from typing import NamedTuple, Optional, Sequence
 
 from .budgets import MAX_TRACE_SAMPLES
-from .errors import (BranchError, DomainError, InvalidLabel, WrongExample)
+from .errors import BranchError, DomainError, InvalidLabel, WrongExample, _text
 from .geometry import (_TINY, DEFAULT_CLIP, SQRT6, THETA_C, BranchId, Point4,
                        fh_at, fh_rows, require_finite, theta_from_lambda)
-from .reeb import (ReebOrbit, OrbitKind, _pair, _pole_distance,
-                   classify_pair, orbit_point, theta_roots)
+from .reeb import (ReebOrbit, OrbitKind, _pole_distance, classify_pair,
+                   orbit_point, theta_roots)
 
 _LOG2 = math.log(2.0)
 
@@ -84,10 +84,11 @@ def classify_branches(p: int, p_prime: int) -> tuple[ThetaRange, ...]:
     0 and pi, theta0, and theta0_bar when the pair has one.
     """
     if p <= 0:
-        raise InvalidLabel(f"{_pair(p, p_prime)}: profile families need p > 0")
+        raise InvalidLabel(
+            f"{_text((p, p_prime))}: profile families need p > 0")
     ok, why = classify_pair(p, p_prime)
     if not ok:
-        raise InvalidLabel(f"{_pair(p, p_prime)}: {why}")
+        raise InvalidLabel(f"{_text((p, p_prime))}: {why}")
     th0, thb = theta_roots(p, p_prime)
     angles = [(0.0, "pole0"), (th0, "theta0"), (math.pi, "polePi")]
     if thb is not None:
@@ -123,7 +124,7 @@ def profile_ds_dtheta(p: int, p_prime: int, theta: float) -> float:
         slope = _ds_dtheta(p, p_prime, theta)
     except ZeroDivisionError:
         raise BranchError(
-            f"theta = {theta} is a fixed angle of {_pair(p, p_prime)} in "
+            f"theta = {theta} is a fixed angle of {_text((p, p_prime))} in "
             f"floats: the denominator of ds/dtheta rounds to 0") from None
     if not math.isfinite(slope):
         require_finite(DomainError, ds_dtheta=slope)
@@ -139,7 +140,7 @@ def _common_range(p: int, p_prime: int, a: float, b: float) -> None:
     angles = [rng.lo for rng in ranges] + [math.pi]
     raise BranchError(
         f"{a} and {b} are not strictly inside one fixed-angle-free range "
-        f"of {_pair(p, p_prime)}; fixed angles: {angles}")
+        f"of {_text((p, p_prime))}; fixed angles: {angles}")
 
 
 def _dec_cos(x: float) -> Decimal:
@@ -337,7 +338,8 @@ class CurveSpec(NamedTuple):
     5/6/7: a profile family member, labeled by p > 0 coprime to p',
     the angle range index from classify_branches, the torus phase phi0
     and the anchor value of s.  The constructors refuse a non-finite
-    t0, phi0, kappa or s_anchor with ValueError.
+    t0, phi0, kappa or s_anchor, and a range_id that classify_branches
+    does not list, with ValueError.
     """
 
     example_id: int
@@ -384,7 +386,7 @@ class CurveSpec(NamedTuple):
         require_finite(ValueError, phi0=phi0, s_anchor=s_anchor)
         ranges = classify_branches(p, p_prime)
         if not 0 <= range_id < len(ranges):
-            raise ValueError(f"range_id {range_id} out of range")
+            raise ValueError(f"range_id {_text(range_id)} out of range")
         rid = ranges[range_id]
         endpoint_labels = {rid.lo_label, rid.hi_label}
         if endpoint_labels == {"theta0", "theta0_bar"}:
@@ -453,13 +455,14 @@ def integrate_profile(p: int, p_prime: int, range_id: int,
     the first row fh_rows refuses), zipped into the block's rows.  The
     clipped range and the anchored log terms are the curve's
     _point_start record, which its points read too.
-    DomainError past MAX_TRACE_SAMPLES, before any row.
+    DomainError past MAX_TRACE_SAMPLES, before any row; ValueError for
+    fewer than two samples, as CurveSpec.profile refuses its arguments.
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
     if n_samples > MAX_TRACE_SAMPLES:
-        raise DomainError(f"{n_samples} samples exceed {MAX_TRACE_SAMPLES}, "
-                          f"the budget of a trace")
+        raise DomainError(f"{_text(n_samples)} samples exceed "
+                          f"{_text(MAX_TRACE_SAMPLES)}, the budget of a trace")
     spec = CurveSpec.profile(p, p_prime, range_id, s_anchor=s_anchor)
     lo, hi, terms, base = _point_start(spec, clip)[:4]
     width, last = hi - lo, n_samples - 1
@@ -515,7 +518,8 @@ def s_max(spec: CurveSpec) -> float:
         return -math.log(spec.kappa) / SQRT6
     if spec.example_id == 4:
         return -math.log(3.0 * abs(spec.kappa) / (2.0 * math.sqrt(2.0))) / SQRT6
-    raise WrongExample(f"no closed-form s_max for example {spec.example_id}")
+    raise WrongExample(
+        f"no closed-form s_max for example {_text(spec.example_id)}")
 
 
 def _static_point(f: float, h: float, t: float, phi: float,
@@ -748,6 +752,6 @@ def eval_invariant_curve(spec: CurveSpec, tau: float, u: float,
     elif spec.example_id in (5, 6, 7):
         pt = _profile_point(spec, tau, u, clip)
     else:
-        raise WrongExample(f"unknown example id {spec.example_id}")
+        raise WrongExample(f"unknown example id {_text(spec.example_id)}")
     fh_at(pt.s, pt.theta)       # every family: s where e^{-sqrt6 s} is normal
     return pt

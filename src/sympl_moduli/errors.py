@@ -1,20 +1,34 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one text a
+message gives a value.
 
 Every error that signals a violated precondition or an internal
 consistency breach gets its own class so callers (and the CLI) can
 distinguish "you asked for something outside the domain" from "the
 library caught itself producing nonsense" (InternalError: CLI exit 3).
+
+A message names an int, a pair or a label only through _text.  An int
+inside Python's limit on the digits of an int's text (4,300 by default,
+sys.set_int_max_str_digits) is its decimal text, as str writes it;
+past the limit, where str raises ValueError, it is its sign and size,
+such as -<16610-bit int>.  A pair, a label's pairs or a list of them is
+written as Python writes a tuple or a list, each entry so rendered.
 """
 
 
-def _int_text(n: int) -> str:
-    """n as a message names it: its decimal text where str allows it,
-    else its sign and size, since str refuses an int past Python's digit
-    limit."""
-    try:
-        return str(n)
-    except ValueError:
-        return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit int>"
+def _text(x) -> str:
+    """x as a message names it (module docstring): an int as its digits
+    or its size, a tuple or list entry by entry, anything else as str
+    writes it, so a label, a NamedTuple of pairs, is written as its
+    pairs."""
+    if isinstance(x, int):
+        try:
+            return str(x)
+        except ValueError:
+            return f"{'-' if x < 0 else ''}<{x.bit_length()}-bit int>"
+    if isinstance(x, (tuple, list)):
+        inner = ", ".join(map(_text, x))
+        return f"[{inner}]" if isinstance(x, list) else f"({inner})"
+    return str(x)
 
 
 class SymplModuliError(Exception):

@@ -104,7 +104,8 @@ class _Point4Fields(NamedTuple):
 
 class Point4(_Point4Fields):
     """A point of R x (S^1 x S^2); t and phi are finite, stored in
-    [0, 2*pi) through _reduce_angle.
+    [0, 2*pi) through _reduce_angle.  ValueError for a theta outside
+    [0, pi] or a nan or infinite t or phi.
 
     The checks and the reduction run in __new__, which the tuple methods
     _make and _replace bypass; nothing here calls them.
@@ -135,7 +136,10 @@ class Tangent4(NamedTuple):
     v_phi: float = 0.0
 
     def check_at(self, p: Point4) -> None:
-        """The d/dphi direction degenerates at the poles."""
+        """ValueError for a nan or infinite coefficient, as Point4
+        refuses such a t or phi, and for a d/dphi coefficient at the
+        poles, where that direction degenerates."""
+        require_finite(ValueError, **self._asdict())
         if p.at_pole and self.v_phi != 0.0:
             raise ValueError("v_phi must vanish at theta in {0, pi}")
 
@@ -220,7 +224,8 @@ def coord_functions(p: Point4) -> tuple[float, float, float]:
 
 
 def contact_eval(p: Point4, v: Tangent4) -> float:
-    """Evaluate the contact form: alpha(v) = -(1-3c^2) v_t - sqrt6 c sin^2 v_phi."""
+    """Evaluate the contact form: alpha(v) = -(1-3c^2) v_t - sqrt6 c sin^2 v_phi;
+    ValueError where v.check_at(p) refuses v."""
     v.check_at(p)
     c = math.cos(p.theta)
     s2 = math.sin(p.theta) ** 2
@@ -239,7 +244,8 @@ def _unit_frame(theta: float) -> tuple[float, float, float, float, float]:
 
 
 def omega_eval(p: Point4, v: Tangent4, w: Tangent4) -> float:
-    """omega = dt ^ df + dphi ^ dh on (v, w); DomainError past fh_at."""
+    """omega = dt ^ df + dphi ^ dh on (v, w); DomainError past fh_at,
+    ValueError where check_at refuses v or w."""
     v.check_at(p)
     w.check_at(p)
     e = fh_at(p.s, p.theta)[0]
@@ -281,8 +287,9 @@ def apply_J(p: Point4, v: Tangent4) -> Tangent4:
     respect to (s, theta).  That Jacobian is singular on the theta in
     {0, pi} locus, where this chart-level J is refused, as it is where
     sin^2 theta underflows the normal floats (theta within ~1.5e-154 of
-    a pole), since J divides by it.  The factor e^{-sqrt6 s} of g and the
-    Jacobian cancels, so both are at unit factor.
+    a pole), since J divides by it.  ValueError where v.check_at(p)
+    refuses v.  The factor e^{-sqrt6 s} of g and the Jacobian cancels, so
+    both are at unit factor.
     """
     s2 = math.sin(p.theta) ** 2
     if p.at_pole or s2 < _TINY:

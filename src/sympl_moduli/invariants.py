@@ -47,8 +47,8 @@ from typing import Iterable, NamedTuple, Optional, Union
 
 from .budgets import MAX_SPECTRUM_N, MAX_WALK_DELTA
 from .errors import (BoundViolation, DegenerateAngle, DomainError,
-                     InternalError, ParityError)
-from .geometry import SQRT6
+                     InternalError, ParityError, _text)
+from .geometry import SQRT6, require_finite
 from .moduli import Label2, OrderedLabel3
 from .reeb import EndClass, orbit_cosine
 
@@ -75,9 +75,11 @@ def _closed_form(pairs) -> tuple[int, tuple[int, int, int], int]:
     g3 = math.gcd(p + q, pp + qp)
     twice = d - g1 - g2 - g3 + 2
     if twice % 2:
-        raise ParityError(f"Delta - gcds + 2 = {twice} is odd for {pairs}")
+        raise ParityError(
+            f"Delta - gcds + 2 = {_text(twice)} is odd for {_text(pairs)}")
     if twice < 0:
-        raise InternalError(f"negative double-point count {twice // 2} for {pairs}")
+        raise InternalError(f"negative double-point count "
+                            f"{_text(twice // 2)} for {_text(pairs)}")
     return d, (g1, g2, g3), twice // 2
 
 
@@ -100,10 +102,11 @@ def _lattice(label: LabelLike) -> tuple[int, int, int, int]:
     (p, pp), (q, qp) = label.pairs()[:2]
     d = p * qp - q * pp
     if d < 1:
-        raise InternalError(f"Delta = {d} < 1")
+        raise InternalError(f"Delta = {_text(d)} < 1")
     if d > MAX_WALK_DELTA:
-        raise DomainError(f"Delta = {d} exceeds {MAX_WALK_DELTA}, the "
-                          f"budget of the residue walk; use the gcd formula")
+        raise DomainError(f"Delta = {_text(d)} exceeds "
+                          f"{_text(MAX_WALK_DELTA)}, the budget of the "
+                          f"residue walk; use the gcd formula")
     g = math.gcd(d, q, qp)
     h = math.gcd(qp, d)
     y = pow(q // g, -1, h // g)
@@ -150,12 +153,14 @@ def double_points_bruteforce(label: LabelLike) -> int:
                      for b in range(a // g * b1 % coset, d, coset)
                      if b and b != a])
     if count % 2:
-        raise ParityError(f"odd ordered-solution count {count} for {label}")
+        raise ParityError(f"odd ordered-solution count {_text(count)} for "
+                          f"{_text(label.pairs())}")
     return count // 2
 
 
 def m0_of(m: int) -> int:
-    """Least integer n with 2 n^2 > 3 m^2, i.e. the first n > m sqrt(3/2)."""
+    """Least integer n with 2 n^2 > 3 m^2, i.e. the first n > m sqrt(3/2);
+    ValueError for m below 1."""
     if m < 1:
         raise ValueError("m must be >= 1")
     # isqrt gives the largest n with 2 n^2 <= 3 m^2 (never equal for m >= 1).
@@ -187,6 +192,7 @@ class EndDescriptor(NamedTuple):
 
     @classmethod
     def polar(cls, side: Side, multiplicity: int, winding: Optional[int] = None):
+        """A polar end; ValueError for a multiplicity below 1."""
         if multiplicity < 1:
             raise ValueError("polar multiplicity must be >= 1")
         return cls(side, "polar", multiplicity=multiplicity, winding=winding)
@@ -197,7 +203,9 @@ def c1_pairing(nu0: int, ends: Iterable[EndDescriptor]) -> int:
 
     nu0 >= 0 counts intersections with the polar locus.  Each polar
     winding is validated against its bound: nu <= -m0 on concave ends,
-    nu <= m0 - 1 on convex ends.  Generic ends contribute nothing.
+    nu <= m0 - 1 on convex ends (BoundViolation).  Generic ends
+    contribute nothing.  ValueError for a negative nu0 or a polar end
+    with no stored winding.
     """
     if nu0 < 0:
         raise ValueError("nu0 is a non-negative intersection count")
@@ -206,14 +214,17 @@ def c1_pairing(nu0: int, ends: Iterable[EndDescriptor]) -> int:
         if e.kind != "polar":
             continue
         if e.winding is None:
-            raise ValueError(f"polar end {e} has no stored winding")
+            raise ValueError(f"{e.side.value} polar end of multiplicity "
+                             f"{_text(e.multiplicity)} has no stored winding")
         m0 = m0_of(e.multiplicity)
         if e.side is Side.CONCAVE and e.winding > -m0:
             raise BoundViolation(
-                f"concave polar winding {e.winding} > -m0 = {-m0}")
+                f"concave polar winding {_text(e.winding)} > -m0 = "
+                f"{_text(-m0)}")
         if e.side is Side.CONVEX and e.winding > m0 - 1:
             raise BoundViolation(
-                f"convex polar winding {e.winding} > m0 - 1 = {m0 - 1}")
+                f"convex polar winding {_text(e.winding)} > m0 - 1 = "
+                f"{_text(m0 - 1)}")
         total += e.winding
     return total
 
@@ -319,21 +330,25 @@ def l0_spectrum(case: GenericSpectrumCase | PolarSpectrumCase,
     rounded int division, so it keeps its digits where 2 n^2 is near
     3 m^2 and no m is converted to a float.  Returned sorted by
     eigenvalue.  DomainError past MAX_SPECTRUM_N, or for a generic period
-    whose square is past the float range, before any eigenvalue.
+    whose square is past the float range or a nan or infinite zeta,
+    before any eigenvalue; ValueError for a negative n_max, a period or
+    m below 1.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if n_max > MAX_SPECTRUM_N:
-        raise DomainError(f"n_max = {n_max} exceeds {MAX_SPECTRUM_N}, the "
-                          f"budget of the spectrum")
+        raise DomainError(f"n_max = {_text(n_max)} exceeds "
+                          f"{_text(MAX_SPECTRUM_N)}, the budget of the "
+                          f"spectrum")
     out: list[tuple[float, int]] = []
     if isinstance(case, GenericSpectrumCase):
         if case.period < 1:
             raise ValueError("period must be >= 1")
+        require_finite(DomainError, zeta=case.zeta)
         t2 = case.period ** 2
         if t2 > sys.float_info.max:
-            raise DomainError(f"period = {case.period}: its square is past "
-                              f"the float range")
+            raise DomainError(f"period = {_text(case.period)}: its square is "
+                              f"past the float range")
         out.append((0.0, 1))
         out.append((-case.zeta, 1))
         for n in range(1, n_max + 1):

@@ -62,7 +62,8 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .errors import InternalError, PunctureError, ResidualError
+from .errors import (DomainError, InternalError, PunctureError,
+                     ResidualError, _text)
 from .geometry import _TINY, _reduce_angle
 from .invariants import LabelLike, delta, residue_pairs
 
@@ -77,7 +78,8 @@ class _ModelMapParamsFields(NamedTuple):
 
 
 class ModelMapParams(_ModelMapParamsFields):
-    """Label, scale and the two unit-modulus twist constants.
+    """Label, scale and the two unit-modulus twist constants: ValueError
+    unless r is finite and >= 1 and |a| = |a'| = 1 within 1e-12.
 
     The checks run in __new__, which the tuple methods _make and
     _replace bypass; nothing here calls them.
@@ -106,33 +108,59 @@ class PhiValue(NamedTuple):
     phi: float
 
 
+def _check_z(z: complex) -> None:
+    """Refuse the punctures, z in {0, 1} (PunctureError), and a
+    non-finite z, the third puncture or no point (DomainError)."""
+    if z == 0 or z == 1:
+        raise PunctureError(f"z = {z} is a puncture")
+    if not cmath.isfinite(z):
+        raise DomainError(f"z = {z} is not finite")
+
+
 def phi_eval(params: ModelMapParams, z: complex) -> PhiValue:
-    """Evaluate the model map; punctures z in {0, 1} are refused.
+    """Evaluate the model map at a finite z outside the punctures
+    (_check_z).
 
     u = ln|lambda| and t = -arg(lambda) in [0, 2pi) through geometry's
     one wrap, _reduce_angle, per the convention lambda = e^{u - i t}
-    (same for (v, phi) from lambda')."""
+    (same for (v, phi) from lambda').  DomainError where a power of z,
+    1 - z or r, or lambda or lambda', overflows or underflows to 0
+    (z = 1e-300j or 1e300j, r = 1e300), so u and v are finite."""
     z = complex(z)
-    if z == 0 or z == 1:
-        raise PunctureError(f"z = {z} is a puncture")
+    _check_z(z)
     (p, pp), (q, qp) = params.label.pairs()[:2]
-    lam = params.a * params.r ** (p + q) * z ** (-p) * (1 - z) ** (-q)
-    lamp = params.a_prime * params.r ** (pp + qp) * z ** (-pp) * (1 - z) ** (-qp)
+    try:
+        lam = params.a * params.r ** (p + q) * z ** (-p) * (1 - z) ** (-q)
+        lamp = (params.a_prime * params.r ** (pp + qp) * z ** (-pp)
+                * (1 - z) ** (-qp))
+        u, v = math.log(abs(lam)), math.log(abs(lamp))
+    except (OverflowError, ZeroDivisionError, ValueError):
+        u = v = math.nan        # ValueError: the log of a lambda of 0
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise DomainError(f"z = {z}: a power of z, 1 - z or r leaves the "
+                          f"finite floats")
     return PhiValue(
-        lam=lam, lam_prime=lamp,
-        u=math.log(abs(lam)), v=math.log(abs(lamp)),
+        lam=lam, lam_prime=lamp, u=u, v=v,
         t=_reduce_angle(-cmath.phase(lam)),
         phi=_reduce_angle(-cmath.phase(lamp)),
     )
 
 
 def immersion_residual(params: ModelMapParams, z: complex) -> tuple[complex, complex]:
-    """(p/z - q/(1-z), p'/z - q'/(1-z)); never both zero when Delta != 0."""
+    """(p/z - q/(1-z), p'/z - q'/(1-z)) at a finite z outside the
+    punctures (_check_z); never both zero when Delta != 0.  DomainError
+    where an entry is not finite (z = 5e-324j: 1/z overflows)."""
     z = complex(z)
-    if z == 0 or z == 1:
-        raise PunctureError(f"z = {z} is a puncture")
+    _check_z(z)
     (p, pp), (q, qp) = params.label.pairs()[:2]
-    return (p / z - q / (1 - z), pp / z - qp / (1 - z))
+    try:
+        out = (p / z - q / (1 - z), pp / z - qp / (1 - z))
+    except OverflowError:       # an entry past the float range
+        out = (math.nan, math.nan)
+    if not (cmath.isfinite(out[0]) and cmath.isfinite(out[1])):
+        raise DomainError(f"z = {z}: p/z, q/(1 - z) or a primed term leaves "
+                          f"the finite floats")
+    return out
 
 
 class DoublePoint(NamedTuple):
@@ -226,17 +254,19 @@ def phi_double_points(params: ModelMapParams,
         if residual != residual:      # nan: no direct quotient
             if (p * a + q * b) % d or (pp * a + qp * b) % d:
                 raise ResidualError(
-                    f"double point ({a}, {b}) of {params.label} fails "
-                    f"p a + q b = p' a + q' b = 0 (mod {d})")
+                    f"double point {_text((a, b))} of "
+                    f"{_text(params.label.pairs())} fails "
+                    f"p a + q b = p' a + q' b = 0 (mod {_text(d)})")
             omw = 1.0 - w
             residual = abs(omw - etap * (1.0 - z)) / abs(omw)
         if not residual < tol:
             raise ResidualError(
-                f"double point ({a}, {b}) of {params.label} has residual "
-                f"{residual} >= {tol}")
+                f"double point {_text((a, b))} of "
+                f"{_text(params.label.pairs())} has residual {residual} >= "
+                f"{tol}")
         if not abs(w - z.conjugate()) <= tol * (1.0 + abs(z)):
-            raise ResidualError(
-                f"double point ({a}, {b}): w != conj(z) beyond tolerance")
+            raise ResidualError(f"double point {_text((a, b))}: w != conj(z) "
+                                f"beyond tolerance")
         # DoublePoint checks nothing, so tuple.__new__ builds the same
         # record without the generated __new__ (~0.2 us a point).
         out.append(tuple.__new__(DoublePoint, (a, b, z, w, residual)))

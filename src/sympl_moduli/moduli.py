@@ -27,7 +27,11 @@ builds nothing; rule (c) is reeb's end-pair rule.  Every decision --
 ``Label2.make``, ``validate_label3``, ``canonical_pair`` and the
 enumeration -- goes through it.  ``validate_label2`` is the explainer:
 it asks the core and, only for a rejected label, words each violated
-rule once, for the CLI's ``classify`` report and ``InvalidLabel``.
+rule once, for the CLI's ``classify`` report and ``InvalidLabel``.  A
+failed rule (c) is worded by reeb, as classify_pair words its (b), after
+the end that fails it: ``(c) k = (-1, 1): 2*1^2 = 2 <= 3 = 3*(-1)^2
+with m < 0``.  Every int and pair a message names is rendered by
+errors._text.
 
 Enumeration constructs labels rather than filtering the whole box: the
 pairs of the box that pass rule (c) are listed once, in lexicographic
@@ -43,8 +47,10 @@ from operator import index
 from typing import NamedTuple
 
 from .budgets import MAX_ENUM_BOUND
-from .errors import DomainError, InternalError, InvalidLabel, OutOfRegime
-from .reeb import EndClass, _end_pair_ok, _has_companion, _steep
+from .errors import (DomainError, InternalError, InvalidLabel, OutOfRegime,
+                     _text)
+from .reeb import (EndClass, _end_pair_ok, _end_pair_text, _has_companion,
+                   _steep)
 
 Pair = tuple[int, int]
 
@@ -84,16 +90,18 @@ def _violations2(p: int, pp: int, q: int, qp: int) -> list[str]:
 
     d = p * qp - q * pp
     if d <= 0:
-        violations.append(f"(a) Delta = {p}*{qp} - {q}*{pp} = {d} <= 0")
+        violations.append(f"(a) Delta = {_text(p)}*{_text(qp)} - "
+                          f"{_text(q)}*{_text(pp)} = {_text(d)} <= 0")
     if not (qp - pp > 0 or pp * qp > 0):
-        violations.append(f"(b) q' - p' = {qp - pp} <= 0 and p'q' = {pp * qp} <= 0")
+        violations.append(f"(b) q' - p' = {_text(qp - pp)} <= 0 and p'q' = "
+                          f"{_text(pp * qp)} <= 0")
     k, kp = p + q, pp + qp
     if (k, kp) == (0, 0):
         violations.append("(1) derived pair (p+q, p'+q') is (0, 0)")
     for tag, m, mp in (("p", p, pp), ("q", q, qp), ("k", k, kp)):
         if not _end_pair_ok(m, mp):      # k = (0, 0) passes
-            violations.append(f"(c) {tag}=({m},{mp}): m < 0 needs 2 m'^2 > "
-                              f"3 m^2 ({2 * mp * mp} <= {3 * m * m})")
+            violations.append(f"(c) {tag} = {_text((m, mp))}: "
+                              f"{_end_pair_text(m, mp)}")
     return violations
 
 
@@ -199,9 +207,10 @@ class OrderedLabel3(NamedTuple):
     def make(cls, pairs, which: int = 0) -> "OrderedLabel3":
         ok, orderings = validate_label3(pairs)
         if not ok:
-            raise InvalidLabel(f"{[_as_pair(p) for p in pairs]} is not admissible")
+            raise InvalidLabel(
+                f"{_text([_as_pair(p) for p in pairs])} is not admissible")
         if not 0 <= which < len(orderings):
-            raise InvalidLabel(f"ordering index {which} out of range")
+            raise InvalidLabel(f"ordering index {_text(which)} out of range")
         canon = tuple(EndClass(*p) for p in sorted(_as_pair(p) for p in pairs))
         return cls(Label3(canon), orderings[which])  # type: ignore[arg-type]
 
@@ -221,7 +230,8 @@ def boundary_labels(l3: Label3 | OrderedLabel3) -> tuple[Label2, Label2]:
         raise InvalidLabel("not an admissible three-end label")
     out = tuple(Label2.make(o[0], o[1]) for o in orderings)
     if out[0] == out[1]:
-        raise InternalError(f"boundary labels coincide for {label}")
+        raise InternalError(
+            f"boundary labels coincide for {_text(label.pairs)}")
     return out  # type: ignore[return-value]
 
 
@@ -238,12 +248,14 @@ def canonical_pair(l2: Label2) -> tuple[EndClass, Label2]:
     """
     k, kp = l2.k_pair
     if not _has_companion(k, kp):
-        raise OutOfRegime(f"(k, k') = ({k}, {kp}) fails 2 k'^2 > 3 k^2 with k != 0")
+        raise OutOfRegime(f"(k, k') = {_text((k, kp))} fails 2 k'^2 > 3 k^2 "
+                          f"with k != 0")
     own = (*l2, (-k, -kp))
     others = [o for o in validate_label3(own)[1] if o != own]
     if len(others) != 1:
         raise InternalError(
-            f"expected exactly one distinguished pair in {l2}, got {len(others)}")
+            f"expected exactly one distinguished pair in {_text(l2)}, got "
+            f"{_text(len(others))}")
     x, y, pair = others[0]
     return EndClass(*pair), Label2.make(x, y)
 
@@ -271,13 +283,15 @@ def enumerate_labels(bound: int, ends: int) -> list[Label2] | list[Label3]:
     pair (k, k') = x + y has 2 k'^2 > 3 k^2 and lies in the box is one
     valid ordering (x, y, -k).  Three-end labels are unordered sets,
     stored sorted and returned in sorted order.  DomainError past
-    MAX_ENUM_BOUND, before any candidate is built.
+    MAX_ENUM_BOUND, before any candidate is built; ValueError for a bound
+    below 1 or ends other than 2 and 3.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if bound > MAX_ENUM_BOUND:
-        raise DomainError(f"bound = {bound} exceeds {MAX_ENUM_BOUND}, the "
-                          f"budget of the enumeration")
+        raise DomainError(f"bound = {_text(bound)} exceeds "
+                          f"{_text(MAX_ENUM_BOUND)}, the budget of the "
+                          f"enumeration")
     if ends not in (2, 3):
         raise ValueError("ends must be 2 or 3")
     classes = _end_classes(bound)

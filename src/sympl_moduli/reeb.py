@@ -36,8 +36,7 @@ import enum
 import math
 from typing import NamedTuple, Optional
 
-from .errors import (DomainError, InvalidLabel, OutOfRegime, ZeroPair,
-                     _int_text)
+from .errors import DomainError, InvalidLabel, OutOfRegime, ZeroPair, _text
 from .geometry import _TINY, SQRT6, _reduce_angle, require_finite
 
 
@@ -74,16 +73,6 @@ class EndClass(_EndClassFields):
         return (self.m, self.m_prime)
 
 
-def _pair(m: int, m_prime: int) -> str:
-    """(m, m') as a message names it."""
-    return f"({_int_text(m)}, {_int_text(m_prime)})"
-
-
-def _sq(x: int) -> str:
-    """x^2 as a violation writes it, a negative x in brackets."""
-    return f"({_int_text(x)})^2" if x < 0 else f"{_int_text(x)}^2"
-
-
 def _steep(m: int, m_prime: int) -> bool:
     """2 m'^2 > 3 m^2 (|m'/m| > sqrt(3/2)): the package's steep test."""
     return 2 * m_prime * m_prime > 3 * m * m
@@ -93,6 +82,15 @@ def _end_pair_ok(m: int, m_prime: int) -> bool:
     """The end-pair rule, m >= 0 or steep: classify_pair's (b) and
     moduli's (c), since 2 m'^2 = 3 m^2 only at m = 0, which passes."""
     return m >= 0 or _steep(m, m_prime)
+
+
+def _end_pair_text(m: int, m_prime: int) -> str:
+    """The one wording of a pair that fails _end_pair_ok, as
+    classify_pair's (b) and moduli's (c) write it: 2 m'^2 <= 3 m^2 in
+    numbers, a negative entry squared in brackets."""
+    mp, mm = (f"({_text(x)})" if x < 0 else _text(x) for x in (m_prime, m))
+    return (f"2*{mp}^2 = {_text(2 * m_prime * m_prime)} <= "
+            f"{_text(3 * m * m)} = 3*{mm}^2 with m < 0")
 
 
 def classify_pair(m: int, m_prime: int) -> tuple[bool, list[str]]:
@@ -109,17 +107,16 @@ def classify_pair(m: int, m_prime: int) -> tuple[bool, list[str]]:
         return False, ["(a) both entries are zero"]
     if m == 0 and m_prime not in (-1, 1):
         violations.append(f"(a) m = 0 requires m' = +-1, got m' = "
-                          f"{_int_text(m_prime)}")
+                          f"{_text(m_prime)}")
     if m_prime == 0 and m != 1:
-        violations.append(f"(a) m' = 0 requires m = 1, got m = {_int_text(m)}")
+        violations.append(f"(a) m' = 0 requires m = 1, got m = {_text(m)}")
     if m != 0 and m_prime != 0 and math.gcd(m, m_prime) != 1:
-        violations.append(f"(a) gcd{_pair(m, m_prime)} = "
-                          f"{_int_text(math.gcd(m, m_prime))} != 1")
+        violations.append(f"(a) gcd{_text((m, m_prime))} = "
+                          f"{_text(math.gcd(m, m_prime))} != 1")
     lhs, rhs = 2 * m_prime * m_prime, 3 * m * m
     assert lhs != rhs or m == 0, "2 m'^2 = 3 m^2 impossible for m != 0"
     if not _end_pair_ok(m, m_prime):
-        violations.append(f"(b) 2*{_sq(m_prime)} = {_int_text(lhs)} <= "
-                          f"{_int_text(rhs)} = 3*{_sq(m)} with m < 0")
+        violations.append(f"(b) {_end_pair_text(m, m_prime)}")
     return not violations, violations
 
 
@@ -160,16 +157,16 @@ def _root(p: int, p_prime: int, given: tuple[int, int]
         c = (1.0 if p_prime > 0 else -1.0) / math.sqrt(3.0)
         return math.acos(c), c, 1.0 - abs(c), 0.0
     if not _end_pair_ok(p, p_prime):
-        raise InvalidLabel(f"{_pair(p, p_prime)} admits no orbit angle")
+        raise InvalidLabel(f"{_text((p, p_prime))} admits no orbit angle")
     try:
         a = abs(p_prime / p)
     except OverflowError:
         raise DomainError(
-            f"{_pair(*given)}: p'/p is past the float range") from None
+            f"{_text(given)}: p'/p is past the float range") from None
     if 2.0 * a * a == math.inf:
         # The roots square p'/p: past ~9.5e153 the cosine would be 0 or inf.
         raise DomainError(
-            f"{_pair(*given)}: 2 (p'/p)^2 is past the float range")
+            f"{_text(given)}: 2 (p'/p)^2 is past the float range")
     q = 1.0 + math.sqrt(1.0 + 2.0 * a * a)
     if p > 0:
         # The inner root as 2 a / (sqrt6 q), free of the cancellation in
@@ -180,7 +177,7 @@ def _root(p: int, p_prime: int, given: tuple[int, int]
     near = 2.0 * math.asin(math.sqrt(0.5 * g))      # theta from its pole
     theta, c = (near, 1.0 - g) if p_prime > 0 else (math.pi - near, g - 1.0)
     if theta == math.pi:
-        raise DomainError(f"{_pair(*given)}: the angle rounds onto pi")
+        raise DomainError(f"{_text(given)}: the angle rounds onto pi")
     return theta, c, g, q / (a * a)
 
 
@@ -193,14 +190,14 @@ def _pole_distance(p: int, p_prime: int, given: tuple[int, int]) -> float:
     a = abs(p_prime / p)
     if 2.0 * a * a < _TINY:
         raise DomainError(
-            f"{_pair(*given)}: 2 (p'/p)^2 underflows the normal floats")
+            f"{_text(given)}: 2 (p'/p)^2 underflows the normal floats")
     d = (2 * p_prime * p_prime - 3 * p * p) / (p * p)
     q = 1.0 + math.sqrt(1.0 + 2.0 * a * a)
     g = (4.0 * d / (2.0 * a + SQRT6) * a
          / (SQRT6 * a * (SQRT6 * a + 2.0 * a * a / q)))
     if not abs(g) >= _TINY:
         raise DomainError(
-            f"{_pair(*given)}: the pole distance leaves the normal floats")
+            f"{_text(given)}: the pole distance leaves the normal floats")
     return g
 
 
@@ -217,7 +214,7 @@ def solve_theta0_bar(p: int, p_prime: int) -> float:
     """
     if not _has_companion(p, p_prime):
         raise OutOfRegime(
-            f"{_pair(p, p_prime)}: companion angle needs p != 0 and "
+            f"{_text((p, p_prime))}: companion angle needs p != 0 and "
             f"2 p'^2 > 3 p^2")
     return _root(-p, -p_prime, (p, p_prime))[0]
 
@@ -270,7 +267,7 @@ class ReebOrbit(NamedTuple):
         ok, why = classify_pair(reduced.m, reduced.m_prime)
         if not ok:
             raise InvalidLabel(
-                f"{_pair(m, m_prime)} is not admissible: {why}")
+                f"{_text((m, m_prime))} is not admissible: {why}")
         return cls(OrbitKind.GENERIC, pair=reduced,
                    upsilon=math.fmod(upsilon, math.tau),
                    theta0=solve_theta0(reduced.m, reduced.m_prime),
@@ -305,6 +302,6 @@ def orbit_point(orbit: ReebOrbit, tau: float) -> tuple[float, float, float]:
     except OverflowError:
         phi = math.inf
     if not math.isfinite(phi):
-        raise DomainError(f"{_pair(p, pp)}: an entry or p' tau is past "
+        raise DomainError(f"{_text((p, pp))}: an entry or p' tau is past "
                           f"the float range")
     return (_reduce_angle(tau), orbit.theta0, _reduce_angle(phi))

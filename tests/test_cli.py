@@ -43,6 +43,11 @@ def _generic_spectrum_mpmath(zeta, period, n_max):
         return sorted(out)
 
 
+#: The most digits parse_pairs takes in a pair entry: (L - 1) // 2 for
+#: L = sys.get_int_max_str_digits(), 2,149 at Python's default of 4,300.
+DIGITS = (sys.get_int_max_str_digits() - 1) // 2
+
+
 def run_cli(capsys, *argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
@@ -105,13 +110,14 @@ class TestClassify:
 
     @pytest.mark.parametrize("entry", ["9" * 5000, "-" + "9" * 5000])
     def test_entry_with_too_many_digits(self, capsys, entry):
-        """int() refuses an entry past Python's 4,300-digit limit; the
-        parse error gives the entry limit and quotes only the value's
-        first 40 characters, with its length."""
+        """int() refuses an entry past Python's digit limit (4,300 by
+        default, 640 at the least); the parse error gives the entry limit
+        and quotes only the value's first 40 characters, with its
+        length."""
         code, out, err = run_cli(capsys, "classify", f"--pairs=1,{entry}")
         assert code == 2 and out == ""
         assert err == ("parse error: --pairs must have integer entries of "
-                       f"at most 2149 digits, got {('1,' + entry)[:40]!r}... "
+                       f"at most {DIGITS} digits, got {('1,' + entry)[:40]!r}... "
                        f"({len(entry) + 2} characters)\n")
         assert len(err) < 160
 
@@ -667,7 +673,9 @@ class TestSizeBudgets:
         assert not csv.exists()
 
 
-HUGE = str(10 ** 400)
+#: Past the float range, and of 311 digits: under the entry limit at any
+#: digit limit of at least 640.
+HUGE = str(10 ** 310)
 
 
 class TestHugeEntries:
@@ -705,14 +713,16 @@ class TestHugeEntries:
         assert all(pt["residual"] < 1e-9 for pt in payload["points"])
 
 
-B = "1" + "0" * 2200      # 2,201 digits: its square has 4,401
+#: Past the entry limit, with a square past Python's limit: 2,151 and
+#: 4,301 digits at the default limit of 4,300.
+B = "1" + "0" * (DIGITS + 1)
 
 
 class TestEntryDigitLimit:
     """A pair entry has at most (L - 1) // 2 digits, L Python's limit on
     the digits of an int's text (4,300 by default), so that every int a
     command prints, Delta at most, has at most L digits.  A longer entry
-    is refused as the reader meets it, where printing a Delta of 4,401
+    is refused as the reader meets it, where printing a Delta of L + 1
     digits ended five commands in a ValueError traceback."""
 
     @pytest.mark.parametrize("argv", [
@@ -725,15 +735,15 @@ class TestEntryDigitLimit:
         code, out, err = run_cli(capsys, *argv, "--pairs", f"{B},1;1,{B}")
         assert (code, out) == (2, "")
         assert err.startswith("parse error: --pairs must have integer entries "
-                              "of at most 2149 digits, got ")
+                              f"of at most {DIGITS} digits, got ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_longest_entries_taken(self, capsys):
-        a = "9" * 2149
+        a = "9" * DIGITS
         code, out, _ = run_cli(capsys, "classify", "--pairs", f"{a},1;1,{a}")
         assert code == 0
         assert json.loads(out)["delta"] == int(a) ** 2 - 1
-        assert len(str(json.loads(out)["delta"])) == 4298
+        assert len(str(json.loads(out)["delta"])) == 2 * DIGITS
 
     def test_limit_follows_python(self):
         limit = sys.get_int_max_str_digits()

@@ -217,7 +217,21 @@ class TestFhRows:
         assert all(math.isfinite(x) for x in values + coord_functions(p))
 
 
+#: A Tangent4 with one nan or infinite coefficient, which check_at
+#: refuses with ValueError naming it: contact_eval, omega_eval and
+#: apply_J returned nan or inf.
+NON_FINITE_TANGENTS = pytest.mark.parametrize("field,value", [
+    (field, value) for field in Tangent4._fields
+    for value in (math.nan, math.inf)])
+
+
 class TestContactForm:
+    @NON_FINITE_TANGENTS
+    def test_non_finite_tangent_is_refused(self, field, value):
+        v = Tangent4(**{field: value})
+        with pytest.raises(ValueError, match=f"^{field} = {value} is not"):
+            contact_eval(Point4(0, 0, 1.0, 0), v)
+
     def test_equator_dt(self):
         p = Point4(0, 0, math.pi / 2, 0)
         assert contact_eval(p, Tangent4(v_t=1)) == pytest.approx(-1.0)
@@ -274,6 +288,14 @@ class TestReebVector:
 
 
 class TestOmega:
+    @NON_FINITE_TANGENTS
+    def test_non_finite_tangent_is_refused(self, field, value):
+        v = Tangent4(**{field: value})
+        p = Point4(0, 0, 1.0, 0)
+        for args in ((v, Tangent4(v_t=1.0)), (Tangent4(v_t=1.0), v)):
+            with pytest.raises(ValueError, match=f"^{field} = {value} is not"):
+                omega_eval(p, *args)
+
     def test_antisymmetry(self):
         rnd = random.Random(3)
         for p in random_points(50, seed=9):
@@ -299,6 +321,12 @@ class TestOmega:
 
 
 class TestJ:
+    @NON_FINITE_TANGENTS
+    def test_non_finite_tangent_is_refused(self, field, value):
+        v = Tangent4(**{field: value})
+        with pytest.raises(ValueError, match=f"^{field} = {value} is not"):
+            apply_J(Point4(0, 0, 1.0, 0), v)
+
     def test_equator_images(self):
         p = Point4(0, 0, math.pi / 2, 0)
         jt = apply_J(p, Tangent4(v_t=1))

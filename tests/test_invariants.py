@@ -446,6 +446,12 @@ class TestSpectrum:
                 [n * n / (9.0 * zeta) for n in range(1, 5)], rel=1e-15)
             assert all(math.isfinite(ev) for ev, _ in spec)
 
+    @pytest.mark.parametrize("zeta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_zeta_is_refused(self, zeta):
+        # It gave -inf or nan eigenvalues.
+        with pytest.raises(DomainError, match=f"^zeta = {zeta} is not"):
+            l0_spectrum(GenericSpectrumCase(zeta=zeta, period=3), 1)
+
     def test_polar_never_zero(self):
         for m in range(1, 101):
             spec = l0_spectrum(PolarSpectrumCase(m=m), 2 * m)

@@ -14,7 +14,8 @@ from sympl_moduli import (DoublePoint, Label2, ModelMapParams, OrderedLabel3,
                           double_points_formula, enumerate_labels,
                           immersion_residual, model_maps, phi_double_points,
                           phi_eval, residue_pairs)
-from sympl_moduli.errors import InvalidLabel, PunctureError, ResidualError
+from sympl_moduli.errors import (DomainError, InvalidLabel, PunctureError,
+                                 ResidualError)
 from sympl_moduli.model_maps import (_point_residual, _powers_normal,
                                      double_points_json)
 
@@ -121,6 +122,19 @@ class TestPhiEval:
             assert lhs2 == pytest.approx(d * math.log(10.0 / abs(1 - z)),
                                          abs=1e-10)
 
+    @pytest.mark.parametrize("z,r,why", [
+        (1e-300j, 10.0, "leaves the finite floats"),     # ZeroDivisionError
+        (0.5 + 0.5j, 1e300, "leaves the finite floats"),  # OverflowError
+        (1e300j, 10.0, "leaves the finite floats"),      # nan coordinates
+        (complex(math.nan, 0.0), 10.0, "is not finite"),
+        (complex(0.0, math.inf), 10.0, "is not finite"),
+    ], ids=["z=1e-300j", "r=1e300", "z=1e300j", "z=nan", "z=infj"])
+    def test_past_the_floats_is_refused(self, z, r, why):
+        # A power of z, 1 - z or r that leaves the finite floats ended in
+        # a builtin exception or in nan coordinates.
+        with pytest.raises(DomainError, match=why):
+            phi_eval(ModelMapParams(label=L_SYM, r=r), z)
+
     def test_nonzero_outputs(self):
         params = ModelMapParams(label=L_5, r=2.0)
         rnd = random.Random(9)
@@ -171,6 +185,14 @@ class TestImmersion:
         for z in (0j, 1.0 + 0j):
             with pytest.raises(PunctureError):
                 immersion_residual(params, z)
+
+    @pytest.mark.parametrize("z,why", [
+        (5e-324j, "leaves the finite floats"),      # was (-1-infj, -2-infj)
+        (complex(math.inf, 0.0), "is not finite"),  # was (0j, 0j)
+    ], ids=["z=5e-324j", "z=inf"])
+    def test_past_the_floats_is_refused(self, z, why):
+        with pytest.raises(DomainError, match=why):
+            immersion_residual(ModelMapParams(label=L_SYM), z)
 
     def test_no_simultaneous_zero_on_grid(self):
         params = ModelMapParams(label=L_SYM)

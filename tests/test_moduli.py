@@ -107,13 +107,13 @@ class TestValidateLabel2:
         ((0, 0), (1, 1), ["(1) first pair is (0, 0)"]),
         ((0, 1), (-1, 0), [
             "(b) q' - p' = -1 <= 0 and p'q' = 0 <= 0",
-            "(c) q=(-1,0): m < 0 needs 2 m'^2 > 3 m^2 (0 <= 3)",
-            "(c) k=(-1,1): m < 0 needs 2 m'^2 > 3 m^2 (2 <= 3)"]),
+            "(c) q = (-1, 0): 2*0^2 = 0 <= 3 = 3*(-1)^2 with m < 0",
+            "(c) k = (-1, 1): 2*1^2 = 2 <= 3 = 3*(-1)^2 with m < 0"]),
         ((1, 1), (-1, -1), [
             "(a) Delta = 1*-1 - -1*1 = 0 <= 0",
             "(b) q' - p' = -2 <= 0 and p'q' = -1 <= 0",
             "(1) derived pair (p+q, p'+q') is (0, 0)",
-            "(c) q=(-1,-1): m < 0 needs 2 m'^2 > 3 m^2 (2 <= 3)"]),
+            "(c) q = (-1, -1): 2*(-1)^2 = 2 <= 3 = 3*(-1)^2 with m < 0"]),
     ])
     def test_violation_wording(self, p_pair, q_pair, want):
         # classify prints these lines; their wording is part of the output.
