@@ -25,6 +25,9 @@ guarded e^{-sqrt6 s}, as columns over a block of angles (fh_at reads
 one row of them): trace rows, ODE residuals and profile points exist
 only where that factor is a normal positive float (about
 -289.12 < s < 289.20), and are refused with DomainError elsewhere.
+Every 1 - 3 cos^2 theta here, in ds/dtheta, u and its slope and the
+static families' height, is geometry._cone_factor's, which keeps its
+digits next to the cone angles, where it vanishes.
 
 In x = cos(theta) the slope ds/dx is a proper rational function with
 simple poles at x = +-1 and at the roots of 3 a x^2 + sqrt6 x - a (the
@@ -59,7 +62,8 @@ from typing import NamedTuple, Optional, Sequence
 from .budgets import MAX_TRACE_SAMPLES
 from .errors import BranchError, DomainError, InvalidLabel, WrongExample, _text
 from .geometry import (_TINY, DEFAULT_CLIP, SQRT6, THETA_C, BranchId, Point4,
-                       fh_at, fh_rows, require_finite, theta_from_lambda)
+                       _cone_factor, fh_at, fh_rows, require_finite,
+                       theta_from_lambda)
 from .reeb import (ReebOrbit, OrbitKind, _pole_distance, classify_pair,
                    orbit_point, theta_roots)
 
@@ -104,8 +108,9 @@ def _ds_dtheta(p: int, p_prime: int, theta: float) -> float:
     a = p_prime / p
     c = cos(theta)
     sn = sin(theta)
-    num = 1.0 - 3.0 * c * c + SQRT6 * a * c * sn * sn
-    den = (SQRT6 * c - a * (1.0 - 3.0 * c * c)) * sn
+    k = _cone_factor(theta, c)
+    num = k + SQRT6 * a * c * sn * sn
+    den = (SQRT6 * c - a * k) * sn
     return -num / den
 
 
@@ -545,7 +550,7 @@ def _static_point(f: float, h: float, t: float, phi: float,
         else:
             theta = 0.0 if h > 0 else math.pi
     c = cos(theta)
-    bracket = abs(1.0 - 3.0 * c * c) + SQRT6 * abs(c) * sin(theta) ** 2
+    bracket = abs(_cone_factor(theta, c)) + SQRT6 * abs(c) * sin(theta) ** 2
     ratio = (abs(f) + abs(h)) / bracket
     if not ratio:
         raise DomainError(f"f and h underflow the normal floats at "
@@ -601,14 +606,14 @@ def _log_u_slope(p: int, p_prime: int, theta: float) -> float:
     except ZeroDivisionError:
         return math.nan
     c = cos(theta)
-    # g as _u_of writes it, so that it is non-zero wherever _u_of is.
-    return -SQRT6 * ds + 6.0 * c * sin(theta) / (1.0 - 3.0 * c ** 2)
+    # g from _cone_factor, as _u_of takes it; it is 0 at no float angle.
+    return -SQRT6 * ds + 6.0 * c * sin(theta) / _cone_factor(theta, c)
 
 
 def _u_of(terms: LogTerms, base: float, theta: float) -> float:
     """u = e^{-sqrt6 s} (1 - 3 cos^2 theta) for _anchored's terms and base;
     +-inf where e^{-sqrt6 s} overflows, since a bracket needs only order."""
-    g = 1.0 - 3.0 * cos(theta) ** 2
+    g = _cone_factor(theta, cos(theta))
     log_sum, = _log_sums(terms, (theta,))
     try:
         return math.exp(-SQRT6 * (base + log_sum)) * g

@@ -27,6 +27,14 @@ an s where f, h, g or the Jacobian of (f, h) would overflow or keep too
 few bits, about s <= -289.12 or s >= 289.20.
 The factor cancels in J, which is therefore the same at every s.
 
+1 - 3 cos^2 theta vanishes on the cone cos^2 theta = 1/3, at THETA_C
+and pi - THETA_C, and cancels near it.  It is taken at an angle in one
+place, _cone_factor, which keeps its digits up to the cone by writing it
+there from the exact cone angle.  fh_rows' f, lambda_of_theta,
+contact_eval, reeb_vector, the Jacobian of (f, h) that omega_eval and
+apply_J read, and the curves module's ds/dtheta, u and static points
+all read it.
+
 The ratio h/f depends on theta alone,
 
     lambda(theta) = sqrt(6) cos(theta) sin^2(theta) / (1 - 3 cos^2 theta),
@@ -41,8 +49,8 @@ from __future__ import annotations
 import enum
 import math
 import sys
-# fh_rows and _reduce_angle call these as module globals, which costs
-# less than binding them to locals on every call.
+# fh_rows, _cone_factor and _reduce_angle call these as module globals,
+# which costs less than binding them to locals on every call.
 from math import cos, exp, sin, tau
 from typing import NamedTuple, Sequence
 
@@ -59,7 +67,7 @@ SQRT6 = math.sqrt(6.0)
 THETA_C = 0.9553166181245092
 
 #: pi - THETA_C, and what the exact cone angles exceed the two floats
-#: by (each below an ulp), for fh_rows' f near the cone.
+#: by (each below an ulp), for _cone_factor near the cone.
 _THETA_C_BAR = math.pi - THETA_C
 _CONE_LOW, _CONE_BAR_LOW = 9.1137196518718847e-17, 3.1327483396016471e-17
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
@@ -164,15 +172,29 @@ _BRANCH_INTERVAL = {
 }
 
 
+def _cone_factor(theta: float, c: float) -> float:
+    """1 - 3 cos^2 theta at theta, with c = cos(theta): the package's one
+    statement of it at an angle.  Where the plain 1 - 3 c^2 lies in
+    (-1/4, 1/4) it cancels, so there it is 3 (1/sqrt3 - |c|)(1/sqrt3 +
+    |c|), the first factor a product of sines of half the angle's sum
+    with and gap to the exact cone angle, and it keeps its digits up to
+    the cone: it is not 0 at any float angle in [0, pi]."""
+    g = 1.0 - 3.0 * c * c
+    if not -0.25 < g < 0.25:
+        return g
+    if c > 0.0:
+        return 6.0 * sin(0.5 * (theta + THETA_C)) * sin(
+            0.5 * (theta - THETA_C - _CONE_LOW)) * (_INV_SQRT3 + c)
+    return -6.0 * sin(0.5 * (theta + _THETA_C_BAR)) * sin(
+        0.5 * (theta - _THETA_C_BAR - _CONE_BAR_LOW)) * (_INV_SQRT3 - c)
+
+
 def fh_rows(s_values: Sequence[float], thetas: Sequence[float]
             ) -> tuple[list[float], list[float], list[float]]:
     """The columns (es, fs, hs) over the parallel sequences: at each
     (s, theta) the conformal factor e = e^{-sqrt6 s}, f = e (1 - 3
-    cos^2 theta) and h = sqrt6 e cos(theta) sin^2(theta); the one place
-    f and h are written.  Where |1 - 3 cos^2| < 1/4 it cancels, so there
-    it is 3 (1/sqrt3 - |cos|)(1/sqrt3 + |cos|), the first factor a
-    product of sines of half the angle's sum with and gap to the exact
-    cone angle.
+    cos^2 theta), its second factor from _cone_factor, and h = sqrt6 e
+    cos(theta) sin^2(theta); the one place f and h are written.
 
     DomainError, naming the first refused row, unless each s is finite
     and _TINY <= e <= _E_MAX (about -289.12 < s < 289.20): past either
@@ -194,17 +216,8 @@ def fh_rows(s_values: Sequence[float], thetas: Sequence[float]
                 why = "f and h underflow the normal floats"
             raise DomainError(f"{why} at theta = {theta} (s = {s})")
         c = cos(theta)
-        g = 1.0 - 3.0 * c * c
-        if -0.25 < g < 0.25:
-            if c > 0.0:
-                g = 6.0 * sin(0.5 * (theta + THETA_C)) * sin(
-                    0.5 * (theta - THETA_C - _CONE_LOW)) * (_INV_SQRT3 + c)
-            else:
-                g = -6.0 * sin(0.5 * (theta + _THETA_C_BAR)) * sin(
-                    0.5 * (theta - _THETA_C_BAR - _CONE_BAR_LOW)) * (
-                        _INV_SQRT3 - c)
         es.append(e)
-        fs.append(e * g)
+        fs.append(e * _cone_factor(theta, c))
         hs.append(SQRT6 * e * c * sin(theta) ** 2)
     return es, fs, hs
 
@@ -225,11 +238,15 @@ def coord_functions(p: Point4) -> tuple[float, float, float]:
 
 def contact_eval(p: Point4, v: Tangent4) -> float:
     """Evaluate the contact form: alpha(v) = -(1-3c^2) v_t - sqrt6 c sin^2 v_phi;
-    ValueError where v.check_at(p) refuses v."""
+    ValueError where v.check_at(p) refuses v, DomainError where alpha(v)
+    overflows."""
     v.check_at(p)
     c = math.cos(p.theta)
     s2 = math.sin(p.theta) ** 2
-    return -(1.0 - 3.0 * c * c) * v.v_t - SQRT6 * c * s2 * v.v_phi
+    alpha = -_cone_factor(p.theta, c) * v.v_t - SQRT6 * c * s2 * v.v_phi
+    if not math.isfinite(alpha):
+        require_finite(DomainError, alpha=alpha)
+    return alpha
 
 
 def _unit_frame(theta: float) -> tuple[float, float, float, float, float]:
@@ -238,14 +255,14 @@ def _unit_frame(theta: float) -> tuple[float, float, float, float, float]:
     (f and h scale with the factor, so f_s = -sqrt6 f)."""
     c = math.cos(theta)
     sn = math.sin(theta)
-    return (SQRT6 * math.sqrt(1.0 + 3.0 * c ** 4),
-            -SQRT6 * (1.0 - 3.0 * c * c), 6.0 * c * sn,
-            -6.0 * c * sn * sn, SQRT6 * sn * (3.0 * c * c - 1.0))
+    k = _cone_factor(theta, c)
+    return (SQRT6 * math.sqrt(1.0 + 3.0 * c ** 4), -SQRT6 * k,
+            6.0 * c * sn, -6.0 * c * sn * sn, -SQRT6 * sn * k)
 
 
 def omega_eval(p: Point4, v: Tangent4, w: Tangent4) -> float:
-    """omega = dt ^ df + dphi ^ dh on (v, w); DomainError past fh_at,
-    ValueError where check_at refuses v or w."""
+    """omega = dt ^ df + dphi ^ dh on (v, w); DomainError past fh_at or
+    where the value overflows, ValueError where check_at refuses v or w."""
     v.check_at(p)
     w.check_at(p)
     e = fh_at(p.s, p.theta)[0]
@@ -254,7 +271,10 @@ def omega_eval(p: Point4, v: Tangent4, w: Tangent4) -> float:
     df_w = f_s * w.v_s + f_th * w.v_theta
     dh_v = h_s * v.v_s + h_th * v.v_theta
     dh_w = h_s * w.v_s + h_th * w.v_theta
-    return e * (v.v_t * df_w - df_v * w.v_t + v.v_phi * dh_w - dh_v * w.v_phi)
+    om = e * (v.v_t * df_w - df_v * w.v_t + v.v_phi * dh_w - dh_v * w.v_phi)
+    if not math.isfinite(om):
+        require_finite(DomainError, omega=om)
+    return om
 
 
 def reeb_vector(p: Point4) -> Tangent4:
@@ -270,7 +290,7 @@ def reeb_vector(p: Point4) -> Tangent4:
     """
     c = math.cos(p.theta)
     n = 1.0 + 3.0 * c ** 4
-    v_t = -(1.0 - 3.0 * c * c) / n
+    v_t = -_cone_factor(p.theta, c) / n
     v_phi = -SQRT6 * c / n
     if p.at_pole:
         v_phi = 0.0
@@ -288,8 +308,9 @@ def apply_J(p: Point4, v: Tangent4) -> Tangent4:
     {0, pi} locus, where this chart-level J is refused, as it is where
     sin^2 theta underflows the normal floats (theta within ~1.5e-154 of
     a pole), since J divides by it.  ValueError where v.check_at(p)
-    refuses v.  The factor e^{-sqrt6 s} of g and the Jacobian cancels, so
-    both are at unit factor.
+    refuses v, DomainError where a component of J v overflows.  The
+    factor e^{-sqrt6 s} of g and the Jacobian cancels, so both are at
+    unit factor.
     """
     s2 = math.sin(p.theta) ** 2
     if p.at_pole or s2 < _TINY:
@@ -312,7 +333,10 @@ def apply_J(p: Point4, v: Tangent4) -> Tangent4:
     out_t = -b_f / g
     out_phi = -b_h / (g * s2)
 
-    return Tangent4(v_s=out_s, v_t=out_t, v_theta=out_th, v_phi=out_phi)
+    out = Tangent4(v_s=out_s, v_t=out_t, v_theta=out_th, v_phi=out_phi)
+    if not all(map(math.isfinite, out)):
+        require_finite(DomainError, **out._asdict())
+    return out
 
 
 def lambda_of_theta(theta: float) -> float:
@@ -321,7 +345,7 @@ def lambda_of_theta(theta: float) -> float:
     if not 0.0 <= theta <= math.pi:
         raise RangeError(f"theta = {theta} outside [0, pi]")
     c = math.cos(theta)
-    return SQRT6 * c * math.sin(theta) ** 2 / (1.0 - 3.0 * c * c)
+    return SQRT6 * c * math.sin(theta) ** 2 / _cone_factor(theta, c)
 
 
 def theta_from_lambda(lam: float, branch: BranchId) -> float:

@@ -321,18 +321,19 @@ def l0_spectrum(case: GenericSpectrumCase | PolarSpectrumCase,
 
     Generic orbit: { (-zeta +- sqrt(zeta^2 + 4 n^2 / T^2)) / 2,
     0 <= n <= n_max }; the two n = 0 eigenvalues (0 and -zeta) are
-    simple, all n > 0 ones are double.  The positive one is taken as
-    (2 n^2 / T^2) / (zeta + sqrt(...)) and the root as a hypot, so
-    neither cancels nor overflows at a large zeta.  Polar orbit covered
-    m times: { -sqrt(3/2) + n/m, |n| <= n_max }, all double -- in particular
-    never zero, since sqrt(3/2) is irrational.  For n > 0 it is taken as
+    simple, all n > 0 ones are double.  The negative one is taken as
+    -(zeta / 2 + sqrt(...) / 2), the root as a hypot, and the positive
+    one as (n^2 / T^2) over the negative's size, so none cancels or
+    overflows at a large zeta.  Polar orbit covered m times:
+    { -sqrt(3/2) + n/m, |n| <= n_max }, all double -- in particular never
+    zero, since sqrt(3/2) is irrational.  For n > 0 it is taken as
     ((2 n^2 - 3 m^2) / m^2) / (2 (n/m + sqrt(3/2))), one correctly
     rounded int division, so it keeps its digits where 2 n^2 is near
     3 m^2 and no m is converted to a float.  Returned sorted by
     eigenvalue.  DomainError past MAX_SPECTRUM_N, or for a generic period
-    whose square is past the float range or a nan or infinite zeta,
-    before any eigenvalue; ValueError for a negative n_max, a period or
-    m below 1.
+    whose square is past the float range or a nan, infinite or negative
+    zeta (a decay constant is not negative), before any eigenvalue;
+    ValueError for a negative n_max, a period or m below 1.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -345,6 +346,9 @@ def l0_spectrum(case: GenericSpectrumCase | PolarSpectrumCase,
         if case.period < 1:
             raise ValueError("period must be >= 1")
         require_finite(DomainError, zeta=case.zeta)
+        if case.zeta < 0.0:
+            raise DomainError(f"zeta = {case.zeta} < 0: a decay constant "
+                              f"is never negative")
         t2 = case.period ** 2
         if t2 > sys.float_info.max:
             raise DomainError(f"period = {_text(case.period)}: its square is "
@@ -353,9 +357,9 @@ def l0_spectrum(case: GenericSpectrumCase | PolarSpectrumCase,
         out.append((-case.zeta, 1))
         for n in range(1, n_max + 1):
             w = 2.0 * n / case.period
-            total = case.zeta + math.hypot(case.zeta, w)
-            out.append((0.5 * w * w / total, 2))
-            out.append((-0.5 * total, 2))
+            half = 0.5 * case.zeta + 0.5 * math.hypot(case.zeta, w)
+            out.append((0.25 * w * w / half, 2))
+            out.append((-half, 2))
     else:
         if case.m < 1:
             raise ValueError("m must be >= 1")

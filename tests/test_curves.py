@@ -131,7 +131,13 @@ class TestPinnedCurves:
     147 values moved, by at most 8.4e-12 of max(1, |s|), and their
     worst error against the 50-digit oracle went from 8.4e-12 to
     6.9e-16; 86 of the 105 points moved, by at most 6.7e-14 in theta,
-    each within 2e-14 of the exact crossing of u (4.6e-14 before).
+    each within 2e-14 of the exact crossing of u (4.6e-14 before).  The
+    points' digest was re-recorded when every 1 - 3 cos^2 theta at an
+    angle came from geometry._cone_factor, which also takes 3 cos^2 as
+    (3 cos) cos far from the cone: 27 of the 105 points moved, by at most
+    4.4e-14 in theta, 12 closer to the exact crossing of u and 15
+    farther, and the worst error went from 2.0e-14 to 2.3e-14, inside
+    the 1e-13 bracket that ends the search.
     """
 
     def test_values_keep_their_bits(self):
@@ -145,8 +151,8 @@ class TestPinnedCurves:
         for spec, u in _pinned_curve_values()[1]:
             vals.extend(eval_invariant_curve(spec, 0.5, u))
         assert len(vals) == 420
-        assert _digest(vals) == ("9a047f259e375020589e5428fe344042"
-                                 "72663b283ac3b0f2e5418e5c5a925bd4")
+        assert _digest(vals) == ("3db8064c1e1ae29604e56ab982f764ca"
+                                 "4f5d82a20c83704167bfdf2fc796c2fa")
 
 
 def _profile_domain_values():
@@ -211,6 +217,11 @@ class TestPinnedDomain:
     4.5e-15, of f and h from 7.6e-12 to 2.8e-13 relative; 2,048 of the
     2,412 points moved, by at most 6.6e-14 in theta, each within 4.7e-14
     of the exact crossing of u (4.2e-13 before).  No value changed kind.
+    The points' digest was re-recorded when every 1 - 3 cos^2 theta at
+    an angle came from geometry._cone_factor: 574 of the 2,412 points
+    moved, by at most 6.7e-14 in theta, 268 closer to the exact crossing
+    of u and 306 farther, and the worst error went from 4.66e-14 to
+    4.71e-14, inside the 1e-13 bracket that ends the search.
     """
 
     def test_profile_domain_keeps_its_bits(self, profile_domain):
@@ -229,25 +240,20 @@ class TestPinnedDomain:
                 vals.append("DomainError")
         assert len(vals) == 9648
         assert vals.count("DomainError") == 0
-        assert _digest(vals) == ("beccf0928b816fc8d9dc0b6e35038500"
-                                 "9a7a6b366d6d7770a62365ca942155c7")
+        assert _digest(vals) == ("f3ff7716922a32b9efb14829069b3e5a"
+                                 "cfe96733ab72b7a7bb9ea1dbd654f615")
 
 
 def _bisect_reference(spec, tau, u, clip):
     """eval_invariant_curve on a profile family as it was by bisection,
     the reference for _profile_point's bracketed Newton iteration: the
-    same u_of decisions, halving [lo, hi] until it is narrower than
-    1e-13, and the same fh_at check of the point."""
+    same u_of decisions (curves._u_of's), halving [lo, hi] until it is
+    narrower than 1e-13, and the same fh_at check of the point."""
     lo, hi = curves._point_start(spec, clip)[:2]
     terms, base = curves._anchored(spec)
 
     def u_of(theta):
-        g = 1.0 - 3.0 * math.cos(theta) ** 2
-        log_sum, = curves._log_sums(terms, (theta,))
-        try:
-            return math.exp(-SQRT6_ * (base + log_sum)) * g
-        except OverflowError:
-            return math.copysign(math.inf, g)
+        return curves._u_of(terms, base, theta)
 
     u_lo, u_hi = u_of(lo), u_of(hi)
     sign = 1.0 if u_hi > u_lo else -1.0
@@ -1612,7 +1618,13 @@ class TestPinnedStaticAngles:
     """theta of examples 2-4 over a seeded sample keeps its bits: the
     digest was recorded while each family chose its own branch, and the
     one angle rule of curves._static_point picks the same lambda = h/f
-    on the same branch."""
+    on the same branch.  It was re-recorded when lambda_of_theta, which
+    theta_from_lambda bisects, took 1 - 3 cos^2 theta from
+    geometry._cone_factor: 11 of the 3,000 angles moved, all within
+    0.027 of a cone angle, by at most 7.1e-15; 9 moved closer to the
+    50-digit root of the float lambda and 2 farther, the worst error of
+    the 11 went from 3.6e-15 to 3.5e-15, and that of all 3,000 stayed
+    4.4e-15."""
 
     def test_angles_keep_their_bits(self):
         thetas = []
@@ -1624,5 +1636,5 @@ class TestPinnedStaticAngles:
                             (CurveSpec.example4(x, -kappa), u)):
                 thetas.append(eval_invariant_curve(spec, tau, v).theta)
         assert len(thetas) == 3000
-        assert _digest(thetas) == ("beb0cb59dc33bddbe408f0c8b64f6829"
-                                   "81654323962f22d794584a17a6675cfc")
+        assert _digest(thetas) == ("bcb9cafdacf7f5b266e679238159fba3"
+                                   "3b6f4bea7e26559c87954385a1adaec9")

@@ -245,13 +245,41 @@ HUGE_INT_REFUSALS = {
 }
 
 
+_P = sm.Point4(0.0, 0.0, 1.0, 0.0)
+_HUGE = sm.Tangent4(1e308, 1e308, 1e308, 1e308)
+
+#: Calls that a hostile-input draw does not reach, each with the error it
+#: raises (None: it returns finite values).  Each ended in a builtin
+#: exception or returned nan, inf or eigenvalues for a negative decay
+#: constant.
+PINNED_HOSTILE_CALLS = {
+    "l0_spectrum(zeta=-1e300)": (lambda: sm.l0_spectrum(
+        sm.GenericSpectrumCase(zeta=-1e300, period=3), 1),
+        sm.errors.DomainError),
+    "l0_spectrum(zeta=-1)": (lambda: sm.l0_spectrum(
+        sm.GenericSpectrumCase(zeta=-1.0, period=3), 1),
+        sm.errors.DomainError),
+    "l0_spectrum(zeta=1.7e308)": (lambda: sm.l0_spectrum(
+        sm.GenericSpectrumCase(zeta=1.7e308, period=3), 1), None),
+    "apply_J": (lambda: sm.apply_J(_P, _HUGE), sm.errors.DomainError),
+    "omega_eval": (lambda: sm.omega_eval(
+        _P, _HUGE, sm.Tangent4(1e308, -1e308, 1e308, -1e308)),
+        sm.errors.DomainError),
+    "contact_eval": (lambda: sm.contact_eval(
+        sm.Point4(0.0, 0.0, 0.3, 0.0), sm.Tangent4(0.0, 1.7e308, 0.0,
+                                                   -1.7e308)),
+        sm.errors.DomainError),
+}
+
+
 class TestHostileInput:
     """Each entry point of CALLS, on the hostile ints and floats above,
     returns finite values or refuses: with a package error, or with a
     ValueError that the package raises itself and its docstring names,
     never with one that a builtin raised (math, float(), int-to-text:
     'Exceeds the limit').  Derandomized, and capped at 25 examples a
-    call; HUGE_INT_REFUSALS pins the calls that did end so."""
+    call; HUGE_INT_REFUSALS and PINNED_HOSTILE_CALLS pin calls that did
+    end otherwise."""
 
     @pytest.mark.parametrize("name", CALLS)
     @settings(derandomize=True, database=None, deadline=None,
@@ -284,4 +312,13 @@ class TestHostileInput:
             assert not ok and "<16610-bit int>" in "; ".join(why)
             return
         with pytest.raises(error, match="<1661[01]-bit int>"):
+            call()
+
+    @pytest.mark.parametrize("name", PINNED_HOSTILE_CALLS)
+    def test_pinned_call_is_finite_or_refused(self, name):
+        call, error = PINNED_HOSTILE_CALLS[name]
+        if error is None:
+            assert _finite(call()), name
+            return
+        with pytest.raises(error):
             call()

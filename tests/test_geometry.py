@@ -11,7 +11,7 @@ from sympl_moduli import (BranchId, EndClass, Label2, ModelMapParams, Point4,
                           ReebOrbit, Tangent4, apply_J, asymptotic_constants,
                           classify_pair, contact_eval, coord_functions,
                           lambda_of_theta, omega_eval, orbit_point, phi_eval,
-                          reeb_vector, theta_from_lambda)
+                          profile_ds_dtheta, reeb_vector, theta_from_lambda)
 from sympl_moduli.errors import DomainError, PoleError, RangeError
 from sympl_moduli.geometry import (SQRT6, THETA_C, _reduce_angle, fh_at,
                                    fh_rows)
@@ -215,6 +215,81 @@ class TestFhRows:
                 coord_functions(p)
             return
         assert all(math.isfinite(x) for x in values + coord_functions(p))
+
+
+#: Angles at 10^-k, k = 4..15, on each side of each cone angle, where
+#: 1 - 3 cos^2 theta cancels.
+NEAR_CONE = [base + side * 10.0 ** -k for base in (THETA_C, math.pi - THETA_C)
+             for side in (-1.0, 1.0) for k in range(4, 16)]
+
+
+class TestConeFactor:
+    """Every value that holds 1 - 3 cos^2 theta keeps its digits next to
+    the cone: at NEAR_CONE each is within 8 eps relative of a 50-digit
+    mpmath value written from its formula.  With 1 - 3 c^2 written out
+    they were off by up to ~3e14 eps (about 7 % at 1e-15 from the cone,
+    and one component of J by up to 1.1e-2)."""
+
+    EPS8 = 8 * 2.0 ** -52
+
+    @staticmethod
+    def _exact(theta):
+        """(c, sin, 1 - 3 c^2) at the float theta, as mpmath numbers."""
+        mp = pytest.importorskip("mpmath")
+        x = mp.mpf(theta)
+        c = mp.cos(x)
+        return c, mp.sin(x), 1 - 3 * c * c
+
+    def _close(self, got, want, what):
+        assert abs(got - want) <= self.EPS8 * abs(want), (what, got, want)
+
+    def test_scalars(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            for theta in NEAR_CONE:
+                c, sn, k = self._exact(theta)
+                p = Point4(0.0, 0.0, theta, 0.0)
+                self._close(lambda_of_theta(theta),
+                            mp.sqrt(6) * c * sn * sn / k, ("lambda", theta))
+                self._close(contact_eval(p, Tangent4(v_t=1.0)), -k,
+                            ("alpha(dt)", theta))
+                self._close(reeb_vector(p).v_t, -k / (1 + 3 * c ** 4),
+                            ("reeb v_t", theta))
+                self._close(omega_eval(p, Tangent4(v_t=1.0),
+                                       Tangent4(v_s=1.0)),
+                            -mp.sqrt(6) * k, ("omega(dt, ds)", theta))
+                self._close(profile_ds_dtheta(1, 0, theta),
+                            -k / (mp.sqrt(6) * c * sn), ("ds/dtheta", theta))
+
+    def test_J_on_the_frame(self):
+        """J d/dt = g d/df and J d/dphi = g sin^2 d/dh, with d/df and d/dh
+        from the inverse of the Jacobian of (f, h) in (s, theta) at unit
+        factor; J d/ds and J d/dtheta from J d/df = -d/dt / g and
+        J d/dh = -d/dphi / (g sin^2).  Zero components are exactly 0."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            for theta in NEAR_CONE:
+                c, sn, k = self._exact(theta)
+                r6 = mp.sqrt(6)
+                g = r6 * mp.sqrt(1 + 3 * c ** 4)
+                f_s, f_th = -r6 * k, 6 * c * sn
+                h_s, h_th = -6 * c * sn * sn, -r6 * sn * k
+                det = f_s * h_th - f_th * h_s
+                want = {
+                    "s": (0, -f_s / g, 0, -h_s / (g * sn * sn)),
+                    "t": (g * h_th / det, 0, -g * h_s / det, 0),
+                    "theta": (0, -f_th / g, 0, -h_th / (g * sn * sn)),
+                    "phi": (-g * sn * sn * f_th / det, 0,
+                            g * sn * sn * f_s / det, 0)}
+                p = Point4(0.0, 0.0, theta, 0.0)
+                for field, images in want.items():
+                    got = apply_J(p, Tangent4(**{f"v_{field}": 1.0}))
+                    for x, y, name in zip(got, images, Tangent4._fields):
+                        what = (f"J d/d{field}", name, theta)
+                        if y == 0:
+                            assert x == 0.0, what
+                        else:
+                            self._close(x, y, what)
 
 
 #: A Tangent4 with one nan or infinite coefficient, which check_at
