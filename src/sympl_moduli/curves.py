@@ -530,25 +530,24 @@ def s_max(spec: CurveSpec) -> float:
 def _static_point(f: float, h: float, t: float, phi: float,
                   theta: Optional[float] = None) -> Point4:
     """The point at (f, h, t, phi), the closed-form families' one angle
-    rule and one height.  Unless given, theta inverts h/f on the branch
-    the signs name: B for f > 0, A for f < 0 < h, C for f, h < 0.  Its
-    two limits take their angle in closed form: where h/f is not finite
-    (f = 0, or the quotient overflows) the point is on the cone
-    cos^2 = 1/3, at THETA_C for h > 0 and pi - THETA_C for h < 0; where
-    it rounds to 0 on A or C the point is at the pole, 0 or pi.  With
-    e = e^{-sqrt6 s}, |f| + |h| = e (|1 - 3 cos^2| + sqrt6 |cos| sin^2),
-    and that bracket has no zero on [0, pi], so s keeps its digits where
-    f or h vanishes.  DomainError where the ratio of the two underflows
-    to 0, as fh_at refuses e there."""
+    rule and one height.  Unless given, theta is the float where h/f
+    crosses on the branch the signs name (geometry.theta_from_lambda):
+    B for f > 0, A for f < 0 < h, C for f < 0 and h <= 0.  A and C are
+    closed at their poles, so an h/f that rounds to 0 there gives 0 or
+    pi.  Where h/f is not finite (f = 0, or the quotient overflows) the
+    point is on the cone cos^2 = 1/3, at THETA_C for h > 0 and
+    pi - THETA_C for h < 0.  With e = e^{-sqrt6 s},
+    |f| + |h| = e (|1 - 3 cos^2| + sqrt6 |cos| sin^2), and that bracket
+    has no zero on [0, pi], so s keeps its digits where f or h vanishes.
+    DomainError where the ratio of the two underflows to 0, as fh_at
+    refuses e there."""
     if theta is None:
         lam = h / f if f else math.inf
         if not math.isfinite(lam):
             theta = THETA_C if h > 0 else math.pi - THETA_C
-        elif f > 0 or lam:
+        else:
             theta = theta_from_lambda(lam, BranchId.B if f > 0 else
                                       BranchId.A if h > 0 else BranchId.C)
-        else:
-            theta = 0.0 if h > 0 else math.pi
     c = cos(theta)
     bracket = abs(_cone_factor(theta, c)) + SQRT6 * abs(c) * sin(theta) ** 2
     ratio = (abs(f) + abs(h)) / bracket

@@ -39,9 +39,11 @@ The ratio h/f depends on theta alone,
 
     lambda(theta) = sqrt(6) cos(theta) sin^2(theta) / (1 - 3 cos^2 theta),
 
-and is strictly decreasing on each of the three components of (0, pi)
-cut out by cos^2(theta) = 1/3; inverting it on a chosen component is
-the basic root-finding primitive used by the invariant-curve code.
+and is strictly decreasing on each of the three components of [0, pi]
+cut out by cos^2(theta) = 1/3, the outer two closed at their poles.
+theta_from_lambda inverts it on a chosen component: it returns the
+float angle where lambda crosses the given value, which is the one
+angle rule of the curves module's closed-form families.
 """
 
 from __future__ import annotations
@@ -153,11 +155,13 @@ class Tangent4(NamedTuple):
 
 
 class BranchId(enum.Enum):
-    """Monotonicity components of lambda(theta) on (0, pi).
+    """Monotonicity components of lambda(theta) on [0, pi].
 
-    A: theta in (0, THETA_C), lambda ranges over (-inf, 0);
+    A: theta in [0, THETA_C), lambda <= 0, closed at the pole 0;
     B: theta in (THETA_C, pi - THETA_C), lambda ranges over all of R;
-    C: theta in (pi - THETA_C, pi), lambda ranges over (0, +inf).
+    C: theta in (pi - THETA_C, pi], lambda >= 0, closed at the pole pi.
+
+    lambda is 0 at the pole 0 and rounds to ~1.8e-32 at the float pi.
     """
 
     A = "A"
@@ -165,10 +169,13 @@ class BranchId(enum.Enum):
     C = "C"
 
 
+#: Each branch's first and last float angle.  THETA_C and pi - THETA_C
+#: lie below the exact cone angles, so each is the last float of the
+#: branch below it.
 _BRANCH_INTERVAL = {
     BranchId.A: (0.0, THETA_C),
-    BranchId.B: (THETA_C, math.pi - THETA_C),
-    BranchId.C: (math.pi - THETA_C, math.pi),
+    BranchId.B: (math.nextafter(THETA_C, math.pi), _THETA_C_BAR),
+    BranchId.C: (math.nextafter(_THETA_C_BAR, math.pi), math.pi),
 }
 
 
@@ -349,26 +356,35 @@ def lambda_of_theta(theta: float) -> float:
 
 
 def theta_from_lambda(lam: float, branch: BranchId) -> float:
-    """Invert lambda(theta) on the given branch by bisection.
+    """The float angle where lambda(theta) crosses lam on the branch.
 
-    Valid because lambda is strictly decreasing on each branch (its
-    theta-derivative is -sqrt6 sin(theta)(1+3cos^4)(1-3cos^2)^{-2} < 0).
-    The returned angle is accurate to well below 1e-12: the bracketing
-    interval is halved until it is narrower than 1e-14 (under 50 steps
-    from a branch interval inside (0, pi)).
+    lambda is strictly decreasing on each branch (its theta-derivative
+    is -sqrt6 sin(theta)(1 + 3 cos^4)(1 - 3 cos^2)^{-2} < 0), so the
+    bisection halves its bracket until it is two adjacent floats and
+    returns the one whose lambda is nearer lam, the lower on a tie.
+    Where lam lies at or past the lambda of a branch end, that end is
+    the angle: lam = +-0 gives the pole 0.0 on A, and any lam below
+    lambda(pi) ~ 1.8e-32, +-0 included, gives pi on C.  A call takes
+    about 55 evaluations of lambda_of_theta, and at most ~600 where a
+    tiny |lam| on A draws the bracket toward 0, across the crowded
+    floats there (593 at lam = -5e-324).  RangeError for a nan or
+    infinite lam, and for lam > 0 on A or lam < 0 on C.
     """
     if not math.isfinite(lam):
         raise RangeError(f"lambda = {lam} is not finite")
-    if branch is BranchId.A and not lam < 0.0:
-        raise RangeError(f"branch A needs lambda < 0, got {lam}")
-    if branch is BranchId.C and not lam > 0.0:
-        raise RangeError(f"branch C needs lambda > 0, got {lam}")
+    if branch is BranchId.A and lam > 0.0:
+        raise RangeError(f"branch A needs lambda <= 0, got {lam}")
+    if branch is BranchId.C and lam < 0.0:
+        raise RangeError(f"branch C needs lambda >= 0, got {lam}")
 
     lo, hi = _BRANCH_INTERVAL[branch]
-    while hi - lo >= 1e-14:
-        mid = 0.5 * (lo + hi)
+    if not lambda_of_theta(lo) > lam:
+        return lo
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if lambda_of_theta(mid) > lam:
             lo = mid        # decreasing: the root is to the right
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    # lambda(lo) > lam, and lambda(hi) <= lam unless hi is the branch's
+    # high end and lam lies past it, where the gap to lam is negative.
+    return hi if lam - lambda_of_theta(hi) < lambda_of_theta(lo) - lam else lo

@@ -1,6 +1,6 @@
 import pytest
 
-from sympl_moduli import CatalogEntry, catalog_entries
+from sympl_moduli import CatalogEntry, EndClass, Label2, Label3, catalog_entries
 from sympl_moduli.invariants import Side
 
 
@@ -108,3 +108,38 @@ def test_json_dump(entries):
     again = json.loads(text)
     assert len(again) == len(entries)
     assert all(item["index"] == item["expected_index"] for item in again)
+
+
+def _sigma(pair):
+    m, m_prime = pair
+    return EndClass(m, -m_prime)
+
+
+def _reflected(entry):
+    """The entry's image under sigma(s, t, theta, phi) = (s, t, pi - theta,
+    -phi): each generic end class (m, m') goes to (m, -m'), and a
+    two-end label {x, y} to {sigma y, sigma x}.  A polar end keeps its
+    multiplicity and winding, since sigma swaps the poles with their
+    neighbourhoods, and chi and nu0 stay, as sigma keeps the polar locus."""
+    ends = tuple(end._replace(end_class=_sigma(end.end_class))
+                 if end.end_class is not None else end for end in entry.ends)
+    label = entry.label
+    if isinstance(label, Label2):
+        label = Label2.make(_sigma(label.q_pair), _sigma(label.p_pair))
+    elif isinstance(label, Label3):
+        label = Label3.make([_sigma(x) for x in label.pairs])
+    return entry._replace(ends=ends, label=label)
+
+
+def test_reflected_entries_keep_index_and_aleph(entries):
+    """ROADMAP item 17 on the catalog: each entry's sigma-image, with its
+    label admissible, has the same index, aleph and index lower bound.
+    A mutation that reads the sign of m' fails here, though no entry's
+    own ends change: aleph_counts skipping a convex end with m > 0 and
+    m' < -1 leaves every entry as it was and drops one end of each
+    sphere's image."""
+    for entry in entries:
+        image = _reflected(entry)
+        assert image.index() == entry.index(), entry.case_id
+        assert image.aleph() == entry.aleph(), entry.case_id
+        assert image.lower_bound() == entry.lower_bound(), entry.case_id

@@ -1524,15 +1524,17 @@ class TestStaticHeights:
 
 
 class TestStaticLimitAngles:
-    """Where h/f leaves the floats, _static_point takes its angle in
+    """Where h/f leaves the floats, _static_point's angle is a limit in
     closed form: the cone angle where h/f is not finite (f = 0, or the
     quotient overflows), THETA_C for h > 0 and pi - THETA_C for h < 0,
-    and the pole where h/f rounds to 0 on branch A or C.  The points of
-    test_angle_in_closed_form raised RangeError from theta_from_lambda;
-    s is within 1e-13 of the 50-digit route of TestStaticHeights.  A point whose |f| + |h|
-    divided by the angle's bracket underflows to 0 is refused as fh_at
-    refuses an underflowing e^{-sqrt6 s}, where log(0) raised a bare
-    ValueError ('math domain error')."""
+    and the pole, 0 or pi, where h/f rounds to 0 on branch A or C, which
+    the inversion returns since those branches are closed at their
+    poles.  The points of test_angle_in_closed_form once raised
+    RangeError from the inversion; s is within 1e-13 of the 50-digit
+    route of TestStaticHeights.  A point whose |f| + |h| divided by the
+    angle's bracket underflows to 0 is refused as fh_at refuses an
+    underflowing e^{-sqrt6 s}, where log(0) raised a bare ValueError
+    ('math domain error')."""
 
     @pytest.mark.parametrize("example,kappa,u,sign,theta", [
         (3, 1e-10, 1e300, 1, THETA_C),
@@ -1548,6 +1550,22 @@ class TestStaticLimitAngles:
         assert pt.theta == theta
         gap = abs(pt.s - _mp_static_s(example, kappa, u, sign))
         assert gap <= 1e-13, gap
+
+    def test_plane_next_to_the_pole_reads_back(self):
+        """The plane with p' > 0 at u = kappa 10^k, k = -15..0, reads
+        its (f, h) back through fh_at within 4 eps (2.4 at worst): its
+        angle is the float where h/f crosses, and floats crowd at the
+        pole 0.  The bisection to a bracket of 1e-14 before it was off
+        by up to 2.1e8 eps."""
+        eps = 2.0 ** -52
+        for kappa in (0.37, 1.0, 1e3):
+            spec = CurveSpec.example2(0.2, kappa, 1)
+            for k in range(-15, 1):
+                u = kappa * 10.0 ** k
+                pt = eval_invariant_curve(spec, 0.3, u)
+                _, f, h = fh_at(pt.s, pt.theta)
+                assert abs(f + kappa) <= 4 * eps * kappa, (kappa, k)
+                assert abs(h - u) <= 4 * eps * u, (kappa, k)
 
     @pytest.mark.parametrize("kappa", [0.37, -6.5])
     def test_f_zero_is_the_cone(self, kappa):
@@ -1583,13 +1601,15 @@ class TestStaticReflection:
     maps (f, h) to (f, -h), so it maps the plane with one sign to the
     plane with the other, example 4's cylinder of kappa to that of
     -kappa, and example 3's point at (tau, u) to its point at
-    (-tau, -u): theta' = pi - theta and s' = s within 3e-14, three times
-    theta_from_lambda's bracket of 1e-14."""
+    (-tau, -u): theta' = pi - theta within 1.5e-15 and s' = s within
+    7e-15, each under four times the worst gap (4.4e-16, about an ulp of
+    pi - theta, and 1.8e-15), since each angle is the float where h/f
+    crosses."""
 
     @staticmethod
     def _assert_reflected(pt, image):
-        assert abs(image.theta - (math.pi - pt.theta)) <= 3e-14
-        assert abs(image.s - pt.s) <= 3e-14
+        assert abs(image.theta - (math.pi - pt.theta)) <= 1.5e-15
+        assert abs(image.s - pt.s) <= 7e-15
         assert image.t == pt.t
         assert abs(math.remainder(image.phi + pt.phi, math.tau)) <= 1e-14
 
@@ -1624,7 +1644,11 @@ class TestPinnedStaticAngles:
     0.027 of a cone angle, by at most 7.1e-15; 9 moved closer to the
     50-digit root of the float lambda and 2 farther, the worst error of
     the 11 went from 3.6e-15 to 3.5e-15, and that of all 3,000 stayed
-    4.4e-15."""
+    4.4e-15.  It was re-recorded again when theta_from_lambda came to
+    return the float where lambda crosses, in place of the midpoint of
+    a bracket of 1e-14: 2,909 of the 3,000 angles moved, by at most
+    4.4e-15, and the worst error against the 50-digit root of the float
+    lambda went from 4.45e-15 to 2.6e-16."""
 
     def test_angles_keep_their_bits(self):
         thetas = []
@@ -1636,5 +1660,105 @@ class TestPinnedStaticAngles:
                             (CurveSpec.example4(x, -kappa), u)):
                 thetas.append(eval_invariant_curve(spec, tau, v).theta)
         assert len(thetas) == 3000
-        assert _digest(thetas) == ("bcb9cafdacf7f5b266e679238159fba3"
-                                   "3b6f4bea7e26559c87954385a1adaec9")
+        assert _digest(thetas) == ("695128ccd60a3c76cc64bc3895b33ad3"
+                                   "a310bbd0768835da0587436344581092")
+
+
+#: Every coprime admissible (p, p') with p <= 6 and |p'| <= 10, and
+#: (40, +-49) and (12641, +-15482) next to the regime boundary
+#: 2 p'^2 = 3 p^2, where |ds/dtheta| is large.
+REFLECTION_PAIRS = ([(p, pp) for p in range(1, 7) for pp in range(-10, 11)
+                     if math.gcd(p, pp) == 1 and classify_pair(p, pp)[0]]
+                    + [(40, 49), (40, -49), (12641, 15482), (12641, -15482)])
+
+
+def _slope(p, pp, theta_ref, theta, rng):
+    """|ds/dtheta| at theta from a central difference of s_of_theta,
+    the step 1e-6 of the distance to the range's nearer end."""
+    d = 1e-6 * min(theta - rng.lo, rng.hi - theta)
+    return abs(s_of_theta(p, pp, theta_ref, 0.0, theta + d)
+               - s_of_theta(p, pp, theta_ref, 0.0, theta - d)) / (2 * d)
+
+
+class TestProfileReflection:
+    """ROADMAP item 17 on the profile curves.  sigma(s, t, theta, phi) =
+    (s, t, pi - theta, -phi) maps the (p, p') profile to the (p, -p')
+    one: classify_branches(p, -p') is classify_branches(p, p') mirrored,
+    range i against range n - 1 - i with the poles' labels swapped;
+    s_of_theta of (p, -p') at pi - theta is that of (p, p') at theta;
+    and the trace rows of mirrored ranges map (theta, s, f, h) to
+    (pi - theta, s, f, -h), or both traces are refused alike.  Over
+    REFLECTION_PAIRS, 81 pairs.
+
+    pi - theta rounds, and pi itself is rounded, so theta is off its
+    mirror by up to an ulp of pi, and s by that times the slope: s is
+    held to 4 ((|s'(theta)| + |s'(theta_ref)|) ulp(pi)
+    + eps max(1, |s|)), the slopes from a difference of s, as
+    profile_ds_dtheta loses digits next to an orbit angle (ROADMAP
+    defect 13).  The worst gap is 1.9 of that bound without its factor
+    4, and 3.2e-11 relative on (12641, +-15482).  Rows add the gap of
+    the sampled angles to the ulp, and f and h move by at most
+    e (5 |ds| + 3 |dtheta|), e = e^{-sqrt6 s}.
+
+    A mutation that is itself sigma-symmetric passes this class: a
+    residue changed as a function of |p'| maps onto itself, and
+    TestClosedForm catches it.  A sign-dependent one fails here."""
+
+    def test_ranges_mirror(self):
+        swap = {"pole0": "polePi", "polePi": "pole0"}
+        ulp = math.ulp(math.pi)
+        for p, pp in REFLECTION_PAIRS:
+            ranges = classify_branches(p, pp)
+            image = classify_branches(p, -pp)[::-1]
+            assert len(image) == len(ranges), (p, pp)
+            for rng, mirror in zip(ranges, image):
+                assert abs(mirror.lo - (math.pi - rng.hi)) <= ulp, (p, pp)
+                assert abs(mirror.hi - (math.pi - rng.lo)) <= ulp, (p, pp)
+                assert (swap.get(mirror.lo_label, mirror.lo_label)
+                        == rng.hi_label), (p, pp)
+                assert (swap.get(mirror.hi_label, mirror.hi_label)
+                        == rng.lo_label), (p, pp)
+
+    def test_s_of_theta_mirrors(self):
+        ulp, eps = math.ulp(math.pi), 2.0 ** -52
+        for p, pp in REFLECTION_PAIRS:
+            for rng in classify_branches(p, pp):
+                ref = 0.5 * (rng.lo + rng.hi)
+                at_ref = _slope(p, pp, ref, ref, rng)
+                for k in range(1, 10):
+                    theta = rng.lo + (rng.hi - rng.lo) * k / 10
+                    s = s_of_theta(p, pp, ref, 0.0, theta)
+                    image = s_of_theta(p, -pp, math.pi - ref, 0.0,
+                                       math.pi - theta)
+                    bound = 4 * ((_slope(p, pp, ref, theta, rng) + at_ref)
+                                 * ulp + eps * max(1.0, abs(s)))
+                    assert abs(image - s) <= bound, (p, pp, theta)
+
+    def test_trace_rows_mirror(self):
+        ulp, eps = math.ulp(math.pi), 2.0 ** -52
+        for p, pp in REFLECTION_PAIRS:
+            ranges = classify_branches(p, pp)
+            for rid, rng in enumerate(ranges):
+                mirror = len(ranges) - 1 - rid
+                try:
+                    rows = integrate_profile(p, pp, rid, n_samples=20).samples
+                except (BranchError, DomainError) as exc:
+                    with pytest.raises(type(exc)):
+                        integrate_profile(p, -pp, mirror, n_samples=20)
+                    continue
+                image = integrate_profile(p, -pp, mirror,
+                                          n_samples=20).samples[::-1]
+                ref = 0.5 * (rng.lo + rng.hi)
+                at_ref = _slope(p, pp, ref, ref, rng)
+                for row, other in zip(rows, image):
+                    gap = abs(other.theta - (math.pi - row.theta))
+                    assert gap <= 4 * ulp, (p, pp, rid, row.theta)
+                    d_theta = gap + ulp
+                    d_s = 4 * (_slope(p, pp, ref, row.theta, rng) * d_theta
+                               + at_ref * ulp + eps * max(1.0, abs(row.s)))
+                    assert abs(other.s - row.s) <= d_s, (p, pp, rid)
+                    e = fh_at(row.s, row.theta)[0]
+                    assert (abs(other.f - row.f)
+                            <= e * (5 * d_s + 3 * d_theta)), (p, pp, rid)
+                    assert (abs(other.h + row.h)
+                            <= e * (5 * d_s + 3 * d_theta)), (p, pp, rid)

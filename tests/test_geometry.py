@@ -12,6 +12,7 @@ from sympl_moduli import (BranchId, EndClass, Label2, ModelMapParams, Point4,
                           classify_pair, contact_eval, coord_functions,
                           lambda_of_theta, omega_eval, orbit_point, phi_eval,
                           profile_ds_dtheta, reeb_vector, theta_from_lambda)
+from sympl_moduli import geometry
 from sympl_moduli.errors import DomainError, PoleError, RangeError
 from sympl_moduli.geometry import (SQRT6, THETA_C, _reduce_angle, fh_at,
                                    fh_rows)
@@ -456,6 +457,32 @@ class TestJ:
                     assert got == pytest.approx(want, abs=1e-10)
 
 
+#: Each branch's first and last float angle: THETA_C and pi - THETA_C
+#: lie below the exact cone angles.
+_BRANCH_ENDS = {
+    BranchId.A: (0.0, THETA_C),
+    BranchId.B: (math.nextafter(THETA_C, 4.0), math.pi - THETA_C),
+    BranchId.C: (math.nextafter(math.pi - THETA_C, 4.0), math.pi),
+}
+
+
+def _lands_on_crossing(lam, branch, theta):
+    """lambda at theta and at its float neighbour on the far side of lam
+    bracket lam (lambda decreases on a branch), or theta is a branch end
+    where lambda already passes lam."""
+    lo, hi = _BRANCH_ENDS[branch]
+    if not lo <= theta <= hi:
+        return False
+    here = lambda_of_theta(theta)
+    if here > lam:
+        return theta == hi or lambda_of_theta(
+            math.nextafter(theta, math.inf)) <= lam
+    if here < lam:
+        return theta == lo or lambda_of_theta(
+            math.nextafter(theta, -math.inf)) >= lam
+    return True
+
+
 class TestThetaFromLambda:
     def test_zero_is_equator(self):
         assert theta_from_lambda(0.0, BranchId.B) == pytest.approx(
@@ -481,7 +508,7 @@ class TestThetaFromLambda:
         for i in range(101):
             theta = lo + (hi - lo) * i / 100
             back = theta_from_lambda(lambda_of_theta(theta), branch)
-            assert back == pytest.approx(theta, abs=1e-10)
+            assert back == pytest.approx(theta, abs=4e-16)
 
     def test_strictly_decreasing(self):
         for lo, hi in ((1e-3, THETA_C - 1e-3),
@@ -490,6 +517,44 @@ class TestThetaFromLambda:
             vals = [lambda_of_theta(lo + (hi - lo) * i / 1000)
                     for i in range(1001)]
             assert all(b < a for a, b in zip(vals, vals[1:]))
+
+    def test_lands_on_the_float_crossing(self):
+        """6,000 seeded lambda, each on B and on A or C by its sign: the
+        returned angle is the float where lambda crosses.  The bisection
+        to a bracket of 1e-14 that came before missed 5,632 of them."""
+        rnd = random.Random(7)
+        for _ in range(3000):
+            lam = (math.tan(rnd.uniform(-1.5, 1.5))
+                   * 10.0 ** rnd.uniform(-6.0, 6.0))
+            for branch in (BranchId.B,
+                           BranchId.A if lam < 0.0 else BranchId.C):
+                theta = theta_from_lambda(lam, branch)
+                assert _lands_on_crossing(lam, branch, theta), (lam, branch)
+
+    @pytest.mark.parametrize("lam", [0.0, -0.0, 5e-324, -5e-324, 1e-300,
+                                     -1e-300, 1e300, -1e300])
+    def test_edges(self, lam, monkeypatch):
+        """The extreme lambda on every branch that takes them: a float
+        angle on the closed branch, the pole for lambda = +-0 on A and
+        C, and at most 600 evaluations of lambda (593 at -5e-324 on A,
+        where the bracket halves down to theta ~ 1e-162)."""
+        calls = []
+
+        def counted(theta):
+            calls.append(theta)
+            return lambda_of_theta(theta)
+
+        monkeypatch.setattr(geometry, "lambda_of_theta", counted)
+        for branch in BranchId:
+            if (branch is BranchId.A and lam > 0.0
+                    or branch is BranchId.C and lam < 0.0):
+                continue
+            calls.clear()
+            theta = theta_from_lambda(lam, branch)
+            assert len(calls) <= 600, (lam, branch, len(calls))
+            assert _lands_on_crossing(lam, branch, theta), (lam, branch)
+            if lam == 0.0 and branch is not BranchId.B:
+                assert theta == (0.0 if branch is BranchId.A else math.pi)
 
     def test_range_errors(self):
         with pytest.raises(RangeError):
@@ -580,8 +645,9 @@ class TestReflection:
             assert abs(got - metric) <= 1e-14
 
     def test_theta_from_lambda(self):
-        """Each angle lies within half its last bracket (5e-15) of its
-        float crossing, so the two are within two brackets."""
+        """Each angle is the float where lambda crosses, so an angle and
+        its image are within 1.5e-15, about three ulps of pi
+        (the worst gap is 4.4e-16)."""
         rnd = random.Random(20261019)
         for _ in range(2000):
             lam = (math.tan(rnd.uniform(-1.5, 1.5))
@@ -592,7 +658,7 @@ class TestReflection:
             for branch, image in pairs:
                 theta = theta_from_lambda(lam, branch)
                 assert (abs(theta_from_lambda(-lam, image)
-                            - (math.pi - theta)) <= 2e-14), (lam, branch)
+                            - (math.pi - theta)) <= 1.5e-15), (lam, branch)
 
     def test_asymptotic_constants(self):
         """Relative gap within 3e-14 over every coprime admissible end
