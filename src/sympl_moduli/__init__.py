@@ -1,7 +1,7 @@
 """Moduli data of torus-invariant pseudoholomorphic subvarieties in the
 symplectization of S^1 x S^2.
 
-Subpackages by concern:
+Submodules by concern:
 
 * :mod:`sympl_moduli.geometry` -- coordinates, the contact and
   symplectic forms, the almost complex structure, angle inversion;
@@ -47,8 +47,7 @@ _SUBMODULE_EXPORTS = {
                    "index_lower_bound", "l0_spectrum", "m0_of",
                    "residue_pairs", "sphere_report"),
     "moduli": ("Label2", "Label3", "OrderedLabel3", "boundary_labels",
-               "canonical_pair", "enumerate_labels", "validate_label2",
-               "validate_label3"),
+               "enumerate_labels", "validate_label2", "validate_label3"),
     "reeb": ("EndClass", "OrbitKind", "ReebOrbit", "ThetaRoots",
              "classify_pair", "orbit_point", "solve_theta0",
              "solve_theta0_bar", "theta_roots"),

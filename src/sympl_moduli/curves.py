@@ -22,9 +22,9 @@ This module works with s(theta) and recovers u = f = e^{-sqrt6 s}
 stiffness of the u-parameterized equation near the fixed angles, where
 s diverges.  f and h come from geometry.fh_rows, the package's one
 guarded e^{-sqrt6 s}, as columns over a block of angles (fh_at reads
-one row of them): trace rows, ODE residuals and profile points exist
-only where that factor is a normal positive float (about
--289.12 < s < 289.20), and are refused with DomainError elsewhere.
+one row of them): trace rows and profile points exist only where
+that factor is a normal positive float (about -289.12 < s < 289.20),
+and are refused with DomainError elsewhere.
 Every 1 - 3 cos^2 theta here, in ds/dtheta, u and its slope and the
 static families' height, is geometry._cone_factor's, which keeps its
 digits next to the cone angles, where it vanishes.
@@ -43,8 +43,8 @@ refused only where theta_roots refuses the pair or 2 (p'/p)^2 or g
 leaves the normal floats.  profile_log_terms builds the terms once per
 pair as one cached record, in the form and order that _log_sums, the
 one evaluator of s, adds them up: over a block of a trace's angles per
-call, or at one or two angles for s_of_theta, ODE residuals and the
-Newton iteration of a profile point.
+call, or at one or two angles for s_of_theta and the Newton
+iteration of a profile point.
 A curve's clipped range and anchored terms are one cached record,
 _point_start, which its trace and its points share.
 """
@@ -148,8 +148,9 @@ def _common_range(p: int, p_prime: int, a: float, b: float) -> None:
         f"of {_text((p, p_prime))}; fixed angles: {angles}")
 
 
-def _dec_cos(x: float) -> Decimal:
-    """cos(x) for |x| <= pi by its Taylor series, in the current context."""
+def _dec_cos(x: float):
+    """cos(x) for |x| <= pi by its Taylor series, as a Decimal in the
+    current context."""
     from decimal import Decimal
     x2 = Decimal(x) ** 2
     term = total = Decimal(1)
@@ -484,28 +485,6 @@ def integrate_profile(p: int, p_prime: int, range_id: int,
                        zip(s_values, repeat(0.0), thetas, repeat(0.0),
                            fs, hs))
     return Trace(spec=spec, samples=tuple(samples))
-
-
-def profile_ode_residual(spec: CurveSpec, theta: float) -> float:
-    """|dh/du - (p'/p) sin^2 theta| at one point of a profile curve.
-
-    dh/du is a central finite difference of h with respect to u between
-    two points of the curve, with the theta step 3e-4 times the
-    distance from the nearest fixed angle (h and u grow like a power of
-    that distance, so a fixed step would measure resolution, not the
-    curve).  DomainError where fh_rows refuses s at a step.
-    """
-    rng = spec.theta_range()
-    dist = min(theta - rng.lo, rng.hi - theta)
-    if not dist > 0:
-        raise BranchError("theta outside the open range")
-    terms, base = _anchored(spec)
-    step = 3e-4 * dist
-    thetas = (theta - step, theta + step)
-    s_values = [base + x for x in _log_sums(terms, thetas)]
-    _, (f_lo, f_hi), (h_lo, h_hi) = fh_rows(s_values, thetas)
-    fd = (h_hi - h_lo) / (f_hi - f_lo)
-    return abs(fd - (spec.p_prime / spec.p) * math.sin(theta) ** 2)
 
 
 def s_max(spec: CurveSpec) -> float:

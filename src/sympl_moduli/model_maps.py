@@ -271,10 +271,3 @@ def phi_double_points(params: ModelMapParams,
         # record without the generated __new__ (~0.2 us a point).
         out.append(tuple.__new__(DoublePoint, (a, b, z, w, residual)))
     return out
-
-
-def double_points_json(points: list[DoublePoint]) -> list[dict]:
-    return [{"a": dp.a, "b": dp.b,
-             "z": [dp.z.real, dp.z.imag],
-             "w": [dp.w.real, dp.w.imag],
-             "residual": dp.residual} for dp in points]

@@ -24,8 +24,8 @@ any admissibility decision.
 
 The rules live in one boolean core, ``_admissible2``, which decides and
 builds nothing; rule (c) is reeb's end-pair rule.  Every decision --
-``Label2.make``, ``validate_label3``, ``canonical_pair`` and the
-enumeration -- goes through it.  ``validate_label2`` is the explainer:
+``Label2.make``, ``validate_label3`` and the enumeration -- goes
+through it.  ``validate_label2`` is the explainer:
 it asks the core and, only for a rejected label, words each violated
 rule once, for the CLI's ``classify`` report and ``InvalidLabel``.  A
 failed rule (c) is worded by reeb, as classify_pair words its (b), after
@@ -47,10 +47,8 @@ from operator import index
 from typing import NamedTuple
 
 from .budgets import MAX_ENUM_BOUND
-from .errors import (DomainError, InternalError, InvalidLabel, OutOfRegime,
-                     _text)
-from .reeb import (EndClass, _end_pair_ok, _end_pair_text, _has_companion,
-                   _steep)
+from .errors import DomainError, InternalError, InvalidLabel, _text
+from .reeb import EndClass, _end_pair_ok, _end_pair_text, _steep
 
 Pair = tuple[int, int]
 
@@ -233,31 +231,6 @@ def boundary_labels(l3: Label3 | OrderedLabel3) -> tuple[Label2, Label2]:
         raise InternalError(
             f"boundary labels coincide for {_text(label.pairs)}")
     return out  # type: ignore[return-value]
-
-
-def canonical_pair(l2: Label2) -> tuple[EndClass, Label2]:
-    """The distinguished end pair of l2 and the partner label.
-
-    Requires the derived pair (k, k') = (p+q, p'+q') to satisfy k != 0
-    and 2 k'^2 > 3 k^2.  Then (p, q, -k) is a valid ordering of its
-    triple (validate_label3), and the triple's other valid ordering is
-    (partner, distinguished pair): one of the cyclic shifts
-    (q, -k, p) and (-k, p, q), the only orderings that keep Delta > 0.
-    Anything other than exactly one other ordering would contradict the
-    boundary structure and is surfaced as InternalError.
-    """
-    k, kp = l2.k_pair
-    if not _has_companion(k, kp):
-        raise OutOfRegime(f"(k, k') = {_text((k, kp))} fails 2 k'^2 > 3 k^2 "
-                          f"with k != 0")
-    own = (*l2, (-k, -kp))
-    others = [o for o in validate_label3(own)[1] if o != own]
-    if len(others) != 1:
-        raise InternalError(
-            f"expected exactly one distinguished pair in {_text(l2)}, got "
-            f"{_text(len(others))}")
-    x, y, pair = others[0]
-    return EndClass(*pair), Label2.make(x, y)
 
 
 def _end_classes(bound: int) -> list[tuple[int, int, EndClass]]:

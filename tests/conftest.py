@@ -7,6 +7,10 @@ from hypothesis import reject
 from hypothesis import strategies as st
 
 from sympl_moduli import enumerate_labels, validate_label3
+from sympl_moduli.curves import CurveSpec, _anchored, _log_sums
+from sympl_moduli.errors import BranchError
+from sympl_moduli.geometry import fh_rows
+from sympl_moduli.model_maps import DoublePoint
 
 
 @pytest.fixture(scope="session")
@@ -66,6 +70,13 @@ def double_points_lattice(label):
         if not empty:
             count += max(0, min(hi) - max(lo) + 1)
     return count
+
+
+def double_points_json(points: list[DoublePoint]) -> list[dict]:
+    return [{"a": dp.a, "b": dp.b,
+             "z": [dp.z.real, dp.z.imag],
+             "w": [dp.w.real, dp.w.imag],
+             "residual": dp.residual} for dp in points]
 
 
 def decay_constants_mpmath(m, m_prime):
@@ -147,6 +158,28 @@ def profile_s_quad(p, pp, theta_ref, theta):
         lo, hi = mp.mpf(theta_ref), mp.mpf(theta)
         cuts = [hi - (hi - lo) * mp.mpf(10) ** -k for k in range(0, 12, 3)]
         return float(mp.quad(ds, cuts + [hi]))
+
+
+def profile_ode_residual(spec: CurveSpec, theta: float) -> float:
+    """|dh/du - (p'/p) sin^2 theta| at one point of a profile curve.
+
+    dh/du is a central finite difference of h with respect to u between
+    two points of the curve, with the theta step 3e-4 times the
+    distance from the nearest fixed angle (h and u grow like a power of
+    that distance, so a fixed step would measure resolution, not the
+    curve).  DomainError where fh_rows refuses s at a step.
+    """
+    rng = spec.theta_range()
+    dist = min(theta - rng.lo, rng.hi - theta)
+    if not dist > 0:
+        raise BranchError("theta outside the open range")
+    terms, base = _anchored(spec)
+    step = 3e-4 * dist
+    thetas = (theta - step, theta + step)
+    s_values = [base + x for x in _log_sums(terms, thetas)]
+    _, (f_lo, f_hi), (h_lo, h_hi) = fh_rows(s_values, thetas)
+    fd = (h_hi - h_lo) / (f_hi - f_lo)
+    return abs(fd - (spec.p_prime / spec.p) * math.sin(theta) ** 2)
 
 
 def trace_outcome(p, p_prime, rid, n_samples):

@@ -21,12 +21,11 @@ from sympl_moduli import (BranchId, CurveSpec, Label2, ModelMapParams,
                           omega_eval, phi_double_points, phi_eval,
                           reeb_vector, s_max, solve_theta0, solve_theta0_bar,
                           sphere_report, theta_from_lambda)
-from sympl_moduli.curves import profile_ode_residual
 from sympl_moduli.geometry import SQRT6, THETA_C
 from sympl_moduli.invariants import GenericSpectrumCase, PolarSpectrumCase
 from sympl_moduli.reeb import classify_pair
 
-from conftest import double_points_lattice
+from conftest import double_points_lattice, profile_ode_residual
 
 
 def criterion(num, name):

@@ -23,10 +23,10 @@ from sympl_moduli.cli import (_eigen_items, _fmt, _json, _point_items,
                               main, parse_pairs, residual_tolerance)
 from sympl_moduli.errors import DomainError, ParseError
 from sympl_moduli.invariants import InvariantReport
-from sympl_moduli.model_maps import DoublePoint, double_points_json
+from sympl_moduli.model_maps import DoublePoint
 
-from conftest import (decay_constants_mpmath, profile_poles_mpmath,
-                      profile_s_mpmath, profile_s_quad)
+from conftest import (decay_constants_mpmath, double_points_json,
+                      profile_poles_mpmath, profile_s_mpmath, profile_s_quad)
 
 
 def _generic_spectrum_mpmath(zeta, period, n_max):

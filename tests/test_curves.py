@@ -13,13 +13,14 @@ from sympl_moduli import (CurveSpec, ReebOrbit, TraceSample,
                           solve_theta0_bar)
 from sympl_moduli import curves
 from sympl_moduli.budgets import MAX_TRACE_SAMPLES
-from sympl_moduli.curves import profile_log_terms, profile_ode_residual
+from sympl_moduli.curves import profile_log_terms
 from sympl_moduli.errors import (BranchError, DomainError, InvalidLabel,
                                   WrongExample)
 from sympl_moduli.geometry import THETA_C, Point4, fh_at
 
-from conftest import (boundary_pairs, profile_poles_mpmath, profile_s_mpmath,
-                      profile_s_quad, trace_outcome)
+from conftest import (boundary_pairs, profile_ode_residual,
+                      profile_poles_mpmath, profile_s_mpmath, profile_s_quad,
+                      trace_outcome)
 
 SQRT6_ = math.sqrt(6.0)
 

@@ -32,8 +32,7 @@ EXPORTS = {
                    "index_lower_bound", "l0_spectrum", "m0_of",
                    "residue_pairs", "sphere_report"],
     "moduli": ["Label2", "Label3", "OrderedLabel3", "boundary_labels",
-               "canonical_pair", "enumerate_labels", "validate_label2",
-               "validate_label3"],
+               "enumerate_labels", "validate_label2", "validate_label3"],
     "reeb": ["EndClass", "OrbitKind", "ReebOrbit", "ThetaRoots",
              "classify_pair", "orbit_point", "solve_theta0",
              "solve_theta0_bar", "theta_roots"],
@@ -50,7 +49,7 @@ NAMES = [(module, name) for module, names in EXPORTS.items()
 
 
 def test_sixty_three_names():
-    assert len(NAMES) == len({name for _, name in NAMES}) == 63
+    assert len(NAMES) == len({name for _, name in NAMES}) == 62
     assert sorted(sympl_moduli.__all__) == sorted(name for _, name in NAMES)
 
 
@@ -145,8 +144,6 @@ CALLS = {
     "validate_label2": (lambda xy: sm.validate_label2(*xy), _pairs2),
     "double_points_formula": (
         lambda xy: sm.double_points_formula(sm.Label2.make(*xy)), _pairs2),
-    "canonical_pair": (lambda xy: sm.canonical_pair(sm.Label2.make(*xy)),
-                       _pairs2),
     "phi_double_points": (lambda xy, r: sm.phi_double_points(
         sm.ModelMapParams(sm.Label2.make(*xy), r)), _pairs2, _float),
     "phi_eval": (lambda xy, r, x, y: sm.phi_eval(
@@ -230,8 +227,6 @@ HUGE_INT_REFUSALS = {
         [(_BIG, 1), (1, 2), (-_BIG - 1, -3)]), sm.errors.InvalidLabel),
     "OrderedLabel3.make": (lambda: sm.OrderedLabel3.make(
         [(1, -1), (1, 4), (-2, -3)], which=_BIG), sm.errors.InvalidLabel),
-    "canonical_pair": (lambda: sm.canonical_pair(
-        sm.Label2.make((_BIG, 1), (1, 2))), sm.errors.OutOfRegime),
     "enumerate_labels": (lambda: sm.enumerate_labels(_BIG, 2),
                          sm.errors.DomainError),
     "c1_pairing": (lambda: sm.c1_pairing(0, [sm.EndDescriptor.polar(

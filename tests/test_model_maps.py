@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import example, given, reject, settings
 
-from conftest import double_points_lattice, label_pairs
+from conftest import double_points_json, double_points_lattice, label_pairs
 from sympl_moduli import (DoublePoint, Label2, ModelMapParams, OrderedLabel3,
                           delta, double_points_bruteforce,
                           double_points_formula, enumerate_labels,
@@ -16,8 +16,7 @@ from sympl_moduli import (DoublePoint, Label2, ModelMapParams, OrderedLabel3,
                           phi_eval, residue_pairs)
 from sympl_moduli.errors import (DomainError, InvalidLabel, PunctureError,
                                  ResidualError)
-from sympl_moduli.model_maps import (_point_residual, _powers_normal,
-                                     double_points_json)
+from sympl_moduli.model_maps import _point_residual, _powers_normal
 
 L_UNIT = Label2.make((1, 0), (0, 1))
 L_SYM = Label2.make((2, 1), (1, 2))

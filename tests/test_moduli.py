@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympl_moduli import (EndClass, Label2, Label3, boundary_labels,
-                          canonical_pair, classify_pair, enumerate_labels,
-                          sphere_report, theta_roots, validate_label2,
-                          validate_label3)
+from sympl_moduli import (Label2, Label3, boundary_labels, classify_pair,
+                          enumerate_labels, sphere_report, theta_roots,
+                          validate_label2, validate_label3)
 from sympl_moduli import moduli
 from sympl_moduli.budgets import MAX_ENUM_BOUND
-from sympl_moduli.errors import (DomainError, InvalidLabel, OutOfRegime,
-                                 SymplModuliError)
+from sympl_moduli.errors import DomainError, InvalidLabel, SymplModuliError
 from sympl_moduli.moduli import _admissible2
 from sympl_moduli.reeb import orbit_cosine
 
@@ -229,60 +227,15 @@ class TestBoundaryLabels:
         with pytest.raises(InvalidLabel):
             Label3.make([(1, 2), (1, -1), (-2, -1)])
 
-
-class TestCanonicalPair:
-    def test_reference_label(self):
-        l2 = Label2.make((1, -1), (1, 4))
-        pair, partner = canonical_pair(l2)
-        assert pair == EndClass(1, 4)
-        assert partner.pairs() == ((-2, -3), (1, -1))
-        assert partner.delta == 5
-
-    def test_round_trip(self):
-        l2 = Label2.make((1, -1), (1, 4))
-        _, partner = canonical_pair(l2)
-        _, back = canonical_pair(partner)
-        assert back.pairs() == l2.pairs()
-        assert back.delta == l2.delta == 5
-
-    def test_out_of_regime(self):
-        with pytest.raises(OutOfRegime):
-            canonical_pair(Label2.make((1, 0), (0, 1)))
-
-    def test_zero_k_rejected(self):
-        # k = p + q = 0 is explicitly out of regime here.
-        with pytest.raises(OutOfRegime):
-            canonical_pair(Label2.make((-6, -8), (6, 7)))
-
-    def test_uniqueness_needs_partner_check(self):
-        # Both pairs of {(1,2),(1,3)} pass the steepness inequality; only
-        # (1, 3) yields an admissible partner.
-        pair, partner = canonical_pair(Label2.make((1, 2), (1, 3)))
-        assert pair == EndClass(1, 3)
-        assert validate_label2(*partner.pairs())[0]
-
-    def test_unique_on_enumeration(self):
+    def test_every_steep_two_end_label_is_a_boundary(self):
+        # A two-end label whose derived pair k is steep (k != 0 and
+        # 2 k'^2 > 3 k^2) bounds the three-end set {p, q, -k}.
         for l2 in enumerate_labels(5, 2):
-            k, kp = l2.k_pair.as_tuple()
+            k, kp = l2.k_pair
             if k == 0 or 2 * kp * kp <= 3 * k * k:
                 continue
-            pair, partner = canonical_pair(l2)  # no InternalError anywhere
-            assert 2 * pair.m_prime ** 2 > 3 * pair.m ** 2
-            assert validate_label2(*partner.pairs())[0]
-
-    def test_matches_boundary_structure(self):
-        # canonical_pair inverts boundary_labels: the partner is the other
-        # boundary of the three-end set {(p,p'), (q,q'), (-k,-k')}.
-        for l2 in enumerate_labels(4, 2):
-            k, kp = l2.k_pair.as_tuple()
-            if k == 0 or 2 * kp * kp <= 3 * k * k:
-                continue
-            p = l2.p_pair.as_tuple()
-            q = l2.q_pair.as_tuple()
-            l3 = Label3.make([p, q, (-k, -kp)])
-            b1, b2 = boundary_labels(l3)
-            _, partner = canonical_pair(l2)
-            assert {b1.pairs(), b2.pairs()} == {l2.pairs(), partner.pairs()}
+            l3 = Label3.make([*l2.pairs(), (-k, -kp)])
+            assert l2 in boundary_labels(l3), l2
 
 
 class TestEnumerate:

@@ -1,0 +1,183 @@
+"""Rules about the package's source, read from its syntax tree.
+
+Every top-level function and class in `src/sympl_moduli` serves a
+subcommand or an entry point that README lists; the independent routes
+that check the library stay independent of what they check; and the
+type hints of every function resolve.
+"""
+
+import ast
+import importlib
+import inspect
+import re
+import typing
+from pathlib import Path
+
+import pytest
+
+import sympl_moduli
+
+ROOT = Path(__file__).resolve().parents[1]
+PKG = ROOT / "src" / "sympl_moduli"
+CONFTEST = ROOT / "tests" / "conftest.py"
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+#: The PEP 562 hooks of `__init__`, which Python calls by their names.
+_HOOKS = {"__getattr__", "__dir__"}
+
+
+def _names(node):
+    """Every name and attribute that node's code reads; a string, a
+    docstring included, names nothing."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def _package():
+    """{name: [(module, node)]} of the package's top-level defs and
+    classes, and the walk's fixed roots: every def and class of `cli`
+    and every module statement that is neither."""
+    defs, roots = {}, []
+    for path in sorted(PKG.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, _DEFS):
+                defs.setdefault(node.name, []).append((path.stem, node))
+                if path.stem != "cli":
+                    continue
+            roots.append(node)
+    return defs, roots
+
+
+def _unreached(listed=()):
+    """{(module, name)} of the top-level defs and classes that neither
+    the fixed roots nor the defs named in listed reach.
+
+    The walk is rough: it resolves by name only, so a name or an
+    attribute reaches every top-level def of that name in any module,
+    and a class is reached whole, with its methods.
+    """
+    defs, roots = _package()
+    roots += [node for name in listed for _, node in defs.get(name, ())]
+    seen = set()
+    while roots:
+        node = roots.pop()
+        if node not in seen:
+            seen.add(node)
+            roots += [d for name in _names(node) for _, d in defs.get(name, ())]
+    return {(module, node.name) for pairs in defs.values()
+            for module, node in pairs
+            if node not in seen and node.name not in _HOOKS}
+
+
+def _readme_list():
+    """The names in the first column of README's "Entry points no command
+    runs" table."""
+    text = (ROOT / "README.md").read_text()
+    heading = "\n## Entry points no command runs\n"
+    assert heading in text, "README has no list of entry points"
+    section = text.split(heading, 1)[1].split("\n#", 1)[0]
+    return re.findall(r"^\| `(\w+)` +\|", section, flags=re.M)
+
+
+class TestReach:
+    def test_every_def_serves_a_command_or_a_listed_entry_point(self):
+        unreached = _unreached(_readme_list())
+        assert not unreached, (
+            f"reached by no subcommand and no name on README's list: "
+            f"{sorted(unreached)}")
+
+    def test_readme_lists_the_exports_no_command_reaches(self):
+        listed = _readme_list()
+        defined = set(_package()[0])
+        assert set(listed) <= defined, (
+            f"README lists names src/ does not define: "
+            f"{sorted(set(listed) - defined)}")
+        unreached = {name for _, name in _unreached()}
+        assert sorted(listed) == sorted(set(sympl_moduli.__all__)
+                                        & unreached)
+
+
+def _reads(path: Path, name: str) -> set:
+    """The names that the top-level function `name` of path reads, with
+    those of every function of the same file that it names, in turn."""
+    funcs = {node.name: node for node in ast.parse(path.read_text()).body
+             if isinstance(node, ast.FunctionDef)}
+    todo, done, names = [name], set(), set()
+    while todo:
+        current = todo.pop()
+        if current in funcs and current not in done:
+            done.add(current)
+            read = set(_names(funcs[current]))
+            names |= read
+            todo += read
+    assert name in done, (path, name)
+    return names
+
+
+#: Each independent route, with the names of the routes it checks.  The
+#: root-of-unity oracle walks residues without building them or counting
+#: a coset in closed form; the Pick count uses no gcd and no residues;
+#: the three-end candidates filter the whole box.
+ORACLES = {
+    "double_points_bruteforce": (
+        PKG / "invariants.py",
+        {"residue_pairs", "_closed_form", "double_points_formula"}),
+    "double_points_lattice": (
+        CONFTEST, {"gcd", "residue_pairs", "_lattice",
+                   "double_points_bruteforce", "double_points_formula"}),
+    "label3_candidates_bound8": (CONFTEST, {"enumerate_labels"}),
+}
+
+
+@pytest.mark.parametrize("name", ORACLES)
+def test_oracle_names_none_of_the_routes_it_checks(name):
+    path, checked = ORACLES[name]
+    named = _reads(path, name) & checked
+    assert not named, sorted(named)
+
+
+def _functions():
+    """Every function whose code is in the package, from its modules'
+    and classes' namespaces: functions, methods, class and static
+    methods and property getters, unwrapped from their decorators.
+    NamedTuple's generated methods have their code elsewhere, and a
+    closure built per call (`cli._reader`'s `read`) is in no namespace."""
+    found = set()
+    for path in sorted(PKG.glob("*.py")):
+        name = "" if path.stem == "__init__" else f".{path.stem}"
+        module = importlib.import_module(f"sympl_moduli{name}")
+        for value in vars(module).values():
+            members = [value]
+            if inspect.isclass(value) and value.__module__ == module.__name__:
+                members = vars(value).values()
+            for member in members:
+                if isinstance(member, (staticmethod, classmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                member = inspect.unwrap(member)
+                if (inspect.isfunction(member) and Path(
+                        member.__code__.co_filename).resolve().parent == PKG):
+                    found.add(member)
+    return found
+
+
+def test_every_type_hint_resolves():
+    functions = _functions()
+    defs = sum(isinstance(node, ast.FunctionDef)
+               for path in PKG.glob("*.py")
+               for top in ast.parse(path.read_text()).body
+               for node in [top, *(top.body if isinstance(top, ast.ClassDef)
+                                   else ())])
+    assert len(functions) == defs, (len(functions), defs)
+    unresolved = {}
+    for func in functions:
+        try:
+            typing.get_type_hints(func)
+        except (NameError, TypeError) as exc:
+            unresolved[f"{func.__module__}.{func.__qualname__}"] = str(exc)
+    assert not unresolved, unresolved
