@@ -3,17 +3,21 @@ symplectization of S^1 x S^2.
 
 Submodules by concern:
 
-* :mod:`sympl_moduli.geometry` -- coordinates, the contact and
-  symplectic forms, the almost complex structure, angle inversion;
+* :mod:`sympl_moduli.geometry` -- coordinates, the guarded conformal
+  factor with f and h, the cone factor 1 - 3 cos^2 theta, the angle wrap;
 * :mod:`sympl_moduli.reeb` -- closed Reeb orbit classification and
-  parameterization;
+  orbit angles;
 * :mod:`sympl_moduli.moduli` -- admissibility and enumeration of the
   two- and three-end moduli labels, boundary structure;
 * :mod:`sympl_moduli.invariants` -- double-point counts (closed form
   and root-of-unity oracle), Fredholm indices, asymptotic constants and
   spectra;
-* :mod:`sympl_moduli.curves` -- explicit invariant subvarieties and
-  profile-cylinder traces;
+* :mod:`sympl_moduli.curves` -- the invariant families' specs, the
+  closed form of s(theta) and profile-cylinder traces;
+* :mod:`sympl_moduli.points` -- points: the curves' points and s at an
+  angle, orbit points, and at a point the contact and symplectic forms,
+  the Reeb field and the almost complex structure; angle inversion.  No
+  command loads it;
 * :mod:`sympl_moduli.model_maps` -- the holomorphic model maps into
   C* x C* and their double points;
 * :mod:`sympl_moduli.budgets` -- the size budgets past which a call
@@ -36,9 +40,6 @@ import importlib
 from . import curves  # noqa: F401
 
 _SUBMODULE_EXPORTS = {
-    "geometry": ("BranchId", "Point4", "Tangent4", "apply_J", "contact_eval",
-                 "coord_functions", "lambda_of_theta", "omega_eval",
-                 "reeb_vector", "theta_from_lambda"),
     "invariants": ("AsymptoticData", "EndDescriptor", "GenericSpectrumCase",
                    "InvariantReport", "PolarSpectrumCase", "Side",
                    "adjunction_e_pairing", "asymptotic_constants",
@@ -49,12 +50,14 @@ _SUBMODULE_EXPORTS = {
     "moduli": ("Label2", "Label3", "OrderedLabel3", "boundary_labels",
                "enumerate_labels", "validate_label2", "validate_label3"),
     "reeb": ("EndClass", "OrbitKind", "ReebOrbit", "ThetaRoots",
-             "classify_pair", "orbit_point", "solve_theta0",
-             "solve_theta0_bar", "theta_roots"),
+             "classify_pair", "solve_theta0", "solve_theta0_bar",
+             "theta_roots"),
     "curves": ("CurveSpec", "ThetaRange", "Trace", "TraceSample",
-               "classify_branches", "eval_invariant_curve",
-               "integrate_profile", "profile_ds_dtheta", "s_max",
-               "s_of_theta"),
+               "classify_branches", "integrate_profile"),
+    "points": ("BranchId", "Point4", "Tangent4", "apply_J", "contact_eval",
+               "coord_functions", "eval_invariant_curve", "lambda_of_theta",
+               "omega_eval", "orbit_point", "profile_ds_dtheta",
+               "reeb_vector", "s_max", "s_of_theta", "theta_from_lambda"),
     "model_maps": ("DoublePoint", "ModelMapParams", "PhiValue",
                    "immersion_residual", "phi_double_points", "phi_eval"),
     "catalog": ("CatalogEntry", "catalog_entries"),
@@ -65,7 +68,8 @@ _EXPORTS = {name: module for module, names in _SUBMODULE_EXPORTS.items()
             for name in names}
 
 #: The submodules an attribute lookup may load (``sympl_moduli.moduli``).
-_SUBMODULES = frozenset(_SUBMODULE_EXPORTS) | {"budgets", "errors"}
+_SUBMODULES = frozenset(_SUBMODULE_EXPORTS) | {"budgets", "errors",
+                                               "geometry"}
 
 __all__ = sorted(_EXPORTS)
 

@@ -27,9 +27,12 @@ be written exits 2 at once, and it appears only when the command
 prints its report: a command that fails leaves no file behind.
 
 Start-up: at module level this file imports only the standard library
-and `errors`; each `_cmd_*` handler imports the modules it runs, so a
+and `errors`.  The package's `__init__` runs first and loads `curves`,
+with `geometry`, `reeb` and `budgets`, so every command loads those
+five modules.  Each `_cmd_*` handler imports the others it runs, so a
 command loads only what it needs (`classify` never loads `invariants`,
-`model_maps` or `catalog`).
+`model_maps` or `catalog`), and no command loads `points`, whose curve
+points no command evaluates yet.
 """
 
 from __future__ import annotations

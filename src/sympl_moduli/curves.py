@@ -21,13 +21,16 @@ This module works with s(theta) and recovers u = f = e^{-sqrt6 s}
 (1 - 3 cos^2 theta) algebraically afterwards.  That avoids the
 stiffness of the u-parameterized equation near the fixed angles, where
 s diverges.  f and h come from geometry.fh_rows, the package's one
-guarded e^{-sqrt6 s}, as columns over a block of angles (fh_at reads
-one row of them): trace rows and profile points exist only where
-that factor is a normal positive float (about -289.12 < s < 289.20),
-and are refused with DomainError elsewhere.
-Every 1 - 3 cos^2 theta here, in ds/dtheta, u and its slope and the
-static families' height, is geometry._cone_factor's, which keeps its
-digits next to the cone angles, where it vanishes.
+guarded e^{-sqrt6 s}, as columns over a block of angles (the points
+module's fh_at reads one row of them): trace rows and profile points
+exist only where that factor is a normal positive float (about
+-289.12 < s < 289.20), and are refused with DomainError elsewhere.
+Every 1 - 3 cos^2 theta here, in u, is geometry._cone_factor's, which
+keeps its digits next to the cone angles, where it vanishes.
+
+This module holds what the trace command runs: the families' specs,
+the terms of s and traces.  The points of the families, s at an angle
+and ds/dtheta are the points module's, which no command loads.
 
 In x = cos(theta) the slope ds/dx is a proper rational function with
 simple poles at x = +-1 and at the roots of 3 a x^2 + sqrt6 x - a (the
@@ -43,7 +46,7 @@ refused only where theta_roots refuses the pair or 2 (p'/p)^2 or g
 leaves the normal floats.  profile_log_terms builds the terms once per
 pair as one cached record, in the form and order that _log_sums, the
 one evaluator of s, adds them up: over a block of a trace's angles per
-call, or at one or two angles for s_of_theta and the Newton
+call, or at one or two angles for points' s_of_theta and the Newton
 iteration of a profile point.
 A curve's clipped range and anchored terms are one cached record,
 _point_start, which its trace and its points share.
@@ -54,18 +57,16 @@ from __future__ import annotations
 import functools
 import math
 from itertools import repeat
-# _log_sums and _profile_point's probes call these as module globals,
-# which costs less than binding them to locals on every call.
+# _log_sums and _u_of call these as module globals, which costs less
+# than binding them to locals on every call.
 from math import cos, log, log1p, sin
 from typing import NamedTuple, Optional, Sequence
 
 from .budgets import MAX_TRACE_SAMPLES
 from .errors import BranchError, DomainError, InvalidLabel, WrongExample, _text
-from .geometry import (_TINY, DEFAULT_CLIP, SQRT6, THETA_C, BranchId, Point4,
-                       _cone_factor, fh_at, fh_rows, require_finite,
-                       theta_from_lambda)
-from .reeb import (ReebOrbit, OrbitKind, _pole_distance, classify_pair,
-                   orbit_point, theta_roots)
+from .geometry import (DEFAULT_CLIP, SQRT6, _cone_factor, fh_rows,
+                       require_finite)
+from .reeb import ReebOrbit, _pole_distance, classify_pair, theta_roots
 
 _LOG2 = math.log(2.0)
 
@@ -100,52 +101,6 @@ def classify_branches(p: int, p_prime: int) -> tuple[ThetaRange, ...]:
     angles.sort()
     return tuple(ThetaRange(lo, hi, lo_label, hi_label)
                  for (lo, lo_label), (hi, hi_label) in zip(angles, angles[1:]))
-
-
-def _ds_dtheta(p: int, p_prime: int, theta: float) -> float:
-    """ds/dtheta along a profile by its formula, unchecked:
-    ZeroDivisionError where the denominator rounds to 0."""
-    a = p_prime / p
-    c = cos(theta)
-    sn = sin(theta)
-    k = _cone_factor(theta, c)
-    num = k + SQRT6 * a * c * sn * sn
-    den = (SQRT6 * c - a * k) * sn
-    return -num / den
-
-
-def profile_ds_dtheta(p: int, p_prime: int, theta: float) -> float:
-    """ds/dtheta along a profile, away from the fixed angles.
-
-    InvalidLabel unless classify_branches accepts the pair.  BranchError
-    unless theta lies strictly inside one of its ranges, as s_of_theta
-    refuses (ds/dtheta has a pole at each fixed angle, though the float
-    formula gives a huge finite value at most float theta0 and
-    theta0_bar), and where the denominator rounds to 0; DomainError
-    where the slope overflows (theta = 5e-324).
-    """
-    _common_range(p, p_prime, theta, theta)
-    try:
-        slope = _ds_dtheta(p, p_prime, theta)
-    except ZeroDivisionError:
-        raise BranchError(
-            f"theta = {theta} is a fixed angle of {_text((p, p_prime))} in "
-            f"floats: the denominator of ds/dtheta rounds to 0") from None
-    if not math.isfinite(slope):
-        require_finite(DomainError, ds_dtheta=slope)
-    return slope
-
-
-def _common_range(p: int, p_prime: int, a: float, b: float) -> None:
-    """Raise unless a and b sit strictly inside one fixed-angle-free
-    range (each angle is tested, so a nan in either place is refused)."""
-    ranges = classify_branches(p, p_prime)
-    if any(rng.lo < a < rng.hi and rng.lo < b < rng.hi for rng in ranges):
-        return
-    angles = [rng.lo for rng in ranges] + [math.pi]
-    raise BranchError(
-        f"{a} and {b} are not strictly inside one fixed-angle-free range "
-        f"of {_text((p, p_prime))}; fixed angles: {angles}")
 
 
 def _dec_cos(x: float):
@@ -316,24 +271,6 @@ def _log_sums(terms: LogTerms, thetas: Sequence[float]) -> list[float]:
     return totals
 
 
-def s_of_theta(p: int, p_prime: int, theta_ref: float, s_ref: float,
-               theta: float) -> float:
-    """s at theta along the profile through (theta_ref, s_ref).
-
-    The pair must be one classify_branches accepts (p > 0, admissible,
-    coprime), else InvalidLabel.  Both angles must lie strictly inside
-    the same fixed-angle-free range, else BranchError, also when they
-    are equal (s diverges at a fixed angle): the log terms of
-    profile_log_terms are an antiderivative of ds/dtheta only there.
-    """
-    _common_range(p, p_prime, theta_ref, theta)
-    if theta == theta_ref:
-        return s_ref
-    at_theta, at_ref = _log_sums(profile_log_terms(p, p_prime),
-                                 (theta, theta_ref))
-    return s_ref + (at_theta - at_ref)
-
-
 class CurveSpec(NamedTuple):
     """Parameters of one invariant subvariety.
 
@@ -487,107 +424,6 @@ def integrate_profile(p: int, p_prime: int, range_id: int,
     return Trace(spec=spec, samples=tuple(samples))
 
 
-def s_max(spec: CurveSpec) -> float:
-    """The maximum of s on the cylinder or plane, in closed form.
-
-    Plane family (2): -ln(kappa/2)/sqrt6, attained at the pole point.
-    Cylinder family (3): -ln(kappa)/sqrt6, attained where theta = pi/2
-    (f = kappa with 1 - 3 cos^2 theta = 1 there).
-    Cylinder family (4): -ln(3|kappa|/(2 sqrt2))/sqrt6, attained where
-    cos^2 theta = 1/3.
-    """
-    if spec.example_id == 2:
-        return -math.log(spec.kappa / 2.0) / SQRT6
-    if spec.example_id == 3:
-        return -math.log(spec.kappa) / SQRT6
-    if spec.example_id == 4:
-        return -math.log(3.0 * abs(spec.kappa) / (2.0 * math.sqrt(2.0))) / SQRT6
-    raise WrongExample(
-        f"no closed-form s_max for example {_text(spec.example_id)}")
-
-
-def _static_point(f: float, h: float, t: float, phi: float,
-                  theta: Optional[float] = None) -> Point4:
-    """The point at (f, h, t, phi), the closed-form families' one angle
-    rule and one height.  Unless given, theta is the float where h/f
-    crosses on the branch the signs name (geometry.theta_from_lambda):
-    B for f > 0, A for f < 0 < h, C for f < 0 and h <= 0.  A and C are
-    closed at their poles, so an h/f that rounds to 0 there gives 0 or
-    pi.  Where h/f is not finite (f = 0, or the quotient overflows) the
-    point is on the cone cos^2 = 1/3, at THETA_C for h > 0 and
-    pi - THETA_C for h < 0.  With e = e^{-sqrt6 s},
-    |f| + |h| = e (|1 - 3 cos^2| + sqrt6 |cos| sin^2), and that bracket
-    has no zero on [0, pi], so s keeps its digits where f or h vanishes.
-    DomainError where the ratio of the two underflows to 0, as fh_at
-    refuses e there."""
-    if theta is None:
-        lam = h / f if f else math.inf
-        if not math.isfinite(lam):
-            theta = THETA_C if h > 0 else math.pi - THETA_C
-        else:
-            theta = theta_from_lambda(lam, BranchId.B if f > 0 else
-                                      BranchId.A if h > 0 else BranchId.C)
-    c = cos(theta)
-    bracket = abs(_cone_factor(theta, c)) + SQRT6 * abs(c) * sin(theta) ** 2
-    ratio = (abs(f) + abs(h)) / bracket
-    if not ratio:
-        raise DomainError(f"f and h underflow the normal floats at "
-                          f"theta = {theta} (|f| + |h| = {abs(f) + abs(h)})")
-    return Point4(s=-log(ratio) / SQRT6, t=t, theta=theta, phi=phi)
-
-
-def _example1_point(spec: CurveSpec, tau: float, u: float) -> Point4:
-    orbit = spec.orbit
-    if orbit is None:
-        raise ValueError("example 1 needs an orbit")
-    if orbit.kind is not OrbitKind.GENERIC:
-        # theta constant at a pole: (t = -tau, f = -u), u > 0.
-        if u <= 0:
-            raise DomainError("pole cylinders need u > 0")
-        return _static_point(-u, 0.0, -tau, 0.0, orbit.theta0)
-    p, pp = orbit.pair
-    if u == 0 or (u > 0) != ((p or pp) > 0):
-        raise DomainError("sign(u) must equal sign(p), or sign(p') if p = 0")
-    t, theta, phi = orbit_point(orbit, tau)
-    # h/f = (p'/p) sin^2 theta0 along the orbit; f = 0 where p = 0.
-    if p:
-        return _static_point(u, pp / p * sin(theta) ** 2 * u, t, phi, theta)
-    return _static_point(0.0, u, t, phi, theta)
-
-
-def _example2_point(spec: CurveSpec, tau: float, u: float) -> Point4:
-    if u < 0:
-        raise DomainError("the plane is parameterized by u >= 0")
-    sg = spec.sign_p_prime
-    if u:
-        return _static_point(-spec.kappa, sg * u, spec.t0, sg * tau)
-    # The pole point, whose h = 0 names no branch.
-    return _static_point(-spec.kappa, 0.0, spec.t0, 0.0,
-                         0.0 if sg > 0 else math.pi)
-
-
-def _example3_point(spec: CurveSpec, tau: float, u: float) -> Point4:
-    return _static_point(spec.kappa, u, spec.t0, tau)
-
-
-def _example4_point(spec: CurveSpec, tau: float, u: float) -> Point4:
-    return _static_point(u, spec.kappa, tau, spec.phi0)
-
-
-def _log_u_slope(p: int, p_prime: int, theta: float) -> float:
-    """d log|u| / dtheta along the (p, p') profile at theta, where
-    u = e^{-sqrt6 s} g and g = 1 - 3 cos^2 theta; nan where the
-    denominator of ds/dtheta rounds to 0.  It takes no range lookup,
-    so a probe pays none."""
-    try:
-        ds = _ds_dtheta(p, p_prime, theta)
-    except ZeroDivisionError:
-        return math.nan
-    c = cos(theta)
-    # g from _cone_factor, as _u_of takes it; it is 0 at no float angle.
-    return -SQRT6 * ds + 6.0 * c * sin(theta) / _cone_factor(theta, c)
-
-
 def _u_of(terms: LogTerms, base: float, theta: float) -> float:
     """u = e^{-sqrt6 s} (1 - 3 cos^2 theta) for _anchored's terms and base;
     +-inf where e^{-sqrt6 s} overflows, since a bracket needs only order."""
@@ -618,123 +454,3 @@ def _point_start(spec: CurveSpec, clip: float) -> tuple:
     return (lo, hi, terms, base, 1.0 if u_hi > u_lo else -1.0,
             min(u_lo, u_hi), max(u_lo, u_hi),
             _u_of(terms, base, 0.5 * (lo + hi)))
-
-
-def _profile_point(spec: CurveSpec, tau: float, u: float,
-                   clip: float) -> Point4:
-    """The point of the profile curve at (tau, u), found by bracketed
-    Newton iteration on the clipped range from _point_start's record;
-    eval_invariant_curve checks its s with fh_at.
-
-    u = 0 is resolved first, in closed form: u_of = e^{-sqrt6 s} g,
-    g = 1 - 3 cos^2 theta, vanishes at the cone angle, THETA_C or
-    pi - THETA_C, whichever lies on the clipped range (u_of is strictly
-    monotone there, so at most one does).  Where neither does, u_of
-    reaches 0 only where e^{-sqrt6 s} underflows: DomainError.
-
-    Each probe x is decided by _u_of, which moves one end of a bracket
-    [a, b] around the angle where u_of crosses u, and the point is the
-    midpoint of the first bracket narrower than 1e-13, as a bisection's
-    would be.  The first probe is the clipped range's midpoint, whose
-    u_of the record holds.  From each probe the next is a Newton step
-    while the iteration converges (slope = d log|u_of|/dtheta there):
-    - on log|u|, where u_of is a normal float of the sign of u: the step
-      gap / slope, gap = log(u / u_of), which keeps its digits where
-      |log u| is large (no step where the ratio overflows or rounds to
-      0), while |gap| falls below half the previous probe's;
-    - where u_of is u and a normal float, the step 0.
-    A subnormal u_of takes no step: it has too few bits to place the
-    crossing, and it equals u across spans far wider than 4e-14.
-    Otherwise, and where the step leaves (a, b), the next probe is the
-    bracket's midpoint; a probe with none of these steps lets the next
-    one step.  A step shorter than 4e-14 is lengthened to 4e-14 toward
-    the inside of the bracket: Newton's probes tend to approach the
-    crossing from one side, and this one lands on the other, which
-    closes the bracket.  Convergence is strict, so where u_of is u at a
-    second probe in a row (flat in floats), the next one bisects.
-    """
-    lo, hi, terms, base, sign, u_min, u_max, u_x = _point_start(spec, clip)
-    p, p_prime = spec.p, spec.p_prime
-    if not u_min <= u <= u_max:
-        raise DomainError(f"u = {u} outside [{u_min}, {u_max}] reachable "
-                          f"on the clipped range")
-    if u == 0.0:
-        # The cone angle closes the bracket: the loop below does not run.
-        a = b = THETA_C if lo <= THETA_C <= hi else math.pi - THETA_C
-        if not lo <= a <= hi:
-            raise DomainError(
-                f"u = 0 is reached on [{lo}, {hi}] only where f and h "
-                f"underflow the normal floats: no cone angle lies on it")
-    else:
-        a, b = lo, hi
-    x = 0.5 * (a + b)
-    last = math.inf                  # the previous probe's |gap|
-    while b - a >= 1e-13:           # u_of is strictly monotone on the range
-        if sign * (u_x - u) < 0.0:
-            a = x
-        else:
-            b = x
-        if b - a < 1e-13:
-            break
-        step = math.nan
-        normal = _TINY <= abs(u_x) < math.inf
-        if u_x == u and normal:
-            size = step = 0.0
-        elif normal and u_x * u > 0.0:
-            ratio = u / u_x
-            gap = log(ratio) if 0.0 < ratio < math.inf else math.inf
-            size = abs(gap)
-            if size < 0.5 * last:
-                slope = _log_u_slope(p, p_prime, x)
-                step = gap / slope if slope else math.nan
-        else:
-            size = math.inf
-        converging, last = size < 0.5 * last, size
-        if converging and abs(step) < 4e-14:
-            step = 4e-14 if x == a else -4e-14
-        x = x + step if converging and a < x + step < b else 0.5 * (a + b)
-        u_x = _u_of(terms, base, x)
-    theta = 0.5 * (a + b)
-    log_sum, = _log_sums(terms, (theta,))
-    return Point4(s=base + log_sum, t=tau, theta=theta,
-                  phi=spec.phi0 + tau * p_prime / p)
-
-
-def eval_invariant_curve(spec: CurveSpec, tau: float, u: float,
-                         clip: float = 1e-9) -> Point4:
-    """Evaluate the parameterized subvariety at (tau, u).
-
-    The static families take theta and s from their (f, h) through one
-    helper, _static_point, whose angle is THETA_C or pi - THETA_C where
-    h/f is not finite.  For the profile families the angle solving
-    u = e^{-sqrt6 s(theta)}(1 - 3 cos^2 theta) is the cone angle on the
-    clipped range at u = 0, and elsewhere is found by bracketed Newton
-    iteration on the clipped range, to a bracket narrower than 1e-13 (u
-    is strictly monotone in theta along a profile), from the curve's
-    cached _point_start record (4 evaluations of s when first built:
-    the clip ends, the anchor and the first probe).  A nan or
-    infinite tau or u is a DomainError before any family runs, and every
-    family's point is checked by fh_at, so a point is returned only
-    where e^{-sqrt6 s} is a normal float (DomainError elsewhere).  The
-    clip bounds only the u a point can reach: 1e-9 reaches far along
-    each end.  A trace's end rows sit at its clip and need a normal
-    e^{-sqrt6 s}, so a trace keeps geometry.DEFAULT_CLIP = 1e-4 (at
-    1e-9, 88 of the 4,334 ranges of the coprime admissible p <= 30,
-    |p'| <= 45 are refused, against 36 at 1e-4).
-    """
-    if not (math.isfinite(tau) and math.isfinite(u)):
-        require_finite(DomainError, tau=tau, u=u)
-    if spec.example_id == 1:
-        pt = _example1_point(spec, tau, u)
-    elif spec.example_id == 2:
-        pt = _example2_point(spec, tau, u)
-    elif spec.example_id == 3:
-        pt = _example3_point(spec, tau, u)
-    elif spec.example_id == 4:
-        pt = _example4_point(spec, tau, u)
-    elif spec.example_id in (5, 6, 7):
-        pt = _profile_point(spec, tau, u, clip)
-    else:
-        raise WrongExample(f"unknown example id {_text(spec.example_id)}")
-    fh_at(pt.s, pt.theta)       # every family: s where e^{-sqrt6 s} is normal
-    return pt

@@ -37,7 +37,7 @@ import math
 from typing import NamedTuple, Optional
 
 from .errors import DomainError, InvalidLabel, OutOfRegime, ZeroPair, _text
-from .geometry import _TINY, SQRT6, _reduce_angle, require_finite
+from .geometry import _TINY, SQRT6, require_finite
 
 
 class _EndClassFields(NamedTuple):
@@ -272,36 +272,3 @@ class ReebOrbit(NamedTuple):
                    upsilon=math.fmod(upsilon, math.tau),
                    theta0=solve_theta0(reduced.m, reduced.m_prime),
                    multiplicity=pair.gcd)
-
-
-def orbit_point(orbit: ReebOrbit, tau: float) -> tuple[float, float, float]:
-    """The point (t, theta, phi) of the orbit at parameter tau.
-
-    Generic orbits with p != 0 are traversed as (t = tau, theta =
-    theta0, phi = phi0 + tau p'/p) with tau periodic of period 2 pi |p|
-    and phi0 = -upsilon/p, so that p' t - p phi = upsilon identically.
-    For p = 0 the circle is (t = upsilon/p', phi = tau).  t and phi lie
-    in [0, 2 pi) through geometry's one wrap, _reduce_angle.  ValueError
-    for a nan or infinite tau, as Point4 refuses such a t or phi, and
-    DomainError naming the pair where p, p' or p' tau has no float.
-    """
-    if not math.isfinite(tau):
-        require_finite(ValueError, tau=tau)
-    if orbit.kind is OrbitKind.POLE_PLUS:
-        return (_reduce_angle(tau), 0.0, 0.0)
-    if orbit.kind is OrbitKind.POLE_MINUS:
-        return (_reduce_angle(tau), math.pi, 0.0)
-    assert orbit.pair is not None and orbit.theta0 is not None
-    p, pp = orbit.pair.m, orbit.pair.m_prime
-    if p == 0:
-        return (_reduce_angle(orbit.upsilon / pp), orbit.theta0,
-                _reduce_angle(tau))
-    try:
-        tau = math.fmod(tau, math.tau * abs(p))
-        phi = -orbit.upsilon / p + tau * pp / p
-    except OverflowError:
-        phi = math.inf
-    if not math.isfinite(phi):
-        raise DomainError(f"{_text((p, pp))}: an entry or p' tau is past "
-                          f"the float range")
-    return (_reduce_angle(tau), orbit.theta0, _reduce_angle(phi))

@@ -1,6 +1,9 @@
 import itertools
 import math
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import reject
@@ -11,6 +14,21 @@ from sympl_moduli.curves import CurveSpec, _anchored, _log_sums
 from sympl_moduli.errors import BranchError
 from sympl_moduli.geometry import fh_rows
 from sympl_moduli.model_maps import DoublePoint
+
+
+def loaded_after(statement, cwd=None):
+    """The sympl_moduli submodules loaded once `statement` has run in a
+    fresh -I -S -B interpreter in cwd, on the probe's last stdout line:
+    no site packages, no PYTHON* variables and no .pyc files written."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+             f"{statement}\n"
+             "print(*sorted(m for m in sys.modules "
+             "if m.startswith('sympl_moduli.')))")
+    out = subprocess.run(
+        [sys.executable, "-B", "-I", "-S", "-c", probe, src],
+        capture_output=True, text=True, check=True, timeout=60, cwd=cwd)
+    return set(out.stdout.splitlines()[-1].split())
 
 
 @pytest.fixture(scope="session")

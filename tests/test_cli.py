@@ -26,7 +26,16 @@ from sympl_moduli.invariants import InvariantReport
 from sympl_moduli.model_maps import DoublePoint
 
 from conftest import (decay_constants_mpmath, double_points_json,
-                      profile_poles_mpmath, profile_s_mpmath, profile_s_quad)
+                      loaded_after, profile_poles_mpmath, profile_s_mpmath,
+                      profile_s_quad)
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "cli_golden.json"
+GOLDEN_CASES = json.loads(GOLDEN.read_text())
+
+#: The first golden case of each subcommand, and of the unknown one.
+FIRST_CASES = [next(c for c in GOLDEN_CASES if c["argv"][0] == name)
+               for name in dict.fromkeys(c["argv"][0] for c in GOLDEN_CASES)]
 
 
 def _generic_spectrum_mpmath(zeta, period, n_max):
@@ -346,31 +355,30 @@ class TestStartup:
         assert foreign == []
         assert has_slow == "False False"
 
-    @staticmethod
-    def _loaded_after(statement):
-        """The sympl_moduli submodules loaded once `statement` has run in
-        a fresh -I -S -B interpreter, on the probe's last stdout line."""
-        import pathlib
-        import subprocess
-        import sys
-        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-        probe = ("import sys; sys.path.insert(0, sys.argv[1])\n"
-                 f"{statement}\n"
-                 "print(*sorted(m for m in sys.modules "
-                 "if m.startswith('sympl_moduli.')))")
-        out = subprocess.run(
-            [sys.executable, "-B", "-I", "-S", "-c", probe, src],
-            capture_output=True, text=True, check=True, timeout=60)
-        return set(out.stdout.splitlines()[-1].split())
-
     def test_import_loads_no_command_module(self):
-        loaded = self._loaded_after("import sympl_moduli")
+        loaded = loaded_after("import sympl_moduli")
         assert not loaded & {"sympl_moduli.moduli", "sympl_moduli.invariants",
                              "sympl_moduli.model_maps",
-                             "sympl_moduli.catalog"}
+                             "sympl_moduli.catalog", "sympl_moduli.points"}
+
+    @pytest.mark.parametrize("case", FIRST_CASES,
+                             ids=lambda case: case["argv"][0])
+    def test_no_command_loads_the_point_layer(self, tmp_path, case):
+        # No subcommand evaluates a point, so none compiles that layer.
+        # Each command exits with its golden code; trace writes its CSV
+        # to a path relative to the repository root.
+        (tmp_path / "bench" / "out").mkdir(parents=True)
+        loaded = loaded_after(
+            "from sympl_moduli import cli\n"
+            "try:\n"
+            f"    cli.main({case['argv']!r})\n"
+            "except SystemExit as exc:\n"
+            f"    assert exc.code in {case['exit']!r}, exc.code", cwd=tmp_path)
+        assert "sympl_moduli.cli" in loaded
+        assert "sympl_moduli.points" not in loaded
 
     def test_classify_loads_only_what_it_runs(self):
-        loaded = self._loaded_after(
+        loaded = loaded_after(
             "from sympl_moduli import cli\n"
             "try:\n"
             "    cli.main(['classify', '--pairs', '2,1;1,2'])\n"
@@ -1448,10 +1456,6 @@ class TestInvariantBreach:
         assert out == ""
         assert "invariant breach" in err
         assert "Traceback" not in err
-
-
-GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "cli_golden.json"
-GOLDEN_CASES = json.loads(GOLDEN.read_text())
 
 
 class TestGoldenOutput:

@@ -11,12 +11,13 @@ from sympl_moduli import (CurveSpec, ReebOrbit, TraceSample,
                           eval_invariant_curve, integrate_profile,
                           profile_ds_dtheta, s_max, s_of_theta, solve_theta0,
                           solve_theta0_bar)
-from sympl_moduli import curves
+from sympl_moduli import curves, points
 from sympl_moduli.budgets import MAX_TRACE_SAMPLES
 from sympl_moduli.curves import profile_log_terms
 from sympl_moduli.errors import (BranchError, DomainError, InvalidLabel,
                                   WrongExample)
-from sympl_moduli.geometry import THETA_C, Point4, fh_at
+from sympl_moduli.geometry import THETA_C
+from sympl_moduli.points import Point4, fh_at
 
 from conftest import (boundary_pairs, profile_ode_residual,
                       profile_poles_mpmath, profile_s_mpmath, profile_s_quad,
@@ -332,15 +333,9 @@ class TestProfilePoint:
         exactly 4 fewer.  The counts repeat exactly, so the mean bounds
         are the means measured when every converging Newton step was
         taken (11.87 cold, 7.87 warm), rounded up to one decimal."""
-        log_sums = curves._log_sums
         angles = []
-
-        def counted(terms, thetas):
-            angles[-1] += len(thetas)
-            return log_sums(terms, thetas)
-
         calls = _profile_point_calls(profile_domain)
-        monkeypatch.setattr(curves, "_log_sums", counted)
+        _count_evaluations_of_s(monkeypatch, angles)
         cold, warm = [], []
         for spec, u, clip in calls:
             curves._point_start.cache_clear()
@@ -385,8 +380,7 @@ class TestProfilePoint:
                     else:
                         assert got[0] is want[0] is DomainError
                         refused.append(n)
-        assert len(points) == 32 and max(points) <= 5
-        assert len(refused) == 1 and max(refused) <= 4
+        assert points == [5] * 32 and refused == [4]
 
     @pytest.mark.parametrize("p,pp,rid", [(4, -5, 0), (4, 5, 2),
                                           (29, -37, 0)])
@@ -485,18 +479,27 @@ def _reference_outcome(spec, u, clip):
         return type(exc), str(exc)
 
 
+def _count_evaluations_of_s(patch, angles):
+    """Add the number of angles at which s is evaluated to angles[-1]
+    from here on: _log_sums, under each name a point's code calls it by,
+    points' for the point itself and curves' for its record and probes
+    (_point_start, _u_of)."""
+    log_sums = curves._log_sums
+
+    def counted(terms, thetas):
+        angles[-1] += len(thetas)
+        return log_sums(terms, thetas)
+
+    for module in (curves, points):
+        patch.setattr(module, "_log_sums", counted)
+
+
 def _cold_evaluations(spec, u, clip):
     """_cold_outcome, and the number of angles at which s was evaluated
     for it."""
-    log_sums = curves._log_sums
     angles = [0]
-
-    def counted(terms, thetas):
-        angles[0] += len(thetas)
-        return log_sums(terms, thetas)
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(curves, "_log_sums", counted)
+        _count_evaluations_of_s(patch, angles)
         outcome = _cold_outcome(spec, u, clip)
     return outcome, angles[0]
 
@@ -1290,7 +1293,7 @@ class TestEvalInvariantCurve:
 
         for name in ("_example1_point", "_example2_point", "_example3_point",
                      "_example4_point", "_profile_point", "_point_start"):
-            monkeypatch.setattr(curves, name, no_family)
+            monkeypatch.setattr(points, name, no_family)
         with pytest.raises(DomainError, match="is not finite"):
             eval_invariant_curve(spec, tau, u)
 
@@ -1638,7 +1641,7 @@ class TestStaticReflection:
 class TestPinnedStaticAngles:
     """theta of examples 2-4 over a seeded sample keeps its bits: the
     digest was recorded while each family chose its own branch, and the
-    one angle rule of curves._static_point picks the same lambda = h/f
+    one angle rule of points._static_point picks the same lambda = h/f
     on the same branch.  It was re-recorded when lambda_of_theta, which
     theta_from_lambda bisects, took 1 - 3 cos^2 theta from
     geometry._cone_factor: 11 of the 3,000 angles moved, all within

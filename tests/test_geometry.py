@@ -12,10 +12,10 @@ from sympl_moduli import (BranchId, EndClass, Label2, ModelMapParams, Point4,
                           classify_pair, contact_eval, coord_functions,
                           lambda_of_theta, omega_eval, orbit_point, phi_eval,
                           profile_ds_dtheta, reeb_vector, theta_from_lambda)
-from sympl_moduli import geometry
+from sympl_moduli import points
 from sympl_moduli.errors import DomainError, PoleError, RangeError
-from sympl_moduli.geometry import (SQRT6, THETA_C, _reduce_angle, fh_at,
-                                   fh_rows)
+from sympl_moduli.geometry import SQRT6, THETA_C, _reduce_angle, fh_rows
+from sympl_moduli.points import fh_at
 
 SQRT6_ = math.sqrt(6.0)
 
@@ -544,7 +544,7 @@ class TestThetaFromLambda:
             calls.append(theta)
             return lambda_of_theta(theta)
 
-        monkeypatch.setattr(geometry, "lambda_of_theta", counted)
+        monkeypatch.setattr(points, "lambda_of_theta", counted)
         for branch in BranchId:
             if (branch is BranchId.A and lam > 0.0
                     or branch is BranchId.C and lam < 0.0):

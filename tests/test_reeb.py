@@ -8,8 +8,9 @@ from sympl_moduli import (CurveSpec, EndClass, ReebOrbit, classify_branches,
                           classify_pair, eval_invariant_curve, orbit_point,
                           solve_theta0, solve_theta0_bar, theta_roots)
 from sympl_moduli.errors import DomainError, InvalidLabel, OutOfRegime, ZeroPair
-from sympl_moduli.geometry import (SQRT6, Point4, Tangent4, contact_eval,
-                                   coord_functions)
+from sympl_moduli.geometry import SQRT6
+from sympl_moduli.points import (Point4, Tangent4, contact_eval,
+                                 coord_functions)
 from sympl_moduli.reeb import orbit_cosine
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)

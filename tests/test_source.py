@@ -1,9 +1,10 @@
 """Rules about the package's source, read from its syntax tree.
 
 Every top-level function and class in `src/sympl_moduli` serves a
-subcommand or an entry point that README lists; the independent routes
-that check the library stay independent of what they check; and the
-type hints of every function resolve.
+subcommand or an entry point that README lists, and one that serves no
+subcommand lives in a module that no command loads; the independent
+routes that check the library stay independent of what they check; and
+the type hints of every function resolve.
 """
 
 import ast
@@ -16,6 +17,8 @@ from pathlib import Path
 import pytest
 
 import sympl_moduli
+
+from conftest import loaded_after
 
 ROOT = Path(__file__).resolve().parents[1]
 PKG = ROOT / "src" / "sympl_moduli"
@@ -83,7 +86,32 @@ def _readme_list():
     return re.findall(r"^\| `(\w+)` +\|", section, flags=re.M)
 
 
+#: The defs that no command reaches but that stay in a module every
+#: command loads, each with the reason it stays there.
+_SHARED = {
+    ("geometry", "_reduce_angle"):
+        "the package's one angle wrap, which model_maps.phi_eval calls too",
+    ("errors", "PoleError"): "errors lists every error class",
+    ("errors", "RangeError"): "errors lists every error class",
+    ("errors", "PunctureError"): "errors lists every error class",
+}
+
+
 class TestReach:
+    def test_no_command_loads_code_it_cannot_reach(self):
+        # A command compiles each module it loads, all of it, so a def no
+        # command reaches lives in a module `import sympl_moduli.cli`
+        # does not load, such as points, unless _SHARED names it.
+        eager = {"__init__"} | {
+            name.partition(".")[2]
+            for name in loaded_after("import sympl_moduli.cli")}
+        stray = {(module, name) for module, name in _unreached()
+                 if module in eager}
+        assert stray == set(_SHARED), (
+            f"reached by no subcommand, in a module every command loads: "
+            f"{sorted(stray - set(_SHARED))}; no longer there: "
+            f"{sorted(set(_SHARED) - stray)}")
+
     def test_every_def_serves_a_command_or_a_listed_entry_point(self):
         unreached = _unreached(_readme_list())
         assert not unreached, (
