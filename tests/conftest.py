@@ -15,6 +15,8 @@ from sympl_moduli.errors import BranchError
 from sympl_moduli.geometry import fh_rows
 from sympl_moduli.model_maps import DoublePoint
 
+import shadow
+
 
 def loaded_after(statement, cwd=None):
     """The sympl_moduli submodules loaded once `statement` has run in a
@@ -97,87 +99,6 @@ def double_points_json(points: list[DoublePoint]) -> list[dict]:
              "residual": dp.residual} for dp in points]
 
 
-def decay_constants_mpmath(m, m_prime):
-    """(zeta, kappa, sigma0) of the orbit of (m, m'), m and m' != 0: the
-    cosine of the inner root (m > 0) or the outer one (m < 0) in closed
-    form, then asymptotic_constants' formulas, at 400 digits, so that
-    1 - 3 cos^2 keeps over 200 of them for |m'/m| up to the float range."""
-    mpm = pytest.importorskip("mpmath")
-    with mpm.workdps(400):
-        a = mpm.mpf(m_prime) / m
-        r = mpm.sqrt(1 + 2 * a * a)
-        c = (r - 1 if m > 0 else -1 - r) / (mpm.sqrt(6) * a)
-        dev = abs(1 - 3 * c * c)
-        root = mpm.sqrt(1 + 3 * c ** 4)
-        return (mpm.sqrt(6) * (1 - c * c) * (1 + 3 * c * c) / root / dev,
-                dev / (mpm.sqrt(6) * root),
-                4 * abs(c) * abs(a) / (1 + a * a * (1 - c * c)))
-
-
-def profile_poles_mpmath(p, p_prime):
-    """[(pole, residue)] of ds/dx, x = cos(theta), for the (p, p')
-    profile, p > 0, apart from the library: the poles x = 1, x = -1 and
-    the roots of 3a x^2 + sqrt6 x - a, a = p'/p (x = 0 alone when
-    p' = 0), exact, each residue N/D' by the product rule, with no pairing
-    and no pole distance.  Call it inside the precision wanted."""
-    mpm = pytest.importorskip("mpmath")
-    a, r6 = mpm.mpf(p_prime) / p, mpm.sqrt(6)
-    poles = [mpm.mpf(1), mpm.mpf(-1)]
-    if p_prime:
-        disc = mpm.sqrt(6 + 12 * a * a)
-        poles += [(-r6 + disc) / (6 * a), (-r6 - disc) / (6 * a)]
-    else:
-        poles.append(mpm.mpf(0))
-
-    def residue(c):
-        quad = 3 * a * c * c + r6 * c - a
-        d_prime = (6 * a * c + r6) * (1 - c * c) - 2 * c * quad
-        return (1 - 3 * c * c + r6 * a * c * (1 - c * c)) / d_prime
-
-    return [(c, residue(c)) for c in poles]
-
-
-def profile_s_mpmath(p, p_prime, theta_ref, thetas):
-    """s(theta) - s(theta_ref) at each theta of thetas, the floats' exact
-    values, from profile_poles_mpmath's partial fractions: sum residue *
-    (log|cos theta - pole| - log|cos theta_ref - pole|), with
-    |cos theta -+ 1| as 2 sin^2(theta/2) and 2 cos^2(theta/2).  Near
-    2 p'^2 = 3 p^2 two residues of order p^2 / |2 p'^2 - 3 p^2| cancel,
-    so the sums are taken at 50 digits past that ratio."""
-    mpm = pytest.importorskip("mpmath")
-    with mpm.workdps(50 + 2 * len(str(p))):
-        (_, at_zero), (_, at_pi), *roots = profile_poles_mpmath(p, p_prime)
-
-        def log_sum(theta):
-            half = mpm.mpf(theta) / 2
-            x = mpm.cos(2 * half)
-            return (at_zero * mpm.log(2 * mpm.sin(half) ** 2)
-                    + at_pi * mpm.log(2 * mpm.cos(half) ** 2)
-                    + sum(r * mpm.log(abs(x - c)) for c, r in roots))
-
-        at_ref = log_sum(theta_ref)
-        return [log_sum(theta) - at_ref for theta in thetas]
-
-
-def profile_s_quad(p, pp, theta_ref, theta):
-    """s(theta) - s(theta_ref) by mpmath quadrature of ds/dtheta written
-    out from the profile equation, split geometrically toward theta
-    (which may sit next to a fixed angle, where the integrand blows up)."""
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(20):
-        a = mp.mpf(pp) / p
-        s6 = mp.sqrt(6)
-
-        def ds(th):
-            c, sn = mp.cos(th), mp.sin(th)
-            return -(1 - 3 * c * c + s6 * a * c * sn * sn) / (
-                (s6 * c - a * (1 - 3 * c * c)) * sn)
-
-        lo, hi = mp.mpf(theta_ref), mp.mpf(theta)
-        cuts = [hi - (hi - lo) * mp.mpf(10) ** -k for k in range(0, 12, 3)]
-        return float(mp.quad(ds, cuts + [hi]))
-
-
 def profile_ode_residual(spec: CurveSpec, theta: float) -> float:
     """|dh/du - (p'/p) sin^2 theta| at one point of a profile curve.
 
@@ -202,13 +123,12 @@ def profile_ode_residual(spec: CurveSpec, theta: float) -> float:
 
 def trace_outcome(p, p_prime, rid, n_samples):
     """integrate_profile of one range at the default clip, s anchored at
-    0, against profile_s_mpmath: "traced" where every row's s lies
+    0, against shadow.profile_s: "traced" where every row's s lies
     within one unit of the twelfth digit of max(|s|, 1) of the exact
     value at its angle; "refused" where fh_rows refuses a row whose
     exact e^{-sqrt6 s} also lies outside [_TINY, _E_MAX]."""
     from sympl_moduli import curves, geometry
     from sympl_moduli.errors import DomainError
-    mpm = pytest.importorskip("mpmath")
     rng = curves.classify_branches(p, p_prime)[rid]
     ref = 0.5 * (rng.lo + rng.hi)
     try:
@@ -219,11 +139,12 @@ def trace_outcome(p, p_prime, rid, n_samples):
                                r"underflow the normal floats) at theta = "
                                r"(\S+) \(s = \S+\)", str(exc))
         assert refused, exc
-        exact, = profile_s_mpmath(p, p_prime, ref, [float(refused[2])])
-        e = mpm.exp(-mpm.sqrt(6) * exact)
+        theta = float(refused[2])
+        exact, = shadow.profile_s(p, p_prime, ref, [theta])
+        e = shadow.fh(exact, theta)[0]
         assert not geometry._TINY <= e <= geometry._E_MAX, exc
         return "refused"
-    exact = profile_s_mpmath(p, p_prime, ref, [row.theta for row in rows])
+    exact = shadow.profile_s(p, p_prime, ref, [row.theta for row in rows])
     for row, want in zip(rows, exact):
         unit = 10.0 ** (math.floor(math.log10(max(abs(want), 1))) - 11)
         assert abs(row.s - want) <= unit, (p, p_prime, rid, row)

@@ -1,4 +1,3 @@
-import decimal
 import hashlib
 import io
 import json
@@ -25,9 +24,8 @@ from sympl_moduli.errors import DomainError, ParseError
 from sympl_moduli.invariants import InvariantReport
 from sympl_moduli.model_maps import DoublePoint
 
-from conftest import (decay_constants_mpmath, double_points_json,
-                      loaded_after, profile_poles_mpmath, profile_s_mpmath,
-                      profile_s_quad)
+import shadow
+from conftest import double_points_json, loaded_after
 
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "cli_golden.json"
@@ -36,20 +34,6 @@ GOLDEN_CASES = json.loads(GOLDEN.read_text())
 #: The first golden case of each subcommand, and of the unknown one.
 FIRST_CASES = [next(c for c in GOLDEN_CASES if c["argv"][0] == name)
                for name in dict.fromkeys(c["argv"][0] for c in GOLDEN_CASES)]
-
-
-def _generic_spectrum_mpmath(zeta, period, n_max):
-    """The generic spectrum of the decay constant zeta, each eigenvalue
-    as often as its multiplicity, sorted: the textbook (-zeta +- sqrt(
-    zeta^2 + 4 n^2 / T^2)) / 2 at enough digits that nothing cancels."""
-    mpm = pytest.importorskip("mpmath")
-    with mpm.workdps(400):
-        zeta = mpm.mpf(zeta)
-        out = [mpm.mpf(0), -zeta]
-        for n in range(1, n_max + 1):
-            disc = mpm.sqrt(zeta ** 2 + 4 * mpm.mpf(n) ** 2 / period ** 2)
-            out += 2 * [(-zeta + disc) / 2, (-zeta - disc) / 2]
-        return sorted(out)
 
 
 #: The most digits parse_pairs takes in a pair entry: (L - 1) // 2 for
@@ -845,7 +829,7 @@ def _assert_refused_row(pair, rid, anchor, message):
     p, pp = map(int, pair.split(","))
     refused = _REFUSED_ROW.fullmatch(f"error: {message}\n")
     rng = curves.classify_branches(p, pp)[rid]
-    exact, = profile_s_mpmath(p, pp, 0.5 * (rng.lo + rng.hi),
+    exact, = shadow.profile_s(p, pp, 0.5 * (rng.lo + rng.hi),
                               [float(refused[2])])
     _s_digits([float(refused[3])], [anchor + exact], (pair, rid))
 
@@ -1071,7 +1055,7 @@ class TestSpectrum:
         # taken for cos^2 = 1/3 (the first exited 1, the second was 5e-8
         # off), and each printed eigenvalue, the positive ones n^2 / (T^2
         # zeta) included, is the 50-digit one to its 12 printed digits.
-        zeta, kappa, _ = decay_constants_mpmath(*map(int, pair.split(",")))
+        zeta, kappa, _ = shadow.decay_constants(*map(int, pair.split(",")))
         code, out, _ = run_cli(capsys, "spectrum", f"--pair={pair}")
         assert code == 0
         payload = json.loads(out)
@@ -1081,7 +1065,7 @@ class TestSpectrum:
         # as floats, so the two lists need not agree in order.
         printed = sorted(ev for ev, mult in payload["spectrum"]
                          for _ in range(mult))
-        expected = _generic_spectrum_mpmath(zeta, payload["period"], 5)
+        expected = shadow.generic_spectrum(zeta, payload["period"], 5)
         assert len(printed) == len(expected) == 22
         for ev, ref in zip(printed, expected):
             assert abs(ev - ref) <= 1e-11 * abs(ref)
@@ -1095,42 +1079,6 @@ class TestSpectrum:
         code, out, _ = run_cli(capsys, "spectrum", "--pair", "2,2", "--nmax", "0")
         assert code == 0
         assert json.loads(out)["period"] == 2
-
-
-def _orbit_exact(m, mp, n_max):
-    """theta0, zeta, kappa, sigma0 and the generic spectrum (each
-    eigenvalue as often as its multiplicity, sorted) of the orbit of
-    (m, m'), m and m' != 0, at 50 digits, apart from the library: x =
-    cos(theta0) is the root of 3 a x^2 + sqrt6 x - a = 0, a = m'/m, with
-    the sign of m' (the + root for m > 0, the - root for m < 0); the
-    constants follow asymptotic_constants' docstring; the period is
-    |m|, and each positive eigenvalue is -(n/T)^2 over its negative
-    partner (Vieta), so that nothing cancels."""
-    mpm = pytest.importorskip("mpmath")
-    with mpm.workdps(50):
-        a, r6 = mpm.mpf(mp) / m, mpm.sqrt(6)
-        disc = mpm.sqrt(6 + 12 * a * a)
-        x = ((-r6 + disc) if m > 0 else (-r6 - disc)) / (6 * a)
-        s2, dev, root = 1 - x * x, abs(1 - 3 * x * x), mpm.sqrt(1 + 3 * x ** 4)
-        zeta = r6 * s2 * (1 + 3 * x * x) / root / dev
-        consts = (mpm.acos(x), zeta, dev / (r6 * root),
-                  4 * abs(x) * abs(a) / (1 + a * a * s2))
-        spectrum = [mpm.mpf(0), -zeta]
-        for n in range(1, n_max + 1):
-            w2 = (mpm.mpf(n) / abs(m)) ** 2
-            neg = (-zeta - mpm.sqrt(zeta * zeta + 4 * w2)) / 2
-            spectrum += 2 * [neg, -w2 / neg]
-        return consts, sorted(spectrum)
-
-
-def _polar_exact(m, n_max):
-    """The polar spectrum n/m - sqrt(3/2), |n| <= n_max, at 50 digits
-    (decimal, which keeps the 21,363 eigenvalues of m = 8721 fast)."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 50
-        base = decimal.Decimal("1.5").sqrt()
-        return [decimal.Decimal(n) / m - base
-                for n in range(-n_max, n_max + 1)]
 
 
 def _spectrum_draws():
@@ -1181,13 +1129,14 @@ class TestSpectrumDigits:
             code, out, err = run_cli(capsys, "spectrum", f"--pair={m},{mp}")
             assert (code, err) == (0, ""), (m, mp)
             payload = json.loads(out)
-            consts, spectrum = _orbit_exact(m, mp, 5)
+            consts = shadow.decay_constants(m, mp)
             self._assert_digits(
                 [payload[k] for k in ("theta0", "zeta", "kappa", "sigma0")],
-                consts, (m, mp))
+                [shadow.orbit_angle(m, mp), *consts], (m, mp))
             self._assert_digits(sorted(ev for ev, mult in payload["spectrum"]
                                        for _ in range(mult)),
-                                spectrum, (m, mp))
+                                shadow.generic_spectrum(consts[0], abs(m), 5),
+                                (m, mp))
 
     def test_polar(self, capsys):
         rnd = random.Random(36)
@@ -1201,7 +1150,7 @@ class TestSpectrumDigits:
             spectrum = json.loads(out)["spectrum"]
             assert {mult for _, mult in spectrum} == {2}
             self._assert_digits([ev for ev, _ in spectrum],
-                                _polar_exact(m, n_max), m)
+                                shadow.polar_spectrum(m, n_max), m)
 
 
 def _trace_draws():
@@ -1252,15 +1201,14 @@ def _s_digits(printed, exact, what):
 
 
 def _check_trace(capsys, path, p, pp, rid, n, anchor=0.0):
-    """Run trace on one range and check it against the 50-digit oracle
-    (conftest.profile_s_mpmath): on exit 0 every CSV s, theta, f and h
-    and the summary's theta_endpoints, s_min and s_max lie within one
-    unit of their twelfth significant digit of the exact values at the
-    rows' float angles (of max(|s|, 1) for s: TestTraceDigits); on
-    exit 1 the refusal is the clip's, of a range no wider than two
-    clips, or fh_rows', naming a row angle whose exact e^{-sqrt6 s} lies
-    outside [_TINY, _E_MAX], and its s.  Returns the exit code."""
-    mpm = pytest.importorskip("mpmath")
+    """Run trace on one range and check it against the 50-digit shadow
+    (shadow.profile_s): on exit 0 every CSV s, theta, f and h and the
+    summary's theta_endpoints, s_min and s_max lie within one unit of
+    their twelfth significant digit of the exact values at the rows'
+    float angles (of max(|s|, 1) for s: TestTraceDigits); on exit 1 the
+    refusal is the clip's, of a range no wider than two clips, or
+    fh_rows', naming a row angle whose exact e^{-sqrt6 s} lies outside
+    [_TINY, _E_MAX], and its s.  Returns the exit code."""
     clip = curves.DEFAULT_CLIP
     code, out, err = run_cli(capsys, "trace", "--pair", f"{p},{pp}",
                              "--range", str(rid), "--samples", str(n),
@@ -1273,43 +1221,32 @@ def _check_trace(capsys, path, p, pp, rid, n, anchor=0.0):
     if code == 1 and "leaves no angles" in err:
         assert rng.hi - rng.lo <= 2 * clip, what
         return code
-    with mpm.workdps(50 + 2 * len(str(p))):
-        r6 = mpm.sqrt(6)
-        if code == 1:
-            refused = _REFUSED_ROW.fullmatch(err)
-            assert refused and out == "", (what, err)
-            theta, s = float(refused[2]), float(refused[3])
-            assert theta in thetas, what
-            exact = anchor + profile_s_mpmath(p, pp, 0.5 * (rng.lo + rng.hi),
-                                              [theta])[0]
-            assert not geometry._TINY <= mpm.exp(-r6 * exact) <= (
-                geometry._E_MAX), what
-            _s_digits([s], [exact], what)
-            return code
-        assert (code, err) == (0, ""), what
-        s_exact = [anchor + ds for ds in profile_s_mpmath(
-            p, pp, 0.5 * (rng.lo + rng.hi), thetas)]
-        rows = [list(map(float, line.split(",")))
-                for line in path.read_text().splitlines()[1:]]
-        assert len(rows) == n, what
-        for (s, t, theta, phi, f, h), x, se in zip(rows, thetas, s_exact):
-            c, sn = mpm.cos(mpm.mpf(x)), mpm.sin(mpm.mpf(x))
-            e = mpm.exp(-r6 * se)
-            _s_digits([s], [se], what)
-            digits([theta, f, h],
-                   [mpm.mpf(x), e * (1 - 3 * c * c), r6 * e * c * sn * sn],
-                   what)
-            assert (t, phi) == (0.0, 0.0), what
-        summary = json.loads(out)
-        fixed = {"pole0": mpm.mpf(0), "polePi": +mpm.pi}
-        roots = [c for c, _ in profile_poles_mpmath(p, pp)[2:]]
-        fixed["theta0"] = mpm.acos(roots[0])
-        if len(roots) == 2 and abs(roots[1]) < 1:
-            fixed["theta0_bar"] = mpm.acos(roots[1])
-        digits(summary["theta_endpoints"],
-               [fixed[label] for label in summary["endpoint_labels"]], what)
-        _s_digits([summary["s_min"], summary["s_max"]],
-                  [min(s_exact), max(s_exact)], what)
+    mid = 0.5 * (rng.lo + rng.hi)
+    if code == 1:
+        refused = _REFUSED_ROW.fullmatch(err)
+        assert refused and out == "", (what, err)
+        theta, s = float(refused[2]), float(refused[3])
+        assert theta in thetas, what
+        exact = anchor + shadow.profile_s(p, pp, mid, [theta])[0]
+        assert not geometry._TINY <= shadow.fh(exact, theta)[0] <= (
+            geometry._E_MAX), what
+        _s_digits([s], [exact], what)
+        return code
+    assert (code, err) == (0, ""), what
+    s_exact = [anchor + ds for ds in shadow.profile_s(p, pp, mid, thetas)]
+    rows = [list(map(float, line.split(",")))
+            for line in path.read_text().splitlines()[1:]]
+    assert len(rows) == n, what
+    for (s, t, theta, phi, f, h), x, se in zip(rows, thetas, s_exact):
+        _s_digits([s], [se], what)
+        digits([theta, f, h], [shadow.mpf(x), *shadow.fh(se, x)[1:]], what)
+        assert (t, phi) == (0.0, 0.0), what
+    summary = json.loads(out)
+    fixed = shadow.fixed_angles(p, pp)
+    digits(summary["theta_endpoints"],
+           [fixed[label] for label in summary["endpoint_labels"]], what)
+    _s_digits([summary["s_min"], summary["s_max"]],
+              [min(s_exact), max(s_exact)], what)
     return code
 
 
@@ -1356,8 +1293,9 @@ class TestTraceDigits:
         # The oracle's sum agrees with quadrature of ds/dtheta.
         rng = curves.classify_branches(12641, 15482)[0]
         mid = 0.5 * (rng.lo + rng.hi)
-        want, = profile_s_mpmath(12641, 15482, mid, [0.307789854105])
-        assert abs(profile_s_quad(12641, 15482, mid, 0.307789854105) - want) < 1e-15
+        want, = shadow.profile_s(12641, 15482, mid, [0.307789854105])
+        assert abs(shadow.profile_s_quad(12641, 15482, mid, 0.307789854105)
+                   - want) < 1e-15
 
 
 class TestFlagErrors:

@@ -19,9 +19,8 @@ from sympl_moduli.errors import (BranchError, DomainError, InvalidLabel,
 from sympl_moduli.geometry import THETA_C
 from sympl_moduli.points import Point4, fh_at
 
-from conftest import (boundary_pairs, profile_ode_residual,
-                      profile_poles_mpmath, profile_s_mpmath, profile_s_quad,
-                      trace_outcome)
+import shadow
+from conftest import boundary_pairs, profile_ode_residual, trace_outcome
 
 SQRT6_ = math.sqrt(6.0)
 
@@ -139,7 +138,12 @@ class TestPinnedCurves:
     (3 cos) cos far from the cone: 27 of the 105 points moved, by at most
     4.4e-14 in theta, 12 closer to the exact crossing of u and 15
     farther, and the worst error went from 2.0e-14 to 2.3e-14, inside
-    the 1e-13 bracket that ends the search.
+    the 1e-13 bracket that ends the search.  The points' digest was
+    re-recorded when ds/dtheta, which Newton's steps read, took its
+    denominator from the log terms' root gaps where the expanded form
+    cancels: 2 of the 105 points moved, by at most 1.1e-16 in theta and
+    8.9e-16 in s, both closer to the exact crossing of u, and the worst
+    error stayed 2.3e-14.
     """
 
     def test_values_keep_their_bits(self):
@@ -153,8 +157,8 @@ class TestPinnedCurves:
         for spec, u in _pinned_curve_values()[1]:
             vals.extend(eval_invariant_curve(spec, 0.5, u))
         assert len(vals) == 420
-        assert _digest(vals) == ("3db8064c1e1ae29604e56ab982f764ca"
-                                 "4f5d82a20c83704167bfdf2fc796c2fa")
+        assert _digest(vals) == ("57e1e499176c6b40cc1ba4f937260894"
+                                 "537038ef64fe803a06374fe738b0daaa")
 
 
 def _profile_domain_values():
@@ -223,7 +227,12 @@ class TestPinnedDomain:
     an angle came from geometry._cone_factor: 574 of the 2,412 points
     moved, by at most 6.7e-14 in theta, 268 closer to the exact crossing
     of u and 306 farther, and the worst error went from 4.66e-14 to
-    4.71e-14, inside the 1e-13 bracket that ends the search.
+    4.71e-14, inside the 1e-13 bracket that ends the search.  The
+    points' digest was re-recorded when ds/dtheta, which Newton's steps
+    read, took its denominator from the log terms' root gaps where the
+    expanded form cancels: 26 of the 2,412 points moved, by at most
+    4.0e-14 in theta, 11 closer to the exact crossing of u and 15
+    farther, and the worst error stayed 4.71e-14.
     """
 
     def test_profile_domain_keeps_its_bits(self, profile_domain):
@@ -242,8 +251,8 @@ class TestPinnedDomain:
                 vals.append("DomainError")
         assert len(vals) == 9648
         assert vals.count("DomainError") == 0
-        assert _digest(vals) == ("f3ff7716922a32b9efb14829069b3e5a"
-                                 "cfe96733ab72b7a7bb9ea1dbd654f615")
+        assert _digest(vals) == ("30d43f4c949ad38add8ce4bce9a4703c"
+                                 "3c060bd8432019d4db0888435e5b76f8")
 
 
 def _bisect_reference(spec, tau, u, clip):
@@ -330,9 +339,12 @@ class TestProfilePoint:
         and the Newton probes between.  The first four are the curve's
         _point_start record, so each point is counted cold, with the
         record cache cleared, and a second evaluation of it takes
-        exactly 4 fewer.  The counts repeat exactly, so the mean bounds
-        are the means measured when every converging Newton step was
-        taken (11.87 cold, 7.87 warm), rounded up to one decimal."""
+        exactly 4 fewer.  The counts repeat exactly, so their totals are
+        pinned: a counter that misses a call site, or a step that costs
+        an evaluation more, fails.  They are the same with ds/dtheta's
+        denominator factored over the root gaps, which Newton's slope
+        reads (the slope evaluates no s).  Means: 11.87 cold, 7.87
+        warm."""
         angles = []
         calls = _profile_point_calls(profile_domain)
         _count_evaluations_of_s(monkeypatch, angles)
@@ -349,9 +361,7 @@ class TestProfilePoint:
             eval_invariant_curve(spec, 0.3, u, clip=clip)
             warm.append(angles[-1])
         assert len(cold) == 4929
-        assert sum(cold) / len(cold) <= 11.9
-        assert sum(warm) / len(warm) <= 7.9
-        assert max(cold) <= 48
+        assert (sum(cold), sum(warm), max(cold)) == (58493, 38777, 19)
         assert [c - w for c, w in zip(cold, warm)] == [4] * len(cold)
 
     def test_u_zero_is_the_cone_angle(self):
@@ -643,7 +653,7 @@ class TestLogTermKinds:
             thb = solve_theta0_bar(p, pp)
             assert min(thb, math.pi - thb) == pytest.approx(1.1179194e-8,
                                                             rel=1e-7)
-            want, = profile_s_mpmath(p, pp, 0.3, [0.4])
+            want, = shadow.profile_s(p, pp, 0.3, [0.4])
             got = s_of_theta(p, pp, 0.3, 0.0, 0.4)
             assert abs(got - want) <= 1e-12 * abs(want)
             thin = 2 if pp > 0 else 0
@@ -667,7 +677,7 @@ class TestLogTermKinds:
         mid = 0.5 * (rng.lo + rng.hi)
         thetas = [mid + (rng.hi - rng.lo) * 1e-2 * (k / 20.0 - 0.5)
                   for k in range(21)]
-        exact = profile_s_mpmath(p, pp, mid, thetas)
+        exact = shadow.profile_s(p, pp, mid, thetas)
         for theta, want in zip(thetas, exact):
             got = s_of_theta(p, pp, mid, 0.0, theta)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), theta
@@ -699,7 +709,7 @@ class TestMergedPoles:
         assert trace_outcome(p, pp, 0, 6) == want
         # Range 0 runs from the pole 0 to a fixed angle no nearer than
         # acos(1 - 2**-53) = 1.5e-8.
-        exact, = profile_s_mpmath(p, pp, 1e-9, [2e-9])
+        exact, = shadow.profile_s(p, pp, 1e-9, [2e-9])
         got = s_of_theta(p, pp, 1e-9, 0.0, 2e-9)
         assert abs(got - exact) <= 1e-12 * abs(exact)
 
@@ -782,7 +792,7 @@ class TestSOfTheta:
         mid = 0.5 * (rng.lo + rng.hi)
         got = s_of_theta(1, -60, mid, 0.0, 5e-324)
         assert got == 12.809739223253976
-        exact, = profile_s_mpmath(1, -60, mid, [5e-324])
+        exact, = shadow.profile_s(1, -60, mid, [5e-324])
         assert abs(got - exact) <= 1e-15 * abs(exact)
         step = got - s_of_theta(1, -60, mid, 0.0, 1e-323)
         want = profile_log_terms(1, -60).at_zero * 2.0 * math.log(0.5)
@@ -997,7 +1007,7 @@ class TestClosedForm:
             mid = 0.5 * (rng.lo + rng.hi)
             for clip in (1e-3, 1e-6, 1e-9):
                 for theta in (rng.lo + clip, rng.hi - clip):
-                    want = profile_s_quad(p, pp, mid, theta)
+                    want = shadow.profile_s_quad(p, pp, mid, theta)
                     got = s_of_theta(p, pp, mid, 0.0, theta)
                     assert abs(got - want) <= 1e-10 * (1 + abs(want)), (
                         rng, clip, theta)
@@ -1053,25 +1063,21 @@ class TestClosedForm:
         exact residues against the identity.  The record's residues are
         a few rounded operations each, so 1e-14 relative; S rounds two
         differences of terms below sqrt6/3, so 1e-15 absolute."""
-        mpm = pytest.importorskip("mpmath")
         for p, pp in [(p, pp)] if p else boundary_pairs():
             terms = profile_log_terms(p, pp)
-            with mpm.workdps(50 + 2 * len(str(p))):
-                (_, r_zero), (_, r_pi), *roots = profile_poles_mpmath(p, pp)
-                total = r_zero + r_pi + sum(r for _, r in roots)
-                ratio = mpm.sqrt(6) / (2 if pp == 0 else 3)
-                assert abs(total - ratio) < 1e-20      # far below 1e-14
-                got = [terms.at_zero, terms.at_pi, terms.inner[0]]
-                exact = [r_zero, r_pi, roots[0][1]]
-                if pp != 0:
-                    got.append(terms.outer[0])
-                    exact.append(roots[1][1])
-                    pair = terms.outer[5]
-                    near = r_zero if pp < 0 else r_pi
-                    if pair is not None:
-                        assert abs(pair - (near + roots[1][1])) <= 1e-15
-                for residue, want in zip(got, exact):
-                    assert abs(residue - want) <= 1e-14 * abs(want), (p, pp)
+            (_, r_zero), (_, r_pi), *roots = shadow.profile_poles(p, pp)
+            assert shadow.profile_residue_gap(p, pp) < 1e-20  # far below 1e-14
+            got = [terms.at_zero, terms.at_pi, terms.inner[0]]
+            exact = [r_zero, r_pi, roots[0][1]]
+            if pp != 0:
+                got.append(terms.outer[0])
+                exact.append(roots[1][1])
+                pair = terms.outer[5]
+                near = r_zero if pp < 0 else r_pi
+                if pair is not None:
+                    assert abs(pair - (near + roots[1][1])) <= 1e-15
+            for residue, want in zip(got, exact):
+                assert abs(residue - want) <= 1e-14 * abs(want), (p, pp)
 
     def test_trace_rows_match_s_of_theta(self):
         tr = integrate_profile(2, 5, 1, s_anchor=0.4, n_samples=101)
@@ -1378,81 +1384,6 @@ class TestEvalInvariantCurve:
         assert CurveSpec.profile(1, 1, 1).example_id == 5
 
 
-def _mp_branch_cosine(mp, lam, branch):
-    """The root c of g(c) = sqrt6 c (1 - c^2) - lam (1 - 3 c^2) = 0
-    inside the branch's interval of cosines (A: (1/sqrt3, 1), B:
-    (-1/sqrt3, 1/sqrt3), C: (-1, -1/sqrt3)): bisection to a bracket of
-    2^-64, then Newton's method to the working precision.  g = 0 is
-    lambda(theta) = lam, and lambda is monotone on a branch, so the root
-    is g's one sign change there."""
-    third = 1 / mp.sqrt(3)
-    lo, hi = {"A": (third, mp.mpf(1)), "B": (-third, third),
-              "C": (mp.mpf(-1), -third)}[branch]
-    sqrt6 = mp.sqrt(6)
-
-    def g(c):
-        return sqrt6 * c * (1 - c * c) - lam * (1 - 3 * c * c)
-
-    lo_positive = g(lo) > 0
-    for _ in range(64):
-        mid = (lo + hi) / 2
-        if (g(mid) > 0) == lo_positive:
-            lo = mid
-        else:
-            hi = mid
-    c = (lo + hi) / 2
-    for _ in range(20):
-        step = g(c) / (sqrt6 * (1 - 3 * c * c) + 6 * lam * c)
-        c -= step
-        if abs(step) <= abs(c) * mp.eps:
-            return c
-    raise AssertionError(f"Newton's method did not converge at {lam}")
-
-
-def _mp_static_s(example, kappa, u, sign=1):
-    """s of example 2 (with sign_p_prime = sign), 3 or 4 at (kappa, u)
-    to 50 digits: the cosine is the root of sqrt6 c (1 - c^2) =
-    lambda (1 - 3 c^2), lambda = h/f, on the family's branch, and s is
-    read from the fixed coordinate, f = -kappa, f = kappa or h = kappa.
-    The branch end cancels one digit of 1 - 3 c^2 or of 1 - c^2 per
-    decade of |lambda| or 1/|lambda|, so those digits are added to the
-    working precision."""
-    mp = pytest.importorskip("mpmath")
-    kappa, u = mp.mpf(kappa), mp.mpf(u)
-    if example == 2:
-        f, h, branch = -kappa, sign * u, "A" if sign > 0 else "C"
-    elif example == 3:
-        f, h, branch = kappa, u, "B"
-    else:
-        f, h = u, kappa
-        branch = "B" if u > 0 else "A" if kappa > 0 else "C"
-    with mp.workdps(60 + int(abs(mp.log10(abs(h / f))))):
-        c = _mp_branch_cosine(mp, h / f, branch)
-        if example == 4:
-            e = kappa / (mp.sqrt(6) * c * (1 - c * c))
-        else:
-            e = f / (1 - 3 * c * c)
-        return float(-mp.log(e) / mp.sqrt(6))
-
-
-def _mp_orbit_s(p, pp, u):
-    """s of the orbit cylinder of (p, p') at u, at 50 digits: from the
-    pair's exact orbit cosine (reeb's module docstring), through f = u
-    where p != 0 and h = u where p = 0."""
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(50):
-        u = mp.mpf(u)
-        if p == 0:
-            c = mp.sign(pp) / mp.sqrt(3)
-            e = u / (mp.sqrt(6) * c * (1 - c * c))
-        else:
-            a = mp.mpf(pp) / p
-            q = 1 + mp.sqrt(1 + 2 * a * a)
-            c = 2 * a / (mp.sqrt(6) * q) if p > 0 else -q / (mp.sqrt(6) * a)
-            e = u / (1 - 3 * c * c)
-        return float(-mp.log(e) / mp.sqrt(6))
-
-
 _STATIC_RATIOS = (1e-6, 1.0, 1e4, 1e8, 1e11, 1e13)
 _STATIC_KAPPAS = (0.37, 1.0, 6.5)
 
@@ -1489,9 +1420,10 @@ def _static_spec(example, kappa, sign):
 
 
 class TestStaticHeights:
-    """s of every closed-form family within 1e-13 of a 50-digit mpmath
-    route that solves for the angle on the family's own branch and
-    reads s from the coordinate the family fixes.  The heights divided
+    """s of every closed-form family within 1e-13 of the shadow's route
+    (shadow.static_point, shadow.orbit_s), which solves for the angle on the
+    family's own branch and reads s from the coordinate the family
+    fixes.  The heights divided
     by 1 - 3 cos^2, 3 cos^2 - 1 or sqrt6 cos sin^2, each of which
     vanishes at a family's asymptote: the orbit cylinder of (1, 10^12)
     was off by 9.9e-5, that of (1, 10^17) raised 'math domain error',
@@ -1503,7 +1435,7 @@ class TestStaticHeights:
         for example, kappa, u, sign in STATIC_HEIGHT_CASES:
             pt = eval_invariant_curve(_static_spec(example, kappa, sign),
                                       0.3, u)
-            gap = abs(pt.s - _mp_static_s(example, kappa, u, sign))
+            gap = abs(pt.s - shadow.static_point(example, kappa, u, sign)[1])
             assert gap <= 1e-13, (example, kappa, u, sign, gap)
 
     def test_orbit_cylinders(self):
@@ -1513,18 +1445,16 @@ class TestStaticHeights:
             sign = 1 if (p or pp) > 0 else -1
             for u in (1e-6, 1.0, 1e6):
                 pt = eval_invariant_curve(spec, 0.4, sign * u)
-                gap = abs(pt.s - _mp_orbit_s(p, pp, sign * u))
+                gap = abs(pt.s - shadow.orbit_s(p, pp, sign * u))
                 assert gap <= 1e-13, (p, pp, u, gap)
 
     @pytest.mark.parametrize("orbit", [ReebOrbit.pole_plus(),
                                        ReebOrbit.pole_minus()])
     def test_pole_cylinders(self, orbit):
-        mp = pytest.importorskip("mpmath")
+        c = 1 if orbit.theta0 == 0.0 else -1
         for u in (1e-300, 1e-6, 1.0, 2.0, 1e6, 1e300):
             pt = eval_invariant_curve(CurveSpec.example1(orbit), 0.4, u)
-            with mp.workdps(50):
-                exact = float(-mp.log(mp.mpf(u) / 2) / mp.sqrt(6))
-            assert abs(pt.s - exact) <= 1e-13, u
+            assert abs(pt.s - shadow.height(c, f=-u)) <= 1e-13, u
 
 
 class TestStaticLimitAngles:
@@ -1534,7 +1464,7 @@ class TestStaticLimitAngles:
     and the pole, 0 or pi, where h/f rounds to 0 on branch A or C, which
     the inversion returns since those branches are closed at their
     poles.  The points of test_angle_in_closed_form once raised
-    RangeError from the inversion; s is within 1e-13 of the 50-digit
+    RangeError from the inversion; s is within 1e-13 of the shadow's
     route of TestStaticHeights.  A point whose |f| + |h| divided by the
     angle's bracket underflows to 0 is refused as fh_at refuses an
     underflowing e^{-sqrt6 s}, where log(0) raised a bare ValueError
@@ -1552,7 +1482,7 @@ class TestStaticLimitAngles:
     def test_angle_in_closed_form(self, example, kappa, u, sign, theta):
         pt = eval_invariant_curve(_static_spec(example, kappa, sign), 0.3, u)
         assert pt.theta == theta
-        gap = abs(pt.s - _mp_static_s(example, kappa, u, sign))
+        gap = abs(pt.s - shadow.static_point(example, kappa, u, sign)[1])
         assert gap <= 1e-13, gap
 
     def test_plane_next_to_the_pole_reads_back(self):
@@ -1676,14 +1606,6 @@ REFLECTION_PAIRS = ([(p, pp) for p in range(1, 7) for pp in range(-10, 11)
                     + [(40, 49), (40, -49), (12641, 15482), (12641, -15482)])
 
 
-def _slope(p, pp, theta_ref, theta, rng):
-    """|ds/dtheta| at theta from a central difference of s_of_theta,
-    the step 1e-6 of the distance to the range's nearer end."""
-    d = 1e-6 * min(theta - rng.lo, rng.hi - theta)
-    return abs(s_of_theta(p, pp, theta_ref, 0.0, theta + d)
-               - s_of_theta(p, pp, theta_ref, 0.0, theta - d)) / (2 * d)
-
-
 class TestProfileReflection:
     """ROADMAP item 17 on the profile curves.  sigma(s, t, theta, phi) =
     (s, t, pi - theta, -phi) maps the (p, p') profile to the (p, -p')
@@ -1697,10 +1619,9 @@ class TestProfileReflection:
     pi - theta rounds, and pi itself is rounded, so theta is off its
     mirror by up to an ulp of pi, and s by that times the slope: s is
     held to 4 ((|s'(theta)| + |s'(theta_ref)|) ulp(pi)
-    + eps max(1, |s|)), the slopes from a difference of s, as
-    profile_ds_dtheta loses digits next to an orbit angle (ROADMAP
-    defect 13).  The worst gap is 1.9 of that bound without its factor
-    4, and 3.2e-11 relative on (12641, +-15482).  Rows add the gap of
+    + eps max(1, |s|)), the slopes from profile_ds_dtheta.  The worst
+    gap is 1.9 of that bound without its factor 4, and 3.2e-11 relative
+    on (12641, +-15482).  Rows add the gap of
     the sampled angles to the ulp, and f and h move by at most
     e (5 |ds| + 3 |dtheta|), e = e^{-sqrt6 s}.
 
@@ -1728,13 +1649,13 @@ class TestProfileReflection:
         for p, pp in REFLECTION_PAIRS:
             for rng in classify_branches(p, pp):
                 ref = 0.5 * (rng.lo + rng.hi)
-                at_ref = _slope(p, pp, ref, ref, rng)
+                at_ref = abs(profile_ds_dtheta(p, pp, ref))
                 for k in range(1, 10):
                     theta = rng.lo + (rng.hi - rng.lo) * k / 10
                     s = s_of_theta(p, pp, ref, 0.0, theta)
                     image = s_of_theta(p, -pp, math.pi - ref, 0.0,
                                        math.pi - theta)
-                    bound = 4 * ((_slope(p, pp, ref, theta, rng) + at_ref)
+                    bound = 4 * ((abs(profile_ds_dtheta(p, pp, theta)) + at_ref)
                                  * ulp + eps * max(1.0, abs(s)))
                     assert abs(image - s) <= bound, (p, pp, theta)
 
@@ -1753,12 +1674,12 @@ class TestProfileReflection:
                 image = integrate_profile(p, -pp, mirror,
                                           n_samples=20).samples[::-1]
                 ref = 0.5 * (rng.lo + rng.hi)
-                at_ref = _slope(p, pp, ref, ref, rng)
+                at_ref = abs(profile_ds_dtheta(p, pp, ref))
                 for row, other in zip(rows, image):
                     gap = abs(other.theta - (math.pi - row.theta))
                     assert gap <= 4 * ulp, (p, pp, rid, row.theta)
                     d_theta = gap + ulp
-                    d_s = 4 * (_slope(p, pp, ref, row.theta, rng) * d_theta
+                    d_s = 4 * (abs(profile_ds_dtheta(p, pp, row.theta)) * d_theta
                                + at_ref * ulp + eps * max(1.0, abs(row.s)))
                     assert abs(other.s - row.s) <= d_s, (p, pp, rid)
                     e = fh_at(row.s, row.theta)[0]

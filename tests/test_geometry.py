@@ -11,11 +11,13 @@ from sympl_moduli import (BranchId, EndClass, Label2, ModelMapParams, Point4,
                           ReebOrbit, Tangent4, apply_J, asymptotic_constants,
                           classify_pair, contact_eval, coord_functions,
                           lambda_of_theta, omega_eval, orbit_point, phi_eval,
-                          profile_ds_dtheta, reeb_vector, theta_from_lambda)
+                          reeb_vector, theta_from_lambda)
 from sympl_moduli import points
 from sympl_moduli.errors import DomainError, PoleError, RangeError
 from sympl_moduli.geometry import SQRT6, THETA_C, _reduce_angle, fh_rows
 from sympl_moduli.points import fh_at
+
+import shadow
 
 SQRT6_ = math.sqrt(6.0)
 
@@ -46,21 +48,6 @@ class TestCoordFunctions:
         assert f == pytest.approx(0.021584407415090509, rel=1e-14)
         assert h == pytest.approx(0.079306176850976058, rel=1e-14)
         assert g == pytest.approx(0.23045840699464624, rel=1e-14)
-
-    def test_against_mpmath(self):
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 40
-        rnd = random.Random(1)
-        for _ in range(20):
-            s, th = rnd.uniform(-2, 2), rnd.uniform(0.05, math.pi - 0.05)
-            f, h, g = coord_functions(Point4(s, 0, th, 0))
-            e = mp.e ** (-mp.sqrt(6) * s)
-            c = mp.cos(th)
-            assert f == pytest.approx(float(e * (1 - 3 * c ** 2)), rel=1e-13)
-            assert h == pytest.approx(
-                float(mp.sqrt(6) * e * c * mp.sin(th) ** 2), rel=1e-13, abs=1e-15)
-            assert g == pytest.approx(
-                float(mp.sqrt(6) * e * mp.sqrt(1 + 3 * c ** 4)), rel=1e-13)
 
     def test_g_positive(self):
         assert all(coord_functions(p)[2] > 0 for p in random_points(100))
@@ -182,23 +169,19 @@ class TestFhRows:
         the direct form was 1e-6 off at 1e-10 from the cone).  THETA_C,
         a literal, and the stated gaps are checked against the exact
         angle too."""
-        mp = pytest.importorskip("mpmath")
         from sympl_moduli.geometry import _CONE_BAR_LOW, _CONE_LOW
-        with mp.workdps(50):
-            cone = mp.acos(1 / mp.sqrt(3))
-            assert abs(cone - THETA_C - mp.mpf(_CONE_LOW)) < 1e-32
-            assert abs(mp.pi - cone - (math.pi - THETA_C)
-                       - mp.mpf(_CONE_BAR_LOW)) < 1e-32
-            thetas = [base + k * 1e-11 for base in (THETA_C, math.pi - THETA_C)
-                      for k in range(-10, 11)]
-            thetas += [math.nextafter(base, toward) for base in
-                       (THETA_C, math.pi - THETA_C) for toward in (0.0, 4.0)]
-            s_values = [0.25] * len(thetas)
-            _, fs, _ = fh_rows(s_values, thetas)
-            for s, theta, f in zip(s_values, thetas, fs):
-                x = mp.mpf(theta)
-                want = mp.exp(-mp.sqrt(6) * s) * (1 - 3 * mp.cos(x) ** 2)
-                assert abs(f - want) <= 8 * 2.0 ** -52 * abs(want), theta
+        low, bar_low = shadow.cone_angles_above(THETA_C, math.pi - THETA_C)
+        assert abs(low - _CONE_LOW) < 1e-32
+        assert abs(bar_low - _CONE_BAR_LOW) < 1e-32
+        thetas = [base + k * 1e-11 for base in (THETA_C, math.pi - THETA_C)
+                  for k in range(-10, 11)]
+        thetas += [math.nextafter(base, toward) for base in
+                   (THETA_C, math.pi - THETA_C) for toward in (0.0, 4.0)]
+        s_values = [0.25] * len(thetas)
+        _, fs, _ = fh_rows(s_values, thetas)
+        for s, theta, f in zip(s_values, thetas, fs):
+            want = shadow.fh(s, theta)[1]
+            assert abs(f - want) <= 8 * 2.0 ** -52 * abs(want), theta
 
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=100)
@@ -216,81 +199,6 @@ class TestFhRows:
                 coord_functions(p)
             return
         assert all(math.isfinite(x) for x in values + coord_functions(p))
-
-
-#: Angles at 10^-k, k = 4..15, on each side of each cone angle, where
-#: 1 - 3 cos^2 theta cancels.
-NEAR_CONE = [base + side * 10.0 ** -k for base in (THETA_C, math.pi - THETA_C)
-             for side in (-1.0, 1.0) for k in range(4, 16)]
-
-
-class TestConeFactor:
-    """Every value that holds 1 - 3 cos^2 theta keeps its digits next to
-    the cone: at NEAR_CONE each is within 8 eps relative of a 50-digit
-    mpmath value written from its formula.  With 1 - 3 c^2 written out
-    they were off by up to ~3e14 eps (about 7 % at 1e-15 from the cone,
-    and one component of J by up to 1.1e-2)."""
-
-    EPS8 = 8 * 2.0 ** -52
-
-    @staticmethod
-    def _exact(theta):
-        """(c, sin, 1 - 3 c^2) at the float theta, as mpmath numbers."""
-        mp = pytest.importorskip("mpmath")
-        x = mp.mpf(theta)
-        c = mp.cos(x)
-        return c, mp.sin(x), 1 - 3 * c * c
-
-    def _close(self, got, want, what):
-        assert abs(got - want) <= self.EPS8 * abs(want), (what, got, want)
-
-    def test_scalars(self):
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(50):
-            for theta in NEAR_CONE:
-                c, sn, k = self._exact(theta)
-                p = Point4(0.0, 0.0, theta, 0.0)
-                self._close(lambda_of_theta(theta),
-                            mp.sqrt(6) * c * sn * sn / k, ("lambda", theta))
-                self._close(contact_eval(p, Tangent4(v_t=1.0)), -k,
-                            ("alpha(dt)", theta))
-                self._close(reeb_vector(p).v_t, -k / (1 + 3 * c ** 4),
-                            ("reeb v_t", theta))
-                self._close(omega_eval(p, Tangent4(v_t=1.0),
-                                       Tangent4(v_s=1.0)),
-                            -mp.sqrt(6) * k, ("omega(dt, ds)", theta))
-                self._close(profile_ds_dtheta(1, 0, theta),
-                            -k / (mp.sqrt(6) * c * sn), ("ds/dtheta", theta))
-
-    def test_J_on_the_frame(self):
-        """J d/dt = g d/df and J d/dphi = g sin^2 d/dh, with d/df and d/dh
-        from the inverse of the Jacobian of (f, h) in (s, theta) at unit
-        factor; J d/ds and J d/dtheta from J d/df = -d/dt / g and
-        J d/dh = -d/dphi / (g sin^2).  Zero components are exactly 0."""
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(50):
-            for theta in NEAR_CONE:
-                c, sn, k = self._exact(theta)
-                r6 = mp.sqrt(6)
-                g = r6 * mp.sqrt(1 + 3 * c ** 4)
-                f_s, f_th = -r6 * k, 6 * c * sn
-                h_s, h_th = -6 * c * sn * sn, -r6 * sn * k
-                det = f_s * h_th - f_th * h_s
-                want = {
-                    "s": (0, -f_s / g, 0, -h_s / (g * sn * sn)),
-                    "t": (g * h_th / det, 0, -g * h_s / det, 0),
-                    "theta": (0, -f_th / g, 0, -h_th / (g * sn * sn)),
-                    "phi": (-g * sn * sn * f_th / det, 0,
-                            g * sn * sn * f_s / det, 0)}
-                p = Point4(0.0, 0.0, theta, 0.0)
-                for field, images in want.items():
-                    got = apply_J(p, Tangent4(**{f"v_{field}": 1.0}))
-                    for x, y, name in zip(got, images, Tangent4._fields):
-                        what = (f"J d/d{field}", name, theta)
-                        if y == 0:
-                            assert x == 0.0, what
-                        else:
-                            self._close(x, y, what)
 
 
 #: A Tangent4 with one nan or infinite coefficient, which check_at

@@ -20,7 +20,8 @@ from sympl_moduli.curves import profile_log_terms
 from sympl_moduli.errors import (BoundViolation, DegenerateAngle, DomainError,
                                  InvalidLabel)
 
-from conftest import boundary_pairs, decay_constants_mpmath, double_points_lattice, label_pairs
+import shadow
+from conftest import boundary_pairs, double_points_lattice, label_pairs
 
 L_SYM = Label2.make((2, 1), (1, 2))      # Delta = 3, embedded
 L_41 = Label2.make((4, 1), (1, 1))       # Delta = 3, one double point
@@ -345,7 +346,7 @@ class TestAsymptoticConstants:
         # 2 p'^2 - 3 p^2 = 5: the outer root's float cosine rounds onto
         # +-1, which refused the orbit.  sin^2 from the pole distance
         # gives it, with the same constants for either sign of m'.
-        zeta, kappa, sigma0 = decay_constants_mpmath(-121378881, 148658162)
+        zeta, kappa, sigma0 = shadow.decay_constants(-121378881, 148658162)
         for m_prime in (148658162, -148658162):
             data = asymptotic_constants(EndClass(-121378881, m_prime))
             assert abs(data.zeta - zeta) <= 4e-16 * zeta
@@ -363,7 +364,7 @@ class TestAsymptoticConstants:
     def test_against_mpmath(self, pair):
         # From the float angle |1 - 3 cos^2| cancelled: 2.6e-8 relative
         # at (1, 10^9), and (1, 10^12) was refused as degenerate.
-        zeta, kappa, sigma0 = decay_constants_mpmath(*pair)
+        zeta, kappa, sigma0 = shadow.decay_constants(*pair)
         data = asymptotic_constants(EndClass(*pair))
         assert abs(data.zeta - zeta) <= 2e-15 * zeta
         assert abs(data.kappa - kappa) <= 2e-15 * kappa

@@ -23,6 +23,7 @@ from conftest import loaded_after
 ROOT = Path(__file__).resolve().parents[1]
 PKG = ROOT / "src" / "sympl_moduli"
 CONFTEST = ROOT / "tests" / "conftest.py"
+SHADOW = ROOT / "tests" / "shadow.py"
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -131,8 +132,20 @@ class TestReach:
 
 def _reads(path: Path, name: str) -> set:
     """The names that the top-level function `name` of path reads, with
-    those of every function of the same file that it names, in turn."""
-    funcs = {node.name: node for node in ast.parse(path.read_text()).body
+    those of every function of the same file that it names, in turn; or,
+    where name is the file's own, every name the file reads or imports,
+    each part of a dotted module name too."""
+    tree = ast.parse(path.read_text())
+    if name == path.stem:
+        names = set(_names(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names.update(node.module.split("."))
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(part for alias in node.names
+                             for part in alias.name.split("."))
+        return names
+    funcs = {node.name: node for node in tree.body
              if isinstance(node, ast.FunctionDef)}
     todo, done, names = [name], set(), set()
     while todo:
@@ -149,7 +162,8 @@ def _reads(path: Path, name: str) -> set:
 #: Each independent route, with the names of the routes it checks.  The
 #: root-of-unity oracle walks residues without building them or counting
 #: a coset in closed form; the Pick count uses no gcd and no residues;
-#: the three-end candidates filter the whole box.
+#: the three-end candidates filter the whole box; and the tests' exact
+#: values, the shadow module, name nothing of the package.
 ORACLES = {
     "double_points_bruteforce": (
         PKG / "invariants.py",
@@ -158,6 +172,7 @@ ORACLES = {
         CONFTEST, {"gcd", "residue_pairs", "_lattice",
                    "double_points_bruteforce", "double_points_formula"}),
     "label3_candidates_bound8": (CONFTEST, {"enumerate_labels"}),
+    "shadow": (SHADOW, {"sympl_moduli", *_package()[0]}),
 }
 
 
@@ -209,3 +224,38 @@ def test_every_type_hint_resolves():
         except (NameError, TypeError) as exc:
             unresolved[f"{func.__module__}.{func.__qualname__}"] = str(exc)
     assert not unresolved, unresolved
+
+
+def _holds_a_float(hint, seen=()) -> bool:
+    """Whether a return hint holds a float or a complex: itself, inside
+    a generic such as a tuple, a list or a union, or in a field of a
+    NamedTuple it names, in turn."""
+    if hint in (float, complex):
+        return True
+    if typing.get_origin(hint) is not None:
+        return any(_holds_a_float(arg, seen) for arg in typing.get_args(hint)
+                   if arg is not Ellipsis)
+    if (inspect.isclass(hint) and issubclass(hint, tuple)
+            and hasattr(hint, "_fields") and hint not in seen):
+        return any(_holds_a_float(field, seen + (hint,))
+                   for field in typing.get_type_hints(hint).values())
+    return False
+
+
+def test_every_float_export_has_a_digits_row():
+    """tests/test_digits.py's table has a row for each exported function
+    whose return hint holds a float or a complex (classify_branches is
+    unwrapped from its cache), and no row for a name not exported."""
+    from test_digits import ROWS
+    floats = set()
+    for name in sympl_moduli.__all__:
+        value = getattr(sympl_moduli, name)
+        if not inspect.isclass(value):
+            hint = typing.get_type_hints(inspect.unwrap(value)).get("return")
+            if _holds_a_float(hint):
+                floats.add(name)
+    assert len(floats) == 22, sorted(floats)
+    assert not floats - set(ROWS), (
+        f"float exports with no row: {sorted(floats - set(ROWS))}")
+    assert not set(ROWS) - set(sympl_moduli.__all__), (
+        f"rows of no export: {sorted(set(ROWS) - set(sympl_moduli.__all__))}")
