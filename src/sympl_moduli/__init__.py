@@ -44,8 +44,8 @@ _SUBMODULE_EXPORTS = {
                    "InvariantReport", "PolarSpectrumCase", "Side",
                    "adjunction_e_pairing", "asymptotic_constants",
                    "c1_pairing", "delta", "double_points_bruteforce",
-                   "double_points_formula", "fredholm_index",
-                   "index_lower_bound", "l0_spectrum", "m0_of",
+                   "double_points_formula", "end_windings",
+                   "fredholm_index", "index_lower_bound", "l0_spectrum",
                    "residue_pairs", "sphere_report"),
     "moduli": ("Label2", "Label3", "OrderedLabel3", "boundary_labels",
                "enumerate_labels", "validate_label2", "validate_label3"),

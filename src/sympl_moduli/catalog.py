@@ -4,11 +4,11 @@ Each entry binds one case of the classification (cylinders, the plane,
 the profile cylinders with a polar end, and the two- and three-convex-
 end spheres) to the data needed to recompute its Fredholm index: Euler
 characteristic of the model curve, the polar intersection count nu0,
-and its end descriptors.  For entries with polar ends the stored
-windings saturate their bounds; the windings of the convex polar ends
-(profile family 5, subcase with the widest admissible |p'|) are not
-pinned down by the winding identity alone and are fixed by requiring
-index = aleph + 1, so they are flagged ``reverse-engineered``.
+and its end descriptors.  Stored polar windings saturate their bounds,
+alpha_- on a convex end and -alpha_+ on a concave one; the windings of
+the convex polar ends (profile family 5, subcase with the widest
+admissible |p'|) are not pinned down by the winding identity alone and
+are fixed by requiring index = aleph + 1: ``reverse-engineered``.
 
 The index lower bound in terms of (genus, polar intersections, end
 counts), with genus 0 since every entry is a punctured sphere, applies
@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .invariants import (EndDescriptor, Side, aleph_counts, c1_pairing,
-                         fredholm_index, index_lower_bound)
+from .invariants import (EndDescriptor, Side, c1_pairing, fredholm_index,
+                         index_lower_bound)
 from .moduli import Label2, Label3
 from .reeb import EndClass
 
@@ -55,21 +55,20 @@ class CatalogEntry(NamedTuple):
     def index(self) -> int:
         return fredholm_index(self.chi, self.c1(), self.ends)
 
+    def _count(self, kind: str, side: Side) -> int:
+        return sum(1 for e in self.ends if e.kind == kind and e.side is side)
+
     def aleph(self) -> int:
-        return aleph_counts(self.ends)[0]
+        return self._count("generic", Side.CONVEX)
 
     def lower_bound(self) -> Optional[int]:
         """The index lower bound, or None where it does not apply."""
         if self.polar_intersections is None:
             return None
-        aleph0cc = sum(1 for e in self.ends
-                       if e.kind == "polar" and e.side is Side.CONCAVE)
-        aleph0cv = sum(1 for e in self.ends
-                       if e.kind == "polar" and e.side is Side.CONVEX)
-        alephc = sum(1 for e in self.ends
-                     if e.kind == "generic" and e.side is Side.CONCAVE)
-        return index_lower_bound(0, self.polar_intersections,
-                                 self.aleph(), aleph0cc, aleph0cv, alephc)
+        return index_lower_bound(0, self.polar_intersections, self.aleph(),
+                                 self._count("polar", Side.CONCAVE),
+                                 self._count("polar", Side.CONVEX),
+                                 self._count("generic", Side.CONCAVE))
 
     def to_json(self) -> dict:
         ends = []

@@ -25,10 +25,10 @@ with f and h, in one place, fh_rows, which maps parallel s and theta
 sequences to three columns e, f and h: the curves module's profile
 traces get a block of rows per call, and the points module's
 coord_functions, omega and curve points get one row through its fh_at.
-fh_rows refuses (DomainError) an s where f, h, g or the Jacobian of
-(f, h) would overflow or keep too few bits, about s <= -289.12 or
-s >= 289.20.
-The factor cancels in J, which is therefore the same at every s.
+fh_rows refuses (DomainError) only an s where e is not a normal float
+or 2 sqrt6 e overflows, about s <= -289.12 or s >= 289.20; f and h,
+e times factors that vanish near the cone (f) and at the poles (h), can
+be 0 or subnormal there.  The factor cancels in J, the same at every s.
 
 1 - 3 cos^2 theta vanishes on the cone cos^2 theta = 1/3, at THETA_C
 and pi - THETA_C, and cancels near it.  It is taken at an angle in one
@@ -123,9 +123,10 @@ def fh_rows(s_values: Sequence[float], thetas: Sequence[float]
     cos(theta) sin^2(theta); the one place f and h are written.
 
     DomainError, naming the first refused row, unless each s is finite
-    and _TINY <= e <= _E_MAX (about -289.12 < s < 289.20): past either
-    end f, h or g overflow, or underflow to 0 or to a subnormal float
-    that keeps too few bits.
+    and _TINY <= e <= _E_MAX (about -289.12 < s < 289.20), past which f,
+    h or g overflow or e keeps too few bits.  Nothing else is refused:
+    f and h are e times factors that vanish near the cone (f) and at the
+    poles (h), so there they can be 0 or subnormal.
     """
     es, fs, hs = [], [], []
     for s, theta in zip(s_values, thetas):

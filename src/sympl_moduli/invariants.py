@@ -23,19 +23,17 @@ machinery of their own:
     translate, 1 + 2 m_C + (g1 - 1) + (g2 - 1) + (g3 - 1) with
     (g1, g2, g3) the gcd triple, equals Delta: substitute the gcd
     identity for 2 m_C;
-  * the sphere has chi = -1, <c1> = 0 and only generic ends, so
-    aleph_+ = aleph_- = 0 and the index below is 1 + aleph, where
-    aleph = len(label.pairs()) counts the convex ends (a two-end
-    label's third end (k, k') is concave).
+  * the sphere has chi = -1, <c1> = 0 and only generic ends, so the
+    index below is 1 + aleph, where aleph = len(label.pairs()) counts
+    the convex ends (a two-end label's third end (k, k') is concave).
 
-The Fredholm index of the deformation operator is
-    index = -chi - 2 <c1> + aleph + aleph_+ + aleph_-
-with aleph the number of convex generic ends, aleph_+ the sum of
-1 - 2 m0(E) over concave polar ends and aleph_- the sum of 2 m0(E) - 1
-over convex polar ends; m0(E) is the least integer n with
-2 n^2 > 3 m(E)^2.  The pairing <c1, [C]> decomposes as -nu0 plus the
-polar-end windings nu(E), which are bounded above by -m0(E) on the
-concave side and m0(E) - 1 on the convex side.
+An end E is read only by end_windings(E) = (alpha_-, alpha_+), the
+windings of the largest negative and the smallest positive eigenvalue
+of its asymptotic operator.  The Fredholm index of the deformation
+operator is -chi - 2 <c1> plus alpha_- + alpha_+ over the convex ends
+and minus it over the concave ends.  The pairing <c1, [C]> is -nu0 plus
+the polar-end windings nu(E), bounded above by alpha_-(E) on the convex
+side and -alpha_+(E) on the concave side.
 """
 
 from __future__ import annotations
@@ -158,15 +156,6 @@ def double_points_bruteforce(label: LabelLike) -> int:
     return count // 2
 
 
-def m0_of(m: int) -> int:
-    """Least integer n with 2 n^2 > 3 m^2, i.e. the first n > m sqrt(3/2);
-    ValueError for m below 1."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    # isqrt gives the largest n with 2 n^2 <= 3 m^2 (never equal for m >= 1).
-    return math.isqrt(3 * m * m // 2) + 1
-
-
 class Side(enum.Enum):
     CONCAVE = "concave"   # s -> +infinity
     CONVEX = "convex"     # s -> -infinity
@@ -192,66 +181,77 @@ class EndDescriptor(NamedTuple):
 
     @classmethod
     def polar(cls, side: Side, multiplicity: int, winding: Optional[int] = None):
-        """A polar end; ValueError for a multiplicity below 1."""
-        if multiplicity < 1:
-            raise ValueError("polar multiplicity must be >= 1")
+        """A polar end; end_windings refuses it unless multiplicity >= 1."""
         return cls(side, "polar", multiplicity=multiplicity, winding=winding)
+
+
+def end_windings(e: EndDescriptor) -> tuple[int, int]:
+    """(alpha_-, alpha_+): the windings of the largest negative and the
+    smallest positive eigenvalue of the end's asymptotic operator.
+
+    A polar end of multiplicity m has -sqrt(3/2) + n/m at winding n,
+    negative exactly where 2 n^2 < 3 m^2, so alpha_- is the integer
+    square root of 3 m^2 // 2 and alpha_+ = alpha_- + 1.  A generic
+    (Morse-Bott) end's 0 counts as negative on a convex end, (0, 1), and
+    as positive on a concave end, (0, 0).  The parity is alpha_+ -
+    alpha_- and CZ = alpha_- + alpha_+ (HWZ 1995).  ValueError for a
+    side that is not a Side, a kind other than "generic" and "polar", or
+    a polar multiplicity that is not an int >= 1.
+    """
+    if not isinstance(e.side, Side):
+        raise ValueError(f"end side {_text(e.side)} is not a Side")
+    if e.kind == "generic":
+        return (0, 1) if e.side is Side.CONVEX else (0, 0)
+    if e.kind != "polar":
+        raise ValueError(f"end kind {_text(e.kind)} is not generic or polar")
+    m = e.multiplicity
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"polar multiplicity {_text(m)} is not an int >= 1")
+    below = math.isqrt(3 * m * m // 2)
+    return below, below + 1
 
 
 def c1_pairing(nu0: int, ends: Iterable[EndDescriptor]) -> int:
     """<c1, [C]> = -nu0 + sum of polar-end windings.
 
-    nu0 >= 0 counts intersections with the polar locus.  Each polar
-    winding is validated against its bound: nu <= -m0 on concave ends,
-    nu <= m0 - 1 on convex ends (BoundViolation).  Generic ends
-    contribute nothing.  ValueError for a negative nu0 or a polar end
-    with no stored winding.
+    nu0 >= 0 counts intersections with the polar locus.  Each end is read
+    by end_windings, and a polar winding nu above its bound, alpha_- on a
+    convex end or -alpha_+ on a concave one, is a BoundViolation.  Generic
+    ends contribute nothing.  ValueError for a negative nu0, an end that
+    end_windings refuses, or a polar end with no stored winding.
     """
     if nu0 < 0:
         raise ValueError("nu0 is a non-negative intersection count")
     total = -nu0
     for e in ends:
-        if e.kind != "polar":
+        below, above = end_windings(e)
+        if e.kind == "generic":
             continue
         if e.winding is None:
             raise ValueError(f"{e.side.value} polar end of multiplicity "
                              f"{_text(e.multiplicity)} has no stored winding")
-        m0 = m0_of(e.multiplicity)
-        if e.side is Side.CONCAVE and e.winding > -m0:
+        bound, name = ((below, "alpha_-") if e.side is Side.CONVEX
+                       else (-above, "-alpha_+"))
+        if e.winding > bound:
             raise BoundViolation(
-                f"concave polar winding {_text(e.winding)} > -m0 = "
-                f"{_text(-m0)}")
-        if e.side is Side.CONVEX and e.winding > m0 - 1:
-            raise BoundViolation(
-                f"convex polar winding {_text(e.winding)} > m0 - 1 = "
-                f"{_text(m0 - 1)}")
+                f"{e.side.value} polar winding {_text(e.winding)} > "
+                f"{name} = {_text(bound)}")
         total += e.winding
     return total
 
 
-def aleph_counts(ends: Iterable[EndDescriptor]) -> tuple[int, int, int]:
-    """(aleph, aleph_+, aleph_-) for the index formula."""
-    aleph = aleph_plus = aleph_minus = 0
-    for e in ends:
-        if e.kind == "generic":
-            if e.side is Side.CONVEX:
-                aleph += 1
-        else:
-            m0 = m0_of(e.multiplicity)
-            if e.side is Side.CONCAVE:
-                aleph_plus += 1 - 2 * m0
-            else:
-                aleph_minus += 2 * m0 - 1
-    return aleph, aleph_plus, aleph_minus
-
-
 def fredholm_index(chi: int, c1: int, ends: Iterable[EndDescriptor]) -> int:
-    """index(D) = -chi - 2 c1 + aleph + aleph_+ + aleph_-."""
+    """index(D) = -chi - 2 c1 + sum of +-(alpha_- + alpha_+) over the ends,
+    + on a convex one: 1 per convex generic end, +-(2 alpha_- + 1) per polar
+    end.  ValueError for no ends or an end that end_windings refuses."""
     ends = list(ends)
     if not ends:
         raise ValueError("a subvariety has at least one end")
-    a, ap, am = aleph_counts(ends)
-    return -chi - 2 * c1 + a + ap + am
+    index = -chi - 2 * c1
+    for e in ends:
+        below, above = end_windings(e)
+        index += below + above if e.side is Side.CONVEX else -below - above
+    return index
 
 
 def index_lower_bound(g: int, Q: int, aleph: int, aleph0cc: int,

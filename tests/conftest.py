@@ -151,6 +151,15 @@ def trace_outcome(p, p_prime, rid, n_samples):
     return "traced"
 
 
+def m0(m):
+    """The least n with 2 n^2 > 3 m^2, for m >= 1, in closed form: isqrt
+    gives the largest n with 2 n^2 <= 3 m^2, never equal for m >= 1.  A
+    polar end of multiplicity m has its first positive eigenvalue
+    -sqrt(3/2) + n/m at winding n = m0(m).  The tests' oracle for
+    invariants.end_windings, which it does not call."""
+    return math.isqrt(3 * m * m // 2) + 1
+
+
 def boundary_pairs(max_p=10**12, max_d=100):
     """The coprime pairs 0 < p <= max_p with 0 < |2 p'^2 - 3 p^2| <= max_d
     that grow from a solution with p <= 30 under (p, p') -> (5p + 4p',

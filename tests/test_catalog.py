@@ -135,9 +135,9 @@ def test_reflected_entries_keep_index_and_aleph(entries):
     """ROADMAP item 17 on the catalog: each entry's sigma-image, with its
     label admissible, has the same index, aleph and index lower bound.
     A mutation that reads the sign of m' fails here, though no entry's
-    own ends change: aleph_counts skipping a convex end with m > 0 and
-    m' < -1 leaves every entry as it was and drops one end of each
-    sphere's image."""
+    own ends change: end_windings or aleph() skipping a convex end with
+    m > 0 and m' < -1 leaves every entry as it was and drops one end of
+    each sphere's image."""
     for entry in entries:
         image = _reflected(entry)
         assert image.index() == entry.index(), entry.case_id

@@ -25,7 +25,7 @@ from sympl_moduli.invariants import InvariantReport
 from sympl_moduli.model_maps import DoublePoint
 
 import shadow
-from conftest import double_points_json, loaded_after
+from conftest import double_points_json, loaded_after, m0
 
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "cli_golden.json"
@@ -1100,7 +1100,7 @@ def _spectrum_draws():
     for decade in range(2, 16):
         m = rnd.randrange(10 ** decade, 10 ** (decade + 1))
         for j in (0, 1, 2, 3, 50):
-            pairs += [(-m, s * (invariants.m0_of(m) + j)) for s in (1, -1)]
+            pairs += [(-m, s * (m0(m) + j)) for s in (1, -1)]
     for p, pp in PELL_PAIRS:
         pairs += [(sm, s * pp) for sm in (p, -p) for s in (1, -1)
                   if classify_pair(sm, s * pp)[0]]
@@ -1172,7 +1172,7 @@ def _trace_draws():
     for decade in range(1, 12):
         p = rnd.randrange(10 ** decade, 10 ** (decade + 1))
         for j in (-1, 0, 50):
-            pp = invariants.m0_of(p) + j
+            pp = m0(p) + j
             if math.gcd(p, pp) == 1:
                 pairs += [(p, pp), (p, -pp)]
     assert set(DEFECT_10_PAIRS) <= set(PELL_PAIRS)

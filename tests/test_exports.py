@@ -25,8 +25,8 @@ EXPORTS = {
                    "InvariantReport", "PolarSpectrumCase", "Side",
                    "adjunction_e_pairing", "asymptotic_constants",
                    "c1_pairing", "delta", "double_points_bruteforce",
-                   "double_points_formula", "fredholm_index",
-                   "index_lower_bound", "l0_spectrum", "m0_of",
+                   "double_points_formula", "end_windings",
+                   "fredholm_index", "index_lower_bound", "l0_spectrum",
                    "residue_pairs", "sphere_report"],
     "moduli": ["Label2", "Label3", "OrderedLabel3", "boundary_labels",
                "enumerate_labels", "validate_label2", "validate_label3"],
@@ -159,6 +159,11 @@ CALLS = {
     "c1_pairing": (lambda nu0, ends: sm.c1_pairing(
         nu0, [sm.EndDescriptor.polar(*end) for end in ends]),
         _int, st.lists(_end, max_size=2)),
+    "end_windings": (lambda end: sm.end_windings(
+        sm.EndDescriptor.polar(*end)), _end),
+    "fredholm_index": (lambda chi, c1, ends: sm.fredholm_index(
+        chi, c1, [sm.EndDescriptor.polar(*end) for end in ends]),
+        _int, _int, st.lists(_end, max_size=2)),
     "l0_spectrum": (lambda zeta, n, n_max: sm.l0_spectrum(
         _spectrum_case(zeta, n), n_max),
         st.one_of(st.none(), _float), _int, _int),

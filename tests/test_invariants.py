@@ -13,15 +13,16 @@ from sympl_moduli import (EndClass, EndDescriptor, GenericSpectrumCase, Label2,
                           adjunction_e_pairing, asymptotic_constants,
                           boundary_labels, c1_pairing, delta,
                           double_points_bruteforce, double_points_formula,
-                          enumerate_labels, fredholm_index, index_lower_bound,
-                          l0_spectrum, m0_of, residue_pairs, sphere_report)
+                          end_windings, enumerate_labels, fredholm_index,
+                          index_lower_bound, l0_spectrum, residue_pairs,
+                          sphere_report)
 from sympl_moduli.budgets import MAX_SPECTRUM_N, MAX_WALK_DELTA
 from sympl_moduli.curves import profile_log_terms
 from sympl_moduli.errors import (BoundViolation, DegenerateAngle, DomainError,
                                  InvalidLabel)
 
 import shadow
-from conftest import boundary_pairs, double_points_lattice, label_pairs
+from conftest import boundary_pairs, double_points_lattice, label_pairs, m0
 
 L_SYM = Label2.make((2, 1), (1, 2))      # Delta = 3, embedded
 L_41 = Label2.make((4, 1), (1, 1))       # Delta = 3, one double point
@@ -234,16 +235,97 @@ class TestDoublePoints:
 
 
 class TestM0:
+    """The tests' closed form of m0, the oracle of TestEndWindings."""
+
     @pytest.mark.parametrize("m,expected", [(1, 2), (2, 3), (3, 4), (4, 5),
                                             (5, 7), (10, 13)])
     def test_values(self, m, expected):
-        assert m0_of(m) == expected
+        assert m0(m) == expected
 
     def test_defining_property(self):
         for m in range(1, 100_000):
-            n = m0_of(m)
+            n = m0(m)
             assert 2 * n * n > 3 * m * m
             assert 2 * (n - 1) ** 2 <= 3 * m * m
+
+
+#: Ends the index cannot read: a kind neither generic nor polar, a side
+#: that is not a Side, and a polar multiplicity that is not an int >= 1.
+#: The first had c1_pairing skip the end (winding 5 went unchecked
+#: against its bound 1) and aleph_counts count it as polar; the second
+#: made the three-convex sphere's index 1, not 4; the last two ended in
+#: a TypeError of the closed form of m0.
+UNREADABLE_ENDS = {
+    "kind Polar": EndDescriptor(Side.CONVEX, "Polar", multiplicity=1,
+                                winding=5),
+    "side convex": EndDescriptor.generic("convex"),
+    "multiplicity None": EndDescriptor(Side.CONVEX, "polar"),
+    "multiplicity 1.5": EndDescriptor(Side.CONCAVE, "polar",
+                                      multiplicity=1.5, winding=-2),
+}
+
+#: What end_windings says of an end it refuses.
+REFUSED = "is not a Side|is not generic or polar|is not an int >= 1"
+
+
+class TestEndWindings:
+    """end_windings by two routes that do not call it: the tests' m0 and
+    the polar spectrum's signs."""
+
+    def test_polar_against_m0(self):
+        for m in range(1, 100_000):
+            n = m0(m)
+            for side in Side:
+                assert end_windings(EndDescriptor.polar(side, m)) == (
+                    n - 1, n), m
+
+    def test_polar_against_spectrum(self):
+        # l0_spectrum lists -sqrt(3/2) + n/m for |n| <= n_max, sorted, so
+        # the negative entries are the windings -n_max, ..., alpha_-.
+        for m in range(1, 301):
+            n_max = 2 * m
+            negative = sum(ev < 0.0 for ev, _ in
+                           l0_spectrum(PolarSpectrumCase(m), n_max))
+            below, _ = end_windings(EndDescriptor.polar(Side.CONVEX, m))
+            assert negative == n_max + below + 1, m
+
+    @pytest.mark.parametrize("end,windings,parity", [
+        (EndDescriptor.generic(Side.CONCAVE), (0, 0), 0),
+        (EndDescriptor.generic(Side.CONVEX), (0, 1), 1),
+        (EndDescriptor.polar(Side.CONCAVE, 1), (1, 2), 1),
+        (EndDescriptor.polar(Side.CONVEX, 1), (1, 2), 1),
+        (EndDescriptor.polar(Side.CONVEX, 10), (12, 13), 1),
+    ], ids=["generic-concave", "generic-convex", "polar-concave",
+            "polar-convex", "polar-convex-10"])
+    def test_parities(self, end, windings, parity):
+        # The parities worked by hand for Wendl's criterion: a generic
+        # end is even on the concave side and odd on the convex side, a
+        # polar end is odd; CZ = alpha_- + alpha_+ = 2 alpha_- + parity.
+        below, above = end_windings(end)
+        assert (below, above) == windings
+        assert above - below == parity
+        assert (below + above) % 2 == parity
+
+    def test_index_contribution_of_one_end(self):
+        # aleph counts a convex generic end once, a concave one not at
+        # all; aleph_- adds 2 m0 - 1 for a convex polar end and aleph_+
+        # 1 - 2 m0 for a concave one.
+        assert fredholm_index(0, 0, [EndDescriptor.generic(Side.CONVEX)]) == 1
+        assert fredholm_index(0, 0, [EndDescriptor.generic(Side.CONCAVE)]) == 0
+        for m in (1, 2, 5, 10, 881, 10 ** 40):
+            for side, sign in ((Side.CONVEX, 1), (Side.CONCAVE, -1)):
+                end = EndDescriptor.polar(side, m)
+                assert fredholm_index(0, 0, [end]) == sign * (2 * m0(m) - 1)
+
+    @pytest.mark.parametrize("name", UNREADABLE_ENDS)
+    def test_unreadable_end_is_refused(self, name):
+        end = UNREADABLE_ENDS[name]
+        with pytest.raises(ValueError, match=REFUSED):
+            end_windings(end)
+        with pytest.raises(ValueError, match=REFUSED):
+            c1_pairing(0, [EndDescriptor.generic(Side.CONVEX), end])
+        with pytest.raises(ValueError, match=REFUSED):
+            fredholm_index(0, 0, [end])
 
 
 class TestC1Pairing:
@@ -265,9 +347,20 @@ class TestC1Pairing:
             c1_pairing(0, [EndDescriptor.polar(Side.CONCAVE, 1, winding=-1)])
         with pytest.raises(BoundViolation):
             c1_pairing(0, [EndDescriptor.polar(Side.CONVEX, 1, winding=2)])
-        # Saturated bounds are fine: -m0 concave, m0 - 1 convex.
+        # Saturated bounds are fine: -alpha_+ = -m0 concave, alpha_- =
+        # m0 - 1 convex.
         assert c1_pairing(0, [EndDescriptor.polar(Side.CONCAVE, 1, winding=-2)]) == -2
         assert c1_pairing(0, [EndDescriptor.polar(Side.CONVEX, 1, winding=1)]) == 1
+
+    @pytest.mark.parametrize("m", [1, 2, 10, 881, 10 ** 40],
+                             ids=["1", "2", "10", "881", "10^40"])
+    def test_bounds_are_the_windings_next_to_zero(self, m):
+        # nu <= m0 - 1 on a convex end and nu <= -m0 on a concave one,
+        # with m0 from the tests' closed form.
+        for side, bound in ((Side.CONVEX, m0(m) - 1), (Side.CONCAVE, -m0(m))):
+            assert c1_pairing(0, [EndDescriptor.polar(side, m, bound)]) == bound
+            with pytest.raises(BoundViolation):
+                c1_pairing(0, [EndDescriptor.polar(side, m, bound + 1)])
 
 
 class TestFredholmIndex:
@@ -486,7 +579,7 @@ class TestSphereReport:
         # The report's closed form 1 + aleph against the general formula,
         # with the ends built here: a convex end per pair, and the
         # concave (k, k') = (p + q, p' + q') of a two-end label.
-        for label in two_and_ordered_three(4, 4):
+        for label in two_and_ordered_three(8, 8):
             pairs = label.pairs()
             ends = [EndDescriptor.generic(Side.CONVEX, EndClass(*p))
                     for p in pairs]

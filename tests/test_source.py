@@ -162,8 +162,9 @@ def _reads(path: Path, name: str) -> set:
 #: Each independent route, with the names of the routes it checks.  The
 #: root-of-unity oracle walks residues without building them or counting
 #: a coset in closed form; the Pick count uses no gcd and no residues;
-#: the three-end candidates filter the whole box; and the tests' exact
-#: values, the shadow module, name nothing of the package.
+#: the three-end candidates filter the whole box; the tests' m0 states
+#: its closed form without the library's reading of an end; and the
+#: tests' exact values, the shadow module, name nothing of the package.
 ORACLES = {
     "double_points_bruteforce": (
         PKG / "invariants.py",
@@ -172,6 +173,7 @@ ORACLES = {
         CONFTEST, {"gcd", "residue_pairs", "_lattice",
                    "double_points_bruteforce", "double_points_formula"}),
     "label3_candidates_bound8": (CONFTEST, {"enumerate_labels"}),
+    "m0": (CONFTEST, {"end_windings", "fredholm_index", "c1_pairing"}),
     "shadow": (SHADOW, {"sympl_moduli", *_package()[0]}),
 }
 
@@ -181,6 +183,53 @@ def test_oracle_names_none_of_the_routes_it_checks(name):
     path, checked = ORACLES[name]
     named = _reads(path, name) & checked
     assert not named, sorted(named)
+
+
+#: Each rule that has one statement in src/, as (the pattern that
+#: writes it, the (module, innermost function, a def line?) of every
+#: line of src/ that matches it).  1 - 3 cos^2 theta cancels next to the
+#: cone, so it is taken at an angle only by geometry._cone_factor, which
+#: keeps its digits there; the closed-form families take their angle
+#: from one inversion of h/f, points.theta_from_lambda, called only by
+#: points._static_point; and a polar end's windings come from
+#: isqrt(3 m^2 // 2) only in invariants.end_windings.
+ONE_STATEMENT = {
+    "1 - 3 cos^2 theta": (
+        r"1\.0 - 3\.0 \* (c|cos)\b|3\.0 \* c \* c - 1\.0",
+        [("geometry", "_cone_factor", False)]),
+    "inversion of h/f": (
+        re.escape("theta_from_lambda("),
+        [("points", "_static_point", False),
+         ("points", "theta_from_lambda", True)]),
+    "polar windings": (
+        re.escape("isqrt(3"), [("invariants", "end_windings", False)]),
+}
+
+
+def _homes(pattern):
+    """(module, innermost function, a def line?) of each line of
+    src/sympl_moduli that matches pattern, sorted; None for a line in no
+    function."""
+    found = []
+    for path in sorted(PKG.glob("*.py")):
+        text = path.read_text()
+        funcs = [node for node in ast.walk(ast.parse(text))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for number, line in enumerate(text.splitlines(), 1):
+            if re.search(pattern, line):
+                inside = [node for node in funcs
+                          if node.lineno <= number <= node.end_lineno]
+                home = min(inside, key=lambda node: (
+                    node.end_lineno - node.lineno)).name if inside else None
+                found.append((path.stem, home,
+                              line.lstrip().startswith("def ")))
+    return sorted(found, key=str)
+
+
+@pytest.mark.parametrize("rule", ONE_STATEMENT)
+def test_one_statement_of_each_rule(rule):
+    pattern, homes = ONE_STATEMENT[rule]
+    assert _homes(pattern) == sorted(homes, key=str)
 
 
 def _functions():
