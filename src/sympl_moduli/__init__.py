@@ -10,8 +10,9 @@ Submodules by concern:
 * :mod:`sympl_moduli.moduli` -- admissibility and enumeration of the
   two- and three-end moduli labels, boundary structure;
 * :mod:`sympl_moduli.invariants` -- double-point counts (closed form
-  and root-of-unity oracle), Fredholm indices, asymptotic constants and
-  spectra;
+  and root-of-unity oracle), the windings of an end, Fredholm indices;
+* :mod:`sympl_moduli.spectra` -- decay constants and asymptotic-operator
+  spectra at an orbit;
 * :mod:`sympl_moduli.curves` -- the invariant families' specs, the
   closed form of s(theta) and profile-cylinder traces;
 * :mod:`sympl_moduli.points` -- points: the curves' points and s at an
@@ -40,13 +41,13 @@ import importlib
 from . import curves  # noqa: F401
 
 _SUBMODULE_EXPORTS = {
-    "invariants": ("AsymptoticData", "EndDescriptor", "GenericSpectrumCase",
-                   "InvariantReport", "PolarSpectrumCase", "Side",
-                   "adjunction_e_pairing", "asymptotic_constants",
-                   "c1_pairing", "delta", "double_points_bruteforce",
-                   "double_points_formula", "end_windings",
-                   "fredholm_index", "index_lower_bound", "l0_spectrum",
+    "invariants": ("EndDescriptor", "InvariantReport", "Side",
+                   "adjunction_e_pairing", "c1_pairing", "delta",
+                   "double_points_bruteforce", "double_points_formula",
+                   "end_windings", "fredholm_index", "index_lower_bound",
                    "residue_pairs", "sphere_report"),
+    "spectra": ("AsymptoticData", "GenericSpectrumCase", "PolarSpectrumCase",
+                "asymptotic_constants", "l0_spectrum"),
     "moduli": ("Label2", "Label3", "OrderedLabel3", "boundary_labels",
                "enumerate_labels", "validate_label2", "validate_label3"),
     "reeb": ("EndClass", "OrbitKind", "ReebOrbit", "ThetaRoots",

@@ -31,8 +31,15 @@ and `errors`.  The package's `__init__` runs first and loads `curves`,
 with `geometry`, `reeb` and `budgets`, so every command loads those
 five modules.  Each `_cmd_*` handler imports the others it runs, so a
 command loads only what it needs (`classify` never loads `invariants`,
-`model_maps` or `catalog`), and no command loads `points`, whose curve
-points no command evaluates yet.
+`model_maps` or `catalog`, and `spectrum` loads `spectra` but neither
+`moduli` nor `invariants`), and no command loads `points`, whose curve
+points no command evaluates yet.  When `main` runs the process's own
+command line (no argv: the console script and `python -m`), it freezes
+the collector's heap (gc.freeze) before it builds the parser: what
+start-up made lives until the process ends, and the collections after
+it, the full one at interpreter exit included (about a tenth of a
+command's time), then skip it.  A caller that passes argv keeps its
+collector as it was.  This is the package's one use of `gc`.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import gc
 import json
 import math
 import os
@@ -379,23 +387,25 @@ def _cmd_double_points(ns: argparse.Namespace, out: IO[str] | None) -> int:
 
 
 def _cmd_spectrum(ns: argparse.Namespace, out: IO[str] | None) -> int:
-    from . import invariants as inv
+    from . import spectra
     from .reeb import ReebOrbit
     if (ns.pair is None) == (ns.polar_m is None):
         raise ParseError("give exactly one of --pair or --polar-m")
     payload: dict
     if ns.polar_m is not None:
-        spec = inv.l0_spectrum(inv.PolarSpectrumCase(m=ns.polar_m), ns.nmax)
+        spec = spectra.l0_spectrum(spectra.PolarSpectrumCase(m=ns.polar_m),
+                                   ns.nmax)
         payload = {
             "case": "polar", "m": ns.polar_m, "spectrum": [],
         }
     else:
         (m, mp), = ns.pair
         orbit = ReebOrbit.generic(m, mp)
-        data = inv.asymptotic_constants(orbit.pair)
+        data = spectra.asymptotic_constants(orbit.pair)
         period = abs(m)
-        spec = inv.l0_spectrum(
-            inv.GenericSpectrumCase(zeta=data.zeta, period=period), ns.nmax)
+        spec = spectra.l0_spectrum(
+            spectra.GenericSpectrumCase(zeta=data.zeta, period=period),
+            ns.nmax)
         payload = {
             "case": "generic", "pair": [m, mp],
             "theta0": _fmt(orbit.theta0),
@@ -491,6 +501,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> None:
+    if argv is None:
+        # The process's own command line: start-up's heap lives until
+        # exit, so no collection, the one at exit included, walks it.
+        gc.freeze()
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sympl_moduli import (catalog, classify_pair, curves, geometry,
-                          invariants, moduli)
+                          invariants, moduli, spectra)
 from sympl_moduli.cli import (_eigen_items, _fmt, _json, _point_items,
                               _print_listed, _report_line, _write_trace_csv,
                               main, parse_pairs, residual_tolerance)
@@ -373,6 +373,16 @@ class TestStartup:
                              "sympl_moduli.model_maps",
                              "sympl_moduli.catalog"}
 
+    def test_spectrum_loads_only_what_it_runs(self):
+        loaded = loaded_after(
+            "from sympl_moduli import cli\n"
+            "try:\n"
+            "    cli.main(['spectrum', '--pair', '2,3', '--nmax', '5'])\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code")
+        assert "sympl_moduli.spectra" in loaded
+        assert not loaded & {"sympl_moduli.moduli", "sympl_moduli.invariants"}
+
     def test_cli_imports_only_stdlib_and_errors_at_module_level(self):
         import ast
         import sys
@@ -392,7 +402,8 @@ class TestStartup:
 
     def test_only_the_cli_touches_the_outside_world(self):
         # The library reads no environment, writes no files, prints
-        # nothing and never exits: that is the CLI's alone.
+        # nothing, never exits and leaves the garbage collector alone:
+        # that is the CLI's alone.
         import ast
         pkg = Path(__file__).resolve().parents[1] / "src/sympl_moduli"
         for path in sorted(pkg.glob("*.py")):
@@ -405,11 +416,13 @@ class TestStartup:
                     modules = [] if node.level else [node.module]
                 else:
                     modules = []
-                assert all(m.partition(".")[0] != "os" for m in modules), \
+                assert all(m.partition(".")[0] not in ("os", "gc")
+                           for m in modules), \
                     f"{path.name}: {ast.unparse(node)}"
                 if isinstance(node, ast.Call):
-                    assert ast.unparse(node.func) not in (
-                        "open", "print", "sys.exit"), \
+                    func = ast.unparse(node.func)
+                    assert (func not in ("open", "print", "sys.exit")
+                            and not func.startswith("gc.")), \
                         f"{path.name}: {ast.unparse(node)}"
 
     def test_one_angle_wrap(self):
@@ -430,6 +443,68 @@ class TestStartup:
                             and ast.unparse(node.right) in ("tau", "math.tau")):
                         wraps.append((path.name, func.name))
         assert wraps == [("geometry.py", "_reduce_angle")]
+
+
+#: The golden commands the collector tests run: exit 0, a report of
+#: exit 1, and argparse's own exit 2.
+COLLECTOR_CASES = [next(c for c in GOLDEN_CASES if c["argv"] == argv)
+                   for argv in (["catalog"], ["classify", "--pairs", "1,1;1,1"],
+                                ["frobnicate"])]
+
+#: Run in the child before the command: at exit, after every other
+#: atexit hook, it writes the collector's frozen count to stderr.
+_FREEZE_PROBE = ("import atexit, gc, sys\n"
+                 "atexit.register(lambda: sys.stderr.write("
+                 "f'frozen {gc.get_freeze_count()}\\n'))\n")
+
+
+class TestCollector:
+    """main freezes the collector's heap only for the process's own
+    command line; a caller that passes argv keeps its collector."""
+
+    @pytest.mark.parametrize("case", COLLECTOR_CASES,
+                             ids=lambda c: " ".join(c["argv"]))
+    @pytest.mark.parametrize("enabled", [True, False],
+                             ids=["enabled", "disabled"])
+    def test_in_process_caller_keeps_its_collector(self, capsys, case,
+                                                   enabled):
+        import gc
+        frozen = gc.get_freeze_count()
+        if not enabled:
+            gc.disable()
+        try:
+            code, out, _ = run_cli(capsys, *case["argv"])
+            assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+        finally:
+            gc.enable()
+        assert code in case["exit"] and out == case["stdout"]
+
+    @pytest.mark.parametrize("case", COLLECTOR_CASES,
+                             ids=lambda c: " ".join(c["argv"]))
+    @pytest.mark.parametrize("entry", ["-m", "console-script"])
+    def test_own_command_line_freezes_the_heap(self, tmp_path, case, entry):
+        # -m: the probe is a sitecustomize module, which site imports
+        # before the command runs.  The console script calls main() with
+        # the command line in sys.argv.
+        import subprocess
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(tmp_path), str(src)]), "PYTHONDONTWRITEBYTECODE": "1"}
+        if entry == "-m":
+            (tmp_path / "sitecustomize.py").write_text(_FREEZE_PROBE)
+            argv = [sys.executable, "-m", "sympl_moduli.cli", *case["argv"]]
+        else:
+            argv = [sys.executable, "-c", _FREEZE_PROBE + (
+                f"sys.argv = ['sympl-moduli', *{case['argv']!r}]\n"
+                "from sympl_moduli.cli import main\n"
+                "sys.exit(main())\n")]
+        proc = subprocess.run(argv, env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode in case["exit"], proc.stderr
+        assert proc.stdout == case["stdout"]
+        *_, last = proc.stderr.splitlines()
+        assert re.fullmatch(r"frozen [1-9]\d*", last), proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestEnumerate:
@@ -625,11 +700,10 @@ def _no_work(*args):
 #: spectrum's square roots (after the generic orbit's decay constants,
 #: which take square roots of their own) and enumeration candidates.
 _NO_ROWS = [(curves, "fh_rows", _no_work)]
-_NO_EIGENVALUES = [(invariants, "math", types.SimpleNamespace(sqrt=_no_work))]
+_NO_EIGENVALUES = [(spectra, "math", types.SimpleNamespace(sqrt=_no_work))]
 _NO_GENERIC_EIGENVALUES = _NO_EIGENVALUES + [
-    (invariants, "asymptotic_constants",
-     lambda *args: invariants.AsymptoticData(zeta=1.0, kappa=1.0,
-                                             sigma0=1.0))]
+    (spectra, "asymptotic_constants",
+     lambda *args: spectra.AsymptoticData(zeta=1.0, kappa=1.0, sigma0=1.0))]
 _NO_CANDIDATES = [(moduli, "_end_classes", _no_work)]
 
 
@@ -926,7 +1000,7 @@ class TestOutFile:
         (["enumerate", "--max-abs", "12", "--ends", "2"], moduli,
          "enumerate_labels"),
         (["double-points", "--pairs", "4,1;1,1"], invariants, "delta"),
-        (["spectrum", "--pair", "1,0"], invariants, "l0_spectrum"),
+        (["spectrum", "--pair", "1,0"], spectra, "l0_spectrum"),
         (["catalog"], catalog, "catalog_entries"),
     ]])
     @pytest.mark.parametrize("where", ["missing-dir", "directory"])

@@ -21,13 +21,13 @@ import sympl_moduli as sm
 from sympl_moduli.errors import SymplModuliError
 
 EXPORTS = {
-    "invariants": ["AsymptoticData", "EndDescriptor", "GenericSpectrumCase",
-                   "InvariantReport", "PolarSpectrumCase", "Side",
-                   "adjunction_e_pairing", "asymptotic_constants",
-                   "c1_pairing", "delta", "double_points_bruteforce",
-                   "double_points_formula", "end_windings",
-                   "fredholm_index", "index_lower_bound", "l0_spectrum",
+    "invariants": ["EndDescriptor", "InvariantReport", "Side",
+                   "adjunction_e_pairing", "c1_pairing", "delta",
+                   "double_points_bruteforce", "double_points_formula",
+                   "end_windings", "fredholm_index", "index_lower_bound",
                    "residue_pairs", "sphere_report"],
+    "spectra": ["AsymptoticData", "GenericSpectrumCase", "PolarSpectrumCase",
+                "asymptotic_constants", "l0_spectrum"],
     "moduli": ["Label2", "Label3", "OrderedLabel3", "boundary_labels",
                "enumerate_labels", "validate_label2", "validate_label3"],
     "reeb": ["EndClass", "OrbitKind", "ReebOrbit", "ThetaRoots",

@@ -521,7 +521,7 @@ class TestSpectrum:
         def no_eigenvalues(*args):
             raise AssertionError("an eigenvalue was computed")
 
-        monkeypatch.setattr(sm.invariants, "math", types.SimpleNamespace(
+        monkeypatch.setattr(sm.spectra, "math", types.SimpleNamespace(
             sqrt=no_eigenvalues, hypot=no_eigenvalues))
         for n in (MAX_SPECTRUM_N + 1, 10 ** 20):
             with pytest.raises(DomainError, match="budget"):
