@@ -2,8 +2,9 @@
 
 A call past its budget raises DomainError before any work, so the CLI
 exits 1 with one `error:` line instead of running for minutes or
-exhausting memory.  The timings are library calls at the budget on a
-2-CPU machine with Python 3.11.
+exhausting memory.  The timings are library calls, and the commands
+around them with stdout sent to /dev/null, at the budget on a 2-CPU
+machine with Python 3.11.
 """
 
 #: The largest Delta the O(Delta) routes accept: the oracle's walk and
@@ -22,4 +23,7 @@ MAX_SPECTRUM_N = 10 ** 6
 
 #: The largest entry bound of enumerate_labels (20: 637,046 two-end
 #: labels in 1.0 s); its candidate list grows like the bound^4.
+#: `enumerate --max-abs 20 --ends 2` takes 5.4-5.7 s at a peak RSS of
+#: 229 MB and prints 106 MB; the root-of-unity oracle walks its 88,200
+#: distinct lattices once each, 22 MB of that RSS.
 MAX_ENUM_BOUND = 20

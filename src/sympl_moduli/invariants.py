@@ -11,7 +11,10 @@ is computed two independent ways:
     Delta), eta' = exp(2 pi i b / Delta) this is the count of residue
     pairs (a, b) mod Delta, a, b in {1, ..., Delta-1}, a != b, with
     p a + q b = 0 and p' a + q' b = 0 (mod Delta), so the oracle is
-    exact modular arithmetic, never floating point.
+    exact modular arithmetic, never floating point.  The solutions form
+    a lattice (_lattice), and the count depends on nothing else, so a
+    process walks each distinct lattice once and keeps its count in a
+    memo bounded at 2^17 lattices, more than any command meets.
 
 A label is read only through its pairs(): the two pairs (p, p'), (q, q')
 of a two-end label, or the three pairs of an ordered three-end label,
@@ -39,6 +42,7 @@ side and -alpha_+(E) on the concave side.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -136,18 +140,34 @@ def residue_pairs(label: LabelLike) -> list[tuple[int, int]]:
             for b in range(a // g * b1 % coset, d, coset) if b and b != a]
 
 
+# The bound keeps a long-lived library caller from growing the memo
+# without limit.  It is above the 88,200 lattices of the 637,046 two-end
+# labels at MAX_ENUM_BOUND, the most any command walks, so every CLI
+# input behaves as if the memo were unbounded.
+@functools.lru_cache(maxsize=1 << 17)
+def _walk_count(d: int, g: int, coset: int, b1: int) -> int:
+    """The number of ordered residue-pair solutions of the lattice
+    (Delta, g, Delta/g, b1) of _lattice, by the same walk as
+    residue_pairs, keeping only each pair's b: the pairs are counted,
+    never built."""
+    if g == 1:
+        return len([b for a in range(1, d) if (b := a * b1 % d) and b != a])
+    return len([b for a in range(g, d, g)
+                for b in range(a // g * b1 % coset, d, coset)
+                if b and b != a])
+
+
 def double_points_bruteforce(label: LabelLike) -> int:
     """m_C as half the number of ordered residue-pair solutions.
 
-    The same walk as residue_pairs over the same lattice, keeping only
-    each pair's b: the pairs are counted, never built."""
-    d, g, coset, b1 = _lattice(label)
-    if g == 1:
-        count = len([b for a in range(1, d) if (b := a * b1 % d) and b != a])
-    else:
-        count = len([b for a in range(g, d, g)
-                     for b in range(a // g * b1 % coset, d, coset)
-                     if b and b != a])
+    The walk over the label's lattice (_walk_count) is exact and visits
+    every residue pair of the lattice.  Each distinct lattice is walked
+    once per process: labels with the same lattice share its count,
+    labels that only share Delta do not.  The memo holds at most 2^17
+    lattices, so a long-lived caller's memory stays bounded, and every
+    command's lattices fit.  The budget is checked before any walk, and
+    the parity per label."""
+    count = _walk_count(*_lattice(label))
     if count % 2:
         raise ParityError(f"odd ordered-solution count {_text(count)} for "
                           f"{_text(label.pairs())}")

@@ -127,7 +127,8 @@ class TestDoublePoints:
 
     def test_oracle_counts_without_building_pairs(self, monkeypatch):
         # The oracle counts during its own walk: it still answers when
-        # the list-building route is unavailable.
+        # the list-building route is unavailable.  The memo is emptied,
+        # so each count comes from a walk made here.
         def refuse(label):
             raise AssertionError("the oracle built the residue-pair list")
         expected = {label: double_points_formula(label)
@@ -135,6 +136,7 @@ class TestDoublePoints:
                                   Label2.make((-2, -4), (0, -2)),
                                   Label2.make((4, 2), (1, 2)))}
         monkeypatch.setattr(sm.invariants, "residue_pairs", refuse)
+        sm.invariants._walk_count.cache_clear()
         for label, m_c in expected.items():
             assert double_points_bruteforce(label) == m_c
 
@@ -154,6 +156,29 @@ class TestDoublePoints:
             assert double_points_bruteforce(label) == m_c, label
             assert len(residue_pairs(label)) == 2 * m_c, label
             assert double_points_lattice(label) == m_c, label
+
+    def test_oracle_memo_answers_only_for_its_own_lattice(self):
+        # Delta = 5 for both, with m_C 2 and 0: one walk per Delta would
+        # hand whichever label comes second the first one's count.
+        labels = (Label2.make((-5, -8), (0, -1)),
+                  Label2.make((-5, -7), (-5, -8)))
+        assert [double_points_formula(label) for label in labels] == [2, 0]
+        for order in (labels, labels[::-1]):
+            sm.invariants._walk_count.cache_clear()
+            got = [double_points_bruteforce(label) for label in order]
+            assert got == [double_points_formula(label) for label in order]
+
+    def test_oracle_memo_matches_a_fresh_walk_per_label(self):
+        # At bound 8, 70 of the 104 values of Delta carry two values of
+        # m_C and no lattice does: after a warm pass each memoised count
+        # is its own lattice's walk, made again without the memo.
+        labels = two_and_ordered_three(8, 8)
+        walk = sm.invariants._walk_count.__wrapped__
+        for label in labels:
+            double_points_bruteforce(label)
+        for label in labels:
+            lattice = sm.invariants._lattice(label)
+            assert 2 * double_points_bruteforce(label) == walk(*lattice), label
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(st.one_of(label_pairs(10 ** 6, MAX_WALK_DELTA),

@@ -160,13 +160,17 @@ def _reads(path: Path, name: str) -> set:
 
 
 #: Each independent route, with the names of the routes it checks.  The
-#: root-of-unity oracle walks residues without building them or counting
-#: a coset in closed form; the Pick count uses no gcd and no residues;
-#: the three-end candidates filter the whole box; the tests' m0 states
-#: its closed form without the library's reading of an end; and the
-#: tests' exact values, the shadow module, name nothing of the package.
+#: root-of-unity oracle, and _walk_count, the walk it memoises per
+#: lattice, walk residues without building them or counting a coset in
+#: closed form; the Pick count uses no gcd and no residues; the
+#: three-end candidates filter the whole box; the tests' m0 states its
+#: closed form without the library's reading of an end; and the tests'
+#: exact values, the shadow module, name nothing of the package.
 ORACLES = {
     "double_points_bruteforce": (
+        PKG / "invariants.py",
+        {"residue_pairs", "_closed_form", "double_points_formula"}),
+    "_walk_count": (
         PKG / "invariants.py",
         {"residue_pairs", "_closed_form", "double_points_formula"}),
     "double_points_lattice": (
