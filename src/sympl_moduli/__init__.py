@@ -46,13 +46,12 @@ _SUBMODULE_EXPORTS = {
                    "double_points_bruteforce", "double_points_formula",
                    "end_windings", "fredholm_index", "index_lower_bound",
                    "residue_pairs", "sphere_report"),
-    "spectra": ("AsymptoticData", "GenericSpectrumCase", "PolarSpectrumCase",
-                "asymptotic_constants", "l0_spectrum"),
+    "spectra": ("AsymptoticData", "asymptotic_constants", "generic_spectrum",
+                "polar_spectrum"),
     "moduli": ("Label2", "Label3", "OrderedLabel3", "boundary_labels",
                "enumerate_labels", "validate_label2", "validate_label3"),
     "reeb": ("EndClass", "OrbitKind", "ReebOrbit", "ThetaRoots",
-             "classify_pair", "solve_theta0", "solve_theta0_bar",
-             "theta_roots"),
+             "classify_pair", "solve_theta0", "theta_roots"),
     "curves": ("CurveSpec", "ThetaRange", "Trace", "TraceSample",
                "classify_branches", "integrate_profile"),
     "points": ("BranchId", "Point4", "Tangent4", "apply_J", "contact_eval",

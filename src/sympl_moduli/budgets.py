@@ -16,9 +16,10 @@ MAX_WALK_DELTA = 2 ** 20
 #: The most rows integrate_profile traces (10^6 rows: about 5 s).
 MAX_TRACE_SAMPLES = 10 ** 6
 
-#: The largest n_max of l0_spectrum (10^6: about 2e6 eigenvalues in
-#: 1.1-1.3 s).  `spectrum --nmax 1000000` takes 3.3-3.5 s and prints
-#: 85 MB, mostly in its 12-digit rounding and indented JSON.
+#: The largest n_max of generic_spectrum and polar_spectrum (10^6: about
+#: 2e6 eigenvalues in 1.1-1.3 s).  `spectrum --nmax 1000000` takes
+#: 3.3-3.5 s and prints 85 MB, mostly in its 12-digit rounding and
+#: indented JSON.
 MAX_SPECTRUM_N = 10 ** 6
 
 #: The largest entry bound of enumerate_labels (20: 637,046 two-end

@@ -7,7 +7,8 @@ Exit codes: 0 success, 1 domain error (inadmissible label, degenerate
 angle, bad curve domain, a size past its budget in `budgets`), 2 a
 malformed flag, an unwritable `--out` or a value refused where argparse
 reads it (SYMPL_MODULI_TOL by the same reader), 3 an `InternalError`, a
-breached invariant (e.g. the double-point methods disagree).  A refused
+breached invariant (e.g. the double-point methods disagree, or a
+catalog entry's index or aleph is not the one it expects).  A refused
 value has one wording, "<option> <rule>, got <its first 40 characters>"
 and its length if longer.  A pair entry has at most E = (L - 1) // 2
 digits, L Python's limit on an int's digits in text, so every int a
@@ -393,8 +394,7 @@ def _cmd_spectrum(ns: argparse.Namespace, out: IO[str] | None) -> int:
         raise ParseError("give exactly one of --pair or --polar-m")
     payload: dict
     if ns.polar_m is not None:
-        spec = spectra.l0_spectrum(spectra.PolarSpectrumCase(m=ns.polar_m),
-                                   ns.nmax)
+        spec = spectra.polar_spectrum(ns.polar_m, ns.nmax)
         payload = {
             "case": "polar", "m": ns.polar_m, "spectrum": [],
         }
@@ -403,9 +403,7 @@ def _cmd_spectrum(ns: argparse.Namespace, out: IO[str] | None) -> int:
         orbit = ReebOrbit.generic(m, mp)
         data = spectra.asymptotic_constants(orbit.pair)
         period = abs(m)
-        spec = spectra.l0_spectrum(
-            spectra.GenericSpectrumCase(zeta=data.zeta, period=period),
-            ns.nmax)
+        spec = spectra.generic_spectrum(data.zeta, period, ns.nmax)
         payload = {
             "case": "generic", "pair": [m, mp],
             "theta0": _fmt(orbit.theta0),
@@ -422,6 +420,12 @@ def _cmd_spectrum(ns: argparse.Namespace, out: IO[str] | None) -> int:
 def _cmd_catalog(ns: argparse.Namespace, out: IO[str] | None) -> int:
     from .catalog import catalog_entries
     payload = [entry.to_json() for entry in catalog_entries()]
+    for item in payload:
+        got = (item["index"], item["aleph"])
+        want = (item["expected_index"], item["expected_aleph"])
+        if got != want:
+            raise InternalError(f"{item['case_id']}: (index, aleph) "
+                                f"{_text(got)} != expected {_text(want)}")
     print(_json(payload), file=out)
     return EXIT_OK
 

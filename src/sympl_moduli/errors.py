@@ -47,10 +47,6 @@ class ZeroPair(SymplModuliError):
     """The integer pair (0, 0) labels nothing."""
 
 
-class OutOfRegime(SymplModuliError):
-    """Requested quantity only exists when 2*m'^2 > 3*m^2."""
-
-
 class BoundViolation(SymplModuliError):
     """A polar-end winding exceeds its allowed bound."""
 

@@ -127,11 +127,6 @@ class Label2(NamedTuple):
         return cls(EndClass(p, pp), EndClass(q, qp))
 
     @property
-    def k_pair(self) -> EndClass:
-        return EndClass(self.p_pair.m + self.q_pair.m,
-                        self.p_pair.m_prime + self.q_pair.m_prime)
-
-    @property
     def delta(self) -> int:
         return (self.p_pair.m * self.q_pair.m_prime
                 - self.q_pair.m * self.p_pair.m_prime)

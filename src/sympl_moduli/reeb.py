@@ -36,7 +36,7 @@ import enum
 import math
 from typing import NamedTuple, Optional
 
-from .errors import DomainError, InvalidLabel, OutOfRegime, ZeroPair, _text
+from .errors import DomainError, InvalidLabel, ZeroPair, _text
 from .geometry import _TINY, SQRT6, require_finite
 
 
@@ -201,24 +201,6 @@ def _pole_distance(p: int, p_prime: int, given: tuple[int, int]) -> float:
     return g
 
 
-def _has_companion(p: int, p_prime: int) -> bool:
-    return p != 0 and _steep(p, p_prime)
-
-
-def solve_theta0_bar(p: int, p_prime: int) -> float:
-    """The companion constant angle for (p, p').
-
-    Defined only when p != 0 and 2 p'^2 > 3 p^2: the other root of the
-    defining quadratic, whose cosine has sign opposite to cos(theta0).
-    It is the orbit angle of (-p, -p'); a DomainError names (p, p').
-    """
-    if not _has_companion(p, p_prime):
-        raise OutOfRegime(
-            f"{_text((p, p_prime))}: companion angle needs p != 0 and "
-            f"2 p'^2 > 3 p^2")
-    return _root(-p, -p_prime, (p, p_prime))[0]
-
-
 class ThetaRoots(NamedTuple):
     """The one or two constant angles attached to a pair (p, p')."""
 
@@ -227,9 +209,17 @@ class ThetaRoots(NamedTuple):
 
 
 def theta_roots(p: int, p_prime: int) -> ThetaRoots:
-    """The fixed angles of (p, p') besides the poles: theta0, and
-    theta0_bar when the pair has a companion angle."""
-    bar = solve_theta0_bar(p, p_prime) if _has_companion(p, p_prime) else None
+    """The fixed angles of (p, p') besides the poles: theta0
+    (solve_theta0), and theta0_bar where p != 0 and 2 p'^2 > 3 p^2.
+
+    theta0_bar, the companion angle, is the other root of the defining
+    quadratic, whose cosine has sign opposite to cos(theta0): the orbit
+    angle of (-p, -p').  It is found first, so a DomainError for either
+    angle names (p, p').
+    """
+    bar = None
+    if p != 0 and _steep(p, p_prime):
+        bar = _root(-p, -p_prime, (p, p_prime))[0]
     return ThetaRoots(solve_theta0(p, p_prime), bar)
 
 

@@ -3,7 +3,8 @@
 What `spectrum` runs, and all of it: the decay data (zeta, kappa,
 sigma0) of a generic orbit from its end class alone, and the
 eigenvalues, with multiplicities, of the asymptotic operator at a
-generic orbit and at a polar orbit covered m times.  The windings of
+generic orbit (generic_spectrum) and at a polar orbit covered m times
+(polar_spectrum).  The windings of
 the eigenvalues next to 0, which the Fredholm index reads, are
 invariants.end_windings, in exact ints.
 """
@@ -56,72 +57,74 @@ def asymptotic_constants(end_class: EndClass) -> AsymptoticData:
     return AsymptoticData(zeta=zeta, kappa=kappa, sigma0=sigma0)
 
 
-class GenericSpectrumCase(NamedTuple):
-    """Linearized operator at a generic orbit: decay constant zeta and
-    the period m|p| of the covering parameterization."""
-
-    zeta: float
-    period: int
-
-
-class PolarSpectrumCase(NamedTuple):
-    """Linearized operator at a polar orbit covered m times."""
-
-    m: int
-
-
-def l0_spectrum(case: GenericSpectrumCase | PolarSpectrumCase,
-                n_max: int) -> list[tuple[float, int]]:
-    """Eigenvalues of the asymptotic operator, with multiplicities.
-
-    Generic orbit: { (-zeta +- sqrt(zeta^2 + 4 n^2 / T^2)) / 2,
-    0 <= n <= n_max }; the two n = 0 eigenvalues (0 and -zeta) are
-    simple, all n > 0 ones are double.  The negative one is taken as
-    -(zeta / 2 + sqrt(...) / 2), the root as a hypot, and the positive
-    one as (n^2 / T^2) over the negative's size, so none cancels or
-    overflows at a large zeta.  Polar orbit covered m times:
-    { -sqrt(3/2) + n/m, |n| <= n_max }, all double -- in particular never
-    zero, since sqrt(3/2) is irrational.  For n > 0 it is taken as
-    ((2 n^2 - 3 m^2) / m^2) / (2 (n/m + sqrt(3/2))), one correctly
-    rounded int division, so it keeps its digits where 2 n^2 is near
-    3 m^2 and no m is converted to a float.  Returned sorted by
-    eigenvalue.  DomainError past MAX_SPECTRUM_N, or for a generic period
-    whose square is past the float range or a nan, infinite or negative
-    zeta (a decay constant is not negative), before any eigenvalue;
-    ValueError for a negative n_max, a period or m below 1.
-    """
+def _check_sizes(n_max: int, name: str, cover: int) -> None:
+    """The spectra's one check of their sizes, before any eigenvalue:
+    ValueError for a negative n_max, DomainError past MAX_SPECTRUM_N,
+    then ValueError where the cover count (the period, or m) is not an
+    int >= 1."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if n_max > MAX_SPECTRUM_N:
         raise DomainError(f"n_max = {_text(n_max)} exceeds "
                           f"{_text(MAX_SPECTRUM_N)}, the budget of the "
                           f"spectrum")
+    if not isinstance(cover, int) or cover < 1:
+        raise ValueError(f"{name} {_text(cover)} is not an int >= 1")
+
+
+def generic_spectrum(zeta: float, period: int,
+                     n_max: int) -> list[tuple[float, int]]:
+    """Eigenvalues, with multiplicities, of the asymptotic operator at a
+    generic orbit of decay constant zeta, whose covering
+    parameterization has period T = m|p|.
+
+    { (-zeta +- sqrt(zeta^2 + 4 n^2 / T^2)) / 2, 0 <= n <= n_max }; the
+    two n = 0 eigenvalues (0 and -zeta) are simple, all n > 0 ones are
+    double.  The negative one is taken as -(zeta / 2 + sqrt(...) / 2),
+    the root as a hypot, and the positive one as (n^2 / T^2) over the
+    negative's size, so none cancels or overflows at a large zeta.
+    Returned sorted by eigenvalue.  Before any eigenvalue: ValueError
+    for a negative n_max or a period that is not an int >= 1;
+    DomainError past MAX_SPECTRUM_N, for a period whose square is past
+    the float range, or a nan, infinite or negative zeta (a decay
+    constant is not negative).
+    """
+    _check_sizes(n_max, "period", period)
+    require_finite(DomainError, zeta=zeta)
+    if zeta < 0.0:
+        raise DomainError(f"zeta = {zeta} < 0: a decay constant "
+                          f"is never negative")
+    t2 = period ** 2
+    if t2 > sys.float_info.max:
+        raise DomainError(f"period = {_text(period)}: its square is "
+                          f"past the float range")
+    out = [(0.0, 1), (-zeta, 1)]
+    for n in range(1, n_max + 1):
+        w = 2.0 * n / period
+        half = 0.5 * zeta + 0.5 * math.hypot(zeta, w)
+        out.append((0.25 * w * w / half, 2))
+        out.append((-half, 2))
+    return sorted(out)
+
+
+def polar_spectrum(m: int, n_max: int) -> list[tuple[float, int]]:
+    """Eigenvalues, with multiplicities, of the asymptotic operator at a
+    polar orbit covered m times.
+
+    { -sqrt(3/2) + n/m, |n| <= n_max }, all double -- in particular
+    never zero, since sqrt(3/2) is irrational.  For n > 0 it is taken as
+    ((2 n^2 - 3 m^2) / m^2) / (2 (n/m + sqrt(3/2))), one correctly
+    rounded int division, so it keeps its digits where 2 n^2 is near
+    3 m^2 and no m is converted to a float.  Returned sorted by
+    eigenvalue.  Before any eigenvalue: ValueError for a negative n_max
+    or an m that is not an int >= 1, DomainError past MAX_SPECTRUM_N.
+    """
+    _check_sizes(n_max, "m", m)
+    m2, root = m * m, math.sqrt(1.5)
     out: list[tuple[float, int]] = []
-    if isinstance(case, GenericSpectrumCase):
-        if case.period < 1:
-            raise ValueError("period must be >= 1")
-        require_finite(DomainError, zeta=case.zeta)
-        if case.zeta < 0.0:
-            raise DomainError(f"zeta = {case.zeta} < 0: a decay constant "
-                              f"is never negative")
-        t2 = case.period ** 2
-        if t2 > sys.float_info.max:
-            raise DomainError(f"period = {_text(case.period)}: its square is "
-                              f"past the float range")
-        out.append((0.0, 1))
-        out.append((-case.zeta, 1))
-        for n in range(1, n_max + 1):
-            w = 2.0 * n / case.period
-            half = 0.5 * case.zeta + 0.5 * math.hypot(case.zeta, w)
-            out.append((0.25 * w * w / half, 2))
-            out.append((-half, 2))
-    else:
-        if case.m < 1:
-            raise ValueError("m must be >= 1")
-        m, m2, root = case.m, case.m * case.m, math.sqrt(1.5)
-        for n in range(-n_max, 1):
-            out.append((n / m - root, 2))
-        for n in range(1, n_max + 1):
-            out.append(((2 * n * n - 3 * m2) / m2 / (2.0 * (n / m + root)),
-                        2))
+    for n in range(-n_max, 1):
+        out.append((n / m - root, 2))
+    for n in range(1, n_max + 1):
+        out.append(((2 * n * n - 3 * m2) / m2 / (2.0 * (n / m + root)),
+                    2))
     return sorted(out)

@@ -151,6 +151,13 @@ def trace_outcome(p, p_prime, rid, n_samples):
     return "traced"
 
 
+def sigma(pair):
+    """The reflection sigma(s, t, theta, phi) = (s, t, pi - theta, -phi)
+    on an end class: (m, m') -> (m, -m')."""
+    m, mp = pair
+    return (m, -mp)
+
+
 def m0(m):
     """The least n with 2 n^2 > 3 m^2, for m >= 1, in closed form: isqrt
     gives the largest n with 2 n^2 <= 3 m^2, never equal for m >= 1.  A

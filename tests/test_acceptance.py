@@ -17,12 +17,12 @@ from sympl_moduli import (BranchId, CurveSpec, Label2, ModelMapParams,
                           boundary_labels, catalog_entries, contact_eval,
                           coord_functions, double_points_bruteforce,
                           double_points_formula, eval_invariant_curve,
-                          integrate_profile, l0_spectrum, lambda_of_theta,
-                          omega_eval, phi_double_points, phi_eval,
-                          reeb_vector, s_max, solve_theta0, solve_theta0_bar,
-                          sphere_report, theta_from_lambda)
+                          generic_spectrum, integrate_profile,
+                          lambda_of_theta, omega_eval, phi_double_points,
+                          phi_eval, polar_spectrum, reeb_vector, s_max,
+                          solve_theta0, sphere_report, theta_from_lambda,
+                          theta_roots)
 from sympl_moduli.geometry import SQRT6, THETA_C
-from sympl_moduli.spectra import GenericSpectrumCase, PolarSpectrumCase
 from sympl_moduli.reeb import classify_pair
 
 from conftest import double_points_lattice, profile_ode_residual
@@ -60,8 +60,8 @@ def test_criterion_2_paper_values(labels2_bound10):
         d = label.delta
         if d not in (3, 5, 7, 11, 13):
             continue
-        pairs = [label.p_pair.as_tuple(), label.q_pair.as_tuple(),
-                 label.k_pair.as_tuple()]
+        (p, pp), (q, qp) = label
+        pairs = [(p, pp), (q, qp), (p + q, pp + qp)]
         if any(m % d == 0 and mp % d == 0 for m, mp in pairs):
             continue
         assert double_points_formula(label) == (d - 1) // 2
@@ -106,7 +106,7 @@ def test_criterion_4_reeb_residuals():
             assert residual(p, pp, solve_theta0(p, pp)) < 1e-12
             checked += 1
             if p != 0 and 2 * pp * pp > 3 * p * p:
-                assert residual(p, pp, solve_theta0_bar(p, pp)) < 1e-12
+                assert residual(p, pp, theta_roots(p, pp).theta0_bar) < 1e-12
                 steep += 1
     assert checked > 3000 and steep > 1000
 
@@ -203,12 +203,11 @@ def test_criterion_8_boundary_structure(label3_candidates_bound8):
 @criterion(9, "spectral sanity")
 def test_criterion_9_spectra():
     for m in range(1, 101):
-        spec = l0_spectrum(PolarSpectrumCase(m=m), 2 * m)
+        spec = polar_spectrum(m, 2 * m)
         assert all(abs(ev) > 1e-12 for ev, _ in spec)
     for p, pp in [(1, 0), (1, 1), (2, 5), (-1, 2)]:
         data = sm.asymptotic_constants(sm.EndClass(p, pp))
-        spec = l0_spectrum(GenericSpectrumCase(zeta=data.zeta,
-                                               period=abs(p)), 50)
+        spec = generic_spectrum(data.zeta, abs(p), 50)
         zeros = [(ev, mult) for ev, mult in spec if abs(ev) < 1e-12]
         assert zeros == [(0.0, 1)]
 

@@ -3,6 +3,8 @@ import pytest
 from sympl_moduli import CatalogEntry, EndClass, Label2, Label3, catalog_entries
 from sympl_moduli.invariants import Side
 
+from conftest import sigma
+
 
 @pytest.fixture(scope="module")
 def entries():
@@ -110,24 +112,19 @@ def test_json_dump(entries):
     assert all(item["index"] == item["expected_index"] for item in again)
 
 
-def _sigma(pair):
-    m, m_prime = pair
-    return EndClass(m, -m_prime)
-
-
 def _reflected(entry):
     """The entry's image under sigma(s, t, theta, phi) = (s, t, pi - theta,
     -phi): each generic end class (m, m') goes to (m, -m'), and a
     two-end label {x, y} to {sigma y, sigma x}.  A polar end keeps its
     multiplicity and winding, since sigma swaps the poles with their
     neighbourhoods, and chi and nu0 stay, as sigma keeps the polar locus."""
-    ends = tuple(end._replace(end_class=_sigma(end.end_class))
+    ends = tuple(end._replace(end_class=EndClass(*sigma(end.end_class)))
                  if end.end_class is not None else end for end in entry.ends)
     label = entry.label
     if isinstance(label, Label2):
-        label = Label2.make(_sigma(label.q_pair), _sigma(label.p_pair))
+        label = Label2.make(sigma(label.q_pair), sigma(label.p_pair))
     elif isinstance(label, Label3):
-        label = Label3.make([_sigma(x) for x in label.pairs])
+        label = Label3.make([sigma(x) for x in label.pairs])
     return entry._replace(ends=ends, label=label)
 
 

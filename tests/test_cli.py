@@ -1000,7 +1000,7 @@ class TestOutFile:
         (["enumerate", "--max-abs", "12", "--ends", "2"], moduli,
          "enumerate_labels"),
         (["double-points", "--pairs", "4,1;1,1"], invariants, "delta"),
-        (["spectrum", "--pair", "1,0"], spectra, "l0_spectrum"),
+        (["spectrum", "--pair", "1,0"], spectra, "generic_spectrum"),
         (["catalog"], catalog, "catalog_entries"),
     ]])
     @pytest.mark.parametrize("where", ["missing-dir", "directory"])
@@ -1675,6 +1675,19 @@ class TestCatalogCommand:
         _, out1, _ = run_cli(capsys, "catalog")
         _, out2, _ = run_cli(capsys, "catalog")
         assert out1 == out2
+
+    @pytest.mark.parametrize("field", ["expected_index", "expected_aleph"])
+    def test_expected_value_missed_exits_3(self, capsys, monkeypatch, field):
+        # The computed index and aleph were printed beside the expected
+        # ones without a comparison: an entry off by one exited 0.
+        entries = catalog.catalog_entries()
+        last = entries[-1]
+        monkeypatch.setattr(catalog, "catalog_entries", lambda: [
+            *entries[:-1], last._replace(**{field: getattr(last, field) + 1})])
+        code, out, err = run_cli(capsys, "catalog")
+        assert (code, out) == (3, "")
+        assert err.startswith(f"invariant breach: {last.case_id}: ")
+        assert "Traceback" not in err
 
 
 #: The fuzz's pools: small values, values at the edge of a flag's domain,

@@ -10,7 +10,7 @@ from sympl_moduli import (CurveSpec, ReebOrbit, TraceSample,
                           classify_branches, classify_pair, coord_functions,
                           eval_invariant_curve, integrate_profile,
                           profile_ds_dtheta, s_max, s_of_theta, solve_theta0,
-                          solve_theta0_bar)
+                          theta_roots)
 from sympl_moduli import curves, points
 from sympl_moduli.budgets import MAX_TRACE_SAMPLES
 from sympl_moduli.curves import profile_log_terms
@@ -62,7 +62,7 @@ class TestClassifyBranches:
         assert [(r.lo_label, r.hi_label) for r in ranges] == [
             ("pole0", "theta0"), ("theta0", "theta0_bar"),
             ("theta0_bar", "polePi")]
-        assert ranges[1].hi == pytest.approx(solve_theta0_bar(1, 2))
+        assert ranges[1].hi == pytest.approx(theta_roots(1, 2).theta0_bar)
 
     def test_steep_negative_mirrored(self):
         ranges = classify_branches(1, -2)
@@ -76,7 +76,7 @@ class TestClassifyBranches:
         # leaves range 2 non-empty.
         p, pp = 121378881, 148658162
         assert 2 * pp * pp - 3 * p * p == 5
-        thb = solve_theta0_bar(p, pp)
+        thb = theta_roots(p, pp).theta0_bar
         assert math.pi - thb == pytest.approx(7.5208382352386064e-9,
                                               rel=1e-7)
         ranges = classify_branches(p, pp)
@@ -630,7 +630,7 @@ class TestLogTermKinds:
             assert (g > 0.0) == (2 * pp * pp > 3 * p * p)
             assert (pair is not None) == (abs(g) < 0.125)
             if g > 0.0:
-                assert 2.0 * half_root == solve_theta0_bar(p, pp)
+                assert 2.0 * half_root == theta_roots(p, pp).theta0_bar
         for rng in ranges:
             thetas = [rng.lo + (rng.hi - rng.lo) * frac
                       for frac in (1e-9, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-9)]
@@ -650,7 +650,7 @@ class TestLogTermKinds:
         1.1e-8 wide is refused by the clip, and the two beside it are
         traced or refused by fh_rows where s leaves its band."""
         for p, pp in self.ROUNDED:
-            thb = solve_theta0_bar(p, pp)
+            thb = theta_roots(p, pp).theta0_bar
             assert min(thb, math.pi - thb) == pytest.approx(1.1179194e-8,
                                                             rel=1e-7)
             want, = shadow.profile_s(p, pp, 0.3, [0.4])
@@ -744,7 +744,7 @@ class TestSOfTheta:
 
     @pytest.mark.parametrize("p,pp,theta", [
         (1, 0, 0.0), (1, 0, math.pi / 2), (1, 0, math.pi),
-        (1, 2, solve_theta0(1, 2)), (1, 2, solve_theta0_bar(1, 2))],
+        (1, 2, solve_theta0(1, 2)), (1, 2, theta_roots(1, 2).theta0_bar)],
         ids=["pole0", "theta0-p'=0", "polePi", "theta0", "theta0_bar"])
     def test_equal_fixed_angles_rejected(self, p, pp, theta):
         # s diverges at a fixed angle, also when both angles sit on it.
@@ -801,7 +801,7 @@ class TestSOfTheta:
     def test_monotone_on_steep_upper_range(self):
         # s has no interior extrema on the range from the companion angle
         # to the pole: the integrand never vanishes there.
-        thb = solve_theta0_bar(1, 2)
+        thb = theta_roots(1, 2).theta0_bar
         lo, hi = thb + 1e-3, math.pi - 1e-3
         vals = [s_of_theta(1, 2, lo, 0.0, lo + (hi - lo) * i / 200)
                 for i in range(201)]
@@ -835,7 +835,7 @@ class TestProfileDsDtheta:
         # of (1, 2)), which is refused too.
         angles = [solve_theta0(p, pp)]
         if 2 * pp * pp > 3 * p * p:
-            angles.append(solve_theta0_bar(p, pp))
+            angles.append(theta_roots(p, pp).theta0_bar)
         for theta in angles:
             with pytest.raises(BranchError, match="fixed angle"):
                 profile_ds_dtheta(p, pp, theta)
@@ -988,7 +988,7 @@ class TestEndDecayExponent:
         # pair (-1, -2); its decay constants govern that end.
         from sympl_moduli import EndClass, asymptotic_constants
         th = solve_theta0(-1, -2)
-        assert th == pytest.approx(solve_theta0_bar(1, 2), abs=1e-14)
+        assert th == pytest.approx(theta_roots(1, 2).theta0_bar, abs=1e-14)
         lam0 = 2.0 * math.sin(th) ** 2
         data = asymptotic_constants(EndClass(-1, -2))
         tr = integrate_profile(1, 2, 1, n_samples=4000, clip=1e-6)
@@ -1041,7 +1041,7 @@ class TestClosedForm:
             ends = [(residue, offset, EndClass(p, pp))]
             if 2 * pp * pp > 3 * p * p:
                 residue, _, _, half_root, offset, _ = terms.outer
-                assert 2.0 * half_root == solve_theta0_bar(p, pp) == (
+                assert 2.0 * half_root == theta_roots(p, pp).theta0_bar == (
                     solve_theta0(-p, -pp))
                 ends.append((residue, offset, EndClass(-p, -pp)))
             for residue, offset, end_class in ends:

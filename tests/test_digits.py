@@ -26,16 +26,16 @@ from typing import Callable, Iterator, NamedTuple
 
 import pytest
 
-from sympl_moduli import (BranchId, CurveSpec, EndClass, GenericSpectrumCase,
-                          Label2, ModelMapParams, Point4, PolarSpectrumCase,
-                          ReebOrbit, Tangent4, apply_J, asymptotic_constants,
-                          classify_branches, classify_pair, contact_eval,
-                          coord_functions, eval_invariant_curve,
-                          immersion_residual, integrate_profile, l0_spectrum,
+from sympl_moduli import (BranchId, CurveSpec, EndClass, Label2,
+                          ModelMapParams, Point4, ReebOrbit, Tangent4,
+                          apply_J, asymptotic_constants, classify_branches,
+                          classify_pair, contact_eval, coord_functions,
+                          eval_invariant_curve, generic_spectrum,
+                          immersion_residual, integrate_profile,
                           lambda_of_theta, omega_eval, orbit_point,
-                          phi_double_points, phi_eval, profile_ds_dtheta,
-                          reeb_vector, s_max, s_of_theta, solve_theta0,
-                          solve_theta0_bar, theta_from_lambda, theta_roots)
+                          phi_double_points, phi_eval, polar_spectrum,
+                          profile_ds_dtheta, reeb_vector, s_max, s_of_theta,
+                          solve_theta0, theta_from_lambda, theta_roots)
 from sympl_moduli.errors import BranchError, DomainError
 from sympl_moduli.geometry import THETA_C
 
@@ -384,13 +384,6 @@ def _solve_theta0():
             yield solve_theta0(p, pp), want, want, (p, pp)
 
 
-def _solve_theta0_bar():
-    for p, pp in ORBIT_PAIRS:
-        if _steep(p, pp) and _accepted(solve_theta0_bar, p, pp):
-            want = shadow.orbit_angle(-p, -pp)
-            yield solve_theta0_bar(p, pp), want, want, (p, pp)
-
-
 def _theta_roots():
     for p, pp in ORBIT_PAIRS:
         if p and _accepted(theta_roots, p, pp):
@@ -408,17 +401,20 @@ def _asymptotic_constants():
                                  shadow.decay_constants(p, pp), (p, pp))
 
 
-def _l0_spectrum():
+def _generic_spectrum():
     for zeta in (0.0, 1e-300, 1e-10, 0.5, SQRT6_, 3.8182833799891661, 1e10,
                  1e300):
         for period in (1, 3, 10 ** 6, 10 ** 150):
-            got = sorted(ev for ev, mult in l0_spectrum(
-                GenericSpectrumCase(zeta, period), 4) for _ in range(mult))
+            got = sorted(ev for ev, mult in generic_spectrum(zeta, period, 4)
+                         for _ in range(mult))
             yield from _relative(got, shadow.generic_spectrum(zeta, period, 4),
                                  (zeta, period))
+
+
+def _polar_spectrum():
     for m in (1, 2, 40, 881):
         n_max = math.isqrt(3 * m * m // 2) + 2      # past 2 n^2 = 3 m^2
-        got = [ev for ev, mult in l0_spectrum(PolarSpectrumCase(m), n_max)]
+        got = [ev for ev, mult in polar_spectrum(m, n_max)]
         yield from _relative(got, shadow.polar_spectrum(m, n_max), m)
 
 
@@ -502,20 +498,20 @@ ROWS = {
     "contact_eval": Row(_contact_eval, 8),                  # 4.07
     "coord_functions": Row(_coord_functions, 8),            # 4.07
     "eval_invariant_curve": Row(_eval_invariant_curve, 512),  # 157.5
+    "generic_spectrum": Row(_generic_spectrum, 4),          # 1.12
     "immersion_residual": Row(_immersion_residual, 2),      # 0.83
     "integrate_profile": Row(_integrate_profile, 16),       # 4.75
-    "l0_spectrum": Row(_l0_spectrum, 4),                    # 1.39
     "lambda_of_theta": Row(_lambda_of_theta, 8),            # 3.94
     "omega_eval": Row(_omega_eval, 8),                      # 4.52
     "orbit_point": Row(_orbit_point, 8),                    # 2.69
     "phi_double_points": Row(_phi_double_points, 64),       # 30.7
     "phi_eval": Row(_phi_eval, 2),                          # 0.53
+    "polar_spectrum": Row(_polar_spectrum, 4),              # 1.39
     "profile_ds_dtheta": Row(_profile_ds_dtheta, 8),        # 3.23
     "reeb_vector": Row(_reeb_vector, 8),                    # 3.25
     "s_max": Row(_s_max, 2),                                # 0.98
     "s_of_theta": Row(_s_of_theta, 64),                     # 25.1
     "solve_theta0": Row(_solve_theta0, 3),                  # 0.99
-    "solve_theta0_bar": Row(_solve_theta0_bar, 3),          # 0.99
     "theta_from_lambda": Row(_theta_from_lambda, 3),        # 0.89
     "theta_roots": Row(_theta_roots, 3),                    # 0.99
 }

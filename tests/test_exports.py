@@ -26,13 +26,12 @@ EXPORTS = {
                    "double_points_bruteforce", "double_points_formula",
                    "end_windings", "fredholm_index", "index_lower_bound",
                    "residue_pairs", "sphere_report"],
-    "spectra": ["AsymptoticData", "GenericSpectrumCase", "PolarSpectrumCase",
-                "asymptotic_constants", "l0_spectrum"],
+    "spectra": ["AsymptoticData", "asymptotic_constants", "generic_spectrum",
+                "polar_spectrum"],
     "moduli": ["Label2", "Label3", "OrderedLabel3", "boundary_labels",
                "enumerate_labels", "validate_label2", "validate_label3"],
     "reeb": ["EndClass", "OrbitKind", "ReebOrbit", "ThetaRoots",
-             "classify_pair", "solve_theta0", "solve_theta0_bar",
-             "theta_roots"],
+             "classify_pair", "solve_theta0", "theta_roots"],
     "curves": ["CurveSpec", "ThetaRange", "Trace", "TraceSample",
                "classify_branches", "integrate_profile"],
     "points": ["BranchId", "Point4", "Tangent4", "apply_J", "contact_eval",
@@ -47,8 +46,8 @@ NAMES = [(module, name) for module, names in EXPORTS.items()
          for name in names]
 
 
-def test_sixty_two_names():
-    assert len(NAMES) == len({name for _, name in NAMES}) == 62
+def test_sixty_names():
+    assert len(NAMES) == len({name for _, name in NAMES}) == 60
     assert sorted(sympl_moduli.__all__) == sorted(name for _, name in NAMES)
 
 
@@ -117,11 +116,6 @@ def _curve(example, *args):
             else sm.CurveSpec.example4)(*args)
 
 
-def _spectrum_case(zeta, n):
-    return (sm.PolarSpectrumCase(n) if zeta is None
-            else sm.GenericSpectrumCase(zeta, n))
-
-
 #: Each exported entry point as (call, strategies of its arguments).  The
 #: strategies draw only ints, floats and tuples of them; the call builds
 #: the records it needs (a label, a point, a curve), and what it raises
@@ -129,7 +123,6 @@ def _spectrum_case(zeta, n):
 CALLS = {
     "classify_pair": (lambda x: sm.classify_pair(*x), _pair),
     "solve_theta0": (lambda x: sm.solve_theta0(*x), _pair),
-    "solve_theta0_bar": (lambda x: sm.solve_theta0_bar(*x), _pair),
     "theta_roots": (lambda x: sm.theta_roots(*x), _pair),
     "orbit_point": (lambda x, upsilon, tau: sm.orbit_point(
         sm.ReebOrbit.generic(*x, upsilon), tau), _pair, _float, _float),
@@ -164,9 +157,8 @@ CALLS = {
     "fredholm_index": (lambda chi, c1, ends: sm.fredholm_index(
         chi, c1, [sm.EndDescriptor.polar(*end) for end in ends]),
         _int, _int, st.lists(_end, max_size=2)),
-    "l0_spectrum": (lambda zeta, n, n_max: sm.l0_spectrum(
-        _spectrum_case(zeta, n), n_max),
-        st.one_of(st.none(), _float), _int, _int),
+    "generic_spectrum": (sm.generic_spectrum, _float, _int, _int),
+    "polar_spectrum": (sm.polar_spectrum, _int, _int),
     "lambda_of_theta": (sm.lambda_of_theta, _float),
     "theta_from_lambda": (sm.theta_from_lambda, _float,
                           st.sampled_from(sm.BranchId)),
@@ -236,8 +228,8 @@ HUGE_INT_REFUSALS = {
                          sm.errors.DomainError),
     "c1_pairing": (lambda: sm.c1_pairing(0, [sm.EndDescriptor.polar(
         sm.Side.CONVEX, 1, winding=_BIG)]), sm.errors.BoundViolation),
-    "l0_spectrum": (lambda: sm.l0_spectrum(sm.PolarSpectrumCase(1), _BIG),
-                    sm.errors.DomainError),
+    "polar_spectrum": (lambda: sm.polar_spectrum(1, _BIG),
+                       sm.errors.DomainError),
     "phi_double_points": (lambda: sm.phi_double_points(sm.ModelMapParams(
         sm.Label2.make((_BIG, 1), (1, 2)))), sm.errors.DomainError),
     "integrate_profile": (lambda: sm.integrate_profile(
@@ -251,16 +243,17 @@ _HUGE = sm.Tangent4(1e308, 1e308, 1e308, 1e308)
 #: Calls that a hostile-input draw does not reach, each with the error it
 #: raises (None: it returns finite values).  Each ended in a builtin
 #: exception or returned nan, inf or eigenvalues for a negative decay
-#: constant.
+#: constant or a cover count that is not an int.
 PINNED_HOSTILE_CALLS = {
-    "l0_spectrum(zeta=-1e300)": (lambda: sm.l0_spectrum(
-        sm.GenericSpectrumCase(zeta=-1e300, period=3), 1),
-        sm.errors.DomainError),
-    "l0_spectrum(zeta=-1)": (lambda: sm.l0_spectrum(
-        sm.GenericSpectrumCase(zeta=-1.0, period=3), 1),
-        sm.errors.DomainError),
-    "l0_spectrum(zeta=1.7e308)": (lambda: sm.l0_spectrum(
-        sm.GenericSpectrumCase(zeta=1.7e308, period=3), 1), None),
+    "generic_spectrum(zeta=-1e300)": (
+        lambda: sm.generic_spectrum(-1e300, 3, 1), sm.errors.DomainError),
+    "generic_spectrum(zeta=-1)": (
+        lambda: sm.generic_spectrum(-1.0, 3, 1), sm.errors.DomainError),
+    "generic_spectrum(zeta=1.7e308)": (
+        lambda: sm.generic_spectrum(1.7e308, 3, 1), None),
+    "generic_spectrum(period=2.5)": (
+        lambda: sm.generic_spectrum(1.0, 2.5, 1), ValueError),
+    "polar_spectrum(m=1.5)": (lambda: sm.polar_spectrum(1.5, 1), ValueError),
     "apply_J": (lambda: sm.apply_J(_P, _HUGE), sm.errors.DomainError),
     "omega_eval": (lambda: sm.omega_eval(
         _P, _HUGE, sm.Tangent4(1e308, -1e308, 1e308, -1e308)),

@@ -8,13 +8,13 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import sympl_moduli as sm
-from sympl_moduli import (EndClass, EndDescriptor, GenericSpectrumCase, Label2,
-                          Label3, OrderedLabel3, PolarSpectrumCase, Side,
-                          adjunction_e_pairing, asymptotic_constants,
-                          boundary_labels, c1_pairing, delta,
-                          double_points_bruteforce, double_points_formula,
-                          end_windings, enumerate_labels, fredholm_index,
-                          index_lower_bound, l0_spectrum, residue_pairs,
+from sympl_moduli import (EndClass, EndDescriptor, Label2, Label3,
+                          OrderedLabel3, Side, adjunction_e_pairing,
+                          asymptotic_constants, boundary_labels, c1_pairing,
+                          delta, double_points_bruteforce,
+                          double_points_formula, end_windings,
+                          enumerate_labels, fredholm_index, generic_spectrum,
+                          index_lower_bound, polar_spectrum, residue_pairs,
                           sphere_report)
 from sympl_moduli.budgets import MAX_SPECTRUM_N, MAX_WALK_DELTA
 from sympl_moduli.curves import profile_log_terms
@@ -22,7 +22,8 @@ from sympl_moduli.errors import (BoundViolation, DegenerateAngle, DomainError,
                                  InvalidLabel)
 
 import shadow
-from conftest import boundary_pairs, double_points_lattice, label_pairs, m0
+from conftest import (boundary_pairs, double_points_lattice, label_pairs, m0,
+                      sigma)
 
 L_SYM = Label2.make((2, 1), (1, 2))      # Delta = 3, embedded
 L_41 = Label2.make((4, 1), (1, 1))       # Delta = 3, one double point
@@ -222,8 +223,8 @@ class TestDoublePoints:
         # can fail, see test_vanishing_counterexample).
         for label in enumerate_labels(5, 2):
             d = label.delta
-            pairs = [label.p_pair.as_tuple(), label.q_pair.as_tuple(),
-                     label.k_pair.as_tuple()]
+            (p, pp), (q, qp) = label
+            pairs = [(p, pp), (q, qp), (p + q, pp + qp)]
             divisible = any(m % d == 0 and mp % d == 0 for m, mp in pairs)
             m_c = double_points_formula(label)
             if d in (1, 2) or divisible:
@@ -237,8 +238,8 @@ class TestDoublePoints:
         # eta'^2 = eta^4 = 1 leaves no eta' distinct from both 1 and eta.
         label = Label2.make((-2, -4), (0, -2))
         assert label.delta == 4
-        pairs = [label.p_pair.as_tuple(), label.q_pair.as_tuple(),
-                 label.k_pair.as_tuple()]
+        (p, pp), (q, qp) = label
+        pairs = [(p, pp), (q, qp), (p + q, pp + qp)]
         assert not any(m % 4 == 0 and mp % 4 == 0 for m, mp in pairs)
         assert double_points_formula(label) == 0
         assert double_points_bruteforce(label) == 0
@@ -248,8 +249,8 @@ class TestDoublePoints:
             d = label.delta
             if d not in (3, 5, 7, 11, 13):
                 continue
-            pairs = [label.p_pair.as_tuple(), label.q_pair.as_tuple(),
-                     label.k_pair.as_tuple()]
+            (p, pp), (q, qp) = label
+            pairs = [(p, pp), (q, qp), (p + q, pp + qp)]
             if any(m % d == 0 and mp % d == 0 for m, mp in pairs):
                 continue
             assert double_points_formula(label) == (d - 1) // 2
@@ -305,12 +306,12 @@ class TestEndWindings:
                     n - 1, n), m
 
     def test_polar_against_spectrum(self):
-        # l0_spectrum lists -sqrt(3/2) + n/m for |n| <= n_max, sorted, so
+        # polar_spectrum lists -sqrt(3/2) + n/m for |n| <= n_max, sorted, so
         # the negative entries are the windings -n_max, ..., alpha_-.
         for m in range(1, 301):
             n_max = 2 * m
             negative = sum(ev < 0.0 for ev, _ in
-                           l0_spectrum(PolarSpectrumCase(m), n_max))
+                           polar_spectrum(m, n_max))
             below, _ = end_windings(EndDescriptor.polar(Side.CONVEX, m))
             assert negative == n_max + below + 1, m
 
@@ -521,11 +522,11 @@ class TestAsymptoticConstants:
 
 class TestSpectrum:
     def test_generic_zero_modes(self):
-        spec = l0_spectrum(GenericSpectrumCase(zeta=2.0, period=1), 0)
+        spec = generic_spectrum(2.0, 1, 0)
         assert spec == [(-2.0, 1), (0.0, 1)]
 
     def test_generic_multiplicities(self):
-        spec = l0_spectrum(GenericSpectrumCase(zeta=1.0, period=2), 3)
+        spec = generic_spectrum(1.0, 2, 3)
         zeros = [ev for ev, mult in spec if ev == 0.0]
         assert len(zeros) == 1
         assert sum(mult for ev, mult in spec if ev == 0.0) == 1
@@ -533,16 +534,16 @@ class TestSpectrum:
         assert spec == sorted(spec)
 
     def test_polar_value(self):
-        spec = l0_spectrum(PolarSpectrumCase(m=1), 1)
+        spec = polar_spectrum(1, 1)
         vals = [ev for ev, _ in spec]
         assert vals[1] == pytest.approx(-math.sqrt(1.5), abs=1e-15)
         assert vals[2] == pytest.approx(-math.sqrt(1.5) + 1, abs=1e-15)
         assert vals[2] == pytest.approx(-0.22474487139158905, abs=1e-15)
 
-    @pytest.mark.parametrize("case", [
-        GenericSpectrumCase(zeta=1.0, period=1), PolarSpectrumCase(m=1)],
-        ids=["generic", "polar"])
-    def test_past_the_budget_is_refused(self, monkeypatch, case):
+    @pytest.mark.parametrize("spectrum", [
+        lambda n_max: generic_spectrum(1.0, 1, n_max),
+        lambda n_max: polar_spectrum(1, n_max)], ids=["generic", "polar"])
+    def test_past_the_budget_is_refused(self, monkeypatch, spectrum):
         def no_eigenvalues(*args):
             raise AssertionError("an eigenvalue was computed")
 
@@ -550,16 +551,16 @@ class TestSpectrum:
             sqrt=no_eigenvalues, hypot=no_eigenvalues))
         for n in (MAX_SPECTRUM_N + 1, 10 ** 20):
             with pytest.raises(DomainError, match="budget"):
-                l0_spectrum(case, n)
+                spectrum(n)
         with pytest.raises(AssertionError, match="eigenvalue"):  # at the budget
-            l0_spectrum(case, MAX_SPECTRUM_N)
+            spectrum(MAX_SPECTRUM_N)
 
     def test_large_zeta_neither_cancels_nor_overflows(self):
         # The positive eigenvalue is about n^2 / (T^2 zeta): as
         # (-zeta + sqrt(zeta^2 + 4n^2/T^2)) / 2 it was 0.0 past zeta ~ 1e12,
         # and zeta^2 overflowed past ~1.3e154.
         for zeta in (2e12, 1.6e154):
-            spec = l0_spectrum(GenericSpectrumCase(zeta=zeta, period=3), 4)
+            spec = generic_spectrum(zeta, 3, 4)
             positive = [ev for ev, _ in spec if ev > 0.0]
             assert positive == pytest.approx(
                 [n * n / (9.0 * zeta) for n in range(1, 5)], rel=1e-15)
@@ -569,11 +570,11 @@ class TestSpectrum:
     def test_non_finite_zeta_is_refused(self, zeta):
         # It gave -inf or nan eigenvalues.
         with pytest.raises(DomainError, match=f"^zeta = {zeta} is not"):
-            l0_spectrum(GenericSpectrumCase(zeta=zeta, period=3), 1)
+            generic_spectrum(zeta, 3, 1)
 
     def test_polar_never_zero(self):
         for m in range(1, 101):
-            spec = l0_spectrum(PolarSpectrumCase(m=m), 2 * m)
+            spec = polar_spectrum(m, 2 * m)
             assert all(abs(ev) > 1e-6 for ev, _ in spec)
             assert all(mult == 2 for _, mult in spec)
 
@@ -679,12 +680,6 @@ def sampled_pairs():
     return pairs
 
 
-def _sigma(pair):
-    """The reflection's action on an end class: (m, m') -> (m, -m')."""
-    m, mp = pair
-    return (m, -mp)
-
-
 class TestReflection:
     """ROADMAP item 17 on the invariants layer.  The reflection
     sigma(s, t, theta, phi) = (s, t, pi - theta, -phi) sends an end class
@@ -711,28 +706,27 @@ class TestReflection:
                     continue
                 count += 1
                 data = asymptotic_constants(EndClass(m, mp))
-                image = asymptotic_constants(EndClass(*_sigma((m, mp))))
+                image = asymptotic_constants(EndClass(*sigma((m, mp))))
                 assert image == data, (m, mp)
-                case = GenericSpectrumCase(data.zeta, abs(m))
-                image_case = GenericSpectrumCase(image.zeta, abs(m))
-                assert l0_spectrum(image_case, 3) == l0_spectrum(case, 3)
+                assert (generic_spectrum(image.zeta, abs(m), 3)
+                        == generic_spectrum(data.zeta, abs(m), 3))
         assert count == 1331
 
     def test_three_end_labels(self):
         labels = enumerate_labels(6, 3)
         assert len(labels) == 520
         for l3 in labels:
-            mirrored = [_sigma(x) for x in l3.pairs]
+            mirrored = [sigma(x) for x in l3.pairs]
             ok, orderings = sm.validate_label3(mirrored)
             assert ok
-            assert orderings == sorted((_sigma(y), _sigma(x), _sigma(k))
+            assert orderings == sorted((sigma(y), sigma(x), sigma(k))
                                        for x, y, k in l3.orderings())
             image_l3 = Label3.make(mirrored)
             for x, y, k in l3.orderings():
                 report = sphere_report(OrderedLabel3(l3, (x, y, k)))
                 g1, g2, gk = report.gcd_triple
                 image = sphere_report(OrderedLabel3(
-                    image_l3, (_sigma(y), _sigma(x), _sigma(k))))
+                    image_l3, (sigma(y), sigma(x), sigma(k))))
                 assert image == report._replace(gcd_triple=(g2, g1, gk))
 
 
@@ -779,8 +773,8 @@ class TestPolarDecayRates:
     the rate |1/(2R)|, R the residue of s(theta) over x = cos(theta) =
     +-1 in curves.profile_log_terms (x - 1 ~ -theta^2/2 there), and that
     rate is |lambda_n| for an eigenvalue lambda_n = -sqrt(3/2) + n/p of
-    l0_spectrum(PolarSpectrumCase(p)), n = -p' at 0 and n = p' at pi.
-    The eigenvalue is the one l0_spectrum returns, n_max + n-th in its
+    polar_spectrum(p, n_max), n = -p' at 0 and n = p' at pi.
+    The eigenvalue is the one polar_spectrum returns, n_max + n-th in its
     sorted list, not the formula.  Both sides round sqrt6 +- 2 p'/p, so
     the bound is 4 eps (sqrt(3/2) + |p'/p|) (stated, not fitted: the
     worst gap is 0.7 eps times that, and 0.17 on the seeded sample)."""
@@ -790,7 +784,7 @@ class TestPolarDecayRates:
         eps = 2.0 ** -52
         terms = profile_log_terms(p, pp)
         n_max = abs(pp)
-        spectrum = l0_spectrum(PolarSpectrumCase(p), n_max)
+        spectrum = polar_spectrum(p, n_max)
         bound = 4.0 * eps * (math.sqrt(1.5) + abs(pp / p))
         for residue, n in ((terms.at_zero, -pp), (terms.at_pi, pp)):
             eigenvalue, multiplicity = spectrum[n_max + n]

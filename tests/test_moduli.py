@@ -14,7 +14,7 @@ from sympl_moduli.errors import DomainError, InvalidLabel, SymplModuliError
 from sympl_moduli.moduli import _admissible2
 from sympl_moduli.reeb import orbit_cosine
 
-from conftest import label_pairs
+from conftest import label_pairs, sigma
 
 
 def ordered_pairs(bound):
@@ -231,7 +231,8 @@ class TestBoundaryLabels:
         # A two-end label whose derived pair k is steep (k != 0 and
         # 2 k'^2 > 3 k^2) bounds the three-end set {p, q, -k}.
         for l2 in enumerate_labels(5, 2):
-            k, kp = l2.k_pair
+            (p, pp), (q, qp) = l2
+            k, kp = p + q, pp + qp
             if k == 0 or 2 * kp * kp <= 3 * k * k:
                 continue
             l3 = Label3.make([*l2.pairs(), (-k, -kp)])
@@ -345,12 +346,6 @@ class TestJsonShape:
         assert js == {"pairs": [[-2, -3], [1, -1], [1, 4]]}
 
 
-def _sigma(pair):
-    """The reflection's action on an end class: (m, m') -> (m, -m')."""
-    m, mp = pair
-    return (m, -mp)
-
-
 class TestReflection:
     """ROADMAP item 17 on the reeb and moduli layers.  The reflection
     sigma(s, t, theta, phi) = (s, t, pi - theta, -phi) sends an end class
@@ -372,22 +367,22 @@ class TestReflection:
         # The image's sphere report has the first two gcds swapped.
         report = sphere_report(Label2.make(x, y))
         g1, g2, gk = report.gcd_triple
-        image = sphere_report(Label2.make(_sigma(y), _sigma(x)))
+        image = sphere_report(Label2.make(sigma(y), sigma(x)))
         assert image == report._replace(gcd_triple=(g2, g1, gk)), (x, y)
 
     def test_classify_pair_verdict(self):
         for m in range(-60, 61):
             for mp in range(-90, 91):
                 assert (classify_pair(m, mp)[0]
-                        == classify_pair(*_sigma((m, mp)))[0]), (m, mp)
+                        == classify_pair(*sigma((m, mp)))[0]), (m, mp)
 
     def test_two_end_labels_closed(self, labels2_bound10):
         labels = set(labels2_bound10)
-        assert {(_sigma(y), _sigma(x)) for x, y in labels} == labels
+        assert {(sigma(y), sigma(x)) for x, y in labels} == labels
 
     def test_three_end_labels_closed(self):
         labels = {l3.pairs for l3 in enumerate_labels(8, 3)}
-        assert {tuple(sorted(map(_sigma, t))) for t in labels} == labels
+        assert {tuple(sorted(map(sigma, t))) for t in labels} == labels
 
     def test_sphere_report_swaps_the_first_two_gcds(self, labels2_bound10):
         for x, y in labels2_bound10:
@@ -425,7 +420,7 @@ class TestReflection:
     def test_two_end_label_drawn(self, pairs):
         x, y = pairs
         ok = validate_label2(x, y)[0]
-        assert validate_label2(_sigma(y), _sigma(x))[0] == ok
+        assert validate_label2(sigma(y), sigma(x))[0] == ok
         if ok:
             self._assert_report_reflects(x, y)
 
@@ -434,7 +429,7 @@ class TestReflection:
     def test_three_end_label_drawn(self, pairs):
         # An ordering (x, y, k) maps to (sigma y, sigma x, sigma k).
         ok, orderings = validate_label3(pairs)
-        image_ok, image_orderings = validate_label3([_sigma(x) for x in pairs])
+        image_ok, image_orderings = validate_label3([sigma(x) for x in pairs])
         assert image_ok == ok
         assert image_orderings == sorted(
-            (_sigma(y), _sigma(x), _sigma(k)) for x, y, k in orderings)
+            (sigma(y), sigma(x), sigma(k)) for x, y, k in orderings)

@@ -6,8 +6,8 @@ import pytest
 
 from sympl_moduli import (CurveSpec, EndClass, ReebOrbit, classify_branches,
                           classify_pair, eval_invariant_curve, orbit_point,
-                          solve_theta0, solve_theta0_bar, theta_roots)
-from sympl_moduli.errors import DomainError, InvalidLabel, OutOfRegime, ZeroPair
+                          solve_theta0, theta_roots)
+from sympl_moduli.errors import DomainError, InvalidLabel, ZeroPair
 from sympl_moduli.geometry import SQRT6
 from sympl_moduli.points import (Point4, Tangent4, contact_eval,
                                  coord_functions)
@@ -105,7 +105,7 @@ class TestSolveTheta0:
             with pytest.raises(DomainError, match=r"2 \(p'/p\)\^2 is past"):
                 solve_theta0(*args)
         with pytest.raises(DomainError, match=r"^\(1, 1000"):
-            solve_theta0_bar(1, 10**154)        # named as it was given
+            theta_roots(1, 10**154)     # theta0_bar, named as it was given
 
     def test_large_slope_ratio_keeps_its_bits(self):
         assert repr(solve_theta0(1, 10**150)) == "0.9553166181245092"
@@ -162,8 +162,7 @@ class TestEntriesPastTheFloats:
             solve_theta0(1, self.BIG)
         assert classify_pair(-self.BIG, 1) == (False, [
             f"(b) 2*1^2 = 2 <= <33221-bit int> = 3*(-{big})^2 with m < 0"])
-        with pytest.raises(OutOfRegime, match=re.escape(f"({big}, 1)")):
-            solve_theta0_bar(self.BIG, 1)
+        assert theta_roots(self.BIG, 1).theta0_bar is None
         with pytest.raises(InvalidLabel, match="is not admissible"):
             ReebOrbit.generic(-self.BIG, 1)
 
@@ -183,27 +182,32 @@ class TestEntriesPastTheFloats:
             orbit_point(orbit, 0.5)
 
 
+def theta0_bar(p, pp):
+    return theta_roots(p, pp).theta0_bar
+
+
 class TestSolveTheta0Bar:
+    """The companion angle, theta_roots' theta0_bar."""
+
     def test_one_two(self):
-        th = solve_theta0_bar(1, 2)
+        th = theta0_bar(1, 2)
         assert math.cos(th) == pytest.approx(-math.sqrt(2.0 / 3.0), abs=1e-15)
         assert th == pytest.approx(2.5261129449194059, abs=1e-13)
 
     def test_sign_flip(self):
-        th = solve_theta0_bar(1, -2)
+        th = theta0_bar(1, -2)
         assert math.cos(th) == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-15)
 
     def test_out_of_regime(self):
-        with pytest.raises(OutOfRegime):
-            solve_theta0_bar(2, 1)
-        with pytest.raises(OutOfRegime):
-            solve_theta0_bar(0, 1)
+        # Only p != 0 and 2 p'^2 > 3 p^2 have a companion angle.
+        assert theta0_bar(2, 1) is None
+        assert theta0_bar(0, 1) is None
 
     def test_residuals_to_50(self):
         for p, pp in admissible_coprime_pairs(50):
             if p == 0 or 2 * pp * pp <= 3 * p * p:
                 continue
-            th = solve_theta0_bar(p, pp)
+            th = theta0_bar(p, pp)
             assert defining_residual(p, pp, th) < 1e-12
             # It is the companion root: opposite cosine sign from theta0.
             assert math.cos(th) * math.cos(solve_theta0(p, pp)) < 0
@@ -245,7 +249,7 @@ class TestPellPairs:
             for args in ((p, pp), (p, -pp), (-p, pp), (-p, -pp)):
                 assert 0.0 < solve_theta0(*args) < math.pi, args
             for args in ((p, pp), (p, -pp)):
-                assert 0.0 < solve_theta0_bar(*args) < math.pi, args
+                assert 0.0 < theta0_bar(*args) < math.pi, args
 
     def test_refused_first_past_1e9(self):
         # The float cosine rounded onto +-1 past ~1e8, and outside
@@ -313,7 +317,9 @@ class TestFixedAnglesInside:
                 fixed += angles(solve_theta0, p, pp)
                 fixed += angles(theta_roots, p, pp)
             if steep:
-                fixed += angles(solve_theta0_bar, p, pp)
+                # theta0_bar, the orbit angle of (-p, -p'), where
+                # theta_roots refuses theta0.
+                fixed += angles(solve_theta0, -p, -pp)
             assert all(0.0 < th < math.pi for th in fixed), (p, pp, fixed)
             if p > 0 and math.gcd(p, pp) == 1:
                 try:
