@@ -87,7 +87,9 @@ def _write_trace_csv(samples, fp: IO[str]) -> None:
 @contextlib.contextmanager
 def _out_file(path: str | None, newline: str | None):
     """The file `--out` names, opened for writing before the command
-    runs (None, for stdout, without a path).
+    runs (None, for stdout, without a path).  An empty path names no
+    file: FileNotFoundError, as open("") raises, not the working
+    directory that it resolves to.
 
     A regular file is written beside its target and renamed onto it
     when the block ends without an exception; otherwise the partial
@@ -95,9 +97,11 @@ def _out_file(path: str | None, newline: str | None):
     Anything else that exists there (a device, a FIFO) is opened
     directly, and a directory raises here.
     """
-    if not path:
+    if path is None:
         yield None
         return
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     target = os.path.realpath(path)
     exists = os.path.exists(target)
     if exists and not os.path.isfile(target):

@@ -63,7 +63,7 @@ from math import cos, log, log1p, sin
 from typing import NamedTuple, Optional, Sequence
 
 from .budgets import MAX_TRACE_SAMPLES
-from .errors import BranchError, DomainError, InvalidLabel, WrongExample, _text
+from .errors import DomainError, _text
 from .geometry import (DEFAULT_CLIP, SQRT6, _cone_factor, fh_rows,
                        require_finite)
 from .reeb import ReebOrbit, _pole_distance, classify_pair, theta_roots
@@ -89,11 +89,11 @@ def classify_branches(p: int, p_prime: int) -> tuple[ThetaRange, ...]:
     0 and pi, theta0, and theta0_bar when the pair has one.
     """
     if p <= 0:
-        raise InvalidLabel(
+        raise DomainError(
             f"{_text((p, p_prime))}: profile families need p > 0")
     ok, why = classify_pair(p, p_prime)
     if not ok:
-        raise InvalidLabel(f"{_text((p, p_prime))}: {why}")
+        raise DomainError(f"{_text((p, p_prime))}: {'; '.join(why)}")
     th0, thb = theta_roots(p, p_prime)
     angles = [(0.0, "pole0"), (th0, "theta0"), (math.pi, "polePi")]
     if thb is not None:
@@ -345,7 +345,7 @@ class CurveSpec(NamedTuple):
 
     def theta_range(self) -> ThetaRange:
         if self.example_id not in (5, 6, 7):
-            raise WrongExample("only profile families carry a theta range")
+            raise DomainError("only profile families carry a theta range")
         return classify_branches(self.p, self.p_prime)[self.range_id]
 
     def anchor_angle(self) -> float:
@@ -440,7 +440,7 @@ def _u_of(terms: LogTerms, base: float, theta: float) -> float:
 @functools.lru_cache(maxsize=16)
 def _point_start(spec: CurveSpec, clip: float) -> tuple:
     """(lo, hi, terms, base, sign, u_min, u_max, u_mid) of a profile
-    curve at a clip: the clipped range (BranchError unless strictly
+    curve at a clip: the clipped range (DomainError unless strictly
     inside the range), _anchored's record, _u_of's sign and ends, and
     u_mid = _u_of at the clipped range's midpoint, every point's first
     probe.  A trace reads the first four.  Errors are not cached.  A
@@ -448,7 +448,7 @@ def _point_start(spec: CurveSpec, clip: float) -> tuple:
     rng = spec.theta_range()
     lo, hi = rng.lo + clip, rng.hi - clip
     if not rng.lo < lo < hi < rng.hi:
-        raise BranchError(
+        raise DomainError(
             f"clip {clip} leaves no angles strictly inside "
             f"[{rng.lo}, {rng.hi}]")
     terms, base = _anchored(spec)

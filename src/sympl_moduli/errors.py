@@ -1,10 +1,12 @@
 """Exception types shared across the package, and the one text a
 message gives a value.
 
-Every error that signals a violated precondition or an internal
-consistency breach gets its own class so callers (and the CLI) can
-distinguish "you asked for something outside the domain" from "the
-library caught itself producing nonsense" (InternalError: CLI exit 3).
+One class per CLI exit code: DomainError (exit 1) for input outside
+the stated domain of a call, ParseError (exit 2) for malformed text or
+flags, InternalError (exit 3) for a structural fact the theory
+guarantees that failed to hold, so the library caught itself producing
+nonsense.  The message says which rule was broken.  SymplModuliError is
+their base, for a caller that wants any package error.
 
 A message names an int, a pair or a label only through _text.  An int
 inside Python's limit on the digits of an int's text (4,300 by default,
@@ -35,57 +37,17 @@ class SymplModuliError(Exception):
     """Base class for all package errors."""
 
 
-class PoleError(SymplModuliError):
-    """Operation undefined on the theta in {0, pi} locus."""
-
-
-class RangeError(SymplModuliError):
-    """Argument outside the admissible range of a branch or interval."""
-
-
-class ZeroPair(SymplModuliError):
-    """The integer pair (0, 0) labels nothing."""
-
-
-class BoundViolation(SymplModuliError):
-    """A polar-end winding exceeds its allowed bound."""
-
-
-class DegenerateAngle(SymplModuliError):
-    """cos^2(theta0) = 1/3: decay constants are not defined there."""
-
-
 class DomainError(SymplModuliError):
-    """Parameter outside the stated domain of a parameterized curve."""
-
-
-class WrongExample(SymplModuliError):
-    """Operation applies to a different invariant-curve family."""
-
-
-class BranchError(SymplModuliError):
-    """A theta interval crosses a fixed angle of the profile equation."""
-
-
-class PunctureError(SymplModuliError):
-    """Model maps are undefined at z = 0 and z = 1."""
-
-
-class InvalidLabel(SymplModuliError):
-    """Label fails the admissibility constraints."""
-
-
-class InternalError(SymplModuliError):
-    """A structural fact the theory guarantees failed to hold."""
-
-
-class ParityError(InternalError):
-    """An expression that must be even came out odd."""
-
-
-class ResidualError(InternalError):
-    """A computed solution failed its defining-equation residual check."""
+    """Input outside the stated domain: a label that fails admissibility,
+    an angle on the cone or a pole, a theta range across a fixed angle, a
+    puncture of a model map, a value past the float range or a budget.
+    CLI exit 1."""
 
 
 class ParseError(SymplModuliError):
-    """Malformed textual input."""
+    """Malformed textual input.  CLI exit 2."""
+
+
+class InternalError(SymplModuliError):
+    """A structural fact the theory guarantees failed to hold: a parity,
+    a residual, two routes that disagree.  CLI exit 3."""

@@ -47,8 +47,7 @@ import math
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .budgets import MAX_WALK_DELTA
-from .errors import (BoundViolation, DomainError, InternalError, ParityError,
-                     _text)
+from .errors import DomainError, InternalError, _text
 from .moduli import Label2, OrderedLabel3
 from .reeb import EndClass
 
@@ -75,7 +74,7 @@ def _closed_form(pairs) -> tuple[int, tuple[int, int, int], int]:
     g3 = math.gcd(p + q, pp + qp)
     twice = d - g1 - g2 - g3 + 2
     if twice % 2:
-        raise ParityError(
+        raise InternalError(
             f"Delta - gcds + 2 = {_text(twice)} is odd for {_text(pairs)}")
     if twice < 0:
         raise InternalError(f"negative double-point count "
@@ -169,8 +168,8 @@ def double_points_bruteforce(label: LabelLike) -> int:
     the parity per label."""
     count = _walk_count(*_lattice(label))
     if count % 2:
-        raise ParityError(f"odd ordered-solution count {_text(count)} for "
-                          f"{_text(label.pairs())}")
+        raise InternalError(f"odd ordered-solution count {_text(count)} for "
+                            f"{_text(label.pairs())}")
     return count // 2
 
 
@@ -234,7 +233,7 @@ def c1_pairing(nu0: int, ends: Iterable[EndDescriptor]) -> int:
 
     nu0 >= 0 counts intersections with the polar locus.  Each end is read
     by end_windings, and a polar winding nu above its bound, alpha_- on a
-    convex end or -alpha_+ on a concave one, is a BoundViolation.  Generic
+    convex end or -alpha_+ on a concave one, is a DomainError.  Generic
     ends contribute nothing.  ValueError for a negative nu0, an end that
     end_windings refuses, or a polar end with no stored winding.
     """
@@ -251,7 +250,7 @@ def c1_pairing(nu0: int, ends: Iterable[EndDescriptor]) -> int:
         bound, name = ((below, "alpha_-") if e.side is Side.CONVEX
                        else (-above, "-alpha_+"))
         if e.winding > bound:
-            raise BoundViolation(
+            raise DomainError(
                 f"{e.side.value} polar winding {_text(e.winding)} > "
                 f"{name} = {_text(bound)}")
         total += e.winding

@@ -62,8 +62,7 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .errors import (DomainError, InternalError, PunctureError,
-                     ResidualError, _text)
+from .errors import DomainError, InternalError, _text
 from .geometry import _TINY, _reduce_angle
 from .invariants import LabelLike, delta, residue_pairs
 
@@ -109,10 +108,10 @@ class PhiValue(NamedTuple):
 
 
 def _check_z(z: complex) -> None:
-    """Refuse the punctures, z in {0, 1} (PunctureError), and a
-    non-finite z, the third puncture or no point (DomainError)."""
+    """Refuse (DomainError) the punctures, z in {0, 1}, and a
+    non-finite z, the third puncture or no point."""
     if z == 0 or z == 1:
-        raise PunctureError(f"z = {z} is a puncture")
+        raise DomainError(f"z = {z} is a puncture")
     if not cmath.isfinite(z):
         raise DomainError(f"z = {z} is not finite")
 
@@ -232,7 +231,7 @@ def phi_double_points(params: ModelMapParams,
     point is certified: both congruences are checked again in exact
     integers, and its residual is the relative gap of
     1 - w = eta'(1 - z).  A failed congruence, a residual not below tol,
-    or w != conj(z) beyond tol raises ResidualError.  The output does
+    or w != conj(z) beyond tol raises InternalError.  The output does
     not depend on r, a or a'.
     """
     (p, pp), (q, qp) = params.label.pairs()[:2]
@@ -253,19 +252,19 @@ def phi_double_points(params: ModelMapParams,
         residual = _point_residual(z, w, p, q, pp, qp) if direct else math.nan
         if residual != residual:      # nan: no direct quotient
             if (p * a + q * b) % d or (pp * a + qp * b) % d:
-                raise ResidualError(
+                raise InternalError(
                     f"double point {_text((a, b))} of "
                     f"{_text(params.label.pairs())} fails "
                     f"p a + q b = p' a + q' b = 0 (mod {_text(d)})")
             omw = 1.0 - w
             residual = abs(omw - etap * (1.0 - z)) / abs(omw)
         if not residual < tol:
-            raise ResidualError(
+            raise InternalError(
                 f"double point {_text((a, b))} of "
                 f"{_text(params.label.pairs())} has residual {residual} >= "
                 f"{tol}")
         if not abs(w - z.conjugate()) <= tol * (1.0 + abs(z)):
-            raise ResidualError(f"double point {_text((a, b))}: w != conj(z) "
+            raise InternalError(f"double point {_text((a, b))}: w != conj(z) "
                                 f"beyond tolerance")
         # DoublePoint checks nothing, so tuple.__new__ builds the same
         # record without the generated __new__ (~0.2 us a point).

@@ -27,7 +27,7 @@ builds nothing; rule (c) is reeb's end-pair rule.  Every decision --
 ``Label2.make``, ``validate_label3`` and the enumeration -- goes
 through it.  ``validate_label2`` is the explainer:
 it asks the core and, only for a rejected label, words each violated
-rule once, for the CLI's ``classify`` report and ``InvalidLabel``.  A
+rule once, for the CLI's ``classify`` report and ``DomainError``.  A
 failed rule (c) is worded by reeb, as classify_pair words its (b), after
 the end that fails it: ``(c) k = (-1, 1): 2*1^2 = 2 <= 3 = 3*(-1)^2
 with m < 0``.  Every int and pair a message names is rendered by
@@ -47,7 +47,7 @@ from operator import index
 from typing import NamedTuple
 
 from .budgets import MAX_ENUM_BOUND
-from .errors import DomainError, InternalError, InvalidLabel, _text
+from .errors import DomainError, InternalError, _text
 from .reeb import EndClass, _end_pair_ok, _end_pair_text, _steep
 
 Pair = tuple[int, int]
@@ -123,7 +123,7 @@ class Label2(NamedTuple):
         p, pp = _as_pair(p_pair)
         q, qp = _as_pair(q_pair)
         if not _admissible2(p, pp, q, qp):
-            raise InvalidLabel("; ".join(_violations2(p, pp, q, qp)))
+            raise DomainError("; ".join(_violations2(p, pp, q, qp)))
         return cls(EndClass(p, pp), EndClass(q, qp))
 
     @property
@@ -200,10 +200,10 @@ class OrderedLabel3(NamedTuple):
     def make(cls, pairs, which: int = 0) -> "OrderedLabel3":
         ok, orderings = validate_label3(pairs)
         if not ok:
-            raise InvalidLabel(
+            raise DomainError(
                 f"{_text([_as_pair(p) for p in pairs])} is not admissible")
         if not 0 <= which < len(orderings):
-            raise InvalidLabel(f"ordering index {_text(which)} out of range")
+            raise DomainError(f"ordering index {_text(which)} out of range")
         canon = tuple(EndClass(*p) for p in sorted(_as_pair(p) for p in pairs))
         return cls(Label3(canon), orderings[which])  # type: ignore[arg-type]
 
@@ -220,7 +220,7 @@ def boundary_labels(l3: Label3 | OrderedLabel3) -> tuple[Label2, Label2]:
     label = l3.label if isinstance(l3, OrderedLabel3) else l3
     ok, orderings = validate_label3(label.pairs)
     if not ok:
-        raise InvalidLabel("not an admissible three-end label")
+        raise DomainError("not an admissible three-end label")
     out = tuple(Label2.make(o[0], o[1]) for o in orderings)
     if out[0] == out[1]:
         raise InternalError(

@@ -43,8 +43,7 @@ from typing import NamedTuple, Optional
 
 from .curves import (CurveSpec, LogTerms, _log_sums, _point_start, _u_of,
                      classify_branches, profile_log_terms)
-from .errors import (BranchError, DomainError, PoleError, RangeError,
-                     WrongExample, _text)
+from .errors import DomainError, _text
 from .geometry import (_THETA_C_BAR, _TINY, SQRT6, THETA_C, _cone_factor,
                        _reduce_angle, fh_rows, require_finite)
 from .reeb import OrbitKind, ReebOrbit
@@ -216,9 +215,9 @@ def apply_J(p: Point4, v: Tangent4) -> Tangent4:
     """
     s2 = math.sin(p.theta) ** 2
     if p.at_pole or s2 < _TINY:
-        raise PoleError("J is not defined in these coordinates at theta in "
-                        "{0, pi}, nor where sin^2 theta underflows "
-                        f"(theta = {p.theta})")
+        raise DomainError("J is not defined in these coordinates at theta in "
+                          "{0, pi}, nor where sin^2 theta underflows "
+                          f"(theta = {p.theta})")
     v.check_at(p)
     g, f_s, f_th, h_s, h_th = _unit_frame(p.theta)
     det = f_s * h_th - f_th * h_s
@@ -243,9 +242,9 @@ def apply_J(p: Point4, v: Tangent4) -> Tangent4:
 
 def lambda_of_theta(theta: float) -> float:
     """The ratio h/f = sqrt6 cos(theta) sin^2(theta)/(1 - 3 cos^2 theta);
-    RangeError for theta outside [0, pi], nan and +-inf included."""
+    DomainError for theta outside [0, pi], nan and +-inf included."""
     if not 0.0 <= theta <= math.pi:
-        raise RangeError(f"theta = {theta} outside [0, pi]")
+        raise DomainError(f"theta = {theta} outside [0, pi]")
     c = math.cos(theta)
     return SQRT6 * c * math.sin(theta) ** 2 / _cone_factor(theta, c)
 
@@ -262,15 +261,15 @@ def theta_from_lambda(lam: float, branch: BranchId) -> float:
     lambda(pi) ~ 1.8e-32, +-0 included, gives pi on C.  A call takes
     about 55 evaluations of lambda_of_theta, and at most ~600 where a
     tiny |lam| on A draws the bracket toward 0, across the crowded
-    floats there (593 at lam = -5e-324).  RangeError for a nan or
+    floats there (593 at lam = -5e-324).  DomainError for a nan or
     infinite lam, and for lam > 0 on A or lam < 0 on C.
     """
     if not math.isfinite(lam):
-        raise RangeError(f"lambda = {lam} is not finite")
+        raise DomainError(f"lambda = {lam} is not finite")
     if branch is BranchId.A and lam > 0.0:
-        raise RangeError(f"branch A needs lambda <= 0, got {lam}")
+        raise DomainError(f"branch A needs lambda <= 0, got {lam}")
     if branch is BranchId.C and lam < 0.0:
-        raise RangeError(f"branch C needs lambda >= 0, got {lam}")
+        raise DomainError(f"branch C needs lambda >= 0, got {lam}")
 
     lo, hi = _BRANCH_INTERVAL[branch]
     if not lambda_of_theta(lo) > lam:
@@ -364,18 +363,18 @@ def _ds_dtheta(p: int, p_prime: int, theta: float,
 def profile_ds_dtheta(p: int, p_prime: int, theta: float) -> float:
     """ds/dtheta along a profile, away from the fixed angles.
 
-    InvalidLabel unless classify_branches accepts the pair.  BranchError
-    unless theta lies strictly inside one of its ranges, as s_of_theta
-    refuses (ds/dtheta has a pole at each fixed angle, though the float
-    formula gives a huge finite value at most float theta0 and
-    theta0_bar), and where the denominator rounds to 0; DomainError
-    where the slope overflows (theta = 5e-324).
+    DomainError unless classify_branches accepts the pair and theta
+    lies strictly inside one of its ranges, as s_of_theta refuses
+    (ds/dtheta has a pole at each fixed angle, though the float formula
+    gives a huge finite value at most float theta0 and theta0_bar), where
+    the denominator rounds to 0 and where the slope overflows (theta =
+    5e-324).
     """
     _common_range(p, p_prime, theta, theta)
     try:
         slope = _ds_dtheta(p, p_prime, theta)
     except ZeroDivisionError:
-        raise BranchError(
+        raise DomainError(
             f"theta = {theta} is a fixed angle of {_text((p, p_prime))} in "
             f"floats: the denominator of ds/dtheta rounds to 0") from None
     if not math.isfinite(slope):
@@ -390,7 +389,7 @@ def _common_range(p: int, p_prime: int, a: float, b: float) -> None:
     if any(rng.lo < a < rng.hi and rng.lo < b < rng.hi for rng in ranges):
         return
     angles = [rng.lo for rng in ranges] + [math.pi]
-    raise BranchError(
+    raise DomainError(
         f"{a} and {b} are not strictly inside one fixed-angle-free range "
         f"of {_text((p, p_prime))}; fixed angles: {angles}")
 
@@ -400,8 +399,8 @@ def s_of_theta(p: int, p_prime: int, theta_ref: float, s_ref: float,
     """s at theta along the profile through (theta_ref, s_ref).
 
     The pair must be one classify_branches accepts (p > 0, admissible,
-    coprime), else InvalidLabel.  Both angles must lie strictly inside
-    the same fixed-angle-free range, else BranchError, also when they
+    coprime), else DomainError.  Both angles must lie strictly inside
+    the same fixed-angle-free range, else DomainError, also when they
     are equal (s diverges at a fixed angle): the log terms of
     profile_log_terms are an antiderivative of ds/dtheta only there.
     """
@@ -428,7 +427,7 @@ def s_max(spec: CurveSpec) -> float:
         return -math.log(spec.kappa) / SQRT6
     if spec.example_id == 4:
         return -math.log(3.0 * abs(spec.kappa) / (2.0 * math.sqrt(2.0))) / SQRT6
-    raise WrongExample(
+    raise DomainError(
         f"no closed-form s_max for example {_text(spec.example_id)}")
 
 
@@ -630,6 +629,6 @@ def eval_invariant_curve(spec: CurveSpec, tau: float, u: float,
     elif spec.example_id in (5, 6, 7):
         pt = _profile_point(spec, tau, u, clip)
     else:
-        raise WrongExample(f"unknown example id {_text(spec.example_id)}")
+        raise DomainError(f"unknown example id {_text(spec.example_id)}")
     fh_at(pt.s, pt.theta)       # every family: s where e^{-sqrt6 s} is normal
     return pt

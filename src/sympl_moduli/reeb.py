@@ -36,7 +36,7 @@ import enum
 import math
 from typing import NamedTuple, Optional
 
-from .errors import DomainError, InvalidLabel, ZeroPair, _text
+from .errors import DomainError, _text
 from .geometry import _TINY, SQRT6, require_finite
 
 
@@ -58,7 +58,7 @@ class EndClass(_EndClassFields):
 
     def __new__(cls, m: int, m_prime: int) -> "EndClass":
         if m == 0 and m_prime == 0:
-            raise ZeroPair("(0, 0) is not an end class")
+            raise DomainError("(0, 0) is not an end class")
         return super().__new__(cls, m, m_prime)
 
     @property
@@ -150,14 +150,14 @@ def _root(p: int, p_prime: int, given: tuple[int, int]
     the pair the caller gave: the inner root as the acos of its cosine,
     the outer one from its pole distance (module docstring)."""
     if p == 0 and p_prime == 0:
-        raise ZeroPair("no orbit angle for (0, 0)")
+        raise DomainError("no orbit angle for (0, 0)")
     if p_prime == 0:
         return math.pi / 2, 0.0, 1.0, 1.0
     if p == 0:
         c = (1.0 if p_prime > 0 else -1.0) / math.sqrt(3.0)
         return math.acos(c), c, 1.0 - abs(c), 0.0
     if not _end_pair_ok(p, p_prime):
-        raise InvalidLabel(f"{_text((p, p_prime))} admits no orbit angle")
+        raise DomainError(f"{_text((p, p_prime))} admits no orbit angle")
     try:
         a = abs(p_prime / p)
     except OverflowError:
@@ -256,8 +256,8 @@ class ReebOrbit(NamedTuple):
         reduced = pair.reduced()
         ok, why = classify_pair(reduced.m, reduced.m_prime)
         if not ok:
-            raise InvalidLabel(
-                f"{_text((m, m_prime))} is not admissible: {why}")
+            raise DomainError(
+                f"{_text((m, m_prime))} is not admissible: {'; '.join(why)}")
         return cls(OrbitKind.GENERIC, pair=reduced,
                    upsilon=math.fmod(upsilon, math.tau),
                    theta0=solve_theta0(reduced.m, reduced.m_prime),

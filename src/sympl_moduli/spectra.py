@@ -16,7 +16,7 @@ import sys
 from typing import NamedTuple
 
 from .budgets import MAX_SPECTRUM_N
-from .errors import DegenerateAngle, DomainError, _text
+from .errors import DomainError, _text
 from .geometry import SQRT6, require_finite
 from .reeb import EndClass, orbit_cosine
 
@@ -42,11 +42,11 @@ def asymptotic_constants(end_class: EndClass) -> AsymptoticData:
     pair, with its refusals: sin^2 = g (2 - g), so an orbit keeps its
     digits near a pole and near cos^2 = 1/3, and (m, +-m') share every
     bit where both are accepted.  Only the m = 0 orbits (0, +-1) lie on
-    cos^2 = 1/3 (DegenerateAngle).
+    cos^2 = 1/3 (DomainError).
     """
     m, m_prime = end_class
     if m == 0:
-        raise DegenerateAngle("cos^2(theta0) = 1/3: no decay constants")
+        raise DomainError("cos^2(theta0) = 1/3: no decay constants")
     c, g, dev = orbit_cosine(m, m_prime)
     s2 = g * (2.0 - g)
     root = math.sqrt(1.0 + 3.0 * c ** 4)

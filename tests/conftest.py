@@ -11,11 +11,29 @@ from hypothesis import strategies as st
 
 from sympl_moduli import enumerate_labels, validate_label3
 from sympl_moduli.curves import CurveSpec, _anchored, _log_sums
-from sympl_moduli.errors import BranchError
+from sympl_moduli.errors import DomainError
 from sympl_moduli.geometry import fh_rows
 from sympl_moduli.model_maps import DoublePoint
 
 import shadow
+
+
+#: The message of a DomainError that refuses a label as not admissible:
+#: Label2.make lists the rules it violates, "(1)" and "(a)" to "(c)",
+#: and Label3.make and OrderedLabel3.make name the set.
+INADMISSIBLE = re.compile(r"^\([1abc]\) |is not admissible$")
+
+
+def profile_refusal(exc) -> str:
+    """The rule a DomainError of a profile trace or point names: "clip"
+    where the clip leaves no angles on the range, "point" where fh_rows
+    or fh_at refuses an s or the curve does not reach the u asked for.
+    An assertion fails on any other refusal."""
+    text = str(exc)
+    if "leaves no angles" in text:
+        return "clip"
+    assert re.search(r"^u = | at theta = ", text), text
+    return "point"
 
 
 def loaded_after(statement, cwd=None):
@@ -111,7 +129,7 @@ def profile_ode_residual(spec: CurveSpec, theta: float) -> float:
     rng = spec.theta_range()
     dist = min(theta - rng.lo, rng.hi - theta)
     if not dist > 0:
-        raise BranchError("theta outside the open range")
+        raise DomainError("theta outside the open range")
     terms, base = _anchored(spec)
     step = 3e-4 * dist
     thetas = (theta - step, theta + step)

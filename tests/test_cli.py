@@ -1003,16 +1003,21 @@ class TestOutFile:
         (["spectrum", "--pair", "1,0"], spectra, "generic_spectrum"),
         (["catalog"], catalog, "catalog_entries"),
     ]])
-    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("where", ["missing-dir", "directory", "empty"])
     def test_unwritable_path_exits_2_before_work(
             self, capsys, monkeypatch, tmp_path, argv, module, name, where):
         monkeypatch.setattr(module, name, _no_work_before_out)
-        path = (tmp_path / "missing" / "x" if where == "missing-dir"
-                else tmp_path)
-        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        # An empty path names no file: not stdout, nor the working
+        # directory it resolves to, and the error names it as given.
+        monkeypatch.chdir(tmp_path)
+        path = {"missing-dir": str(tmp_path / "missing" / "x"),
+                "directory": str(tmp_path), "empty": ""}[where]
+        code, out, err = run_cli(capsys, *argv, "--out", path)
         assert (code, out) == (2, "")
         assert err.startswith("cannot write output: ")
         assert err.count("\n") == 1 and ".part" not in err
+        assert path or err.endswith(": ''\n")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv,patch", [
         (["trace", "--pair", "121378881,148658162", "--range", "1"], False),
@@ -1470,6 +1475,24 @@ class TestInvariantBreach:
         assert "Traceback" not in err
 
 
+class TestViolationLists:
+    """A refusal lists the rules a pair breaks joined by "; ", as
+    Label2.make words a label's, never as Python writes a list."""
+
+    @pytest.mark.parametrize("argv,want", [
+        (["spectrum", "--pair=-1,0"],
+         "(-1, 0) is not admissible: (a) m' = 0 requires m = 1, got m = -1; "
+         "(b) 2*0^2 = 0 <= 3 = 3*(-1)^2 with m < 0"),
+        (["trace", "--pair", "2,4", "--range", "0"],
+         "(2, 4): (a) gcd(2, 4) = 2 != 1"),
+    ], ids=["ReebOrbit.generic", "classify_branches"])
+    def test_joined(self, capsys, tmp_path, argv, want):
+        code, out, err = run_cli(capsys, *argv, "--out",
+                                 str(tmp_path / "out"))
+        assert (code, out, err) == (1, "", f"error: {want}\n")
+        assert not list(tmp_path.iterdir())
+
+
 class TestGoldenOutput:
     """Every command of the golden set reproduces its recorded exit code
     and stdout byte for byte, so a refactor cannot silently change a
@@ -1487,6 +1510,7 @@ class TestGoldenOutput:
         assert code in case["exit"]
         assert out == case["stdout"]
         assert "Traceback" not in err
+        assert "['" not in err and '["' not in err      # no list repr
 
     @pytest.mark.parametrize("argv", [
         c["argv"] for c in GOLDEN_CASES

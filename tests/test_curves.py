@@ -14,13 +14,13 @@ from sympl_moduli import (CurveSpec, ReebOrbit, TraceSample,
 from sympl_moduli import curves, points
 from sympl_moduli.budgets import MAX_TRACE_SAMPLES
 from sympl_moduli.curves import profile_log_terms
-from sympl_moduli.errors import (BranchError, DomainError, InvalidLabel,
-                                  WrongExample)
+from sympl_moduli.errors import DomainError
 from sympl_moduli.geometry import THETA_C
 from sympl_moduli.points import Point4, fh_at
 
 import shadow
-from conftest import boundary_pairs, profile_ode_residual, trace_outcome
+from conftest import (boundary_pairs, profile_ode_residual, profile_refusal,
+                      trace_outcome)
 
 SQRT6_ = math.sqrt(6.0)
 
@@ -83,11 +83,12 @@ class TestClassifyBranches:
         assert ranges[1].hi == ranges[2].lo == thb < ranges[2].hi == math.pi
 
     def test_needs_positive_p(self):
-        with pytest.raises(InvalidLabel):
+        with pytest.raises(DomainError,
+                           match=r"^\(-1, 2\): profile families need p > 0$"):
             classify_branches(-1, 2)
         # An int past Python's digit limit is named by its size, where
         # the message's f-string raised a bare ValueError.
-        with pytest.raises(InvalidLabel, match=r"^\(-<16610-bit int>, 1\)"):
+        with pytest.raises(DomainError, match=r"^\(-<16610-bit int>, 1\)"):
             classify_branches(-10**5000, 1)
 
 
@@ -388,7 +389,7 @@ class TestProfilePoint:
                         assert abs(got.theta - want.theta) < 1e-13
                         points.append(n)
                     else:
-                        assert got[0] is want[0] is DomainError
+                        assert got[0] == want[0] == "point"
                         refused.append(n)
         assert points == [5] * 32 and refused == [4]
 
@@ -404,7 +405,7 @@ class TestProfilePoint:
         for u in (-1e-320, -1e-323, -5e-324):
             got, n = _cold_evaluations(spec, u, 1e-9)
             want = _reference_outcome(spec, u, 1e-9)
-            assert got[0] is want[0] is DomainError
+            assert got[0] == want[0] == "point"
             assert n <= 45
 
     @settings(derandomize=True, database=None, deadline=None,
@@ -427,7 +428,10 @@ class TestProfilePoint:
         try:
             s = s_of_theta(p, pp, spec.anchor_angle(), s_anchor, theta)
             u = math.exp(-SQRT6_ * s) * (1.0 - 3.0 * math.cos(theta) ** 2)
-        except (BranchError, OverflowError):   # a fixed angle; no float u
+        except OverflowError:                  # no float u
+            reject()
+        except DomainError as exc:             # a fixed angle
+            assert "fixed-angle-free range" in str(exc), exc
             reject()
         got, n = _cold_evaluations(spec, u, clip)
         want = _reference_outcome(spec, u, clip)
@@ -435,7 +439,7 @@ class TestProfilePoint:
             assert abs(got.theta - want.theta) < 1e-13
             assert (got.t, got.phi) == (want.t, want.phi)
         else:
-            assert got[0] is want[0]
+            assert got[0] == want[0]
         assert n <= 48
 
     @settings(derandomize=True, database=None, deadline=None,
@@ -467,12 +471,12 @@ class TestProfilePoint:
 
 
 def _outcome(spec, u, clip):
-    """eval_invariant_curve's point at (0.3, u), or its error's type and
-    message."""
+    """eval_invariant_curve's point at (0.3, u), or the rule that refuses
+    it (profile_refusal) and its message."""
     try:
         return eval_invariant_curve(spec, 0.3, u, clip=clip)
-    except (BranchError, DomainError) as exc:
-        return type(exc), str(exc)
+    except DomainError as exc:
+        return profile_refusal(exc), str(exc)
 
 
 def _cold_outcome(spec, u, clip):
@@ -481,12 +485,12 @@ def _cold_outcome(spec, u, clip):
 
 
 def _reference_outcome(spec, u, clip):
-    """_bisect_reference's point at (0.3, u), or its error's type and
-    message."""
+    """_bisect_reference's point at (0.3, u), or the rule that refuses it
+    (profile_refusal) and its message."""
     try:
         return _bisect_reference(spec, 0.3, u, clip)
-    except (BranchError, DomainError) as exc:
-        return type(exc), str(exc)
+    except DomainError as exc:
+        return profile_refusal(exc), str(exc)
 
 
 def _count_evaluations_of_s(patch, angles):
@@ -557,7 +561,7 @@ class TestPointStart:
     def test_warm_record_raises_as_cold(self):
         spec = CurveSpec.profile(1, 2, 1)
         cold = _cold_outcome(spec, 1e12, 1e-9)
-        assert cold[0] is DomainError and "reachable" in cold[1]
+        assert cold[0] == "point" and "reachable" in cold[1]
         eval_invariant_curve(spec, 0.0, 0.1)
         assert _outcome(spec, 1e12, 1e-9) == cold
         hits = curves._point_start.cache_info().hits
@@ -566,7 +570,7 @@ class TestPointStart:
         # A refused clip builds no record, so it is refused every time.
         size = curves._point_start.cache_info().currsize
         for _ in range(2):
-            with pytest.raises(BranchError, match="clip 2.0 leaves no"):
+            with pytest.raises(DomainError, match="clip 2.0 leaves no"):
                 eval_invariant_curve(spec, 0.0, 0.1, clip=2.0)
         assert curves._point_start.cache_info().currsize == size
 
@@ -657,7 +661,7 @@ class TestLogTermKinds:
             got = s_of_theta(p, pp, 0.3, 0.0, 0.4)
             assert abs(got - want) <= 1e-12 * abs(want)
             thin = 2 if pp > 0 else 0
-            with pytest.raises(BranchError, match="leaves no angles"):
+            with pytest.raises(DomainError, match="leaves no angles"):
                 integrate_profile(p, pp, thin)
             outcomes = {rid: trace_outcome(p, pp, rid, 50)
                         for rid in {0, 1, 2} - {thin}}
@@ -737,9 +741,9 @@ class TestSOfTheta:
 
     def test_branch_crossing_rejected(self):
         th0 = solve_theta0(1, 2)
-        with pytest.raises(BranchError):
+        with pytest.raises(DomainError, match="fixed-angle-free range"):
             s_of_theta(1, 2, th0 - 0.2, 0.0, th0 + 0.2)
-        with pytest.raises(BranchError):
+        with pytest.raises(DomainError, match="fixed-angle-free range"):
             s_of_theta(1, 2, th0, 0.0, th0 + 0.1)
 
     @pytest.mark.parametrize("p,pp,theta", [
@@ -748,7 +752,7 @@ class TestSOfTheta:
         ids=["pole0", "theta0-p'=0", "polePi", "theta0", "theta0_bar"])
     def test_equal_fixed_angles_rejected(self, p, pp, theta):
         # s diverges at a fixed angle, also when both angles sit on it.
-        with pytest.raises(BranchError):
+        with pytest.raises(DomainError, match="fixed-angle-free range"):
             s_of_theta(p, pp, theta, 0.7, theta)
 
     @pytest.mark.parametrize("theta_ref,theta", [(0.5, math.nan),
@@ -757,7 +761,7 @@ class TestSOfTheta:
     def test_nan_angle_rejected(self, theta_ref, theta):
         # Each angle is tested against the range, so a nan in either
         # place is refused, not returned as an s of nan.
-        with pytest.raises(BranchError):
+        with pytest.raises(DomainError, match="fixed-angle-free range"):
             s_of_theta(1, 2, theta_ref, 0.0, theta)
 
     @pytest.mark.parametrize("p,pp,why", [
@@ -773,13 +777,15 @@ class TestSOfTheta:
         with pytest.raises(DomainError, match=why):
             s_of_theta(p, pp, 1.0, 0.0, 1.2)
 
-    @pytest.mark.parametrize("p,pp", [(-1, -2), (2, 4), (0, 1)],
-                             ids=["negative-p", "not-coprime", "zero-p"])
-    def test_domain_is_that_of_classify_branches(self, p, pp):
+    @pytest.mark.parametrize("p,pp,why", [
+        (-1, -2, "profile families need p > 0"), (2, 4, r"\(a\) gcd"),
+        (0, 1, "profile families need p > 0")],
+        ids=["negative-p", "not-coprime", "zero-p"])
+    def test_domain_is_that_of_classify_branches(self, p, pp, why):
         # s depends on p'/p only, but the profile families are labelled
         # by p > 0 coprime to p'; s_of_theta refuses what
         # classify_branches and integrate_profile refuse.
-        with pytest.raises(InvalidLabel):
+        with pytest.raises(DomainError, match=why):
             s_of_theta(p, pp, 0.5, 0.0, 0.6)
 
     def test_angle_whose_half_rounds_to_zero(self):
@@ -815,17 +821,21 @@ class TestProfileDsDtheta:
     def test_fixed_angle_is_a_branch_error(self, p, pp, theta):
         # Where the denominator rounds to 0 (at 0, and at the float
         # theta0 of (2, -1)) and at pi, whose sine rounds to 1.2e-16.
-        with pytest.raises(BranchError, match="fixed angle"):
+        with pytest.raises(DomainError, match="fixed angle"):
             profile_ds_dtheta(p, pp, theta)
 
-    @pytest.mark.parametrize("theta,error", [
-        (math.nan, BranchError), (math.inf, BranchError),
-        (-math.inf, BranchError), (4.0, BranchError),
-        (5e-324, DomainError)])
-    def test_angle_outside_a_range_or_overflowing(self, theta, error):
+    @pytest.mark.parametrize("theta,why", [
+        (math.nan, "fixed-angle-free range"),
+        (math.inf, "fixed-angle-free range"),
+        (-math.inf, "fixed-angle-free range"),
+        (4.0, "fixed-angle-free range"),
+        (5e-324, r"^ds_dtheta = inf is not finite$")],
+        ids=["nan-range", "inf-range", "-inf-range", "4.0-range",
+             "5e-324-overflow"])
+    def test_angle_outside_a_range_or_overflowing(self, theta, why):
         # nan gave nan, +-inf 'math domain error', 4.0 a slope of 2.69
         # and 5e-324, strictly inside range 0, inf.
-        with pytest.raises(error):
+        with pytest.raises(DomainError, match=why):
             profile_ds_dtheta(1, 2, theta)
 
     @pytest.mark.parametrize("p,pp", CLOSED_FORM_PAIRS)
@@ -837,7 +847,7 @@ class TestProfileDsDtheta:
         if 2 * pp * pp > 3 * p * p:
             angles.append(theta_roots(p, pp).theta0_bar)
         for theta in angles:
-            with pytest.raises(BranchError, match="fixed angle"):
+            with pytest.raises(DomainError, match="fixed angle"):
                 profile_ds_dtheta(p, pp, theta)
 
 
@@ -1132,7 +1142,7 @@ class TestSMax:
             -math.log(2.0) / SQRT6_, abs=1e-15)
 
     def test_wrong_example(self):
-        with pytest.raises(WrongExample):
+        with pytest.raises(DomainError, match="no closed-form s_max for example 1"):
             s_max(CurveSpec.example1(ReebOrbit.pole_plus()))
 
     @pytest.mark.parametrize("spec", [
@@ -1322,9 +1332,9 @@ class TestEvalInvariantCurve:
         assert pt.s == pytest.approx(row.s, abs=1e-10)
 
     def test_clip_swallowing_the_range(self):
-        with pytest.raises(BranchError):
+        with pytest.raises(DomainError, match="clip 2.0 leaves no angles"):
             eval_invariant_curve(CurveSpec.profile(1, 2, 1), 0.0, 0.1, clip=2.0)
-        with pytest.raises(BranchError):
+        with pytest.raises(DomainError, match="clip -0.001 leaves no angles"):
             integrate_profile(1, 2, 1, clip=-1e-3)
 
     def test_overflowing_trace_is_a_domain_error(self):
@@ -1464,7 +1474,7 @@ class TestStaticLimitAngles:
     and the pole, 0 or pi, where h/f rounds to 0 on branch A or C, which
     the inversion returns since those branches are closed at their
     poles.  The points of test_angle_in_closed_form once raised
-    RangeError from the inversion; s is within 1e-13 of the shadow's
+    DomainError from the inversion; s is within 1e-13 of the shadow's
     route of TestStaticHeights.  A point whose |f| + |h| divided by the
     angle's bracket underflows to 0 is refused as fh_at refuses an
     underflowing e^{-sqrt6 s}, where log(0) raised a bare ValueError
@@ -1667,9 +1677,11 @@ class TestProfileReflection:
                 mirror = len(ranges) - 1 - rid
                 try:
                     rows = integrate_profile(p, pp, rid, n_samples=20).samples
-                except (BranchError, DomainError) as exc:
-                    with pytest.raises(type(exc)):
+                except DomainError as exc:
+                    with pytest.raises(DomainError) as mirrored:
                         integrate_profile(p, -pp, mirror, n_samples=20)
+                    assert (profile_refusal(mirrored.value)
+                            == profile_refusal(exc))
                     continue
                 image = integrate_profile(p, -pp, mirror,
                                           n_samples=20).samples[::-1]

@@ -36,10 +36,11 @@ from sympl_moduli import (BranchId, CurveSpec, EndClass, Label2,
                           phi_double_points, phi_eval, polar_spectrum,
                           profile_ds_dtheta, reeb_vector, s_max, s_of_theta,
                           solve_theta0, theta_from_lambda, theta_roots)
-from sympl_moduli.errors import BranchError, DomainError
+from sympl_moduli.errors import DomainError
 from sympl_moduli.geometry import THETA_C
 
 import shadow
+from conftest import profile_refusal
 
 EPS = 2.0 ** -52
 TINY = sys.float_info.min
@@ -243,7 +244,8 @@ def _integrate_profile():
             try:
                 rows = integrate_profile(p, pp, rid, s_anchor=0.5,
                                          n_samples=9).samples
-            except (BranchError, DomainError):   # the clip's or fh_rows'
+            except DomainError as exc:
+                profile_refusal(exc)        # the clip's or fh_rows'
                 continue
             mid = 0.5 * (rng.lo + rng.hi)
             thetas = [row.theta for row in rows]

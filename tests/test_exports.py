@@ -217,17 +217,17 @@ _BIG = 10 ** 5000     # 16,610 bits
 #: the violations it returns), whose text names the int by its size.
 HUGE_INT_REFUSALS = {
     "Label2.make": (lambda: sm.Label2.make((-_BIG, 1), (1, 2)),
-                    sm.errors.InvalidLabel),
+                    sm.errors.DomainError),
     "validate_label2": (lambda: sm.validate_label2((-_BIG, 1), (1, 2)),
                         None),
     "Label3.make": (lambda: sm.Label3.make(
-        [(_BIG, 1), (1, 2), (-_BIG - 1, -3)]), sm.errors.InvalidLabel),
+        [(_BIG, 1), (1, 2), (-_BIG - 1, -3)]), sm.errors.DomainError),
     "OrderedLabel3.make": (lambda: sm.OrderedLabel3.make(
-        [(1, -1), (1, 4), (-2, -3)], which=_BIG), sm.errors.InvalidLabel),
+        [(1, -1), (1, 4), (-2, -3)], which=_BIG), sm.errors.DomainError),
     "enumerate_labels": (lambda: sm.enumerate_labels(_BIG, 2),
                          sm.errors.DomainError),
     "c1_pairing": (lambda: sm.c1_pairing(0, [sm.EndDescriptor.polar(
-        sm.Side.CONVEX, 1, winding=_BIG)]), sm.errors.BoundViolation),
+        sm.Side.CONVEX, 1, winding=_BIG)]), sm.errors.DomainError),
     "polar_spectrum": (lambda: sm.polar_spectrum(1, _BIG),
                        sm.errors.DomainError),
     "phi_double_points": (lambda: sm.phi_double_points(sm.ModelMapParams(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from sympl_moduli import (Label2, Label3, boundary_labels, classify_pair,
                           validate_label2, validate_label3)
 from sympl_moduli import moduli
 from sympl_moduli.budgets import MAX_ENUM_BOUND
-from sympl_moduli.errors import DomainError, InvalidLabel, SymplModuliError
+from sympl_moduli.errors import DomainError, SymplModuliError
 from sympl_moduli.moduli import _admissible2
 from sympl_moduli.reeb import orbit_cosine
 
@@ -118,7 +119,7 @@ class TestValidateLabel2:
         assert validate_label2(p_pair, q_pair) == (False, want)
 
     def test_make_words_the_violations(self):
-        with pytest.raises(InvalidLabel) as exc:
+        with pytest.raises(DomainError) as exc:
             Label2.make((1, 2), (2, -1))
         assert str(exc.value) == "; ".join(validate_label2((1, 2), (2, -1))[1])
 
@@ -224,7 +225,8 @@ class TestBoundaryLabels:
             assert b1 != b2
 
     def test_rejects_inadmissible(self):
-        with pytest.raises(InvalidLabel):
+        with pytest.raises(DomainError, match=re.escape(
+                "[(1, 2), (1, -1), (-2, -1)] is not admissible")):
             Label3.make([(1, 2), (1, -1), (-2, -1)])
 
     def test_every_steep_two_end_label_is_a_boundary(self):

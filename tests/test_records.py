@@ -6,7 +6,7 @@ import pytest
 
 from sympl_moduli import (CurveSpec, EndClass, Label2, Label3,
                           ModelMapParams, Point4, ReebOrbit, enumerate_labels)
-from sympl_moduli.errors import ZeroPair
+from sympl_moduli.errors import DomainError
 
 L_21 = Label2.make((2, 1), (1, 2))
 
@@ -58,7 +58,7 @@ class TestImmutable:
 
 class TestValidation:
     def test_zero_end_class(self):
-        with pytest.raises(ZeroPair):
+        with pytest.raises(DomainError, match=r"\(0, 0\) is not an end class"):
             EndClass(0, 0)
 
     @pytest.mark.parametrize("theta", [-1e-12, math.pi + 1e-12, math.nan])

@@ -92,10 +92,20 @@ def _readme_list():
 _SHARED = {
     ("geometry", "_reduce_angle"):
         "the package's one angle wrap, which model_maps.phi_eval calls too",
-    ("errors", "PoleError"): "errors lists every error class",
-    ("errors", "RangeError"): "errors lists every error class",
-    ("errors", "PunctureError"): "errors lists every error class",
 }
+
+
+class TestErrors:
+    def test_one_class_per_exit_code(self):
+        # SymplModuliError and one subclass of it for each exit code a
+        # refusal maps to: 1 DomainError, 2 ParseError, 3 InternalError.
+        tree = ast.parse((PKG / "errors.py").read_text())
+        classes = {node.name: [ast.unparse(base) for base in node.bases]
+                   for node in tree.body if isinstance(node, ast.ClassDef)}
+        assert classes == {"SymplModuliError": ["Exception"],
+                           "DomainError": ["SymplModuliError"],
+                           "ParseError": ["SymplModuliError"],
+                           "InternalError": ["SymplModuliError"]}
 
 
 class TestReach:
