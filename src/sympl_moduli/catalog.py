@@ -70,38 +70,6 @@ class CatalogEntry(NamedTuple):
                                  self._count("polar", Side.CONVEX),
                                  self._count("generic", Side.CONCAVE))
 
-    def to_json(self) -> dict:
-        ends = []
-        for e in self.ends:
-            item: dict = {"side": e.side.value, "kind": e.kind}
-            if e.end_class is not None:
-                item["pair"] = list(e.end_class)
-            if e.multiplicity is not None:
-                item["multiplicity"] = e.multiplicity
-            if e.winding is not None:
-                item["winding"] = e.winding
-            ends.append(item)
-        out: dict = {
-            "case_id": self.case_id,
-            "description": self.description,
-            "chi": self.chi,
-            "nu0": self.nu0,
-            "ends": ends,
-            "c1": self.c1(),
-            "index": self.index(),
-            "expected_index": self.expected_index,
-            "aleph": self.aleph(),
-            "expected_aleph": self.expected_aleph,
-        }
-        bound = self.lower_bound()
-        if bound is not None:
-            out["index_lower_bound"] = bound
-        if self.label is not None:
-            out["label"] = self.label.to_json()
-        if self.winding_provenance:
-            out["winding_provenance"] = self.winding_provenance
-        return out
-
 
 def catalog_entries() -> list[CatalogEntry]:
     """The table of low-index types, one executable entry per case."""

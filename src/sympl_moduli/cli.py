@@ -1,7 +1,8 @@
 """Command-line front end: JSON reports, CSV traces, enumeration tables.
 
-The package's one module that reads the environment, writes files,
-prints or exits: the library takes the tolerance as an argument.
+The package's one module that reads the environment, lays out a
+report, writes files, prints or exits: the library takes the tolerance
+as an argument and returns records, and each layout is stated once.
 
 Exit codes: 0 success, 1 domain error (inadmissible label, degenerate
 angle, bad curve domain, a size past its budget in `budgets`), 2 a
@@ -20,10 +21,11 @@ as the library computes them.  Every report is the text json.dumps
 gives it (indented, or one compact line per label for enumerate), and
 nothing is printed until every check has passed.  Three outputs are
 written from their tuples through fixed templates, with the same bytes:
-enumerate's lines (_LINE2, _LINE3), the points of double-points
-(_POINT) and the eigenvalues of spectrum (_EIGEN); the rest goes
-through json.dumps.  An `--out` file gets exactly the bytes stdout
-would get.  It is opened before any work, so a path that cannot
+enumerate's lines (_LINE2, _LINE3, from _REPORT_KEYS, the one statement
+of the sphere report's layout, which invariants prints too), the points
+of double-points (_POINT) and the eigenvalues of spectrum (_EIGEN); the
+rest goes through json.dumps.  An `--out` file gets exactly the bytes
+stdout would get.  It is opened before any work, so a path that cannot
 be written exits 2 at once, and it appears only when the command
 prints its report: a command that fails leaves no file behind.
 
@@ -87,7 +89,7 @@ def _write_trace_csv(samples, fp: IO[str]) -> None:
 @contextlib.contextmanager
 def _out_file(path: str | None, newline: str | None):
     """The file `--out` names, opened for writing before the command
-    runs (None, for stdout, without a path).  An empty path names no
+    runs (sys.stdout without a path).  An empty path names no
     file: FileNotFoundError, as open("") raises, not the working
     directory that it resolves to.
 
@@ -98,7 +100,7 @@ def _out_file(path: str | None, newline: str | None):
     directly, and a directory raises here.
     """
     if path is None:
-        yield None
+        yield sys.stdout
         return
     if not path:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
@@ -189,6 +191,11 @@ def _json(payload: dict | list) -> str:
     return json.dumps(payload, indent=2)
 
 
+def _pairs(pairs) -> list[list[int]]:
+    """A sequence of pairs as every report lays it out: [[m, m'], ...]."""
+    return [list(p) for p in pairs]
+
+
 #: One double point in the `points` list of `double-points`, as
 #: json.dumps(indent=2) writes an item of a top-level list, after its
 #: separator: a and b are ints, and every float is finite, which
@@ -222,7 +229,7 @@ def _eigen_items(spec):
         yield _EIGEN % (s, mult)
 
 
-def _print_listed(payload: dict, key: str, items, out: IO[str] | None) -> None:
+def _print_listed(payload: dict, key: str, items, out: IO[str]) -> None:
     """print(_json(payload), file=out), where payload[key] is an empty
     list that stands for the texts the iterator items yields, each one
     item of a top-level list with its separator (_POINT, _EIGEN).
@@ -237,29 +244,28 @@ def _print_listed(payload: dict, key: str, items, out: IO[str] | None) -> None:
         return
     # key is the payload's only string that can spell its empty list.
     head, _, tail = text.partition(f'"{key}": []')
-    fp = sys.stdout if out is None else out
-    fp.write(f'{head}"{key}": [{first[1:]}')
-    fp.writelines(items)
-    fp.write(f"\n  ]{tail}\n")
+    out.write(f'{head}"{key}": [{first[1:]}')
+    out.writelines(items)
+    out.write(f"\n  ]{tail}\n")
 
 
-def _cmd_classify(ns: argparse.Namespace, out: IO[str] | None) -> int:
+def _cmd_classify(ns: argparse.Namespace, out: IO[str]) -> int:
     from .moduli import Label2, validate_label2, validate_label3
     from .reeb import classify_pair
     pairs = ns.pairs
     if len(pairs) == 1:
         ok, why = classify_pair(*pairs[0])
-        payload = {"pairs": [list(pairs[0])], "admissible": ok, "violations": why}
+        payload = {"pairs": _pairs(pairs), "admissible": ok, "violations": why}
     elif len(pairs) == 2:
         ok, why = validate_label2(*pairs)
-        payload = {"pairs": [list(p) for p in pairs], "admissible": ok,
+        payload = {"pairs": _pairs(pairs), "admissible": ok,
                    "violations": why}
         if ok:
             payload["delta"] = Label2.make(*pairs).delta
     else:
         ok, orderings = validate_label3(pairs)
-        payload = {"pairs": [list(p) for p in pairs], "admissible": ok,
-                   "orderings": [[list(p) for p in o] for o in orderings]}
+        payload = {"pairs": _pairs(pairs), "admissible": ok,
+                   "orderings": [_pairs(o) for o in orderings]}
     print(_json(payload), file=out)
     return EXIT_OK if ok else EXIT_DOMAIN
 
@@ -286,23 +292,28 @@ def _checked_reports(labels):
         yield report, oracle
 
 
-#: A sphere report's `enumerate` line after its label's pairs: the keys
-#: of InvariantReport.to_json and m_C_oracle, as json.dumps writes them
-#: (every field is an int).
-_REPORT = ('"delta": %d, "gcds": [%d, %d, %d], "m_C": %d, "index": %d, '
-           '"aleph": %d, "e_pairing": %d, "c1": %d, "chi": %d, '
-           '"m_C_oracle": %d')
+#: A sphere report's keys: InvariantReport's fields in order, then the
+#: oracle's count.
+_REPORT_KEYS = ("delta", "gcds", "m_C", "index", "aleph", "e_pairing", "c1",
+                "chi", "m_C_oracle")
+#: Its `enumerate` line after the label's pairs, as json.dumps writes it.
+_REPORT = ", ".join(f'"{key}": ' + ("[%d, %d, %d]" if key == "gcds" else "%d")
+                    for key in _REPORT_KEYS)
 _TRIPLE = "[[%d, %d], [%d, %d], [%d, %d]]"
 _LINE2 = '{"label": {"pairs": [[%d, %d], [%d, %d]]}, ' + _REPORT + "}\n"
 _LINE3 = ('{"label": {"pairs": ' + _TRIPLE + "}, " + _REPORT
           + ', "orderings": [' + _TRIPLE + ", " + _TRIPLE + "]}\n")
 
 
+def _report_json(pairs, report, oracle: int) -> dict:
+    """A sphere report's payload, its label's pairs then _REPORT_KEYS."""
+    return {"label": {"pairs": _pairs(pairs)},
+            **dict(zip(_REPORT_KEYS, (*report, oracle)))}
+
+
 def _report_line(pairs, report, oracle: int, orderings=None) -> str:
-    """One `enumerate` line, json.dumps of the report's to_json with
-    m_C_oracle (and a three-end label's two orderings) after it."""
-    d, (g1, g2, g3), m_c, index, aleph, chi, c1, e = report
-    fields = (d, g1, g2, g3, m_c, index, aleph, e, c1, chi, oracle)
+    """One `enumerate` line: json.dumps of _report_json, and orderings."""
+    fields = (report.delta, *report.gcd_triple, *report[2:], oracle)
     if orderings is None:
         (p, pp), (q, qp) = pairs
         return _LINE2 % (p, pp, q, qp, *fields)
@@ -310,13 +321,12 @@ def _report_line(pairs, report, oracle: int, orderings=None) -> str:
     return _LINE3 % (*flat[:6], *fields, *flat[6:])
 
 
-def _cmd_invariants(ns: argparse.Namespace, out: IO[str] | None) -> int:
+def _cmd_invariants(ns: argparse.Namespace, out: IO[str]) -> int:
     label = _label_from_ns(ns.pairs, ns.ordering)
     (report, oracle), = _checked_reports([label])
-    payload = report.to_json(label)
-    payload["m_C_oracle"] = oracle
+    payload = _report_json(label.pairs(), report, oracle)
     # 1 + 2 m_C + sum(g_i - 1) = Delta by the gcd identity.
-    payload["translate_intersection_count"] = payload["delta"]
+    payload["translate_intersection_count"] = report.delta
     print(_json(payload), file=out)
     return EXIT_OK
 
@@ -347,7 +357,7 @@ def _cmd_trace(ns: argparse.Namespace, out: IO[str]) -> int:
     return EXIT_OK
 
 
-def _cmd_enumerate(ns: argparse.Namespace, out: IO[str] | None) -> int:
+def _cmd_enumerate(ns: argparse.Namespace, out: IO[str]) -> int:
     from .moduli import OrderedLabel3, enumerate_labels
     labels = enumerate_labels(ns.max_abs, ns.ends)
     orderings = [None] * len(labels)
@@ -358,19 +368,18 @@ def _cmd_enumerate(ns: argparse.Namespace, out: IO[str] | None) -> int:
     lines = [_report_line(label.pairs(), *checked, o) for label, checked, o
              in zip(labels, _checked_reports(labels), orderings)]
     # Written once every label has passed: nothing on stdout on exit 3.
-    fp = sys.stdout if out is None else out
-    fp.writelines(lines or ["\n"])
+    out.writelines(lines or ["\n"])
     return EXIT_OK
 
 
-def _cmd_double_points(ns: argparse.Namespace, out: IO[str] | None) -> int:
+def _cmd_double_points(ns: argparse.Namespace, out: IO[str]) -> int:
     from . import invariants as inv
     from .model_maps import ModelMapParams, phi_double_points
     run_model = ns.method in ("model", "all")
     # Read before any route runs: the roots route is O(Delta).
     tol = residual_tolerance() if run_model else None
     label = _label_from_ns(ns.pairs, 0)     # three pairs: ordering 0
-    results: dict = {"label": {"pairs": [list(p) for p in label.pairs()]},
+    results: dict = {"label": {"pairs": _pairs(label.pairs())},
                      "delta": inv.delta(label)}
     counts = {}
     points = []
@@ -391,7 +400,7 @@ def _cmd_double_points(ns: argparse.Namespace, out: IO[str] | None) -> int:
     return EXIT_OK
 
 
-def _cmd_spectrum(ns: argparse.Namespace, out: IO[str] | None) -> int:
+def _cmd_spectrum(ns: argparse.Namespace, out: IO[str]) -> int:
     from . import spectra
     from .reeb import ReebOrbit
     if (ns.pair is None) == (ns.polar_m is None):
@@ -421,9 +430,47 @@ def _cmd_spectrum(ns: argparse.Namespace, out: IO[str] | None) -> int:
     return EXIT_OK
 
 
-def _cmd_catalog(ns: argparse.Namespace, out: IO[str] | None) -> int:
+def _catalog_item(entry) -> dict:
+    """One catalog entry as `catalog` prints it."""
+    from .moduli import Label2
+    ends = []
+    for e in entry.ends:
+        item: dict = {"side": e.side.value, "kind": e.kind}
+        if e.end_class is not None:
+            item["pair"] = list(e.end_class)
+        if e.multiplicity is not None:
+            item["multiplicity"] = e.multiplicity
+        if e.winding is not None:
+            item["winding"] = e.winding
+        ends.append(item)
+    out: dict = {
+        "case_id": entry.case_id,
+        "description": entry.description,
+        "chi": entry.chi,
+        "nu0": entry.nu0,
+        "ends": ends,
+        "c1": entry.c1(),
+        "index": entry.index(),
+        "expected_index": entry.expected_index,
+        "aleph": entry.aleph(),
+        "expected_aleph": entry.expected_aleph,
+    }
+    bound = entry.lower_bound()
+    if bound is not None:
+        out["index_lower_bound"] = bound
+    label = entry.label
+    if label is not None:
+        # A Label2 is the tuple of its two pairs; a Label3 holds its own.
+        pairs = label if isinstance(label, Label2) else label.pairs
+        out["label"] = {"pairs": _pairs(pairs)}
+    if entry.winding_provenance:
+        out["winding_provenance"] = entry.winding_provenance
+    return out
+
+
+def _cmd_catalog(ns: argparse.Namespace, out: IO[str]) -> int:
     from .catalog import catalog_entries
-    payload = [entry.to_json() for entry in catalog_entries()]
+    payload = [_catalog_item(entry) for entry in catalog_entries()]
     for item in payload:
         got = (item["index"], item["aleph"])
         want = (item["expected_index"], item["expected_aleph"])

@@ -283,29 +283,16 @@ def adjunction_e_pairing(chi: int, c1: int, m_c: int) -> int:
 
 
 class InvariantReport(NamedTuple):
-    """The invariant bundle of one moduli label."""
+    """The invariant bundle of one moduli label, in printed order."""
 
     delta: int
     gcd_triple: tuple[int, int, int]
     m_c: int
     index: int
     aleph: int
-    chi: int
-    c1_pairing: int
     e_pairing: int
-
-    def to_json(self, label: LabelLike) -> dict:
-        return {
-            "label": {"pairs": [list(p) for p in label.pairs()]},
-            "delta": self.delta,
-            "gcds": list(self.gcd_triple),
-            "m_C": self.m_c,
-            "index": self.index,
-            "aleph": self.aleph,
-            "e_pairing": self.e_pairing,
-            "c1": self.c1_pairing,
-            "chi": self.chi,
-        }
+    c1_pairing: int
+    chi: int
 
 
 def sphere_report(label: LabelLike) -> InvariantReport:
@@ -318,5 +305,5 @@ def sphere_report(label: LabelLike) -> InvariantReport:
     # InvariantReport checks nothing, so tuple.__new__ builds the same
     # record, in field order, without the generated __new__.
     return tuple.__new__(InvariantReport, (
-        d, gcds, m_c, -chi - 2 * c1 + aleph, aleph, chi, c1,
-        adjunction_e_pairing(chi, c1, m_c)))
+        d, gcds, m_c, -chi - 2 * c1 + aleph, aleph,
+        adjunction_e_pairing(chi, c1, m_c), c1, chi))

@@ -135,9 +135,6 @@ class Label2(NamedTuple):
         """The label itself: it is the tuple of its two pairs."""
         return self
 
-    def to_json(self) -> dict:
-        return {"pairs": [list(self.p_pair), list(self.q_pair)]}
-
 
 Ordering3 = tuple[Pair, Pair, Pair]
 
@@ -185,9 +182,6 @@ class Label3(NamedTuple):
 
     def orderings(self) -> list[Ordering3]:
         return validate_label3(self.pairs)[1]
-
-    def to_json(self) -> dict:
-        return {"pairs": [list(p) for p in self.pairs]}
 
 
 class OrderedLabel3(NamedTuple):

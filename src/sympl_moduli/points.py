@@ -293,7 +293,9 @@ def orbit_point(orbit: ReebOrbit, tau: float) -> tuple[float, float, float]:
     For p = 0 the circle is (t = upsilon/p', phi = tau).  t and phi lie
     in [0, 2 pi) through geometry's one wrap, _reduce_angle.  ValueError
     for a nan or infinite tau, as Point4 refuses such a t or phi, and
-    DomainError naming the pair where p, p' or p' tau has no float.
+    for a generic orbit with no pair or no theta0, naming the missing
+    field, and DomainError naming the pair where p, p' or p' tau has no
+    float.
     """
     if not math.isfinite(tau):
         require_finite(ValueError, tau=tau)
@@ -301,7 +303,10 @@ def orbit_point(orbit: ReebOrbit, tau: float) -> tuple[float, float, float]:
         return (_reduce_angle(tau), 0.0, 0.0)
     if orbit.kind is OrbitKind.POLE_MINUS:
         return (_reduce_angle(tau), math.pi, 0.0)
-    assert orbit.pair is not None and orbit.theta0 is not None
+    for field in ("pair", "theta0"):
+        if getattr(orbit, field) is None:
+            raise ValueError(f"a generic orbit has no points without a "
+                             f"{field}")
     p, pp = orbit.pair.m, orbit.pair.m_prime
     if p == 0:
         return (_reduce_angle(orbit.upsilon / pp), orbit.theta0,

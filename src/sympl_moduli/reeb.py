@@ -113,8 +113,6 @@ def classify_pair(m: int, m_prime: int) -> tuple[bool, list[str]]:
     if m != 0 and m_prime != 0 and math.gcd(m, m_prime) != 1:
         violations.append(f"(a) gcd{_text((m, m_prime))} = "
                           f"{_text(math.gcd(m, m_prime))} != 1")
-    lhs, rhs = 2 * m_prime * m_prime, 3 * m * m
-    assert lhs != rhs or m == 0, "2 m'^2 = 3 m^2 impossible for m != 0"
     if not _end_pair_ok(m, m_prime):
         violations.append(f"(b) {_end_pair_text(m, m_prime)}")
     return not violations, violations

@@ -1,6 +1,7 @@
 import pytest
 
 from sympl_moduli import CatalogEntry, EndClass, Label2, Label3, catalog_entries
+from sympl_moduli.cli import _catalog_item
 from sympl_moduli.invariants import Side
 
 from conftest import sigma
@@ -105,7 +106,7 @@ def test_sphere_entries_match_reports(entries):
 
 def test_json_dump(entries):
     import json
-    payload = [e.to_json() for e in entries]
+    payload = [_catalog_item(e) for e in entries]
     text = json.dumps(payload)
     again = json.loads(text)
     assert len(again) == len(entries)

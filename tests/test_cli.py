@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 from sympl_moduli import (catalog, classify_pair, curves, geometry,
                           invariants, moduli, spectra)
 from sympl_moduli.cli import (_eigen_items, _fmt, _json, _point_items,
-                              _print_listed, _report_line, _write_trace_csv,
-                              main, parse_pairs, residual_tolerance)
+                              _print_listed, _report_json, _report_line,
+                              _write_trace_csv, main, parse_pairs,
+                              residual_tolerance)
 from sympl_moduli.errors import DomainError, ParseError
 from sympl_moduli.invariants import InvariantReport
 from sympl_moduli.model_maps import DoublePoint
@@ -39,6 +40,23 @@ FIRST_CASES = [next(c for c in GOLDEN_CASES if c["argv"][0] == name)
 #: The most digits parse_pairs takes in a pair entry: (L - 1) // 2 for
 #: L = sys.get_int_max_str_digits(), 2,149 at Python's default of 4,300.
 DIGITS = (sys.get_int_max_str_digits() - 1) // 2
+
+
+#: The prefix of a refusal's one stderr line, by its exit code.
+STDERR_PREFIXES = {1: ("error: ",),
+                   2: ("parse error: ", "cannot write output: "),
+                   3: ("invariant breach: ",)}
+
+
+def stderr_has_its_shape(code: int, err: str) -> bool:
+    """Nothing on stderr on exit 0; otherwise nothing, one line with the
+    prefix of its exit code, or argparse's usage message (exit 2)."""
+    if not err:
+        return True
+    if code == 2 and err.startswith("usage: sympl-moduli"):
+        return True
+    return (code in STDERR_PREFIXES and err.count("\n") == 1
+            and err.endswith("\n") and err.startswith(STDERR_PREFIXES[code]))
 
 
 def run_cli(capsys, *argv):
@@ -1511,6 +1529,7 @@ class TestGoldenOutput:
         assert out == case["stdout"]
         assert "Traceback" not in err
         assert "['" not in err and '["' not in err      # no list repr
+        assert stderr_has_its_shape(code, err), (code, err)
 
     @pytest.mark.parametrize("argv", [
         c["argv"] for c in GOLDEN_CASES
@@ -1603,12 +1622,12 @@ class TestTemplatesMatchJsonDumps:
            st.lists(_INTS, min_size=10, max_size=10),
            st.tuples(_TRIPLE, _TRIPLE))
     def test_enumerate_line(self, pairs, ints, orderings):
-        d, g1, g2, g3, m_c, index, aleph, chi, c1, e = ints
-        report = InvariantReport(d, (g1, g2, g3), m_c, index, aleph, chi,
-                                 c1, e)
+        # _report_json is the payload `invariants` prints.
+        d, g1, g2, g3, m_c, index, aleph, e, c1, chi = ints
+        report = InvariantReport(d, (g1, g2, g3), m_c, index, aleph, e, c1,
+                                 chi)
         oracle = ints[2] - 1
-        payload = report.to_json(types.SimpleNamespace(pairs=lambda: pairs))
-        payload["m_C_oracle"] = oracle
+        payload = _report_json(pairs, report, oracle)
         if len(pairs) == 2:
             orderings = None
         else:

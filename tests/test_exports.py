@@ -3,7 +3,7 @@
 `sympl_moduli/__init__.py` loads a submodule only when one of its names
 is first asked for.  Each name listed here must resolve every way it did
 when the package imported all its submodules up front, to the object
-its submodule defines.
+its submodule defines.  README's worked example runs as written.
 """
 
 import cmath
@@ -11,6 +11,7 @@ import importlib
 import linecache
 import math
 import traceback
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -315,3 +316,15 @@ class TestHostileInput:
             return
         with pytest.raises(error):
             call()
+
+
+class TestReadme:
+    def test_worked_example_runs(self, capsys):
+        # In a fresh namespace, as a reader would run it: its asserts
+        # hold, and it prints the label's sphere report.
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("\n### A worked example\n", 1)[1]
+        block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {"__name__": "__readme__"})
+        report = sm.sphere_report(sm.Label2.make((4, 1), (1, 1)))
+        assert capsys.readouterr().out == f"{report}\n"

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 import re
@@ -18,6 +19,7 @@ from sympl_moduli import (EndClass, EndDescriptor, Label2, Label3,
                           index_lower_bound, polar_spectrum, residue_pairs,
                           sphere_report)
 from sympl_moduli.budgets import MAX_SPECTRUM_N, MAX_WALK_DELTA
+from sympl_moduli.cli import main
 from sympl_moduli.curves import profile_log_terms
 from sympl_moduli.errors import DomainError
 
@@ -635,10 +637,21 @@ class TestSphereReport:
                      + sum(g - 1 for g in gcds))
             assert count == delta(label), label
 
-    def test_json_keys(self):
-        js = sphere_report(L_SYM).to_json(L_SYM)
+    def test_json_keys(self, capsys):
+        # invariants prints the report's fields in their order, each
+        # under its key, and the oracle's and the translate count after.
+        assert sm.InvariantReport._fields == (
+            "delta", "gcd_triple", "m_c", "index", "aleph", "e_pairing",
+            "c1_pairing", "chi")
+        with pytest.raises(SystemExit):
+            main(["invariants", "--pairs", "2,1;1,2"])
+        js = json.loads(capsys.readouterr().out)
         assert list(js) == ["label", "delta", "gcds", "m_C", "index", "aleph",
-                            "e_pairing", "c1", "chi"]
+                            "e_pairing", "c1", "chi", "m_C_oracle",
+                            "translate_intersection_count"]
+        assert js["label"] == {"pairs": [[2, 1], [1, 2]]}
+        assert list(js.values())[1:9] == json.loads(
+            json.dumps(sphere_report(L_SYM)))
 
 
 #: Delta = 1025^2 - 1 = 1,050,624, past the walk budget.

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympl_moduli import (Label2, Label3, boundary_labels, classify_pair,
-                          enumerate_labels, sphere_report, theta_roots,
-                          validate_label2, validate_label3)
+from sympl_moduli import (Label2, Label3, boundary_labels, catalog_entries,
+                          classify_pair, enumerate_labels, sphere_report,
+                          theta_roots, validate_label2, validate_label3)
 from sympl_moduli import moduli
 from sympl_moduli.budgets import MAX_ENUM_BOUND
+from sympl_moduli.cli import _catalog_item
 from sympl_moduli.errors import DomainError, SymplModuliError
 from sympl_moduli.moduli import _admissible2
 from sympl_moduli.reeb import orbit_cosine
@@ -340,11 +341,20 @@ class TestEnumerateOracles:
 
 
 class TestJsonShape:
+    """A label as `catalog` prints it: a Label2 is the tuple of its two
+    pairs, and a Label3 holds its three, sorted."""
+
+    @staticmethod
+    def printed(label):
+        entry = catalog_entries()[0]._replace(label=label)
+        return _catalog_item(entry)["label"]
+
     def test_label2(self):
-        assert Label2.make((2, 1), (1, 2)).to_json() == {"pairs": [[2, 1], [1, 2]]}
+        js = self.printed(Label2.make((2, 1), (1, 2)))
+        assert js == {"pairs": [[2, 1], [1, 2]]}
 
     def test_label3(self):
-        js = Label3.make([(1, -1), (1, 4), (-2, -3)]).to_json()
+        js = self.printed(Label3.make([(1, -1), (1, 4), (-2, -3)]))
         assert js == {"pairs": [[-2, -3], [1, -1], [1, 4]]}
 
 

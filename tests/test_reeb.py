@@ -11,7 +11,7 @@ from sympl_moduli.errors import DomainError
 from sympl_moduli.geometry import SQRT6
 from sympl_moduli.points import (Point4, Tangent4, contact_eval,
                                  coord_functions)
-from sympl_moduli.reeb import orbit_cosine
+from sympl_moduli.reeb import OrbitKind, orbit_cosine
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
 
@@ -394,6 +394,16 @@ class TestReebOrbit:
 
 
 class TestOrbitPoint:
+    @pytest.mark.parametrize("orbit, field", [
+        (ReebOrbit(OrbitKind.GENERIC), "pair"),
+        (ReebOrbit(OrbitKind.GENERIC, pair=EndClass(1, 1)), "theta0"),
+        (ReebOrbit(OrbitKind.GENERIC, theta0=1.0), "pair"),
+    ], ids=["bare", "no-theta0", "no-pair"])
+    def test_generic_orbit_without_its_data(self, orbit, field):
+        # A ValueError naming the field, which python -O does not strip.
+        with pytest.raises(ValueError, match=f"without a {field}$"):
+            orbit_point(orbit, 0.0)
+
     def test_pole(self):
         for tau in (0.0, 1.7, -3.0):
             t, theta, phi = orbit_point(ReebOrbit.pole_plus(), tau)

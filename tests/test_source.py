@@ -1,7 +1,9 @@
 """Rules about the package's source, read from its syntax tree.
 
-Every top-level function and class in `src/sympl_moduli` serves a
-subcommand or an entry point that README lists, and one that serves no
+No module asserts, and only `cli`, which lays out every report,
+imports json.  Every top-level function and class in `src/sympl_moduli`,
+and every method and property of its classes, serves a subcommand or an
+entry point that README lists, and a function or class that serves no
 subcommand lives in a module that no command loads; the independent
 routes that check the library stay independent of what they check; and
 the type hints of every function resolve.
@@ -25,7 +27,8 @@ PKG = ROOT / "src" / "sympl_moduli"
 CONFTEST = ROOT / "tests" / "conftest.py"
 SHADOW = ROOT / "tests" / "shadow.py"
 
-_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFS = (*_FUNCS, ast.ClassDef)
 
 #: The PEP 562 hooks of `__init__`, which Python calls by their names.
 _HOOKS = {"__getattr__", "__dir__"}
@@ -41,50 +44,96 @@ def _names(node):
             yield sub.attr
 
 
+def _members(node):
+    """The methods and properties a class defines, less the __dunder__
+    methods, which Python calls by itself; none for a function."""
+    if not isinstance(node, ast.ClassDef):
+        return []
+    return [sub for sub in node.body if isinstance(sub, _FUNCS)
+            and not (sub.name.startswith("__") and sub.name.endswith("__"))]
+
+
+def _code(node):
+    """The parts of node whose names count once node is reached: all of
+    a function, and of a class all but its members, which are reached
+    on their own."""
+    if not isinstance(node, ast.ClassDef):
+        return [node]
+    members = _members(node)
+    return [*node.bases, *node.keywords, *node.decorator_list,
+            *(sub for sub in node.body if sub not in members)]
+
+
+def _trees():
+    """(module, syntax tree) of each module of the package."""
+    return [(path.stem, ast.parse(path.read_text()))
+            for path in sorted(PKG.glob("*.py"))]
+
+
 def _package():
-    """{name: [(module, node)]} of the package's top-level defs and
-    classes, and the walk's fixed roots: every def and class of `cli`
+    """{name: [(module, qualified name, node)]} of the package's
+    top-level defs and classes and of their members, each under the
+    name code reads it by ("Class.method" is the qualified name of a
+    member), and the walk's fixed roots: every def and class of `cli`
     and every module statement that is neither."""
     defs, roots = {}, []
-    for path in sorted(PKG.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+    for module, tree in _trees():
+        for node in tree.body:
             if isinstance(node, _DEFS):
-                defs.setdefault(node.name, []).append((path.stem, node))
-                if path.stem != "cli":
+                defs.setdefault(node.name, []).append(
+                    (module, node.name, node))
+                for member in _members(node):
+                    defs.setdefault(member.name, []).append(
+                        (module, f"{node.name}.{member.name}", member))
+                if module != "cli":
                     continue
             roots.append(node)
     return defs, roots
 
 
+def _bench_names():
+    """Every name and attribute that bench/workloads reads."""
+    return {name for path in (ROOT / "bench" / "workloads").glob("*.py")
+            for name in _names(ast.parse(path.read_text()))}
+
+
 def _unreached(listed=()):
-    """{(module, name)} of the top-level defs and classes that neither
-    the fixed roots nor the defs named in listed reach.
+    """{(module, qualified name)} of the top-level defs, classes and
+    members that neither the fixed roots nor the names in listed reach.
 
     The walk is rough: it resolves by name only, so a name or an
-    attribute reaches every top-level def of that name in any module,
-    and a class is reached whole, with its methods.
+    attribute reaches every top-level def and every member of that name
+    in any module.  A reached class does not reach its members: each is
+    reached only where reached code reads its name.  The names that
+    bench/workloads reads reach members too, but no top-level def,
+    since README's list is of what no command runs.
     """
     defs, roots = _package()
-    roots += [node for name in listed for _, node in defs.get(name, ())]
+    roots += [node for name in listed
+              for _, qualname, node in defs.get(name.rpartition(".")[2], ())
+              if qualname == name]
+    roots += [node for name in _bench_names()
+              for _, qualname, node in defs.get(name, ()) if "." in qualname]
     seen = set()
     while roots:
         node = roots.pop()
         if node not in seen:
             seen.add(node)
-            roots += [d for name in _names(node) for _, d in defs.get(name, ())]
-    return {(module, node.name) for pairs in defs.values()
-            for module, node in pairs
-            if node not in seen and node.name not in _HOOKS}
+            roots += [d for part in _code(node) for name in _names(part)
+                      for _, _, d in defs.get(name, ())]
+    return {(module, qualname) for found in defs.values()
+            for module, qualname, node in found
+            if node not in seen and qualname not in _HOOKS}
 
 
 def _readme_list():
     """The names in the first column of README's "Entry points no command
-    runs" table."""
+    runs" table, a member as Class.member."""
     text = (ROOT / "README.md").read_text()
     heading = "\n## Entry points no command runs\n"
     assert heading in text, "README has no list of entry points"
     section = text.split(heading, 1)[1].split("\n#", 1)[0]
-    return re.findall(r"^\| `(\w+)` +\|", section, flags=re.M)
+    return re.findall(r"^\| `([\w.]+)` +\|", section, flags=re.M)
 
 
 #: The defs that no command reaches but that stay in a module every
@@ -108,16 +157,36 @@ class TestErrors:
                            "InternalError": ["SymplModuliError"]}
 
 
+class TestStatements:
+    def test_no_assert(self):
+        # python -O strips an assert: a check the library needs raises.
+        found = [(module, node.lineno) for module, tree in _trees()
+                 for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not found, found
+
+    def test_only_cli_imports_json(self):
+        # cli lays out every report; the library returns records.
+        importers = {
+            module for module, tree in _trees() for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            and any(alias.name.partition(".")[0] == "json"
+                    for alias in node.names)
+            or isinstance(node, ast.ImportFrom)
+            and (node.module or "").partition(".")[0] == "json"}
+        assert importers == {"cli"}
+
+
 class TestReach:
     def test_no_command_loads_code_it_cannot_reach(self):
         # A command compiles each module it loads, all of it, so a def no
         # command reaches lives in a module `import sympl_moduli.cli`
-        # does not load, such as points, unless _SHARED names it.
+        # does not load, such as points, unless _SHARED names it.  A
+        # member lives in its class's module, so README lists it instead.
         eager = {"__init__"} | {
             name.partition(".")[2]
             for name in loaded_after("import sympl_moduli.cli")}
         stray = {(module, name) for module, name in _unreached()
-                 if module in eager}
+                 if module in eager and "." not in name}
         assert stray == set(_SHARED), (
             f"reached by no subcommand, in a module every command loads: "
             f"{sorted(stray - set(_SHARED))}; no longer there: "
@@ -130,14 +199,26 @@ class TestReach:
             f"{sorted(unreached)}")
 
     def test_readme_lists_the_exports_no_command_reaches(self):
+        # The exports that no command reaches, and the members that
+        # neither a command nor those exports reach.
         listed = _readme_list()
-        defined = set(_package()[0])
+        defined = {qualname for found in _package()[0].values()
+                   for _, qualname, _ in found}
         assert set(listed) <= defined, (
             f"README lists names src/ does not define: "
             f"{sorted(set(listed) - defined)}")
-        unreached = {name for _, name in _unreached()}
-        assert sorted(listed) == sorted(set(sympl_moduli.__all__)
-                                        & unreached)
+        exports = set(sympl_moduli.__all__) & {
+            name for _, name in _unreached()}
+        members = {name for _, name in _unreached(exports) if "." in name}
+        assert sorted(listed) == sorted(exports | members)
+
+    def test_a_member_is_reached_by_its_name(self):
+        # A reached class does not reach its members: a method that
+        # only tests call is unreached, though its class is reached.
+        assert ("reeb", "EndClass") not in _unreached()
+        assert {("reeb", "ReebOrbit.pole_plus"),
+                ("reeb", "ReebOrbit.pole_minus"),
+                ("curves", "CurveSpec.example1")} <= _unreached()
 
 
 def _reads(path: Path, name: str) -> set:
@@ -188,7 +269,9 @@ ORACLES = {
                    "double_points_bruteforce", "double_points_formula"}),
     "label3_candidates_bound8": (CONFTEST, {"enumerate_labels"}),
     "m0": (CONFTEST, {"end_windings", "fredholm_index", "c1_pairing"}),
-    "shadow": (SHADOW, {"sympl_moduli", *_package()[0]}),
+    "shadow": (SHADOW, {"sympl_moduli", *(
+        qualname for found in _package()[0].values()
+        for _, qualname, _ in found if "." not in qualname)}),
 }
 
 
