@@ -8,9 +8,9 @@ machine with Python 3.11.
 """
 
 #: The largest Delta the O(Delta) routes accept: the oracle's walk and
-#: the model map's ~Delta residue pairs and points grow with it.  2^20
-#: admits README's 997,3;5,999 (Delta 995,988).  The gcd formula has no
-#: budget.
+#: the model map's ~Delta points grow with it (the model map reads its
+#: residue pairs one at a time and keeps none).  2^20 admits README's
+#: 997,3;5,999 (Delta 995,988).  The gcd formula has no budget.
 MAX_WALK_DELTA = 2 ** 20
 
 #: The most rows integrate_profile traces (10^6 rows: about 5 s).

@@ -44,7 +44,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .budgets import MAX_WALK_DELTA
 from .errors import DomainError, InternalError, _text
@@ -114,11 +114,12 @@ def _lattice(label: LabelLike) -> tuple[int, int, int, int]:
     return d, g, coset, -(x * pp + y * p) % coset
 
 
-def residue_pairs(label: LabelLike) -> list[tuple[int, int]]:
-    """Ordered residue pairs (a, b) mod Delta encoding the double points.
+def residue_pairs(label: LabelLike) -> Iterator[tuple[int, int]]:
+    """Ordered residue pairs (a, b) mod Delta encoding the double points,
+    yielded one at a time.
 
     These are the pairs with a, b in {1, ..., Delta-1}, a != b, and
-    p a + q b = p' a + q' b = 0 (mod Delta), listed by a, then b.
+    p a + q b = p' a + q' b = 0 (mod Delta), ordered by a, then b.
 
     The solutions (a, b) mod Delta form a subgroup of order Delta, the
     kernel of the label's matrix.  Its pairs with a = 0 are the b with
@@ -129,14 +130,18 @@ def residue_pairs(label: LabelLike) -> list[tuple[int, int]]:
     label's matrix (see _lattice); the walk over a = g, 2g, ... then
     visits only solutions, dropping b = 0 and b = a.  All of it is
     exact modular arithmetic, independent of the gcd formula.
+
+    The lattice, and so the budget's DomainError, comes at the call;
+    the walk runs as the iterator is read, and no list of pairs is
+    kept, so a caller that keeps one record per pair holds only those.
     """
     d, g, coset, b1 = _lattice(label)
     if g == 1:
         # One b per a: a flat walk saves the inner range of every a,
         # ~9 % of double-points throughput.
-        return [(a, b) for a in range(1, d) if (b := a * b1 % d) and b != a]
-    return [(a, b) for a in range(g, d, g)
-            for b in range(a // g * b1 % coset, d, coset) if b and b != a]
+        return ((a, b) for a in range(1, d) if (b := a * b1 % d) and b != a)
+    return ((a, b) for a in range(g, d, g)
+            for b in range(a // g * b1 % coset, d, coset) if b and b != a)
 
 
 # The bound keeps a long-lived library caller from growing the memo

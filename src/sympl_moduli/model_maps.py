@@ -225,11 +225,12 @@ def phi_double_points(params: ModelMapParams,
 
     Residue pairs (a, b) mod Delta with a, b in {1, .., Delta-1},
     a != b, p a + q b = 0 and p' a + q' b = 0 (mod Delta) are enumerated
-    exactly; each gives a double point via the closed form.  A point's
-    residual is its direct quotient (_point_residual) where the label's
-    powers are normal floats and that quotient is a number.  Any other
-    point is certified: both congruences are checked again in exact
-    integers, and its residual is the relative gap of
+    exactly and read one at a time, so the call holds its points and no
+    list of pairs; each gives a double point via the closed form.  A
+    point's residual is its direct quotient (_point_residual) where the
+    label's powers are normal floats and that quotient is a number.  Any
+    other point is certified: both congruences are checked again in
+    exact integers, and its residual is the relative gap of
     1 - w = eta'(1 - z).  A failed congruence, a residual not below tol,
     or w != conj(z) beyond tol raises InternalError.  The output does
     not depend on r, a or a'.

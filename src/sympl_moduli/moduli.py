@@ -194,8 +194,12 @@ class OrderedLabel3(NamedTuple):
     def make(cls, pairs, which: int = 0) -> "OrderedLabel3":
         ok, orderings = validate_label3(pairs)
         if not ok:
-            raise DomainError(
-                f"{_text([_as_pair(p) for p in pairs])} is not admissible")
+            ps = [_as_pair(p) for p in pairs]
+            total = (sum(m for m, _ in ps), sum(mp for _, mp in ps))
+            why = (f"the pairs sum to {_text(total)}, not (0, 0)"
+                   if total != (0, 0) else
+                   f"{len(orderings)} valid orderings, 2 needed")
+            raise DomainError(f"{_text(ps)} is not admissible: {why}")
         if not 0 <= which < len(orderings):
             raise DomainError(f"ordering index {_text(which)} out of range")
         canon = tuple(EndClass(*p) for p in sorted(_as_pair(p) for p in pairs))

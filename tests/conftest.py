@@ -20,8 +20,12 @@ import shadow
 
 #: The message of a DomainError that refuses a label as not admissible:
 #: Label2.make lists the rules it violates, "(1)" and "(a)" to "(c)",
-#: and Label3.make and OrderedLabel3.make name the set.
-INADMISSIBLE = re.compile(r"^\([1abc]\) |is not admissible$")
+#: and Label3.make and OrderedLabel3.make name the set and then its
+#: pairs' sum, or its count of valid orderings.
+_INT = r"-?(?:\d+|<\d+-bit int>)"
+INADMISSIBLE = re.compile(
+    rf"^\([1abc]\) |is not admissible: (?:the pairs sum to "
+    rf"\({_INT}, {_INT}\), not \(0, 0\)|\d+ valid orderings, 2 needed)$")
 
 
 def profile_refusal(exc) -> str:

@@ -1511,6 +1511,22 @@ class TestViolationLists:
         assert not list(tmp_path.iterdir())
 
 
+class TestThreeEndRefusal:
+    """A three-end set is refused with the rule it fails: its pairs' sum
+    when that is not (0, 0), else its count of valid orderings."""
+
+    @pytest.mark.parametrize("argv,want", [
+        (["double-points", "--pairs", "1,0;0,1;-1,-1"],
+         "[(1, 0), (0, 1), (-1, -1)] is not admissible: "
+         "0 valid orderings, 2 needed"),
+        (["invariants", "--pairs", "2,1;1,2;3,3"],
+         "[(2, 1), (1, 2), (3, 3)] is not admissible: "
+         "the pairs sum to (6, 6), not (0, 0)"),
+    ], ids=["orderings", "sum"])
+    def test_names_its_rule(self, capsys, argv, want):
+        assert run_cli(capsys, *argv) == (1, "", f"error: {want}\n")
+
+
 class TestGoldenOutput:
     """Every command of the golden set reproduces its recorded exit code
     and stdout byte for byte, so a refactor cannot silently change a

@@ -124,7 +124,7 @@ class TestDoublePoints:
             scan = [(a, b) for a in range(1, d) for b in range(1, d)
                     if a != b and (p * a + q * b) % d == 0
                     and (pp * a + qp * b) % d == 0]
-            assert residue_pairs(label) == scan, label
+            assert list(residue_pairs(label)) == scan, label
             assert 2 * double_points_bruteforce(label) == len(scan), label
             coarse += math.gcd(d, q, qp) > 1
         assert 0 < coarse < len(labels)
@@ -158,7 +158,7 @@ class TestDoublePoints:
         for label in two_and_ordered_three(6, 5):
             m_c = double_points_formula(label)
             assert double_points_bruteforce(label) == m_c, label
-            assert len(residue_pairs(label)) == 2 * m_c, label
+            assert len(list(residue_pairs(label))) == 2 * m_c, label
             assert double_points_lattice(label) == m_c, label
 
     def test_oracle_memo_answers_only_for_its_own_lattice(self):

@@ -227,7 +227,8 @@ class TestBoundaryLabels:
 
     def test_rejects_inadmissible(self):
         with pytest.raises(DomainError, match=re.escape(
-                "[(1, 2), (1, -1), (-2, -1)] is not admissible")):
+                "[(1, 2), (1, -1), (-2, -1)] is not admissible: "
+                "0 valid orderings, 2 needed")):
             Label3.make([(1, 2), (1, -1), (-2, -1)])
 
     def test_every_steep_two_end_label_is_a_boundary(self):
