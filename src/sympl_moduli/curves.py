@@ -284,7 +284,7 @@ class CurveSpec(NamedTuple):
     the angle range index from classify_branches, the torus phase phi0
     and the anchor value of s.  The constructors refuse a non-finite
     t0, phi0, kappa or s_anchor, and a range_id that classify_branches
-    does not list, with ValueError.
+    does not list, with DomainError.
     """
 
     example_id: int
@@ -304,34 +304,34 @@ class CurveSpec(NamedTuple):
 
     @classmethod
     def example2(cls, t0: float, kappa: float, sign_p_prime: int) -> "CurveSpec":
-        require_finite(ValueError, t0=t0)
+        require_finite(t0=t0)
         if not 0 < kappa < math.inf:
-            raise ValueError("the plane family needs a finite kappa > 0")
+            raise DomainError("the plane family needs a finite kappa > 0")
         if sign_p_prime not in (-1, 1):
-            raise ValueError("sign_p_prime is +-1")
+            raise DomainError("sign_p_prime is +-1")
         return cls(example_id=2, t0=t0, kappa=kappa, sign_p_prime=sign_p_prime)
 
     @classmethod
     def example3(cls, t0: float, kappa: float) -> "CurveSpec":
-        require_finite(ValueError, t0=t0)
+        require_finite(t0=t0)
         if not 0 < kappa < math.inf:
-            raise ValueError("this cylinder family needs a finite kappa > 0")
+            raise DomainError("this cylinder family needs a finite kappa > 0")
         return cls(example_id=3, t0=t0, kappa=kappa)
 
     @classmethod
     def example4(cls, phi0: float, kappa: float) -> "CurveSpec":
-        require_finite(ValueError, phi0=phi0)
+        require_finite(phi0=phi0)
         if kappa == 0 or not math.isfinite(kappa):
-            raise ValueError("this cylinder family needs a finite kappa != 0")
+            raise DomainError("this cylinder family needs a finite kappa != 0")
         return cls(example_id=4, phi0=phi0, kappa=kappa)
 
     @classmethod
     def profile(cls, p: int, p_prime: int, range_id: int, phi0: float = 0.0,
                 s_anchor: float = 0.0) -> "CurveSpec":
-        require_finite(ValueError, phi0=phi0, s_anchor=s_anchor)
+        require_finite(phi0=phi0, s_anchor=s_anchor)
         ranges = classify_branches(p, p_prime)
         if not 0 <= range_id < len(ranges):
-            raise ValueError(f"range_id {_text(range_id)} out of range")
+            raise DomainError(f"range_id {_text(range_id)} out of range")
         rid = ranges[range_id]
         endpoint_labels = {rid.lo_label, rid.hi_label}
         if endpoint_labels == {"theta0", "theta0_bar"}:
@@ -400,11 +400,11 @@ def integrate_profile(p: int, p_prime: int, range_id: int,
     the first row fh_rows refuses), zipped into the block's rows.  The
     clipped range and the anchored log terms are the curve's
     _point_start record, which its points read too.
-    DomainError past MAX_TRACE_SAMPLES, before any row; ValueError for
-    fewer than two samples, as CurveSpec.profile refuses its arguments.
+    DomainError for fewer than two samples, as CurveSpec.profile refuses
+    its arguments, and past MAX_TRACE_SAMPLES, before any row.
     """
     if n_samples < 2:
-        raise ValueError("need at least two samples")
+        raise DomainError("need at least two samples")
     if n_samples > MAX_TRACE_SAMPLES:
         raise DomainError(f"{_text(n_samples)} samples exceed "
                           f"{_text(MAX_TRACE_SAMPLES)}, the budget of a trace")

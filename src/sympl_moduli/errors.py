@@ -6,7 +6,9 @@ the stated domain of a call, ParseError (exit 2) for malformed text or
 flags, InternalError (exit 3) for a structural fact the theory
 guarantees that failed to hold, so the library caught itself producing
 nonsense.  The message says which rule was broken.  SymplModuliError is
-their base, for a caller that wants any package error.
+their base, for a caller that wants any package error.  Every value the
+package refuses raises one of the three, never a builtin ValueError, so
+a caller catches one class per exit code.
 
 A message names an int, a pair or a label only through _text.  An int
 inside Python's limit on the digits of an int's text (4,300 by default,
@@ -40,8 +42,9 @@ class SymplModuliError(Exception):
 class DomainError(SymplModuliError):
     """Input outside the stated domain: a label that fails admissibility,
     an angle on the cone or a pole, a theta range across a fixed angle, a
-    puncture of a model map, a value past the float range or a budget.
-    CLI exit 1."""
+    puncture of a model map, a value past the float range or a budget,
+    or an argument outside a call's stated domain: a negative size, a
+    non-finite angle, a malformed end.  CLI exit 1."""
 
 
 class ParseError(SymplModuliError):

@@ -79,12 +79,12 @@ _TINY = sys.float_info.min
 _E_MAX = sys.float_info.max / (2.0 * SQRT6)
 
 
-def require_finite(error: type[Exception], **fields: float) -> None:
-    """Raise error, naming the first of fields that is nan or infinite.
+def require_finite(**fields: float) -> None:
+    """DomainError, naming the first of fields that is nan or infinite.
     A hot caller tests math.isfinite itself and calls this to name it."""
     for name, x in fields.items():
         if not math.isfinite(x):
-            raise error(f"{name} = {x} is not finite")
+            raise DomainError(f"{name} = {x} is not finite")
 
 
 def _reduce_angle(x: float) -> float:

@@ -152,11 +152,11 @@ def residue_pairs(label: LabelLike) -> Iterator[tuple[int, int]]:
 def _walk_count(d: int, g: int, coset: int, b1: int) -> int:
     """The number of ordered residue-pair solutions of the lattice
     (Delta, g, Delta/g, b1) of _lattice, by the same walk as
-    residue_pairs, keeping only each pair's b: the pairs are counted,
-    never built."""
+    residue_pairs, keeping only a 1 per pair: the pairs are counted,
+    never built, and no residue outlives its step of the walk."""
     if g == 1:
-        return len([b for a in range(1, d) if (b := a * b1 % d) and b != a])
-    return len([b for a in range(g, d, g)
+        return len([1 for a in range(1, d) if (b := a * b1 % d) and b != a])
+    return len([1 for a in range(g, d, g)
                 for b in range(a // g * b1 % coset, d, coset)
                 if b and b != a])
 
@@ -216,19 +216,19 @@ def end_windings(e: EndDescriptor) -> tuple[int, int]:
     square root of 3 m^2 // 2 and alpha_+ = alpha_- + 1.  A generic
     (Morse-Bott) end's 0 counts as negative on a convex end, (0, 1), and
     as positive on a concave end, (0, 0).  The parity is alpha_+ -
-    alpha_- and CZ = alpha_- + alpha_+ (HWZ 1995).  ValueError for a
+    alpha_- and CZ = alpha_- + alpha_+ (HWZ 1995).  DomainError for a
     side that is not a Side, a kind other than "generic" and "polar", or
     a polar multiplicity that is not an int >= 1.
     """
     if not isinstance(e.side, Side):
-        raise ValueError(f"end side {_text(e.side)} is not a Side")
+        raise DomainError(f"end side {_text(e.side)} is not a Side")
     if e.kind == "generic":
         return (0, 1) if e.side is Side.CONVEX else (0, 0)
     if e.kind != "polar":
-        raise ValueError(f"end kind {_text(e.kind)} is not generic or polar")
+        raise DomainError(f"end kind {_text(e.kind)} is not generic or polar")
     m = e.multiplicity
     if not isinstance(m, int) or m < 1:
-        raise ValueError(f"polar multiplicity {_text(m)} is not an int >= 1")
+        raise DomainError(f"polar multiplicity {_text(m)} is not an int >= 1")
     below = math.isqrt(3 * m * m // 2)
     return below, below + 1
 
@@ -237,21 +237,21 @@ def c1_pairing(nu0: int, ends: Iterable[EndDescriptor]) -> int:
     """<c1, [C]> = -nu0 + sum of polar-end windings.
 
     nu0 >= 0 counts intersections with the polar locus.  Each end is read
-    by end_windings, and a polar winding nu above its bound, alpha_- on a
-    convex end or -alpha_+ on a concave one, is a DomainError.  Generic
-    ends contribute nothing.  ValueError for a negative nu0, an end that
-    end_windings refuses, or a polar end with no stored winding.
+    by end_windings.  Generic ends contribute nothing.  DomainError for
+    a negative nu0, an end that end_windings refuses, a polar end with
+    no stored winding, or a polar winding nu above its bound, alpha_- on
+    a convex end or -alpha_+ on a concave one.
     """
     if nu0 < 0:
-        raise ValueError("nu0 is a non-negative intersection count")
+        raise DomainError("nu0 is a non-negative intersection count")
     total = -nu0
     for e in ends:
         below, above = end_windings(e)
         if e.kind == "generic":
             continue
         if e.winding is None:
-            raise ValueError(f"{e.side.value} polar end of multiplicity "
-                             f"{_text(e.multiplicity)} has no stored winding")
+            raise DomainError(f"{e.side.value} polar end of multiplicity "
+                              f"{_text(e.multiplicity)} has no stored winding")
         bound, name = ((below, "alpha_-") if e.side is Side.CONVEX
                        else (-above, "-alpha_+"))
         if e.winding > bound:
@@ -265,10 +265,10 @@ def c1_pairing(nu0: int, ends: Iterable[EndDescriptor]) -> int:
 def fredholm_index(chi: int, c1: int, ends: Iterable[EndDescriptor]) -> int:
     """index(D) = -chi - 2 c1 + sum of +-(alpha_- + alpha_+) over the ends,
     + on a convex one: 1 per convex generic end, +-(2 alpha_- + 1) per polar
-    end.  ValueError for no ends or an end that end_windings refuses."""
+    end.  DomainError for no ends or an end that end_windings refuses."""
     ends = list(ends)
     if not ends:
-        raise ValueError("a subvariety has at least one end")
+        raise DomainError("a subvariety has at least one end")
     index = -chi - 2 * c1
     for e in ends:
         below, above = end_windings(e)

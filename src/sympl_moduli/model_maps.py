@@ -77,7 +77,7 @@ class _ModelMapParamsFields(NamedTuple):
 
 
 class ModelMapParams(_ModelMapParamsFields):
-    """Label, scale and the two unit-modulus twist constants: ValueError
+    """Label, scale and the two unit-modulus twist constants: DomainError
     unless r is finite and >= 1 and |a| = |a'| = 1 within 1e-12.
 
     The checks run in __new__, which the tuple methods _make and
@@ -89,10 +89,10 @@ class ModelMapParams(_ModelMapParamsFields):
     def __new__(cls, label: LabelLike, r: float = 10.0, a: complex = 1.0 + 0.0j,
                 a_prime: complex = 1.0 + 0.0j) -> "ModelMapParams":
         if not 1.0 <= r < math.inf:
-            raise ValueError("the scale r must be finite and >= 1")
+            raise DomainError("the scale r must be finite and >= 1")
         for name, val in (("a", a), ("a_prime", a_prime)):
             if not abs(abs(complex(val)) - 1.0) <= 1e-12:     # nan fails
-                raise ValueError(f"|{name}| must be 1 within 1e-12")
+                raise DomainError(f"|{name}| must be 1 within 1e-12")
         return super().__new__(cls, label, r, a, a_prime)
 
 

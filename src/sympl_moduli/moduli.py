@@ -157,7 +157,7 @@ def validate_label3(pairs) -> tuple[bool, list[Ordering3]]:
     """
     ps = [_as_pair(x) for x in pairs]
     if len(ps) != 3:
-        raise ValueError("a three-end label needs exactly three pairs")
+        raise DomainError("a three-end label needs exactly three pairs")
     (p, pp), (q, qp), (k, kp) = ps
     if p + q + k != 0 or pp + qp + kp != 0:
         return False, []
@@ -248,18 +248,18 @@ def enumerate_labels(bound: int, ends: int) -> list[Label2] | list[Label3]:
     exactly two valid orderings; each accepted couple whose derived
     pair (k, k') = x + y has 2 k'^2 > 3 k^2 and lies in the box is one
     valid ordering (x, y, -k).  Three-end labels are unordered sets,
-    stored sorted and returned in sorted order.  DomainError past
-    MAX_ENUM_BOUND, before any candidate is built; ValueError for a bound
-    below 1 or ends other than 2 and 3.
+    stored sorted and returned in sorted order.  DomainError, before any
+    candidate is built, for a bound below 1 or past MAX_ENUM_BOUND, or
+    ends other than 2 and 3.
     """
     if bound < 1:
-        raise ValueError("bound must be >= 1")
+        raise DomainError("bound must be >= 1")
     if bound > MAX_ENUM_BOUND:
         raise DomainError(f"bound = {_text(bound)} exceeds "
                           f"{_text(MAX_ENUM_BOUND)}, the budget of the "
                           f"enumeration")
     if ends not in (2, 3):
-        raise ValueError("ends must be 2 or 3")
+        raise DomainError("ends must be 2 or 3")
     classes = _end_classes(bound)
     if ends == 2:
         # Label2 checks nothing, so tuple.__new__ builds the same label

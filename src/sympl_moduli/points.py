@@ -58,7 +58,7 @@ class _Point4Fields(NamedTuple):
 
 class Point4(_Point4Fields):
     """A point of R x (S^1 x S^2); t and phi are finite, stored in
-    [0, 2*pi) through _reduce_angle.  ValueError for a theta outside
+    [0, 2*pi) through _reduce_angle.  DomainError for a theta outside
     [0, pi] or a nan or infinite t or phi.
 
     The checks and the reduction run in __new__, which the tuple methods
@@ -70,9 +70,9 @@ class Point4(_Point4Fields):
     def __new__(cls, s: float, t: float, theta: float,
                 phi: float) -> "Point4":
         if not 0.0 <= theta <= math.pi:
-            raise ValueError(f"theta = {theta} outside [0, pi]")
+            raise DomainError(f"theta = {theta} outside [0, pi]")
         if not (math.isfinite(t) and math.isfinite(phi)):
-            require_finite(ValueError, t=t, phi=phi)
+            require_finite(t=t, phi=phi)
         return super().__new__(cls, s, _reduce_angle(t), theta,
                                _reduce_angle(phi))
 
@@ -90,12 +90,12 @@ class Tangent4(NamedTuple):
     v_phi: float = 0.0
 
     def check_at(self, p: Point4) -> None:
-        """ValueError for a nan or infinite coefficient, as Point4
+        """DomainError for a nan or infinite coefficient, as Point4
         refuses such a t or phi, and for a d/dphi coefficient at the
         poles, where that direction degenerates."""
-        require_finite(ValueError, **self._asdict())
+        require_finite(**self._asdict())
         if p.at_pole and self.v_phi != 0.0:
-            raise ValueError("v_phi must vanish at theta in {0, pi}")
+            raise DomainError("v_phi must vanish at theta in {0, pi}")
 
 
 class BranchId(enum.Enum):
@@ -139,14 +139,14 @@ def coord_functions(p: Point4) -> tuple[float, float, float]:
 
 def contact_eval(p: Point4, v: Tangent4) -> float:
     """Evaluate the contact form: alpha(v) = -(1-3c^2) v_t - sqrt6 c sin^2 v_phi;
-    ValueError where v.check_at(p) refuses v, DomainError where alpha(v)
+    DomainError where v.check_at(p) refuses v or where alpha(v)
     overflows."""
     v.check_at(p)
     c = math.cos(p.theta)
     s2 = math.sin(p.theta) ** 2
     alpha = -_cone_factor(p.theta, c) * v.v_t - SQRT6 * c * s2 * v.v_phi
     if not math.isfinite(alpha):
-        require_finite(DomainError, alpha=alpha)
+        require_finite(alpha=alpha)
     return alpha
 
 
@@ -162,8 +162,8 @@ def _unit_frame(theta: float) -> tuple[float, float, float, float, float]:
 
 
 def omega_eval(p: Point4, v: Tangent4, w: Tangent4) -> float:
-    """omega = dt ^ df + dphi ^ dh on (v, w); DomainError past fh_at or
-    where the value overflows, ValueError where check_at refuses v or w."""
+    """omega = dt ^ df + dphi ^ dh on (v, w); DomainError past fh_at,
+    where check_at refuses v or w, or where the value overflows."""
     v.check_at(p)
     w.check_at(p)
     e = fh_at(p.s, p.theta)[0]
@@ -174,7 +174,7 @@ def omega_eval(p: Point4, v: Tangent4, w: Tangent4) -> float:
     dh_w = h_s * w.v_s + h_th * w.v_theta
     om = e * (v.v_t * df_w - df_v * w.v_t + v.v_phi * dh_w - dh_v * w.v_phi)
     if not math.isfinite(om):
-        require_finite(DomainError, omega=om)
+        require_finite(omega=om)
     return om
 
 
@@ -208,8 +208,8 @@ def apply_J(p: Point4, v: Tangent4) -> Tangent4:
     respect to (s, theta).  That Jacobian is singular on the theta in
     {0, pi} locus, where this chart-level J is refused, as it is where
     sin^2 theta underflows the normal floats (theta within ~1.5e-154 of
-    a pole), since J divides by it.  ValueError where v.check_at(p)
-    refuses v, DomainError where a component of J v overflows.  The
+    a pole), since J divides by it.  DomainError where v.check_at(p)
+    refuses v or where a component of J v overflows.  The
     factor e^{-sqrt6 s} of g and the Jacobian cancels, so both are at
     unit factor.
     """
@@ -236,7 +236,7 @@ def apply_J(p: Point4, v: Tangent4) -> Tangent4:
 
     out = Tangent4(v_s=out_s, v_t=out_t, v_theta=out_th, v_phi=out_phi)
     if not all(map(math.isfinite, out)):
-        require_finite(DomainError, **out._asdict())
+        require_finite(**out._asdict())
     return out
 
 
@@ -291,22 +291,21 @@ def orbit_point(orbit: ReebOrbit, tau: float) -> tuple[float, float, float]:
     theta0, phi = phi0 + tau p'/p) with tau periodic of period 2 pi |p|
     and phi0 = -upsilon/p, so that p' t - p phi = upsilon identically.
     For p = 0 the circle is (t = upsilon/p', phi = tau).  t and phi lie
-    in [0, 2 pi) through geometry's one wrap, _reduce_angle.  ValueError
-    for a nan or infinite tau, as Point4 refuses such a t or phi, and
-    for a generic orbit with no pair or no theta0, naming the missing
-    field, and DomainError naming the pair where p, p' or p' tau has no
-    float.
+    in [0, 2 pi) through geometry's one wrap, _reduce_angle.  DomainError
+    for a nan or infinite tau, as Point4 refuses such a t or phi, for a
+    generic orbit with no pair or no theta0, naming the missing field,
+    and naming the pair where p, p' or p' tau has no float.
     """
     if not math.isfinite(tau):
-        require_finite(ValueError, tau=tau)
+        require_finite(tau=tau)
     if orbit.kind is OrbitKind.POLE_PLUS:
         return (_reduce_angle(tau), 0.0, 0.0)
     if orbit.kind is OrbitKind.POLE_MINUS:
         return (_reduce_angle(tau), math.pi, 0.0)
     for field in ("pair", "theta0"):
         if getattr(orbit, field) is None:
-            raise ValueError(f"a generic orbit has no points without a "
-                             f"{field}")
+            raise DomainError(f"a generic orbit has no points without a "
+                              f"{field}")
     p, pp = orbit.pair.m, orbit.pair.m_prime
     if p == 0:
         return (_reduce_angle(orbit.upsilon / pp), orbit.theta0,
@@ -383,7 +382,7 @@ def profile_ds_dtheta(p: int, p_prime: int, theta: float) -> float:
             f"theta = {theta} is a fixed angle of {_text((p, p_prime))} in "
             f"floats: the denominator of ds/dtheta rounds to 0") from None
     if not math.isfinite(slope):
-        require_finite(DomainError, ds_dtheta=slope)
+        require_finite(ds_dtheta=slope)
     return slope
 
 
@@ -469,7 +468,7 @@ def _static_point(f: float, h: float, t: float, phi: float,
 def _example1_point(spec: CurveSpec, tau: float, u: float) -> Point4:
     orbit = spec.orbit
     if orbit is None:
-        raise ValueError("example 1 needs an orbit")
+        raise DomainError("example 1 needs an orbit")
     if orbit.kind is not OrbitKind.GENERIC:
         # theta constant at a pole: (t = -tau, f = -u), u > 0.
         if u <= 0:
@@ -622,7 +621,7 @@ def eval_invariant_curve(spec: CurveSpec, tau: float, u: float,
     |p'| <= 45 are refused, against 36 at 1e-4).
     """
     if not (math.isfinite(tau) and math.isfinite(u)):
-        require_finite(DomainError, tau=tau, u=u)
+        require_finite(tau=tau, u=u)
     if spec.example_id == 1:
         pt = _example1_point(spec, tau, u)
     elif spec.example_id == 2:

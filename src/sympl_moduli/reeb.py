@@ -247,9 +247,9 @@ class ReebOrbit(NamedTuple):
     @classmethod
     def generic(cls, m: int, m_prime: int, upsilon: float = 0.0) -> "ReebOrbit":
         """Build the orbit covered by the (possibly non-coprime) pair;
-        ValueError for a nan or infinite upsilon."""
+        DomainError for a nan or infinite upsilon."""
         if not math.isfinite(upsilon):
-            require_finite(ValueError, upsilon=upsilon)
+            require_finite(upsilon=upsilon)
         pair = EndClass(m, m_prime)
         reduced = pair.reduced()
         ok, why = classify_pair(reduced.m, reduced.m_prime)

@@ -59,17 +59,16 @@ def asymptotic_constants(end_class: EndClass) -> AsymptoticData:
 
 def _check_sizes(n_max: int, name: str, cover: int) -> None:
     """The spectra's one check of their sizes, before any eigenvalue:
-    ValueError for a negative n_max, DomainError past MAX_SPECTRUM_N,
-    then ValueError where the cover count (the period, or m) is not an
-    int >= 1."""
+    DomainError for a negative n_max, past MAX_SPECTRUM_N, then where
+    the cover count (the period, or m) is not an int >= 1."""
     if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+        raise DomainError("n_max must be >= 0")
     if n_max > MAX_SPECTRUM_N:
         raise DomainError(f"n_max = {_text(n_max)} exceeds "
                           f"{_text(MAX_SPECTRUM_N)}, the budget of the "
                           f"spectrum")
     if not isinstance(cover, int) or cover < 1:
-        raise ValueError(f"{name} {_text(cover)} is not an int >= 1")
+        raise DomainError(f"{name} {_text(cover)} is not an int >= 1")
 
 
 def generic_spectrum(zeta: float, period: int,
@@ -83,14 +82,13 @@ def generic_spectrum(zeta: float, period: int,
     double.  The negative one is taken as -(zeta / 2 + sqrt(...) / 2),
     the root as a hypot, and the positive one as (n^2 / T^2) over the
     negative's size, so none cancels or overflows at a large zeta.
-    Returned sorted by eigenvalue.  Before any eigenvalue: ValueError
-    for a negative n_max or a period that is not an int >= 1;
-    DomainError past MAX_SPECTRUM_N, for a period whose square is past
-    the float range, or a nan, infinite or negative zeta (a decay
-    constant is not negative).
+    Returned sorted by eigenvalue.  Before any eigenvalue: DomainError
+    for a negative n_max or one past MAX_SPECTRUM_N, a period that is
+    not an int >= 1 or whose square is past the float range, or a nan,
+    infinite or negative zeta (a decay constant is not negative).
     """
     _check_sizes(n_max, "period", period)
-    require_finite(DomainError, zeta=zeta)
+    require_finite(zeta=zeta)
     if zeta < 0.0:
         raise DomainError(f"zeta = {zeta} < 0: a decay constant "
                           f"is never negative")
@@ -116,8 +114,8 @@ def polar_spectrum(m: int, n_max: int) -> list[tuple[float, int]]:
     ((2 n^2 - 3 m^2) / m^2) / (2 (n/m + sqrt(3/2))), one correctly
     rounded int division, so it keeps its digits where 2 n^2 is near
     3 m^2 and no m is converted to a float.  Returned sorted by
-    eigenvalue.  Before any eigenvalue: ValueError for a negative n_max
-    or an m that is not an int >= 1, DomainError past MAX_SPECTRUM_N.
+    eigenvalue.  Before any eigenvalue: DomainError for a negative n_max
+    or one past MAX_SPECTRUM_N, or an m that is not an int >= 1.
     """
     _check_sizes(n_max, "m", m)
     m2, root = m * m, math.sqrt(1.5)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import reject
 from hypothesis import strategies as st
 
-from sympl_moduli import enumerate_labels, validate_label3
+from sympl_moduli import Label2, enumerate_labels, validate_label3
 from sympl_moduli.curves import CurveSpec, _anchored, _log_sums
 from sympl_moduli.errors import DomainError
 from sympl_moduli.geometry import fh_rows
@@ -17,6 +17,11 @@ from sympl_moduli.model_maps import DoublePoint
 
 import shadow
 
+
+#: The desk labels of the double-point tests.
+L_SYM = Label2.make((2, 1), (1, 2))      # Delta = 3, embedded
+L_41 = Label2.make((4, 1), (1, 1))       # Delta = 3, one double point
+L_5 = Label2.make((1, -1), (1, 4))       # Delta = 5, two double points
 
 #: The message of a DomainError that refuses a label as not admissible:
 #: Label2.make lists the rules it violates, "(1)" and "(a)" to "(c)",

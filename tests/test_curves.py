@@ -1106,8 +1106,28 @@ class TestCurveSpecKappa:
         ids=["example2", "example3", "example4"])
     def test_non_finite_kappa_refused(self, make, kappa):
         # Where s_max gave nan or -inf.
-        with pytest.raises(ValueError, match="finite kappa"):
+        with pytest.raises(DomainError, match="finite kappa"):
             make(kappa)
+
+
+class TestCurveSpecRefusals:
+    def test_sign_p_prime_is_a_sign(self):
+        with pytest.raises(DomainError, match=r"^sign_p_prime is \+-1$"):
+            CurveSpec.example2(0.0, 1.0, 0)
+
+    def test_only_profile_families_carry_a_theta_range(self):
+        with pytest.raises(DomainError,
+                           match=r"^only profile families carry a theta "
+                                 r"range$"):
+            CurveSpec.example2(0.0, 1.0, 1).theta_range()
+
+    def test_example_1_needs_an_orbit(self):
+        with pytest.raises(DomainError, match=r"^example 1 needs an orbit$"):
+            eval_invariant_curve(CurveSpec(example_id=1), 0.0, 1.0)
+
+    def test_unknown_example_id(self):
+        with pytest.raises(DomainError, match=r"^unknown example id 9$"):
+            eval_invariant_curve(CurveSpec(example_id=9), 0.0, 1.0)
 
 
 class TestCurveSpecFinite:
@@ -1123,7 +1143,7 @@ class TestCurveSpecFinite:
     def test_non_finite_field_refused(self, make, field, value):
         # Where example3(inf, 1.0) failed later inside fmod, and a nan
         # s_anchor gave nan points.
-        with pytest.raises(ValueError, match=f"^{field} = {value} is not"):
+        with pytest.raises(DomainError, match=f"^{field} = {value} is not"):
             make(value)
 
 

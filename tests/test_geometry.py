@@ -202,7 +202,7 @@ class TestFhRows:
 
 
 #: A Tangent4 with one nan or infinite coefficient, which check_at
-#: refuses with ValueError naming it: contact_eval, omega_eval and
+#: refuses with DomainError naming it: contact_eval, omega_eval and
 #: apply_J returned nan or inf.
 NON_FINITE_TANGENTS = pytest.mark.parametrize("field,value", [
     (field, value) for field in Tangent4._fields
@@ -213,7 +213,7 @@ class TestContactForm:
     @NON_FINITE_TANGENTS
     def test_non_finite_tangent_is_refused(self, field, value):
         v = Tangent4(**{field: value})
-        with pytest.raises(ValueError, match=f"^{field} = {value} is not"):
+        with pytest.raises(DomainError, match=f"^{field} = {value} is not"):
             contact_eval(Point4(0, 0, 1.0, 0), v)
 
     def test_equator_dt(self):
@@ -277,7 +277,7 @@ class TestOmega:
         v = Tangent4(**{field: value})
         p = Point4(0, 0, 1.0, 0)
         for args in ((v, Tangent4(v_t=1.0)), (Tangent4(v_t=1.0), v)):
-            with pytest.raises(ValueError, match=f"^{field} = {value} is not"):
+            with pytest.raises(DomainError, match=f"^{field} = {value} is not"):
                 omega_eval(p, *args)
 
     def test_antisymmetry(self):
@@ -308,7 +308,7 @@ class TestJ:
     @NON_FINITE_TANGENTS
     def test_non_finite_tangent_is_refused(self, field, value):
         v = Tangent4(**{field: value})
-        with pytest.raises(ValueError, match=f"^{field} = {value} is not"):
+        with pytest.raises(DomainError, match=f"^{field} = {value} is not"):
             apply_J(Point4(0, 0, 1.0, 0), v)
 
     def test_equator_images(self):
@@ -628,11 +628,12 @@ class TestOneAngleWrap:
         # Point4 does (tests/test_reeb.py::TestNonFiniteAngles).
         assert math.isnan(_reduce_angle(math.nan))
         for tau in (math.nan, math.inf):
-            with pytest.raises(ValueError, match=f"^tau = {tau} is not"):
+            with pytest.raises(DomainError, match=f"^tau = {tau} is not"):
                 orbit_point(ReebOrbit.pole_plus(), tau)
 
 
 def test_tangent_phi_at_pole_rejected():
     p = Point4(0, 0, 0.0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError,
+                       match=r"^v_phi must vanish at theta in \{0, pi\}$"):
         contact_eval(p, Tangent4(v_phi=1.0))

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 import types
 
 import pytest
@@ -24,12 +25,8 @@ from sympl_moduli.curves import profile_log_terms
 from sympl_moduli.errors import DomainError
 
 import shadow
-from conftest import (INADMISSIBLE, boundary_pairs, double_points_lattice,
-                      label_pairs, m0, sigma)
-
-L_SYM = Label2.make((2, 1), (1, 2))      # Delta = 3, embedded
-L_41 = Label2.make((4, 1), (1, 1))       # Delta = 3, one double point
-L_5 = Label2.make((1, -1), (1, 4))       # Delta = 5, two double points
+from conftest import (INADMISSIBLE, L_5, L_41, L_SYM, boundary_pairs,
+                      double_points_lattice, label_pairs, m0, sigma)
 
 
 def two_and_ordered_three(bound2, bound3):
@@ -183,6 +180,22 @@ class TestDoublePoints:
         for label in labels:
             lattice = sm.invariants._lattice(label)
             assert 2 * double_points_bruteforce(label) == walk(*lattice), label
+
+    def test_oracle_keeps_no_residue_to_count_it(self):
+        # Delta 9,999.  A list of each residue b holds an int and its
+        # slot, 39.4 B per residue; a 1 per pair holds only the slot,
+        # 8.6 B.
+        label = Label2.make((100, 1), (1, 100))
+        d = sm.invariants._lattice(label)[0]
+        sm.invariants._walk_count.cache_clear()
+        tracemalloc.start()
+        try:
+            double_points_bruteforce(label)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d == 9999
+        assert peak <= 12 * d, (peak, peak / d)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(st.one_of(label_pairs(10 ** 6, MAX_WALK_DELTA),
@@ -349,11 +362,11 @@ class TestEndWindings:
     @pytest.mark.parametrize("name", UNREADABLE_ENDS)
     def test_unreadable_end_is_refused(self, name):
         end = UNREADABLE_ENDS[name]
-        with pytest.raises(ValueError, match=REFUSED):
+        with pytest.raises(DomainError, match=REFUSED):
             end_windings(end)
-        with pytest.raises(ValueError, match=REFUSED):
+        with pytest.raises(DomainError, match=REFUSED):
             c1_pairing(0, [EndDescriptor.generic(Side.CONVEX), end])
-        with pytest.raises(ValueError, match=REFUSED):
+        with pytest.raises(DomainError, match=REFUSED):
             fredholm_index(0, 0, [end])
 
 

@@ -10,8 +10,8 @@ from collections.abc import Iterator
 import pytest
 from hypothesis import example, given, reject, settings
 
-from conftest import (INADMISSIBLE, double_points_json, double_points_lattice,
-                      label_pairs)
+from conftest import (INADMISSIBLE, L_5, L_41, L_SYM, double_points_json,
+                      double_points_lattice, label_pairs)
 from sympl_moduli import (DoublePoint, Label2, ModelMapParams, OrderedLabel3,
                           delta, double_points_bruteforce,
                           double_points_formula, enumerate_labels,
@@ -21,9 +21,6 @@ from sympl_moduli.errors import DomainError, InternalError
 from sympl_moduli.model_maps import _point_residual, _powers_normal
 
 L_UNIT = Label2.make((1, 0), (0, 1))
-L_SYM = Label2.make((2, 1), (1, 2))
-L_41 = Label2.make((4, 1), (1, 1))
-L_5 = Label2.make((1, -1), (1, 4))
 
 
 def label_of(pairs):
@@ -144,20 +141,23 @@ class TestPhiEval:
             assert out.lam != 0 and out.lam_prime != 0
 
 
+SCALE_REFUSED = r"^the scale r must be finite and >= 1$"
+
+
 class TestModelMapParams:
     def test_scale_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match=SCALE_REFUSED):
             ModelMapParams(label=L_UNIT, r=0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match=SCALE_REFUSED):
             ModelMapParams(label=L_UNIT, r=float("nan"))
 
     def test_unit_modulus_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match=r"^\|a\| must be 1 within"):
             ModelMapParams(label=L_UNIT, a=1.1 + 0j)
 
     def test_infinite_scale_is_refused(self):
         # phi_eval would give u = t = nan.
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match=SCALE_REFUSED):
             ModelMapParams(label=L_UNIT, r=math.inf)
 
     @pytest.mark.parametrize("twist", ["a", "a_prime"])
@@ -167,7 +167,8 @@ class TestModelMapParams:
     def test_non_finite_twist_is_refused(self, twist, value):
         # | |nan| - 1 | > 1e-12 is false: the check must be written so
         # that nan fails it.
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError,
+                           match=rf"^\|{twist}\| must be 1 within 1e-12$"):
             ModelMapParams(label=L_UNIT, **{twist: value})
 
 

@@ -168,6 +168,11 @@ class TestValidateLabel3:
         ok, orderings = validate_label3([(1, 0), (0, 1), (1, 1)])
         assert not ok and orderings == []
 
+    def test_two_pairs_are_refused(self):
+        with pytest.raises(DomainError, match=r"^a three-end label needs "
+                                              r"exactly three pairs$"):
+            validate_label3([(1, 2), (2, 1)])
+
     def test_zero_k_ordering_counts(self):
         # The second ordering of this set has k-pair (0, 1); the ratio
         # |k'/k| is infinite, which passes the steepness test.
@@ -230,6 +235,12 @@ class TestBoundaryLabels:
                 "[(1, 2), (1, -1), (-2, -1)] is not admissible: "
                 "0 valid orderings, 2 needed")):
             Label3.make([(1, 2), (1, -1), (-2, -1)])
+
+    def test_rejects_an_unchecked_label(self):
+        # Label3 built directly, past make's check, is refused here too.
+        with pytest.raises(DomainError,
+                           match=r"^not an admissible three-end label$"):
+            boundary_labels(Label3(((1, 0), (0, 1), (-1, -1))))
 
     def test_every_steep_two_end_label_is_a_boundary(self):
         # A two-end label whose derived pair k is steep (k != 0 and
@@ -335,9 +346,9 @@ class TestEnumerateOracles:
         assert len(enumerate_labels(bound, ends)) == count
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match=r"^bound must be >= 1$"):
             enumerate_labels(0, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match=r"^ends must be 2 or 3$"):
             enumerate_labels(2, 4)
 
 

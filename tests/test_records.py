@@ -63,7 +63,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("theta", [-1e-12, math.pi + 1e-12, math.nan])
     def test_point_theta_outside_closed_range(self, theta):
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(DomainError, match="outside"):
             Point4(0.0, 0.0, theta, 0.0)
 
     @pytest.mark.parametrize("field", ["t", "phi"])
@@ -71,7 +71,7 @@ class TestValidation:
     def test_point_angle_not_finite(self, field, value):
         # fmod raised a bare 'math domain error' on inf and kept a nan.
         coords = {"s": 0.0, "t": 0.0, "theta": 1.0, "phi": 0.0, field: value}
-        with pytest.raises(ValueError, match=f"^{field} = {value} is not"):
+        with pytest.raises(DomainError, match=f"^{field} = {value} is not"):
             Point4(**coords)
 
     def test_point_angles_reduced(self):
@@ -80,11 +80,11 @@ class TestValidation:
         assert Point4(0.0, 2 * math.pi, 0.0, -2 * math.pi).t == 0.0
 
     def test_model_map_scale(self):
-        with pytest.raises(ValueError, match="scale"):
+        with pytest.raises(DomainError, match="scale"):
             ModelMapParams(L_21, r=0.5)
 
     def test_model_map_twist(self):
-        with pytest.raises(ValueError, match="a_prime"):
+        with pytest.raises(DomainError, match="a_prime"):
             ModelMapParams(L_21, a_prime=2.0)
 
     def test_model_map_defaults(self):

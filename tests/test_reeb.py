@@ -400,8 +400,8 @@ class TestOrbitPoint:
         (ReebOrbit(OrbitKind.GENERIC, theta0=1.0), "pair"),
     ], ids=["bare", "no-theta0", "no-pair"])
     def test_generic_orbit_without_its_data(self, orbit, field):
-        # A ValueError naming the field, which python -O does not strip.
-        with pytest.raises(ValueError, match=f"without a {field}$"):
+        # A DomainError naming the field, which python -O does not strip.
+        with pytest.raises(DomainError, match=f"without a {field}$"):
             orbit_point(orbit, 0.0)
 
     def test_pole(self):
@@ -468,7 +468,7 @@ _NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 class TestNonFiniteAngles:
-    """A nan or infinite tau or upsilon is a ValueError naming it, as
+    """A nan or infinite tau or upsilon is a DomainError naming it, as
     Point4 refuses a non-finite t or phi: not a bare 'math domain error'
     from fmod, and not a nan passed on into a point."""
 
@@ -479,12 +479,12 @@ class TestNonFiniteAngles:
         ReebOrbit.generic(-1, 2, upsilon=0.3)],
         ids=["pole+", "pole-", "p = 0", "(1, 2)", "(-1, 2)"])
     def test_orbit_point_tau(self, orbit, x):
-        with pytest.raises(ValueError, match=f"^tau = {x} is not finite"):
+        with pytest.raises(DomainError, match=f"^tau = {x} is not finite"):
             orbit_point(orbit, x)
 
     @pytest.mark.parametrize("x", _NON_FINITE)
     @pytest.mark.parametrize("pair", [(0, 1), (1, 2), (2, 4)],
                              ids=["p = 0", "(1, 2)", "(2, 4)"])
     def test_generic_upsilon(self, pair, x):
-        with pytest.raises(ValueError, match=f"^upsilon = {x} is not finite"):
+        with pytest.raises(DomainError, match=f"^upsilon = {x} is not finite"):
             ReebOrbit.generic(*pair, upsilon=x)

@@ -1,8 +1,9 @@
 """Rules about the package's source, read from its syntax tree.
 
-No module asserts, and only `cli`, which lays out every report,
-imports json.  Every top-level function and class in `src/sympl_moduli`,
-and every method and property of its classes, serves a subcommand or an
+No module asserts, only `cli`, which lays out every report, imports
+json, and every refusal the package raises is one of `errors`' classes.
+Every top-level function and class in `src/sympl_moduli`, and every
+method and property of its classes, serves a subcommand or an
 entry point that README lists, and a function or class that serves no
 subcommand lives in a module that no command loads; the independent
 routes that check the library stay independent of what they check; and
@@ -157,7 +158,49 @@ class TestErrors:
                            "InternalError": ["SymplModuliError"]}
 
 
+def _raises(node, module, func=None):
+    """(module, innermost function, the name a raise calls or raises) of
+    each raise statement under node; None for a bare re-raise."""
+    for sub in ast.iter_child_nodes(node):
+        if isinstance(sub, ast.Raise):
+            exc = sub.exc.func if isinstance(sub.exc, ast.Call) else sub.exc
+            yield module, func, exc and ast.unparse(exc)
+        yield from _raises(sub, module,
+                           sub.name if isinstance(sub, _FUNCS) else func)
+
+
+#: The refusals a raise may name: one class per exit code, and
+#: cli._refused, which returns the ParseError of a refused flag value.
+_REFUSALS = {"DomainError", "ParseError", "InternalError", "_refused"}
+
+#: The builtin exceptions the package raises itself, each where a
+#: protocol or an exit code needs it: the module __getattr__ of PEP 562,
+#: and the OSErrors of an --out path, which exit 2.
+_BUILTIN_RAISES = {
+    ("__init__", "__getattr__", "AttributeError"),
+    ("cli", "_out_file", "FileNotFoundError"),
+    ("cli", "_out_file", "PermissionError"),
+}
+
+
 class TestStatements:
+    def test_every_refusal_is_a_package_error(self):
+        # A caller, cli.main included, catches one class per exit code;
+        # a builtin ValueError for a refused value would escape it.
+        stray = [found for module, tree in _trees()
+                 for found in _raises(tree, module)
+                 if found[2] is not None and found[2] not in _REFUSALS
+                 and found not in _BUILTIN_RAISES]
+        assert not stray, stray
+
+    def test_require_finite_takes_no_class(self):
+        # It raises DomainError: a caller names only the fields.
+        found = [(module, node.lineno) for module, tree in _trees()
+                 for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and ast.unparse(node.func).endswith("require_finite")
+                 and node.args]
+        assert not found, found
+
     def test_no_assert(self):
         # python -O strips an assert: a check the library needs raises.
         found = [(module, node.lineno) for module, tree in _trees()
