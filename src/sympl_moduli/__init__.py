@@ -42,14 +42,15 @@ from . import curves  # noqa: F401
 
 _SUBMODULE_EXPORTS = {
     "invariants": ("EndDescriptor", "InvariantReport", "Side",
-                   "adjunction_e_pairing", "c1_pairing", "delta",
+                   "adjunction_e_pairing", "c1_pairing",
                    "double_points_bruteforce", "double_points_formula",
                    "end_windings", "fredholm_index", "index_lower_bound",
                    "residue_pairs", "sphere_report"),
     "spectra": ("AsymptoticData", "asymptotic_constants", "generic_spectrum",
                 "polar_spectrum"),
     "moduli": ("Label2", "Label3", "OrderedLabel3", "boundary_labels",
-               "enumerate_labels", "validate_label2", "validate_label3"),
+               "delta", "enumerate_labels", "validate_label2",
+               "validate_label3"),
     "reeb": ("EndClass", "OrbitKind", "ReebOrbit", "ThetaRoots",
              "classify_pair", "solve_theta0", "theta_roots"),
     "curves": ("CurveSpec", "ThetaRange", "Trace", "TraceSample",

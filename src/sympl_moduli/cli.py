@@ -250,7 +250,7 @@ def _print_listed(payload: dict, key: str, items, out: IO[str]) -> None:
 
 
 def _cmd_classify(ns: argparse.Namespace, out: IO[str]) -> int:
-    from .moduli import Label2, validate_label2, validate_label3
+    from .moduli import Label2, delta, validate_label2, validate_label3
     from .reeb import classify_pair
     pairs = ns.pairs
     if len(pairs) == 1:
@@ -261,7 +261,7 @@ def _cmd_classify(ns: argparse.Namespace, out: IO[str]) -> int:
         payload = {"pairs": _pairs(pairs), "admissible": ok,
                    "violations": why}
         if ok:
-            payload["delta"] = Label2.make(*pairs).delta
+            payload["delta"] = delta(Label2.make(*pairs))
     else:
         ok, orderings = validate_label3(pairs)
         payload = {"pairs": _pairs(pairs), "admissible": ok,
@@ -375,12 +375,13 @@ def _cmd_enumerate(ns: argparse.Namespace, out: IO[str]) -> int:
 def _cmd_double_points(ns: argparse.Namespace, out: IO[str]) -> int:
     from . import invariants as inv
     from .model_maps import ModelMapParams, phi_double_points
+    from .moduli import delta
     run_model = ns.method in ("model", "all")
     # Read before any route runs: the roots route is O(Delta).
     tol = residual_tolerance() if run_model else None
     label = _label_from_ns(ns.pairs, 0)     # three pairs: ordering 0
     results: dict = {"label": {"pairs": _pairs(label.pairs())},
-                     "delta": inv.delta(label)}
+                     "delta": delta(label)}
     counts = {}
     points = []
     if ns.method in ("formula", "all"):

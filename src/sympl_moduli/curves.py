@@ -448,9 +448,9 @@ def _point_start(spec: CurveSpec, clip: float) -> tuple:
     rng = spec.theta_range()
     lo, hi = rng.lo + clip, rng.hi - clip
     if not rng.lo < lo < hi < rng.hi:
-        raise DomainError(
-            f"clip {clip} leaves no angles strictly inside "
-            f"[{rng.lo}, {rng.hi}]")
+        why = (f"rounds onto the end {rng.lo if lo == rng.lo else rng.hi} of"
+               if clip > 0 and lo < hi else "leaves no angles strictly inside")
+        raise DomainError(f"clip {clip} {why} [{rng.lo}, {rng.hi}]")
     terms, base = _anchored(spec)
     u_lo, u_hi = _u_of(terms, base, lo), _u_of(terms, base, hi)
     return (lo, hi, terms, base, 1.0 if u_hi > u_lo else -1.0,

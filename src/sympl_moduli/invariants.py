@@ -54,12 +54,6 @@ from .reeb import EndClass
 LabelLike = Union[Label2, OrderedLabel3]
 
 
-def delta(label: LabelLike) -> int:
-    """Delta = p q' - q p' from the first two pairs of the label."""
-    (p, pp), (q, qp) = label.pairs()[:2]
-    return p * qp - q * pp
-
-
 def _closed_form(pairs) -> tuple[int, tuple[int, int, int], int]:
     """(Delta, gcd triple, m_C) from a label's pairs().
 

@@ -50,10 +50,11 @@ to no power, so it does not grow with the entries, and an entry of any
 size is taken; its rounding is of order eps / |1 - eta|, about 4e-11 at
 the Delta budget.
 
-The roots eta, eta' are computed per point, not read from a table of
-all Delta roots, because a table gains nothing: a bit-identical one took
-1,500 labels of the benchmark's double-points workload from 5.016 s to
-5.002 s (0.3 %, 2 CPUs).
+The roots eta, eta' are computed per point: a bit-identical per-label
+table of the Delta roots took 1,500 double-points labels from 5.016 to
+5.002 s alone, and with the direct quotient inlined read +5.6 % (7 of 8
+pairs) and +4.1 % (3 of 4), inside the noise, for 0.2-0.3 MB more peak
+RSS (2 CPUs).
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ from typing import NamedTuple
 
 from .errors import DomainError, InternalError, _text
 from .geometry import _TINY, _reduce_angle
-from .invariants import LabelLike, delta, residue_pairs
+from .invariants import LabelLike, residue_pairs
+from .moduli import delta
 
 DEFAULT_RESIDUAL_TOL = 1e-9
 

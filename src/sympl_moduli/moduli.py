@@ -126,11 +126,6 @@ class Label2(NamedTuple):
             raise DomainError("; ".join(_violations2(p, pp, q, qp)))
         return cls(EndClass(p, pp), EndClass(q, qp))
 
-    @property
-    def delta(self) -> int:
-        return (self.p_pair.m * self.q_pair.m_prime
-                - self.q_pair.m * self.p_pair.m_prime)
-
     def pairs(self) -> "Label2":
         """The label itself: it is the tuple of its two pairs."""
         return self
@@ -207,6 +202,12 @@ class OrderedLabel3(NamedTuple):
 
     def pairs(self) -> Ordering3:
         return self.ordering
+
+
+def delta(label: Label2 | OrderedLabel3) -> int:
+    """Delta = p q' - q p' of rule (a), from the label's first two pairs."""
+    (p, pp), (q, qp) = label.pairs()[:2]
+    return p * qp - q * pp
 
 
 def boundary_labels(l3: Label3 | OrderedLabel3) -> tuple[Label2, Label2]:

@@ -35,11 +35,12 @@ INADMISSIBLE = re.compile(
 
 def profile_refusal(exc) -> str:
     """The rule a DomainError of a profile trace or point names: "clip"
-    where the clip leaves no angles on the range, "point" where fh_rows
-    or fh_at refuses an s or the curve does not reach the u asked for.
-    An assertion fails on any other refusal."""
+    where the clip leaves no angles on the range or rounds onto one of
+    its ends, "point" where fh_rows or fh_at refuses an s or the curve
+    does not reach the u asked for.  An assertion fails on any other
+    refusal."""
     text = str(exc)
-    if "leaves no angles" in text:
+    if re.search(r"^clip \S+ (leaves no angles|rounds onto the end) ", text):
         return "clip"
     assert re.search(r"^u = | at theta = ", text), text
     return "point"

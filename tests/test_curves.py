@@ -574,6 +574,23 @@ class TestPointStart:
                 eval_invariant_curve(spec, 0.0, 0.1, clip=2.0)
         assert curves._point_start.cache_info().currsize == size
 
+    @pytest.mark.parametrize("clip,end", [(1e-300, 0), (1.5e-16, 1)])
+    def test_clip_below_half_an_ulp_names_the_end_it_rounds_onto(self, clip,
+                                                                 end):
+        # (1, 2)'s range 1 is [1.15..., 2.52...], with ulps 2.2e-16 and
+        # 4.4e-16 at its ends.  1e-300 moves neither end, and the lower
+        # one is named; 1.5e-16 moves the lower end and not the upper.
+        # The range has angles, so neither is a clip wider than it.
+        rng = classify_branches(1, 2)[1]
+        want = (f"clip {clip} rounds onto the end {rng[end]} of "
+                f"[{rng.lo}, {rng.hi}]")
+        for call in (lambda: integrate_profile(1, 2, 1, clip=clip),
+                     lambda: eval_invariant_curve(CurveSpec.profile(1, 2, 1),
+                                                  0.0, 0.1, clip=clip)):
+            with pytest.raises(DomainError) as exc:
+                call()
+            assert str(exc.value) == want
+
 
 def _log_sum_by_term(terms, theta):
     """profile_log_terms' record summed one term at a time, as its
@@ -1187,6 +1204,10 @@ class TestSMax:
         assert best == pytest.approx(s_max(spec), abs=1e-8)
 
 
+#: The refusal of a u whose sign is not the orbit cylinder's.
+SIGN_RULE = r"^sign\(u\) must equal sign\(p\), or sign\(p'\) if p = 0$"
+
+
 class TestEvalInvariantCurve:
     def test_orbit_cylinder_ratio(self):
         orbit = ReebOrbit.generic(1, 1)
@@ -1200,7 +1221,7 @@ class TestEvalInvariantCurve:
 
     def test_orbit_cylinder_sign_domain(self):
         spec = CurveSpec.example1(ReebOrbit.generic(1, 1))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=SIGN_RULE):
             eval_invariant_curve(spec, 0.0, -1.0)
 
     @pytest.mark.parametrize("pp", [1, -1])
@@ -1217,7 +1238,7 @@ class TestEvalInvariantCurve:
             assert math.remainder(pt.t - 0.7 / pp, math.tau) == 0.0
             assert (pt.theta, pt.phi) == (orbit.theta0, 0.4)
         for u in (-1.0, 0.0):
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match=SIGN_RULE):
                 eval_invariant_curve(spec, 0.0, pp * u)
 
     def test_pole_cylinder_height(self):
@@ -1232,7 +1253,8 @@ class TestEvalInvariantCurve:
                                        ReebOrbit.pole_minus()])
     def test_pole_cylinder_sign_domain(self, orbit):
         for u in (0.0, -1.0):
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError,
+                               match="pole cylinders need u > 0"):
                 eval_invariant_curve(CurveSpec.example1(orbit), 0.0, u)
 
     def test_plane_origin(self):
@@ -1244,7 +1266,8 @@ class TestEvalInvariantCurve:
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_plane_sign_domain(self, sign):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError,
+                           match="the plane is parameterized by u >= 0"):
             eval_invariant_curve(CurveSpec.example2(0.0, 2.0, sign), 0.7, -1.0)
 
     def test_plane_f_constant(self):
@@ -1339,7 +1362,8 @@ class TestEvalInvariantCurve:
             pt = eval_invariant_curve(spec, 0.0, u)
             f, h, _ = coord_functions(pt)
             assert f == pytest.approx(u, rel=1e-9, abs=1e-11)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^u = 1000000000000\.0 outside "
+                           r".* reachable on the clipped range$"):
             eval_invariant_curve(spec, 0.0, 1e12)
 
     def test_profile_point_at_default_clip(self):
@@ -1358,7 +1382,8 @@ class TestEvalInvariantCurve:
             integrate_profile(1, 2, 1, clip=-1e-3)
 
     def test_overflowing_trace_is_a_domain_error(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError,
+                           match="f, h or g overflow a float at theta = "):
             integrate_profile(5, 6, 1, n_samples=50)
 
     def test_underflowing_trace_is_a_domain_error(self):

@@ -66,8 +66,10 @@ class TestCoordFunctions:
         for s in (-289.1, 289.1):
             e, _, _ = fh_at(s, 1.0)
             assert sys.float_info.min <= e <= sys.float_info.max / (2 * SQRT6)
-        for s in (-289.2, -289.8, 289.3):
-            with pytest.raises(DomainError):
+        for s, words in ((-289.2, "f, h or g overflow a float"),
+                         (-289.8, "f, h or g overflow a float"),
+                         (289.3, "f and h underflow the normal floats")):
+            with pytest.raises(DomainError, match=f"^{words} at theta = 1.0 "):
                 fh_at(s, 1.0)
 
     def test_products_of_the_factor_overflow_nowhere(self):

@@ -238,7 +238,7 @@ class TestDoublePoints:
         # two stored pairs are coprime (for multiply-covered labels it
         # can fail, see test_vanishing_counterexample).
         for label in enumerate_labels(5, 2):
-            d = label.delta
+            d = delta(label)
             (p, pp), (q, qp) = label
             pairs = [(p, pp), (q, qp), (p + q, pp + qp)]
             divisible = any(m % d == 0 and mp % d == 0 for m, mp in pairs)
@@ -253,7 +253,7 @@ class TestDoublePoints:
         # divisibility condition: eta^{-2} = 1 forces eta = -1, and then
         # eta'^2 = eta^4 = 1 leaves no eta' distinct from both 1 and eta.
         label = Label2.make((-2, -4), (0, -2))
-        assert label.delta == 4
+        assert delta(label) == 4
         (p, pp), (q, qp) = label
         pairs = [(p, pp), (q, qp), (p + q, pp + qp)]
         assert not any(m % 4 == 0 and mp % 4 == 0 for m, mp in pairs)
@@ -262,7 +262,7 @@ class TestDoublePoints:
 
     def test_prime_rule(self):
         for label in enumerate_labels(5, 2):
-            d = label.delta
+            d = delta(label)
             if d not in (3, 5, 7, 11, 13):
                 continue
             (p, pp), (q, qp) = label
@@ -693,7 +693,7 @@ class TestWalkBudget:
         # README's largest example; the benchmark pools stay <= 20,000.
         label = Label2.make((997, 3), (5, 999))
         assert sm.invariants._lattice(label)[0] == 995988
-        assert 995988 <= sm.invariants.MAX_WALK_DELTA < L_OVER.delta
+        assert 995988 <= sm.invariants.MAX_WALK_DELTA < delta(L_OVER)
 
 
 def box_pairs():

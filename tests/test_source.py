@@ -6,8 +6,9 @@ Every top-level function and class in `src/sympl_moduli`, and every
 method and property of its classes, serves a subcommand or an
 entry point that README lists, and a function or class that serves no
 subcommand lives in a module that no command loads; the independent
-routes that check the library stay independent of what they check; and
-the type hints of every function resolve.
+routes that check the library stay independent of what they check;
+the type hints of every function resolve; and the source text of each
+mutant that tests/mutants.py replays occurs once in its file.
 """
 
 import ast
@@ -21,6 +22,7 @@ import pytest
 
 import sympl_moduli
 
+import mutants
 from conftest import loaded_after
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -448,3 +450,10 @@ def test_every_float_export_has_a_digits_row():
         f"float exports with no row: {sorted(floats - set(ROWS))}")
     assert not set(ROWS) - set(sympl_moduli.__all__), (
         f"rows of no export: {sorted(set(ROWS) - set(sympl_moduli.__all__))}")
+
+
+@pytest.mark.parametrize("row", mutants.MUTANTS,
+                         ids=[row.file for row in mutants.MUTANTS])
+def test_each_mutant_finds_its_source_text_once(row):
+    # A refactor that moves the text updates the row.
+    assert (PKG / row.file).read_text().count(row.source) == 1, row.origin
