@@ -1,11 +1,10 @@
-"""Work budgets: the largest size each unbounded loop accepts.
-
-A call past its budget raises DomainError before any work, so the CLI
+"""Work budgets: the largest size each unbounded loop accepts, and the
+one refusal past a budget, a DomainError before any work, so the CLI
 exits 1 with one `error:` line instead of running for minutes or
-exhausting memory.  The timings are library calls, and the commands
-around them with stdout sent to /dev/null, at the budget on a 2-CPU
-machine with Python 3.11.
+exhausting memory.  README's budget paragraph times each budget.
 """
+
+from .errors import DomainError, _text
 
 #: The largest Delta the O(Delta) routes accept: the oracle's walk and
 #: the model map's ~Delta points grow with it (the model map reads its
@@ -13,18 +12,22 @@ machine with Python 3.11.
 #: 997,3;5,999 (Delta 995,988).  The gcd formula has no budget.
 MAX_WALK_DELTA = 2 ** 20
 
-#: The most rows integrate_profile traces (10^6 rows: about 5 s).
+#: The most rows integrate_profile traces: its rows, and the memory
+#: that holds them, grow with it.
 MAX_TRACE_SAMPLES = 10 ** 6
 
-#: The largest n_max of generic_spectrum and polar_spectrum (10^6: about
-#: 2e6 eigenvalues in 1.1-1.3 s).  `spectrum --nmax 1000000` takes
-#: 3.3-3.5 s and prints 85 MB, mostly in its 12-digit rounding and
-#: indented JSON.
+#: The largest n_max of generic_spectrum and polar_spectrum: about
+#: 2 n_max eigenvalues, each printed by `spectrum`.
 MAX_SPECTRUM_N = 10 ** 6
 
-#: The largest entry bound of enumerate_labels (20: 637,046 two-end
-#: labels in 1.0 s); its candidate list grows like the bound^4.
-#: `enumerate --max-abs 20 --ends 2` takes 5.4-5.7 s at a peak RSS of
-#: 229 MB and prints 106 MB; the root-of-unity oracle walks its 88,200
-#: distinct lattices once each, 22 MB of that RSS.
+#: The largest entry bound of enumerate_labels: its candidate list grows
+#: like the bound^4, and the labels it accepts with it.
 MAX_ENUM_BOUND = 20
+
+
+def require_within(name: str, value: int, budget: int, work: str) -> None:
+    """DomainError, in the one wording of a refusal past a budget, when
+    value, the size called name, is past budget; work is what it guards."""
+    if value > budget:
+        raise DomainError(f"{name} = {_text(value)} exceeds {_text(budget)}, "
+                          f"the budget of {work}")

@@ -273,6 +273,9 @@ def _cmd_classify(ns: argparse.Namespace, out: IO[str]) -> int:
 def _label_from_ns(pairs: list[tuple[int, int]], ordering: int):
     from .moduli import Label2, OrderedLabel3
     if len(pairs) == 2:
+        if ordering:
+            raise _refused("--ordering", "must be 0 for a 2-pair label",
+                           _text(ordering))
         return Label2.make(*pairs)
     return OrderedLabel3.make(pairs, which=ordering)
 

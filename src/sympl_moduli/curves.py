@@ -62,7 +62,7 @@ from itertools import repeat
 from math import cos, log, log1p, sin
 from typing import NamedTuple, Optional, Sequence
 
-from .budgets import MAX_TRACE_SAMPLES
+from .budgets import MAX_TRACE_SAMPLES, require_within
 from .errors import DomainError, _text
 from .geometry import (DEFAULT_CLIP, SQRT6, _cone_factor, fh_rows,
                        require_finite)
@@ -405,9 +405,7 @@ def integrate_profile(p: int, p_prime: int, range_id: int,
     """
     if n_samples < 2:
         raise DomainError("need at least two samples")
-    if n_samples > MAX_TRACE_SAMPLES:
-        raise DomainError(f"{_text(n_samples)} samples exceed "
-                          f"{_text(MAX_TRACE_SAMPLES)}, the budget of a trace")
+    require_within("n_samples", n_samples, MAX_TRACE_SAMPLES, "a trace")
     spec = CurveSpec.profile(p, p_prime, range_id, s_anchor=s_anchor)
     lo, hi, terms, base = _point_start(spec, clip)[:4]
     width, last = hi - lo, n_samples - 1

@@ -46,7 +46,7 @@ import functools
 import math
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
-from .budgets import MAX_WALK_DELTA
+from .budgets import MAX_WALK_DELTA, require_within
 from .errors import DomainError, InternalError, _text
 from .moduli import Label2, OrderedLabel3
 from .reeb import EndClass
@@ -88,7 +88,8 @@ def _lattice(label: LabelLike) -> tuple[int, int, int, int]:
 
     M adj(M) = Delta I for M = [[p, q], [p', q']], so the lattice is
     spanned by the adjugate's columns (q', -p') and (q, -p).  With
-    g = gcd(Delta, q, q') and h = gcd(q', Delta), y q = g (mod h) and
+    g = gcd(q, q'), which divides Delta = p q' - q p', and
+    h = gcd(q', Delta), y q = g (mod h) and
     x q' = g - y q (mod Delta) make x (q', -p') + y (q, -p) the pair
     over a = g; both inverses exist, and a modulus of 1 gives 0.
     """
@@ -96,11 +97,9 @@ def _lattice(label: LabelLike) -> tuple[int, int, int, int]:
     d = p * qp - q * pp
     if d < 1:
         raise InternalError(f"Delta = {_text(d)} < 1")
-    if d > MAX_WALK_DELTA:
-        raise DomainError(f"Delta = {_text(d)} exceeds "
-                          f"{_text(MAX_WALK_DELTA)}, the budget of the "
-                          f"residue walk; use the gcd formula")
-    g = math.gcd(d, q, qp)
+    require_within("Delta", d, MAX_WALK_DELTA,
+                   "the residue walk; use the gcd formula")
+    g = math.gcd(q, qp)
     h = math.gcd(qp, d)
     y = pow(q // g, -1, h // g)
     x = (g - y * q) // h * pow(qp // h, -1, d // h)
@@ -117,8 +116,9 @@ def residue_pairs(label: LabelLike) -> Iterator[tuple[int, int]]:
 
     The solutions (a, b) mod Delta form a subgroup of order Delta, the
     kernel of the label's matrix.  Its pairs with a = 0 are the b with
-    q b = q' b = 0, the multiples of Delta/g for g = gcd(Delta, q, q'),
-    so g of them, and the a that occur are the Delta/g multiples of g.
+    q b = q' b = 0, the multiples of Delta/g for g = gcd(q, q'), a
+    divisor of Delta = p q' - q p', so g of them, and the a that occur
+    are the Delta/g multiples of g.
     Once one solution (g, b1) is known, the pairs over a = j g are the
     coset b = j b1 (mod Delta/g).  b1 is read off the adjugate of the
     label's matrix (see _lattice); the walk over a = g, 2g, ... then

@@ -46,7 +46,7 @@ from __future__ import annotations
 from operator import index
 from typing import NamedTuple
 
-from .budgets import MAX_ENUM_BOUND
+from .budgets import MAX_ENUM_BOUND, require_within
 from .errors import DomainError, InternalError, _text
 from .reeb import EndClass, _end_pair_ok, _end_pair_text, _steep
 
@@ -255,10 +255,7 @@ def enumerate_labels(bound: int, ends: int) -> list[Label2] | list[Label3]:
     """
     if bound < 1:
         raise DomainError("bound must be >= 1")
-    if bound > MAX_ENUM_BOUND:
-        raise DomainError(f"bound = {_text(bound)} exceeds "
-                          f"{_text(MAX_ENUM_BOUND)}, the budget of the "
-                          f"enumeration")
+    require_within("bound", bound, MAX_ENUM_BOUND, "the enumeration")
     if ends not in (2, 3):
         raise DomainError("ends must be 2 or 3")
     classes = _end_classes(bound)

@@ -15,7 +15,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .budgets import MAX_SPECTRUM_N
+from .budgets import MAX_SPECTRUM_N, require_within
 from .errors import DomainError, _text
 from .geometry import SQRT6, require_finite
 from .reeb import EndClass, orbit_cosine
@@ -63,10 +63,7 @@ def _check_sizes(n_max: int, name: str, cover: int) -> None:
     the cover count (the period, or m) is not an int >= 1."""
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    if n_max > MAX_SPECTRUM_N:
-        raise DomainError(f"n_max = {_text(n_max)} exceeds "
-                          f"{_text(MAX_SPECTRUM_N)}, the budget of the "
-                          f"spectrum")
+    require_within("n_max", n_max, MAX_SPECTRUM_N, "the spectrum")
     if not isinstance(cover, int) or cover < 1:
         raise DomainError(f"{name} {_text(cover)} is not an int >= 1")
 

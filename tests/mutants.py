@@ -75,6 +75,42 @@ MUTANTS = (
          "test_oracle_memo_matches_a_fresh_walk_per_label"),
         "The root-of-unity oracle walks each residue lattice once per "
         "process: its mutation check, the walk memoised by Delta alone"),
+    Mutant(
+        "invariants.py",
+        "    return below, below + 1\n",
+        "    return below + 1, below + 2\n",
+        ("tests/test_invariants.py::TestEndWindings",),
+        "One statement of the work budgets: ROADMAP item 34's sizing run, "
+        "a polar end's windings one too high"),
+    Mutant(
+        "invariants.py",
+        "        return (0, 1) if e.side is Side.CONVEX else (0, 0)\n",
+        "        return (0, 0) if e.side is Side.CONVEX else (0, 1)\n",
+        ("tests/test_invariants.py::TestEndWindings::test_parities",
+         "tests/test_invariants.py::TestFredholmIndex::test_plane",
+         "tests/test_catalog.py::test_every_index_matches"),
+        "One reader of an end: the Morse-Bott convention swapped"),
+    Mutant(
+        "invariants.py",
+        '    require_within("Delta", d, MAX_WALK_DELTA,\n'
+        '                   "the residue walk; use the gcd formula")\n',
+        "",
+        ("tests/test_cli.py::TestWalkBudget::test_refused",
+         "tests/test_invariants.py::TestWalkBudget::"
+         "test_refused_before_any_walk"),
+        "One statement of the work budgets: the walk's budget call deleted"),
+    Mutant(
+        "reeb.py",
+        "    def as_tuple(self) -> tuple[int, int]:\n",
+        '    def swapped(self) -> "EndClass":\n'
+        "        return EndClass(self.m_prime, self.m)\n"
+        "\n"
+        "    def as_tuple(self) -> tuple[int, int]:\n",
+        ("tests/test_source.py::TestReach::"
+         "test_every_def_serves_a_command_or_a_listed_entry_point",
+         "tests/test_source.py::TestReach::"
+         "test_readme_lists_the_exports_no_command_reaches"),
+        "One layout per report: a method nothing calls, EndClass.swapped"),
 )
 
 

@@ -687,21 +687,24 @@ class TestWalkBudget:
     the gcd formula still answers."""
 
     @pytest.mark.parametrize("argv", [
-        ["double-points", "--pairs", "1025,1;1,1025", "--method", "roots"],
-        ["double-points", "--pairs", "1025,1;1,1025", "--method", "model"],
-        ["double-points", "--pairs", "1025,1;1,1025", "--method", "all"],
-        ["invariants", "--pairs", "1025,1;1,1025"],
+        ["double-points", "--method", "roots"],
+        ["double-points", "--method", "model"],
+        ["double-points", "--method", "all"],
+        ["invariants"],
     ], ids=lambda argv: argv[-1])
     def test_refused(self, capsys, monkeypatch, argv):
         def no_walk(*args):
             raise AssertionError("a residue walk started past the budget")
         monkeypatch.setattr(invariants, "range", no_walk, raising=False)
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 1
-        assert out == ""
-        assert err.count("\n") == 1
-        assert err.startswith("error: ") and "budget" in err
-        assert "Traceback" not in err
+        # The budget plus one (1024^2 + 1), 1025^2 - 1 and far past it.
+        for pairs, digits in [("1024,1;-1,1024", "1048577"),
+                              ("1025,1;1,1025", "1050624"),
+                              ("1000000,1;1,1000000", "999999999999")]:
+            code, out, err = run_cli(capsys, *argv, "--pairs", pairs)
+            assert (code, out) == (1, ""), pairs
+            assert err == (f"error: Delta = {digits} exceeds 1048576, the "
+                           f"budget of the residue walk; use the gcd "
+                           f"formula\n")
 
     def test_formula_answers(self, capsys):
         code, out, _ = run_cli(capsys, "double-points", "--pairs",
@@ -725,35 +728,45 @@ _NO_GENERIC_EIGENVALUES = _NO_EIGENVALUES + [
 _NO_CANDIDATES = [(moduli, "_end_classes", _no_work)]
 
 
-class TestSizeBudgets:
-    """A size past its budget exits 1 with one error line and an empty
-    stdout, before any work."""
+#: budgets.require_within's one wording, as `error:` lines.
+_TRACE_BUDGET = "error: n_samples = {} exceeds 1000000, the budget of a trace\n"
+_SPECTRUM_BUDGET = ("error: n_max = {} exceeds 1000000, the budget of the "
+                    "spectrum\n")
+_ENUM_BUDGET = "error: bound = {} exceeds 20, the budget of the enumeration\n"
 
-    @pytest.mark.parametrize("argv,patches", [pytest.param(
-        argv, patches, id=" ".join(argv)) for argv, patches in [
+
+class TestSizeBudgets:
+    """A size past its budget exits 1 with its one error line and an
+    empty stdout, before any work."""
+
+    @pytest.mark.parametrize("argv,patches,line", [pytest.param(
+        argv, patches, line, id=" ".join(argv))
+        for argv, patches, line in [
         (["trace", "--pair", "1,2", "--range", "1", "--samples", "1000001"],
-         _NO_ROWS),
+         _NO_ROWS, _TRACE_BUDGET.format(1000001)),
         (["trace", "--pair", "1,2", "--range", "1", "--samples", str(10 ** 20)],
-         _NO_ROWS),
+         _NO_ROWS, _TRACE_BUDGET.format(100000000000000000000)),
         (["spectrum", "--pair", "1,0", "--nmax", "1000001"],
-         _NO_GENERIC_EIGENVALUES),
+         _NO_GENERIC_EIGENVALUES, _SPECTRUM_BUDGET.format(1000001)),
         (["spectrum", "--pair", "1,0", "--nmax", str(10 ** 20)],
-         _NO_GENERIC_EIGENVALUES),
-        (["spectrum", "--polar-m", "1", "--nmax", "1000001"], _NO_EIGENVALUES),
-        (["enumerate", "--max-abs", "21"], _NO_CANDIDATES),
+         _NO_GENERIC_EIGENVALUES,
+         _SPECTRUM_BUDGET.format(100000000000000000000)),
+        (["spectrum", "--polar-m", "1", "--nmax", "1000001"], _NO_EIGENVALUES,
+         _SPECTRUM_BUDGET.format(1000001)),
+        (["enumerate", "--max-abs", "21"], _NO_CANDIDATES,
+         _ENUM_BUDGET.format(21)),
         (["enumerate", "--max-abs", str(10 ** 8), "--ends", "3"],
-         _NO_CANDIDATES),
+         _NO_CANDIDATES, _ENUM_BUDGET.format(100000000)),
     ]])
-    def test_refused(self, capsys, monkeypatch, tmp_path, argv, patches):
+    def test_refused(self, capsys, monkeypatch, tmp_path, argv, patches,
+                     line):
         for module, name, stub in patches:
             monkeypatch.setattr(module, name, stub)
         csv = tmp_path / "t.csv"
         if argv[0] == "trace":
             argv = [*argv, "--out", str(csv)]
         code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (1, "")
-        assert err.count("\n") == 1
-        assert err.startswith("error: ") and "budget" in err
+        assert (code, out, err) == (1, "", line)
         assert not csv.exists()
 
 
@@ -1437,6 +1450,19 @@ class TestFlagErrors:
                                  "1,-1;1,4;-2,-3", "--ordering", ordering)
         assert (code, out) == (2, "")
         assert "--ordering must be an integer > -1 and < 2" in err
+
+    def test_ordering_of_a_two_pair_label(self, capsys):
+        # A two-end label has one ordering: --ordering 1 printed its
+        # report as if the flag were 0.
+        code, out, err = run_cli(capsys, "invariants", "--pairs", "2,1;1,2",
+                                 "--ordering", "1")
+        assert (code, out) == (2, "")
+        assert err == ("parse error: --ordering must be 0 for a 2-pair "
+                       "label, got '1'\n")
+        code, out, _ = run_cli(capsys, "invariants", "--pairs", "2,1;1,2",
+                               "--ordering", "0")
+        assert code == 0
+        assert out == run_cli(capsys, "invariants", "--pairs", "2,1;1,2")[1]
 
     def test_r_flag_is_gone(self, capsys):
         # No output depended on the model-map scale.

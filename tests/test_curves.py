@@ -1424,8 +1424,11 @@ class TestEvalInvariantCurve:
             raise AssertionError("a trace row was computed")
 
         monkeypatch.setattr(curves, "fh_rows", no_rows)
-        for n in (MAX_TRACE_SAMPLES + 1, 10 ** 20):
-            with pytest.raises(DomainError, match="budget"):
+        for n, digits in ((MAX_TRACE_SAMPLES + 1, "1000001"),
+                          (10 ** 20, "100000000000000000000")):
+            with pytest.raises(DomainError, match=(
+                    f"^n_samples = {digits} exceeds 1000000, the budget of "
+                    f"a trace$")):
                 integrate_profile(1, 2, 1, n_samples=n)
         with pytest.raises(AssertionError, match="row"):    # at the budget
             integrate_profile(1, 2, 1, n_samples=MAX_TRACE_SAMPLES)

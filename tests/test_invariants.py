@@ -572,8 +572,11 @@ class TestSpectrum:
 
         monkeypatch.setattr(sm.spectra, "math", types.SimpleNamespace(
             sqrt=no_eigenvalues, hypot=no_eigenvalues))
-        for n in (MAX_SPECTRUM_N + 1, 10 ** 20):
-            with pytest.raises(DomainError, match="budget"):
+        for n, digits in ((MAX_SPECTRUM_N + 1, "1000001"),
+                          (10 ** 20, "100000000000000000000")):
+            with pytest.raises(DomainError, match=(
+                    f"^n_max = {digits} exceeds 1000000, the budget of the "
+                    f"spectrum$")):
                 spectrum(n)
         with pytest.raises(AssertionError, match="eigenvalue"):  # at the budget
             spectrum(MAX_SPECTRUM_N)
@@ -670,6 +673,12 @@ class TestSphereReport:
 #: Delta = 1025^2 - 1 = 1,050,624, past the walk budget.
 L_OVER = Label2.make((1025, 1), (1, 1025))
 
+#: Labels past the walk budget, with their Delta: the budget plus one
+#: (1024^2 + 1), L_OVER and far past it (10^12 - 1).
+OVER_WALK = {Label2.make((1024, 1), (-1, 1024)): "1048577",
+             L_OVER: "1050624",
+             Label2.make((10 ** 6, 1), (1, 10 ** 6)): "999999999999"}
+
 
 def _no_walk(*args):
     raise AssertionError("a residue walk started past the budget")
@@ -678,11 +687,14 @@ def _no_walk(*args):
 class TestWalkBudget:
     def test_refused_before_any_walk(self, monkeypatch):
         monkeypatch.setattr(sm.invariants, "range", _no_walk, raising=False)
-        for route in (residue_pairs, double_points_bruteforce):
-            with pytest.raises(DomainError, match="budget"):
-                route(L_OVER)
-        with pytest.raises(DomainError, match="budget"):
-            sm.phi_double_points(sm.ModelMapParams(label=L_OVER))
+        for label, digits in OVER_WALK.items():
+            line = (f"^Delta = {digits} exceeds 1048576, the budget of the "
+                    f"residue walk; use the gcd formula$")
+            for route in (residue_pairs, double_points_bruteforce):
+                with pytest.raises(DomainError, match=line):
+                    route(label)
+            with pytest.raises(DomainError, match=line):
+                sm.phi_double_points(sm.ModelMapParams(label=label))
 
     def test_formula_has_no_budget(self):
         # Delta - gcds + 2 = 1,050,624 - 1 - 1 - 1026 + 2, halved.

@@ -306,8 +306,11 @@ class TestEnumerate:
             raise AssertionError("candidates were built")
 
         monkeypatch.setattr(moduli, "_end_classes", no_candidates)
-        for bound in (MAX_ENUM_BOUND + 1, 10 ** 8):
-            with pytest.raises(DomainError, match="budget"):
+        for bound, digits in ((MAX_ENUM_BOUND + 1, "21"),
+                              (10 ** 8, "100000000")):
+            with pytest.raises(DomainError, match=(
+                    f"^bound = {digits} exceeds 20, the budget of the "
+                    f"enumeration$")):
                 enumerate_labels(bound, ends)
         with pytest.raises(AssertionError, match="candidates"):  # at the budget
             enumerate_labels(MAX_ENUM_BOUND, ends)

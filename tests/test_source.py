@@ -12,6 +12,7 @@ mutant that tests/mutants.py replays occurs once in its file.
 """
 
 import ast
+import collections
 import importlib
 import inspect
 import re
@@ -26,7 +27,9 @@ import mutants
 from conftest import loaded_after
 
 ROOT = Path(__file__).resolve().parents[1]
-PKG = ROOT / "src" / "sympl_moduli"
+#: The source of the package as imported: src/sympl_moduli, or the
+#: mutated copy of it that tests/mutants.py puts first on the path.
+PKG = Path(sympl_moduli.__file__).resolve().parent
 CONFTEST = ROOT / "tests" / "conftest.py"
 SHADOW = ROOT / "tests" / "shadow.py"
 
@@ -333,8 +336,10 @@ def test_oracle_names_none_of_the_routes_it_checks(name):
 #: cone, so it is taken at an angle only by geometry._cone_factor, which
 #: keeps its digits there; the closed-form families take their angle
 #: from one inversion of h/f, points.theta_from_lambda, called only by
-#: points._static_point; and a polar end's windings come from
-#: isqrt(3 m^2 // 2) only in invariants.end_windings.
+#: points._static_point; a polar end's windings come from
+#: isqrt(3 m^2 // 2) only in invariants.end_windings; and a size past
+#: its work budget is refused in one wording, only by
+#: budgets.require_within.
 ONE_STATEMENT = {
     "1 - 3 cos^2 theta": (
         r"1\.0 - 3\.0 \* (c|cos)\b|3\.0 \* c \* c - 1\.0",
@@ -345,6 +350,8 @@ ONE_STATEMENT = {
          ("points", "theta_from_lambda", True)]),
     "polar windings": (
         re.escape("isqrt(3"), [("invariants", "end_windings", False)]),
+    "refusal past a budget": (
+        re.escape("the budget of"), [("budgets", "require_within", False)]),
 }
 
 
@@ -452,8 +459,17 @@ def test_every_float_export_has_a_digits_row():
         f"rows of no export: {sorted(set(ROWS) - set(sympl_moduli.__all__))}")
 
 
-@pytest.mark.parametrize("row", mutants.MUTANTS,
-                         ids=[row.file for row in mutants.MUTANTS])
+def _mutant_ids():
+    """Each row's file, with its ordinal among that file's rows from the
+    second row on: invariants.py, invariants.py-2, ..."""
+    seen = collections.Counter()
+    for row in mutants.MUTANTS:
+        seen[row.file] += 1
+        n = seen[row.file]
+        yield row.file if n == 1 else f"{row.file}-{n}"
+
+
+@pytest.mark.parametrize("row", mutants.MUTANTS, ids=list(_mutant_ids()))
 def test_each_mutant_finds_its_source_text_once(row):
     # A refactor that moves the text updates the row.
     assert (PKG / row.file).read_text().count(row.source) == 1, row.origin
