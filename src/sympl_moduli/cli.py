@@ -345,15 +345,14 @@ def _cmd_trace(ns: argparse.Namespace, out: IO[str]) -> int:
                               n_samples=ns.samples, clip=ns.clip)
     _write_trace_csv(trace.samples, out)
     rng = ranges[ns.range]
-    s_vals = [row.s for row in trace.samples]
     summary = {
         "pair": [p, pp],
         "range": ns.range,
         "theta_endpoints": [_fmt(rng.lo), _fmt(rng.hi)],
         "endpoint_labels": [rng.lo_label, rng.hi_label],
         "samples": len(trace.samples),
-        "s_min": _fmt(min(s_vals)),
-        "s_max": _fmt(max(s_vals)),
+        "s_min": _fmt(min(trace.samples.s)),
+        "s_max": _fmt(max(trace.samples.s)),
         "csv": ns.out,
     }
     print(_json(summary))

@@ -29,8 +29,10 @@ Every 1 - 3 cos^2 theta here, in u, is geometry._cone_factor's, which
 keeps its digits next to the cone angles, where it vanishes.
 
 This module holds what the trace command runs: the families' specs,
-the terms of s and traces.  The points of the families, s at an angle
-and ds/dtheta are the points module's, which no command loads.
+the terms of s and traces.  A trace keeps its rows as four tuples of
+floats, its columns (s, theta, f, h), and builds each TraceSample only
+where a row is read (TraceRows).  The points of the families, s at an
+angle and ds/dtheta are the points module's, which no command loads.
 
 In x = cos(theta) the slope ds/dx is a proper rational function with
 simple poles at x = +-1 and at the roots of 3 a x^2 + sqrt6 x - a (the
@@ -56,11 +58,12 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator, Sequence
 from itertools import repeat
 # _log_sums and _u_of call these as module globals, which costs less
 # than binding them to locals on every call.
 from math import cos, log, log1p, sin
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .budgets import MAX_TRACE_SAMPLES, require_within
 from .errors import DomainError, _text
@@ -354,11 +357,11 @@ class CurveSpec(NamedTuple):
         return 0.5 * (rng.lo + rng.hi)
 
 
-#: Rows of a trace evaluated per _log_sums and fh_rows call, and built
-#: from their columns in one pass.  A block keeps the per-call cost off
-#: each row, and its intermediate lists stay small beside the rows, so
-#: that a trace of MAX_TRACE_SAMPLES rows peaks at the memory of the
-#: rows themselves.
+#: Rows of a trace evaluated per _log_sums and fh_rows call, and added
+#: to the trace's columns in one pass.  A block keeps the per-call cost
+#: off each row, and its intermediate lists stay small beside the
+#: columns, so that a trace of MAX_TRACE_SAMPLES rows peaks at the
+#: memory of its four columns.
 _TRACE_BLOCK = 4096
 
 
@@ -371,9 +374,42 @@ class TraceSample(NamedTuple):
     h: float
 
 
+class TraceRows(Sequence):
+    """A trace's rows: four tuples of floats, the columns s, theta, f
+    and h, each row TraceSample(s, 0.0, theta, 0.0, f, h) built where it
+    is read.  An int index (negative too) gives one row, a slice a tuple
+    of rows; reversed, in and index are Sequence's.  Rows compare as
+    tuples, the view itself only by identity.  The columns hold no row,
+    so the garbage collector has nothing of them to walk."""
+
+    __slots__ = ("s", "theta", "f", "h")
+
+    def __init__(self, s: tuple[float, ...], theta: tuple[float, ...],
+                 f: tuple[float, ...], h: tuple[float, ...]) -> None:
+        self.s, self.theta, self.f, self.h = s, theta, f, h
+
+    def __len__(self) -> int:
+        return len(self.s)
+
+    def __getitem__(self, i: int | slice
+                    ) -> TraceSample | tuple[TraceSample, ...]:
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self.s)))))
+        return tuple.__new__(TraceSample, (self.s[i], 0.0, self.theta[i], 0.0,
+                                           self.f[i], self.h[i]))
+
+    def __iter__(self) -> Iterator[TraceSample]:
+        # TraceSample checks nothing, so tuple.__new__ builds the same
+        # row from zip's tuple without the generated __new__, and map
+        # calls it with no Python frame per row.
+        return map(tuple.__new__, repeat(TraceSample),
+                   zip(self.s, repeat(0.0), self.theta, repeat(0.0),
+                       self.f, self.h))
+
+
 class Trace(NamedTuple):
     spec: CurveSpec
-    samples: tuple[TraceSample, ...]
+    samples: TraceRows
 
 
 def _anchored(spec: CurveSpec) -> tuple[LogTerms, float]:
@@ -397,9 +433,11 @@ def integrate_profile(p: int, p_prime: int, range_id: int,
     is strictly monotone.  Each row is at t = phi = 0.  The rows are
     evaluated _TRACE_BLOCK at a time: s by one _log_sums call and the
     f and h columns by one fh_rows call per block (DomainError, naming
-    the first row fh_rows refuses), zipped into the block's rows.  The
-    clipped range and the anchored log terms are the curve's
-    _point_start record, which its points read too.
+    the first row fh_rows refuses), which extend four lists, made the
+    trace's four tuple columns at the end; samples is a TraceRows view
+    of them, which builds a TraceSample only where a row is read.  The clipped range and the
+    anchored log terms are the curve's _point_start record, which its
+    points read too.
     DomainError for fewer than two samples, as CurveSpec.profile refuses
     its arguments, and past MAX_TRACE_SAMPLES, before any row.
     """
@@ -409,19 +447,22 @@ def integrate_profile(p: int, p_prime: int, range_id: int,
     spec = CurveSpec.profile(p, p_prime, range_id, s_anchor=s_anchor)
     lo, hi, terms, base = _point_start(spec, clip)[:4]
     width, last = hi - lo, n_samples - 1
-    samples = []
+    s, theta, f, h = [], [], [], []
     for start in range(0, n_samples, _TRACE_BLOCK):
         thetas = [lo + width * i / last
                   for i in range(start, min(start + _TRACE_BLOCK, n_samples))]
         s_values = [base + x for x in _log_sums(terms, thetas)]
         _, fs, hs = fh_rows(s_values, thetas)
-        # TraceSample checks nothing, so tuple.__new__ builds the same
-        # row from zip's tuple without the generated __new__, and map
-        # calls it with no Python frame per row.
-        samples += map(tuple.__new__, repeat(TraceSample),
-                       zip(s_values, repeat(0.0), thetas, repeat(0.0),
-                           fs, hs))
-    return Trace(spec=spec, samples=tuple(samples))
+        s += s_values
+        theta += thetas
+        f += fs
+        h += hs
+    # One column at a time, so that only one is held twice at once.
+    s = tuple(s)
+    theta = tuple(theta)
+    f = tuple(f)
+    h = tuple(h)
+    return Trace(spec=spec, samples=TraceRows(s, theta, f, h))
 
 
 def _u_of(terms: LogTerms, base: float, theta: float) -> float:

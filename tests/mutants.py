@@ -111,6 +111,28 @@ MUTANTS = (
          "tests/test_source.py::TestReach::"
          "test_readme_lists_the_exports_no_command_reaches"),
         "One layout per report: a method nothing calls, EndClass.swapped"),
+    Mutant(
+        "curves.py",
+        "(self.s[i], 0.0, self.theta[i], 0.0,\n"
+        "                                           self.f[i], self.h[i]))",
+        "(self.s[i], 0.0, self.theta[i], 0.0,\n"
+        "                                           self.h[i], self.f[i]))",
+        ("tests/test_curves.py::TestIntegrateProfile::"
+         "test_rows_are_a_sequence",
+         "tests/test_curves.py::TestProfileReflection::"
+         "test_trace_rows_mirror"),
+        "A trace keeps its rows as four float columns: f and h swapped "
+        "where a row is read by index or slice"),
+    Mutant(
+        "curves.py",
+        "                       self.f, self.h))",
+        "                       self.h, self.f))",
+        ("tests/test_curves.py::TestIntegrateProfile::"
+         "test_rows_are_a_sequence",
+         "tests/test_curves.py::TestIntegrateProfile::"
+         "test_rows_are_their_one_angle_values"),
+        "A trace keeps its rows as four float columns: f and h swapped "
+        "where the rows are iterated"),
 )
 
 

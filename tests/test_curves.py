@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import random
@@ -935,14 +936,50 @@ class TestIntegrateProfile:
                         assert str(one.value) == str(exc)
                         continue
                     traced += 1
-                    assert repr(tr.samples) == repr(
+                    assert repr(tuple(tr.samples)) == repr(
                         _one_angle_rows(tr.spec, 101, clip))
         assert traced > 150 and failed > 0
 
     def test_rows_past_the_first_block_are_their_one_angle_values(self):
         n = 2 * curves._TRACE_BLOCK + 3
         tr = integrate_profile(3, -7, 1, n_samples=n)
-        assert repr(tr.samples) == repr(_one_angle_rows(tr.spec, n, 1e-4))
+        assert repr(tuple(tr.samples)) == repr(
+            _one_angle_rows(tr.spec, n, 1e-4))
+
+    def test_no_row_is_built_until_read(self):
+        """A trace keeps four columns of floats: it holds no TraceSample,
+        and one is built only where a row is read."""
+        def live():
+            return sum(type(obj) is TraceSample for obj in gc.get_objects())
+        gc.collect()
+        before = live()
+        rows = integrate_profile(3, -7, 1, n_samples=10_000).samples
+        assert live() == before
+        row = rows[5_000]
+        assert live() == before + 1 and type(row) is TraceSample
+
+    def test_rows_are_a_sequence(self):
+        """samples reads as a sequence of TraceSample rows: by an int
+        index, negative too, by a slice, reversed and iterated, and the
+        rows read each way agree, past the first block too, with the
+        columns s, theta, f and h, which are tuples."""
+        n = 2 * curves._TRACE_BLOCK + 3
+        rows = integrate_profile(3, -7, 1, n_samples=n).samples
+        every = tuple(rows)
+        assert len(rows) == len(every) == n
+        assert {type(rows.s), type(rows.theta), type(rows.f),
+                type(rows.h)} == {tuple}
+        assert rows[-1] == every[n - 1] and rows[-n] == every[0]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                rows[i]
+        assert rows[1:-1:20] == every[1:-1:20]
+        assert tuple(reversed(rows)) == every[::-1]
+        assert every[n // 2] in rows and rows.index(every[n // 2]) == n // 2
+        for i, row in enumerate(rows):
+            assert type(row) is type(rows[i]) is TraceSample
+            assert row == rows[i] == (rows.s[i], 0.0, rows.theta[i], 0.0,
+                                      rows.f[i], rows.h[i])
 
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=200)

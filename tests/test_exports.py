@@ -10,6 +10,7 @@ import cmath
 import importlib
 import math
 import re
+from collections.abc import Sequence
 from pathlib import Path
 
 import pytest
@@ -186,12 +187,13 @@ CALLS = {
 
 
 def _finite(x) -> bool:
-    """Whether every float and complex inside x (records, lists) is finite."""
+    """Whether every float and complex inside x (records, lists and
+    other sequences, such as a trace's rows) is finite."""
     if isinstance(x, float):
         return math.isfinite(x)
     if isinstance(x, complex):
         return cmath.isfinite(x)
-    if isinstance(x, (tuple, list)):
+    if isinstance(x, Sequence) and not isinstance(x, str):
         return all(map(_finite, x))
     return True
 
